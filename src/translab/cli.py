@@ -78,8 +78,8 @@ def _build_parser():
     frun.add_argument("--a", type=float, default=2.0)
     frun.add_argument("--b", type=float, default=1.0)
     frun.add_argument("--n", type=int, default=256)
-    frun.add_argument("--dt-safety", type=float, default=0.4)
-    frun.add_argument("--stop-amax", type=float, default=1e4)
+    frun.add_argument("--dt-safety", type=float, default=csf.FlowConfig.dtSafety)
+    frun.add_argument("--stop-amax", type=float, default=csf.FlowConfig.stopAmax)
     frun.add_argument("--out", required=True, help="singularity log CSV")
     frun.add_argument("--report", default=None, help="verdict JSON")
     fcmp = flows.add_parser("compare", help="comparison principle check")
@@ -88,7 +88,7 @@ def _build_parser():
     fcmp.add_argument("--gap", type=float, default=0.0,
                       help="horizontal center offset of shape2")
     fcmp.add_argument("--n", type=int, default=256)
-    fcmp.add_argument("--stop-amax", type=float, default=1e4)
+    fcmp.add_argument("--stop-amax", type=float, default=csf.FlowConfig.stopAmax)
     fcmp.add_argument("--report", default=None)
 
     ana = sub.add_parser("analyze", help="translator diagnostics on a grid CSV")
@@ -224,7 +224,8 @@ def _cmd_csf(args, prov):
         verdict = {"command": prov, "schema": "translab-verdict/1",
                    "fittedT": log.fittedT,
                    "typeVerdict": log.typeVerdict.value if log.typeVerdict else None,
-                   "Climsup": log.Climsup, "samples": len(log.times)}
+                   "Climsup": log.Climsup, "samples": len(log.times),
+                   "stopReason": log.stopReason}
         _emit(tio.report_to_json(verdict), args.report)
     else:
         a = _parse_shape(args.shape1, args.n)

@@ -1,13 +1,15 @@
 """Curve shortening flow on closed polylines.
 
-Semi-implicit stepping: the arclength second-difference operator is applied
-implicitly with its metric (edge lengths) frozen at the current state, which
-lifts the explicit dt <= h^2/2 stability ceiling enough to chase curvature
-blow-up to |A|_max ~ 1e4 at desk scale.  Tangential redistribution resamples
-to uniform arclength with periodic cubic interpolation every few steps.
-
-The drivers (run, evolve_to, comparison_check) work on raw (n, 2) arrays in
-their hot loops; CurveState wraps the results at API boundaries.
+Dziuk's semi-implicit scheme (M3AS 4, 1994; Deckelnick-Dziuk-Elliott, Acta
+Numerica 14, 2005) applies the arclength second difference implicitly with
+its metric (edge lengths) frozen at the current state.  Stable far beyond
+the explicit ceiling dt ~ min(edge)^2, it steps with dt = dtSafety / Amax^2
+(2 dtSafety of a circle's remaining life), made second order by Richardson
+extrapolation: 2 (two half steps, the metric refrozen at the half state) -
+(one full step).  Every remeshEvery steps the curve is resampled to uniform
+arclength by periodic cubic interpolation.  One driver (_flow) owns this
+policy, the stop rule and the common dt of a curve pair; run, evolve_to and
+comparison_check consume its states, raw (n, 2) arrays.
 """
 
 from __future__ import annotations
@@ -15,24 +17,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import get_lapack_funcs
 
-from .errors import InsufficientDataError, ResolutionLostError, TranslabError
+from .errors import (InsufficientDataError, LinearSolveFailureError,
+                     ResolutionLostError, TranslabError)
 from .geom import CurveState, curve_geometry
+
+_gtsv, = get_lapack_funcs(("gtsv",), dtype=np.float64)
+
+# SingularityLog.stopReason values
+STOP_AMAX, RESOLUTION_LOST, MAX_STEPS = "stopAmax", "resolutionLost", "maxSteps"
 
 
 @dataclass
 class FlowConfig:
-    dtSafety: float = 0.4
+    dtSafety: float = 5e-3
     remeshEvery: int = 5
     stopAmax: float = 1e4
     maxSteps: int = 2_000_000
 
     def __post_init__(self):
-        if not (0.0 < self.dtSafety <= 1.0):
-            raise ValueError("dtSafety must lie in (0, 1]")
+        # dt = dtSafety / Amax^2 is 2 dtSafety of a circle's remaining life
+        if not (0.0 < self.dtSafety <= 0.05):
+            raise ValueError("dtSafety must lie in (0, 0.05]")
 
 
 class TypeVerdict(Enum):
@@ -43,7 +53,8 @@ class TypeVerdict(Enum):
 
 @dataclass
 class SingularityLog:
-    """Flow diagnostics time series plus fitted extinction data."""
+    """Flow diagnostics time series, fitted extinction data, and the flow
+    driver's counters (stopReason: STOP_AMAX, RESOLUTION_LOST or MAX_STEPS)."""
 
     times: np.ndarray
     Amax: np.ndarray
@@ -53,6 +64,9 @@ class SingularityLog:
     typeVerdict: TypeVerdict | None = None
     Climsup: float | None = None
     fitWindowStart: int = 0
+    steps: int = 0
+    remeshes: int = 0
+    stopReason: str | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -64,10 +78,7 @@ class SingularityLog:
 
 
 def make_circle(radius: float = 1.0, n: int = 256, center=(0.0, 0.0)) -> CurveState:
-    ang = 2 * math.pi * np.arange(n) / n
-    pts = np.stack([center[0] + radius * np.cos(ang),
-                    center[1] + radius * np.sin(ang)], axis=1)
-    return CurveState(points=pts)
+    return make_ellipse(radius, radius, n, center)
 
 
 def make_ellipse(a: float = 2.0, b: float = 1.0, n: int = 512,
@@ -108,19 +119,13 @@ def _cyclic_tridiag_solve(sub, diag, sup, corner_bl, corner_tr, rhs):
     d[0] -= gamma
     d[-1] -= corner_tr * corner_bl / gamma
 
-    ab = np.empty((3, n))
-    ab[0, 0] = 0.0
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = d
-    ab[2, :-1] = sub[1:]
-    ab[2, -1] = 0.0
-
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = corner_bl
-    B = np.column_stack([rhs, u])
-    sol = solve_banded((1, 1), ab, B, overwrite_ab=True, overwrite_b=True,
-                       check_finite=False)
+    B = np.zeros((n, rhs.shape[1] + 1), order="F")
+    B[:, :-1] = rhs
+    B[0, -1] = gamma
+    B[-1, -1] = corner_bl
+    sol, info = _gtsv(sub[1:], d, sup[:-1], B, overwrite_d=1, overwrite_b=1)[3:]
+    if info != 0:
+        raise LinearSolveFailureError(f"tridiagonal solve failed (gtsv info {info})")
     y, z = sol[:, :-1], sol[:, -1]
     vy = y[0, :] + (corner_tr / gamma) * y[-1, :]
     vz = z[0] + (corner_tr / gamma) * z[-1]
@@ -138,6 +143,14 @@ def _step_arrays(P: np.ndarray, dt: float, ell: np.ndarray | None = None) -> np.
     return _cyclic_tridiag_solve(-dt * a, diag, -dt * b,
                                  corner_bl=-dt * b[-1], corner_tr=-dt * a[0],
                                  rhs=P)
+
+
+def _richardson_step(P: np.ndarray, dt: float) -> np.ndarray:
+    """2 (two half steps) - (one full step): second order in dt.  The second
+    half step refreezes the metric at the half state."""
+    ell = _edge_lengths(P)
+    half = _step_arrays(P, 0.5 * dt, ell)
+    return 2.0 * _step_arrays(half, 0.5 * dt) - _step_arrays(P, dt, ell)
 
 
 def _resample_arrays(P: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -180,13 +193,11 @@ def _check_resolution(P: np.ndarray):
         raise ResolutionLostError("edge collapse after remeshing")
 
 
-def _diagnostics(P: np.ndarray, e: np.ndarray | None = None,
-                 ell: np.ndarray | None = None):
+def _diagnostics(P: np.ndarray):
     """(length, enclosed_area, amax) with the same curvature discretization
     as curve_geometry, trimmed to what the flow log needs."""
-    if e is None:
-        e = _shift_fwd(P) - P
-        ell = np.hypot(e[:, 0], e[:, 1])
+    e = _shift_fwd(P) - P
+    ell = np.hypot(e[:, 0], e[:, 1])
     ell_prev = _shift_bwd(ell)
     te = e / ell[:, None]
     te_prev = _shift_bwd(te)
@@ -200,18 +211,53 @@ def _diagnostics(P: np.ndarray, e: np.ndarray | None = None,
     return length, abs(area), float(np.max(np.abs(kappa)))
 
 
+# --- the flow driver ----------------------------------------------------------
+
+
+def _flow(curves, t: float, cfg: FlowConfig, t_end: float = math.inf):
+    """Yield the state at t and after every step: one object, updated in
+    place, with t, curves, diags ((length, area, amax) per curve), steps,
+    remeshes and stopReason.  The curves share dt = dtSafety / Amax^2, Amax
+    the largest over them, the last step clipped to land on t_end exactly.
+    The flow ends at t_end (stopReason None), after yielding a state with
+    Amax >= stopAmax (STOP_AMAX), after maxSteps steps (MAX_STEPS), or when a
+    remesh collapses an edge (RESOLUTION_LOST; that state is not yielded).
+    """
+    state = SimpleNamespace(t=t, curves=[P.copy() for P in curves], steps=0,
+                            remeshes=0, stopReason=None)
+    while True:
+        state.diags = [_diagnostics(P) for P in state.curves]
+        yield state
+        amax = max(d[2] for d in state.diags)
+        if state.t >= t_end:
+            return
+        if amax >= cfg.stopAmax or state.steps == cfg.maxSteps:
+            state.stopReason = STOP_AMAX if amax >= cfg.stopAmax else MAX_STEPS
+            return
+        dt = min(cfg.dtSafety / amax ** 2, t_end - state.t)
+        state.curves = [_richardson_step(P, dt) for P in state.curves]
+        state.t = t_end if dt == t_end - state.t else state.t + dt
+        state.steps += 1
+        if state.steps % cfg.remeshEvery == 0:
+            state.curves = [_resample_arrays(P) for P in state.curves]
+            state.remeshes += 1
+            try:
+                for P in state.curves:
+                    _check_resolution(P)
+            except ResolutionLostError:
+                state.stopReason = RESOLUTION_LOST
+                return
+
+
 # --- public stepping ----------------------------------------------------------
 
 
 def step(c: CurveState, cfg: FlowConfig) -> CurveState:
-    """One semi-implicit step with dt = dtSafety * min(edge)^2 / 2.
-
-    Tangential redistribution is the driver's job (resample_uniform every
-    cfg.remeshEvery steps).
-    """
-    ell = _edge_lengths(c.points)
-    dt = cfg.dtSafety * float(np.min(ell)) ** 2 / 2.0
-    return CurveState(points=_step_arrays(c.points, dt), closed=True,
+    """One Richardson-extrapolated semi-implicit step with dt = dtSafety /
+    Amax^2, as the drivers take it (module docstring).  Tangential
+    redistribution is the driver's job (resample_uniform every remeshEvery)."""
+    dt = cfg.dtSafety / _diagnostics(c.points)[2] ** 2
+    return CurveState(points=_richardson_step(c.points, dt), closed=True,
                       t=c.t + dt)
 
 
@@ -227,38 +273,20 @@ def resample_uniform(c: CurveState, n: int | None = None) -> CurveState:
 
 
 def run(c0: CurveState, cfg: FlowConfig | None = None) -> SingularityLog:
-    """Evolve until stopAmax (or resolution loss), logging every step.
-
-    The extinction time is fitted by linear regression of 1/Amax^2 against t
-    over the final 30% of samples, and the singularity type verdict is
-    attached via classify().
+    """Evolve until stopAmax, resolution loss or maxSteps (log.stopReason),
+    logging every step.  The extinction time is fitted by linear regression
+    of 1/Amax^2 against t over the final 30% of samples, and the singularity
+    type verdict is attached via classify().
     """
     cfg = cfg or FlowConfig()
-    P = c0.points.copy()
-    t = c0.t
-    half_safety = cfg.dtSafety / 2.0
-    times, amaxs, lengths, areas = [], [], [], []
-    for k in range(cfg.maxSteps):
-        e = _shift_fwd(P) - P
-        ell = np.hypot(e[:, 0], e[:, 1])
-        length, area, amax = _diagnostics(P, e, ell)
-        times.append(t)
-        amaxs.append(amax)
-        lengths.append(length)
-        areas.append(area)
-        if amax >= cfg.stopAmax:
-            break
-        dt = half_safety * float(np.min(ell)) ** 2
-        P = _step_arrays(P, dt, ell)
-        t += dt
-        if (k + 1) % cfg.remeshEvery == 0:
-            P = _resample_arrays(P)
-            try:
-                _check_resolution(P)
-            except ResolutionLostError:
-                break
-    log = SingularityLog(times=np.array(times), Amax=np.array(amaxs),
-                         length=np.array(lengths), area=np.array(areas))
+    times, diags = [], []
+    for state in _flow([c0.points], c0.t, cfg):
+        times.append(state.t)
+        diags.append(state.diags[0])
+    length, area, amax = np.array(diags).T
+    log = SingularityLog(times=times, Amax=amax, length=length,
+                         area=area, steps=state.steps,
+                         remeshes=state.remeshes, stopReason=state.stopReason)
     _fit_extinction(log)
     try:
         classify(log)
@@ -268,21 +296,17 @@ def run(c0: CurveState, cfg: FlowConfig | None = None) -> SingularityLog:
 
 
 def evolve_to(c0: CurveState, t_target: float, cfg: FlowConfig | None = None) -> CurveState:
-    """Evolve a curve to flow time >= t_target (same stepping as run)."""
+    """Evolve a curve to flow time exactly t_target (the stepping of run, last
+    step clipped).  Raises ResolutionLostError on resolution loss, and
+    TranslabError if stopAmax or maxSteps is reached first."""
     cfg = cfg or FlowConfig()
-    P = c0.points.copy()
-    t = c0.t
-    half_safety = cfg.dtSafety / 2.0
-    for k in range(cfg.maxSteps):
-        if t >= t_target:
-            return CurveState(points=P, closed=True, t=t)
-        dt = half_safety * float(np.min(_edge_lengths(P))) ** 2
-        P = _step_arrays(P, dt)
-        t += dt
-        if (k + 1) % cfg.remeshEvery == 0:
-            P = _resample_arrays(P)
-            _check_resolution(P)
-    raise TranslabError("step budget exhausted before t_target")
+    for state in _flow([c0.points], c0.t, cfg, t_end=t_target):
+        pass
+    if state.stopReason == RESOLUTION_LOST:
+        raise ResolutionLostError("edge collapse after remeshing")
+    if state.stopReason:
+        raise TranslabError(f"{state.stopReason} at t={state.t!r} < {t_target!r}")
+    return CurveState(points=state.curves[0], closed=True, t=state.t)
 
 
 def _fit_extinction(log: SingularityLog):
@@ -353,13 +377,14 @@ def roundness(c: CurveState):
 def _min_distance(P: np.ndarray, Q: np.ndarray) -> float:
     """Min distance between two closed polylines (vertex-to-segment, both ways)."""
     def pts_to_segs(pts, poly):
-        A = poly
-        d = _shift_fwd(poly) - poly
-        W = pts[:, None, :] - A[None, :, :]
-        dd = np.einsum("mk,mk->m", d, d)
-        tt = np.clip(np.einsum("nmk,mk->nm", W, d) / dd[None, :], 0.0, 1.0)
-        diff = W - tt[..., None] * d[None, :, :]
-        return float(np.sqrt(np.min(np.einsum("nmk,nmk->nm", diff, diff))))
+        x, y = poly[:, 0], poly[:, 1]
+        dx, dy = _shift_fwd(x) - x, _shift_fwd(y) - y
+        wx = pts[:, 0, None] - x
+        wy = pts[:, 1, None] - y
+        tt = np.clip((wx * dx + wy * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+        ex = wx - tt * dx
+        ey = wy - tt * dy
+        return float(np.sqrt(np.min(ex * ex + ey * ey)))
 
     return min(pts_to_segs(P, Q), pts_to_segs(Q, P))
 
@@ -400,13 +425,14 @@ class ComparisonReport:
     tolerance: float
 
 
-def comparison_check(a: CurveState, b: CurveState, cfg: FlowConfig | None = None,
-                     dist_every: int = 25) -> ComparisonReport:
+def comparison_check(a: CurveState, b: CurveState,
+                     cfg: FlowConfig | None = None) -> ComparisonReport:
     """Co-evolve two initially disjoint curves and track their separation.
 
-    Both curves advance with the common step dt = min of their individual
-    steps; the minimum vertex-segment distance is sampled every dist_every
-    steps.  PASS verdict: the distance never drops below its initial value
+    The curves share the flow driver's dt (set by the larger Amax) until
+    either reaches stopAmax, a remesh loses resolution or maxSteps run out;
+    the minimum vertex-segment distance is sampled at t = 0 and after every
+    step.  PASS verdict: the distance never drops below its initial value
     minus 10 * (sum of squared initial mean edge lengths), a discretization
     error allowance.
     """
@@ -416,42 +442,11 @@ def comparison_check(a: CurveState, b: CurveState, cfg: FlowConfig | None = None
 
     tol = 10.0 * (float(np.mean(_edge_lengths(a.points))) ** 2
                   + float(np.mean(_edge_lengths(b.points))) ** 2)
-    t = a.t
-    times = [t]
-    dists = [_min_distance(a.points, b.points)]
-    half_safety = cfg.dtSafety / 2.0
-
-    Pa, Pb = a.points.copy(), b.points.copy()
-    for k in range(cfg.maxSteps):
-        ell_a = _edge_lengths(Pa)
-        ell_b = _edge_lengths(Pb)
-        dt = half_safety * min(float(np.min(ell_a)), float(np.min(ell_b))) ** 2
-        Pa = _step_arrays(Pa, dt, ell_a)
-        Pb = _step_arrays(Pb, dt, ell_b)
-        t += dt
-        stop = False
-        if (k + 1) % cfg.remeshEvery == 0:
-            Pa = _resample_arrays(Pa)
-            Pb = _resample_arrays(Pb)
-            try:
-                _check_resolution(Pa)
-                _check_resolution(Pb)
-            except ResolutionLostError:
-                stop = True
-            # first-extinction proxy: either curve at the curvature cap
-            if not stop and max(_diagnostics(Pa)[2],
-                                _diagnostics(Pb)[2]) >= cfg.stopAmax:
-                stop = True
-        if (k + 1) % dist_every == 0:
-            times.append(t)
-            dists.append(_min_distance(Pa, Pb))
-        if stop:
-            break
-    if t > times[-1]:
-        times.append(t)
-        dists.append(_min_distance(Pa, Pb))
-    times = np.array(times)
+    times, dists = [], []
+    for state in _flow([a.points, b.points], a.t, cfg):
+        times.append(state.t)
+        dists.append(_min_distance(*state.curves))
     dists = np.array(dists)
     verdict = bool(np.min(dists) >= dists[0] - tol)
-    return ComparisonReport(times=times, minDistance=dists, verdict=verdict,
-                            tolerance=tol)
+    return ComparisonReport(times=np.array(times), minDistance=dists,
+                            verdict=verdict, tolerance=tol)

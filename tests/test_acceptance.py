@@ -229,7 +229,7 @@ def test_criterion_10_blowup_lower_bound_generic(ellipse_log_512):
 def test_criterion_11_comparison_principle():
     rep = csf.comparison_check(csf.make_circle(1.0, 384),
                                csf.make_circle(2.0, 192),
-                               FlowConfig(stopAmax=200.0), dist_every=100)
+                               FlowConfig(stopAmax=200.0))
     closed = np.sqrt(4 - 2 * rep.times) \
         - np.sqrt(np.clip(1 - 2 * rep.times, 0.0, None))
     err = float(np.max(np.abs(rep.minDistance - closed)))

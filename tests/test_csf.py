@@ -5,7 +5,8 @@ import pytest
 
 from translab import csf, geom
 from translab.csf import FlowConfig, TypeVerdict
-from translab.errors import InsufficientDataError, ResolutionLostError
+from translab.errors import (InsufficientDataError, ResolutionLostError,
+                             TranslabError)
 
 
 QUICK = FlowConfig(stopAmax=200.0)
@@ -146,3 +147,86 @@ def test_ellipse_quick_run_monotone_blowup():
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(dtSafety=1.5)
+    with pytest.raises(ValueError):
+        FlowConfig(dtSafety=0.1)  # dt would be 20% of a circle's remaining life
+
+
+def test_stop_reasons(monkeypatch):
+    c = csf.make_circle(1.0, 64)
+    log = csf.run(c, FlowConfig(stopAmax=20.0))
+    assert log.stopReason == csf.STOP_AMAX and log.Amax[-1] >= 20.0
+    assert log.steps == len(log.times) - 1
+    assert log.remeshes == log.steps // 5
+
+    log = csf.run(c, FlowConfig(maxSteps=7))
+    assert log.stopReason == csf.MAX_STEPS
+    assert (log.steps, log.remeshes, len(log.times)) == (7, 1, 8)
+
+    # uniform resampling keeps edges equal on any smooth flow, so collapse
+    # one edge in the remesher to reach the guard
+    def collapsing(P):
+        Q = P.copy()
+        Q[1] = Q[0] + 1e-9 * (Q[1] - Q[0])
+        return Q
+    monkeypatch.setattr(csf, "_resample_arrays", collapsing)
+    log = csf.run(c, FlowConfig())
+    assert log.stopReason == csf.RESOLUTION_LOST
+    assert (log.steps, log.remeshes, len(log.times)) == (5, 1, 5)
+    with pytest.raises(ResolutionLostError):
+        csf.evolve_to(c, 0.4)
+
+
+def test_richardson_step_is_second_order_in_time():
+    # roundness at t = 0.5 against a dtSafety/8 reference: halving dtSafety
+    # divides the error by ~4 (measured 3.93)
+    c = csf.make_ellipse(2.0, 1.0, 128)
+
+    def ratio_at(dt_safety):
+        return csf.roundness(csf.evolve_to(c, 0.5, FlowConfig(dtSafety=dt_safety)))[0]
+
+    ref = ratio_at(5e-3 / 8)
+    e1 = abs(ratio_at(5e-3) - ref)
+    e2 = abs(ratio_at(2.5e-3) - ref)
+    assert 3.0 <= e1 / e2 <= 5.0
+
+
+def test_evolve_to_lands_on_target():
+    t_target = 0.123456789
+    c = csf.evolve_to(csf.make_circle(1.0, 64), t_target)
+    assert c.t == t_target
+    assert csf.evolve_to(c, 0.1).t == t_target  # already past: unchanged
+    with pytest.raises(TranslabError):  # beyond extinction: stopAmax first
+        csf.evolve_to(csf.make_circle(1.0, 64), 0.6, FlowConfig(stopAmax=50.0))
+
+
+def test_comparison_samples_every_step():
+    # the inner circle has the larger curvature throughout, so the common dt
+    # is its own and the pair steps exactly as the inner circle runs alone
+    cfg = FlowConfig(stopAmax=60.0)
+    inner = csf.make_circle(0.6, 96)
+    rep = csf.comparison_check(inner, csf.make_circle(1.4, 96), cfg)
+    log = csf.run(inner, cfg)
+    assert len(rep.minDistance) == len(rep.times) == log.steps + 1
+    assert np.array_equal(rep.times, log.times)
+
+
+def _min_distance_einsum(P, Q):
+    """The 3-D einsum form _min_distance replaced, kept as its reference."""
+    def pts_to_segs(pts, poly):
+        d = np.roll(poly, -1, axis=0) - poly
+        W = pts[:, None, :] - poly[None, :, :]
+        dd = np.einsum("mk,mk->m", d, d)
+        tt = np.clip(np.einsum("nmk,mk->nm", W, d) / dd[None, :], 0.0, 1.0)
+        diff = W - tt[..., None] * d[None, :, :]
+        return float(np.sqrt(np.min(np.einsum("nmk,nmk->nm", diff, diff))))
+
+    return min(pts_to_segs(P, Q), pts_to_segs(Q, P))
+
+
+def test_min_distance_matches_einsum_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        n, m = rng.integers(3, 80, size=2)
+        P = rng.normal(size=(n, 2))
+        Q = rng.normal(size=(m, 2)) + rng.normal(size=2)
+        assert csf._min_distance(P, Q) == _min_distance_einsum(P, Q)

@@ -171,6 +171,7 @@ def test_cli_csf_run(tmp_path, capsys):
     verdict = json.loads(capsys.readouterr().out)
     assert abs(verdict["fittedT"] - 0.5) < 5e-3
     assert verdict["typeVerdict"] == "TypeI"
+    assert verdict["stopReason"] == "stopAmax"
     header = log.read_text().splitlines()[0]
     assert header == "t,Amax,length,area"
 
@@ -182,6 +183,20 @@ def test_cli_csf_compare(capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "PASS"
+
+
+def test_cli_csf_reruns_byte_identical(tmp_path):
+    log, run_json, cmp_json = (tmp_path / f for f in ("log.csv", "run.json", "cmp.json"))
+    argvs = (["csf", "run", "--shape", "ellipse", "--n", "64", "--stop-amax", "50",
+              "--out", str(log), "--report", str(run_json)],
+             ["csf", "compare", "--shape1", "circle:1", "--shape2", "circle:2",
+              "--n", "48", "--stop-amax", "30", "--report", str(cmp_json)])
+    outputs = []
+    for _ in range(2):
+        for argv in argvs:
+            assert cli.main(argv) == 0
+        outputs.append([p.read_bytes() for p in (log, run_json, cmp_json)])
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_config_precedence(tmp_path, capsys):
