@@ -20,7 +20,8 @@ import numpy as np
 from . import geom as _geom
 from .errors import (EmptyMaskError, PerturbationTooLargeError,
                      RegionOutOfBoundsError)
-from .geom import GeometryField, drift_laplacian, graph_geometry, surface_gradient
+from .geom import (GeometryField, drift_laplacian, graph_geometry, interior_jet,
+                   surface_gradient)
 from .grid import GridFunction
 
 
@@ -100,10 +101,9 @@ def first_variation_check(u: GridFunction, v: VariationSpec,
     (4 D(eps/2) - D(eps)) / 3 removes the leading eps^2 term.
     """
     phi = v.profile(u)
-    p = _geom._dx(u.values, u.hx)
-    q = _geom._dy(u.values, u.hy)
-    W = np.sqrt(1.0 + p * p + q * q)
-    W[0, :] = W[-1, :] = W[:, 0] = W[:, -1] = 1.0  # bump vanishes there anyway
+    p, q = interior_jet(u.values, u.hx, u.hy)[:2]
+    W = np.ones((u.nx, u.ny))  # on the margin; the bump vanishes there anyway
+    W[1:-1, 1:-1] = np.sqrt(1.0 + p * p + q * q)
     direction = phi * W
 
     if region is None:
@@ -122,8 +122,7 @@ def first_variation_check(u: GridFunction, v: VariationSpec,
         except Exception as exc:
             raise PerturbationTooLargeError(str(exc)) from exc
         for g in (up, um):
-            gx = _geom._dx(g.values, u.hx)[1:-1, 1:-1]
-            gy = _geom._dy(g.values, u.hy)[1:-1, 1:-1]
+            gx, gy = interior_jet(g.values, u.hx, u.hy)[:2]
             if not np.all(np.isfinite(gx)) or not np.all(np.isfinite(gy)):
                 raise PerturbationTooLargeError("perturbed surface is not a graph")
         val = (weighted_area(up, region) - weighted_area(um, region)) / (2 * eps)

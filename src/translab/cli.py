@@ -118,7 +118,8 @@ def _build_parser():
 
 
 def _apply_config(ap, argv, args):
-    """Merge a JSON config under explicit flags (strict key checking).
+    """Merge a JSON config under explicit flags (strict key checking); each
+    value goes through its option's argparse type and choices.
 
     Explicit detection matches exact long-option spellings in argv, so config
     precedence requires unabbreviated flags.
@@ -132,15 +133,26 @@ def _apply_config(ap, argv, args):
             raise UsageError(f"config {args.config}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config must be a JSON object")
-    known = vars(args)
-    explicit = {tok[2:].split("=")[0].replace("-", "_")
-                for tok in argv if tok.startswith("--")}
+    parser = ap
+    for name in (args.command, args.subcommand):
+        parser = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices[name]
+    options = {a.dest: a for a in parser._actions if a.dest in vars(args)}
+    explicit = {a.dest for a in options.values() for tok in argv
+                if tok.split("=")[0] in a.option_strings}
     for key, val in cfg.items():
-        attr = key.replace("-", "_")
-        if attr not in known:
+        opt = options.get(key.replace("-", "_"))
+        if opt is None:
             raise UsageError(f"unknown config key: {key!r}")
-        if attr not in explicit:
-            setattr(args, attr, val)
+        if opt.dest in explicit:
+            continue
+        try:
+            val = (opt.type or str)(str(val))
+        except ValueError as exc:
+            raise UsageError(f"config key {key!r}: {exc}") from exc
+        if opt.choices is not None and val not in opt.choices:
+            raise UsageError(f"config key {key!r}: invalid choice {val!r}")
+        setattr(args, opt.dest, val)
     return args
 
 

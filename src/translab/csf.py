@@ -22,14 +22,16 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .errors import (InsufficientDataError, LinearSolveFailureError,
-                     ResolutionLostError, TranslabError)
-from .geom import CurveState, curve_geometry
+from .errors import (DegenerateEdgeError, InsufficientDataError,
+                     LinearSolveFailureError, ResolutionLostError,
+                     TranslabError)
+from .geom import CurveState, polyline_kernel, shift_bwd, shift_fwd
 
 _gtsv, = get_lapack_funcs(("gtsv",), dtype=np.float64)
 
 # SingularityLog.stopReason values
-STOP_AMAX, RESOLUTION_LOST, MAX_STEPS = "stopAmax", "resolutionLost", "maxSteps"
+STOP_AMAX, RESOLUTION_LOST, MAX_STEPS, DT_UNDERFLOW = \
+    "stopAmax", "resolutionLost", "maxSteps", "dtUnderflow"
 
 
 @dataclass
@@ -53,8 +55,9 @@ class TypeVerdict(Enum):
 
 @dataclass
 class SingularityLog:
-    """Flow diagnostics time series, fitted extinction data, and the flow
-    driver's counters (stopReason: STOP_AMAX, RESOLUTION_LOST or MAX_STEPS)."""
+    """Flow diagnostics time series, fitted extinction data, and the counters
+    of _flow (stopReason: STOP_AMAX, RESOLUTION_LOST, MAX_STEPS or
+    DT_UNDERFLOW)."""
 
     times: np.ndarray
     Amax: np.ndarray
@@ -92,17 +95,8 @@ def make_ellipse(a: float = 2.0, b: float = 1.0, n: int = 512,
 # --- raw-array kernels --------------------------------------------------------
 
 
-def _shift_fwd(a):
-    """a[i+1] cyclically (cheaper than np.roll)."""
-    return np.concatenate((a[1:], a[:1]))
-
-
-def _shift_bwd(a):
-    return np.concatenate((a[-1:], a[:-1]))
-
-
 def _edge_lengths(P):
-    d = _shift_fwd(P) - P
+    d = shift_fwd(P) - P
     return np.hypot(d[:, 0], d[:, 1])
 
 
@@ -136,7 +130,7 @@ def _step_arrays(P: np.ndarray, dt: float, ell: np.ndarray | None = None) -> np.
     """One implicit step of x_t = x_ss with the metric frozen at P."""
     if ell is None:
         ell = _edge_lengths(P)
-    ell_prev = _shift_bwd(ell)
+    ell_prev = shift_bwd(ell)
     a = 2.0 / (ell_prev * (ell_prev + ell))   # weight of x_{i-1}
     b = 2.0 / (ell * (ell_prev + ell))        # weight of x_{i+1}
     diag = 1.0 + dt * (a + b)
@@ -166,9 +160,9 @@ def _resample_arrays(P: np.ndarray, n: int | None = None) -> np.ndarray:
     # periodic cubic spline moments M_i (second derivatives at the knots):
     # (h_{i-1}/6) M_{i-1} + (h_{i-1}+h_i)/3 M_i + (h_i/6) M_{i+1} = rhs_i
     h = seg
-    h_prev = _shift_bwd(h)
-    Pn = _shift_fwd(P)
-    Pp = _shift_bwd(P)
+    h_prev = shift_bwd(h)
+    Pn = shift_fwd(P)
+    Pp = shift_bwd(P)
     rhs = (Pn - P) / h[:, None] - (P - Pp) / h_prev[:, None]
     M = _cyclic_tridiag_solve(h_prev / 6.0, (h_prev + h) / 3.0, h / 6.0,
                               corner_bl=h[-1] / 6.0, corner_tr=h_prev[0] / 6.0,
@@ -194,20 +188,8 @@ def _check_resolution(P: np.ndarray):
 
 
 def _diagnostics(P: np.ndarray):
-    """(length, enclosed_area, amax) with the same curvature discretization
-    as curve_geometry, trimmed to what the flow log needs."""
-    e = _shift_fwd(P) - P
-    ell = np.hypot(e[:, 0], e[:, 1])
-    ell_prev = _shift_bwd(ell)
-    te = e / ell[:, None]
-    te_prev = _shift_bwd(te)
-    xss = 2.0 * (te - te_prev) / (ell + ell_prev)[:, None]
-    tang = te + te_prev
-    tnorm = np.hypot(tang[:, 0], tang[:, 1])
-    # kappa = xss . left-normal(tangent)
-    kappa = (-xss[:, 0] * tang[:, 1] + xss[:, 1] * tang[:, 0]) / tnorm
-    length = float(ell.sum())
-    area = 0.5 * float(np.sum(P[:, 0] * e[:, 1] - e[:, 0] * P[:, 1]))
+    """(length, enclosed_area, amax): what the flow log needs."""
+    _, _, kappa, length, area = polyline_kernel(P)
     return length, abs(area), float(np.max(np.abs(kappa)))
 
 
@@ -220,8 +202,9 @@ def _flow(curves, t: float, cfg: FlowConfig, t_end: float = math.inf):
     remeshes and stopReason.  The curves share dt = dtSafety / Amax^2, Amax
     the largest over them, the last step clipped to land on t_end exactly.
     The flow ends at t_end (stopReason None), after yielding a state with
-    Amax >= stopAmax (STOP_AMAX), after maxSteps steps (MAX_STEPS), or when a
-    remesh collapses an edge (RESOLUTION_LOST; that state is not yielded).
+    Amax >= stopAmax (STOP_AMAX), after maxSteps steps (MAX_STEPS), when dt
+    no longer advances t in floating point (DT_UNDERFLOW), or when a remesh
+    collapses an edge (RESOLUTION_LOST; that state is not yielded).
     """
     state = SimpleNamespace(t=t, curves=[P.copy() for P in curves], steps=0,
                             remeshes=0, stopReason=None)
@@ -235,6 +218,9 @@ def _flow(curves, t: float, cfg: FlowConfig, t_end: float = math.inf):
             state.stopReason = STOP_AMAX if amax >= cfg.stopAmax else MAX_STEPS
             return
         dt = min(cfg.dtSafety / amax ** 2, t_end - state.t)
+        if state.t + dt == state.t:
+            state.stopReason = DT_UNDERFLOW
+            return
         state.curves = [_richardson_step(P, dt) for P in state.curves]
         state.t = t_end if dt == t_end - state.t else state.t + dt
         state.steps += 1
@@ -257,8 +243,7 @@ def step(c: CurveState, cfg: FlowConfig) -> CurveState:
     Amax^2, as the drivers take it (module docstring).  Tangential
     redistribution is the driver's job (resample_uniform every remeshEvery)."""
     dt = cfg.dtSafety / _diagnostics(c.points)[2] ** 2
-    return CurveState(points=_richardson_step(c.points, dt), closed=True,
-                      t=c.t + dt)
+    return CurveState(points=_richardson_step(c.points, dt), t=c.t + dt)
 
 
 def resample_uniform(c: CurveState, n: int | None = None) -> CurveState:
@@ -269,13 +254,13 @@ def resample_uniform(c: CurveState, n: int | None = None) -> CurveState:
     """
     new = _resample_arrays(c.points, n)
     _check_resolution(new)
-    return CurveState(points=new, closed=True, t=c.t)
+    return CurveState(points=new, t=c.t)
 
 
 def run(c0: CurveState, cfg: FlowConfig | None = None) -> SingularityLog:
-    """Evolve until stopAmax, resolution loss or maxSteps (log.stopReason),
-    logging every step.  The extinction time is fitted by linear regression
-    of 1/Amax^2 against t over the final 30% of samples, and the singularity
+    """Evolve until one of _flow's stop rules (log.stopReason), logging
+    every step.  The extinction time is fitted by linear regression of
+    1/Amax^2 against t over the final 30% of samples, and the singularity
     type verdict is attached via classify().
     """
     cfg = cfg or FlowConfig()
@@ -298,7 +283,7 @@ def run(c0: CurveState, cfg: FlowConfig | None = None) -> SingularityLog:
 def evolve_to(c0: CurveState, t_target: float, cfg: FlowConfig | None = None) -> CurveState:
     """Evolve a curve to flow time exactly t_target (the stepping of run, last
     step clipped).  Raises ResolutionLostError on resolution loss, and
-    TranslabError if stopAmax or maxSteps is reached first."""
+    TranslabError if the flow stops for any other reason first."""
     cfg = cfg or FlowConfig()
     for state in _flow([c0.points], c0.t, cfg, t_end=t_target):
         pass
@@ -306,7 +291,7 @@ def evolve_to(c0: CurveState, t_target: float, cfg: FlowConfig | None = None) ->
         raise ResolutionLostError("edge collapse after remeshing")
     if state.stopReason:
         raise TranslabError(f"{state.stopReason} at t={state.t!r} < {t_target!r}")
-    return CurveState(points=state.curves[0], closed=True, t=state.t)
+    return CurveState(points=state.curves[0], t=state.t)
 
 
 def _fit_extinction(log: SingularityLog):
@@ -361,10 +346,10 @@ def roundness(c: CurveState):
     orientation-normalized sign) the ratio of |kappa| extremes is returned
     with convex=False.
     """
-    kappa, _, _, _, _ = curve_geometry(c)
-    P = c.points
-    nxt = _shift_fwd(P)
-    signed_area = 0.5 * float(np.sum(P[:, 0] * nxt[:, 1] - nxt[:, 0] * P[:, 1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, _, kappa, _, signed_area = polyline_kernel(c.points)
+    if not np.all(np.isfinite(kappa)):
+        raise DegenerateEdgeError("consecutive curve points coincide")
     k = kappa * np.sign(signed_area)
     kmin, kmax = float(np.min(k)), float(np.max(k))
     if kmin <= 0.0:
@@ -378,7 +363,7 @@ def _min_distance(P: np.ndarray, Q: np.ndarray) -> float:
     """Min distance between two closed polylines (vertex-to-segment, both ways)."""
     def pts_to_segs(pts, poly):
         x, y = poly[:, 0], poly[:, 1]
-        dx, dy = _shift_fwd(x) - x, _shift_fwd(y) - y
+        dx, dy = shift_fwd(x) - x, shift_fwd(y) - y
         wx = pts[:, 0, None] - x
         wy = pts[:, 1, None] - y
         tt = np.clip((wx * dx + wy * dy) / (dx * dx + dy * dy), 0.0, 1.0)
@@ -393,8 +378,8 @@ def _inside_mask(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Crossing-number containment mask of pts w.r.t. a closed polyline."""
     x, y = pts[:, 0][:, None], pts[:, 1][:, None]
     x1, y1 = poly[:, 0][None, :], poly[:, 1][None, :]
-    x2 = _shift_fwd(poly[:, 0])[None, :]
-    y2 = _shift_fwd(poly[:, 1])[None, :]
+    x2 = shift_fwd(poly[:, 0])[None, :]
+    y2 = shift_fwd(poly[:, 1])[None, :]
     cond = (y1 <= y) != (y2 <= y)
     with np.errstate(divide="ignore", invalid="ignore"):
         xcross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
@@ -430,11 +415,11 @@ def comparison_check(a: CurveState, b: CurveState,
     """Co-evolve two initially disjoint curves and track their separation.
 
     The curves share the flow driver's dt (set by the larger Amax) until
-    either reaches stopAmax, a remesh loses resolution or maxSteps run out;
-    the minimum vertex-segment distance is sampled at t = 0 and after every
-    step.  PASS verdict: the distance never drops below its initial value
-    minus 10 * (sum of squared initial mean edge lengths), a discretization
-    error allowance.
+    either reaches stopAmax, a remesh loses resolution, dt stops advancing t
+    or maxSteps run out; the minimum vertex-segment distance is sampled at
+    t = 0 and after every step.  PASS verdict: the distance never drops
+    below its initial value minus 10 * (sum of squared initial mean edge
+    lengths), a discretization error allowance.
     """
     cfg = cfg or FlowConfig()
     if not _curves_disjoint(a.points, b.points):

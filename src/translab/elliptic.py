@@ -22,7 +22,7 @@ from . import catalog
 from .errors import (ContinuationBrokenError, LinearSolveFailureError,
                      MaxIterationsError, NewtonStalledError,
                      ShapeMismatchError)
-from .geom import grid_jet
+from .geom import interior_jet
 from .grid import GridFunction
 
 
@@ -80,8 +80,6 @@ class SolverConfig:
     tolResidual: float = 1e-9
     maxNewton: int = 50
     dampingMin: float = 2.0 ** -10
-    linearTol: float = 1e-12      # direct sparse solve; kept for the record
-    continuationSteps: int = 8
 
     def __post_init__(self):
         if self.tolResidual <= 0:
@@ -136,39 +134,27 @@ def _check_boundary(u: np.ndarray, p: StripProblem):
 
 def assemble_residual(u: GridFunction, p: StripProblem) -> np.ndarray:
     """Interior residual of the discrete translator equation, shape
-    (nx-2, ny-2); the stencil is identical to the geometry module's."""
+    (nx-2, ny-2); the same arithmetic as the Newton solver's."""
     if u.values.shape != (p.nx, p.ny):
         raise ShapeMismatchError("height field does not match the problem grid")
     _check_boundary(u.values, p)
-    gp, gq, gr, gs, gt = grid_jet(u)
-    res = catalog.pde_residual(u.values, (gp, gq), (gr, gs, gt))
-    return res[1:-1, 1:-1]
+    return _residual(u.values, p.hx, p.hy)[1]
 
 
-def _residual_interior(v: np.ndarray, hx: float, hy: float,
-                       with_defect: bool = False):
-    p = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * hx)
-    q = (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * hy)
-    r = (v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / (hx * hx)
-    t = (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / (hy * hy)
-    s = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * hx * hy)
-    res = ((1 + q * q) * r - 2 * p * q * s + (1 + p * p) * t
-           + p * p + q * q + 1)
-    if not with_defect:
-        return res
-    # mean-curvature defect: residual / W^3 equals H + <e3, N> pointwise
-    return res, res / (1 + p * p + q * q) ** 1.5
+def _residual(v: np.ndarray, hx: float, hy: float):
+    """(jet, residual, defect) on the interior: the geometry module's jet,
+    the translator residual of it, and the mean-curvature defect
+    residual / W^3, which equals H + <e3, N> pointwise."""
+    jet = p, q, r, s, t = interior_jet(v, hx, hy)
+    res = catalog.pde_residual(v[1:-1, 1:-1], (p, q), (r, s, t))
+    return jet, res, res / (1 + p * p + q * q) ** 1.5
 
 
-def _jacobian(v: np.ndarray, hx: float, hy: float) -> sp.csr_matrix:
-    """Analytic Jacobian of the interior residual w.r.t. interior unknowns."""
-    nx, ny = v.shape
-    mi, mj = nx - 2, ny - 2
-    p = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * hx)
-    q = (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * hy)
-    r = (v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / (hx * hx)
-    t = (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / (hy * hy)
-    s = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * hx * hy)
+def _jacobian(jet, hx: float, hy: float) -> sp.csr_matrix:
+    """Analytic Jacobian of the interior residual w.r.t. interior unknowns,
+    from the interior jet (p, q, r, s, t) of the current iterate."""
+    p, q, r, s, t = jet
+    mi, mj = p.shape
 
     Ap = -2 * q * s + 2 * p * t + 2 * p       # dR/du_x
     Aq = 2 * q * r - 2 * p * s + 2 * q        # dR/du_y
@@ -219,13 +205,13 @@ def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
     v = init.values.copy()
     damping_history = []
 
-    res, defect = _residual_interior(v, hx, hy, with_defect=True)
+    jet, res, defect = _residual(v, hx, hy)
     fnorm = float(np.linalg.norm(defect))
     iterations = 0
     for it in range(cfg.maxNewton):
         if np.max(np.abs(defect)) <= cfg.tolResidual:
             break
-        J = _jacobian(v, hx, hy)
+        J = _jacobian(jet, hx, hy)
         try:
             lu = splu(J.tocsc())
             delta = lu.solve(-res.ravel())
@@ -240,7 +226,7 @@ def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
         while True:
             trial = v.copy()
             trial[1:-1, 1:-1] += lam * delta
-            tres, tdef = _residual_interior(trial, hx, hy, with_defect=True)
+            tjet, tres, tdef = _residual(trial, hx, hy)
             tnorm = float(np.linalg.norm(tdef))
             if np.isfinite(tnorm) and tnorm <= (1.0 - 1e-4 * lam) * fnorm:
                 break
@@ -249,7 +235,7 @@ def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
                 raise NewtonStalledError(
                     f"damping floor hit at iteration {it}, |defect| = {fnorm:.3e}")
         damping_history.append(lam)
-        v, res, defect, fnorm = trial, tres, tdef, tnorm
+        v, jet, res, defect, fnorm = trial, tjet, tres, tdef, tnorm
         iterations = it + 1
     else:
         if np.max(np.abs(defect)) > cfg.tolResidual:
@@ -257,31 +243,24 @@ def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
                 f"no convergence in {cfg.maxNewton} Newton iterations")
 
     sol = p.grid(v)
-    report = _make_report(sol, p, iterations, float(np.max(np.abs(defect))),
-                          damping_history)
+    report = _make_report(sol, jet, p, iterations,
+                          float(np.max(np.abs(defect))), damping_history)
     report.rawResidualMax = float(np.max(np.abs(res)))
     return sol, report
 
 
-def _make_report(sol: GridFunction, p: StripProblem, iterations: int,
+def _make_report(sol: GridFunction, jet, p: StripProblem, iterations: int,
                  res_max: float, damping_history: list) -> SolveReport:
     v = sol.values
-    hx, hy = p.hx, p.hy
-    # D^2 u at the node nearest the origin
-    ic = int(np.argmin(np.abs(p.xs)))
-    jc = int(np.argmin(np.abs(p.ys)))
-    uxx = (v[ic + 1, jc] - 2 * v[ic, jc] + v[ic - 1, jc]) / (hx * hx)
-    uyy = (v[ic, jc + 1] - 2 * v[ic, jc] + v[ic, jc - 1]) / (hy * hy)
-    uxy = (v[ic + 1, jc + 1] - v[ic + 1, jc - 1]
-           - v[ic - 1, jc + 1] + v[ic - 1, jc - 1]) / (4 * hx * hy)
-    center_hessian = np.array([[uxx, uxy], [uxy, uyy]])
+    gp, gq, r, s, t = jet
+    # D^2 u at the node nearest the origin (interior index = node index - 1)
+    ic = int(np.argmin(np.abs(p.xs))) - 1
+    jc = int(np.argmin(np.abs(p.ys))) - 1
+    center_hessian = np.array([[r[ic, jc], s[ic, jc]], [s[ic, jc], t[ic, jc]]])
     eigs = np.linalg.eigvalsh(center_hessian)
     k = float(np.min(np.abs(eigs)))
 
     # concavity over all interior nodes: largest eigenvalue of D^2 u
-    r = (v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / (hx * hx)
-    t = (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / (hy * hy)
-    s = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4 * hx * hy)
     lam_max = 0.5 * (r + t) + np.sqrt(0.25 * (r - t) ** 2 + s * s)
     scale = max(np.max(np.abs(r)), np.max(np.abs(t)), np.max(np.abs(s)))
     concavity_tol = 1e-6 * scale
@@ -291,8 +270,6 @@ def _make_report(sol: GridFunction, p: StripProblem, iterations: int,
               float(np.max(np.abs(v - v[:, ::-1]))))
 
     # boundary-gradient proxy on the outermost interior ring
-    gp = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * hx)
-    gq = (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * hy)
     gmag = np.sqrt(gp * gp + gq * gq)
     ring = np.zeros_like(gmag, dtype=bool)
     ring[0, :] = ring[-1, :] = True
@@ -308,23 +285,27 @@ def _make_report(sol: GridFunction, p: StripProblem, iterations: int,
 def make_strip_problem(b: float, L: float, nx: int, ny: int,
                        shrink: float = 0.995) -> StripProblem:
     """Strip problem with tilted-pair envelope Dirichlet data (b > pi/2)."""
-    xs = -L + (2 * L / (nx - 1)) * np.arange(nx)
-    ys = -shrink * b + (2 * shrink * b / (ny - 1)) * np.arange(ny)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return StripProblem(b=b, L=L, shrink=shrink, nx=nx, ny=ny,
-                        bc=tilted_pair_envelope(b, X, Y))
+    p = StripProblem(b=b, L=L, shrink=shrink, nx=nx, ny=ny,
+                     bc=np.zeros((nx, ny)))
+    p.bc = tilted_pair_envelope(b, *np.meshgrid(p.xs, p.ys, indexing="ij"))
+    return p
 
 
-def initial_guess(p: StripProblem, sweeps: int = 5) -> GridFunction:
-    """Smoothed envelope: Jacobi sweeps round the crease along x = 0."""
-    X, Y = np.meshgrid(p.xs, p.ys, indexing="ij")
-    v = tilted_pair_envelope(p.b, X, Y)
+def _smoothed(p: StripProblem, v: np.ndarray, sweeps: int) -> GridFunction:
+    """v with p's Dirichlet data stamped on the outer ring, then smoothed by
+    Jacobi sweeps of the Laplacian (in place)."""
     v[0, :], v[-1, :] = p.bc[0, :], p.bc[-1, :]
     v[:, 0], v[:, -1] = p.bc[:, 0], p.bc[:, -1]
     for _ in range(sweeps):
         v[1:-1, 1:-1] = 0.25 * (v[2:, 1:-1] + v[:-2, 1:-1]
                                 + v[1:-1, 2:] + v[1:-1, :-2])
     return p.grid(v)
+
+
+def initial_guess(p: StripProblem, sweeps: int = 5) -> GridFunction:
+    """Smoothed envelope: Jacobi sweeps round the crease along x = 0."""
+    X, Y = np.meshgrid(p.xs, p.ys, indexing="ij")
+    return _smoothed(p, tilted_pair_envelope(p.b, X, Y), sweeps)
 
 
 def asymptote_defect(sol: GridFunction, p: StripProblem,
@@ -335,10 +316,8 @@ def asymptote_defect(sol: GridFunction, p: StripProblem,
     there, aligned by the best constant shift (midrange of the difference);
     the bands cover interior nodes with |x| in band * L.
     """
-    c = math.pi / (2.0 * p.b)
-    theta = math.acos(c)
     X, Y = np.meshgrid(p.xs, p.ys, indexing="ij")
-    reaper = (1.0 / (c * c)) * np.log(np.cos(Y * c)) - math.tan(theta) * np.abs(X)
+    reaper = tilted_pair_envelope(p.b, X, Y)
     worst = 0.0
     for sgn in (+1, -1):
         sel = (sgn * X >= band[0] * p.L) & (sgn * X <= band[1] * p.L)
@@ -390,12 +369,7 @@ def _resample_onto(p_new: StripProblem, sol: GridFunction) -> GridFunction:
     env = tilted_pair_envelope(p_new.b, X, Y)
     outside = np.abs(Y) > sol.ys[-1]
     v[outside] = env[outside]
-    v[0, :], v[-1, :] = p_new.bc[0, :], p_new.bc[-1, :]
-    v[:, 0], v[:, -1] = p_new.bc[:, 0], p_new.bc[:, -1]
-    for _ in range(2):
-        v[1:-1, 1:-1] = 0.25 * (v[2:, 1:-1] + v[:-2, 1:-1]
-                                + v[1:-1, 2:] + v[1:-1, :-2])
-    return p_new.grid(v)
+    return _smoothed(p_new, v, 2)
 
 
 def continuation_in_width(b_start: float, b_end: float, steps: int,

@@ -29,6 +29,10 @@ class StepTooLargeError(TranslabError):
     """ODE local error estimate cannot be met above the step floor."""
 
 
+class NonMonotoneProfileError(TranslabError):
+    """A shot profile lost the monotonicity its family guarantees."""
+
+
 class WindowTooNarrowError(TranslabError):
     """Asymptotic fit window violates r_hi >= 2 r_lo."""
 

@@ -26,7 +26,8 @@ UMBILIC_REL_TOL = 1e-6
 
 
 def _dx(a: np.ndarray, hx: float) -> np.ndarray:
-    """Central x-derivative on the 1-node interior; NaN margin."""
+    """Central x-derivative of a derived field (curvature, flux) on the
+    1-node interior rows; NaN margin rows.  Heights go through interior_jet."""
     out = np.full_like(a, np.nan)
     out[1:-1, :] = (a[2:, :] - a[:-2, :]) / (2.0 * hx)
     return out
@@ -38,30 +39,27 @@ def _dy(a: np.ndarray, hy: float) -> np.ndarray:
     return out
 
 
-def _dxx(a: np.ndarray, hx: float) -> np.ndarray:
-    out = np.full_like(a, np.nan)
-    out[1:-1, :] = (a[2:, :] - 2.0 * a[1:-1, :] + a[:-2, :]) / (hx * hx)
-    return out
+def interior_jet(v: np.ndarray, hx: float, hy: float):
+    """(p, q, r, s, t) = (u_x, u_y, u_xx, u_xy, u_yy) of a height array by
+    central differences, each of shape (nx-2, ny-2) on the one-node interior.
 
-
-def _dyy(a: np.ndarray, hy: float) -> np.ndarray:
-    out = np.full_like(a, np.nan)
-    out[:, 1:-1] = (a[:, 2:] - 2.0 * a[:, 1:-1] + a[:, :-2]) / (hy * hy)
-    return out
-
-
-def _dxy(a: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    out = np.full_like(a, np.nan)
-    out[1:-1, 1:-1] = (a[2:, 2:] - a[2:, :-2] - a[:-2, 2:] + a[:-2, :-2]) \
-        / (4.0 * hx * hy)
-    return out
+    The one difference stencil of the translator equation: the geometry
+    pipeline, the catalog residual and the Newton solver all read it here.
+    """
+    p = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2.0 * hx)
+    q = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * hy)
+    r = (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / (hx * hx)
+    s = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4.0 * hx * hy)
+    t = (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / (hy * hy)
+    return p, q, r, s, t
 
 
 def grid_jet(u: GridFunction):
-    """(p, q, r, s, t) = (u_x, u_y, u_xx, u_xy, u_yy) by central differences."""
-    v = u.values
-    return (_dx(v, u.hx), _dy(v, u.hy), _dxx(v, u.hx),
-            _dxy(v, u.hx, u.hy), _dyy(v, u.hy))
+    """interior_jet of u on the full (nx, ny) grid; NaN margin."""
+    jet = tuple(np.full((u.nx, u.ny), np.nan) for _ in range(5))
+    for out, d in zip(jet, interior_jet(u.values, u.hx, u.hy)):
+        out[1:-1, 1:-1] = d
+    return jet
 
 
 @dataclass
@@ -97,8 +95,6 @@ def graph_geometry(u: GridFunction, orientation: int = +1) -> GeometryField:
         raise ValueError("orientation must be +1 or -1")
     p, q, r, s, t = grid_jet(u)
     w2 = 1.0 + p * p + q * q
-    # w2 >= 1 for finite input; guaranteed by GridFunction validation
-    assert np.nanmin(w2) >= 1.0, "degenerate metric"
     W = np.sqrt(w2)
     if not np.all(np.isfinite(W[1:-1, 1:-1])):
         raise NonFiniteError("difference quotients overflowed")
@@ -177,7 +173,7 @@ def surface_gradient(phi: np.ndarray, u: GridFunction, geom: GeometryField) -> n
     """
     if phi.shape != (u.nx, u.ny):
         raise MarginTooSmallError("scalar field shape mismatch")
-    p, q = _dx(u.values, u.hx), _dy(u.values, u.hy)
+    p, q = grid_jet(u)[:2]
     fx, fy = _dx(phi, u.hx), _dy(phi, u.hy)
     w2 = 1.0 + p * p + q * q
     # contravariant components: g^{ij} phi_j
@@ -200,7 +196,7 @@ def drift_laplacian(phi: np.ndarray, u: GridFunction, geom: GeometryField) -> np
         raise MarginTooSmallError("drift Laplacian needs a two-node margin")
     if phi.shape != (u.nx, u.ny):
         raise MarginTooSmallError("scalar field shape mismatch")
-    p, q = _dx(u.values, u.hx), _dy(u.values, u.hy)
+    p, q = grid_jet(u)[:2]
     fx, fy = _dx(phi, u.hx), _dy(phi, u.hy)
     W = np.sqrt(1.0 + p * p + q * q)
     # flux = W g^{ij} phi_j  (sqrt(det g) = W for graphs)
@@ -240,7 +236,6 @@ class CurveState:
     """Closed polyline under curve shortening flow."""
 
     points: np.ndarray  # (n, 2)
-    closed: bool = True
     t: float = 0.0
 
     def __post_init__(self):
@@ -253,33 +248,45 @@ class CurveState:
             raise NonFiniteError("curve points must be finite")
 
 
-def curve_geometry(c: CurveState):
-    """Curvature, normals and integral quantities of a closed polyline.
+def shift_fwd(a: np.ndarray) -> np.ndarray:
+    """a[i+1] cyclically (cheaper than np.roll)."""
+    return np.concatenate((a[1:], a[:1]))
 
-    Returns (kappa, normal, length, enclosed_area, amax).  kappa is the
-    arclength-normalized second difference dotted with the left normal
-    (positive for convex counterclockwise curves); enclosed_area is the
-    absolute shoelace area; amax = max |kappa|.
+
+def shift_bwd(a: np.ndarray) -> np.ndarray:
+    """a[i-1] cyclically."""
+    return np.concatenate((a[-1:], a[:-1]))
+
+
+def polyline_kernel(P: np.ndarray):
+    """(ell, tang, kappa, length, signed_area) of a closed polyline P (n, 2).
+
+    ell[i] = |P[i+1] - P[i]|; tang[i], unnormalized, sums the unit edges at
+    vertex i; kappa[i] is the arclength second difference dotted with the
+    left normal (positive on convex counterclockwise curves).  The flow calls
+    this every step: shifts and elementwise arithmetic only.
     """
-    P = c.points
-    nxt = np.roll(P, -1, axis=0)
-    e = nxt - P                      # edge i: P[i] -> P[i+1]
+    e = shift_fwd(P) - P
     ell = np.hypot(e[:, 0], e[:, 1])
-    mean_ell = ell.mean()
-    if np.any(ell <= 1e-14 * max(mean_ell, 1e-300)):
+    ell_prev = shift_bwd(ell)
+    te = e / ell[:, None]
+    te_prev = shift_bwd(te)
+    xss = 2.0 * (te - te_prev) / (ell + ell_prev)[:, None]
+    tang = te + te_prev
+    tnorm = np.hypot(tang[:, 0], tang[:, 1])
+    kappa = (-xss[:, 0] * tang[:, 1] + xss[:, 1] * tang[:, 0]) / tnorm
+    area = 0.5 * float(np.sum(P[:, 0] * e[:, 1] - e[:, 0] * P[:, 1]))
+    return ell, tang, kappa, float(ell.sum()), area
+
+
+def curve_geometry(c: CurveState):
+    """(kappa, normal, length, enclosed_area, amax) of a closed polyline from
+    polyline_kernel: the unit left normal, the absolute shoelace area and
+    amax = max |kappa|."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ell, tang, kappa, length, area = polyline_kernel(c.points)
+    if np.any(ell <= 1e-14 * max(ell.mean(), 1e-300)):
         raise DegenerateEdgeError("consecutive curve points coincide")
-
-    ell_prev = np.roll(ell, 1)       # edge ending at vertex i
-    prv = np.roll(P, 1, axis=0)
-    # second difference of position w.r.t. arclength (curvature vector)
-    xss = 2.0 * ((nxt - P) / ell[:, None] - (P - prv) / ell_prev[:, None]) \
-        / (ell + ell_prev)[:, None]
-    tang = (e / ell[:, None] + np.roll(e, 1, axis=0) / ell_prev[:, None])
-    tang /= np.hypot(tang[:, 0], tang[:, 1])[:, None]
-    normal = np.stack([-tang[:, 1], tang[:, 0]], axis=1)  # left normal
-    kappa = np.einsum("ij,ij->i", xss, normal)
-
-    length = float(ell.sum())
-    area = 0.5 * float(np.sum(P[:, 0] * nxt[:, 1] - nxt[:, 0] * P[:, 1]))
-    amax = float(np.max(np.abs(kappa)))
-    return kappa, normal, length, abs(area), amax
+    normal = np.stack([-tang[:, 1], tang[:, 0]], axis=1) \
+        / np.hypot(tang[:, 0], tang[:, 1])[:, None]
+    return kappa, normal, length, abs(area), float(np.max(np.abs(kappa)))

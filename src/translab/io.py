@@ -42,84 +42,85 @@ def write_grid_csv(u: GridFunction, path):
                         f"{_fmt(u.values[i, j])}\n")
 
 
-def read_grid_csv(path) -> GridFunction:
+def _read_csv(path, tag: str, ncols: int, **meta_types):
+    """(metadata, rows) of a translab CSV: a '# translab-<tag>' line of
+    key=value pairs (each converted by meta_types[key]), a column header,
+    then rows of ncols numbers.  Anything else raises IoError."""
     with open(path) as f:
         head = f.readline()
-        if not head.startswith("# translab-grid"):
-            raise IoError(f"{path} is not a grid CSV")
-        meta = dict(kv.split("=") for kv in head.split()[2:])
-        nx, ny = int(meta["nx"]), int(meta["ny"])
-        f.readline()  # column header
-        vals = np.empty((nx, ny))
-        for line in f:
-            i, j, _, _, v = line.split(",")
-            vals[int(i), int(j)] = float(v)
-    return GridFunction(nx, ny, float(meta["hx"]), float(meta["hy"]),
-                        float(meta["x0"]), float(meta["y0"]), vals)
+        if not head.startswith(f"# translab-{tag}"):
+            raise IoError(f"{path} is not a {tag} CSV")
+        try:
+            raw = dict(kv.split("=") for kv in head.split()[2:])
+            meta = {k: conv(raw[k]) for k, conv in meta_types.items()}
+            f.readline()  # column header
+            rows = np.loadtxt(f, delimiter=",", ndmin=2)
+        except (KeyError, ValueError) as exc:
+            raise IoError(f"{path}: malformed {tag} CSV: {exc}") from exc
+    if rows.shape[1] != ncols:
+        raise IoError(f"{path}: expected rows of {ncols} fields")
+    return meta, rows
+
+
+def read_grid_csv(path) -> GridFunction:
+    """Grid CSV as write_grid_csv writes it, rows in any order; every node
+    (i, j) must appear exactly once, else IoError."""
+    meta, rows = _read_csv(path, "grid", 5, nx=int, ny=int, hx=float,
+                           hy=float, x0=float, y0=float)
+    nx, ny = meta["nx"], meta["ny"]
+    i, j = rows[:, 0].astype(int), rows[:, 1].astype(int)
+    node = i * ny + j
+    if not (np.array_equal(i, rows[:, 0]) and np.array_equal(j, rows[:, 1])
+            and np.all((i >= 0) & (i < nx) & (j >= 0) & (j < ny))
+            and np.array_equal(np.bincount(node, minlength=nx * ny),
+                               np.ones(nx * ny, dtype=int))):
+        raise IoError(f"{path}: node indices must cover each of the "
+                      f"{nx}x{ny} nodes exactly once")
+    vals = np.empty(nx * ny)
+    vals[node] = rows[:, 4]
+    return GridFunction(values=vals.reshape(nx, ny), **meta)
 
 
 # --- GeometryField CSV / JSON ---------------------------------------------------
 
 
-def write_geometry_csv(u: GridFunction, path, geom: GeometryField | None = None):
-    """One row per node: i, j, x, y, u, W, H, kappa1, kappa2, normA2, Q2, flags.
+_GEOMETRY_COLUMNS = ["i", "j", "x", "y", "u", "W", "H", "kappa1", "kappa2",
+                     "normA2", "Q2", "flags"]
 
-    flags bit 0: outside the valid margin; bit 1: umbilic.  Column order is
-    part of the format.
-    """
+
+def _geometry_rows(u: GridFunction, geom: GeometryField | None):
+    """One row per node in _GEOMETRY_COLUMNS order; flags bit 0: outside the
+    valid margin, bit 1: umbilic."""
     geom = geom or graph_geometry(u)
     q2, _ = q_squared(geom, u)
     xs, ys = u.xs, u.ys
-    with open(path, "w") as f:
-        f.write("i,j,x,y,u,W,H,kappa1,kappa2,normA2,Q2,flags\n")
-        for i in range(u.nx):
-            for j in range(u.ny):
-                flags = (0 if geom.interior[i, j] else 1) \
-                    | (2 if geom.umbilic[i, j] else 0)
-                row = [i, j, xs[i], ys[j], u.values[i, j], geom.W[i, j],
-                       geom.H[i, j], geom.kappa1[i, j], geom.kappa2[i, j],
-                       geom.normA2[i, j], q2[i, j]]
-                f.write(",".join([str(row[0]), str(row[1])]
-                                 + [_fmt(x) for x in row[2:]])
-                        + f",{flags}\n")
-
-
-def write_geometry_json(u: GridFunction, path, geom: GeometryField | None = None):
-    """Same per-node record as the CSV, as a JSON array of rows (column order
-    i, j, x, y, u, W, H, kappa1, kappa2, normA2, Q2, flags)."""
-    geom = geom or graph_geometry(u)
-    q2, _ = q_squared(geom, u)
-    xs, ys = u.xs, u.ys
-    rows = []
     for i in range(u.nx):
         for j in range(u.ny):
             flags = (0 if geom.interior[i, j] else 1) \
                 | (2 if geom.umbilic[i, j] else 0)
-            rows.append([i, j, xs[i], ys[j], u.values[i, j], geom.W[i, j],
-                         geom.H[i, j], geom.kappa1[i, j], geom.kappa2[i, j],
-                         geom.normA2[i, j], q2[i, j], flags])
-    payload = {"schema": "translab-geometry/1",
-               "columns": ["i", "j", "x", "y", "u", "W", "H", "kappa1",
-                           "kappa2", "normA2", "Q2", "flags"],
-               "nodes": _jsonable(rows), "version": __version__}
+            yield [i, j, xs[i], ys[j], u.values[i, j], geom.W[i, j],
+                   geom.H[i, j], geom.kappa1[i, j], geom.kappa2[i, j],
+                   geom.normA2[i, j], q2[i, j], flags]
+
+
+def write_geometry_csv(u: GridFunction, path, geom: GeometryField | None = None):
+    """One row per node, columns i, j, x, y, u, W, H, kappa1, kappa2, normA2,
+    Q2, flags; the column order is part of the format."""
+    with open(path, "w") as f:
+        f.write(",".join(_GEOMETRY_COLUMNS) + "\n")
+        for row in _geometry_rows(u, geom):
+            f.write(f"{row[0]},{row[1]},"
+                    + ",".join([_fmt(x) for x in row[2:-1]]) + f",{row[-1]}\n")
+
+
+def write_geometry_json(u: GridFunction, path, geom: GeometryField | None = None):
+    """Same per-node rows as the CSV, as a JSON array of rows."""
+    payload = {"schema": "translab-geometry/1", "columns": _GEOMETRY_COLUMNS,
+               "nodes": _jsonable(list(_geometry_rows(u, geom))),
+               "version": __version__}
     with open(path, "w") as f:
         json.dump(payload, f)
         f.write("\n")
-
-
-def geometry_summary(u: GridFunction, geom: GeometryField | None = None) -> dict:
-    geom = geom or graph_geometry(u)
-    q2, _ = q_squared(geom, u)
-    inner = geom.interior
-
-    def mx(a):
-        vals = a[inner & np.isfinite(a)]
-        return float(np.max(np.abs(vals))) if vals.size else math.nan
-
-    return {"schema": "translab-geometry-summary/1",
-            "maxAbsH": mx(geom.H), "maxNormA2": mx(geom.normA2),
-            "maxQ2": mx(q2), "umbilicCount": int(geom.umbilic.sum()),
-            "nodes": int(u.nx * u.ny)}
 
 
 # --- RadialProfile CSV ----------------------------------------------------------
@@ -143,17 +144,9 @@ def write_profile_csv(p: RadialProfile, path):
 
 
 def read_profile_csv(path) -> RadialProfile:
-    with open(path) as f:
-        head = f.readline()
-        if not head.startswith("# translab-profile"):
-            raise IoError(f"{path} is not a profile CSV")
-        meta = dict(kv.split("=") for kv in head.split()[2:])
-        f.readline()
-        rows = np.array([[float(x) for x in line.split(",")] for line in f])
-    lam = float(meta["lam"]) if meta.get("lam") else None
-    return RadialProfile(n=int(meta["n"]), kind=RadialKind(meta["kind"]),
-                         lam=lam, r=rows[:, 0], u=rows[:, 1], psi=rows[:, 2],
-                         h=float(meta["h"]))
+    meta, rows = _read_csv(path, "profile", 6, n=int, kind=RadialKind, h=float,
+                           lam=lambda v: float(v) if v else None)
+    return RadialProfile(r=rows[:, 0], u=rows[:, 1], psi=rows[:, 2], **meta)
 
 
 # --- SingularityLog / comparison CSV -------------------------------------------
@@ -213,12 +206,6 @@ def report_to_json(report, extra: dict | None = None) -> str:
         out.update(_jsonable(extra))
     out["version"] = __version__
     return json.dumps(out, indent=2, sort_keys=True)
-
-
-def write_report_json(report, path, extra: dict | None = None):
-    with open(path, "w") as f:
-        f.write(report_to_json(report, extra))
-        f.write("\n")
 
 
 # --- OBJ export -----------------------------------------------------------------

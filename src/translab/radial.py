@@ -22,8 +22,9 @@ from enum import Enum
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import StepTooLargeError, UmbilicWindowError, WindowTooNarrowError
-from .grid import GridFunction
+from .errors import (NonMonotoneProfileError, StepTooLargeError,
+                     UmbilicWindowError, WindowTooNarrowError)
+from .grid import GridFunction, from_function
 
 
 class RadialKind(Enum):
@@ -50,13 +51,6 @@ class RadialProfile:
         self.psi = np.asarray(self.psi, dtype=float)
         if not np.all(np.diff(self.r) > 0):
             raise ValueError("profile radii must be strictly increasing")
-
-    def slope(self) -> np.ndarray:
-        """u'(r) = tan(psi); +-inf at a neck endpoint."""
-        return np.tan(self.psi)
-
-    def interp_u(self, r):
-        return CubicSpline(self.r, self.u)(r)
 
     def interp_slope(self, r):
         return np.interp(r, self.r, np.tan(self.psi))
@@ -153,7 +147,8 @@ def shoot_bowl(n: int, r_max: float, h: float, step_tol: float = 1e-10) -> Radia
                    record=record)
     prof = RadialProfile(n=n, kind=RadialKind.BOWL, lam=None,
                          r=np.array(rs), u=np.array(us), psi=np.array(psis), h=h)
-    assert np.all(prof.psi[1:] < 0), "bowl profile must be strictly monotone"
+    if not np.all(prof.psi[1:] < 0):
+        raise NonMonotoneProfileError("bowl profile must be strictly monotone")
     return prof
 
 
@@ -345,12 +340,9 @@ def profile_to_grid(p: RadialProfile, x0: float, x1: float, y0: float,
 
     Every node radius hypot(x, y) must be covered by the profile.
     """
-    hx = (x1 - x0) / (nx - 1)
-    hy = (y1 - y0) / (ny - 1)
-    X, Y = np.meshgrid(x0 + hx * np.arange(nx), y0 + hy * np.arange(ny),
-                       indexing="ij")
-    R = np.hypot(X, Y)
-    if R.max() > p.r[-1] + 1e-12 or R.min() < p.r[0] - 1e-12:
-        raise ValueError("grid radii not covered by the profile")
-    vals = CubicSpline(p.r, p.u)(R)
-    return GridFunction(nx, ny, hx, hy, x0, y0, vals)
+    def height(X, Y):
+        R = np.hypot(X, Y)
+        if R.max() > p.r[-1] + 1e-12 or R.min() < p.r[0] - 1e-12:
+            raise ValueError("grid radii not covered by the profile")
+        return CubicSpline(p.r, p.u)(R)
+    return from_function(height, x0, x1, y0, y1, nx, ny)

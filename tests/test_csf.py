@@ -176,6 +176,27 @@ def test_stop_reasons(monkeypatch):
         csf.evolve_to(c, 0.4)
 
 
+def test_dt_underflow_stops_the_flow():
+    # the inner loop of the limacon r = 0.5 + cos(theta) pinches until
+    # dtSafety / Amax^2 falls below the float spacing of t
+    th = 2 * math.pi * np.arange(64) / 64
+    r = 0.5 + np.cos(th)
+    c = geom.CurveState(points=np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
+    log = csf.run(c, FlowConfig(stopAmax=1e12))
+    assert log.stopReason == csf.DT_UNDERFLOW
+    assert log.steps == len(log.times) - 1
+    assert np.all(np.diff(log.times) > 0)
+    assert log.Amax[-1] < 1e12
+
+
+def test_flow_log_starts_at_curve_geometry():
+    # the flow's diagnostics and curve_geometry share one polyline kernel
+    c = csf.make_ellipse(2.0, 1.0, 128)
+    log = csf.run(c, FlowConfig(maxSteps=3))
+    _, _, length, area, amax = geom.curve_geometry(c)
+    assert (log.length[0], log.area[0], log.Amax[0]) == (length, area, amax)
+
+
 def test_richardson_step_is_second_order_in_time():
     # roundness at t = 0.5 against a dtSafety/8 reference: halving dtSafety
     # divides the error by ~4 (measured 3.93)

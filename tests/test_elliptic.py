@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from translab import elliptic
+from translab import elliptic, geom
 from translab.elliptic import (SolverConfig, StripProblem, delta_wing,
                                make_strip_problem, newton_solve)
 from translab.errors import ShapeMismatchError
@@ -51,16 +51,47 @@ def test_jacobian_matches_finite_differences():
     hx, hy = 0.11, 0.13
     X, Y = np.meshgrid(np.arange(nx) * hx, np.arange(ny) * hy, indexing="ij")
     v = 0.3 * np.sin(1.7 * X) * np.cos(2.3 * Y) + 0.1 * X * Y
-    J = elliptic._jacobian(v, hx, hy).toarray()
+    J = elliptic._jacobian(geom.interior_jet(v, hx, hy), hx, hy).toarray()
     eps = 1e-7
     for i in range(1, nx - 1):
         for j in range(1, ny - 1):
             vp, vm = v.copy(), v.copy()
             vp[i, j] += eps
             vm[i, j] -= eps
-            col = (elliptic._residual_interior(vp, hx, hy)
-                   - elliptic._residual_interior(vm, hx, hy)).ravel() / (2 * eps)
+            col = (elliptic._residual(vp, hx, hy)[1]
+                   - elliptic._residual(vm, hx, hy)[1]).ravel() / (2 * eps)
             assert np.max(np.abs(J[:, (i - 1) * (ny - 2) + (j - 1)] - col)) < 1e-5
+
+
+def test_newton_residual_is_assemble_residual(monkeypatch):
+    # the residual Newton iterates on, at the solution it returns, is
+    # assemble_residual's bit for bit (one jet, one residual)
+    p, vals = grim_strip_problem()
+    vals[1:-1, 1:-1] += 1e-3 * np.cos(np.linspace(0, 3, 119))[:, None]
+    seen = []
+    residual = elliptic._residual
+
+    def recording(v, hx, hy):
+        out = residual(v, hx, hy)
+        seen.append((v.copy(), out[1]))
+        return out
+    monkeypatch.setattr(elliptic, "_residual", recording)
+    sol, rep = newton_solve(p, p.grid(vals), SolverConfig())
+    assert rep.iterations >= 1
+    newton_res = [res for v, res in seen if np.array_equal(v, sol.values)][-1]
+    monkeypatch.undo()
+    res = elliptic.assemble_residual(sol, p)
+    assert np.array_equal(newton_res, res)
+    assert rep.rawResidualMax == float(np.max(np.abs(res)))
+
+
+def test_center_hessian_is_the_jet_at_the_center():
+    sol, rep = delta_wing(2.0, L=8.0, nx=121, ny=49)
+    _, _, r, s, t = geom.grid_jet(sol)
+    ic = int(np.argmin(np.abs(sol.xs)))
+    jc = int(np.argmin(np.abs(sol.ys)))
+    assert np.array_equal(rep.centerHessian, [[r[ic, jc], s[ic, jc]],
+                                              [s[ic, jc], t[ic, jc]]])
 
 
 def test_newton_from_near_exact_data():

@@ -29,6 +29,42 @@ def test_grid_csv_rejects_foreign_file(tmp_path):
         tio.read_grid_csv(path)
 
 
+def test_grid_csv_rejects_truncated_file(tmp_path):
+    path = tmp_path / "g.csv"
+    tio.write_grid_csv(wavy_grid(5, 5), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-3]))
+    with pytest.raises(IoError):
+        tio.read_grid_csv(path)
+
+
+@pytest.mark.parametrize("row", ["1,2,0.5,0.5", "1,2,0.5,0.5,0.1,9",
+                                 "1,2,0.5,0.5,abc", "x,2,0.5,0.5,0.1",
+                                 "5,2,0.5,0.5,0.1", "-1,2,0.5,0.5,0.1",
+                                 "1.5,2,0.5,0.5,0.1", "1,1,0.5,0.5,0.1"])
+def test_grid_csv_rejects_malformed_row(tmp_path, row):
+    # each variant replaces node (1, 2) of a complete 5x5 file
+    path = tmp_path / "g.csv"
+    tio.write_grid_csv(wavy_grid(5, 5), path)
+    lines = path.read_text().splitlines()
+    k = next(n for n, line in enumerate(lines) if line.startswith("1,2,"))
+    lines[k] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IoError):
+        tio.read_grid_csv(path)
+
+
+@pytest.mark.parametrize("row", ["1,2,3,4,5", "1,2,3,4,5,abc", "1,2,3,4,5,6,7"])
+def test_profile_csv_rejects_malformed_row(tmp_path, row):
+    path = tmp_path / "p.csv"
+    tio.write_profile_csv(radial.shoot_bowl(2, 1.0, 1e-2), path)
+    lines = path.read_text().splitlines()
+    lines[5] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IoError):
+        tio.read_profile_csv(path)
+
+
 def test_geometry_csv_column_order(tmp_path):
     g = wavy_grid()
     path = tmp_path / "geom.csv"
@@ -211,11 +247,47 @@ def test_cli_config_precedence(tmp_path, capsys):
     assert out1["maxAbs"] == out2["maxAbs"]  # flag overrode the config
 
 
+def test_cli_config_yields_to_flag_with_another_dest(tmp_path, capsys):
+    # --in stores to "infile"; an explicit --in must win over the config's
+    paths = []
+    for name, amp in (("a.csv", 0.1), ("b.csv", 0.3)):
+        paths.append(tmp_path / name)
+        tio.write_grid_csv(grid.from_function(
+            lambda X, Y: amp * np.sin(X) * np.cos(Y), -1, 1, -1, 1, 21, 21),
+            paths[-1])
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"infile": str(paths[1])}))
+    results = []
+    for argv in (["--in", str(paths[0]), "--config", str(cfgfile)],
+                 ["--in", str(paths[0])], ["--in", str(paths[1])]):
+        assert cli.main(["analyze", "jacobi"] + argv) == 0
+        results.append(json.loads(capsys.readouterr().out)["maxJacobiDefect"])
+    assert results[0] == results[1] != results[2]
+
+
 def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"not_a_flag": 1}))
     rc = cli.main(["catalog", "residual", "--config", str(cfgfile)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("cfg", [{"h": "abc"}, {"kind": "bogus"}, {"h": [0.01]}])
+def test_cli_config_rejects_bad_value(tmp_path, capsys, cfg):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg))
+    assert cli.main(["catalog", "residual", "--config", str(cfgfile)]) == 2
+
+
+def test_cli_config_values_are_typed(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"h": "0.01"}))
+    assert cli.main(["catalog", "residual", "--config", str(cfgfile)]) == 0
+    out1 = json.loads(capsys.readouterr().out)
+    assert cli.main(["catalog", "residual", "--h", "0.01"]) == 0
+    out2 = json.loads(capsys.readouterr().out)
+    del out1["command"], out2["command"]
+    assert out1 == out2
 
 
 def test_cli_numerical_failure_exit_code(tmp_path):

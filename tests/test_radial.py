@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from translab import catalog, radial
-from translab.errors import (StepTooLargeError, UmbilicWindowError,
+from translab.errors import (NonMonotoneProfileError, StepTooLargeError,
+                             TranslabError, UmbilicWindowError,
                              WindowTooNarrowError)
 from translab.radial import RadialKind, RadialProfile
 
@@ -159,3 +160,17 @@ def test_argument_validation():
         radial.shoot_catenoid(2, -1.0, 10.0, 1e-3)
     with pytest.raises(ValueError):
         radial.shoot_catenoid(2, 2.0, 1.0, 1e-3)  # r_max below the neck
+
+
+def test_non_monotone_bowl_raises(monkeypatch):
+    integrate = radial._integrate_rk4
+
+    def bumpy(rhs, t0, y0, h, stop, step_tol=1e-10, record=None, **kw):
+        # the integrator's states with the slope angle flipped to rising
+        def flipped(t, y):
+            record(t, (y[0], abs(y[1])))
+        return integrate(rhs, t0, y0, h, stop, step_tol, flipped, **kw)
+    monkeypatch.setattr(radial, "_integrate_rk4", bumpy)
+    with pytest.raises(NonMonotoneProfileError):
+        radial.shoot_bowl(2, 1.0, 1e-2)
+    assert issubclass(NonMonotoneProfileError, TranslabError)
