@@ -221,7 +221,8 @@ def _cmd_elliptic(args, prov):
                    "schema": "translab-continuation/1",
                    "b": [b for b, _ in reports],
                    "k": [r.k for _, r in reports],
-                   "iterations": [r.iterations for _, r in reports]}
+                   "iterations": [r.iterations for _, r in reports],
+                   "factorizations": [r.factorizations for _, r in reports]}
         _emit(tio.report_to_json(payload), args.report)
 
 

@@ -106,6 +106,9 @@ class SolveReport:
     rawResidualMax: float = float("nan")
     k: float = float("nan")            # smaller |eigenvalue| of centerHessian
     asymptoteDefect: float = float("nan")
+    factorizations: int = 0            # sparse LU factorizations computed
+    luFill: int = 0                    # nnz(L + U) of the last factorization
+    defectHistory: list = field(default_factory=list)  # max |defect| per step
 
 
 def tilted_pair_envelope(b: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -150,11 +153,39 @@ def _residual(v: np.ndarray, hx: float, hy: float):
     return jet, res, res / (1 + p * p + q * q) ** 1.5
 
 
-def _jacobian(jet, hx: float, hy: float) -> sp.csr_matrix:
+# The nine stencil offsets (di, dj) of the Jacobian: entry (n, n + (di, dj))
+# of row n.  Listed by decreasing (di, dj), so that the rows meeting one column
+# come out in increasing order.
+_OFFSETS = ((1, 1), (1, 0), (1, -1), (0, 1), (0, 0), (0, -1),
+            (-1, 1), (-1, 0), (-1, -1))
+
+
+def _jacobian_pattern(mi: int, mj: int):
+    """CSC structure of the 9-point stencil clipped to an mi x mj interior:
+    (indptr, indices, gather), where gather picks each stored entry, column
+    by column and by increasing row, from the coefficient arrays of _OFFSETS
+    stacked and raveled.  Built once per solve; iterations refill data only."""
+    n = mi * mj
+    I, J = np.meshgrid(np.arange(mi), np.arange(mj), indexing="ij")
+    rows = np.empty((n, len(_OFFSETS)), dtype=np.int64)
+    inside = np.empty((n, len(_OFFSETS)), dtype=bool)
+    for k, (di, dj) in enumerate(_OFFSETS):
+        ii, jj = I - di, J - dj        # the row meeting this column at (di, dj)
+        inside[:, k] = ((ii >= 0) & (ii < mi) & (jj >= 0) & (jj < mj)).ravel()
+        rows[:, k] = (ii * mj + jj).ravel()
+    src = rows + n * np.arange(len(_OFFSETS))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(inside.sum(axis=1), out=indptr[1:])
+    return (indptr, rows[inside].astype(np.int32), src[inside])
+
+
+def _jacobian(jet, hx: float, hy: float, pattern) -> sp.csc_matrix:
     """Analytic Jacobian of the interior residual w.r.t. interior unknowns,
-    from the interior jet (p, q, r, s, t) of the current iterate."""
+    from the interior jet (p, q, r, s, t) of the current iterate; pattern is
+    _jacobian_pattern of the interior shape."""
     p, q, r, s, t = jet
     mi, mj = p.shape
+    indptr, indices, gather = pattern
 
     Ap = -2 * q * s + 2 * p * t + 2 * p       # dR/du_x
     Aq = 2 * q * r - 2 * p * s + 2 * q        # dR/du_y
@@ -162,48 +193,63 @@ def _jacobian(jet, hx: float, hy: float) -> sp.csr_matrix:
     As = -2 * p * q                           # dR/du_xy
     At = 1 + p * p                            # dR/du_yy
 
-    I, J = np.meshgrid(np.arange(mi), np.arange(mj), indexing="ij")
-    row = (I * mj + J).ravel()
-
-    offsets = [
-        (+1, 0, Ap / (2 * hx) + Ar / (hx * hx)),
-        (-1, 0, -Ap / (2 * hx) + Ar / (hx * hx)),
-        (0, +1, Aq / (2 * hy) + At / (hy * hy)),
-        (0, -1, -Aq / (2 * hy) + At / (hy * hy)),
-        (0, 0, -2 * Ar / (hx * hx) - 2 * At / (hy * hy)),
-        (+1, +1, As / (4 * hx * hy)),
-        (-1, -1, As / (4 * hx * hy)),
-        (+1, -1, -As / (4 * hx * hy)),
-        (-1, +1, -As / (4 * hx * hy)),
-    ]
-    rows, cols, vals = [], [], []
-    for di, dj, coef in offsets:
-        ii, jj = I + di, J + dj
-        inside = (ii >= 0) & (ii < mi) & (jj >= 0) & (jj < mj)
-        rows.append(row[inside.ravel()])
-        cols.append((ii * mj + jj).ravel()[inside.ravel()])
-        vals.append(coef.ravel()[inside.ravel()])
+    coefs = {
+        (+1, 0): Ap / (2 * hx) + Ar / (hx * hx),
+        (-1, 0): -Ap / (2 * hx) + Ar / (hx * hx),
+        (0, +1): Aq / (2 * hy) + At / (hy * hy),
+        (0, -1): -Aq / (2 * hy) + At / (hy * hy),
+        (0, 0): -2 * Ar / (hx * hx) - 2 * At / (hy * hy),
+        (+1, +1): As / (4 * hx * hy),
+        (-1, -1): As / (4 * hx * hy),
+        (+1, -1): -As / (4 * hx * hy),
+        (-1, +1): -As / (4 * hx * hy),
+    }
+    data = np.stack([coefs[o] for o in _OFFSETS]).ravel()[gather]
     n = mi * mj
-    return sp.csr_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n))
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _factor(J: sp.csc_matrix):
+    """Sparse LU of J under a minimum-degree ordering of J + J^T."""
+    try:
+        return splu(J, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise LinearSolveFailureError(str(exc)) from exc
+
+
+def _newton_step(lu, J: sp.csc_matrix, res: np.ndarray) -> np.ndarray:
+    """Solve J delta = -res with the factorization lu, which may belong to an
+    earlier iterate, plus one refinement pass against the current J."""
+    rhs = -res.ravel()
+    delta = lu.solve(rhs)
+    delta += lu.solve(rhs - J @ delta)
+    if not np.all(np.isfinite(delta)):
+        raise LinearSolveFailureError("linear solve returned non-finite values")
+    return delta.reshape(res.shape)
 
 
 def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
     """Damped Newton on the discrete translator equation.
 
     The Newton systems use the raw residual and its analytic Jacobian with a
-    deterministic sparse LU factorization (one iterative-refinement pass).
-    Armijo backtracking and the convergence test cfg.tolResidual act on the
-    mean-curvature defect residual/W^3, which stays numerically meaningful in
-    the guard band next to the strip edge.  Returns (solution, SolveReport).
+    deterministic sparse LU factorization (minimum-degree ordering of
+    J + J^T) and one iterative-refinement pass against the current Jacobian.
+    The LU is computed on steps 0, 2, 4, ... and reused on the odd steps
+    (Shamanskii's method); a step from a reused LU that fails the full-step
+    Armijo test is recomputed from a fresh LU at the current iterate, so
+    damping only ever acts on fresh Newton directions.  Armijo backtracking
+    and the convergence test cfg.tolResidual act on the mean-curvature defect
+    residual/W^3, which stays numerically meaningful in the guard band next
+    to the strip edge.  Returns (solution, SolveReport).
     """
     if init.values.shape != (p.nx, p.ny):
         raise ShapeMismatchError("initial guess does not match the problem grid")
     _check_boundary(init.values, p)
     hx, hy = p.hx, p.hy
     v = init.values.copy()
-    damping_history = []
+    pattern = _jacobian_pattern(p.nx - 2, p.ny - 2)
+    damping_history, defect_history = [], []
+    lu, factorizations = None, 0
 
     jet, res, defect = _residual(v, hx, hy)
     fnorm = float(np.linalg.norm(defect))
@@ -211,16 +257,13 @@ def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
     for it in range(cfg.maxNewton):
         if np.max(np.abs(defect)) <= cfg.tolResidual:
             break
-        J = _jacobian(jet, hx, hy)
-        try:
-            lu = splu(J.tocsc())
-            delta = lu.solve(-res.ravel())
-            delta += lu.solve(-res.ravel() - J @ delta)
-        except Exception as exc:  # singular factorization
-            raise LinearSolveFailureError(str(exc)) from exc
-        if not np.all(np.isfinite(delta)):
-            raise LinearSolveFailureError("linear solve returned non-finite values")
-        delta = delta.reshape(res.shape)
+        J = _jacobian(jet, hx, hy, pattern)
+        fresh = it % 2 == 0
+        if fresh:
+            lu = None                   # release the old LU before the new one
+            lu = _factor(J)
+            factorizations += 1
+        delta = _newton_step(lu, J, res)
 
         lam = 1.0
         while True:
@@ -230,12 +273,20 @@ def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
             tnorm = float(np.linalg.norm(tdef))
             if np.isfinite(tnorm) and tnorm <= (1.0 - 1e-4 * lam) * fnorm:
                 break
+            if not fresh:               # reused LU: refactor, retake the step
+                lu = None
+                lu = _factor(J)
+                factorizations += 1
+                fresh = True
+                delta = _newton_step(lu, J, res)
+                continue
             lam *= 0.5
             if lam < cfg.dampingMin:
                 raise NewtonStalledError(
                     f"damping floor hit at iteration {it}, |defect| = {fnorm:.3e}")
         damping_history.append(lam)
         v, jet, res, defect, fnorm = trial, tjet, tres, tdef, tnorm
+        defect_history.append(float(np.max(np.abs(defect))))
         iterations = it + 1
     else:
         if np.max(np.abs(defect)) > cfg.tolResidual:
@@ -246,6 +297,9 @@ def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
     report = _make_report(sol, jet, p, iterations,
                           float(np.max(np.abs(defect))), damping_history)
     report.rawResidualMax = float(np.max(np.abs(res)))
+    report.factorizations = factorizations
+    report.luFill = 0 if lu is None else int(lu.nnz)
+    report.defectHistory = defect_history
     return sol, report
 
 

@@ -128,14 +128,15 @@ def write_geometry_json(u: GridFunction, path, geom: GeometryField | None = None
 
 def write_profile_csv(p: RadialProfile, path):
     """Columns r, u, psi, kappa1, kappa2, H (curvatures by finite differences,
-    kappa1 >= kappa2 pointwise among profile/rotational values)."""
+    kappa1 >= kappa2 pointwise among profile/rotational values); the header
+    records the row count, so a truncated file is refused on reading."""
     _, k_prof, k_rot, H, _ = profile_curvatures(p)
     k1 = np.maximum(k_prof, k_rot)
     k2 = np.minimum(k_prof, k_rot)
     lam = "" if p.lam is None else _fmt(p.lam)
     with open(path, "w") as f:
         f.write(f"# translab-profile n={p.n} kind={p.kind.value} lam={lam} "
-                f"h={_fmt(p.h)}\n")
+                f"h={_fmt(p.h)} rows={len(p.r)}\n")
         f.write("r,u,psi,kappa1,kappa2,H\n")
         for k in range(len(p.r)):
             f.write(",".join(_fmt(x) for x in
@@ -144,8 +145,13 @@ def write_profile_csv(p: RadialProfile, path):
 
 
 def read_profile_csv(path) -> RadialProfile:
+    """Profile CSV as write_profile_csv writes it; IoError unless it holds
+    exactly the number of rows its header records."""
     meta, rows = _read_csv(path, "profile", 6, n=int, kind=RadialKind, h=float,
-                           lam=lambda v: float(v) if v else None)
+                           lam=lambda v: float(v) if v else None, rows=int)
+    expected = meta.pop("rows")
+    if len(rows) != expected:
+        raise IoError(f"{path}: {len(rows)} rows, header records {expected}")
     return RadialProfile(r=rows[:, 0], u=rows[:, 1], psi=rows[:, 2], **meta)
 
 

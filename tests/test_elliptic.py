@@ -1,12 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from translab import elliptic, geom
+from translab import cli, elliptic, geom
 from translab.elliptic import (SolverConfig, StripProblem, delta_wing,
-                               make_strip_problem, newton_solve)
-from translab.errors import ShapeMismatchError
+                               initial_guess, make_strip_problem, newton_solve)
+from translab.errors import LinearSolveFailureError, ShapeMismatchError
 
 B_ROOT2 = math.pi / math.sqrt(2)
 
@@ -51,7 +53,8 @@ def test_jacobian_matches_finite_differences():
     hx, hy = 0.11, 0.13
     X, Y = np.meshgrid(np.arange(nx) * hx, np.arange(ny) * hy, indexing="ij")
     v = 0.3 * np.sin(1.7 * X) * np.cos(2.3 * Y) + 0.1 * X * Y
-    J = elliptic._jacobian(geom.interior_jet(v, hx, hy), hx, hy).toarray()
+    J = elliptic._jacobian(geom.interior_jet(v, hx, hy), hx, hy,
+                           elliptic._jacobian_pattern(nx - 2, ny - 2)).toarray()
     eps = 1e-7
     for i in range(1, nx - 1):
         for j in range(1, ny - 1):
@@ -61,6 +64,119 @@ def test_jacobian_matches_finite_differences():
             col = (elliptic._residual(vp, hx, hy)[1]
                    - elliptic._residual(vm, hx, hy)[1]).ravel() / (2 * eps)
             assert np.max(np.abs(J[:, (i - 1) * (ny - 2) + (j - 1)] - col)) < 1e-5
+
+
+def coo_jacobian(jet, hx, hy):
+    """The Jacobian as a COO triplet build, converted to CSC: the reference
+    the fixed-pattern assembly must reproduce bit for bit."""
+    p, q, r, s, t = jet
+    mi, mj = p.shape
+    Ap = -2 * q * s + 2 * p * t + 2 * p
+    Aq = 2 * q * r - 2 * p * s + 2 * q
+    Ar = 1 + q * q
+    As = -2 * p * q
+    At = 1 + p * p
+    I, J = np.meshgrid(np.arange(mi), np.arange(mj), indexing="ij")
+    row = (I * mj + J).ravel()
+    offsets = [
+        (+1, 0, Ap / (2 * hx) + Ar / (hx * hx)),
+        (-1, 0, -Ap / (2 * hx) + Ar / (hx * hx)),
+        (0, +1, Aq / (2 * hy) + At / (hy * hy)),
+        (0, -1, -Aq / (2 * hy) + At / (hy * hy)),
+        (0, 0, -2 * Ar / (hx * hx) - 2 * At / (hy * hy)),
+        (+1, +1, As / (4 * hx * hy)),
+        (-1, -1, As / (4 * hx * hy)),
+        (+1, -1, -As / (4 * hx * hy)),
+        (-1, +1, -As / (4 * hx * hy)),
+    ]
+    rows, cols, vals = [], [], []
+    for di, dj, coef in offsets:
+        ii, jj = I + di, J + dj
+        inside = ((ii >= 0) & (ii < mi) & (jj >= 0) & (jj < mj)).ravel()
+        rows.append(row[inside])
+        cols.append((ii * mj + jj).ravel()[inside])
+        vals.append(coef.ravel()[inside])
+    n = mi * mj
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsc()
+
+
+@pytest.mark.parametrize("nx, ny", [(121, 41), (321, 161)])
+def test_jacobian_pattern_matches_coo_build(nx, ny):
+    p = make_strip_problem(B_ROOT2, 12.0, nx, ny)
+    jet = geom.interior_jet(initial_guess(p).values, p.hx, p.hy)
+    ref = coo_jacobian(jet, p.hx, p.hy)
+    J = elliptic._jacobian(jet, p.hx, p.hy,
+                           elliptic._jacobian_pattern(nx - 2, ny - 2))
+    assert J.format == "csc"
+    assert np.array_equal(J.indptr, ref.indptr)
+    assert np.array_equal(J.indices, ref.indices)
+    assert np.array_equal(J.data, ref.data)
+
+
+def test_newton_factors_on_even_steps_only():
+    # steps 0, 2, 4, ... factor; odd steps reuse that LU (no guard fires here)
+    sol, rep = delta_wing(2.0, L=8.0, nx=121, ny=49)
+    assert rep.dampingHistory == [1.0] * rep.iterations
+    assert rep.iterations >= 2
+    assert rep.factorizations == math.ceil(rep.iterations / 2)
+    assert len(rep.defectHistory) == rep.iterations
+    assert rep.defectHistory[-1] == rep.finalResidualMax
+    assert rep.defectHistory[-1] <= SolverConfig().tolResidual
+    assert rep.luFill > sol.values.size
+
+
+def test_reused_lu_step_failing_armijo_is_refactored(monkeypatch):
+    # the first trial of step 1, the first step on a reused LU, is made to
+    # fail the Armijo test: the step is retaken from a fresh LU, undamped
+    p = make_strip_problem(2.0, 8.0, 121, 49)
+    _, plain = newton_solve(p, initial_guess(p), SolverConfig())
+    residual = elliptic._residual
+    calls = []
+
+    def failing_once(v, hx, hy):
+        jet, res, defect = residual(v, hx, hy)
+        calls.append(None)
+        # call 0: initial iterate; call 1: step 0's trial; call 2: step 1's
+        if len(calls) == 3:
+            defect = np.full_like(defect, np.nan)
+        return jet, res, defect
+    monkeypatch.setattr(elliptic, "_residual", failing_once)
+    _, rep = newton_solve(p, initial_guess(p), SolverConfig())
+    assert plain.dampingHistory == [1.0] * plain.iterations
+    assert rep.dampingHistory == [1.0] * rep.iterations
+    assert plain.factorizations == math.ceil(plain.iterations / 2)
+    assert rep.factorizations == math.ceil(rep.iterations / 2) + 1
+
+
+@pytest.mark.parametrize("extra_cols, error", [(0, LinearSolveFailureError),
+                                                (1, ValueError)])
+def test_only_a_singular_factor_is_a_linear_solve_failure(monkeypatch,
+                                                          extra_cols, error):
+    # an exactly singular J is a numerical failure; a malformed J is a
+    # programming error and must surface as itself
+    monkeypatch.setattr(elliptic, "_jacobian", lambda jet, hx, hy, pattern:
+                        sp.csc_matrix((jet[0].size, jet[0].size + extra_cols)))
+    p = make_strip_problem(2.0, 8.0, 41, 41)
+    with pytest.raises(error) as info:
+        newton_solve(p, initial_guess(p), SolverConfig())
+    assert type(info.value) is error
+
+
+def test_cli_delta_wing_reruns_byte_identical(tmp_path):
+    out, report = tmp_path / "wing.csv", tmp_path / "wing.json"
+    argv = ["elliptic", "delta-wing", "--b", "2.0", "--L", "8", "--nx", "81",
+            "--ny", "41", "--out", str(out), "--report", str(report)]
+    runs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        runs.append((out.read_bytes(), report.read_bytes()))
+    assert runs[0] == runs[1]
+    rep = json.loads(runs[0][1])
+    assert rep["factorizations"] == math.ceil(rep["iterations"] / 2)
+    assert rep["luFill"] > 0
+    assert len(rep["defectHistory"]) == rep["iterations"]
 
 
 def test_newton_residual_is_assemble_residual(monkeypatch):

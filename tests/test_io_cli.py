@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from translab import cli, csf, grid, io as tio, radial
+from translab import cli, csf, elliptic, grid, io as tio, radial
 from translab.errors import IoError
 
 
@@ -61,6 +63,16 @@ def test_profile_csv_rejects_malformed_row(tmp_path, row):
     lines = path.read_text().splitlines()
     lines[5] = row
     path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IoError):
+        tio.read_profile_csv(path)
+
+
+def test_profile_csv_rejects_truncated_file(tmp_path):
+    path = tmp_path / "p.csv"
+    tio.write_profile_csv(radial.shoot_bowl(2, 5.0, 1e-2), path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[0].split()[-1] == "rows=501"
+    path.write_text("".join(lines[:-100]))
     with pytest.raises(IoError):
         tio.read_profile_csv(path)
 
@@ -199,6 +211,18 @@ def test_cli_delta_wing_and_analyze(tmp_path, capsys):
     assert rc == 0
 
 
+def test_cli_continuation_reports_factorizations(tmp_path):
+    report = tmp_path / "cont.json"
+    rc = cli.main(["elliptic", "continuation", "--b-start", "2.0",
+                   "--b-end", "2.2", "--steps", "1", "--L", "8", "--nx", "81",
+                   "--ny", "41", "--report", str(report)])
+    assert rc == 0
+    cont = json.loads(report.read_text())
+    assert len(cont["factorizations"]) == len(cont["b"]) == 2
+    assert cont["factorizations"] == [math.ceil(i / 2)
+                                      for i in cont["iterations"]]
+
+
 def test_cli_csf_run(tmp_path, capsys):
     log = tmp_path / "log.csv"
     rc = cli.main(["csf", "run", "--shape", "circle", "--radius", "1",
@@ -294,6 +318,15 @@ def test_cli_numerical_failure_exit_code(tmp_path):
     rc = cli.main(["elliptic", "delta-wing", "--b", "1.0", "--L", "8",
                    "--nx", "41", "--ny", "41"])
     assert rc == 1  # b <= pi/2 is a numerical-domain error
+
+
+def test_cli_singular_jacobian_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(elliptic, "_jacobian", lambda jet, hx, hy, pattern:
+                        sp.csc_matrix((jet[0].size, jet[0].size)))
+    rc = cli.main(["elliptic", "delta-wing", "--b", "2.0", "--L", "8",
+                   "--nx", "41", "--ny", "41"])
+    assert rc == 1
+    assert "singular" in capsys.readouterr().err
 
 
 def test_cli_bad_shape_spec():
