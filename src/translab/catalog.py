@@ -122,23 +122,19 @@ def plane_report() -> ResidualReport:
                           maxGrad=math.inf, is_graph=False)
 
 
-def sample_grid(t: AnalyticTranslator, h: float, half_width_frac: float = 0.9,
-                y_extent: float | None = None) -> GridFunction:
+def sample_grid(t: AnalyticTranslator, h: float,
+                half_width_frac: float = 0.9) -> GridFunction:
     """Sample the analytic translator on a truncated strip.
 
-    The x-range is +-(half_width_frac * half_width); y spans the same extent
-    unless y_extent is given.  Node counts are chosen so the spacing is h
-    rounded to fit.
+    Both x and y range over +-(half_width_frac * half_width).  Node counts
+    are chosen so the spacing is h rounded to fit.
     """
     if not (0.0 < half_width_frac < 1.0):
         raise ValueError("half_width_frac must lie in (0, 1)")
-    xw = t.half_width * half_width_frac
-    yw = xw if y_extent is None else y_extent
-    nx = max(int(round(2 * xw / h)) + 1, 5)
-    ny = max(int(round(2 * yw / h)) + 1, 5)
-    hx = 2 * xw / (nx - 1)
-    hy = 2 * yw / (ny - 1)
-    X, Y = np.meshgrid(-xw + hx * np.arange(nx), -yw + hy * np.arange(ny),
-                       indexing="ij")
+    w = t.half_width * half_width_frac
+    n = max(int(round(2 * w / h)) + 1, 5)
+    step = 2 * w / (n - 1)
+    side = -w + step * np.arange(n)
+    X, Y = np.meshgrid(side, side, indexing="ij")
     u, _, _ = evaluate(t, X, Y)
-    return GridFunction(nx, ny, hx, hy, -xw, -yw, u)
+    return GridFunction(n, n, step, step, -w, -w, u)

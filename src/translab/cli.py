@@ -4,8 +4,8 @@ Subcommands: catalog residual, radial shoot|fit, elliptic delta-wing|
 continuation, csf run|compare, analyze sx|jacobi|firstvar, export obj.
 A JSON config file can preset long-option values; explicit flags override it
 and unknown config keys are fatal (typos silently corrupting numerical
-studies are worse than an error).  Exit codes: 0 success, 1 numerical
-failure, 2 usage.
+studies are worse than an error).  Exit codes: 0 success, 1 numerical or
+I/O failure (including a file that cannot be opened), 2 usage.
 """
 
 from __future__ import annotations
@@ -301,7 +301,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (TranslabError, ValueError) as exc:
+    except (TranslabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

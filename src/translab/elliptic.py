@@ -356,25 +356,24 @@ def _smoothed(p: StripProblem, v: np.ndarray, sweeps: int) -> GridFunction:
     return p.grid(v)
 
 
-def initial_guess(p: StripProblem, sweeps: int = 5) -> GridFunction:
-    """Smoothed envelope: Jacobi sweeps round the crease along x = 0."""
+def initial_guess(p: StripProblem) -> GridFunction:
+    """Smoothed envelope: five Jacobi sweeps round the crease along x = 0."""
     X, Y = np.meshgrid(p.xs, p.ys, indexing="ij")
-    return _smoothed(p, tilted_pair_envelope(p.b, X, Y), sweeps)
+    return _smoothed(p, tilted_pair_envelope(p.b, X, Y), 5)
 
 
-def asymptote_defect(sol: GridFunction, p: StripProblem,
-                     band: tuple = (0.85, 1.0)) -> float:
+def asymptote_defect(sol: GridFunction, p: StripProblem) -> float:
     """Defect against the asymptotic tilted reapers near the ends of the box.
 
     For each side the comparison surface is the reaper the wing approaches
     there, aligned by the best constant shift (midrange of the difference);
-    the bands cover interior nodes with |x| in band * L.
+    the bands cover interior nodes with |x| in [0.85, 1] * L.
     """
     X, Y = np.meshgrid(p.xs, p.ys, indexing="ij")
     reaper = tilted_pair_envelope(p.b, X, Y)
     worst = 0.0
     for sgn in (+1, -1):
-        sel = (sgn * X >= band[0] * p.L) & (sgn * X <= band[1] * p.L)
+        sel = (sgn * X >= 0.85 * p.L) & (sgn * X <= p.L)
         sel[0, :] = sel[-1, :] = False
         sel[:, 0] = sel[:, -1] = False
         diff = (sol.values - reaper)[sel]
@@ -384,16 +383,15 @@ def asymptote_defect(sol: GridFunction, p: StripProblem,
 
 
 def delta_wing(b: float, L: float = 12.0, nx: int = 961, ny: int = 161,
-               cfg: SolverConfig | None = None, shrink: float = 0.995,
-               fallback: bool = True):
+               cfg: SolverConfig | None = None, shrink: float = 0.995):
     """Solve for the Delta-wing over the strip of half-width b (> pi/2).
 
     Boundary data and initial guess come from the tilted-pair envelope with
-    cos(theta) = pi/(2 b).  If the direct solve stalls and fallback is on,
-    the solve is retried by marching in width from near the grim-reaper
-    threshold.  The report carries the center Hessian (expected eigenvalues
-    (-k, -(1-k))), concavity and symmetry checks, and the constant-shift
-    defect against the asymptotic tilted reapers.
+    cos(theta) = pi/(2 b).  If the direct solve stalls, the solve is retried
+    by marching in width from near the grim-reaper threshold.  The report
+    carries the center Hessian (expected eigenvalues (-k, -(1-k))),
+    concavity and symmetry checks, and the constant-shift defect against the
+    asymptotic tilted reapers.
     """
     if b <= math.pi / 2:
         raise ValueError("Delta-wings need strip half-width b > pi/2")
@@ -402,8 +400,6 @@ def delta_wing(b: float, L: float = 12.0, nx: int = 961, ny: int = 161,
     try:
         sol, report = newton_solve(p, initial_guess(p), cfg)
     except (NewtonStalledError, MaxIterationsError):
-        if not fallback:
-            raise
         b0 = math.pi / 2 + 0.25 * (b - math.pi / 2)
         sol, reports = continuation_in_width(b0, b, 4, L=L, nx=nx, ny=ny,
                                              cfg=cfg, shrink=shrink)

@@ -3,6 +3,7 @@ OBJ for meshes.
 
 Floats are written with 17 significant digits, so GridFunction CSV round-trips
 bit-exactly and identical runs produce byte-identical files (no timestamps).
+Every CSV and OBJ body is one table of columns, written by _write_table.
 """
 
 from __future__ import annotations
@@ -20,13 +21,33 @@ from .grid import GridFunction
 from .radial import RadialProfile, RadialKind, profile_curvatures
 
 _F = "%.17g"
+_BLOCK_ROWS = 4096  # rows per % in _write_table; bounds the text in memory
+_MAX_RINGS = 512    # rings of a revolution OBJ
 
 
 def _fmt(x) -> str:
     return _F % float(x)
 
 
+def _write_table(f, row_fmt: str, columns):
+    """Write equal-length columns to f as rows of the %-format row_fmt, one
+    % per _BLOCK_ROWS rows.  Stacking turns int columns next to float ones
+    into floats, which %d formats exactly."""
+    table = np.column_stack(columns)
+    block_fmt = row_fmt * _BLOCK_ROWS
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table[start:start + _BLOCK_ROWS]
+        fmt = block_fmt if len(block) == _BLOCK_ROWS else row_fmt * len(block)
+        f.write(fmt % tuple(block.ravel().tolist()))
+
+
 # --- GridFunction CSV ---------------------------------------------------------
+
+
+def _node_columns(u: GridFunction):
+    """Columns i, j, x, y, u over the nodes, i-major."""
+    i, j = np.indices((u.nx, u.ny)).reshape(2, -1)
+    return [i, j, u.xs[i], u.ys[j], u.values.ravel()]
 
 
 def write_grid_csv(u: GridFunction, path):
@@ -35,11 +56,7 @@ def write_grid_csv(u: GridFunction, path):
         f.write(f"# translab-grid nx={u.nx} ny={u.ny} hx={_fmt(u.hx)} "
                 f"hy={_fmt(u.hy)} x0={_fmt(u.x0)} y0={_fmt(u.y0)}\n")
         f.write("i,j,x,y,u\n")
-        xs, ys = u.xs, u.ys
-        for i in range(u.nx):
-            for j in range(u.ny):
-                f.write(f"{i},{j},{_fmt(xs[i])},{_fmt(ys[j])},"
-                        f"{_fmt(u.values[i, j])}\n")
+        _write_table(f, "%d,%d,%.17g,%.17g,%.17g\n", _node_columns(u))
 
 
 def _read_csv(path, tag: str, ncols: int, **meta_types):
@@ -88,19 +105,14 @@ _GEOMETRY_COLUMNS = ["i", "j", "x", "y", "u", "W", "H", "kappa1", "kappa2",
                      "normA2", "Q2", "flags"]
 
 
-def _geometry_rows(u: GridFunction, geom: GeometryField | None):
-    """One row per node in _GEOMETRY_COLUMNS order; flags bit 0: outside the
-    valid margin, bit 1: umbilic."""
+def _geometry_columns(u: GridFunction, geom: GeometryField | None):
+    """Per-node columns in _GEOMETRY_COLUMNS order, i-major; flags bit 0:
+    outside the valid margin, bit 1: umbilic."""
     geom = geom or graph_geometry(u)
     q2, _ = q_squared(geom, u)
-    xs, ys = u.xs, u.ys
-    for i in range(u.nx):
-        for j in range(u.ny):
-            flags = (0 if geom.interior[i, j] else 1) \
-                | (2 if geom.umbilic[i, j] else 0)
-            yield [i, j, xs[i], ys[j], u.values[i, j], geom.W[i, j],
-                   geom.H[i, j], geom.kappa1[i, j], geom.kappa2[i, j],
-                   geom.normA2[i, j], q2[i, j], flags]
+    flags = np.where(geom.interior, 0, 1) | np.where(geom.umbilic, 2, 0)
+    return _node_columns(u) + [a.ravel() for a in (
+        geom.W, geom.H, geom.kappa1, geom.kappa2, geom.normA2, q2, flags)]
 
 
 def write_geometry_csv(u: GridFunction, path, geom: GeometryField | None = None):
@@ -108,19 +120,22 @@ def write_geometry_csv(u: GridFunction, path, geom: GeometryField | None = None)
     Q2, flags; the column order is part of the format."""
     with open(path, "w") as f:
         f.write(",".join(_GEOMETRY_COLUMNS) + "\n")
-        for row in _geometry_rows(u, geom):
-            f.write(f"{row[0]},{row[1]},"
-                    + ",".join([_fmt(x) for x in row[2:-1]]) + f",{row[-1]}\n")
+        _write_table(f, "%d,%d," + "%.17g," * 9 + "%d\n",
+                     _geometry_columns(u, geom))
 
 
 def write_geometry_json(u: GridFunction, path, geom: GeometryField | None = None):
-    """Same per-node rows as the CSV, as a JSON array of rows."""
+    """Same per-node rows as the CSV, as a JSON array of rows; non-finite
+    values are written as strings ("nan", "inf", "-inf"), as _jsonable does."""
+    i, j, *reals, flags = _geometry_columns(u, geom)
+    reals = np.column_stack(reals)
+    nodes = np.column_stack([c.astype(object) for c in (i, j, reals, flags)])
+    bad = ~np.isfinite(reals)
+    nodes[:, 2:-1][bad] = reals[bad].astype(str)
     payload = {"schema": "translab-geometry/1", "columns": _GEOMETRY_COLUMNS,
-               "nodes": _jsonable(list(_geometry_rows(u, geom))),
-               "version": __version__}
-    with open(path, "w") as f:
-        json.dump(payload, f)
-        f.write("\n")
+               "nodes": nodes.tolist(), "version": __version__}
+    with open(path, "w") as f:  # json.dumps runs the C encoder, json.dump not
+        f.write(json.dumps(payload) + "\n")
 
 
 # --- RadialProfile CSV ----------------------------------------------------------
@@ -138,10 +153,7 @@ def write_profile_csv(p: RadialProfile, path):
         f.write(f"# translab-profile n={p.n} kind={p.kind.value} lam={lam} "
                 f"h={_fmt(p.h)} rows={len(p.r)}\n")
         f.write("r,u,psi,kappa1,kappa2,H\n")
-        for k in range(len(p.r)):
-            f.write(",".join(_fmt(x) for x in
-                             (p.r[k], p.u[k], p.psi[k], k1[k], k2[k], H[k]))
-                    + "\n")
+        _write_table(f, "%.17g," * 5 + "%.17g\n", [p.r, p.u, p.psi, k1, k2, H])
 
 
 def read_profile_csv(path) -> RadialProfile:
@@ -162,10 +174,8 @@ def write_log_csv(log, path):
     """Columns t, Amax, length, area."""
     with open(path, "w") as f:
         f.write("t,Amax,length,area\n")
-        for k in range(len(log.times)):
-            f.write(",".join(_fmt(x) for x in
-                             (log.times[k], log.Amax[k], log.length[k],
-                              log.area[k])) + "\n")
+        _write_table(f, "%.17g," * 3 + "%.17g\n",
+                     [log.times, log.Amax, log.length, log.area])
 
 
 # --- JSON reports ---------------------------------------------------------------
@@ -217,58 +227,48 @@ def report_to_json(report, extra: dict | None = None) -> str:
 # --- OBJ export -----------------------------------------------------------------
 
 
+def _write_obj(path, provenance: str, vertices, faces):
+    """OBJ file: version and provenance comments, then 'v' rows of the three
+    vertex columns and 'f' rows of the four 1-based quad index columns."""
+    with open(path, "w") as f:
+        f.write(f"# translab {__version__}\n")
+        if provenance:
+            f.write(f"# command: {provenance}\n")
+        _write_table(f, "v %.17g %.17g %.17g\n", vertices)
+        _write_table(f, "f %d %d %d %d\n", faces)
+
+
 def export_grid_obj(u: GridFunction, path, provenance: str = ""):
     """Height field as an OBJ quad mesh, y-up: vertex (x, u, y)."""
     if not np.all(np.isfinite(u.values)):
         raise IoError("refusing OBJ export: non-finite heights")
-    xs, ys = u.xs, u.ys
-    lines = [f"# translab {__version__}"]
-    if provenance:
-        lines.append(f"# command: {provenance}")
-    for i in range(u.nx):
-        for j in range(u.ny):
-            lines.append(f"v {_fmt(xs[i])} {_fmt(u.values[i, j])} {_fmt(ys[j])}")
-    for i in range(u.nx - 1):
-        for j in range(u.ny - 1):
-            a = i * u.ny + j + 1
-            b = (i + 1) * u.ny + j + 1
-            lines.append(f"f {a} {b} {b + 1} {a + 1}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _, _, x, y, h = _node_columns(u)
+    a = (u.ny * np.arange(u.nx - 1)[:, None] + np.arange(u.ny - 1) + 1).ravel()
+    _write_obj(path, provenance, [x, h, y], [a, a + u.ny, a + u.ny + 1, a + 1])
 
 
 def export_revolution_obj(p: RadialProfile, path, samples: int = 128,
-                          max_rings: int = 512, provenance: str = ""):
+                          provenance: str = ""):
     """Surface of revolution (r, angle) -> (r cos, u, r sin), quad strip mesh.
 
-    The angular direction wraps; the radial direction is open.  Profiles with
-    more than max_rings samples are subsampled evenly (integration steps are
-    far finer than any mesh needs); endpoints are always kept.
+    The angular direction wraps and needs samples >= 3 (ValueError otherwise);
+    the radial direction is open.  Profiles with more than _MAX_RINGS samples
+    are subsampled evenly (integration steps are far finer than any mesh
+    needs); endpoints are always kept.
     """
+    if samples < 3:
+        raise ValueError(f"revolution export needs at least 3 angular "
+                         f"samples, got {samples}")
     if not (np.all(np.isfinite(p.r)) and np.all(np.isfinite(p.u))):
         raise IoError("refusing OBJ export: non-finite profile")
-    n = len(p.r)
-    if n > max_rings:
-        keep = np.unique(np.linspace(0, n - 1, max_rings).round().astype(int))
-    else:
-        keep = np.arange(n)
+    n = len(p.r)  # linspace(0, n - 1, n) is exactly arange(n)
+    keep = np.unique(np.linspace(0, n - 1, min(n, _MAX_RINGS)).round().astype(int))
     rr, uu = p.r[keep], p.u[keep]
     ang = 2 * math.pi * np.arange(samples) / samples
-    ca, sa = np.cos(ang), np.sin(ang)
-    lines = [f"# translab {__version__}"]
-    if provenance:
-        lines.append(f"# command: {provenance}")
-    for k in range(len(rr)):
-        for m in range(samples):
-            lines.append(f"v {_fmt(rr[k] * ca[m])} {_fmt(uu[k])} "
-                         f"{_fmt(rr[k] * sa[m])}")
-    for k in range(len(rr) - 1):
-        for m in range(samples):
-            m2 = (m + 1) % samples
-            a = k * samples + m + 1
-            b = k * samples + m2 + 1
-            c = (k + 1) * samples + m2 + 1
-            d = (k + 1) * samples + m + 1
-            lines.append(f"f {a} {b} {c} {d}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    ring = samples * np.arange(len(rr) - 1)[:, None] + 1
+    a = (ring + np.arange(samples)).ravel()
+    b = (ring + (np.arange(samples) + 1) % samples).ravel()
+    _write_obj(path, provenance,
+               [np.outer(rr, np.cos(ang)).ravel(), np.repeat(uu, samples),
+                np.outer(rr, np.sin(ang)).ravel()],
+               [a, b, b + samples, a + samples])

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (NonMonotoneProfileError, StepTooLargeError,
                      UmbilicWindowError, WindowTooNarrowError)
@@ -59,10 +58,10 @@ class RadialProfile:
 # --- fixed-nominal-step RK4 with step-doubling error control ----------------
 
 _STEP_FLOOR_FACTOR = 2.0 ** -30
+_MAX_STEPS = 50_000_000
 
 
-def _integrate_rk4(rhs, t0, y0, h, stop, step_tol=1e-10, record=None,
-                   max_steps=50_000_000):
+def _integrate_rk4(rhs, t0, y0, h, stop, step_tol=1e-10, record=None):
     """Classic RK4 driven at nominal step h; halves the step where the
     step-doubling estimate exceeds step_tol, recovers afterwards.
 
@@ -85,7 +84,7 @@ def _integrate_rk4(rhs, t0, y0, h, stop, step_tol=1e-10, record=None,
         record(t, y)
     h_cur = h
     floor = h * _STEP_FLOOR_FACTOR
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         full = rk4(t, y, h_cur)
         half = rk4(t + 0.5 * h_cur, rk4(t, y, 0.5 * h_cur), 0.5 * h_cur)
         err = max(abs(a - b) for a, b in zip(full, half)) / 15.0
@@ -340,6 +339,9 @@ def profile_to_grid(p: RadialProfile, x0: float, x1: float, y0: float,
 
     Every node radius hypot(x, y) must be covered by the profile.
     """
+    # imported on use: scipy.interpolate adds ~0.3 s to every CLI start-up
+    from scipy.interpolate import CubicSpline
+
     def height(X, Y):
         R = np.hypot(X, Y)
         if R.max() > p.r[-1] + 1e-12 or R.min() < p.r[0] - 1e-12:

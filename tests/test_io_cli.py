@@ -333,3 +333,27 @@ def test_cli_bad_shape_spec():
     rc = cli.main(["csf", "compare", "--shape1", "blob:1",
                    "--shape2", "circle:2"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["radial", "fit", "--in", "{tmp}/missing.csv", "--rlo", "1", "--rhi", "2"],
+    ["export", "obj", "--in", "{tmp}/missing.csv", "--out", "{tmp}/m.obj"],
+    ["catalog", "residual", "--config", "{tmp}/nope.json"],
+    ["radial", "shoot", "--rmax", "1", "--h", "0.01",
+     "--out", "{tmp}/nonexistent/dir/b.csv"],
+], ids=["fit-in", "export-in", "config", "shoot-out"])
+def test_cli_unopenable_path_is_an_error_line(tmp_path, capsys, argv):
+    rc = cli.main([a.format(tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3", "2"])
+def test_cli_revolution_export_needs_three_samples(tmp_path, capsys, samples):
+    prof, out = tmp_path / "p.csv", tmp_path / "p.obj"
+    tio.write_profile_csv(radial.shoot_bowl(2, 1.0, 1e-2), prof)
+    rc = cli.main(["export", "obj", "--in", str(prof), "--out", str(out),
+                   "--angular-samples", samples])
+    assert rc == 1 and "angular samples" in capsys.readouterr().err
+    assert not out.exists()

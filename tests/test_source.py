@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "translab"
@@ -11,3 +14,13 @@ def test_no_assert_in_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # it costs ~0.3 s of every CLI start-up; only profile_to_grid and the
+    # continuation resampler use it, and they import it on use
+    code = "import sys, translab.cli; print('scipy.interpolate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
