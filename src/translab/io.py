@@ -31,12 +31,11 @@ def _fmt(x) -> str:
 
 def _write_table(f, row_fmt: str, columns):
     """Write equal-length columns to f as rows of the %-format row_fmt, one
-    % per _BLOCK_ROWS rows.  Stacking turns int columns next to float ones
-    into floats, which %d formats exactly."""
-    table = np.column_stack(columns)
+    % per block of _BLOCK_ROWS rows.  Stacking a block turns int columns next
+    to float ones into floats, which %d formats exactly."""
     block_fmt = row_fmt * _BLOCK_ROWS
-    for start in range(0, len(table), _BLOCK_ROWS):
-        block = table[start:start + _BLOCK_ROWS]
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
         fmt = block_fmt if len(block) == _BLOCK_ROWS else row_fmt * len(block)
         f.write(fmt % tuple(block.ravel().tolist()))
 
@@ -124,16 +123,22 @@ def write_geometry_csv(u: GridFunction, path, geom: GeometryField | None = None)
                      _geometry_columns(u, geom))
 
 
-def write_geometry_json(u: GridFunction, path, geom: GeometryField | None = None):
-    """Same per-node rows as the CSV, as a JSON array of rows; non-finite
-    values are written as strings ("nan", "inf", "-inf"), as _jsonable does."""
+def _geometry_nodes(u: GridFunction, geom: GeometryField | None):
+    """The per-node rows of _geometry_columns as JSON values: non-finite
+    floats become strings ("nan", "inf", "-inf"), as _jsonable makes them.
+    A function of its own so that its arrays are freed before encoding."""
     i, j, *reals, flags = _geometry_columns(u, geom)
     reals = np.column_stack(reals)
     nodes = np.column_stack([c.astype(object) for c in (i, j, reals, flags)])
     bad = ~np.isfinite(reals)
     nodes[:, 2:-1][bad] = reals[bad].astype(str)
+    return nodes.tolist()
+
+
+def write_geometry_json(u: GridFunction, path, geom: GeometryField | None = None):
+    """Same per-node rows as the CSV, as a JSON array of rows."""
     payload = {"schema": "translab-geometry/1", "columns": _GEOMETRY_COLUMNS,
-               "nodes": nodes.tolist(), "version": __version__}
+               "nodes": _geometry_nodes(u, geom), "version": __version__}
     with open(path, "w") as f:  # json.dumps runs the C encoder, json.dump not
         f.write(json.dumps(payload) + "\n")
 
