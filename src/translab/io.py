@@ -21,7 +21,7 @@ from .grid import GridFunction
 from .radial import RadialProfile, RadialKind, profile_curvatures
 
 _F = "%.17g"
-_BLOCK_ROWS = 4096  # rows per % in _write_table; bounds the text in memory
+_BLOCK_ROWS = 4096  # rows per % in _write_table; bounds its memory use
 _MAX_RINGS = 512    # rings of a revolution OBJ
 
 
