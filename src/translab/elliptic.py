@@ -217,15 +217,45 @@ def _factor(J: sp.csc_matrix):
         raise LinearSolveFailureError(str(exc)) from exc
 
 
-def _newton_step(lu, J: sp.csc_matrix, res: np.ndarray) -> np.ndarray:
-    """Solve J delta = -res with the factorization lu, which may belong to an
-    earlier iterate, plus one refinement pass against the current J."""
-    rhs = -res.ravel()
+def _quadrant_fold(mi: int, mj: int):
+    """(rows, P) of the mirror fold of an mi x mj interior: rows are the raveled
+    indices of the quadrant i >= mi // 2, j >= mj // 2 (centre lines
+    included), and P, (mi*mj) x len(rows), is the 0/1 unfold matrix that maps
+    each node to its reflection in the quadrant (itself if it lies there)."""
+    i0, j0 = mi // 2, mj // 2
+    fi = np.maximum(np.arange(mi), np.arange(mi)[::-1]) - i0
+    fj = np.maximum(np.arange(mj), np.arange(mj)[::-1]) - j0
+    cols = (fi[:, None] * (mj - j0) + fj).ravel()
+    n = mi * mj
+    P = sp.csr_matrix((np.ones(n), cols, np.arange(n + 1)),
+                      shape=(n, (mi - i0) * (mj - j0)))
+    I, J = np.meshgrid(np.arange(i0, mi), np.arange(j0, mj), indexing="ij")
+    return (I * mj + J).ravel(), P
+
+
+def _check_mirror_symmetric(bc: np.ndarray):
+    """Raise ValueError unless the boundary data on the outer node ring equals
+    its reflections about both midlines up to round-off."""
+    ring = np.ones(bc.shape, dtype=bool)
+    ring[1:-1, 1:-1] = False
+    defect = np.maximum(np.abs(bc - bc[::-1, :]), np.abs(bc - bc[:, ::-1]))[ring]
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(bc[ring]))))
+    if float(np.max(defect)) > tol:
+        raise ValueError("boundary data is not symmetric about both midlines "
+                         f"(defect {float(np.max(defect)):.3e} > {tol:.3e})")
+
+
+def _newton_step(lu, Jq: sp.csc_matrix, res: np.ndarray, fold) -> np.ndarray:
+    """Solve the folded system Jq dq = -res[rows] with the factorization lu,
+    which may belong to an earlier iterate, plus one refinement pass against
+    the current Jq; return the step P dq unfolded onto the whole interior."""
+    rows, P = fold
+    rhs = -res.ravel()[rows]
     delta = lu.solve(rhs)
-    delta += lu.solve(rhs - J @ delta)
+    delta += lu.solve(rhs - Jq @ delta)
     if not np.all(np.isfinite(delta)):
         raise LinearSolveFailureError("linear solve returned non-finite values")
-    return delta.reshape(res.shape)
+    return (P @ delta).reshape(res.shape)
 
 
 def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
@@ -240,14 +270,26 @@ def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
     damping only ever acts on fresh Newton directions.  Armijo backtracking
     and the convergence test cfg.tolResidual act on the mean-curvature defect
     residual/W^3, which stays numerically meaningful in the guard band next
-    to the strip edge.  Returns (solution, SolveReport).
+    to the strip edge.
+
+    The strip problem is symmetric about both midlines, and so is its
+    solution: the interior of init is replaced by the average of its four
+    reflections (bit-symmetric), and every linear system is folded onto the
+    quadrant of _quadrant_fold, Jq = J[rows] P, whose step P dq keeps the
+    iterate symmetric.  Residual, Jacobian and convergence test stay on the
+    full grid.  Boundary data that is not mirror symmetric is a ValueError.
+    Returns (solution, SolveReport).
     """
     if init.values.shape != (p.nx, p.ny):
         raise ShapeMismatchError("initial guess does not match the problem grid")
     _check_boundary(init.values, p)
+    _check_mirror_symmetric(p.bc)
     hx, hy = p.hx, p.hy
     v = init.values.copy()
+    a = v[1:-1, 1:-1] + v[-2:0:-1, 1:-1]
+    v[1:-1, 1:-1] = 0.25 * (a + a[:, ::-1])
     pattern = _jacobian_pattern(p.nx - 2, p.ny - 2)
+    fold = _quadrant_fold(p.nx - 2, p.ny - 2)
     damping_history, defect_history = [], []
     lu, factorizations = None, 0
 
@@ -258,12 +300,13 @@ def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
         if np.max(np.abs(defect)) <= cfg.tolResidual:
             break
         J = _jacobian(jet, hx, hy, pattern)
+        Jq = (J[fold[0], :] @ fold[1]).tocsc()
         fresh = it % 2 == 0
         if fresh:
             lu = None                   # release the old LU before the new one
-            lu = _factor(J)
+            lu = _factor(Jq)
             factorizations += 1
-        delta = _newton_step(lu, J, res)
+        delta = _newton_step(lu, Jq, res, fold)
 
         lam = 1.0
         while True:
@@ -275,10 +318,10 @@ def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
                 break
             if not fresh:               # reused LU: refactor, retake the step
                 lu = None
-                lu = _factor(J)
+                lu = _factor(Jq)
                 factorizations += 1
                 fresh = True
-                delta = _newton_step(lu, J, res)
+                delta = _newton_step(lu, Jq, res, fold)
                 continue
             lam *= 0.5
             if lam < cfg.dampingMin:

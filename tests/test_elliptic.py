@@ -270,3 +270,97 @@ def test_strip_problem_invariants():
     with pytest.raises(ValueError):
         StripProblem(b=2.0, L=6.0, shrink=0.8, nx=41, ny=41,
                      bc=np.zeros((41, 41)))             # shrink range
+
+
+def full_grid_newton(p, init, cfg):
+    """The Newton iteration with every linear system on the whole interior,
+    no fold and no symmetrization of init: the reference the quadrant solve
+    must reproduce.  Returns (values, iterations, factorizations)."""
+    hx, hy = p.hx, p.hy
+    v = init.values.copy()
+    pattern = elliptic._jacobian_pattern(p.nx - 2, p.ny - 2)
+    jet, res, defect = elliptic._residual(v, hx, hy)
+    fnorm = float(np.linalg.norm(defect))
+    lu, factorizations, iterations = None, 0, 0
+
+    def step(J):
+        rhs = -res.ravel()
+        delta = lu.solve(rhs)
+        delta += lu.solve(rhs - J @ delta)
+        return delta.reshape(res.shape)
+    for it in range(cfg.maxNewton):
+        if np.max(np.abs(defect)) <= cfg.tolResidual:
+            break
+        J = elliptic._jacobian(jet, hx, hy, pattern)
+        fresh = it % 2 == 0
+        if fresh:
+            lu = elliptic._factor(J)
+            factorizations += 1
+        delta = step(J)
+        lam = 1.0
+        while True:
+            trial = v.copy()
+            trial[1:-1, 1:-1] += lam * delta
+            tjet, tres, tdef = elliptic._residual(trial, hx, hy)
+            tnorm = float(np.linalg.norm(tdef))
+            if np.isfinite(tnorm) and tnorm <= (1.0 - 1e-4 * lam) * fnorm:
+                break
+            if not fresh:
+                lu = elliptic._factor(J)
+                factorizations += 1
+                fresh = True
+                delta = step(J)
+                continue
+            lam *= 0.5
+            assert lam >= cfg.dampingMin
+        v, jet, res, defect, fnorm = trial, tjet, tres, tdef, tnorm
+        iterations = it + 1
+    assert np.max(np.abs(defect)) <= cfg.tolResidual
+    return v, iterations, factorizations
+
+
+@pytest.mark.parametrize("nx, ny", [(121, 41), (120, 40)])
+def test_quadrant_solve_matches_full_grid_reference(nx, ny):
+    # odd grids fold onto their centre lines, even grids have none
+    p = make_strip_problem(B_ROOT2, 12.0, nx, ny)
+    cfg = SolverConfig()
+    ref, iterations, factorizations = full_grid_newton(p, initial_guess(p), cfg)
+    sol, rep = newton_solve(p, initial_guess(p), cfg)
+    assert np.max(np.abs(sol.values - ref)) <= 1e-10
+    assert (rep.iterations, rep.factorizations) == (iterations, factorizations)
+    gp, gq, _, _, _ = geom.interior_jet(sol.values, p.hx, p.hy)
+    defect = elliptic.assemble_residual(sol, p) / (1 + gp * gp + gq * gq) ** 1.5
+    assert np.max(np.abs(defect)) <= cfg.tolResidual
+
+
+def test_quadrant_fold_maps_each_node_to_its_reflection():
+    for mi, mj in ((5, 4), (4, 5)):
+        rows, P = elliptic._quadrant_fold(mi, mj)
+        q = np.arange(len(rows), dtype=float)
+        full = (P @ q).reshape(mi, mj)
+        assert np.array_equal(full, full[::-1, :])
+        assert np.array_equal(full, full[:, ::-1])
+        assert np.array_equal(full.ravel()[rows], q)
+
+
+def test_asymmetric_boundary_data_is_refused_before_factoring(monkeypatch):
+    p = make_strip_problem(2.0, 8.0, 121, 49)
+    p.bc[:, -1] += 1e-6 * p.xs          # tilted on one edge only
+    init = p.grid(p.bc.copy())
+    factored = []
+    monkeypatch.setattr(elliptic, "_factor",
+                        lambda J: factored.append(J) or pytest.fail("factored"))
+    with pytest.raises(ValueError, match="symmetric"):
+        newton_solve(p, init, SolverConfig())
+    assert factored == []
+
+
+def test_asymmetric_init_converges_to_the_symmetric_solution():
+    # the x-perturbed init of test_newton_residual_is_assemble_residual
+    p, vals = grim_strip_problem()
+    perturbed = vals.copy()
+    perturbed[1:-1, 1:-1] += 1e-3 * np.cos(np.linspace(0, 3, 119))[:, None]
+    assert np.max(np.abs(perturbed - perturbed[::-1, :])) > 1e-4
+    sol_p, _ = newton_solve(p, p.grid(perturbed), SolverConfig())
+    sol, _ = newton_solve(p, p.grid(vals), SolverConfig())
+    assert np.max(np.abs(sol_p.values - sol.values)) <= 1e-10
