@@ -249,7 +249,8 @@ def _cmd_csf(args, prov):
                    "tolerance": rep.tolerance,
                    "initialDistance": float(rep.minDistance[0]),
                    "minDistance": float(rep.minDistance.min()),
-                   "finalTime": float(rep.times[-1])}
+                   "finalTime": float(rep.times[-1]),
+                   "steps": rep.steps, "stopReason": rep.stopReason}
         _emit(tio.report_to_json(payload), args.report)
 
 

@@ -404,10 +404,15 @@ def _curves_disjoint(P: np.ndarray, Q: np.ndarray) -> bool:
 
 @dataclass
 class ComparisonReport:
+    """Separation time series of comparison_check, with the counters of
+    _flow (steps taken; stopReason as in SingularityLog)."""
+
     times: np.ndarray
     minDistance: np.ndarray
     verdict: bool
     tolerance: float
+    steps: int = 0
+    stopReason: str | None = None
 
 
 def comparison_check(a: CurveState, b: CurveState,
@@ -434,4 +439,5 @@ def comparison_check(a: CurveState, b: CurveState,
     dists = np.array(dists)
     verdict = bool(np.min(dists) >= dists[0] - tol)
     return ComparisonReport(times=np.array(times), minDistance=dists,
-                            verdict=verdict, tolerance=tol)
+                            verdict=verdict, tolerance=tol, steps=state.steps,
+                            stopReason=state.stopReason)

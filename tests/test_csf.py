@@ -231,6 +231,18 @@ def test_comparison_samples_every_step():
     assert np.array_equal(rep.times, log.times)
 
 
+
+@pytest.mark.parametrize("cfg, reason", [(FlowConfig(stopAmax=60.0), csf.STOP_AMAX),
+                                         (FlowConfig(maxSteps=7), csf.MAX_STEPS)])
+def test_comparison_report_carries_the_flow_counters(cfg, reason):
+    rep = csf.comparison_check(csf.make_circle(0.6, 64),
+                               csf.make_circle(1.4, 64), cfg)
+    assert rep.steps == len(rep.times) - 1
+    assert rep.stopReason == reason
+    assert rep.stopReason in (csf.STOP_AMAX, csf.RESOLUTION_LOST,
+                              csf.MAX_STEPS, csf.DT_UNDERFLOW)
+
+
 def _min_distance_einsum(P, Q):
     """The 3-D einsum form _min_distance replaced, kept as its reference."""
     def pts_to_segs(pts, poly):

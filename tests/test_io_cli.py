@@ -245,6 +245,16 @@ def test_cli_csf_compare(capsys):
     assert out["verdict"] == "PASS"
 
 
+
+def test_cli_csf_compare_reports_steps_and_stop_reason(capsys):
+    rc = cli.main(["csf", "compare", "--shape1", "circle:1",
+                   "--shape2", "circle:1", "--gap", "3", "--n", "64",
+                   "--stop-amax", "30"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["stopReason"] == "stopAmax"
+    assert isinstance(out["steps"], int) and out["steps"] > 0
+
 def test_cli_csf_reruns_byte_identical(tmp_path):
     log, run_json, cmp_json = (tmp_path / f for f in ("log.csv", "run.json", "cmp.json"))
     argvs = (["csf", "run", "--shape", "ellipse", "--n", "64", "--stop-amax", "50",
