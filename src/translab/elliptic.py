@@ -238,18 +238,19 @@ def _check_mirror_symmetric(bc: np.ndarray):
     its reflections about both midlines up to round-off."""
     ring = np.ones(bc.shape, dtype=bool)
     ring[1:-1, 1:-1] = False
-    defect = np.maximum(np.abs(bc - bc[::-1, :]), np.abs(bc - bc[:, ::-1]))[ring]
+    defect = float(np.max(np.maximum(np.abs(bc - bc[::-1, :]),
+                                     np.abs(bc - bc[:, ::-1]))[ring]))
     tol = 1e-12 * max(1.0, float(np.max(np.abs(bc[ring]))))
-    if float(np.max(defect)) > tol:
+    if defect > tol:
         raise ValueError("boundary data is not symmetric about both midlines "
-                         f"(defect {float(np.max(defect)):.3e} > {tol:.3e})")
+                         f"(defect {defect:.3e} > {tol:.3e})")
 
 
-def _newton_step(lu, Jq: sp.csc_matrix, res: np.ndarray, fold) -> np.ndarray:
+def _newton_step(lu, Jq: sp.csc_matrix, res: np.ndarray, rows: np.ndarray,
+                 P: sp.csr_matrix) -> np.ndarray:
     """Solve the folded system Jq dq = -res[rows] with the factorization lu,
     which may belong to an earlier iterate, plus one refinement pass against
     the current Jq; return the step P dq unfolded onto the whole interior."""
-    rows, P = fold
     rhs = -res.ravel()[rows]
     delta = lu.solve(rhs)
     delta += lu.solve(rhs - Jq @ delta)
@@ -289,7 +290,7 @@ def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
     a = v[1:-1, 1:-1] + v[-2:0:-1, 1:-1]
     v[1:-1, 1:-1] = 0.25 * (a + a[:, ::-1])
     pattern = _jacobian_pattern(p.nx - 2, p.ny - 2)
-    fold = _quadrant_fold(p.nx - 2, p.ny - 2)
+    rows, P = _quadrant_fold(p.nx - 2, p.ny - 2)
     damping_history, defect_history = [], []
     lu, factorizations = None, 0
 
@@ -300,13 +301,13 @@ def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
         if np.max(np.abs(defect)) <= cfg.tolResidual:
             break
         J = _jacobian(jet, hx, hy, pattern)
-        Jq = (J[fold[0], :] @ fold[1]).tocsc()
+        Jq = (J[rows, :] @ P).tocsc()
         fresh = it % 2 == 0
         if fresh:
             lu = None                   # release the old LU before the new one
             lu = _factor(Jq)
             factorizations += 1
-        delta = _newton_step(lu, Jq, res, fold)
+        delta = _newton_step(lu, Jq, res, rows, P)
 
         lam = 1.0
         while True:
@@ -321,7 +322,7 @@ def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
                 lu = _factor(Jq)
                 factorizations += 1
                 fresh = True
-                delta = _newton_step(lu, Jq, res, fold)
+                delta = _newton_step(lu, Jq, res, rows, P)
                 continue
             lam *= 0.5
             if lam < cfg.dampingMin:
