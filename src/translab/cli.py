@@ -157,15 +157,15 @@ def _apply_config(ap, argv, args):
 
 
 def _parse_shape(spec: str, n: int, offset: float = 0.0):
-    parts = spec.split(":")
+    kind, *nums = spec.split(":")
     try:
-        if parts[0] == "circle":
-            return csf.make_circle(float(parts[1]), n, center=(offset, 0.0))
-        if parts[0] == "ellipse":
-            return csf.make_ellipse(float(parts[1]), float(parts[2]), n,
-                                    center=(offset, 0.0))
-    except (IndexError, ValueError) as exc:
+        axes = [float(v) for v in nums]
+    except ValueError as exc:
         raise UsageError(f"bad shape spec {spec!r}") from exc
+    if (kind, len(axes)) == ("circle", 1):
+        return csf.make_circle(axes[0], n, center=(offset, 0.0))
+    if (kind, len(axes)) == ("ellipse", 2):
+        return csf.make_ellipse(*axes, n, center=(offset, 0.0))
     raise UsageError(f"bad shape spec {spec!r}")
 
 

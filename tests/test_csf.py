@@ -5,8 +5,8 @@ import pytest
 
 from translab import csf, geom
 from translab.csf import FlowConfig, TypeVerdict
-from translab.errors import (InsufficientDataError, ResolutionLostError,
-                             TranslabError)
+from translab.errors import (DegenerateEdgeError, InsufficientDataError,
+                             ResolutionLostError, TranslabError)
 
 
 QUICK = FlowConfig(stopAmax=200.0)
@@ -197,18 +197,28 @@ def test_flow_log_starts_at_curve_geometry():
     assert (log.length[0], log.area[0], log.Amax[0]) == (length, area, amax)
 
 
-def test_richardson_step_is_second_order_in_time():
-    # roundness at t = 0.5 against a dtSafety/8 reference: halving dtSafety
-    # divides the error by ~4 (measured 3.93)
-    c = csf.make_ellipse(2.0, 1.0, 128)
+def test_extrapolated_step_is_third_order_in_time():
+    # the circle's extinction time is exact (1/2), and at these steps the time
+    # error dominates: halving dtSafety divides |fittedT - 1/2| by ~8
+    # (measured 5.12e-5 / 6.45e-6 = 7.9)
+    c = csf.make_circle(1.0, 256)
 
-    def ratio_at(dt_safety):
-        return csf.roundness(csf.evolve_to(c, 0.5, FlowConfig(dtSafety=dt_safety)))[0]
+    def err_at(dt_safety):
+        return abs(csf.run(c, FlowConfig(dtSafety=dt_safety)).fittedT - 0.5)
 
-    ref = ratio_at(5e-3 / 8)
-    e1 = abs(ratio_at(5e-3) - ref)
-    e2 = abs(ratio_at(2.5e-3) - ref)
-    assert 3.0 <= e1 / e2 <= 5.0
+    assert 6.0 <= err_at(4e-2) / err_at(2e-2) <= 10.0
+
+
+def test_nan_curvature_is_a_degenerate_curve():
+    # a NaN Amax used to make dt NaN and run the flow toward maxSteps
+    point = csf.make_circle(0.0, 64)
+    segment = csf.make_ellipse(2.0, 0.0, 64)
+    cfg = FlowConfig(maxSteps=50)
+    for c in (point, segment):
+        with pytest.raises(DegenerateEdgeError):
+            csf.run(c, cfg)
+    with pytest.raises(DegenerateEdgeError):
+        csf.comparison_check(point, csf.make_circle(1.0, 64), cfg)
 
 
 def test_evolve_to_lands_on_target():

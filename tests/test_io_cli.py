@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ import scipy.sparse as sp
 
 from translab import cli, csf, elliptic, grid, io as tio, radial
 from translab.errors import IoError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def wavy_grid(nx=9, ny=7):
@@ -343,6 +349,32 @@ def test_cli_bad_shape_spec():
     rc = cli.main(["csf", "compare", "--shape1", "blob:1",
                    "--shape2", "circle:2"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["csf", "run", "--n", "3", "--out", "{tmp}/log.csv"],
+    ["csf", "compare", "--n", "3"],
+], ids=["run", "compare"])
+def test_cli_csf_too_few_points_is_the_curve_error(tmp_path, capsys, argv):
+    # the curve constructor's error, not a shape-spec usage error
+    rc = cli.main([a.format(tmp=tmp_path) for a in argv])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: curve needs at least 8 points\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["csf", "run", "--radius", "0"],
+    ["csf", "run", "--shape", "ellipse", "--b", "0"],
+], ids=["radius0", "b0"])
+def test_cli_csf_nan_curvature_exits_at_once(tmp_path, argv):
+    # NaN Amax used to give a NaN dt and a flow toward maxSteps; a separate
+    # interpreter bounds the time a regression would take
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "translab.cli", *argv,
+                           "--out", str(tmp_path / "log.csv")], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: curvature not finite")
 
 
 @pytest.mark.parametrize("argv", [
