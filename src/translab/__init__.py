@@ -18,9 +18,9 @@ from .catalog import (AnalyticTranslator, Kind, ResidualReport, evaluate,
 from .radial import (AsymptoticFit, RadialKind, RadialProfile, fit_asymptotics,
                      profile_to_grid, radial_identities_report, shoot_bowl,
                      shoot_catenoid)
-from .elliptic import (SolveReport, SolverConfig, StripProblem,
-                       assemble_residual, continuation_in_width, delta_wing,
-                       make_strip_problem, newton_solve)
+from .elliptic import (SolveReport, StripProblem, assemble_residual,
+                       continuation_in_width, delta_wing, make_strip_problem,
+                       newton_solve)
 from .csf import (ComparisonReport, FlowConfig, SingularityLog, TypeVerdict,
                   classify, comparison_check, evolve_to, make_circle,
                   make_ellipse, resample_uniform, roundness, run, step)

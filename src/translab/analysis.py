@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geom as _geom
 from .errors import (EmptyMaskError, PerturbationTooLargeError,
                      RegionOutOfBoundsError)
-from .geom import (GeometryField, drift_laplacian, graph_geometry, interior_jet,
-                   surface_gradient)
+from .geom import (GeometryField, drift_laplacian, flip_orientation,
+                   graph_geometry, interior_jet, q_squared, surface_gradient)
 from .grid import GridFunction
 
 
@@ -91,7 +90,6 @@ def weighted_area(u: GridFunction, region: tuple) -> float:
 
 
 def first_variation_check(u: GridFunction, v: VariationSpec,
-                          region: tuple | None = None,
                           richardson: bool = True) -> float:
     """Central-difference derivative of the weighted area under a normal bump.
 
@@ -106,12 +104,11 @@ def first_variation_check(u: GridFunction, v: VariationSpec,
     W[1:-1, 1:-1] = np.sqrt(1.0 + p * p + q * q)
     direction = phi * W
 
-    if region is None:
-        cx, cy = v.center
-        rx, ry = v.radius
-        margin = 2.0 * max(u.hx, u.hy)
-        region = (max(cx - rx - margin, u.xs[1]), min(cx + rx + margin, u.xs[-2]),
-                  max(cy - ry - margin, u.ys[1]), min(cy + ry + margin, u.ys[-2]))
+    cx, cy = v.center
+    rx, ry = v.radius
+    margin = 2.0 * max(u.hx, u.hy)
+    region = (max(cx - rx - margin, u.xs[1]), min(cx + rx + margin, u.xs[-2]),
+              max(cy - ry - margin, u.ys[1]), min(cy + ry + margin, u.ys[-2]))
 
     def derivative(eps):
         try:
@@ -210,17 +207,12 @@ def spruck_xiao_report(u: GridFunction, geom: GeometryField | None = None) -> Sp
     masked nodes satisfying lhsInequality <= tau; asserts nothing.
     """
     geom = geom or graph_geometry(u)
-    Hvals = geom.H[geom.interior]
-    flipped = bool(np.nanmedian(Hvals) < 0)
-    sgn = -1.0 if flipped else 1.0
-    # mean-convex orientation: flipping A swaps the sorted eigenvalues
-    k1 = sgn * (geom.kappa2 if flipped else geom.kappa1)
-    k2 = sgn * (geom.kappa1 if flipped else geom.kappa2)
-    v1 = geom.v2 if flipped else geom.v1
+    flipped = bool(np.nanmedian(geom.H[geom.interior]) < 0)
+    convex = flip_orientation(geom) if flipped else geom
+    k1, k2 = convex.kappa1, convex.kappa2
     H = k1 + k2
 
-    q2, umb = _geom.q_squared(
-        geom if not flipped else _flip_field(geom), u)
+    q2, umb = q_squared(convex, u)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = H / k1
@@ -256,12 +248,3 @@ def spruck_xiao_report(u: GridFunction, geom: GeometryField | None = None) -> Sp
         rangeHoverK1=(float(np.min(rvals)), float(np.max(rvals))),
         orientationFlipped=flipped)
 
-
-def _flip_field(geom: GeometryField) -> GeometryField:
-    """Geometry with the opposite normal: A, H, N negate; eigenvalue order swaps."""
-    return GeometryField(
-        W=geom.W, N=-geom.N, H=-geom.H,
-        kappa1=-geom.kappa2, kappa2=-geom.kappa1,
-        v1=geom.v2, v2=geom.v1, normA2=geom.normA2,
-        meanCurvVec=geom.meanCurvVec, interior=geom.interior,
-        umbilic=geom.umbilic)

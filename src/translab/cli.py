@@ -2,10 +2,11 @@
 
 Subcommands: catalog residual, radial shoot|fit, elliptic delta-wing|
 continuation, csf run|compare, analyze sx|jacobi|firstvar, export obj.
-A JSON config file can preset long-option values; explicit flags override it
-and unknown config keys are fatal (typos silently corrupting numerical
-studies are worse than an error).  Exit codes: 0 success, 1 numerical or
-I/O failure (including a file that cannot be opened), 2 usage.
+A JSON config file (--config, after the subcommand) presets long-option
+values; explicit flags override it and unknown config keys are fatal (typos
+silently corrupting numerical studies are worse than an error).  Exit codes:
+0 success, 1 numerical or I/O failure (including a file that cannot be
+opened), 2 usage.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ def _build_parser():
     obj.add_argument("--out", required=True)
     obj.add_argument("--angular-samples", type=int, default=128)
 
-    for p in (ap, cat, rad, ell, flow, ana, exp, res, shoot, fit, wing, cont,
-              frun, fcmp, sx, jac, fv, obj):
+    # after the subcommand only: a group parser's default would overwrite it
+    for p in (res, shoot, fit, wing, cont, frun, fcmp, sx, jac, fv, obj):
         p.add_argument("--config", default=None, help="JSON config file; "
                        "flags override its values; unknown keys are fatal")
     return ap

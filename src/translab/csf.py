@@ -7,10 +7,10 @@ Euler step.  Stable far beyond the explicit ceiling dt ~ min(edge)^2, it
 steps with dt = dtSafety / Amax^2 (2 dtSafety of a circle's remaining life),
 made third order by extrapolating 1, 2 and 3 substeps of dt, dt/2 and dt/3,
 each refreezing the metric at its own start (_extrapolated_step).  Every
-remeshEvery steps the curve is resampled to uniform arclength by periodic
-cubic interpolation.  One driver (_flow) owns this policy, the stop rule and
-the common dt of a curve pair; run, evolve_to and comparison_check consume
-its states, raw (n, 2) arrays.
+_REMESH_EVERY (5) steps the curve is resampled to uniform arclength by
+periodic cubic interpolation.  One driver (_flow) owns this policy, the stop
+rule and the common dt of a curve pair; run, evolve_to and comparison_check
+consume its states, raw (n, 2) arrays.
 """
 
 from __future__ import annotations
@@ -34,19 +34,22 @@ _gtsv, = get_lapack_funcs(("gtsv",), dtype=np.float64)
 STOP_AMAX, RESOLUTION_LOST, MAX_STEPS, DT_UNDERFLOW = \
     "stopAmax", "resolutionLost", "maxSteps", "dtUnderflow"
 
+_REMESH_EVERY = 5          # steps between arclength-uniform resamplings
+_MAX_STEPS = 2_000_000     # step budget of one flow (stopReason MAX_STEPS)
+
 
 @dataclass
 class FlowConfig:
     dtSafety: float = 2e-2
-    remeshEvery: int = 5
     stopAmax: float = 1e4
-    maxSteps: int = 2_000_000
 
     def __post_init__(self):
         # dt = dtSafety / Amax^2 is 2 dtSafety of a circle's remaining life;
         # the third-order step divides its time error by ~8 per halving of it
         if not (0.0 < self.dtSafety <= 0.05):
             raise ValueError("dtSafety must lie in (0, 0.05]")
+        if not self.stopAmax > 0.0:     # NaN included
+            raise ValueError("stopAmax must be positive")
 
 
 class TypeVerdict(Enum):
@@ -195,11 +198,15 @@ def _check_resolution(P: np.ndarray):
         raise ResolutionLostError("edge collapse after remeshing")
 
 
-def _diagnostics(P: np.ndarray):
-    """(length, enclosed_area, amax): what the flow log needs."""
+def _diagnostics(P: np.ndarray, t: float):
+    """(length, enclosed_area, amax): what the flow log needs.  A curve at
+    time t whose amax is not finite (a point, a segment) is refused."""
     with np.errstate(divide="ignore", invalid="ignore"):
         _, _, kappa, length, area = polyline_kernel(P)
-    return length, abs(area), float(np.max(np.abs(kappa)))
+    amax = float(np.max(np.abs(kappa)))
+    if not math.isfinite(amax):
+        raise DegenerateEdgeError(f"curvature not finite at t={t!r}")
+    return length, abs(area), amax
 
 
 # --- the flow driver ----------------------------------------------------------
@@ -211,22 +218,20 @@ def _flow(curves, t: float, cfg: FlowConfig, t_end: float = math.inf):
     remeshes and stopReason.  The curves share dt = dtSafety / Amax^2, Amax
     the largest over them, the last step clipped to land on t_end exactly.
     The flow ends at t_end (stopReason None), after yielding a state with
-    Amax >= stopAmax (STOP_AMAX), after maxSteps steps (MAX_STEPS), when dt
+    Amax >= stopAmax (STOP_AMAX), after _MAX_STEPS steps (MAX_STEPS), when dt
     no longer advances t in floating point (DT_UNDERFLOW), or when a remesh
     collapses an edge (RESOLUTION_LOST; that state is not yielded).  A state
-    whose Amax is not finite (a point, a segment) raises DegenerateEdgeError.
+    whose Amax is not finite raises DegenerateEdgeError (_diagnostics).
     """
     state = SimpleNamespace(t=t, curves=[P.copy() for P in curves], steps=0,
                             remeshes=0, stopReason=None)
     while True:
-        state.diags = [_diagnostics(P) for P in state.curves]
-        if not all(math.isfinite(d[2]) for d in state.diags):
-            raise DegenerateEdgeError(f"curvature not finite at t={state.t!r}")
+        state.diags = [_diagnostics(P, state.t) for P in state.curves]
         yield state
         amax = max(d[2] for d in state.diags)
         if state.t >= t_end:
             return
-        if amax >= cfg.stopAmax or state.steps == cfg.maxSteps:
+        if amax >= cfg.stopAmax or state.steps == _MAX_STEPS:
             state.stopReason = STOP_AMAX if amax >= cfg.stopAmax else MAX_STEPS
             return
         dt = min(cfg.dtSafety / amax ** 2, t_end - state.t)
@@ -236,7 +241,7 @@ def _flow(curves, t: float, cfg: FlowConfig, t_end: float = math.inf):
         state.curves = [_extrapolated_step(P, dt) for P in state.curves]
         state.t = t_end if dt == t_end - state.t else state.t + dt
         state.steps += 1
-        if state.steps % cfg.remeshEvery == 0:
+        if state.steps % _REMESH_EVERY == 0:
             state.curves = [_resample_arrays(P) for P in state.curves]
             state.remeshes += 1
             try:
@@ -252,9 +257,9 @@ def _flow(curves, t: float, cfg: FlowConfig, t_end: float = math.inf):
 
 def step(c: CurveState, cfg: FlowConfig) -> CurveState:
     """One third-order extrapolated semi-implicit step with dt = dtSafety /
-    Amax^2, as the drivers take it (module docstring).  Tangential
-    redistribution is the driver's job (resample_uniform every remeshEvery)."""
-    dt = cfg.dtSafety / _diagnostics(c.points)[2] ** 2
+    Amax^2, as the drivers take it (module docstring); remeshing is the
+    driver's job (resample_uniform every _REMESH_EVERY steps)."""
+    dt = cfg.dtSafety / _diagnostics(c.points, c.t)[2] ** 2
     return CurveState(points=_extrapolated_step(c.points, dt), t=c.t + dt)
 
 
@@ -433,12 +438,14 @@ def comparison_check(a: CurveState, b: CurveState,
 
     The curves share the flow driver's dt (set by the larger Amax) until
     either reaches stopAmax, a remesh loses resolution, dt stops advancing t
-    or maxSteps run out; the minimum vertex-segment distance is sampled at
+    or _MAX_STEPS run out; the minimum vertex-segment distance is sampled at
     t = 0 and after every step.  PASS verdict: the distance never drops
     below its initial value minus 10 * (sum of squared initial mean edge
     lengths), a discretization error allowance.
     """
     cfg = cfg or FlowConfig()
+    for c in (a, b):        # refuse a point or a segment before any distance
+        _diagnostics(c.points, c.t)
     if not _curves_disjoint(a.points, b.points):
         raise ValueError("curves must be disjoint at t = 0")
 

@@ -75,17 +75,9 @@ class StripProblem:
                             -self.L, -self.shrink * self.b, values)
 
 
-@dataclass
-class SolverConfig:
-    tolResidual: float = 1e-9
-    maxNewton: int = 50
-    dampingMin: float = 2.0 ** -10
-
-    def __post_init__(self):
-        if self.tolResidual <= 0:
-            raise ValueError("tolResidual must be positive")
-        if self.maxNewton < 1:
-            raise ValueError("maxNewton must be >= 1")
+TOL_RESIDUAL = 1e-9        # Newton converges at max |defect| <= this
+MAX_NEWTON = 50            # ... or fails after this many iterations
+DAMPING_MIN = 2.0 ** -10   # ... or stalls when backtracking goes below this
 
 
 @dataclass
@@ -259,7 +251,7 @@ def _newton_step(lu, Jq: sp.csc_matrix, res: np.ndarray, rows: np.ndarray,
     return (P @ delta).reshape(res.shape)
 
 
-def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
+def newton_solve(p: StripProblem, init: GridFunction):
     """Damped Newton on the discrete translator equation.
 
     The Newton systems use the raw residual and its analytic Jacobian with a
@@ -269,7 +261,7 @@ def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
     (Shamanskii's method); a step from a reused LU that fails the full-step
     Armijo test is recomputed from a fresh LU at the current iterate, so
     damping only ever acts on fresh Newton directions.  Armijo backtracking
-    and the convergence test cfg.tolResidual act on the mean-curvature defect
+    and the convergence test TOL_RESIDUAL act on the mean-curvature defect
     residual/W^3, which stays numerically meaningful in the guard band next
     to the strip edge.
 
@@ -297,8 +289,8 @@ def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
     jet, res, defect = _residual(v, hx, hy)
     fnorm = float(np.linalg.norm(defect))
     iterations = 0
-    for it in range(cfg.maxNewton):
-        if np.max(np.abs(defect)) <= cfg.tolResidual:
+    for it in range(MAX_NEWTON):
+        if np.max(np.abs(defect)) <= TOL_RESIDUAL:
             break
         J = _jacobian(jet, hx, hy, pattern)
         Jq = (J[rows, :] @ P).tocsc()
@@ -325,7 +317,7 @@ def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
                 delta = _newton_step(lu, Jq, res, rows, P)
                 continue
             lam *= 0.5
-            if lam < cfg.dampingMin:
+            if lam < DAMPING_MIN:
                 raise NewtonStalledError(
                     f"damping floor hit at iteration {it}, |defect| = {fnorm:.3e}")
         damping_history.append(lam)
@@ -333,9 +325,9 @@ def newton_solve(p: StripProblem, init: GridFunction, cfg: SolverConfig):
         defect_history.append(float(np.max(np.abs(defect))))
         iterations = it + 1
     else:
-        if np.max(np.abs(defect)) > cfg.tolResidual:
+        if np.max(np.abs(defect)) > TOL_RESIDUAL:
             raise MaxIterationsError(
-                f"no convergence in {cfg.maxNewton} Newton iterations")
+                f"no convergence in {MAX_NEWTON} Newton iterations")
 
     sol = p.grid(v)
     report = _make_report(sol, jet, p, iterations,
@@ -427,28 +419,19 @@ def asymptote_defect(sol: GridFunction, p: StripProblem) -> float:
 
 
 def delta_wing(b: float, L: float = 12.0, nx: int = 961, ny: int = 161,
-               cfg: SolverConfig | None = None, shrink: float = 0.995):
+               shrink: float = 0.995):
     """Solve for the Delta-wing over the strip of half-width b (> pi/2).
 
     Boundary data and initial guess come from the tilted-pair envelope with
-    cos(theta) = pi/(2 b).  If the direct solve stalls, the solve is retried
-    by marching in width from near the grim-reaper threshold.  The report
-    carries the center Hessian (expected eigenvalues (-k, -(1-k))),
-    concavity and symmetry checks, and the constant-shift defect against the
-    asymptotic tilted reapers.
+    cos(theta) = pi/(2 b).  One Newton solve, no retry: its NewtonStalledError
+    or MaxIterationsError is the caller's.  The report carries the center
+    Hessian (expected eigenvalues (-k, -(1-k))), concavity and symmetry
+    checks, and the constant-shift defect against the asymptotic reapers.
     """
     if b <= math.pi / 2:
         raise ValueError("Delta-wings need strip half-width b > pi/2")
-    cfg = cfg or SolverConfig()
     p = make_strip_problem(b, L, nx, ny, shrink=shrink)
-    try:
-        sol, report = newton_solve(p, initial_guess(p), cfg)
-    except (NewtonStalledError, MaxIterationsError):
-        b0 = math.pi / 2 + 0.25 * (b - math.pi / 2)
-        sol, reports = continuation_in_width(b0, b, 4, L=L, nx=nx, ny=ny,
-                                             cfg=cfg, shrink=shrink)
-        report = reports[-1][1]
-        return sol, report
+    sol, report = newton_solve(p, initial_guess(p))
     report.asymptoteDefect = asymptote_defect(sol, p)
     return sol, report
 
@@ -467,9 +450,7 @@ def _resample_onto(p_new: StripProblem, sol: GridFunction) -> GridFunction:
 
 
 def continuation_in_width(b_start: float, b_end: float, steps: int,
-                          L: float = 12.0, nx: int = 241, ny: int = 81,
-                          cfg: SolverConfig | None = None,
-                          shrink: float = 0.995):
+                          L: float = 12.0, nx: int = 241, ny: int = 81):
     """March the wing family in strip half-width, reusing each solution as the
     next initial guess.  Returns the list of (b, SolveReport); reports carry
     the map b -> k via their centerHessian.
@@ -478,26 +459,24 @@ def continuation_in_width(b_start: float, b_end: float, steps: int,
         raise ValueError("continuation needs steps >= 1")
     if min(b_start, b_end) <= math.pi / 2:
         raise ValueError("continuation runs in b > pi/2")
-    cfg = cfg or SolverConfig()
     bs = np.linspace(b_start, b_end, steps + 1) if b_start != b_end \
         else np.array([b_start])
     out = []
-    sol = None
     prev_b = None
     for bi in bs:
-        p = make_strip_problem(float(bi), L, nx, ny, shrink=shrink)
-        init = initial_guess(p) if sol is None else _resample_onto(p, sol)
+        p = make_strip_problem(float(bi), L, nx, ny)
+        init = initial_guess(p) if prev_b is None else _resample_onto(p, sol)
         try:
-            sol, rep = newton_solve(p, init, cfg)
+            sol, rep = newton_solve(p, init)
         except (NewtonStalledError, MaxIterationsError):
-            if sol is None or prev_b is None:
+            if prev_b is None:
                 raise ContinuationBrokenError(f"first solve failed at b = {bi}")
             # retry through an intermediate half-step
             bmid = 0.5 * (prev_b + float(bi))
             try:
-                pm = make_strip_problem(bmid, L, nx, ny, shrink=shrink)
-                sol, _ = newton_solve(pm, _resample_onto(pm, sol), cfg)
-                sol, rep = newton_solve(p, _resample_onto(p, sol), cfg)
+                pm = make_strip_problem(bmid, L, nx, ny)
+                sol, _ = newton_solve(pm, _resample_onto(pm, sol))
+                sol, rep = newton_solve(p, _resample_onto(p, sol))
             except (NewtonStalledError, MaxIterationsError) as exc:
                 raise ContinuationBrokenError(
                     f"continuation failed at b = {bi}") from exc

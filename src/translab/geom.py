@@ -64,7 +64,7 @@ def grid_jet(u: GridFunction):
 
 @dataclass
 class GeometryField:
-    """Per-node differential geometry of a graph, upward orientation.
+    """Per-node differential geometry of a graph, upward unless flipped.
 
     Arrays are (nx, ny); vector fields are (nx, ny, 3).  Nodes outside the
     one-node interior hold NaN; `interior` marks valid nodes and `umbilic`
@@ -84,32 +84,26 @@ class GeometryField:
     umbilic: np.ndarray = field(repr=False)
 
 
-def graph_geometry(u: GridFunction, orientation: int = +1) -> GeometryField:
-    """Shape operator, principal curvatures/directions and derived fields.
-
-    orientation=+1 uses the upward normal (default); -1 flips it, which
-    negates N, H, the curvatures (swapping their sorted order) and the second
-    fundamental form, leaving |A|^2 and the translator defect unchanged.
+def graph_geometry(u: GridFunction) -> GeometryField:
+    """Shape operator, principal curvatures/directions and derived fields,
+    with the upward normal; flip_orientation gives the downward one.
     """
-    if orientation not in (+1, -1):
-        raise ValueError("orientation must be +1 or -1")
     p, q, r, s, t = grid_jet(u)
     w2 = 1.0 + p * p + q * q
     W = np.sqrt(w2)
     if not np.all(np.isfinite(W[1:-1, 1:-1])):
         raise NonFiniteError("difference quotients overflowed")
 
-    sgn = float(orientation)
     N = np.full((u.nx, u.ny, 3), np.nan)
-    N[..., 0] = -p / W * sgn
-    N[..., 1] = -q / W * sgn
-    N[..., 2] = 1.0 / W * sgn
+    N[..., 0] = -p / W
+    N[..., 1] = -q / W
+    N[..., 2] = 1.0 / W
 
     # shape operator S = g^{-1} h with g from the graph metric and
     # h_ij = D^2u_ij / W (second fundamental form, upward normal)
-    h11 = sgn * r / W
-    h12 = sgn * s / W
-    h22 = sgn * t / W
+    h11 = r / W
+    h12 = s / W
+    h22 = t / W
     s11 = ((1.0 + q * q) * h11 - p * q * h12) / w2
     s12 = ((1.0 + q * q) * h12 - p * q * h22) / w2
     s21 = ((1.0 + p * p) * h12 - p * q * h11) / w2
@@ -158,6 +152,17 @@ def graph_geometry(u: GridFunction, orientation: int = +1) -> GeometryField:
     return GeometryField(W=W, N=N, H=H, kappa1=kappa1, kappa2=kappa2,
                          v1=v1, v2=v2, normA2=normA2, meanCurvVec=meanCurvVec,
                          interior=interior, umbilic=umbilic)
+
+
+def flip_orientation(geom: GeometryField) -> GeometryField:
+    """The geometry with the opposite normal: N, H and A negate, so kappa1 is
+    -kappa2 and v1 is v2; |A|^2 and the translator defect are unchanged."""
+    return GeometryField(
+        W=geom.W, N=-geom.N, H=-geom.H,
+        kappa1=-geom.kappa2, kappa2=-geom.kappa1,
+        v1=geom.v2, v2=geom.v1, normA2=geom.normA2,
+        meanCurvVec=geom.meanCurvVec, interior=geom.interior,
+        umbilic=geom.umbilic)
 
 
 def translator_defect(geom: GeometryField) -> np.ndarray:

@@ -57,13 +57,14 @@ class RadialProfile:
 
 # --- fixed-nominal-step RK4 with step-doubling error control ----------------
 
+_STEP_TOL = 1e-10          # local error bound, relative to 1 + max |y|
 _STEP_FLOOR_FACTOR = 2.0 ** -30
 _MAX_STEPS = 50_000_000
 
 
-def _integrate_rk4(rhs, t0, y0, h, stop, step_tol=1e-10, record=None):
+def _integrate_rk4(rhs, t0, y0, h, stop, record):
     """Classic RK4 driven at nominal step h; halves the step where the
-    step-doubling estimate exceeds step_tol, recovers afterwards.
+    step-doubling estimate exceeds _STEP_TOL, recovers afterwards.
 
     rhs(t, y) -> tuple of floats; stop(t, y) -> bool checked after each step.
     record(t, y) is called for every accepted state including the initial one.
@@ -80,15 +81,14 @@ def _integrate_rk4(rhs, t0, y0, h, stop, step_tol=1e-10, record=None):
                      for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
 
     t, y = t0, tuple(y0)
-    if record is not None:
-        record(t, y)
+    record(t, y)
     h_cur = h
     floor = h * _STEP_FLOOR_FACTOR
     for _ in range(_MAX_STEPS):
         full = rk4(t, y, h_cur)
         half = rk4(t + 0.5 * h_cur, rk4(t, y, 0.5 * h_cur), 0.5 * h_cur)
         err = max(abs(a - b) for a, b in zip(full, half)) / 15.0
-        tol = step_tol * (1.0 + max(abs(v) for v in y))
+        tol = _STEP_TOL * (1.0 + max(abs(v) for v in y))
         if err > tol:
             h_cur *= 0.5
             if h_cur < floor:
@@ -96,8 +96,7 @@ def _integrate_rk4(rhs, t0, y0, h, stop, step_tol=1e-10, record=None):
                     f"local error {err:.3e} > {tol:.3e} at step floor")
             continue
         t, y = t + h_cur, half
-        if record is not None:
-            record(t, y)
+        record(t, y)
         if stop(t, y):
             return t, y
         if err < 0.01 * tol and h_cur < h:
@@ -105,7 +104,7 @@ def _integrate_rk4(rhs, t0, y0, h, stop, step_tol=1e-10, record=None):
     raise StepTooLargeError("step budget exhausted")
 
 
-def shoot_bowl(n: int, r_max: float, h: float, step_tol: float = 1e-10) -> RadialProfile:
+def shoot_bowl(n: int, r_max: float, h: float) -> RadialProfile:
     """Integrate the bowl soliton profile out to r_max.
 
     Starts from the two-term Taylor series at the axis,
@@ -142,8 +141,7 @@ def shoot_bowl(n: int, r_max: float, h: float, step_tol: float = 1e-10) -> Radia
             psis.append(y[1])
 
     _integrate_rk4(rhs, 10 * h, (us[-1], psis[-1]), h,
-                   stop=lambda r, y: r >= r_max - 1e-12, step_tol=step_tol,
-                   record=record)
+                   stop=lambda r, y: r >= r_max - 1e-12, record=record)
     prof = RadialProfile(n=n, kind=RadialKind.BOWL, lam=None,
                          r=np.array(rs), u=np.array(us), psi=np.array(psis), h=h)
     if not np.all(prof.psi[1:] < 0):
@@ -151,8 +149,7 @@ def shoot_bowl(n: int, r_max: float, h: float, step_tol: float = 1e-10) -> Radia
     return prof
 
 
-def shoot_catenoid(n: int, lam: float, r_max: float, h: float,
-                   step_tol: float = 1e-10):
+def shoot_catenoid(n: int, lam: float, r_max: float, h: float):
     """Both wings of the translating catenoid with neck radius lam.
 
     Integration runs in arclength from (r, u, psi) = (lam, 0, +-pi/2), so the
@@ -181,8 +178,7 @@ def shoot_catenoid(n: int, lam: float, r_max: float, h: float,
             psis.append(y[2])
 
         _integrate_rk4(rhs, 0.0, (lam, 0.0, sign * math.pi / 2), h,
-                       stop=lambda s, y: y[0] >= r_max - 1e-12,
-                       step_tol=step_tol, record=record)
+                       stop=lambda s, y: y[0] >= r_max - 1e-12, record=record)
         return RadialProfile(n=n, kind=kind, lam=lam, r=np.array(rs),
                              u=np.array(us), psi=np.array(psis), h=h)
 

@@ -149,6 +149,10 @@ def test_flow_config_validation():
         FlowConfig(dtSafety=1.5)
     with pytest.raises(ValueError):
         FlowConfig(dtSafety=0.1)  # dt would be 20% of a circle's remaining life
+    # NaN used to run to dtUnderflow (no amax >= nan), -1 to stop at t = 0
+    for stop_amax in (math.nan, -1.0, 0.0):
+        with pytest.raises(ValueError, match="stopAmax"):
+            FlowConfig(stopAmax=stop_amax)
 
 
 def test_stop_reasons(monkeypatch):
@@ -158,7 +162,9 @@ def test_stop_reasons(monkeypatch):
     assert log.steps == len(log.times) - 1
     assert log.remeshes == log.steps // 5
 
-    log = csf.run(c, FlowConfig(maxSteps=7))
+    with monkeypatch.context() as m:
+        m.setattr(csf, "_MAX_STEPS", 7)
+        log = csf.run(c, FlowConfig())
     assert log.stopReason == csf.MAX_STEPS
     assert (log.steps, log.remeshes, len(log.times)) == (7, 1, 8)
 
@@ -189,10 +195,11 @@ def test_dt_underflow_stops_the_flow():
     assert log.Amax[-1] < 1e12
 
 
-def test_flow_log_starts_at_curve_geometry():
+def test_flow_log_starts_at_curve_geometry(monkeypatch):
     # the flow's diagnostics and curve_geometry share one polyline kernel
+    monkeypatch.setattr(csf, "_MAX_STEPS", 3)
     c = csf.make_ellipse(2.0, 1.0, 128)
-    log = csf.run(c, FlowConfig(maxSteps=3))
+    log = csf.run(c, FlowConfig())
     _, _, length, area, amax = geom.curve_geometry(c)
     assert (log.length[0], log.area[0], log.Amax[0]) == (length, area, amax)
 
@@ -209,11 +216,12 @@ def test_extrapolated_step_is_third_order_in_time():
     assert 6.0 <= err_at(4e-2) / err_at(2e-2) <= 10.0
 
 
-def test_nan_curvature_is_a_degenerate_curve():
+def test_nan_curvature_is_a_degenerate_curve(monkeypatch):
     # a NaN Amax used to make dt NaN and run the flow toward maxSteps
+    monkeypatch.setattr(csf, "_MAX_STEPS", 50)
     point = csf.make_circle(0.0, 64)
     segment = csf.make_ellipse(2.0, 0.0, 64)
-    cfg = FlowConfig(maxSteps=50)
+    cfg = FlowConfig()
     for c in (point, segment):
         with pytest.raises(DegenerateEdgeError):
             csf.run(c, cfg)
@@ -243,8 +251,10 @@ def test_comparison_samples_every_step():
 
 
 @pytest.mark.parametrize("cfg, reason", [(FlowConfig(stopAmax=60.0), csf.STOP_AMAX),
-                                         (FlowConfig(maxSteps=7), csf.MAX_STEPS)])
-def test_comparison_report_carries_the_flow_counters(cfg, reason):
+                                         (FlowConfig(), csf.MAX_STEPS)])
+def test_comparison_report_carries_the_flow_counters(monkeypatch, cfg, reason):
+    if reason == csf.MAX_STEPS:
+        monkeypatch.setattr(csf, "_MAX_STEPS", 7)
     rep = csf.comparison_check(csf.make_circle(0.6, 64),
                                csf.make_circle(1.4, 64), cfg)
     assert rep.steps == len(rep.times) - 1

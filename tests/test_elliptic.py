@@ -6,9 +6,11 @@ import pytest
 import scipy.sparse as sp
 
 from translab import cli, elliptic, geom
-from translab.elliptic import (SolverConfig, StripProblem, delta_wing,
-                               initial_guess, make_strip_problem, newton_solve)
-from translab.errors import LinearSolveFailureError, ShapeMismatchError
+from translab.elliptic import (DAMPING_MIN, MAX_NEWTON, TOL_RESIDUAL,
+                               StripProblem, delta_wing, initial_guess,
+                               make_strip_problem, newton_solve)
+from translab.errors import (LinearSolveFailureError, NewtonStalledError,
+                             ShapeMismatchError)
 
 B_ROOT2 = math.pi / math.sqrt(2)
 
@@ -123,7 +125,7 @@ def test_newton_factors_on_even_steps_only():
     assert rep.factorizations == math.ceil(rep.iterations / 2)
     assert len(rep.defectHistory) == rep.iterations
     assert rep.defectHistory[-1] == rep.finalResidualMax
-    assert rep.defectHistory[-1] <= SolverConfig().tolResidual
+    assert rep.defectHistory[-1] <= TOL_RESIDUAL
     assert rep.luFill > sol.values.size
 
 
@@ -131,7 +133,7 @@ def test_reused_lu_step_failing_armijo_is_refactored(monkeypatch):
     # the first trial of step 1, the first step on a reused LU, is made to
     # fail the Armijo test: the step is retaken from a fresh LU, undamped
     p = make_strip_problem(2.0, 8.0, 121, 49)
-    _, plain = newton_solve(p, initial_guess(p), SolverConfig())
+    _, plain = newton_solve(p, initial_guess(p))
     residual = elliptic._residual
     calls = []
 
@@ -143,7 +145,7 @@ def test_reused_lu_step_failing_armijo_is_refactored(monkeypatch):
             defect = np.full_like(defect, np.nan)
         return jet, res, defect
     monkeypatch.setattr(elliptic, "_residual", failing_once)
-    _, rep = newton_solve(p, initial_guess(p), SolverConfig())
+    _, rep = newton_solve(p, initial_guess(p))
     assert plain.dampingHistory == [1.0] * plain.iterations
     assert rep.dampingHistory == [1.0] * rep.iterations
     assert plain.factorizations == math.ceil(plain.iterations / 2)
@@ -160,7 +162,7 @@ def test_only_a_singular_factor_is_a_linear_solve_failure(monkeypatch,
                         sp.csc_matrix((jet[0].size, jet[0].size + extra_cols)))
     p = make_strip_problem(2.0, 8.0, 41, 41)
     with pytest.raises(error) as info:
-        newton_solve(p, initial_guess(p), SolverConfig())
+        newton_solve(p, initial_guess(p))
     assert type(info.value) is error
 
 
@@ -192,7 +194,7 @@ def test_newton_residual_is_assemble_residual(monkeypatch):
         seen.append((v.copy(), out[1]))
         return out
     monkeypatch.setattr(elliptic, "_residual", recording)
-    sol, rep = newton_solve(p, p.grid(vals), SolverConfig())
+    sol, rep = newton_solve(p, p.grid(vals))
     assert rep.iterations >= 1
     newton_res = [res for v, res in seen if np.array_equal(v, sol.values)][-1]
     monkeypatch.undo()
@@ -212,7 +214,7 @@ def test_center_hessian_is_the_jet_at_the_center():
 
 def test_newton_from_near_exact_data():
     p, vals = grim_strip_problem()
-    sol, rep = newton_solve(p, p.grid(vals), SolverConfig())
+    sol, rep = newton_solve(p, p.grid(vals))
     assert rep.iterations <= 3
     assert rep.finalResidualMax <= 1e-9
 
@@ -233,6 +235,18 @@ def test_near_threshold_wing_is_grim_reaper_like():
     sol, rep = delta_wing(math.pi / 2 + 1e-3, L=8.0, nx=321, ny=129)
     assert rep.finalResidualMax <= 1e-9
     assert rep.k < 0.02
+
+
+def test_near_threshold_stall_raises_without_retry(monkeypatch):
+    # on a coarse grid next to b = pi/2 the direct solve stalls; the error is
+    # the solver's own, after exactly one solve at the b that was asked for
+    solve, strips = elliptic.newton_solve, []
+    monkeypatch.setattr(elliptic, "newton_solve",
+                        lambda p, init: strips.append(p.b) or solve(p, init))
+    b = math.pi / 2 + 1e-3
+    with pytest.raises(NewtonStalledError, match="damping floor"):
+        delta_wing(b, L=12.0, nx=41, ny=33)
+    assert strips == [b]
 
 
 def test_delta_wing_requires_wide_strip():
@@ -272,7 +286,7 @@ def test_strip_problem_invariants():
                      bc=np.zeros((41, 41)))             # shrink range
 
 
-def full_grid_newton(p, init, cfg):
+def full_grid_newton(p, init):
     """The Newton iteration with every linear system on the whole interior,
     no fold and no symmetrization of init: the reference the quadrant solve
     must reproduce.  Returns (values, iterations, factorizations)."""
@@ -288,8 +302,8 @@ def full_grid_newton(p, init, cfg):
         delta = lu.solve(rhs)
         delta += lu.solve(rhs - J @ delta)
         return delta.reshape(res.shape)
-    for it in range(cfg.maxNewton):
-        if np.max(np.abs(defect)) <= cfg.tolResidual:
+    for it in range(MAX_NEWTON):
+        if np.max(np.abs(defect)) <= TOL_RESIDUAL:
             break
         J = elliptic._jacobian(jet, hx, hy, pattern)
         fresh = it % 2 == 0
@@ -312,10 +326,10 @@ def full_grid_newton(p, init, cfg):
                 delta = step(J)
                 continue
             lam *= 0.5
-            assert lam >= cfg.dampingMin
+            assert lam >= DAMPING_MIN
         v, jet, res, defect, fnorm = trial, tjet, tres, tdef, tnorm
         iterations = it + 1
-    assert np.max(np.abs(defect)) <= cfg.tolResidual
+    assert np.max(np.abs(defect)) <= TOL_RESIDUAL
     return v, iterations, factorizations
 
 
@@ -323,14 +337,13 @@ def full_grid_newton(p, init, cfg):
 def test_quadrant_solve_matches_full_grid_reference(nx, ny):
     # odd grids fold onto their centre lines, even grids have none
     p = make_strip_problem(B_ROOT2, 12.0, nx, ny)
-    cfg = SolverConfig()
-    ref, iterations, factorizations = full_grid_newton(p, initial_guess(p), cfg)
-    sol, rep = newton_solve(p, initial_guess(p), cfg)
+    ref, iterations, factorizations = full_grid_newton(p, initial_guess(p))
+    sol, rep = newton_solve(p, initial_guess(p))
     assert np.max(np.abs(sol.values - ref)) <= 1e-10
     assert (rep.iterations, rep.factorizations) == (iterations, factorizations)
     gp, gq, _, _, _ = geom.interior_jet(sol.values, p.hx, p.hy)
     defect = elliptic.assemble_residual(sol, p) / (1 + gp * gp + gq * gq) ** 1.5
-    assert np.max(np.abs(defect)) <= cfg.tolResidual
+    assert np.max(np.abs(defect)) <= TOL_RESIDUAL
 
 
 def test_quadrant_fold_maps_each_node_to_its_reflection():
@@ -351,7 +364,7 @@ def test_asymmetric_boundary_data_is_refused_before_factoring(monkeypatch):
     monkeypatch.setattr(elliptic, "_factor",
                         lambda J: factored.append(J) or pytest.fail("factored"))
     with pytest.raises(ValueError, match="symmetric"):
-        newton_solve(p, init, SolverConfig())
+        newton_solve(p, init)
     assert factored == []
 
 
@@ -361,6 +374,6 @@ def test_asymmetric_init_converges_to_the_symmetric_solution():
     perturbed = vals.copy()
     perturbed[1:-1, 1:-1] += 1e-3 * np.cos(np.linspace(0, 3, 119))[:, None]
     assert np.max(np.abs(perturbed - perturbed[::-1, :])) > 1e-4
-    sol_p, _ = newton_solve(p, p.grid(perturbed), SolverConfig())
-    sol, _ = newton_solve(p, p.grid(vals), SolverConfig())
+    sol_p, _ = newton_solve(p, p.grid(perturbed))
+    sol, _ = newton_solve(p, p.grid(vals))
     assert np.max(np.abs(sol_p.values - sol.values)) <= 1e-10

@@ -48,24 +48,37 @@ def test_grim_reaper_graph_is_translator():
 
 
 def test_translator_defect_is_orientation_free():
+    # the reference is the mirror surface -u: its upward geometry has the
+    # flipped H and the negated flipped N_z, computed from its own jet
     g = grid.from_function(lambda X, Y: np.log(np.cos(X)) + 0.3 * Y,
                            -1.2, 1.2, -1.0, 1.0, 61, 51)
-    up = geom.translator_defect(geom.graph_geometry(g, orientation=+1))
-    dn = geom.translator_defect(geom.graph_geometry(g, orientation=-1))
-    inner = np.isfinite(up)
+    G = geom.graph_geometry(g)
+    up = geom.translator_defect(G)
+    dn = geom.translator_defect(geom.flip_orientation(G))
+    mirror = geom.graph_geometry(_mirror(g))
+    inner = G.interior
     assert np.array_equal(up[inner], dn[inner])
+    assert np.array_equal(dn[inner], np.abs(mirror.H - mirror.N[..., 2])[inner])
+
+
+def _mirror(g):
+    return grid.GridFunction(g.nx, g.ny, g.hx, g.hy, g.x0, g.y0, -g.values)
 
 
 @settings(max_examples=20, deadline=None)
 @given(a=st.floats(-0.8, 0.8), b=st.floats(0.4, 2.0))
 def test_orientation_flip_negates_curvatures(a, b):
+    # flipping the normal of u gives, bit for bit, the curvatures of -u seen
+    # with its own upward normal
     g = grid.from_function(lambda X, Y: a * np.sin(b * X) * np.cos(Y),
                            -1, 1, -1, 1, 17, 17)
-    Gu = geom.graph_geometry(g, orientation=+1)
-    Gd = geom.graph_geometry(g, orientation=-1)
-    inner = Gu.interior
-    np.testing.assert_allclose(Gd.H[inner], -Gu.H[inner], atol=1e-12)
-    np.testing.assert_allclose(Gd.kappa1[inner], -Gu.kappa2[inner], atol=1e-12)
+    G = geom.graph_geometry(g)
+    flipped = geom.flip_orientation(G)
+    mirror = geom.graph_geometry(_mirror(g))
+    inner = G.interior
+    for name in ("kappa1", "kappa2", "H"):
+        assert np.array_equal(getattr(flipped, name)[inner],
+                              getattr(mirror, name)[inner])
 
 
 def _wiggle_jets(X, Y):

@@ -330,10 +330,67 @@ def test_cli_config_values_are_typed(tmp_path, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("before", [["--config", "{cfg}", "csf"],
+                                    ["csf", "--config", "{cfg}"]],
+                         ids=["before-group", "before-subcommand"])
+def test_cli_config_before_the_subcommand_is_a_usage_error(tmp_path, before):
+    # a group parser's --config default used to overwrite it, so the config
+    # was silently ignored; only the subcommand takes --config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radius": 0.5}))
+    tail = ["run", "--n", "64", "--out", str(tmp_path / "log.csv")]
+    with pytest.raises(SystemExit) as info:
+        cli.main([a.format(cfg=cfg) for a in before] + tail)
+    assert info.value.code == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_cli_config_after_the_subcommand_applies(tmp_path, capsys):
+    cfg, report = tmp_path / "cfg.json", tmp_path / "run.json"
+    cfg.write_text(json.dumps({"radius": 0.5}))
+    assert cli.main(["csf", "run", "--config", str(cfg), "--n", "64",
+                     "--out", str(tmp_path / "log.csv"),
+                     "--report", str(report)]) == 0
+    assert abs(json.loads(report.read_text())["fittedT"] - 0.125) < 1e-3
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_cli_csf_refuses_stop_amax_not_positive(tmp_path, capsys, value):
+    # nan used to run to dtUnderflow and -1 to stop at t = 0, both exit 0
+    log = tmp_path / "log.csv"
+    for sub in (["run", "--out", str(log)], ["compare"]):
+        rc = cli.main(["csf", *sub, "--n", "64", "--stop-amax", value])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: stopAmax must be positive\n"
+    assert not log.exists()
+
+
+def test_cli_compare_refuses_a_point_before_any_distance(tmp_path):
+    # the distance check used to divide by the zero-length edges first and
+    # print numpy's RuntimeWarning ahead of the error line
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "translab.cli", "csf",
+                           "compare", "--shape1", "circle:0"], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: curvature not finite at t=0.0\n"
+
+
 def test_cli_numerical_failure_exit_code(tmp_path):
     rc = cli.main(["elliptic", "delta-wing", "--b", "1.0", "--L", "8",
                    "--nx", "41", "--ny", "41"])
     assert rc == 1  # b <= pi/2 is a numerical-domain error
+
+
+def test_cli_delta_wing_stall_is_the_solver_error(capsys):
+    # near the threshold the one Newton solve stalls; the message is the
+    # damping floor's and names no width the user did not give
+    rc = cli.main(["elliptic", "delta-wing", "--b", "1.5718", "--nx", "41",
+                   "--ny", "33"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: damping floor hit at iteration ")
+    assert err.count("\n") == 1 and "b =" not in err
 
 
 def test_cli_singular_jacobian_exit_code(monkeypatch, capsys):

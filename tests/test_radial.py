@@ -148,9 +148,10 @@ def test_profile_to_grid_coverage_guard():
         radial.profile_to_grid(p, -3, 3, -3, 3, 21, 21)
 
 
-def test_step_too_large():
+def test_step_too_large(monkeypatch):
+    monkeypatch.setattr(radial, "_STEP_TOL", 0.0)
     with pytest.raises(StepTooLargeError):
-        radial.shoot_bowl(2, 5.0, 0.1, step_tol=0.0)
+        radial.shoot_bowl(2, 5.0, 0.1)
 
 
 def test_argument_validation():
@@ -165,11 +166,11 @@ def test_argument_validation():
 def test_non_monotone_bowl_raises(monkeypatch):
     integrate = radial._integrate_rk4
 
-    def bumpy(rhs, t0, y0, h, stop, step_tol=1e-10, record=None, **kw):
+    def bumpy(rhs, t0, y0, h, stop, record):
         # the integrator's states with the slope angle flipped to rising
         def flipped(t, y):
             record(t, (y[0], abs(y[1])))
-        return integrate(rhs, t0, y0, h, stop, step_tol, flipped, **kw)
+        return integrate(rhs, t0, y0, h, stop, flipped)
     monkeypatch.setattr(radial, "_integrate_rk4", bumpy)
     with pytest.raises(NonMonotoneProfileError):
         radial.shoot_bowl(2, 1.0, 1e-2)
