@@ -137,7 +137,7 @@ def first_variation_check(u: GridFunction, v: VariationSpec,
 def stability_apply(u: GridFunction, geom: GeometryField,
                     phi: np.ndarray) -> np.ndarray:
     """Stability operator: drift Laplacian plus |A|^2, applied to phi."""
-    return drift_laplacian(phi, u, geom) + geom.normA2 * phi
+    return drift_laplacian(phi, u) + geom.normA2 * phi
 
 
 def jacobi_field_defect(u: GridFunction, geom: GeometryField | None = None) -> float:
@@ -158,7 +158,7 @@ def gradH_identity_check(u: GridFunction, geom: GeometryField | None = None) -> 
     shape operator assembled from the principal decomposition.
     """
     geom = geom or graph_geometry(u)
-    gradH = surface_gradient(geom.H, u, geom)
+    gradH = surface_gradient(geom.H, u)
     e3n = geom.N[..., 2]
     e3t = -e3n[..., None] * geom.N
     e3t[..., 2] += 1.0
@@ -212,21 +212,21 @@ def spruck_xiao_report(u: GridFunction, geom: GeometryField | None = None) -> Sp
     k1, k2 = convex.kappa1, convex.kappa2
     H = k1 + k2
 
-    q2, umb = q_squared(convex, u)
+    q2, umb = q_squared(convex, u), convex.umbilic
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = H / k1
         ratio[umb] = np.nan
 
-    dH = drift_laplacian(H, u, geom)
-    dK1 = drift_laplacian(k1, u, geom)
+    dH = drift_laplacian(H, u)
+    dK1 = drift_laplacian(k1, u)
     defect_h = dH + geom.normA2 * H
     with np.errstate(divide="ignore", invalid="ignore"):
         defect_k1 = dK1 + geom.normA2 * k1 - 2.0 * q2 / (k1 - k2)
 
-    grad_ratio = surface_gradient(ratio, u, geom)
-    grad_k1 = surface_gradient(k1, u, geom)
-    d_ratio = drift_laplacian(ratio, u, geom)
+    grad_ratio = surface_gradient(ratio, u)
+    grad_k1 = surface_gradient(k1, u)
+    d_ratio = drift_laplacian(ratio, u)
     with np.errstate(divide="ignore", invalid="ignore"):
         lhs = d_ratio + 2.0 * np.einsum("ijk,ijk->ij", grad_k1, grad_ratio) / k1
 

@@ -113,6 +113,7 @@ def _build_parser():
 
     # after the subcommand only: a group parser's default would overwrite it
     for p in (res, shoot, fit, wing, cont, frun, fcmp, sx, jac, fv, obj):
+        p.allow_abbrev = False      # _apply_config sees only full spellings
         p.add_argument("--config", default=None, help="JSON config file; "
                        "flags override its values; unknown keys are fatal")
     return ap
@@ -120,11 +121,7 @@ def _build_parser():
 
 def _apply_config(ap, argv, args):
     """Merge a JSON config under explicit flags (strict key checking); each
-    value goes through its option's argparse type and choices.
-
-    Explicit detection matches exact long-option spellings in argv, so config
-    precedence requires unabbreviated flags.
-    """
+    value goes through its option's argparse type and choices."""
     if not args.config:
         return args
     with open(args.config) as f:
@@ -293,6 +290,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = _build_parser()
     try:
+        if any(tok.split("=")[0] == "--config" for tok in argv[:2]):
+            ap.error("--config goes after the subcommand, e.g. "
+                     "translab csf run --config FILE")
         args = ap.parse_args(argv)
         args = _apply_config(ap, argv, args)
         prov = "translab " + " ".join(argv)

@@ -437,15 +437,12 @@ def delta_wing(b: float, L: float = 12.0, nx: int = 961, ny: int = 161,
 
 
 def _resample_onto(p_new: StripProblem, sol: GridFunction) -> GridFunction:
-    """Previous solution resampled as an initial guess on a new strip grid."""
-    from scipy.interpolate import RegularGridInterpolator
-    interp = RegularGridInterpolator((sol.xs, sol.ys), sol.values,
-                                     bounds_error=False, fill_value=None)
-    X, Y = np.meshgrid(p_new.xs, p_new.ys, indexing="ij")
-    v = interp(np.stack([X.ravel(), Y.ravel()], axis=1)).reshape(X.shape)
-    env = tilted_pair_envelope(p_new.b, X, Y)
-    outside = np.abs(Y) > sol.ys[-1]
-    v[outside] = env[outside]
+    """Previous solution as the initial guess on a new strip: continuation
+    keeps L and nx, so the grids share their x nodes and each x row is
+    interpolated linearly in y; nodes beyond the old strip take p_new.bc."""
+    v = np.array([np.interp(p_new.ys, sol.ys, row) for row in sol.values])
+    outside = np.abs(p_new.ys) > sol.ys[-1]
+    v[:, outside] = p_new.bc[:, outside]
     return _smoothed(p_new, v, 2)
 
 

@@ -79,7 +79,6 @@ class GeometryField:
     v1: np.ndarray = field(repr=False)
     v2: np.ndarray = field(repr=False)
     normA2: np.ndarray = field(repr=False)
-    meanCurvVec: np.ndarray = field(repr=False)
     interior: np.ndarray = field(repr=False)
     umbilic: np.ndarray = field(repr=False)
 
@@ -142,7 +141,6 @@ def graph_geometry(u: GridFunction) -> GeometryField:
 
     normA2 = kappa1 * kappa1 + kappa2 * kappa2
     H = kappa1 + kappa2
-    meanCurvVec = H[..., None] * N
 
     interior = np.zeros((u.nx, u.ny), dtype=bool)
     interior[1:-1, 1:-1] = True
@@ -150,8 +148,8 @@ def graph_geometry(u: GridFunction) -> GeometryField:
         arr[~interior] = np.nan
     umbilic &= interior
     return GeometryField(W=W, N=N, H=H, kappa1=kappa1, kappa2=kappa2,
-                         v1=v1, v2=v2, normA2=normA2, meanCurvVec=meanCurvVec,
-                         interior=interior, umbilic=umbilic)
+                         v1=v1, v2=v2, normA2=normA2, interior=interior,
+                         umbilic=umbilic)
 
 
 def flip_orientation(geom: GeometryField) -> GeometryField:
@@ -160,8 +158,7 @@ def flip_orientation(geom: GeometryField) -> GeometryField:
     return GeometryField(
         W=geom.W, N=-geom.N, H=-geom.H,
         kappa1=-geom.kappa2, kappa2=-geom.kappa1,
-        v1=geom.v2, v2=geom.v1, normA2=geom.normA2,
-        meanCurvVec=geom.meanCurvVec, interior=geom.interior,
+        v1=geom.v2, v2=geom.v1, normA2=geom.normA2, interior=geom.interior,
         umbilic=geom.umbilic)
 
 
@@ -171,7 +168,7 @@ def translator_defect(geom: GeometryField) -> np.ndarray:
     return np.abs(geom.H + e3n)
 
 
-def surface_gradient(phi: np.ndarray, u: GridFunction, geom: GeometryField) -> np.ndarray:
+def surface_gradient(phi: np.ndarray, u: GridFunction) -> np.ndarray:
     """Tangential gradient of a scalar field as a 3-vector per node.
 
     Valid one node further inside than phi's own validity.
@@ -191,7 +188,7 @@ def surface_gradient(phi: np.ndarray, u: GridFunction, geom: GeometryField) -> n
     return grad
 
 
-def drift_laplacian(phi: np.ndarray, u: GridFunction, geom: GeometryField) -> np.ndarray:
+def drift_laplacian(phi: np.ndarray, u: GridFunction) -> np.ndarray:
     """Drift Laplacian: surface Laplacian minus the e3-directional term.
 
     Conservative form (1/W) d_i(W g^{ij} phi_j) minus (u_x phi_x + u_y phi_y)/W^2,
@@ -215,8 +212,7 @@ def drift_laplacian(phi: np.ndarray, u: GridFunction, geom: GeometryField) -> np
 def q_squared(geom: GeometryField, u: GridFunction):
     """Codazzi form of Q^2: (grad_{v2} kappa1)^2 + (grad_{v1} kappa2)^2.
 
-    Returns (q2, flags) where flags marks umbilic nodes; there q2 is NaN,
-    never a fabricated value.
+    NaN at the nodes geom.umbilic marks, never a fabricated value.
     """
     if u.nx < 5 or u.ny < 5:
         raise MarginTooSmallError("Q^2 needs a two-node margin")
@@ -228,8 +224,7 @@ def q_squared(geom: GeometryField, u: GridFunction):
     d1k2 = geom.v1[..., 0] * k2x + geom.v1[..., 1] * k2y
     d2k1 = geom.v2[..., 0] * k1x + geom.v2[..., 1] * k1y
     q2 = d2k1 * d2k1 + d1k2 * d1k2
-    q2 = np.where(geom.umbilic, np.nan, q2)
-    return q2, geom.umbilic.copy()
+    return np.where(geom.umbilic, np.nan, q2)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def _geometry_columns(u: GridFunction, geom: GeometryField | None):
     """Per-node columns in _GEOMETRY_COLUMNS order, i-major; flags bit 0:
     outside the valid margin, bit 1: umbilic."""
     geom = geom or graph_geometry(u)
-    q2, _ = q_squared(geom, u)
+    q2 = q_squared(geom, u)
     flags = np.where(geom.interior, 0, 1) | np.where(geom.umbilic, 2, 0)
     return _node_columns(u) + [a.ravel() for a in (
         geom.W, geom.H, geom.kappa1, geom.kappa2, geom.normA2, q2, flags)]

@@ -62,15 +62,16 @@ _STEP_FLOOR_FACTOR = 2.0 ** -30
 _MAX_STEPS = 50_000_000
 
 
-def _integrate_rk4(rhs, t0, y0, h, stop, record):
+def _integrate_rk4(rhs, t0, y0, h, stop):
     """Classic RK4 driven at nominal step h; halves the step where the
     step-doubling estimate exceeds _STEP_TOL, recovers afterwards.
 
     rhs(t, y) -> tuple of floats; stop(t, y) -> bool checked after each step.
-    record(t, y) is called for every accepted state including the initial one.
+    The full step and the first half step share k1 = rhs(t, y), so an accepted
+    step costs 11 evaluations.  Returns the accepted states, the initial one
+    included, as arrays t (m,) and y (m, len(y0)).
     """
-    def rk4(t, y, dt):
-        k1 = rhs(t, y)
+    def rk4(t, y, dt, k1):
         y2 = tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k1))
         k2 = rhs(t + 0.5 * dt, y2)
         y3 = tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k2))
@@ -81,12 +82,14 @@ def _integrate_rk4(rhs, t0, y0, h, stop, record):
                      for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
 
     t, y = t0, tuple(y0)
-    record(t, y)
+    ts, ys = [t], list(y)      # ys: the states' components, flat
     h_cur = h
     floor = h * _STEP_FLOOR_FACTOR
     for _ in range(_MAX_STEPS):
-        full = rk4(t, y, h_cur)
-        half = rk4(t + 0.5 * h_cur, rk4(t, y, 0.5 * h_cur), 0.5 * h_cur)
+        k1 = rhs(t, y)
+        full = rk4(t, y, h_cur, k1)
+        mid = rk4(t, y, 0.5 * h_cur, k1)
+        half = rk4(t + 0.5 * h_cur, mid, 0.5 * h_cur, rhs(t + 0.5 * h_cur, mid))
         err = max(abs(a - b) for a, b in zip(full, half)) / 15.0
         tol = _STEP_TOL * (1.0 + max(abs(v) for v in y))
         if err > tol:
@@ -96,9 +99,10 @@ def _integrate_rk4(rhs, t0, y0, h, stop, record):
                     f"local error {err:.3e} > {tol:.3e} at step floor")
             continue
         t, y = t + h_cur, half
-        record(t, y)
+        ts.append(t)
+        ys.extend(y)
         if stop(t, y):
-            return t, y
+            return np.array(ts), np.array(ys).reshape(len(ts), len(y))
         if err < 0.01 * tol and h_cur < h:
             h_cur = min(2.0 * h_cur, h)
     raise StepTooLargeError("step budget exhausted")
@@ -119,13 +123,12 @@ def shoot_bowl(n: int, r_max: float, h: float) -> RadialProfile:
         raise ValueError("r_max must exceed the series region 10 h")
 
     c3 = 1.0 / (n ** 3 * (n + 2))
-    rs, us, psis = [], [], []
+    rs, series = [], []        # r and (u, psi) on the series region
     for k in range(11):
         r = k * h
         up = -r / n - c3 * r ** 3
         rs.append(r)
-        us.append(-r * r / (2 * n) - 0.25 * c3 * r ** 4)
-        psis.append(math.atan(up))
+        series.append((-r * r / (2 * n) - 0.25 * c3 * r ** 4, math.atan(up)))
 
     nm1 = n - 1
 
@@ -134,16 +137,12 @@ def shoot_bowl(n: int, r_max: float, h: float) -> RadialProfile:
         tp = math.tan(psi)
         return (tp, -1.0 - nm1 * tp / r)
 
-    def record(r, y):
-        if r > rs[-1]:
-            rs.append(r)
-            us.append(y[0])
-            psis.append(y[1])
-
-    _integrate_rk4(rhs, 10 * h, (us[-1], psis[-1]), h,
-                   stop=lambda r, y: r >= r_max - 1e-12, record=record)
+    t, y = _integrate_rk4(rhs, 10 * h, series[-1], h,
+                          stop=lambda r, y: r >= r_max - 1e-12)
+    y = np.concatenate([series, y[1:]])     # y[0] is the last series sample
     prof = RadialProfile(n=n, kind=RadialKind.BOWL, lam=None,
-                         r=np.array(rs), u=np.array(us), psi=np.array(psis), h=h)
+                         r=np.concatenate([rs, t[1:]]), u=y[:, 0],
+                         psi=y[:, 1], h=h)
     if not np.all(prof.psi[1:] < 0):
         raise NonMonotoneProfileError("bowl profile must be strictly monotone")
     return prof
@@ -170,17 +169,10 @@ def shoot_catenoid(n: int, lam: float, r_max: float, h: float):
         return (c, si, -c - nm1 * si / r)
 
     def shoot(sign, kind):
-        rs, us, psis = [], [], []
-
-        def record(s, y):
-            rs.append(y[0])
-            us.append(y[1])
-            psis.append(y[2])
-
-        _integrate_rk4(rhs, 0.0, (lam, 0.0, sign * math.pi / 2), h,
-                       stop=lambda s, y: y[0] >= r_max - 1e-12, record=record)
-        return RadialProfile(n=n, kind=kind, lam=lam, r=np.array(rs),
-                             u=np.array(us), psi=np.array(psis), h=h)
+        _, y = _integrate_rk4(rhs, 0.0, (lam, 0.0, sign * math.pi / 2), h,
+                              stop=lambda s, y: y[0] >= r_max - 1e-12)
+        return RadialProfile(n=n, kind=kind, lam=lam, r=y[:, 0], u=y[:, 1],
+                             psi=y[:, 2], h=h)
 
     upper = shoot(+1, RadialKind.CATENOID_UPPER)
     lower = shoot(-1, RadialKind.CATENOID_LOWER)
@@ -331,16 +323,22 @@ def radial_identities_report(p: RadialProfile, r_lo: float, r_hi: float,
 
 def profile_to_grid(p: RadialProfile, x0: float, x1: float, y0: float,
                     y1: float, nx: int, ny: int) -> GridFunction:
-    """Sample the surface of revolution as a height field over a rectangle.
-
-    Every node radius hypot(x, y) must be covered by the profile.
-    """
-    # imported on use: scipy.interpolate adds ~0.3 s to every CLI start-up
-    from scipy.interpolate import CubicSpline
+    """Sample the bowl as a height field over a rectangle by cubic Hermite
+    interpolation on (r, u, tan psi), the integrator's own slopes: O(h^4).
+    Every node radius hypot(x, y) must be covered by the profile; catenoid
+    wings are refused, as tan psi is infinite at the neck."""
+    if p.kind is not RadialKind.BOWL:
+        raise ValueError("only bowl profiles can be sampled onto a grid")
 
     def height(X, Y):
         R = np.hypot(X, Y)
         if R.max() > p.r[-1] + 1e-12 or R.min() < p.r[0] - 1e-12:
             raise ValueError("grid radii not covered by the profile")
-        return CubicSpline(p.r, p.u)(R)
+        k = np.clip(np.searchsorted(p.r, R, side="right") - 1, 0, len(p.r) - 2)
+        dr = p.r[k + 1] - p.r[k]
+        t = (R - p.r[k]) / dr
+        m = np.tan(p.psi)
+        s = 1 - t
+        return (s * s * ((1 + 2 * t) * p.u[k] + t * dr * m[k])
+                + t * t * ((3 - 2 * t) * p.u[k + 1] - s * dr * m[k + 1]))
     return from_function(height, x0, x1, y0, y1, nx, ny)

@@ -276,6 +276,37 @@ def test_continuation_argument_guards():
         elliptic.continuation_in_width(1.0, 3.0, 2)
 
 
+def rgi_resample_onto(p_new, sol):
+    """The bilinear resampler continuation used before it interpolated in y
+    along shared x rows; kept as the reference."""
+    from scipy.interpolate import RegularGridInterpolator
+    interp = RegularGridInterpolator((sol.xs, sol.ys), sol.values,
+                                     bounds_error=False, fill_value=None)
+    X, Y = np.meshgrid(p_new.xs, p_new.ys, indexing="ij")
+    v = interp(np.stack([X.ravel(), Y.ravel()], axis=1)).reshape(X.shape)
+    env = elliptic.tilted_pair_envelope(p_new.b, X, Y)
+    outside = np.abs(Y) > sol.ys[-1]
+    v[outside] = env[outside]
+    return elliptic._smoothed(p_new, v, 2)
+
+
+def test_resample_matches_bilinear_reference(monkeypatch):
+    p0 = elliptic.make_strip_problem(2.0, 12.0, 121, 41)
+    sol, _ = elliptic.newton_solve(p0, elliptic.initial_guess(p0))
+    for b in (2.2, 1.9):                 # a wider and a narrower strip
+        p1 = elliptic.make_strip_problem(b, 12.0, 121, 41)
+        guess = elliptic._resample_onto(p1, sol).values
+        ref = rgi_resample_onto(p1, sol).values
+        assert np.max(np.abs(guess - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    counts = []
+    for resample in (elliptic._resample_onto, rgi_resample_onto):
+        monkeypatch.setattr(elliptic, "_resample_onto", resample)
+        _, chain = elliptic.continuation_in_width(2.0, 2.4, 2, nx=121, ny=41)
+        counts.append([r.iterations for _, r in chain])
+    assert counts[0] == counts[1] == [7, 8, 9]
+
+
 def test_strip_problem_invariants():
     with pytest.raises(ValueError):
         make_strip_problem(2.0, 3.0, 41, 41)            # L < 4

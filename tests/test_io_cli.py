@@ -333,14 +333,29 @@ def test_cli_config_values_are_typed(tmp_path, capsys):
 @pytest.mark.parametrize("before", [["--config", "{cfg}", "csf"],
                                     ["csf", "--config", "{cfg}"]],
                          ids=["before-group", "before-subcommand"])
-def test_cli_config_before_the_subcommand_is_a_usage_error(tmp_path, before):
+def test_cli_config_before_the_subcommand_is_a_usage_error(tmp_path, capsys,
+                                                           before):
     # a group parser's --config default used to overwrite it, so the config
-    # was silently ignored; only the subcommand takes --config
+    # was silently ignored; only the subcommand takes --config, and the
+    # message says so instead of naming the path as an invalid choice
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"radius": 0.5}))
     tail = ["run", "--n", "64", "--out", str(tmp_path / "log.csv")]
     with pytest.raises(SystemExit) as info:
         cli.main([a.format(cfg=cfg) for a in before] + tail)
+    assert info.value.code == 2
+    assert "--config goes after the subcommand" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_cli_abbreviated_flag_is_a_usage_error(tmp_path):
+    # --stop would abbreviate --stop-amax, but _apply_config recognises only
+    # full spellings, so the config's stop-amax would beat the explicit flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"stop-amax": 100}))
+    with pytest.raises(SystemExit) as info:
+        cli.main(["csf", "run", "--n", "64", "--stop", "50", "--config",
+                  str(cfg), "--out", str(tmp_path / "log.csv")])
     assert info.value.code == 2
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 

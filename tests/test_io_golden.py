@@ -45,7 +45,7 @@ _GEOMETRY_COLUMNS = ["i", "j", "x", "y", "u", "W", "H", "kappa1", "kappa2",
 
 def _ref_geometry_rows(u, geom):
     geom = geom or graph_geometry(u)
-    q2, _ = q_squared(geom, u)
+    q2 = q_squared(geom, u)
     xs, ys = u.xs, u.ys
     for i in range(u.nx):
         for j in range(u.ny):

@@ -148,6 +148,54 @@ def test_profile_to_grid_coverage_guard():
         radial.profile_to_grid(p, -3, 3, -3, 3, 21, 21)
 
 
+def test_profile_to_grid_refuses_catenoid_wings():
+    # tan(psi) is infinite at the neck, so Hermite has no slope there
+    for wing in radial.shoot_catenoid(2, 1.0, 5.0, 1e-2):
+        with pytest.raises(ValueError, match="bowl"):
+            radial.profile_to_grid(wing, 1.5, 3.0, 1.5, 3.0, 11, 11)
+
+
+def test_profile_to_grid_matches_cubic_spline():
+    # the not-a-knot spline on (r, u) is the reference; both are O(h^4), and
+    # on the benchmark's bowl grid they agree to round-off
+    from scipy.interpolate import CubicSpline
+    p = radial.shoot_bowl(2, 60.0, 2e-3)
+    g = radial.profile_to_grid(p, -2.0, 2.0, -2.0, 2.0, 161, 161)
+    X, Y = g.meshgrid()
+    ref = CubicSpline(p.r, p.u)(np.hypot(X, Y))
+    assert np.max(np.abs(g.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_profile_to_grid_is_exact_on_a_cubic():
+    # Hermite on exact values and slopes reproduces any cubic profile
+    r = np.concatenate([[0.0], np.cumsum(np.linspace(0.05, 0.15, 40))])
+    u = 0.3 * r ** 3 - r * r - 0.5 * r
+    psi = np.arctan(0.9 * r * r - 2 * r - 0.5)
+    p = RadialProfile(n=2, kind=RadialKind.BOWL, lam=None, r=r, u=u, psi=psi,
+                      h=0.1)
+    g = radial.profile_to_grid(p, -2.0, 2.0, -1.5, 2.5, 37, 29)
+    X, Y = g.meshgrid()
+    R = np.hypot(X, Y)
+    assert np.max(np.abs(g.values - (0.3 * R ** 3 - R * R - 0.5 * R))) <= 1e-13
+
+
+def test_integrator_returns_states_and_shares_k1():
+    # 11 rhs evaluations per accepted step when no step is halved: the full
+    # step and the first half step share rhs(t, y)
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return (y[1], -y[0])
+    t, y = radial._integrate_rk4(rhs, 0.0, (0.0, 1.0), 0.05,
+                                 stop=lambda t, y: t >= 1.0 - 1e-12)
+    assert t.shape == (21,) and y.shape == (21, 2)
+    assert t[0] == 0.0 and tuple(y[0]) == (0.0, 1.0)
+    assert np.allclose(np.diff(t), 0.05)   # no step was halved
+    assert len(calls) == 11 * 20
+    assert np.max(np.abs(y[:, 0] - np.sin(t))) < 1e-7
+
+
 def test_step_too_large(monkeypatch):
     monkeypatch.setattr(radial, "_STEP_TOL", 0.0)
     with pytest.raises(StepTooLargeError):
@@ -166,11 +214,11 @@ def test_argument_validation():
 def test_non_monotone_bowl_raises(monkeypatch):
     integrate = radial._integrate_rk4
 
-    def bumpy(rhs, t0, y0, h, stop, record):
+    def bumpy(rhs, t0, y0, h, stop):
         # the integrator's states with the slope angle flipped to rising
-        def flipped(t, y):
-            record(t, (y[0], abs(y[1])))
-        return integrate(rhs, t0, y0, h, stop, flipped)
+        t, y = integrate(rhs, t0, y0, h, stop)
+        y[:, 1] = np.abs(y[:, 1])
+        return t, y
     monkeypatch.setattr(radial, "_integrate_rk4", bumpy)
     with pytest.raises(NonMonotoneProfileError):
         radial.shoot_bowl(2, 1.0, 1e-2)

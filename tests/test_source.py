@@ -16,10 +16,39 @@ def test_no_assert_in_package():
     assert found == []
 
 
+def test_no_module_imports_scipy_interpolate():
+    # profile_to_grid and the continuation resampler interpolate with what
+    # they hold (Hermite on the profile's slopes, np.interp in y)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.startswith("scipy.interpolate")]
+    assert found == []
+
+
 def test_cli_import_leaves_out_scipy_interpolate():
-    # it costs ~0.3 s of every CLI start-up; only profile_to_grid and the
-    # continuation resampler use it, and they import it on use
+    # importing it would add ~0.3 s to every CLI start-up; nothing in the
+    # package uses it, so no import may pull it in indirectly either
     code = "import sys, translab.cli; print('scipy.interpolate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_interpolating_paths_leave_out_scipy_interpolate():
+    code = ("import sys; from translab import radial, elliptic\n"
+            "radial.profile_to_grid(radial.shoot_bowl(2, 3.0, 1e-2),"
+            " -1, 1, -1, 1, 9, 9)\n"
+            "elliptic.continuation_in_width(2.0, 2.2, 1, L=6.0, nx=41, ny=33)\n"
+            "print('scipy.interpolate' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
