@@ -145,39 +145,27 @@ def _residual(v: np.ndarray, hx: float, hy: float):
     return jet, res, res / (1 + p * p + q * q) ** 1.5
 
 
-# The nine stencil offsets (di, dj) of the Jacobian: entry (n, n + (di, dj))
-# of row n.  Listed by decreasing (di, dj), so that the rows meeting one column
-# come out in increasing order.
-_OFFSETS = ((1, 1), (1, 0), (1, -1), (0, 1), (0, 0), (0, -1),
-            (-1, 1), (-1, 0), (-1, -1))
+def _fold_index(mi: int, mj: int) -> np.ndarray:
+    """(mi, mj) array of the mirror fold of an mi x mj interior: each entry is
+    the raveled index, in the quadrant i >= mi // 2, j >= mj // 2 (centre
+    lines included), of that node's reflection (itself if it lies there)."""
+    fi = np.maximum(np.arange(mi), np.arange(mi)[::-1]) - mi // 2
+    fj = np.maximum(np.arange(mj), np.arange(mj)[::-1]) - mj // 2
+    return fi[:, None] * (mj - mj // 2) + fj
 
 
-def _jacobian_pattern(mi: int, mj: int):
-    """CSC structure of the 9-point stencil clipped to an mi x mj interior:
-    (indptr, indices, gather), where gather picks each stored entry, column
-    by column and by increasing row, from the coefficient arrays of _OFFSETS
-    stacked and raveled.  Built once per solve; iterations refill data only."""
-    n = mi * mj
-    I, J = np.meshgrid(np.arange(mi), np.arange(mj), indexing="ij")
-    rows = np.empty((n, len(_OFFSETS)), dtype=np.int64)
-    inside = np.empty((n, len(_OFFSETS)), dtype=bool)
-    for k, (di, dj) in enumerate(_OFFSETS):
-        ii, jj = I - di, J - dj        # the row meeting this column at (di, dj)
-        inside[:, k] = ((ii >= 0) & (ii < mi) & (jj >= 0) & (jj < mj)).ravel()
-        rows[:, k] = (ii * mj + jj).ravel()
-    src = rows + n * np.arange(len(_OFFSETS))
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(inside.sum(axis=1), out=indptr[1:])
-    return (indptr, rows[inside].astype(np.int32), src[inside])
-
-
-def _jacobian(jet, hx: float, hy: float, pattern) -> sp.csc_matrix:
-    """Analytic Jacobian of the interior residual w.r.t. interior unknowns,
-    from the interior jet (p, q, r, s, t) of the current iterate; pattern is
-    _jacobian_pattern of the interior shape."""
-    p, q, r, s, t = jet
-    mi, mj = p.shape
-    indptr, indices, gather = pattern
+def _jacobian(jet, hx: float, hy: float) -> sp.csc_matrix:
+    """Analytic Jacobian of the interior residual, folded onto the quadrant:
+    row n is the quadrant node n, and each stencil neighbour's coefficient
+    goes to the column of that neighbour's reflection (_fold_index), so the
+    neighbours that reflect onto one column at the centre lines are summed.
+    jet is the interior jet (p, q, r, s, t) of the current iterate."""
+    mi, mj = jet[0].shape
+    i0, j0 = mi // 2, mj // 2
+    p, q, r, s, t = (a[i0:, j0:] for a in jet)
+    # fold index of each neighbour; -1 past the quadrant's outer edge
+    fold = np.full((mi + 1, mj + 1), -1)
+    fold[:mi, :mj] = _fold_index(mi, mj)
 
     Ap = -2 * q * s + 2 * p * t + 2 * p       # dR/du_x
     Aq = 2 * q * r - 2 * p * s + 2 * q        # dR/du_y
@@ -196,9 +184,18 @@ def _jacobian(jet, hx: float, hy: float, pattern) -> sp.csc_matrix:
         (+1, -1): -As / (4 * hx * hy),
         (-1, +1): -As / (4 * hx * hy),
     }
-    data = np.stack([coefs[o] for o in _OFFSETS]).ravel()[gather]
-    n = mi * mj
-    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
+    cols = np.stack([fold[i0 + di:mi + di, j0 + dj:mj + dj]
+                     for di, dj in coefs])
+    rows = np.broadcast_to(fold[i0:mi, j0:mj], cols.shape)
+    inside = cols >= 0
+    n = p.size
+    J = sp.coo_matrix((np.stack(list(coefs.values()))[inside],
+                       (rows[inside], cols[inside])), shape=(n, n)).tocsc()
+    # Drop exact zeros, such as the -2pq entries on the centre lines of a
+    # symmetric iterate: SuperLU's MMD_AT_PLUS_A ordering reads the stored
+    # pattern, so a stored zero would move the solution's round-off.
+    J.eliminate_zeros()
+    return J
 
 
 def _factor(J: sp.csc_matrix):
@@ -207,22 +204,6 @@ def _factor(J: sp.csc_matrix):
         return splu(J, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise LinearSolveFailureError(str(exc)) from exc
-
-
-def _quadrant_fold(mi: int, mj: int):
-    """(rows, P) of the mirror fold of an mi x mj interior: rows are the raveled
-    indices of the quadrant i >= mi // 2, j >= mj // 2 (centre lines
-    included), and P, (mi*mj) x len(rows), is the 0/1 unfold matrix that maps
-    each node to its reflection in the quadrant (itself if it lies there)."""
-    i0, j0 = mi // 2, mj // 2
-    fi = np.maximum(np.arange(mi), np.arange(mi)[::-1]) - i0
-    fj = np.maximum(np.arange(mj), np.arange(mj)[::-1]) - j0
-    cols = (fi[:, None] * (mj - j0) + fj).ravel()
-    n = mi * mj
-    P = sp.csr_matrix((np.ones(n), cols, np.arange(n + 1)),
-                      shape=(n, (mi - i0) * (mj - j0)))
-    I, J = np.meshgrid(np.arange(i0, mi), np.arange(j0, mj), indexing="ij")
-    return (I * mj + J).ravel(), P
 
 
 def _check_mirror_symmetric(bc: np.ndarray):
@@ -238,17 +219,19 @@ def _check_mirror_symmetric(bc: np.ndarray):
                          f"(defect {defect:.3e} > {tol:.3e})")
 
 
-def _newton_step(lu, Jq: sp.csc_matrix, res: np.ndarray, rows: np.ndarray,
-                 P: sp.csr_matrix) -> np.ndarray:
-    """Solve the folded system Jq dq = -res[rows] with the factorization lu,
-    which may belong to an earlier iterate, plus one refinement pass against
-    the current Jq; return the step P dq unfolded onto the whole interior."""
-    rhs = -res.ravel()[rows]
+def _newton_step(lu, Jq: sp.csc_matrix, res: np.ndarray,
+                 fold: np.ndarray) -> np.ndarray:
+    """Solve the folded system Jq dq = -res on the quadrant with the
+    factorization lu, which may belong to an earlier iterate, plus one
+    refinement pass against the current Jq; return the step dq[fold]
+    unfolded onto the whole interior."""
+    mi, mj = res.shape
+    rhs = -res[mi // 2:, mj // 2:].ravel()
     delta = lu.solve(rhs)
     delta += lu.solve(rhs - Jq @ delta)
     if not np.all(np.isfinite(delta)):
         raise LinearSolveFailureError("linear solve returned non-finite values")
-    return (P @ delta).reshape(res.shape)
+    return delta[fold]
 
 
 def newton_solve(p: StripProblem, init: GridFunction):
@@ -268,9 +251,11 @@ def newton_solve(p: StripProblem, init: GridFunction):
     The strip problem is symmetric about both midlines, and so is its
     solution: the interior of init is replaced by the average of its four
     reflections (bit-symmetric), and every linear system is folded onto the
-    quadrant of _quadrant_fold, Jq = J[rows] P, whose step P dq keeps the
-    iterate symmetric.  Residual, Jacobian and convergence test stay on the
-    full grid.  Boundary data that is not mirror symmetric is a ValueError.
+    quadrant of _fold_index: _jacobian assembles the quadrant rows with
+    each neighbour's column folded onto its reflection, and the step
+    dq[fold] keeps the iterate symmetric.  Residual and convergence test
+    stay on the full grid.  Boundary data that is not mirror symmetric is a
+    ValueError.  A stall names the grid node (i, j) where |defect| peaks.
     Returns (solution, SolveReport).
     """
     if init.values.shape != (p.nx, p.ny):
@@ -281,8 +266,7 @@ def newton_solve(p: StripProblem, init: GridFunction):
     v = init.values.copy()
     a = v[1:-1, 1:-1] + v[-2:0:-1, 1:-1]
     v[1:-1, 1:-1] = 0.25 * (a + a[:, ::-1])
-    pattern = _jacobian_pattern(p.nx - 2, p.ny - 2)
-    rows, P = _quadrant_fold(p.nx - 2, p.ny - 2)
+    fold = _fold_index(p.nx - 2, p.ny - 2)
     damping_history, defect_history = [], []
     lu, factorizations = None, 0
 
@@ -292,14 +276,13 @@ def newton_solve(p: StripProblem, init: GridFunction):
     for it in range(MAX_NEWTON):
         if np.max(np.abs(defect)) <= TOL_RESIDUAL:
             break
-        J = _jacobian(jet, hx, hy, pattern)
-        Jq = (J[rows, :] @ P).tocsc()
+        Jq = _jacobian(jet, hx, hy)
         fresh = it % 2 == 0
         if fresh:
             lu = None                   # release the old LU before the new one
             lu = _factor(Jq)
             factorizations += 1
-        delta = _newton_step(lu, Jq, res, rows, P)
+        delta = _newton_step(lu, Jq, res, fold)
 
         lam = 1.0
         while True:
@@ -314,12 +297,17 @@ def newton_solve(p: StripProblem, init: GridFunction):
                 lu = _factor(Jq)
                 factorizations += 1
                 fresh = True
-                delta = _newton_step(lu, Jq, res, rows, P)
+                delta = _newton_step(lu, Jq, res, fold)
                 continue
             lam *= 0.5
             if lam < DAMPING_MIN:
+                i, j = np.unravel_index(np.argmax(np.abs(defect)), defect.shape)
+                ring = i in (0, p.nx - 3) or j in (0, p.ny - 3)
                 raise NewtonStalledError(
-                    f"damping floor hit at iteration {it}, |defect| = {fnorm:.3e}")
+                    f"damping floor hit at iteration {it}, ||defect||_2 = "
+                    f"{fnorm:.3e}, max |defect| {np.abs(defect[i, j]):.3e} at "
+                    f"node ({i + 1}, {j + 1}), "
+                    + ("on" if ring else "inside") + " the outer interior ring")
         damping_history.append(lam)
         v, jet, res, defect, fnorm = trial, tjet, tres, tdef, tnorm
         defect_history.append(float(np.max(np.abs(defect))))
@@ -465,9 +453,10 @@ def continuation_in_width(b_start: float, b_end: float, steps: int,
         init = initial_guess(p) if prev_b is None else _resample_onto(p, sol)
         try:
             sol, rep = newton_solve(p, init)
-        except (NewtonStalledError, MaxIterationsError):
+        except (NewtonStalledError, MaxIterationsError) as exc:
             if prev_b is None:
-                raise ContinuationBrokenError(f"first solve failed at b = {bi}")
+                raise ContinuationBrokenError(
+                    f"first solve failed at b = {bi}: {exc}") from exc
             # retry through an intermediate half-step
             bmid = 0.5 * (prev_b + float(bi))
             try:
@@ -476,7 +465,7 @@ def continuation_in_width(b_start: float, b_end: float, steps: int,
                 sol, rep = newton_solve(p, _resample_onto(p, sol))
             except (NewtonStalledError, MaxIterationsError) as exc:
                 raise ContinuationBrokenError(
-                    f"continuation failed at b = {bi}") from exc
+                    f"continuation failed at b = {bi}: {exc}") from exc
         rep.asymptoteDefect = asymptote_defect(sol, p)
         out.append((float(bi), rep))
         prev_b = float(bi)

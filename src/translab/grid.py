@@ -54,10 +54,6 @@ class GridFunction:
         """(X, Y) node coordinate arrays, shape (nx, ny)."""
         return np.meshgrid(self.xs, self.ys, indexing="ij")
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.nx, self.ny, self.hx, self.hy,
-                            self.x0, self.y0, self.values.copy())
-
 
 def from_function(f, x0: float, x1: float, y0: float, y1: float,
                   nx: int, ny: int) -> GridFunction:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from translab import cli, elliptic, geom
 from translab.elliptic import (DAMPING_MIN, MAX_NEWTON, TOL_RESIDUAL,
                                StripProblem, delta_wing, initial_guess,
                                make_strip_problem, newton_solve)
-from translab.errors import (LinearSolveFailureError, NewtonStalledError,
+from translab.errors import (ContinuationBrokenError, LinearSolveFailureError,
+                             MaxIterationsError, NewtonStalledError,
                              ShapeMismatchError)
 
 B_ROOT2 = math.pi / math.sqrt(2)
@@ -51,21 +53,26 @@ def test_residual_second_order_on_grim_data():
 
 
 def test_jacobian_matches_finite_differences():
-    nx, ny = 12, 10
+    # column c of the folded Jacobian is the derivative of the quadrant rows
+    # of the residual under the mirror-symmetric perturbation of every node
+    # that folds onto c (odd interiors have centre lines, even ones do not)
     hx, hy = 0.11, 0.13
-    X, Y = np.meshgrid(np.arange(nx) * hx, np.arange(ny) * hy, indexing="ij")
-    v = 0.3 * np.sin(1.7 * X) * np.cos(2.3 * Y) + 0.1 * X * Y
-    J = elliptic._jacobian(geom.interior_jet(v, hx, hy), hx, hy,
-                           elliptic._jacobian_pattern(nx - 2, ny - 2)).toarray()
     eps = 1e-7
-    for i in range(1, nx - 1):
-        for j in range(1, ny - 1):
+    for nx, ny in ((13, 11), (12, 10)):
+        X, Y = np.meshgrid(np.arange(nx) * hx, np.arange(ny) * hy,
+                           indexing="ij")
+        v = 0.3 * np.sin(1.7 * X) * np.cos(2.3 * Y) + 0.1 * X * Y
+        J = elliptic._jacobian(geom.interior_jet(v, hx, hy), hx, hy).toarray()
+        fold = elliptic._fold_index(nx - 2, ny - 2)
+        i0, j0 = (nx - 2) // 2, (ny - 2) // 2
+        assert J.shape == (fold.max() + 1,) * 2
+        for c in range(J.shape[1]):
             vp, vm = v.copy(), v.copy()
-            vp[i, j] += eps
-            vm[i, j] -= eps
+            vp[1:-1, 1:-1][fold == c] += eps
+            vm[1:-1, 1:-1][fold == c] -= eps
             col = (elliptic._residual(vp, hx, hy)[1]
-                   - elliptic._residual(vm, hx, hy)[1]).ravel() / (2 * eps)
-            assert np.max(np.abs(J[:, (i - 1) * (ny - 2) + (j - 1)] - col)) < 1e-5
+                   - elliptic._residual(vm, hx, hy)[1])[i0:, j0:] / (2 * eps)
+            assert np.max(np.abs(J[:, c] - col.ravel())) < 1e-5
 
 
 def coo_jacobian(jet, hx, hy):
@@ -104,17 +111,45 @@ def coo_jacobian(jet, hx, hy):
                          shape=(n, n)).tocsc()
 
 
-@pytest.mark.parametrize("nx, ny", [(121, 41), (321, 161)])
-def test_jacobian_pattern_matches_coo_build(nx, ny):
+def quadrant_fold(mi, mj):
+    """(rows, P) of the mirror fold: the raveled interior indices of the
+    quadrant i >= mi // 2, j >= mj // 2 and the 0/1 unfold matrix mapping
+    each interior node to its reflection there.  The solver once formed
+    (J[rows] @ P) from the full-interior Jacobian; kept as the reference."""
+    i0, j0 = mi // 2, mj // 2
+    fi = np.maximum(np.arange(mi), np.arange(mi)[::-1]) - i0
+    fj = np.maximum(np.arange(mj), np.arange(mj)[::-1]) - j0
+    cols = (fi[:, None] * (mj - j0) + fj).ravel()
+    n = mi * mj
+    P = sp.csr_matrix((np.ones(n), cols, np.arange(n + 1)),
+                      shape=(n, (mi - i0) * (mj - j0)))
+    I, J = np.meshgrid(np.arange(i0, mi), np.arange(j0, mj), indexing="ij")
+    return (I * mj + J).ravel(), P
+
+
+@pytest.mark.parametrize("nx, ny, ulps", [(121, 41, 0), (321, 161, 0),
+                                          (120, 40, 4)],
+                         ids=["121-41", "321-161", "120-40"])
+def test_jacobian_matches_folded_coo_reference(nx, ny, ulps):
+    # the direct quadrant assembly equals the full-interior Jacobian folded
+    # by the unfold matrix, on the bit-symmetric iterate Newton starts from;
+    # on even grids four entries meet at the quadrant corner and their sum
+    # may round in another order
     p = make_strip_problem(B_ROOT2, 12.0, nx, ny)
-    jet = geom.interior_jet(initial_guess(p).values, p.hx, p.hy)
-    ref = coo_jacobian(jet, p.hx, p.hy)
-    J = elliptic._jacobian(jet, p.hx, p.hy,
-                           elliptic._jacobian_pattern(nx - 2, ny - 2))
+    v = initial_guess(p).values
+    a = v[1:-1, 1:-1] + v[-2:0:-1, 1:-1]
+    v[1:-1, 1:-1] = 0.25 * (a + a[:, ::-1])
+    jet = geom.interior_jet(v, p.hx, p.hy)
+    rows, P = quadrant_fold(nx - 2, ny - 2)
+    ref = (coo_jacobian(jet, p.hx, p.hy)[rows] @ P).tocsc()
+    ref.sort_indices()       # the product stores each column's rows unsorted
+    J = elliptic._jacobian(jet, p.hx, p.hy)
     assert J.format == "csc"
+    assert J.shape == ((nx - 2 - (nx - 2) // 2) * (ny - 2 - (ny - 2) // 2),) * 2
     assert np.array_equal(J.indptr, ref.indptr)
     assert np.array_equal(J.indices, ref.indices)
-    assert np.array_equal(J.data, ref.data)
+    gap = np.abs(J.data - ref.data)
+    assert np.all(gap <= ulps * np.spacing(np.abs(ref.data)))
 
 
 def test_newton_factors_on_even_steps_only():
@@ -158,7 +193,7 @@ def test_only_a_singular_factor_is_a_linear_solve_failure(monkeypatch,
                                                           extra_cols, error):
     # an exactly singular J is a numerical failure; a malformed J is a
     # programming error and must surface as itself
-    monkeypatch.setattr(elliptic, "_jacobian", lambda jet, hx, hy, pattern:
+    monkeypatch.setattr(elliptic, "_jacobian", lambda jet, hx, hy:
                         sp.csc_matrix((jet[0].size, jet[0].size + extra_cols)))
     p = make_strip_problem(2.0, 8.0, 41, 41)
     with pytest.raises(error) as info:
@@ -240,13 +275,21 @@ def test_near_threshold_wing_is_grim_reaper_like():
 def test_near_threshold_stall_raises_without_retry(monkeypatch):
     # on a coarse grid next to b = pi/2 the direct solve stalls; the error is
     # the solver's own, after exactly one solve at the b that was asked for
-    solve, strips = elliptic.newton_solve, []
-    monkeypatch.setattr(elliptic, "newton_solve",
-                        lambda p, init: strips.append(p.b) or solve(p, init))
+    strips = recording_newton(monkeypatch)
     b = math.pi / 2 + 1e-3
-    with pytest.raises(NewtonStalledError, match="damping floor"):
+    # the defect peaks next to the end x = -L or its mirror x = L, on one of
+    # the four mirror nodes (which one is round-off)
+    with pytest.raises(NewtonStalledError,
+                       match=r"damping floor .*\|\|defect\|\|_2 = .* at node "
+                             r"\((1|39), (2|30)\), on the outer interior ring$"):
         delta_wing(b, L=12.0, nx=41, ny=33)
     assert strips == [b]
+
+
+def test_iteration_budget_exhausted_raises(monkeypatch):
+    monkeypatch.setattr(elliptic, "MAX_NEWTON", 1)
+    with pytest.raises(MaxIterationsError, match="no convergence in 1 Newton"):
+        delta_wing(2.0, L=8.0, nx=121, ny=49)
 
 
 def test_delta_wing_requires_wide_strip():
@@ -267,6 +310,46 @@ def test_continuation_matches_single_solve_and_records_k():
     # (recorded, not asserted as a theorem)
     assert all(np.isfinite(ks))
     assert len(ks) == 5
+
+
+def recording_newton(monkeypatch):
+    """Record the b of every newton_solve call made through the module."""
+    solve, strips = elliptic.newton_solve, []
+    monkeypatch.setattr(elliptic, "newton_solve",
+                        lambda p, init: strips.append(p.b) or solve(p, init))
+    return strips
+
+
+def test_continuation_retries_through_the_half_step(monkeypatch):
+    # 2 -> 4 and 4 -> 6 each stall and are reached through 3 and 5
+    strips = recording_newton(monkeypatch)
+    _, chain = elliptic.continuation_in_width(2.0, 6.0, 2, nx=121, ny=41)
+    assert strips == [2.0, 4.0, 3.0, 4.0, 6.0, 5.0, 6.0]
+    assert [b for b, _ in chain] == [2.0, 4.0, 6.0]
+    assert all(r.finalResidualMax <= TOL_RESIDUAL for _, r in chain)
+
+
+@pytest.mark.parametrize("b_start, b_end, steps, head, solved, ring", [
+    (1.6, 2.4, 2, "first solve failed at b = 1.6", [1.6], "on"),
+    (2.0, 6.0, 1, "continuation failed at b = 6.0", [2.0, 6.0, 4.0], "inside"),
+], ids=["first", "retry"])
+def test_continuation_failure_keeps_the_solver_reason(monkeypatch, capsys,
+                                                      b_start, b_end, steps,
+                                                      head, solved, ring):
+    # the first strip's stall, or the half-step retry's, is the cause and
+    # its message is appended; the retry fails at the half-way width 4.0
+    strips = recording_newton(monkeypatch)
+    with pytest.raises(ContinuationBrokenError,
+                       match=rf"^{re.escape(head)}: damping floor hit .*, "
+                             rf"{ring} the outer interior ring$") as info:
+        elliptic.continuation_in_width(b_start, b_end, steps, nx=121, ny=41)
+    assert strips == solved
+    assert isinstance(info.value.__cause__, NewtonStalledError)
+    rc = cli.main(["elliptic", "continuation", "--b-start", str(b_start),
+                   "--b-end", str(b_end), "--steps", str(steps),
+                   "--nx", "121", "--ny", "41"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {head}: damping floor")
 
 
 def test_continuation_argument_guards():
@@ -323,7 +406,6 @@ def full_grid_newton(p, init):
     must reproduce.  Returns (values, iterations, factorizations)."""
     hx, hy = p.hx, p.hy
     v = init.values.copy()
-    pattern = elliptic._jacobian_pattern(p.nx - 2, p.ny - 2)
     jet, res, defect = elliptic._residual(v, hx, hy)
     fnorm = float(np.linalg.norm(defect))
     lu, factorizations, iterations = None, 0, 0
@@ -336,7 +418,7 @@ def full_grid_newton(p, init):
     for it in range(MAX_NEWTON):
         if np.max(np.abs(defect)) <= TOL_RESIDUAL:
             break
-        J = elliptic._jacobian(jet, hx, hy, pattern)
+        J = coo_jacobian(jet, hx, hy)
         fresh = it % 2 == 0
         if fresh:
             lu = elliptic._factor(J)
@@ -379,12 +461,12 @@ def test_quadrant_solve_matches_full_grid_reference(nx, ny):
 
 def test_quadrant_fold_maps_each_node_to_its_reflection():
     for mi, mj in ((5, 4), (4, 5)):
-        rows, P = elliptic._quadrant_fold(mi, mj)
-        q = np.arange(len(rows), dtype=float)
-        full = (P @ q).reshape(mi, mj)
-        assert np.array_equal(full, full[::-1, :])
-        assert np.array_equal(full, full[:, ::-1])
-        assert np.array_equal(full.ravel()[rows], q)
+        fold = elliptic._fold_index(mi, mj)
+        n = (mi - mi // 2) * (mj - mj // 2)
+        assert fold.shape == (mi, mj)
+        assert np.array_equal(fold, fold[::-1, :])
+        assert np.array_equal(fold, fold[:, ::-1])
+        assert np.array_equal(fold[mi // 2:, mj // 2:].ravel(), np.arange(n))
 
 
 def test_asymmetric_boundary_data_is_refused_before_factoring(monkeypatch):

@@ -409,7 +409,7 @@ def test_cli_delta_wing_stall_is_the_solver_error(capsys):
 
 
 def test_cli_singular_jacobian_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(elliptic, "_jacobian", lambda jet, hx, hy, pattern:
+    monkeypatch.setattr(elliptic, "_jacobian", lambda jet, hx, hy:
                         sp.csc_matrix((jet[0].size, jet[0].size)))
     rc = cli.main(["elliptic", "delta-wing", "--b", "2.0", "--L", "8",
                    "--nx", "41", "--ny", "41"])
