@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (EmptyMaskError, PerturbationTooLargeError,
-                     RegionOutOfBoundsError)
-from .geom import (GeometryField, drift_laplacian, flip_orientation,
-                   graph_geometry, interior_jet, q_squared, surface_gradient)
+from .errors import (EmptyMaskError, NonFiniteError,
+                     PerturbationTooLargeError, RegionOutOfBoundsError)
+from .geom import (drift_laplacian, flip_orientation, graph_geometry,
+                   interior_jet, q_squared, surface_gradient)
 from .grid import GridFunction
 
 
@@ -28,29 +28,26 @@ from .grid import GridFunction
 class VariationSpec:
     """Compactly supported normal-variation bump.
 
-    Tensor-product squared-cosine bump of the given center and radii; it must
-    vanish identically within two nodes of the grid boundary.
+    Tensor-product squared-cosine bump of the given center and radius (the
+    same in x and y); it must vanish identically within two nodes of the
+    grid boundary.
     """
 
     center: tuple = (0.0, 0.0)
-    radius: tuple = (1.0, 1.0)
+    radius: float = 1.0
     epsilon: float = 1e-4
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        rx, ry = self.radius if isinstance(self.radius, tuple) else \
-            (self.radius, self.radius)
-        if rx <= 0 or ry <= 0:
-            raise ValueError("bump radii must be positive")
-        self.radius = (float(rx), float(ry))
+        if self.radius <= 0:
+            raise ValueError("bump radius must be positive")
 
     def profile(self, u: GridFunction) -> np.ndarray:
         X, Y = u.meshgrid()
         cx, cy = self.center
-        rx, ry = self.radius
-        tx = np.clip(np.abs(X - cx) / rx, 0.0, 1.0)
-        ty = np.clip(np.abs(Y - cy) / ry, 0.0, 1.0)
+        tx = np.clip(np.abs(X - cx) / self.radius, 0.0, 1.0)
+        ty = np.clip(np.abs(Y - cy) / self.radius, 0.0, 1.0)
         phi = np.cos(0.5 * math.pi * tx) ** 2 * np.cos(0.5 * math.pi * ty) ** 2
         phi[tx >= 1.0] = 0.0
         phi[ty >= 1.0] = 0.0
@@ -105,18 +102,19 @@ def first_variation_check(u: GridFunction, v: VariationSpec,
     direction = phi * W
 
     cx, cy = v.center
-    rx, ry = v.radius
+    r = v.radius
     margin = 2.0 * max(u.hx, u.hy)
-    region = (max(cx - rx - margin, u.xs[1]), min(cx + rx + margin, u.xs[-2]),
-              max(cy - ry - margin, u.ys[1]), min(cy + ry + margin, u.ys[-2]))
+    region = (max(cx - r - margin, u.xs[1]), min(cx + r + margin, u.xs[-2]),
+              max(cy - r - margin, u.ys[1]), min(cy + r + margin, u.ys[-2]))
 
     def derivative(eps):
         try:
-            up = GridFunction(u.nx, u.ny, u.hx, u.hy, u.x0, u.y0,
-                              u.values + eps * direction)
-            um = GridFunction(u.nx, u.ny, u.hx, u.hy, u.x0, u.y0,
-                              u.values - eps * direction)
-        except Exception as exc:
+            with np.errstate(over="ignore"):  # inf is refused as non-finite
+                up = GridFunction(u.nx, u.ny, u.hx, u.hy, u.x0, u.y0,
+                                  u.values + eps * direction)
+                um = GridFunction(u.nx, u.ny, u.hx, u.hy, u.x0, u.y0,
+                                  u.values - eps * direction)
+        except NonFiniteError as exc:
             raise PerturbationTooLargeError(str(exc)) from exc
         for g in (up, um):
             gx, gy = interior_jet(g.values, u.hx, u.hy)[:2]
@@ -134,30 +132,29 @@ def first_variation_check(u: GridFunction, v: VariationSpec,
     return (4.0 * d2 - d1) / 3.0
 
 
-def stability_apply(u: GridFunction, geom: GeometryField,
+def stability_apply(u: GridFunction, normA2: np.ndarray,
                     phi: np.ndarray) -> np.ndarray:
     """Stability operator: drift Laplacian plus |A|^2, applied to phi."""
-    return drift_laplacian(phi, u) + geom.normA2 * phi
+    return drift_laplacian(phi, u) + normA2 * phi
 
 
-def jacobi_field_defect(u: GridFunction, geom: GeometryField | None = None) -> float:
+def jacobi_field_defect(u: GridFunction) -> float:
     """max |L (e3 . N)| over the valid interior; O(h^2) on translators."""
-    geom = geom or graph_geometry(u)
-    phi = geom.N[..., 2]
-    out = stability_apply(u, geom, phi)
+    geom = graph_geometry(u)
+    out = stability_apply(u, geom.normA2, geom.N[..., 2])
     vals = out[np.isfinite(out)]
     if vals.size == 0:
         raise EmptyMaskError("no valid interior nodes")
     return float(np.max(np.abs(vals)))
 
 
-def gradH_identity_check(u: GridFunction, geom: GeometryField | None = None) -> float:
+def gradH_identity_check(u: GridFunction) -> float:
     """max |grad_M H - A(e3^T, .)| over the valid interior.
 
     The second fundamental form acts on the tangential part of e3 through the
     shape operator assembled from the principal decomposition.
     """
-    geom = geom or graph_geometry(u)
+    geom = graph_geometry(u)
     gradH = surface_gradient(geom.H, u)
     e3n = geom.N[..., 2]
     e3t = -e3n[..., None] * geom.N
@@ -198,7 +195,7 @@ class SpruckXiaoReport:
     orientationFlipped: bool = False
 
 
-def spruck_xiao_report(u: GridFunction, geom: GeometryField | None = None) -> SpruckXiaoReport:
+def spruck_xiao_report(u: GridFunction) -> SpruckXiaoReport:
     """Evaluate the drift-curvature identities and the H/kappa1 inequality.
 
     Requires H of a single sign on the evaluation set; when H < 0 (downward
@@ -206,7 +203,7 @@ def spruck_xiao_report(u: GridFunction, geom: GeometryField | None = None) -> Sp
     to the mean-convex orientation first.  Reports maxima and the fraction of
     masked nodes satisfying lhsInequality <= tau; asserts nothing.
     """
-    geom = geom or graph_geometry(u)
+    geom = graph_geometry(u)
     flipped = bool(np.nanmedian(geom.H[geom.interior]) < 0)
     convex = flip_orientation(geom) if flipped else geom
     k1, k2 = convex.kappa1, convex.kappa2

@@ -1,16 +1,16 @@
 """Closed-form translators and the exact translator-PDE residual.
 
-The family covered here: the grim reaper u = log cos x, its tilted/scaled
-relatives over strips of width pi/cos(theta) and vertical planes (the
-theta -> pi/2 limit, not graphs).  All formulas use the downward translation
-convention, so residual == 0 characterizes the family exactly.
+The family covered here is indexed by the tilt theta in [0, pi/2): the tilted
+grim reapers over strips of width pi/cos(theta), with theta = 0 the grim
+reaper u = log cos x.  Vertical planes, the theta -> pi/2 limit, are not
+graphs; plane_report stands for them.  All formulas use the downward
+translation convention, so residual == 0 characterizes the family exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -21,55 +21,34 @@ from . import geom as _geom
 # analytic evaluation refuses points this close to the strip edge
 # (log cos would lose all digits or blow up)
 DOMAIN_GUARD = 1e-9
+# sample_grid covers this fraction of the strip half-width in x and in y
+HALF_WIDTH_FRAC = 0.9
 
 
-class Kind(Enum):
-    GRIM_REAPER = "grim"
-    TILTED_GRIM_REAPER = "tilted"
-    VERTICAL_PLANE = "plane"
+def _check_tilt(theta: float):
+    if not (0.0 <= theta < math.pi / 2):
+        raise ValueError("theta must lie in [0, pi/2)")
 
 
-@dataclass
-class AnalyticTranslator:
-    """A member of the closed-form family.
-
-    theta is the tilt angle in [0, pi/2); the strip half-width in x is
-    pi / (2 cos theta).  Vertical planes carry no height function.
-    """
-
-    kind: Kind
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if self.kind is Kind.GRIM_REAPER:
-            self.theta = 0.0
-        if not (0.0 <= self.theta < math.pi / 2):
-            raise ValueError("theta must lie in [0, pi/2)")
-
-    @property
-    def half_width(self) -> float:
-        if self.kind is Kind.VERTICAL_PLANE:
-            raise OutOfDomainError("vertical planes are not graphs over a strip")
-        return math.pi / (2.0 * math.cos(self.theta))
-
-    @property
-    def is_graph(self) -> bool:
-        return self.kind is not Kind.VERTICAL_PLANE
+def half_width(theta: float) -> float:
+    """Strip half-width pi / (2 cos theta) of the tilt-theta reaper."""
+    _check_tilt(theta)
+    return math.pi / (2.0 * math.cos(theta))
 
 
-def evaluate(t: AnalyticTranslator, x, y):
-    """Exact jet (u, (u_x, u_y), (u_xx, u_xy, u_yy)) at interior points.
+def evaluate(theta: float, x, y):
+    """Exact jet (u, (u_x, u_y), (u_xx, u_xy, u_yy)) of the tilt-theta reaper
+    at interior points.
 
     u = sec^2(theta) log cos(x cos theta) - tan(theta) y; the strip variable
     is x, the translation-invariant direction is y.
     """
-    if not t.is_graph:
-        raise OutOfDomainError("vertical planes are not graphs over a strip")
+    _check_tilt(theta)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    c = math.cos(t.theta)
+    c = math.cos(theta)
     sec = 1.0 / c
-    tan_t = math.tan(t.theta)
+    tan_t = math.tan(theta)
     arg = x * c
     if np.any(math.pi / 2 - np.abs(arg) < DOMAIN_GUARD):
         raise OutOfDomainError("point outside the open strip (or in the guard band)")
@@ -122,19 +101,16 @@ def plane_report() -> ResidualReport:
                           maxGrad=math.inf, is_graph=False)
 
 
-def sample_grid(t: AnalyticTranslator, h: float,
-                half_width_frac: float = 0.9) -> GridFunction:
-    """Sample the analytic translator on a truncated strip.
+def sample_grid(theta: float, h: float) -> GridFunction:
+    """Sample the tilt-theta reaper on a truncated strip.
 
-    Both x and y range over +-(half_width_frac * half_width).  Node counts
-    are chosen so the spacing is h rounded to fit.
+    Both x and y range over +-(HALF_WIDTH_FRAC * half_width(theta)).  Node
+    counts are chosen so the spacing is h rounded to fit.
     """
-    if not (0.0 < half_width_frac < 1.0):
-        raise ValueError("half_width_frac must lie in (0, 1)")
-    w = t.half_width * half_width_frac
+    w = half_width(theta) * HALF_WIDTH_FRAC
     n = max(int(round(2 * w / h)) + 1, 5)
     step = 2 * w / (n - 1)
     side = -w + step * np.arange(n)
     X, Y = np.meshgrid(side, side, indexing="ij")
-    u, _, _ = evaluate(t, X, Y)
+    u, _, _ = evaluate(theta, X, Y)
     return GridFunction(n, n, step, step, -w, -w, u)

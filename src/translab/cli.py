@@ -17,7 +17,6 @@ import sys
 
 from . import __version__, analysis, catalog, csf, elliptic, io as tio, radial
 from .errors import TranslabError, UsageError
-from .geom import graph_geometry
 
 
 def _build_parser():
@@ -30,9 +29,9 @@ def _build_parser():
     cats = cat.add_subparsers(dest="subcommand", required=True)
     res = cats.add_parser("residual", help="grid residual of an analytic translator")
     res.add_argument("--kind", choices=["grim", "tilted", "plane"], default="grim")
-    res.add_argument("--theta", type=float, default=0.0)
+    res.add_argument("--theta", type=float, default=0.0,
+                     help="tilt of --kind tilted; grim is theta = 0")
     res.add_argument("--h", type=float, default=0.01)
-    res.add_argument("--half-width-frac", type=float, default=0.9)
     res.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     rad = sub.add_parser("radial", help="rotationally symmetric translators")
@@ -58,7 +57,6 @@ def _build_parser():
     wing.add_argument("--L", type=float, default=12.0)
     wing.add_argument("--nx", type=int, default=961)
     wing.add_argument("--ny", type=int, default=161)
-    wing.add_argument("--shrink", type=float, default=0.995)
     wing.add_argument("--out", default=None, help="solution grid CSV")
     wing.add_argument("--report", default=None, help="solve report JSON")
     wing.add_argument("--obj", default=None, help="OBJ mesh export")
@@ -176,14 +174,12 @@ def _emit(text: str, path):
 
 
 def _cmd_catalog(args, prov):
+    if args.kind != "tilted" and args.theta != 0.0:
+        raise UsageError(f"--theta applies to --kind tilted, not {args.kind}")
     if args.kind == "plane":
         rep = catalog.plane_report()
     else:
-        kind = catalog.Kind.GRIM_REAPER if args.kind == "grim" \
-            else catalog.Kind.TILTED_GRIM_REAPER
-        t = catalog.AnalyticTranslator(kind, args.theta)
-        g = catalog.sample_grid(t, args.h, args.half_width_frac)
-        rep = catalog.residual_report(g)
+        rep = catalog.residual_report(catalog.sample_grid(args.theta, args.h))
     _emit(tio.report_to_json(rep, {"command": prov}), args.out)
 
 
@@ -192,8 +188,8 @@ def _cmd_radial(args, prov):
         if args.kind == "bowl":
             p = radial.shoot_bowl(args.n, args.rmax, args.h)
         else:
-            up, lo = radial.shoot_catenoid(args.n, args.lam, args.rmax, args.h)
-            p = up if args.kind == "catenoid-upper" else lo
+            p = radial.shoot_catenoid_wing(args.n, args.lam, args.rmax, args.h,
+                                           radial.RadialKind(args.kind))
         tio.write_profile_csv(p, args.out)
         print(f"wrote {args.out} ({len(p.r)} samples)")
     else:
@@ -204,8 +200,7 @@ def _cmd_radial(args, prov):
 
 def _cmd_elliptic(args, prov):
     if args.subcommand == "delta-wing":
-        sol, rep = elliptic.delta_wing(args.b, args.L, args.nx, args.ny,
-                                       shrink=args.shrink)
+        sol, rep = elliptic.delta_wing(args.b, args.L, args.nx, args.ny)
         if args.out:
             tio.write_grid_csv(sol, args.out)
         if args.obj:
@@ -254,19 +249,18 @@ def _cmd_csf(args, prov):
 
 def _cmd_analyze(args, prov):
     u = tio.read_grid_csv(args.infile)
-    geom = graph_geometry(u)
     if args.subcommand == "sx":
-        rep = analysis.spruck_xiao_report(u, geom)
+        rep = analysis.spruck_xiao_report(u)
         _emit(tio.report_to_json(rep, {"command": prov}), args.report)
     elif args.subcommand == "jacobi":
-        val = analysis.jacobi_field_defect(u, geom)
+        val = analysis.jacobi_field_defect(u)
         print(json.dumps({"maxJacobiDefect": val, "command": prov}))
     else:
         try:
             cx, cy, rad = (float(v) for v in args.bump.split(","))
         except ValueError as exc:
             raise UsageError(f"bad --bump {args.bump!r}") from exc
-        spec = analysis.VariationSpec(center=(cx, cy), radius=(rad, rad),
+        spec = analysis.VariationSpec(center=(cx, cy), radius=rad,
                                       epsilon=args.eps)
         val = analysis.first_variation_check(u, spec)
         print(json.dumps({"firstVariation": val, "command": prov}))

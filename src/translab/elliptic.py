@@ -2,7 +2,7 @@
 truncated strips; computes numerical Delta-wings and width continuation.
 
 Domain layout: x is the unbounded direction, truncated to [-L, L]; y is the
-strip direction, truncated to [-shrink*b, shrink*b] so the tilted-grim-reaper
+strip direction, truncated to [-SHRINK*b, SHRINK*b] so the tilted-grim-reaper
 boundary data stays finite.  In the downward convention the wing is concave
 with its maximum at the origin and is asymptotic, as |x| grows, to the two
 tilted grim reapers with cos(theta) = pi / (2 b); the Dirichlet data is their
@@ -36,7 +36,6 @@ class StripProblem:
 
     b: float
     L: float
-    shrink: float
     nx: int
     ny: int
     bc: np.ndarray = field(repr=False)
@@ -46,8 +45,6 @@ class StripProblem:
             raise ValueError("strip half-width b must be positive")
         if self.L < 4:
             raise ValueError("truncation length L must be >= 4")
-        if not (0.9 <= self.shrink < 1.0):
-            raise ValueError("shrink must lie in [0.9, 1)")
         if self.nx < 33 or self.ny < 33:
             raise ValueError("resolution must be at least 33x33")
         self.bc = np.asarray(self.bc, dtype=float)
@@ -60,7 +57,7 @@ class StripProblem:
 
     @property
     def hy(self) -> float:
-        return 2.0 * self.shrink * self.b / (self.ny - 1)
+        return 2.0 * SHRINK * self.b / (self.ny - 1)
 
     @property
     def xs(self) -> np.ndarray:
@@ -68,13 +65,14 @@ class StripProblem:
 
     @property
     def ys(self) -> np.ndarray:
-        return -self.shrink * self.b + self.hy * np.arange(self.ny)
+        return -SHRINK * self.b + self.hy * np.arange(self.ny)
 
     def grid(self, values: np.ndarray) -> GridFunction:
         return GridFunction(self.nx, self.ny, self.hx, self.hy,
-                            -self.L, -self.shrink * self.b, values)
+                            -self.L, -SHRINK * self.b, values)
 
 
+SHRINK = 0.995             # the strip is truncated to |y| <= SHRINK * b
 TOL_RESIDUAL = 1e-9        # Newton converges at max |defect| <= this
 MAX_NEWTON = 50            # ... or fails after this many iterations
 DAMPING_MIN = 2.0 ** -10   # ... or stalls when backtracking goes below this
@@ -360,11 +358,9 @@ def _make_report(sol: GridFunction, jet, p: StripProblem, iterations: int,
                        symmetryDefect=sym, maxBoundaryGradient=bgrad, k=k)
 
 
-def make_strip_problem(b: float, L: float, nx: int, ny: int,
-                       shrink: float = 0.995) -> StripProblem:
+def make_strip_problem(b: float, L: float, nx: int, ny: int) -> StripProblem:
     """Strip problem with tilted-pair envelope Dirichlet data (b > pi/2)."""
-    p = StripProblem(b=b, L=L, shrink=shrink, nx=nx, ny=ny,
-                     bc=np.zeros((nx, ny)))
+    p = StripProblem(b=b, L=L, nx=nx, ny=ny, bc=np.zeros((nx, ny)))
     p.bc = tilted_pair_envelope(b, *np.meshgrid(p.xs, p.ys, indexing="ij"))
     return p
 
@@ -406,8 +402,7 @@ def asymptote_defect(sol: GridFunction, p: StripProblem) -> float:
     return worst
 
 
-def delta_wing(b: float, L: float = 12.0, nx: int = 961, ny: int = 161,
-               shrink: float = 0.995):
+def delta_wing(b: float, L: float = 12.0, nx: int = 961, ny: int = 161):
     """Solve for the Delta-wing over the strip of half-width b (> pi/2).
 
     Boundary data and initial guess come from the tilted-pair envelope with
@@ -418,7 +413,7 @@ def delta_wing(b: float, L: float = 12.0, nx: int = 961, ny: int = 161,
     """
     if b <= math.pi / 2:
         raise ValueError("Delta-wings need strip half-width b > pi/2")
-    p = make_strip_problem(b, L, nx, ny, shrink=shrink)
+    p = make_strip_problem(b, L, nx, ny)
     sol, report = newton_solve(p, initial_guess(p))
     report.asymptoteDefect = asymptote_defect(sol, p)
     return sol, report
@@ -457,15 +452,15 @@ def continuation_in_width(b_start: float, b_end: float, steps: int,
             if prev_b is None:
                 raise ContinuationBrokenError(
                     f"first solve failed at b = {bi}: {exc}") from exc
-            # retry through an intermediate half-step
-            bmid = 0.5 * (prev_b + float(bi))
-            try:
-                pm = make_strip_problem(bmid, L, nx, ny)
-                sol, _ = newton_solve(pm, _resample_onto(pm, sol))
-                sol, rep = newton_solve(p, _resample_onto(p, sol))
-            except (NewtonStalledError, MaxIterationsError) as exc:
-                raise ContinuationBrokenError(
-                    f"continuation failed at b = {bi}: {exc}") from exc
+            # retry through the half-way strip, then this one
+            pm = make_strip_problem(0.5 * (prev_b + float(bi)), L, nx, ny)
+            for q in (pm, p):
+                try:
+                    sol, rep = newton_solve(q, _resample_onto(q, sol))
+                except (NewtonStalledError, MaxIterationsError) as exc:
+                    raise ContinuationBrokenError(
+                        f"continuation failed at b = {bi}, retry stalled at "
+                        f"b = {q.b}: {exc}") from exc
         rep.asymptoteDefect = asymptote_defect(sol, p)
         out.append((float(bi), rep))
         prev_b = float(bi)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import IoError
-from .geom import GeometryField, graph_geometry, q_squared
+from .geom import graph_geometry, q_squared
 from .grid import GridFunction
 from .radial import RadialProfile, RadialKind, profile_curvatures
 
@@ -104,30 +104,30 @@ _GEOMETRY_COLUMNS = ["i", "j", "x", "y", "u", "W", "H", "kappa1", "kappa2",
                      "normA2", "Q2", "flags"]
 
 
-def _geometry_columns(u: GridFunction, geom: GeometryField | None):
-    """Per-node columns in _GEOMETRY_COLUMNS order, i-major; flags bit 0:
-    outside the valid margin, bit 1: umbilic."""
-    geom = geom or graph_geometry(u)
+def _geometry_columns(u: GridFunction):
+    """Per-node columns of graph_geometry(u) in _GEOMETRY_COLUMNS order,
+    i-major; flags bit 0: outside the valid margin, bit 1: umbilic."""
+    geom = graph_geometry(u)
     q2 = q_squared(geom, u)
     flags = np.where(geom.interior, 0, 1) | np.where(geom.umbilic, 2, 0)
     return _node_columns(u) + [a.ravel() for a in (
         geom.W, geom.H, geom.kappa1, geom.kappa2, geom.normA2, q2, flags)]
 
 
-def write_geometry_csv(u: GridFunction, path, geom: GeometryField | None = None):
+def write_geometry_csv(u: GridFunction, path):
     """One row per node, columns i, j, x, y, u, W, H, kappa1, kappa2, normA2,
     Q2, flags; the column order is part of the format."""
     with open(path, "w") as f:
         f.write(",".join(_GEOMETRY_COLUMNS) + "\n")
         _write_table(f, "%d,%d," + "%.17g," * 9 + "%d\n",
-                     _geometry_columns(u, geom))
+                     _geometry_columns(u))
 
 
-def _geometry_nodes(u: GridFunction, geom: GeometryField | None):
+def _geometry_nodes(u: GridFunction):
     """The per-node rows of _geometry_columns as JSON values: non-finite
     floats become strings ("nan", "inf", "-inf"), as _jsonable makes them.
     A function of its own so that its arrays are freed before encoding."""
-    i, j, *reals, flags = _geometry_columns(u, geom)
+    i, j, *reals, flags = _geometry_columns(u)
     reals = np.column_stack(reals)
     nodes = np.column_stack([c.astype(object) for c in (i, j, reals, flags)])
     bad = ~np.isfinite(reals)
@@ -135,10 +135,10 @@ def _geometry_nodes(u: GridFunction, geom: GeometryField | None):
     return nodes.tolist()
 
 
-def write_geometry_json(u: GridFunction, path, geom: GeometryField | None = None):
+def write_geometry_json(u: GridFunction, path):
     """Same per-node rows as the CSV, as a JSON array of rows."""
     payload = {"schema": "translab-geometry/1", "columns": _GEOMETRY_COLUMNS,
-               "nodes": _geometry_nodes(u, geom), "version": __version__}
+               "nodes": _geometry_nodes(u), "version": __version__}
     with open(path, "w") as f:  # json.dumps runs the C encoder, json.dump not
         f.write(json.dumps(payload) + "\n")
 
@@ -187,8 +187,6 @@ def write_log_csv(log, path):
 
 
 def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
-        x = x.item()
     if isinstance(x, np.ndarray):
         if x.ndim > 1:
             return [_jsonable(row) for row in x]
@@ -197,10 +195,6 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
-    if is_dataclass(x):
-        return {f.name: _jsonable(getattr(x, f.name)) for f in dc_fields(x)}
-    if hasattr(x, "value") and hasattr(x, "name"):  # Enum
-        return x.value
     if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
         return str(x)
     return x

@@ -148,11 +148,13 @@ def shoot_bowl(n: int, r_max: float, h: float) -> RadialProfile:
     return prof
 
 
-def shoot_catenoid(n: int, lam: float, r_max: float, h: float):
-    """Both wings of the translating catenoid with neck radius lam.
+def shoot_catenoid_wing(n: int, lam: float, r_max: float, h: float,
+                        kind: RadialKind) -> RadialProfile:
+    """One wing (kind CATENOID_UPPER or CATENOID_LOWER) of the translating
+    catenoid with neck radius lam.
 
     Integration runs in arclength from (r, u, psi) = (lam, 0, +-pi/2), so the
-    vertical tangent at the neck is a regular point.  Returns (upper, lower).
+    vertical tangent at the neck is a regular point.
     """
     if n < 2:
         raise ValueError("surface dimension n must be >= 2")
@@ -160,6 +162,9 @@ def shoot_catenoid(n: int, lam: float, r_max: float, h: float):
         raise ValueError("neck radius lam must be positive")
     if r_max <= lam:
         raise ValueError("r_max must exceed the neck radius")
+    if kind is RadialKind.BOWL:
+        raise ValueError("a catenoid wing is catenoid-upper or catenoid-lower")
+    sign = +1 if kind is RadialKind.CATENOID_UPPER else -1
 
     nm1 = n - 1
 
@@ -168,15 +173,17 @@ def shoot_catenoid(n: int, lam: float, r_max: float, h: float):
         c, si = math.cos(psi), math.sin(psi)
         return (c, si, -c - nm1 * si / r)
 
-    def shoot(sign, kind):
-        _, y = _integrate_rk4(rhs, 0.0, (lam, 0.0, sign * math.pi / 2), h,
-                              stop=lambda s, y: y[0] >= r_max - 1e-12)
-        return RadialProfile(n=n, kind=kind, lam=lam, r=y[:, 0], u=y[:, 1],
-                             psi=y[:, 2], h=h)
+    _, y = _integrate_rk4(rhs, 0.0, (lam, 0.0, sign * math.pi / 2), h,
+                          stop=lambda s, y: y[0] >= r_max - 1e-12)
+    return RadialProfile(n=n, kind=kind, lam=lam, r=y[:, 0], u=y[:, 1],
+                         psi=y[:, 2], h=h)
 
-    upper = shoot(+1, RadialKind.CATENOID_UPPER)
-    lower = shoot(-1, RadialKind.CATENOID_LOWER)
-    return upper, lower
+
+def shoot_catenoid(n: int, lam: float, r_max: float, h: float):
+    """Both wings of the translating catenoid with neck radius lam, as
+    (upper, lower)."""
+    return tuple(shoot_catenoid_wing(n, lam, r_max, h, kind) for kind in
+                 (RadialKind.CATENOID_UPPER, RadialKind.CATENOID_LOWER))
 
 
 # --- asymptotics -------------------------------------------------------------

@@ -34,9 +34,8 @@ import math
 
 import numpy as np
 
-from translab import analysis, catalog, csf, geom, radial
+from translab import analysis, catalog, csf, radial
 from translab.analysis import VariationSpec
-from translab.catalog import AnalyticTranslator, Kind
 from translab.csf import FlowConfig, TypeVerdict
 
 B_ROOT2 = math.pi / math.sqrt(2)
@@ -54,11 +53,10 @@ def report(num, checks):
 def test_criterion_01_closed_form_residuals():
     checks = []
     for theta in (0.0, math.pi / 6, math.pi / 4, 0.4):
-        kind = Kind.GRIM_REAPER if theta == 0.0 else Kind.TILTED_GRIM_REAPER
-        t = AnalyticTranslator(kind, theta)
-        xs = np.linspace(-0.9 * t.half_width, 0.9 * t.half_width, 100)
+        xw = catalog.half_width(theta)
+        xs = np.linspace(-0.9 * xw, 0.9 * xw, 100)
         ys = np.linspace(-5.0, 5.0, 100)
-        u, Du, D2u = catalog.evaluate(t, xs, ys)
+        u, Du, D2u = catalog.evaluate(theta, xs, ys)
         worst = float(np.max(np.abs(catalog.pde_residual(u, Du, D2u))))
         checks.append((f"theta={theta:.3f}", worst <= 1e-12, f"{worst:.2e}"))
     report(1, checks)
@@ -125,8 +123,7 @@ def test_criterion_05_delta_wing_existence(wing961):
 
 def test_criterion_06_spruck_xiao_shadow(wing961):
     sol, _ = wing961
-    G = geom.graph_geometry(sol)
-    sx = analysis.spruck_xiao_report(sol, G)
+    sx = analysis.spruck_xiao_report(sol)
     h = max(sol.hx, sol.hy)
     lo, hi = sx.rangeHoverK1
     checks = [
@@ -158,7 +155,7 @@ def test_criterion_08_first_variation(wing961, wing481):
     # two O(h^2) discretizations, so the first variation vanishes at O(h^2):
     # measured 1.95e-2 (481x81) -> 5.89e-3 (961x161), ratio 3.32 (see module
     # docstring); the flat plane is a non-translator control
-    spec = VariationSpec(center=(0.0, 0.0), radius=(1.5, 1.5), epsilon=1e-4)
+    spec = VariationSpec(center=(0.0, 0.0), radius=1.5, epsilon=1e-4)
     d_c = abs(analysis.first_variation_check(wing481[0], spec))
     d_f = abs(analysis.first_variation_check(wing961[0], spec))
     rw = d_c / d_f

@@ -5,8 +5,8 @@ import pytest
 
 from translab import analysis, geom, grid, radial
 from translab.analysis import VariationSpec
-from translab.errors import (EmptyMaskError, PerturbationTooLargeError,
-                             RegionOutOfBoundsError)
+from translab.errors import (EmptyMaskError, NonFiniteError,
+                             PerturbationTooLargeError, RegionOutOfBoundsError)
 
 
 def reaper_strip(h=0.025, half=1.5, span=3.5):
@@ -43,7 +43,7 @@ def test_first_variation_vanishes_on_translator():
     vals = []
     for h in (0.05, 0.025):
         g = reaper_strip(h)
-        spec = VariationSpec(center=(0, 0), radius=(1.2, 1.2), epsilon=1e-4)
+        spec = VariationSpec(center=(0, 0), radius=1.2, epsilon=1e-4)
         vals.append(abs(analysis.first_variation_check(g, spec)))
     assert vals[1] < 1e-3
     assert 3.0 <= vals[0] / vals[1] <= 5.0  # O(h^2)
@@ -51,7 +51,7 @@ def test_first_variation_vanishes_on_translator():
 
 def test_first_variation_negative_control():
     g = grid.from_function(lambda X, Y: np.zeros_like(X), -4, 4, -4, 4, 161, 161)
-    spec = VariationSpec(center=(0, 0), radius=(1.5, 1.5), epsilon=1e-4)
+    spec = VariationSpec(center=(0, 0), radius=1.5, epsilon=1e-4)
     d = analysis.first_variation_check(g, spec)
     # d A = -int(phi) for the flat plane; the cos^2 bump integrates to rx*ry
     assert abs(d + 2.25) < 1e-6
@@ -61,7 +61,7 @@ def test_first_variation_negative_control():
 def test_first_variation_epsilon_order():
     g = reaper_strip(0.025)
     ds = [analysis.first_variation_check(
-        g, VariationSpec(center=(0, 0), radius=(1.2, 1.2), epsilon=e),
+        g, VariationSpec(center=(0, 0), radius=1.2, epsilon=e),
         richardson=False) for e in (0.2, 0.1, 0.05)]
     ratio = (ds[0] - ds[1]) / (ds[1] - ds[2])
     assert 3.4 <= ratio <= 4.6  # central difference converges at O(eps^2)
@@ -71,19 +71,29 @@ def test_first_variation_guards():
     g = reaper_strip(0.05)
     with pytest.raises(ValueError):
         analysis.first_variation_check(
-            g, VariationSpec(center=(3.4, 0), radius=(1.0, 1.0)))
+            g, VariationSpec(center=(3.4, 0), radius=1.0))
     with pytest.raises(PerturbationTooLargeError):
         analysis.first_variation_check(
-            g, VariationSpec(center=(0, 0), radius=(1.2, 1.2), epsilon=1e300))
+            g, VariationSpec(center=(0, 0), radius=1.2, epsilon=1e300))
+
+
+def test_overflowing_perturbation_is_too_large():
+    # W = sqrt(10) under the bump centre: eps * phi * W overflows to inf, so
+    # the perturbed heights are not a finite grid
+    g = grid.from_function(lambda X, Y: 3.0 * X, -2, 2, -2, 2, 41, 41)
+    spec = VariationSpec(center=(0, 0), radius=1.0, epsilon=1e308)
+    with pytest.raises(PerturbationTooLargeError) as info:
+        analysis.first_variation_check(g, spec)
+    assert isinstance(info.value.__cause__, NonFiniteError)
 
 
 def test_stability_operator_basics():
     g = grid.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, 21, 21)
     G = geom.graph_geometry(g)
     zero = np.zeros_like(g.values)
-    assert np.nanmax(np.abs(analysis.stability_apply(g, G, zero))) == 0.0
+    assert np.nanmax(np.abs(analysis.stability_apply(g, G.normA2, zero))) == 0.0
     # plane: e3.N = 1, |A|^2 = 0, so L(e3.N) = 0
-    assert analysis.jacobi_field_defect(g, G) < 1e-12
+    assert analysis.jacobi_field_defect(g) < 1e-12
 
 
 def test_jacobi_field_on_bowl_refines_at_second_order():
@@ -110,8 +120,7 @@ def test_gradH_identity():
 
 def test_spruck_xiao_on_tilted_reaper():
     from translab import catalog
-    t = catalog.AnalyticTranslator(catalog.Kind.TILTED_GRIM_REAPER, math.pi / 6)
-    g = catalog.sample_grid(t, 0.02, 0.9)
+    g = catalog.sample_grid(math.pi / 6, 0.02)
     rep = analysis.spruck_xiao_report(g)
     assert rep.orientationFlipped  # downward family seen with the upward normal
     h = max(g.hx, g.hy)

@@ -6,24 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from translab import catalog, grid
-from translab.catalog import AnalyticTranslator, Kind
 from translab.errors import OutOfDomainError
 
 
 def test_grim_reaper_jet_at_origin():
-    t = AnalyticTranslator(Kind.GRIM_REAPER)
-    u, (ux, uy), (uxx, uxy, uyy) = catalog.evaluate(t, 0.0, 0.0)
+    u, (ux, uy), (uxx, uxy, uyy) = catalog.evaluate(0.0, 0.0, 0.0)
     assert u == 0.0 and ux == 0.0 and uy == 0.0
     assert uxx == -1.0 and uxy == 0.0 and uyy == 0.0
 
 
 def test_tilted_values_match_closed_form():
-    t = AnalyticTranslator(Kind.TILTED_GRIM_REAPER, math.pi / 6)
-    u, (ux, uy), _ = catalog.evaluate(t, 0.0, 1.0)
+    u, (ux, uy), _ = catalog.evaluate(math.pi / 6, 0.0, 1.0)
     assert abs(u - (-math.tan(math.pi / 6))) < 1e-15
     assert abs(uy - (-math.tan(math.pi / 6))) < 1e-15
-    t4 = AnalyticTranslator(Kind.TILTED_GRIM_REAPER, math.pi / 4)
-    assert abs(t4.half_width - 2.221441469079183) < 1e-15
+    assert abs(catalog.half_width(math.pi / 4) - 2.221441469079183) < 1e-15
 
 
 def test_zero_jet_residual_is_one():
@@ -33,30 +29,35 @@ def test_zero_jet_residual_is_one():
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 6, math.pi / 4, 0.4])
 def test_family_residual_vanishes(theta):
-    kind = Kind.GRIM_REAPER if theta == 0.0 else Kind.TILTED_GRIM_REAPER
-    t = AnalyticTranslator(kind, theta)
-    xw = t.half_width
+    xw = catalog.half_width(theta)
     xs = np.linspace(-0.9 * xw, 0.9 * xw, 100)
     ys = np.linspace(-5.0, 5.0, 100)
-    u, Du, D2u = catalog.evaluate(t, xs, ys)
+    u, Du, D2u = catalog.evaluate(theta, xs, ys)
     res = catalog.pde_residual(u, Du, D2u)
     assert np.max(np.abs(res)) < 1e-12
 
 
 def test_domain_guard():
-    t = AnalyticTranslator(Kind.GRIM_REAPER)
     with pytest.raises(OutOfDomainError):
-        catalog.evaluate(t, math.pi / 2, 0.0)
+        catalog.evaluate(0.0, math.pi / 2, 0.0)
     with pytest.raises(OutOfDomainError):
-        catalog.evaluate(t, math.pi / 2 - 1e-12, 0.0)  # guard band
-    catalog.evaluate(t, math.pi / 2 - 1e-6, 0.0)  # inside
+        catalog.evaluate(0.0, math.pi / 2 - 1e-12, 0.0)  # guard band
+    catalog.evaluate(0.0, math.pi / 2 - 1e-6, 0.0)  # inside
+
+
+@pytest.mark.parametrize("theta", [-1e-3, math.pi / 2, 2.0, math.nan])
+def test_tilt_outside_the_family_is_refused(theta):
+    for call in (lambda: catalog.half_width(theta),
+                 lambda: catalog.evaluate(theta, 0.0, 0.0),
+                 lambda: catalog.sample_grid(theta, 0.05)):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            call()
 
 
 def test_vertical_plane_kind():
-    p = AnalyticTranslator(Kind.VERTICAL_PLANE)
-    assert not p.is_graph
-    with pytest.raises(OutOfDomainError):
-        catalog.evaluate(p, 0.0, 0.0)
+    # the theta -> pi/2 limit is not a graph; plane_report stands for it
+    with pytest.raises(ValueError):
+        catalog.half_width(math.pi / 2)
     rep = catalog.plane_report()
     assert rep.maxAbs == 0.0 and not rep.is_graph
 
@@ -104,11 +105,10 @@ def test_residual_report_grim_reaper_truncation():
 
 
 def test_residual_report_convergence_tilted():
-    t = AnalyticTranslator(Kind.TILTED_GRIM_REAPER, math.pi / 4)
-    hw = t.half_width
+    hw = catalog.half_width(math.pi / 4)
     maxima = []
     for h in (0.02, 0.01, 0.005):
-        g = catalog.sample_grid(t, h, 0.9)
+        g = catalog.sample_grid(math.pi / 4, h)
         rep = catalog.residual_report(g)
         X, _ = g.meshgrid()
         # fixed subregion: the first interior node drifts with h, and next to
@@ -120,18 +120,13 @@ def test_residual_report_convergence_tilted():
 
 
 def test_theta_to_zero_continuity_on_profile():
-    t0 = AnalyticTranslator(Kind.GRIM_REAPER)
-    t1 = AnalyticTranslator(Kind.TILTED_GRIM_REAPER, 1e-4)
     xs = np.linspace(-1.4, 1.4, 29)
-    u0, _, _ = catalog.evaluate(t0, xs, 0 * xs)
-    u1, _, _ = catalog.evaluate(t1, xs, 0 * xs)
+    u0, _, _ = catalog.evaluate(0.0, xs, 0 * xs)
+    u1, _, _ = catalog.evaluate(1e-4, xs, 0 * xs)
     assert np.max(np.abs(u1 - u0)) < 1e-6
 
 
 def test_sample_grid_geometry():
-    t = AnalyticTranslator(Kind.GRIM_REAPER)
-    g = catalog.sample_grid(t, 0.05, 0.9)
+    g = catalog.sample_grid(0.0, 0.05)
     assert g.nx >= 5 and g.ny >= 5
-    assert abs(g.xs[0] + 0.9 * t.half_width) < 1e-12
-    with pytest.raises(ValueError):
-        catalog.sample_grid(t, 0.05, 1.1)
+    assert abs(g.xs[0] + 0.9 * catalog.half_width(0.0)) < 1e-12

@@ -164,8 +164,7 @@ def test_drift_of_H_on_bowl_grid():
 
 def test_q_squared_tilted_reaper_and_umbilic_policy():
     from translab import catalog
-    t = catalog.AnalyticTranslator(catalog.Kind.TILTED_GRIM_REAPER, math.pi / 6)
-    g = catalog.sample_grid(t, 0.02, 0.9)
+    g = catalog.sample_grid(math.pi / 6, 0.02)
     G = geom.graph_geometry(g)
     q2 = geom.q_squared(G, g)
     assert not G.umbilic.any()

@@ -471,3 +471,62 @@ def test_cli_revolution_export_needs_three_samples(tmp_path, capsys, samples):
                    "--angular-samples", samples])
     assert rc == 1 and "angular samples" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_catalog_plane_report(capsys):
+    rc = cli.main(["catalog", "residual", "--kind", "plane"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["maxGrad"] == "inf" and out["is_graph"] is False
+    assert out["maxAbs"] == 0.0
+
+
+@pytest.mark.parametrize("kind, theta, code, err", [
+    ("grim", "0.3", 2, "usage error: --theta applies to --kind tilted, not grim"),
+    ("plane", "0.3", 2, "usage error: --theta applies to --kind tilted, not plane"),
+    ("tilted", "2", 1, "error: theta must lie in [0, pi/2)"),
+])
+def test_cli_catalog_refuses_a_theta_outside_its_kind(capsys, kind, theta,
+                                                       code, err):
+    rc = cli.main(["catalog", "residual", "--kind", kind, "--theta", theta])
+    assert rc == code
+    assert capsys.readouterr().err == err + "\n"
+
+
+@pytest.mark.parametrize("index, kind", [(0, "catenoid-upper"),
+                                          (1, "catenoid-lower")])
+def test_cli_shoots_one_catenoid_wing(tmp_path, capsys, index, kind):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    rc = cli.main(["radial", "shoot", "--kind", kind, "--lam", "1",
+                   "--rmax", "2", "--h", "0.01", "--out", str(got)])
+    assert rc == 0
+    tio.write_profile_csv(radial.shoot_catenoid(2, 1.0, 2.0, 0.01)[index], want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_cli_csf_compare_ellipse_shape(capsys):
+    rc = cli.main(["csf", "compare", "--shape1", "ellipse:2:1",
+                   "--shape2", "circle:3", "--n", "64", "--stop-amax", "30"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] == "PASS"
+    # the semi-major axis 2 sits 1 inside the circle (polygon chords: 1.2e-3)
+    assert abs(out["initialDistance"] - 1.0) < 5e-3
+
+
+def test_cli_firstvar_bump_needs_three_numbers(tmp_path, capsys):
+    path = tmp_path / "g.csv"
+    tio.write_grid_csv(wavy_grid(), path)
+    rc = cli.main(["analyze", "firstvar", "--in", str(path), "--bump", "1,2"])
+    assert rc == 2
+    assert "bad --bump '1,2'" in capsys.readouterr().err
+
+
+def test_cli_export_refuses_a_foreign_csv(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    path.write_text("a,b\n1,2\n")
+    rc = cli.main(["export", "obj", "--in", str(path), "--out",
+                   str(tmp_path / "x.obj")])
+    assert rc == 2
+    assert "unrecognized CSV header" in capsys.readouterr().err
+    assert not (tmp_path / "x.obj").exists()

@@ -229,12 +229,15 @@ def test_inputs_reach_every_special_case(inputs):
 
 @pytest.mark.parametrize("writer,key,kwargs", CASES,
                          ids=[f"{w}-{k}-{len(kw)}" for w, k, kw in CASES])
-def test_writer_matches_reference(tmp_path, inputs, writer, key, kwargs):
+def test_writer_matches_reference(tmp_path, monkeypatch, inputs, writer, key,
+                                  kwargs):
     obj = inputs[key]
-    if isinstance(obj, tuple):  # a grid with its own GeometryField
+    ref_kwargs = kwargs
+    if isinstance(obj, tuple):  # a grid with a doctored GeometryField
         obj, geom = obj
-        kwargs = dict(kwargs, geom=geom)
+        monkeypatch.setattr(tio, "graph_geometry", lambda u: geom)
+        ref_kwargs = dict(kwargs, geom=geom)
     got, want = tmp_path / "got", tmp_path / "want"
     getattr(tio, writer)(obj, got, **kwargs)
-    globals()["ref_" + writer](obj, want, **kwargs)
+    globals()["ref_" + writer](obj, want, **ref_kwargs)
     assert got.read_bytes() == want.read_bytes()
