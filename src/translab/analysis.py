@@ -38,10 +38,12 @@ class VariationSpec:
     epsilon: float = 1e-4
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.radius <= 0:
-            raise ValueError("bump radius must be positive")
+        if not all(math.isfinite(c) for c in self.center):
+            raise ValueError("bump center must be finite")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("bump radius must be finite and positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and positive")
 
     def profile(self, u: GridFunction) -> np.ndarray:
         X, Y = u.meshgrid()

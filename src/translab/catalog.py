@@ -107,6 +107,8 @@ def sample_grid(theta: float, h: float) -> GridFunction:
     Both x and y range over +-(HALF_WIDTH_FRAC * half_width(theta)).  Node
     counts are chosen so the spacing is h rounded to fit.
     """
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be finite and positive, not {h!r}")
     w = half_width(theta) * HALF_WIDTH_FRAC
     n = max(int(round(2 * w / h)) + 1, 5)
     step = 2 * w / (n - 1)

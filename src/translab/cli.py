@@ -13,10 +13,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__, analysis, catalog, csf, elliptic, io as tio, radial
 from .errors import TranslabError, UsageError
+
+
+def _finite_positive(text):
+    """argparse type of an option that must be a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, not {text!r}")
+    return value
 
 
 def _build_parser():
@@ -31,7 +44,7 @@ def _build_parser():
     res.add_argument("--kind", choices=["grim", "tilted", "plane"], default="grim")
     res.add_argument("--theta", type=float, default=0.0,
                      help="tilt of --kind tilted; grim is theta = 0")
-    res.add_argument("--h", type=float, default=0.01)
+    res.add_argument("--h", type=_finite_positive, default=0.01)
     res.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     rad = sub.add_parser("radial", help="rotationally symmetric translators")
@@ -100,7 +113,7 @@ def _build_parser():
     fv = anas.add_parser("firstvar", help="first variation of weighted area")
     fv.add_argument("--in", dest="infile", required=True)
     fv.add_argument("--bump", default="0,0,1.5", help="cx,cy,radius")
-    fv.add_argument("--eps", type=float, default=1e-4)
+    fv.add_argument("--eps", type=_finite_positive, default=1e-4)
 
     exp = sub.add_parser("export", help="mesh export")
     exps = exp.add_subparsers(dest="subcommand", required=True)
@@ -144,7 +157,7 @@ def _apply_config(ap, argv, args):
             continue
         try:
             val = (opt.type or str)(str(val))
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"config key {key!r}: {exc}") from exc
         if opt.choices is not None and val not in opt.choices:
             raise UsageError(f"config key {key!r}: invalid choice {val!r}")
@@ -191,7 +204,9 @@ def _cmd_radial(args, prov):
             p = radial.shoot_catenoid_wing(args.n, args.lam, args.rmax, args.h,
                                            radial.RadialKind(args.kind))
         tio.write_profile_csv(p, args.out)
-        print(f"wrote {args.out} ({len(p.r)} samples)")
+        neck = f", {p.neckSamples} in arclength" if p.neckSamples else ""
+        print(f"wrote {args.out} ({len(p.r)} samples{neck}; {p.steps} steps, "
+              f"{p.rejected} rejected, min step {p.minStep:.3g})")
     else:
         p = tio.read_profile_csv(args.infile)
         fit = radial.fit_asymptotics(p, args.rlo, args.rhi)
@@ -256,12 +271,12 @@ def _cmd_analyze(args, prov):
         val = analysis.jacobi_field_defect(u)
         print(json.dumps({"maxJacobiDefect": val, "command": prov}))
     else:
-        try:
+        try:   # --eps is checked by its type, so a refusal is the bump's
             cx, cy, rad = (float(v) for v in args.bump.split(","))
+            spec = analysis.VariationSpec(center=(cx, cy), radius=rad,
+                                          epsilon=args.eps)
         except ValueError as exc:
-            raise UsageError(f"bad --bump {args.bump!r}") from exc
-        spec = analysis.VariationSpec(center=(cx, cy), radius=rad,
-                                      epsilon=args.eps)
+            raise UsageError(f"bad --bump {args.bump!r}: {exc}") from exc
         val = analysis.first_variation_check(u, spec)
         print(json.dumps({"firstVariation": val, "command": prov}))
 

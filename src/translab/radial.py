@@ -4,9 +4,10 @@ Profiles are integrated in slope-angle variables, which keep both the
 removable singularity at the axis (bowl) and the vertical tangent at a
 catenoid neck regular:
 
-    graph form (bowl):      du/dr = tan(psi),  dpsi/dr = -1 - (n-1) tan(psi)/r
-    arclength form (neck):  dr/ds = cos(psi),  du/ds = sin(psi),
-                            dpsi/ds = -cos(psi) - (n-1) sin(psi)/r
+    graph form (bowl, wing past the neck):
+        du/dr = tan(psi),  dpsi/dr = -1 - (n-1) tan(psi)/r
+    arclength form (through a neck):
+        dr/ds = cos(psi),  du/ds = sin(psi),  dpsi/ds = -cos(psi) - (n-1) sin(psi)/r
 
 Both encode H = -cos(psi) for the downward translation convention, with
 principal curvatures kappa_prof = dpsi/ds and kappa_rot = sin(psi)/r
@@ -16,6 +17,7 @@ principal curvatures kappa_prof = dpsi/ds and kappa_rot = sin(psi)/r
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,6 +45,11 @@ class RadialProfile:
     u: np.ndarray
     psi: np.ndarray
     h: float
+    # integrator counters; a profile read back from CSV has none
+    steps: int = 0          # accepted steps
+    rejected: int = 0       # rejected steps
+    minStep: float = math.nan
+    neckSamples: int = 0    # leading samples in arclength (catenoid wings)
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
@@ -55,94 +62,191 @@ class RadialProfile:
         return np.interp(r, self.r, np.tan(self.psi))
 
 
-# --- fixed-nominal-step RK4 with step-doubling error control ----------------
+# --- Dormand-Prince 5(4) with FSAL and a continuous extension -----------------
 
-_STEP_TOL = 1e-10          # local error bound, relative to 1 + max |y|
-_STEP_FLOOR_FACTOR = 2.0 ** -30
-_MAX_STEPS = 50_000_000
+# Local error bound per step, relative to 1 + |y| per component.  The samples
+# come from the 4th-order continuous extension, which is only C^1 across
+# steps, and the drift identities take third differences of them.  On the
+# bowl (n = 2, r <= 31) the h-halving ratio of the identity defect
+# (h = 8e-3 -> 4e-3) is 4.00 for samples at the step ends; through the
+# extension it is 2.02 at 1e-12 and 3.92 at 1e-13.  1e-14 keeps the ratio but
+# moves the h = 8e-3 defect by 1.3e-10; 1e-15 stays within 5e-11.
+_STEP_TOL = 1e-15
+_STEP_FLOOR_FACTOR = 2.0 ** -30     # of the first trial step, which is h
+_MAX_STEPS = 500_000
+_MAX_SAMPLES = 10_000_000  # r_max / h above this is refused before integrating
+_R_SLACK = 1e-12           # a radius within this of r_max counts as reached
+
+# Dormand & Prince, J. Comput. Appl. Math. 6 (1980): nodes, stages, the fifth-
+# order weights (the last stage row, so rhs(t + dt, y_new) is the next k1), the
+# error weights b5 - b4, and the continuous extension of Hairer-Norsett-Wanner,
+# Solving ODEs I, sec. II.6
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9)
+_A = ((1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+      (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))   # a72 = 0
+_E = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_D = (-12715105075 / 11282082432, 87487479700 / 32700410799,
+      -10690763975 / 1880347072, 701980252875 / 199316789632,
+      -1453857185 / 822651844, 69997945 / 29380423)
 
 
-def _integrate_rk4(rhs, t0, y0, h, stop):
-    """Classic RK4 driven at nominal step h; halves the step where the
-    step-doubling estimate exceeds _STEP_TOL, recovers afterwards.
+@dataclass
+class _Run:
+    """Accepted steps of one _dopri5 run and their continuous extension."""
 
-    rhs(t, y) -> tuple of floats; stop(t, y) -> bool checked after each step.
-    The full step and the first half step share k1 = rhs(t, y), so an accepted
-    step costs 11 evaluations.  Returns the accepted states, the initial one
-    included, as arrays t (m,) and y (m, len(y0)).
+    t: np.ndarray          # (N,) step starts
+    dt: np.ndarray         # (N,) step lengths
+    coef: tuple            # five (N, m) interpolant coefficients per step
+    t_end: float
+    y_end: list            # the last accepted state
+    rejected: int
+
+    def __call__(self, ts) -> np.ndarray:
+        """States (len(ts), m) at times ts in [t[0], t_end], in one pass over
+        c1 + th (c2 + (1 - th) (c3 + th (c4 + (1 - th) c5))), inside out."""
+        k = np.clip(np.searchsorted(self.t, ts, side="right") - 1, 0,
+                    len(self.t) - 1)
+        th = ((ts - self.t[k]) / self.dt[k])[:, None]
+        c1, c2, c3, c4, c5 = self.coef
+        y = c5[k]
+        for c, w in ((c4, 1 - th), (c3, th), (c2, 1 - th), (c1, th)):
+            y *= w
+            y += c[k]
+        return y
+
+
+def _dopri5(rhs, t, y, dt, stop) -> _Run:
+    """Integrate from (t, y) with trial step dt until stop(t, y) holds after an
+    accepted step.
+
+    rhs(t, y) -> sequence of floats.  A step is accepted when its error
+    estimate is below _STEP_TOL (1 + |y_new|) in every component; the next
+    step follows the usual 0.9 (tol / err)^(1/5) rule, within [0.2, 5] times
+    the last and not larger right after a rejection.  The last stage of a
+    step is the first of the next (FSAL), so an attempt costs 6 evaluations
+    after the first.  A step below 2^-30 times the trial step, or more than
+    _MAX_STEPS accepted steps, raise StepTooLargeError.
     """
-    def rk4(t, y, dt, k1):
-        y2 = tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k1))
-        k2 = rhs(t + 0.5 * dt, y2)
-        y3 = tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k2))
-        k3 = rhs(t + 0.5 * dt, y3)
-        y4 = tuple(yi + dt * ki for yi, ki in zip(y, k3))
-        k4 = rhs(t + dt, y4)
-        return tuple(yi + dt / 6.0 * (a + 2 * b + 2 * c + d)
-                     for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
-
-    t, y = t0, tuple(y0)
-    ts, ys = [t], list(y)      # ys: the states' components, flat
-    h_cur = h
-    floor = h * _STEP_FLOOR_FACTOR
+    floor = dt * _STEP_FLOOR_FACTOR
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65), (b1, b3, b4, b5, b6) = _A
+    c2, c3, c4, c5 = _C
+    e1, e3, e4, e5, e6, e7 = _E
+    rec = array("d")     # per step: t, dt, y, y_new, k1, k3, k4, k5, k6, k7
+    rejected = 0
+    grow = 5.0
+    k1 = rhs(t, y)
     for _ in range(_MAX_STEPS):
-        k1 = rhs(t, y)
-        full = rk4(t, y, h_cur, k1)
-        mid = rk4(t, y, 0.5 * h_cur, k1)
-        half = rk4(t + 0.5 * h_cur, mid, 0.5 * h_cur, rhs(t + 0.5 * h_cur, mid))
-        err = max(abs(a - b) for a, b in zip(full, half)) / 15.0
-        tol = _STEP_TOL * (1.0 + max(abs(v) for v in y))
-        if err > tol:
-            h_cur *= 0.5
-            if h_cur < floor:
+        k2 = rhs(t + c2 * dt, [yi + dt * a21 * p for yi, p in zip(y, k1)])
+        k3 = rhs(t + c3 * dt, [yi + dt * (a31 * p + a32 * q)
+                               for yi, p, q in zip(y, k1, k2)])
+        k4 = rhs(t + c4 * dt, [yi + dt * (a41 * p + a42 * q + a43 * w)
+                               for yi, p, q, w in zip(y, k1, k2, k3)])
+        k5 = rhs(t + c5 * dt, [yi + dt * (a51 * p + a52 * q + a53 * w + a54 * x)
+                               for yi, p, q, w, x in zip(y, k1, k2, k3, k4)])
+        k6 = rhs(t + dt, [yi + dt * (a61 * p + a62 * q + a63 * w + a64 * x
+                                     + a65 * z)
+                          for yi, p, q, w, x, z in zip(y, k1, k2, k3, k4, k5)])
+        yn = [yi + dt * (b1 * p + b3 * w + b4 * x + b5 * z + b6 * v)
+              for yi, p, w, x, z, v in zip(y, k1, k3, k4, k5, k6)]
+        k7 = rhs(t + dt, yn)
+        err = max([abs(dt * (e1 * p + e3 * w + e4 * x + e5 * z + e6 * v
+                             + e7 * o)) / (1.0 + abs(yi))
+                   for yi, p, w, x, z, v, o in zip(yn, k1, k3, k4, k5, k6, k7)])
+        fac = 0.9 * (_STEP_TOL / err) ** 0.2 if err > 0 else 0.0
+        if not err < _STEP_TOL:     # a NaN estimate is rejected too
+            rejected += 1
+            dt *= max(0.2, fac)
+            grow = 1.0
+            if dt < floor:
                 raise StepTooLargeError(
-                    f"local error {err:.3e} > {tol:.3e} at step floor")
+                    f"local error {err:.3e} above tolerance {_STEP_TOL:.1e} "
+                    "at the step floor")
             continue
-        t, y = t + h_cur, half
-        ts.append(t)
-        ys.extend(y)
+        rec.extend((t, dt, *y, *yn, *k1, *k3, *k4, *k5, *k6, *k7))
+        t, y, k1 = t + dt, yn, k7
         if stop(t, y):
-            return np.array(ts), np.array(ys).reshape(len(ts), len(y))
-        if err < 0.01 * tol and h_cur < h:
-            h_cur = min(2.0 * h_cur, h)
+            return _make_run(rec, len(y), t, y, rejected)
+        dt *= min(fac, grow) if err > 0 else grow
+        grow = 5.0
     raise StepTooLargeError("step budget exhausted")
 
 
-def shoot_bowl(n: int, r_max: float, h: float) -> RadialProfile:
-    """Integrate the bowl soliton profile out to r_max.
+def _make_run(rec, m, t_end, y_end, rejected) -> _Run:
+    a = np.frombuffer(rec).reshape(-1, 2 + 8 * m)
+    y0, y1, k1, k3, k4, k5, k6, k7 = (a[:, 2 + i * m:2 + (i + 1) * m]
+                                      for i in range(8))
+    dt = a[:, 1:2]
+    d1, d3, d4, d5, d6, d7 = _D
+    diff = y1 - y0
+    c3 = dt * k1 - diff
+    c4 = diff - dt * k7 - c3
+    c5 = dt * (d1 * k1 + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * k7)
+    return _Run(t=a[:, 0], dt=a[:, 1], coef=(y0, diff, c3, c4, c5),
+                t_end=t_end, y_end=y_end, rejected=rejected)
 
-    Starts from the two-term Taylor series at the axis,
-    u'(r) = -r/n - r^3/(n^3 (n+2)) + O(r^5), and hands over to the
-    integrator at r = 10 h.
-    """
+
+def _check_inputs(n, **positive):
     if n < 2:
         raise ValueError("surface dimension n must be >= 2")
-    if not (r_max > 0 and h > 0):
-        raise ValueError("r_max and h must be positive")
+    for name, v in positive.items():
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive, not {v!r}")
+    if positive["r_max"] / positive["h"] > _MAX_SAMPLES:
+        raise ValueError(f"r_max / h must not exceed {_MAX_SAMPLES} samples")
+
+
+def _graph_rhs(n):
+    """Graph form in r for y = (u, psi)."""
+    nm1 = n - 1
+
+    def rhs(r, y):
+        tp = math.tan(y[1])
+        return (tp, -1.0 - nm1 * tp / r)
+    return rhs
+
+
+def _counters(*runs):
+    return dict(steps=sum(len(run.t) for run in runs),
+                rejected=sum(run.rejected for run in runs),
+                minStep=float(min(run.dt.min() for run in runs)))
+
+
+def _radii(r0, r_max, h):
+    """r0 + k h for k = 1, 2, ... up to the first that reaches r_max."""
+    k = np.arange(1, max(1, math.ceil((r_max - _R_SLACK - r0) / h)) + 2)
+    r = r0 + k * h
+    return r[:np.argmax(r >= r_max - _R_SLACK) + 1]
+
+
+def shoot_bowl(n: int, r_max: float, h: float) -> RadialProfile:
+    """Integrate the bowl soliton profile out to r_max at radii r_k = k h.
+
+    Starts from the two-term Taylor series at the axis,
+    u'(r) = -r/n - r^3/(n^3 (n+2)) + O(r^5), which gives the samples up to
+    r = 10 h, where the integrator takes over.
+    """
+    _check_inputs(n, r_max=r_max, h=h)
     if r_max <= 12 * h:
         raise ValueError("r_max must exceed the series region 10 h")
 
     c3 = 1.0 / (n ** 3 * (n + 2))
-    rs, series = [], []        # r and (u, psi) on the series region
+    series = []                # (u, psi) at r = k h, k <= 10
     for k in range(11):
         r = k * h
         up = -r / n - c3 * r ** 3
-        rs.append(r)
         series.append((-r * r / (2 * n) - 0.25 * c3 * r ** 4, math.atan(up)))
 
-    nm1 = n - 1
-
-    def rhs(r, y):
-        _, psi = y
-        tp = math.tan(psi)
-        return (tp, -1.0 - nm1 * tp / r)
-
-    t, y = _integrate_rk4(rhs, 10 * h, series[-1], h,
-                          stop=lambda r, y: r >= r_max - 1e-12)
-    y = np.concatenate([series, y[1:]])     # y[0] is the last series sample
-    prof = RadialProfile(n=n, kind=RadialKind.BOWL, lam=None,
-                         r=np.concatenate([rs, t[1:]]), u=y[:, 0],
-                         psi=y[:, 1], h=h)
+    r = np.concatenate([[0.0], _radii(0.0, r_max, h)])
+    run = _dopri5(_graph_rhs(n), 10 * h, series[-1], h,
+                  stop=lambda t, y: t >= r[-1])
+    y = np.concatenate([series, run(r[11:])])
+    prof = RadialProfile(n=n, kind=RadialKind.BOWL, lam=None, r=r,
+                         u=y[:, 0], psi=y[:, 1], h=h, **_counters(run))
     if not np.all(prof.psi[1:] < 0):
         raise NonMonotoneProfileError("bowl profile must be strictly monotone")
     return prof
@@ -153,13 +257,13 @@ def shoot_catenoid_wing(n: int, lam: float, r_max: float, h: float,
     """One wing (kind CATENOID_UPPER or CATENOID_LOWER) of the translating
     catenoid with neck radius lam.
 
-    Integration runs in arclength from (r, u, psi) = (lam, 0, +-pi/2), so the
-    vertical tangent at the neck is a regular point.
+    Integration starts in arclength from (r, u, psi) = (lam, 0, +-pi/2), so
+    the vertical tangent at the neck is a regular point, with samples at
+    s = k h.  At the first accepted step with |tan psi| <= r it hands over to
+    graph form, the bowl's equation, and samples at spacing h in r from the
+    handover radius on; the first neckSamples samples are the arclength ones.
     """
-    if n < 2:
-        raise ValueError("surface dimension n must be >= 2")
-    if lam <= 0:
-        raise ValueError("neck radius lam must be positive")
+    _check_inputs(n, lam=lam, r_max=r_max, h=h)
     if r_max <= lam:
         raise ValueError("r_max must exceed the neck radius")
     if kind is RadialKind.BOWL:
@@ -173,10 +277,26 @@ def shoot_catenoid_wing(n: int, lam: float, r_max: float, h: float,
         c, si = math.cos(psi), math.sin(psi)
         return (c, si, -c - nm1 * si / r)
 
-    _, y = _integrate_rk4(rhs, 0.0, (lam, 0.0, sign * math.pi / 2), h,
-                          stop=lambda s, y: y[0] >= r_max - 1e-12)
+    # |dr/ds| <= 1: past r_max + h, a sample at s <= s_end has reached r_max
+    neck = _dopri5(rhs, 0.0, (lam, 0.0, sign * math.pi / 2), h,
+                   stop=lambda s, y: (abs(math.tan(y[2])) <= y[0]
+                                      or y[0] >= r_max + h))
+    s = np.arange(math.floor(neck.t_end / h) + 1) * h
+    y = neck(s[s <= neck.t_end])
+    reached = np.flatnonzero(y[:, 0] >= r_max - _R_SLACK)
+    if reached.size:        # r_max comes before the handover
+        y = y[:reached[0] + 1]
+        neck_samples, runs = len(y), [neck]
+    else:
+        r0, u0, psi0 = neck.y_end
+        r = _radii(r0, r_max, h)
+        graph = _dopri5(_graph_rhs(n), r0, (u0, psi0), h,
+                        stop=lambda t, _: t >= r[-1])
+        neck_samples, runs = len(y), [neck, graph]
+        y = np.concatenate([y, np.column_stack([r, graph(r)])])
     return RadialProfile(n=n, kind=kind, lam=lam, r=y[:, 0], u=y[:, 1],
-                         psi=y[:, 2], h=h)
+                         psi=y[:, 2], h=h, neckSamples=neck_samples,
+                         **_counters(*runs))
 
 
 def shoot_catenoid(n: int, lam: float, r_max: float, h: float):

@@ -77,6 +77,22 @@ def test_first_variation_guards():
             g, VariationSpec(center=(0, 0), radius=1.2, epsilon=1e300))
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(center=(math.nan, 0.0)), "center"),
+    (dict(center=(0.0, math.inf)), "center"),
+    (dict(radius=math.nan), "radius"),
+    (dict(radius=math.inf), "radius"),
+    (dict(radius=0.0), "radius"),
+    (dict(epsilon=math.nan), "epsilon"),
+    (dict(epsilon=math.inf), "epsilon"),
+    (dict(epsilon=-1e-4), "epsilon"),
+])
+def test_variation_spec_must_be_finite(kwargs, field):
+    # NaN used to pass the <= 0 checks and fail later on the perturbed grid
+    with pytest.raises(ValueError, match=field):
+        VariationSpec(**kwargs)
+
+
 def test_overflowing_perturbation_is_too_large():
     # W = sqrt(10) under the bump centre: eps * phi * W overflows to inf, so
     # the perturbed heights are not a finite grid

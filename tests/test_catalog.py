@@ -130,3 +130,10 @@ def test_sample_grid_geometry():
     g = catalog.sample_grid(0.0, 0.05)
     assert g.nx >= 5 and g.ny >= 5
     assert abs(g.xs[0] + 0.9 * catalog.half_width(0.0)) < 1e-12
+
+
+@pytest.mark.parametrize("h", [-5.0, 0.0, math.nan, math.inf, -math.inf])
+def test_sample_grid_refuses_a_step_that_is_not_positive(h):
+    # -5 used to clamp to a 5x5 grid, NaN to fail converting the node count
+    with pytest.raises(ValueError, match="finite and positive"):
+        catalog.sample_grid(0.3, h)

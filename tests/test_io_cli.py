@@ -530,3 +530,73 @@ def test_cli_export_refuses_a_foreign_csv(tmp_path, capsys):
     assert rc == 2
     assert "unrecognized CSV header" in capsys.readouterr().err
     assert not (tmp_path / "x.obj").exists()
+
+
+@pytest.mark.parametrize("kind, option, value", [
+    (kind, option, value)
+    for kind in ("bowl", "catenoid-upper", "catenoid-lower")
+    for option, value in (("--h", "-0.01"), ("--h", "0"), ("--h", "nan"),
+                          ("--lam", "nan"), ("--lam", "-1"),
+                          ("--rmax", "inf"), ("--rmax", "nan"))
+    if (kind, option) != ("bowl", "--lam")])      # the bowl has no neck
+def test_cli_radial_shoot_refuses_unbounded_inputs(tmp_path, capsys, kind,
+                                                   option, value):
+    # these used to run into a timeout, or write a wing that is not one
+    out = tmp_path / "p.csv"
+    rc = cli.main(["radial", "shoot", "--kind", kind, option, value,
+                   "--out", str(out)])
+    assert rc == 1
+    assert "must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_radial_shoot_prints_the_integrator_counters(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    rc = cli.main(["radial", "shoot", "--kind", "catenoid-lower", "--lam", "1",
+                   "--rmax", "3", "--h", "0.01", "--out", str(out)])
+    assert rc == 0
+    p = radial.shoot_catenoid_wing(2, 1.0, 3.0, 0.01,
+                                   radial.RadialKind.CATENOID_LOWER)
+    assert capsys.readouterr().out == (
+        f"wrote {out} ({len(p.r)} samples, {p.neckSamples} in arclength; "
+        f"{p.steps} steps, {p.rejected} rejected, "
+        f"min step {p.minStep:.3g})\n")
+
+
+@pytest.mark.parametrize("kind", ["grim", "tilted", "plane"])
+@pytest.mark.parametrize("h", ["-5", "0", "nan", "inf"])
+def test_cli_catalog_refuses_a_step_that_is_not_positive(capsys, kind, h):
+    # -5 used to give a 5x5 grid, nan "cannot convert float NaN to integer"
+    with pytest.raises(SystemExit) as info:
+        cli.main(["catalog", "residual", "--kind", kind, "--h", h])
+    assert info.value.code == 2
+    assert "argument --h: must be a finite positive number" in \
+        capsys.readouterr().err
+
+
+def test_cli_catalog_config_step_goes_through_the_same_check(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"h": -5}))
+    rc = cli.main(["catalog", "residual", "--config", str(cfg)])
+    assert rc == 2
+    assert "config key 'h': must be a finite positive number" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["--bump", "0,0,nan"], 2, "bad --bump '0,0,nan': bump radius"),
+    (["--bump", "nan,0,1"], 2, "bad --bump 'nan,0,1': bump center"),
+    (["--bump", "0,0,-1"], 2, "bad --bump '0,0,-1': bump radius"),
+    (["--eps", "nan"], 2, "argument --eps: must be a finite positive number"),
+    (["--eps=-1e-4"], 2, "argument --eps: must be a finite positive"),
+])
+def test_cli_firstvar_names_the_bad_option(tmp_path, capsys, argv, code, err):
+    # NaN used to pass the <= 0 checks and fail later on non-finite grid values
+    path = tmp_path / "g.csv"
+    tio.write_grid_csv(wavy_grid(), path)
+    try:
+        rc = cli.main(["analyze", "firstvar", "--in", str(path), *argv])
+    except SystemExit as exc:       # argparse refuses the option itself
+        rc = exc.code
+    assert rc == code
+    assert err in capsys.readouterr().err

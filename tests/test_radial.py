@@ -179,21 +179,76 @@ def test_profile_to_grid_is_exact_on_a_cubic():
     assert np.max(np.abs(g.values - (0.3 * R ** 3 - R * R - 0.5 * R))) <= 1e-13
 
 
-def test_integrator_returns_states_and_shares_k1():
-    # 11 rhs evaluations per accepted step when no step is halved: the full
-    # step and the first half step share rhs(t, y)
+def test_dopri5_dense_output_and_fsal_count():
+    # y'' = -y from (0, 1): the continuous extension tracks sin between the
+    # steps, and each attempt after the first costs six rhs calls
     calls = []
 
     def rhs(t, y):
         calls.append(t)
         return (y[1], -y[0])
-    t, y = radial._integrate_rk4(rhs, 0.0, (0.0, 1.0), 0.05,
-                                 stop=lambda t, y: t >= 1.0 - 1e-12)
-    assert t.shape == (21,) and y.shape == (21, 2)
-    assert t[0] == 0.0 and tuple(y[0]) == (0.0, 1.0)
-    assert np.allclose(np.diff(t), 0.05)   # no step was halved
-    assert len(calls) == 11 * 20
-    assert np.max(np.abs(y[:, 0] - np.sin(t))) < 1e-7
+    run = radial._dopri5(rhs, 0.0, (0.0, 1.0), 0.05,
+                         stop=lambda t, y: t >= 2 * math.pi)
+    assert run.t[0] == 0.0 and run.t_end >= 2 * math.pi
+    assert np.allclose(run.t[1:], np.cumsum(run.dt)[:-1], rtol=0, atol=1e-15)
+    assert len(calls) == 1 + 6 * (len(run.t) + run.rejected)
+    ts = np.linspace(0.0, 2 * math.pi, 1001)
+    y = run(ts)
+    assert y.shape == (1001, 2)
+    assert np.max(np.abs(y[:, 0] - np.sin(ts))) < 1e-13
+    assert np.max(np.abs(y[:, 1] - np.cos(ts))) < 1e-13
+    # the step ends are the integrator's own states
+    assert tuple(run(np.array([0.0]))[0]) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("r_max, h, samples", [(60.0, 2e-3, 30_001),
+                                                (10.0, 3.7e-3, 2_704)])
+def test_bowl_radii_are_exact_multiples_of_h(r_max, h, samples):
+    p = radial.shoot_bowl(2, r_max, h)
+    assert len(p.r) == samples
+    assert np.array_equal(p.r, np.arange(samples) * h)
+    assert p.r[-2] < r_max - 1e-12 <= p.r[-1]
+
+
+def test_bowl_counters():
+    p = radial.shoot_bowl(2, 10.0, 1e-2)
+    # the first trial step is h, and nothing here needs a smaller one
+    assert p.steps > 0
+    assert p.rejected >= 0
+    assert 0 < p.minStep <= 1e-2
+    assert p.neckSamples == 0
+    again = radial.shoot_bowl(2, 10.0, 1e-2)
+    assert (again.steps, again.rejected, again.minStep) == \
+        (p.steps, p.rejected, p.minStep)
+
+
+@pytest.mark.parametrize("kind", [RadialKind.CATENOID_UPPER,
+                                  RadialKind.CATENOID_LOWER])
+def test_catenoid_at_cli_defaults_samples_in_r_after_the_neck(kind):
+    r_max, h = 100.0, 1e-3
+    p = radial.shoot_catenoid_wing(2, 1.0, r_max, h, kind)
+    assert r_max / h - 1000 < len(p.r) < r_max / h
+    assert np.all(np.diff(p.r) > 0) and p.r[-2] < r_max <= p.r[-1]
+    # arclength through the neck, then graph form at spacing h in r
+    m = p.neckSamples
+    assert 0 < m < 2000
+    assert np.allclose(np.diff(p.r[m:]), h, rtol=0, atol=1e-9)
+    chords = np.hypot(np.diff(p.r[:m]), np.diff(p.u[:m]))
+    assert np.allclose(chords, h, rtol=0, atol=h ** 3)
+    assert abs(math.tan(p.psi[m])) <= p.r[m]
+    assert p.steps < 50_000
+    # far out both wings follow the bowl: tan(psi) / r -> -1
+    assert abs(math.tan(p.psi[-1]) / p.r[-1] + 1.0) < 0.05
+
+
+def test_catenoid_wing_stops_at_r_max_inside_the_neck():
+    # r_max below the handover radius: the wing is arclength samples only
+    up = radial.shoot_catenoid_wing(2, 1.0, 1.1, 1e-2,
+                                    RadialKind.CATENOID_UPPER)
+    assert up.neckSamples == len(up.r)
+    assert up.r[-2] < 1.1 <= up.r[-1]
+    chords = np.hypot(np.diff(up.r), np.diff(up.u))
+    assert np.allclose(chords, 1e-2, rtol=0, atol=1e-6)
 
 
 def test_step_too_large(monkeypatch):
@@ -212,14 +267,39 @@ def test_argument_validation():
 
 
 def test_non_monotone_bowl_raises(monkeypatch):
-    integrate = radial._integrate_rk4
+    integrate = radial._dopri5
 
-    def bumpy(rhs, t0, y0, h, stop):
-        # the integrator's states with the slope angle flipped to rising
-        t, y = integrate(rhs, t0, y0, h, stop)
-        y[:, 1] = np.abs(y[:, 1])
-        return t, y
-    monkeypatch.setattr(radial, "_integrate_rk4", bumpy)
+    def rising(*args, **kwargs):
+        # the integrator's run with the slope angle mirrored to rising
+        run = integrate(*args, **kwargs)
+        for c in run.coef:
+            c[:, 1] *= -1
+        return run
+    monkeypatch.setattr(radial, "_dopri5", rising)
     with pytest.raises(NonMonotoneProfileError):
         radial.shoot_bowl(2, 1.0, 1e-2)
     assert issubclass(NonMonotoneProfileError, TranslabError)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: radial.shoot_bowl(2, 10.0, v),
+    lambda v: radial.shoot_bowl(2, v, 1e-2),
+    lambda v: radial.shoot_catenoid_wing(2, 1.0, 5.0, v,
+                                         RadialKind.CATENOID_UPPER),
+    lambda v: radial.shoot_catenoid_wing(2, v, 5.0, 1e-2,
+                                         RadialKind.CATENOID_LOWER),
+    lambda v: radial.shoot_catenoid_wing(2, 1.0, v, 1e-2,
+                                         RadialKind.CATENOID_UPPER),
+], ids=["bowl-h", "bowl-rmax", "wing-h", "wing-lam", "wing-rmax"])
+@pytest.mark.parametrize("value", [0.0, -0.01, math.nan, math.inf])
+def test_radial_inputs_must_be_finite_and_positive(call, value):
+    with pytest.raises(ValueError, match="finite and positive"):
+        call(value)
+
+
+def test_sample_count_is_bounded_before_integrating():
+    with pytest.raises(ValueError, match="r_max / h"):
+        radial.shoot_bowl(2, 100.0, 1e-6)
+    with pytest.raises(ValueError, match="r_max / h"):
+        radial.shoot_catenoid_wing(2, 1.0, 1e300, 1.0,
+                                   RadialKind.CATENOID_UPPER)

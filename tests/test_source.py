@@ -53,3 +53,15 @@ def test_interpolating_paths_leave_out_scipy_interpolate():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_shooting_leaves_out_scipy_integrate():
+    # the radial integrator is the package's own Dormand-Prince pair
+    code = ("import sys; from translab import radial\n"
+            "radial.shoot_bowl(2, 3.0, 1e-2)\n"
+            "radial.shoot_catenoid(2, 1.0, 3.0, 1e-2)\n"
+            "print('scipy.integrate' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
