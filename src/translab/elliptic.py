@@ -41,10 +41,12 @@ class StripProblem:
     bc: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError("strip half-width b must be positive")
-        if self.L < 4:
-            raise ValueError("truncation length L must be >= 4")
+        if not 0 < self.b < math.inf:
+            raise ValueError(f"strip half-width b must be finite and "
+                             f"positive, got {self.b}")
+        if not 4 <= self.L < math.inf:
+            raise ValueError(f"truncation length L must be finite and >= 4, "
+                             f"got {self.L}")
         if self.nx < 33 or self.ny < 33:
             raise ValueError("resolution must be at least 33x33")
         self.bc = np.asarray(self.bc, dtype=float)
@@ -108,8 +110,8 @@ def tilted_pair_envelope(b: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     cos(th) = pi / (2 b); this is the surface the wing is asymptotic to on
     each side, so truncation error concentrates near the x = 0 crease.
     """
-    if b <= math.pi / 2:
-        raise ValueError("tilted pair needs b > pi/2")
+    if not math.pi / 2 < b < math.inf:
+        raise ValueError("tilted pair needs a finite b > pi/2")
     c = math.pi / (2.0 * b)
     theta = math.acos(c)
     sec2 = 1.0 / (c * c)
@@ -437,6 +439,9 @@ def continuation_in_width(b_start: float, b_end: float, steps: int,
     """
     if steps < 1:
         raise ValueError("continuation needs steps >= 1")
+    for name, b in (("b_start", b_start), ("b_end", b_end)):
+        if not math.isfinite(b):
+            raise ValueError(f"continuation {name} must be finite, got {b}")
     if min(b_start, b_end) <= math.pi / 2:
         raise ValueError("continuation runs in b > pi/2")
     bs = np.linspace(b_start, b_end, steps + 1) if b_start != b_end \

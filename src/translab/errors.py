@@ -34,7 +34,8 @@ class NonMonotoneProfileError(TranslabError):
 
 
 class WindowTooNarrowError(TranslabError):
-    """Asymptotic fit window violates r_hi >= 2 r_lo."""
+    """Asymptotic fit window is not a finite [r_lo, r_hi] with 0 < r_lo,
+    2 r_lo <= r_hi and r_hi within the profile, or holds too few samples."""
 
 
 class UmbilicWindowError(TranslabError):

@@ -4,6 +4,11 @@ OBJ for meshes.
 Floats are written with 17 significant digits, so GridFunction CSV round-trips
 bit-exactly and identical runs produce byte-identical files (no timestamps).
 Every CSV and OBJ body is one table of columns, written by _write_table.
+Int columns are written as ints.  A value that many rows repeat is formatted
+once, by one % over its array, and reaches the rows as text: each grid
+coordinate (x_i and y_j) and each ring height of a revolution OBJ.  A grid
+table is written a grid line at a time, from a line format that already holds
+j and y_j, so each row fills in only i, x_i and its per-node values.
 """
 
 from __future__ import annotations
@@ -29,33 +34,56 @@ def _fmt(x) -> str:
     return _F % float(x)
 
 
-def _write_table(f, row_fmt: str, columns):
-    """Write equal-length columns to f as rows of the %-format row_fmt, one
-    % per block of _BLOCK_ROWS rows.  Stacking a block turns int columns next
-    to float ones into floats, which %d formats exactly."""
-    block_fmt = row_fmt * _BLOCK_ROWS
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
-        fmt = block_fmt if len(block) == _BLOCK_ROWS else row_fmt * len(block)
-        f.write(fmt % tuple(block.ravel().tolist()))
+def _rows(fmt: str, columns) -> str:
+    """fmt once per entry of the first axis of the equal-shape columns,
+    filled in by one %.  Each entry's values fill its fmt row by row (C
+    order), in column order within a row.  Values keep their kind: ints
+    fill %d fields exactly, and str columns (dtype object) fill %s fields."""
+    vals = [None] * sum(c.size for c in columns)
+    for k, c in enumerate(columns):
+        vals[k::len(columns)] = c.ravel().tolist()
+    return (fmt * len(columns[0])) % tuple(vals)
+
+
+def _texts(a) -> np.ndarray:
+    """The %.17g text of each value of the 1-D array a, formatted by one %."""
+    return np.array(_rows(_F + "\n", [a]).split(), dtype=object)
+
+
+def _write_table(f, fmt: str, columns):
+    """Write equal-shape columns to f as rows of the %-format fmt.
+
+    fmt formats one run of rows: a column of shape (runs, m) gives m rows
+    per run, a 1-D column one.  A grid table runs over one grid line, so
+    its fmt holds the text that every line repeats (j and y_j) and each row
+    fills in only the rest.  One % covers the whole runs of a block of at
+    most _BLOCK_ROWS rows (at least one run), which bounds its memory."""
+    step = max(1, _BLOCK_ROWS // math.prod(columns[0].shape[1:]))
+    for start in range(0, len(columns[0]), step):
+        f.write(_rows(fmt, [c[start:start + step] for c in columns]))
+
+
+def _line_columns(u: GridFunction):
+    """(i, x, y) of the nodes of u for a grid table: i and the text of x_i
+    as (nx, ny) views, and the texts of the ny values y_j, which the
+    format of one grid line takes."""
+    shape = (u.nx, u.ny)
+    return (np.broadcast_to(np.arange(u.nx)[:, None], shape),
+            np.broadcast_to(_texts(u.xs)[:, None], shape), _texts(u.ys))
 
 
 # --- GridFunction CSV ---------------------------------------------------------
 
 
-def _node_columns(u: GridFunction):
-    """Columns i, j, x, y, u over the nodes, i-major."""
-    i, j = np.indices((u.nx, u.ny)).reshape(2, -1)
-    return [i, j, u.xs[i], u.ys[j], u.values.ravel()]
-
-
 def write_grid_csv(u: GridFunction, path):
     """Columns i, j, x, y, u with a metadata comment line; bit-exact."""
+    i, x, y = _line_columns(u)
+    fmt = _rows("%%d,%d,%%s,%s,%%.17g\n", [np.arange(u.ny), y])
     with open(path, "w") as f:
         f.write(f"# translab-grid nx={u.nx} ny={u.ny} hx={_fmt(u.hx)} "
                 f"hy={_fmt(u.hy)} x0={_fmt(u.x0)} y0={_fmt(u.y0)}\n")
         f.write("i,j,x,y,u\n")
-        _write_table(f, "%d,%d,%.17g,%.17g,%.17g\n", _node_columns(u))
+        _write_table(f, fmt, [i, x, u.values])
 
 
 def _read_csv(path, tag: str, ncols: int, **meta_types):
@@ -104,32 +132,38 @@ _GEOMETRY_COLUMNS = ["i", "j", "x", "y", "u", "W", "H", "kappa1", "kappa2",
                      "normA2", "Q2", "flags"]
 
 
-def _geometry_columns(u: GridFunction):
-    """Per-node columns of graph_geometry(u) in _GEOMETRY_COLUMNS order,
-    i-major; flags bit 0: outside the valid margin, bit 1: umbilic."""
+def _geometry_fields(u: GridFunction):
+    """The (nx, ny) per-node arrays u, W, H, kappa1, kappa2, normA2, Q2,
+    flags of graph_geometry(u), the columns after i, j, x, y of
+    _GEOMETRY_COLUMNS; flags bit 0: outside the valid margin, bit 1:
+    umbilic."""
     geom = graph_geometry(u)
     q2 = q_squared(geom, u)
     flags = np.where(geom.interior, 0, 1) | np.where(geom.umbilic, 2, 0)
-    return _node_columns(u) + [a.ravel() for a in (
-        geom.W, geom.H, geom.kappa1, geom.kappa2, geom.normA2, q2, flags)]
+    return [u.values, geom.W, geom.H, geom.kappa1, geom.kappa2, geom.normA2,
+            q2, flags]
 
 
 def write_geometry_csv(u: GridFunction, path):
     """One row per node, columns i, j, x, y, u, W, H, kappa1, kappa2, normA2,
     Q2, flags; the column order is part of the format."""
+    i, x, y = _line_columns(u)
+    fmt = _rows("%%d,%d,%%s,%s," + "%%.17g," * 7 + "%%d\n",
+                [np.arange(u.ny), y])
     with open(path, "w") as f:
         f.write(",".join(_GEOMETRY_COLUMNS) + "\n")
-        _write_table(f, "%d,%d," + "%.17g," * 9 + "%d\n",
-                     _geometry_columns(u))
+        _write_table(f, fmt, [i, x, *_geometry_fields(u)])
 
 
 def _geometry_nodes(u: GridFunction):
-    """The per-node rows of _geometry_columns as JSON values: non-finite
+    """The per-node rows of write_geometry_csv as JSON values: non-finite
     floats become strings ("nan", "inf", "-inf"), as _jsonable makes them.
     A function of its own so that its arrays are freed before encoding."""
-    i, j, *reals, flags = _geometry_columns(u)
-    reals = np.column_stack(reals)
-    nodes = np.column_stack([c.astype(object) for c in (i, j, reals, flags)])
+    i, j = np.indices((u.nx, u.ny)).reshape(2, -1)
+    *fields, flags = _geometry_fields(u)
+    reals = np.column_stack([u.xs[i], u.ys[j]] + [a.ravel() for a in fields])
+    nodes = np.column_stack([c.astype(object)
+                             for c in (i, j, reals, flags.ravel())])
     bad = ~np.isfinite(reals)
     nodes[:, 2:-1][bad] = reals[bad].astype(str)
     return nodes.tolist()
@@ -226,14 +260,15 @@ def report_to_json(report, extra: dict | None = None) -> str:
 # --- OBJ export -----------------------------------------------------------------
 
 
-def _write_obj(path, provenance: str, vertices, faces):
-    """OBJ file: version and provenance comments, then 'v' rows of the three
-    vertex columns and 'f' rows of the four 1-based quad index columns."""
+def _write_obj(path, provenance: str, vertex_fmt: str, vertices, faces):
+    """OBJ file: version and provenance comments, then the 'v' rows of
+    _write_table(vertex_fmt, vertices) and 'f' rows of the four 1-based quad
+    index columns."""
     with open(path, "w") as f:
         f.write(f"# translab {__version__}\n")
         if provenance:
             f.write(f"# command: {provenance}\n")
-        _write_table(f, "v %.17g %.17g %.17g\n", vertices)
+        _write_table(f, vertex_fmt, vertices)
         _write_table(f, "f %d %d %d %d\n", faces)
 
 
@@ -241,9 +276,10 @@ def export_grid_obj(u: GridFunction, path, provenance: str = ""):
     """Height field as an OBJ quad mesh, y-up: vertex (x, u, y)."""
     if not np.all(np.isfinite(u.values)):
         raise IoError("refusing OBJ export: non-finite heights")
-    _, _, x, y, h = _node_columns(u)
+    _, x, y = _line_columns(u)
     a = (u.ny * np.arange(u.nx - 1)[:, None] + np.arange(u.ny - 1) + 1).ravel()
-    _write_obj(path, provenance, [x, h, y], [a, a + u.ny, a + u.ny + 1, a + 1])
+    _write_obj(path, provenance, _rows("v %%s %%.17g %s\n", [y]),
+               [x, u.values], [a, a + u.ny, a + u.ny + 1, a + 1])
 
 
 def export_revolution_obj(p: RadialProfile, path, samples: int = 128,
@@ -262,12 +298,13 @@ def export_revolution_obj(p: RadialProfile, path, samples: int = 128,
         raise IoError("refusing OBJ export: non-finite profile")
     n = len(p.r)  # linspace(0, n - 1, n) is exactly arange(n)
     keep = np.unique(np.linspace(0, n - 1, min(n, _MAX_RINGS)).round().astype(int))
-    rr, uu = p.r[keep], p.u[keep]
+    rr = p.r[keep]
     ang = 2 * math.pi * np.arange(samples) / samples
     ring = samples * np.arange(len(rr) - 1)[:, None] + 1
     a = (ring + np.arange(samples)).ravel()
     b = (ring + (np.arange(samples) + 1) % samples).ravel()
-    _write_obj(path, provenance,
-               [np.outer(rr, np.cos(ang)).ravel(), np.repeat(uu, samples),
+    _write_obj(path, provenance, "v %.17g %s %.17g\n",
+               [np.outer(rr, np.cos(ang)).ravel(),
+                np.repeat(_texts(p.u[keep]), samples),
                 np.outer(rr, np.sin(ang)).ravel()],
                [a, b, b + samples, a + samples])

@@ -328,6 +328,11 @@ class AsymptoticFit:
 
 def fit_asymptotics(p: RadialProfile, r_lo: float, r_hi: float) -> AsymptoticFit:
     """Ordinary least squares of u against {r^2, log r, 1} on [r_lo, r_hi]."""
+    if not 0 < r_lo < math.inf:
+        raise WindowTooNarrowError(f"fit bound r_lo must be finite and "
+                                   f"positive, got {r_lo}")
+    if not math.isfinite(r_hi):
+        raise WindowTooNarrowError(f"fit bound r_hi must be finite, got {r_hi}")
     if r_hi > p.r[-1] + 1e-12:
         raise WindowTooNarrowError("r_hi exceeds the profile range")
     if r_hi < 2.0 * r_lo:

@@ -49,7 +49,8 @@ def test_grid_csv_rejects_truncated_file(tmp_path):
 @pytest.mark.parametrize("row", ["1,2,0.5,0.5", "1,2,0.5,0.5,0.1,9",
                                  "1,2,0.5,0.5,abc", "x,2,0.5,0.5,0.1",
                                  "5,2,0.5,0.5,0.1", "-1,2,0.5,0.5,0.1",
-                                 "1.5,2,0.5,0.5,0.1", "1,1,0.5,0.5,0.1"])
+                                 "1.5,2,0.5,0.5,0.1", "1,1,0.5,0.5,0.1",
+                                 "1,2,abc,0.5,0.1", "1,2,0.5,abc,0.1"])
 def test_grid_csv_rejects_malformed_row(tmp_path, row):
     # each variant replaces node (1, 2) of a complete 5x5 file
     path = tmp_path / "g.csv"
@@ -600,3 +601,50 @@ def test_cli_firstvar_names_the_bad_option(tmp_path, capsys, argv, code, err):
         rc = exc.code
     assert rc == code
     assert err in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["delta-wing", "--b", "inf"],
+     "strip half-width b must be finite and positive, got inf"),
+    (["delta-wing", "--b", "nan"],
+     "strip half-width b must be finite and positive, got nan"),
+    (["delta-wing", "--b", "2", "--L", "nan"],
+     "truncation length L must be finite and >= 4, got nan"),
+    (["delta-wing", "--b", "2", "--L", "inf"],
+     "truncation length L must be finite and >= 4, got inf"),
+    (["continuation", "--b-start", "2", "--b-end", "inf", "--steps", "2"],
+     "continuation b_end must be finite, got inf"),
+    (["continuation", "--b-start", "nan", "--b-end", "2", "--steps", "2"],
+     "continuation b_start must be finite, got nan"),
+], ids=["b-inf", "b-nan", "L-nan", "L-inf", "b-end-inf", "b-start-nan"])
+def test_cli_strip_refuses_a_width_or_length_that_is_not_finite(argv, err):
+    # b = inf used to end in a ZeroDivisionError traceback, nan in "grid
+    # spacings must be positive", and L = inf or b_end = inf printed numpy's
+    # RuntimeWarning ahead of the error line
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "translab.cli", "elliptic",
+                           *argv, "--nx", "33", "--ny", "33"], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("rlo, rhi, err", [
+    ("0", "20", "fit bound r_lo must be finite and positive, got 0.0"),
+    ("-5", "20", "fit bound r_lo must be finite and positive, got -5.0"),
+    ("nan", "20", "fit bound r_lo must be finite and positive, got nan"),
+    ("2", "nan", "fit bound r_hi must be finite, got nan"),
+    ("2", "inf", "fit bound r_hi must be finite, got inf"),
+])
+def test_cli_radial_fit_refuses_a_bound_that_is_not_finite_positive(
+        tmp_path, rlo, rhi, err):
+    # r_lo <= 0 used to print numpy's warnings, LAPACK's DLASCL complaint and
+    # "SVD did not converge"; nan reported too few samples in the window
+    prof = tmp_path / "p.csv"
+    tio.write_profile_csv(radial.shoot_bowl(2, 20.0, 1e-2), prof)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "translab.cli", "radial",
+                           "fit", "--in", str(prof), "--rlo", rlo, "--rhi", rhi],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {err}\n"

@@ -171,12 +171,17 @@ def inputs():
                                    -1, 1, -1, 1, 9, 7),
         "big": grid.from_function(lambda X, Y: np.exp(X) * np.sin(3 * Y),
                                   -1, 1, -2, 2, 81, 61),
+        "long_line": grid.from_function(lambda X, Y: np.cos(X + Y) / 3,
+                                        -1, 1, -3, 3, 5, 4099),
+        "short_lines": grid.from_function(lambda X, Y: np.sin(X - Y) / 3,
+                                          -3, 3, -1, 1, 4099, 5),
         "tip": tip,
         "tip_geom_inf": (tip, dataclasses.replace(geom, W=W, H=H)),
         "bowl": bowl,
         "catenoid_upper": upper,
         "catenoid_lower": lower,
         "long": radial.shoot_bowl(2, 6.0, 1e-2),
+        "short": radial.shoot_bowl(2, 0.3, 1e-2),
         "log": csf.SingularityLog(times=t, Amax=1.0 / (1.0 - 2.0 * t),
                                   length=2 * math.pi * np.sqrt(1.0 - 2.0 * t),
                                   area=math.pi * (1.0 - 2.0 * t)),
@@ -191,10 +196,14 @@ CASES = [
     ("write_grid_csv", "wavy", {}),
     ("write_grid_csv", "tip", {}),
     ("write_grid_csv", "big", {}),
+    ("write_grid_csv", "long_line", {}),
+    ("write_grid_csv", "short_lines", {}),
     ("write_geometry_csv", "wavy", {}),
     ("write_geometry_csv", "tip", {}),
     ("write_geometry_csv", "tip_geom_inf", {}),
     ("write_geometry_csv", "big", {}),
+    ("write_geometry_csv", "long_line", {}),
+    ("write_geometry_csv", "short_lines", {}),
     ("write_geometry_json", "wavy", {}),
     ("write_geometry_json", "tip", {}),
     ("write_geometry_json", "tip_geom_inf", {}),
@@ -208,11 +217,14 @@ CASES = [
     ("export_grid_obj", "wavy", {}),
     ("export_grid_obj", "tip", {"provenance": PROV}),
     ("export_grid_obj", "big", {}),
+    ("export_grid_obj", "long_line", {}),
+    ("export_grid_obj", "short_lines", {}),
     ("export_revolution_obj", "bowl", {"samples": 8}),
     ("export_revolution_obj", "catenoid_upper", {"samples": 3,
                                                   "provenance": PROV}),
     ("export_revolution_obj", "long", {"samples": 8}),
     ("export_revolution_obj", "long", {"samples": 9, "provenance": PROV}),
+    ("export_revolution_obj", "short", {"samples": 3}),
 ]
 
 
@@ -225,6 +237,12 @@ def test_inputs_reach_every_special_case(inputs):
     # tables of more than one 4096-row block; the long profile's 512 rings
     # at 8 angular samples make exactly one
     assert inputs["big"].nx * inputs["big"].ny > 4096
+    # a grid table is written a grid line (ny rows) at a time: one line
+    # longer than a block, and many short lines that do not divide one
+    assert inputs["long_line"].ny > tio._BLOCK_ROWS
+    assert tio._BLOCK_ROWS % inputs["short_lines"].ny != 0
+    assert inputs["short_lines"].nx * inputs["short_lines"].ny > 4096
+    assert len(inputs["short"].r) < tio._MAX_RINGS
 
 
 @pytest.mark.parametrize("writer,key,kwargs", CASES,
