@@ -21,7 +21,7 @@ from scipy.sparse.linalg import splu
 from . import catalog
 from .errors import (ContinuationBrokenError, LinearSolveFailureError,
                      MaxIterationsError, NewtonStalledError,
-                     ShapeMismatchError)
+                     NonFiniteError, ShapeMismatchError)
 from .geom import interior_jet
 from .grid import GridFunction
 
@@ -49,6 +49,17 @@ class StripProblem:
                              f"got {self.L}")
         if self.nx < 33 or self.ny < 33:
             raise ValueError("resolution must be at least 33x33")
+        # The stencils divide by hx^2 and hy^2.  The Newton residual is the
+        # curvature defect times W^3 >= sec^3(theta) on the flanks of the
+        # tilted pair (cos(theta) = pi / (2 b)), and its norm squares that.
+        sec2 = (2.0 * self.b / math.pi) * (2.0 * self.b / math.pi)
+        if not (0 < self.hy * self.hy < math.inf
+                and sec2 * sec2 * sec2 < math.inf):
+            raise ValueError(f"strip half-width b must keep hy^2 and "
+                             f"sec^6(theta) finite and positive, got {self.b}")
+        if not self.hx * self.hx < math.inf:
+            raise ValueError(f"truncation length L must keep hx^2 finite, "
+                             f"got {self.L}")
         self.bc = np.asarray(self.bc, dtype=float)
         if self.bc.shape != (self.nx, self.ny):
             raise ShapeMismatchError("bc shape does not match the grid")
@@ -113,6 +124,9 @@ def tilted_pair_envelope(b: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if not math.pi / 2 < b < math.inf:
         raise ValueError("tilted pair needs a finite b > pi/2")
     c = math.pi / (2.0 * b)
+    if not c * c > 0 or math.isinf(1.0 / (c * c)):
+        raise ValueError(f"tilted pair needs a finite sec^2(theta), "
+                         f"got b = {b}")
     theta = math.acos(c)
     sec2 = 1.0 / (c * c)
     return sec2 * np.log(np.cos(Y * c)) - math.tan(theta) * np.abs(X)
@@ -270,8 +284,12 @@ def newton_solve(p: StripProblem, init: GridFunction):
     damping_history, defect_history = [], []
     lu, factorizations = None, 0
 
-    jet, res, defect = _residual(v, hx, hy)
-    fnorm = float(np.linalg.norm(defect))
+    with np.errstate(over="ignore", invalid="ignore"):
+        jet, res, defect = _residual(v, hx, hy)
+        fnorm = float(np.linalg.norm(defect))
+    if not math.isfinite(fnorm):
+        raise NonFiniteError(f"the defect of the initial guess is not finite "
+                             f"(||defect||_2 = {fnorm})")
     iterations = 0
     for it in range(MAX_NEWTON):
         if np.max(np.abs(defect)) <= TOL_RESIDUAL:
@@ -288,8 +306,10 @@ def newton_solve(p: StripProblem, init: GridFunction):
         while True:
             trial = v.copy()
             trial[1:-1, 1:-1] += lam * delta
-            tjet, tres, tdef = _residual(trial, hx, hy)
-            tnorm = float(np.linalg.norm(tdef))
+            with np.errstate(over="ignore", invalid="ignore"):
+                # a step that overflows is refused below, like any other
+                tjet, tres, tdef = _residual(trial, hx, hy)
+                tnorm = float(np.linalg.norm(tdef))
             if np.isfinite(tnorm) and tnorm <= (1.0 - 1e-4 * lam) * fnorm:
                 break
             if not fresh:               # reused LU: refactor, retake the step
@@ -444,6 +464,9 @@ def continuation_in_width(b_start: float, b_end: float, steps: int,
             raise ValueError(f"continuation {name} must be finite, got {b}")
     if min(b_start, b_end) <= math.pi / 2:
         raise ValueError("continuation runs in b > pi/2")
+    # the widest strip is refused before any solve, not after the others
+    StripProblem(b=max(b_start, b_end), L=L, nx=nx, ny=ny,
+                 bc=np.zeros((nx, ny)))
     bs = np.linspace(b_start, b_end, steps + 1) if b_start != b_end \
         else np.array([b_start])
     out = []

@@ -3,12 +3,14 @@ OBJ for meshes.
 
 Floats are written with 17 significant digits, so GridFunction CSV round-trips
 bit-exactly and identical runs produce byte-identical files (no timestamps).
-Every CSV and OBJ body is one table of columns, written by _write_table.
-Int columns are written as ints.  A value that many rows repeat is formatted
-once, by one % over its array, and reaches the rows as text: each grid
-coordinate (x_i and y_j) and each ring height of a revolution OBJ.  A grid
-table is written a grid line at a time, from a line format that already holds
-j and y_j, so each row fills in only i, x_i and its per-node values.
+Every CSV and OBJ body, and the node rows of the geometry JSON, is one table
+of columns, written by _write_table a block of rows at a time.  Int columns
+are written as ints.  Each float column of a grid table (x_i, y_j and the
+per-node heights and geometry fields) and the ring heights of a revolution
+OBJ are formatted once per distinct value (_texts) and reach the rows as
+text; the grids translab computes repeat most of their values.  A grid
+table is written a grid line at a time, from a line format that already
+holds j and y_j, so each row fills in only i, x_i and its per-node values.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .grid import GridFunction
 from .radial import RadialProfile, RadialKind, profile_curvatures
 
 _F = "%.17g"
+_R = "%r"           # JSON floats: repr, as json.dumps writes them
 _BLOCK_ROWS = 4096  # rows per % in _write_table; bounds its memory use
 _MAX_RINGS = 512    # rings of a revolution OBJ
 
@@ -45,13 +48,25 @@ def _rows(fmt: str, columns) -> str:
     return (fmt * len(columns[0])) % tuple(vals)
 
 
-def _texts(a) -> np.ndarray:
-    """The %.17g text of each value of the 1-D array a, formatted by one %."""
-    return np.array(_rows(_F + "\n", [a]).split(), dtype=object)
+def _texts(a, fmt: str = _F) -> np.ndarray:
+    """The fmt text of each value of the float array a, in a's shape.
+    Each distinct bit pattern is formatted once, by one % over the
+    distinct values (so -0.0 and 0.0 stay apart), and its text gathered
+    back to every position that holds it.  With fmt _R a non-finite value
+    becomes a JSON string ("nan", "inf", "-inf")."""
+    keys, where = np.unique(np.ravel(a).view(np.int64), return_inverse=True)
+    vals = keys.view(float)
+    texts = np.array(_rows(fmt + "\n", [vals]).split(), dtype=object)
+    if fmt == _R:
+        bad = ~np.isfinite(vals)
+        texts[bad] = [f'"{v}"' for v in vals[bad].tolist()]
+    return texts[where].reshape(np.shape(a))
 
 
-def _write_table(f, fmt: str, columns):
-    """Write equal-shape columns to f as rows of the %-format fmt.
+def _write_table(f, fmt: str, columns, skip: int = 0):
+    """Write equal-shape columns to f as rows of the %-format fmt, less
+    the first skip characters (a separator that leads each row but the
+    first).
 
     fmt formats one run of rows: a column of shape (runs, m) gives m rows
     per run, a 1-D column one.  A grid table runs over one grid line, so
@@ -60,16 +75,27 @@ def _write_table(f, fmt: str, columns):
     most _BLOCK_ROWS rows (at least one run), which bounds its memory."""
     step = max(1, _BLOCK_ROWS // math.prod(columns[0].shape[1:]))
     for start in range(0, len(columns[0]), step):
-        f.write(_rows(fmt, [c[start:start + step] for c in columns]))
+        text = _rows(fmt, [c[start:start + step] for c in columns])
+        f.write(text[skip:] if start == 0 else text)
 
 
-def _line_columns(u: GridFunction):
-    """(i, x, y) of the nodes of u for a grid table: i and the text of x_i
-    as (nx, ny) views, and the texts of the ny values y_j, which the
+def _line_columns(u: GridFunction, fmt: str = _F):
+    """(i, x, y) of the nodes of u for a grid table: i and the fmt text of
+    x_i as (nx, ny) views, and the texts of the ny values y_j, which the
     format of one grid line takes."""
     shape = (u.nx, u.ny)
     return (np.broadcast_to(np.arange(u.nx)[:, None], shape),
-            np.broadcast_to(_texts(u.xs)[:, None], shape), _texts(u.ys))
+            np.broadcast_to(_texts(u.xs, fmt)[:, None], shape),
+            _texts(u.ys, fmt))
+
+
+def _line_format(row: str, y) -> str:
+    """The format of one grid line of a table whose rows have the format
+    row: row once per j, with its "{y}" filled in by the text y[j] and
+    its "{j}", if it has one (before "{y}"), by j."""
+    lead = [np.arange(len(y))] if "{j}" in row else []
+    row = row.replace("%", "%%").replace("{j}", "%d").replace("{y}", "%s")
+    return _rows(row, lead + [y])
 
 
 # --- GridFunction CSV ---------------------------------------------------------
@@ -78,12 +104,12 @@ def _line_columns(u: GridFunction):
 def write_grid_csv(u: GridFunction, path):
     """Columns i, j, x, y, u with a metadata comment line; bit-exact."""
     i, x, y = _line_columns(u)
-    fmt = _rows("%%d,%d,%%s,%s,%%.17g\n", [np.arange(u.ny), y])
+    fmt = _line_format("%d,{j},%s,{y},%s\n", y)
     with open(path, "w") as f:
         f.write(f"# translab-grid nx={u.nx} ny={u.ny} hx={_fmt(u.hx)} "
                 f"hy={_fmt(u.hy)} x0={_fmt(u.x0)} y0={_fmt(u.y0)}\n")
         f.write("i,j,x,y,u\n")
-        _write_table(f, fmt, [i, x, u.values])
+        _write_table(f, fmt, [i, x, _texts(u.values)])
 
 
 def _read_csv(path, tag: str, ncols: int, **meta_types):
@@ -144,37 +170,42 @@ def _geometry_fields(u: GridFunction):
             q2, flags]
 
 
+def _geometry_table(u: GridFunction, fmt: str, row: str, sep: str):
+    """(line format, columns) of the geometry table of u: one row per node,
+    of the format row with "{j}", "{y}" and "{fields}" in it, filled in by
+    i, the texts of x_i and y_j, the fmt texts of the seven float fields
+    (joined by sep) and flags."""
+    i, x, y = _line_columns(u, fmt)
+    *reals, flags = _geometry_fields(u)
+    fields = sep.join(["%s"] * len(reals))
+    return (_line_format(row.replace("{fields}", fields), y),
+            [i, x, *[_texts(a, fmt) for a in reals], flags])
+
+
 def write_geometry_csv(u: GridFunction, path):
     """One row per node, columns i, j, x, y, u, W, H, kappa1, kappa2, normA2,
     Q2, flags; the column order is part of the format."""
-    i, x, y = _line_columns(u)
-    fmt = _rows("%%d,%d,%%s,%s," + "%%.17g," * 7 + "%%d\n",
-                [np.arange(u.ny), y])
+    fmt, columns = _geometry_table(u, _F, "%d,{j},%s,{y},{fields},%d\n", ",")
     with open(path, "w") as f:
         f.write(",".join(_GEOMETRY_COLUMNS) + "\n")
-        _write_table(f, fmt, [i, x, *_geometry_fields(u)])
-
-
-def _geometry_nodes(u: GridFunction):
-    """The per-node rows of write_geometry_csv as JSON values: non-finite
-    floats become strings ("nan", "inf", "-inf"), as _jsonable makes them.
-    A function of its own so that its arrays are freed before encoding."""
-    i, j = np.indices((u.nx, u.ny)).reshape(2, -1)
-    *fields, flags = _geometry_fields(u)
-    reals = np.column_stack([u.xs[i], u.ys[j]] + [a.ravel() for a in fields])
-    nodes = np.column_stack([c.astype(object)
-                             for c in (i, j, reals, flags.ravel())])
-    bad = ~np.isfinite(reals)
-    nodes[:, 2:-1][bad] = reals[bad].astype(str)
-    return nodes.tolist()
+        _write_table(f, fmt, columns)
 
 
 def write_geometry_json(u: GridFunction, path):
-    """Same per-node rows as the CSV, as a JSON array of rows."""
-    payload = {"schema": "translab-geometry/1", "columns": _GEOMETRY_COLUMNS,
-               "nodes": _geometry_nodes(u), "version": __version__}
-    with open(path, "w") as f:  # json.dumps runs the C encoder, json.dump not
-        f.write(json.dumps(payload) + "\n")
+    """Same per-node rows as the CSV, as a JSON array of rows; a non-finite
+    float is a string ("nan", "inf", "-inf").  json.dumps writes the head
+    and tail; the rows, as it would write them, come from _write_table."""
+    # "nodes" holds the only empty list: the head ends where its rows start
+    head, tail = json.dumps({"schema": "translab-geometry/1",
+                             "columns": _GEOMETRY_COLUMNS, "nodes": [],
+                             "version": __version__}).split("[]")
+    sep = ", "  # json.dumps's item separator
+    fmt, columns = _geometry_table(
+        u, _R, sep + "[%d, {j}, %s, {y}, {fields}, %d]", sep)
+    with open(path, "w") as f:
+        f.write(head + "[")
+        _write_table(f, fmt, columns, skip=len(sep))
+        f.write("]" + tail + "\n")
 
 
 # --- RadialProfile CSV ----------------------------------------------------------
@@ -278,8 +309,8 @@ def export_grid_obj(u: GridFunction, path, provenance: str = ""):
         raise IoError("refusing OBJ export: non-finite heights")
     _, x, y = _line_columns(u)
     a = (u.ny * np.arange(u.nx - 1)[:, None] + np.arange(u.ny - 1) + 1).ravel()
-    _write_obj(path, provenance, _rows("v %%s %%.17g %s\n", [y]),
-               [x, u.values], [a, a + u.ny, a + u.ny + 1, a + 1])
+    _write_obj(path, provenance, _line_format("v %s %s {y}\n", y),
+               [x, _texts(u.values)], [a, a + u.ny, a + u.ny + 1, a + 1])
 
 
 def export_revolution_obj(p: RadialProfile, path, samples: int = 128,

@@ -12,7 +12,7 @@ from translab.elliptic import (DAMPING_MIN, MAX_NEWTON, TOL_RESIDUAL,
                                make_strip_problem, newton_solve)
 from translab.errors import (ContinuationBrokenError, LinearSolveFailureError,
                              MaxIterationsError, NewtonStalledError,
-                             ShapeMismatchError)
+                             NonFiniteError, ShapeMismatchError)
 
 B_ROOT2 = math.pi / math.sqrt(2)
 
@@ -395,6 +395,21 @@ def test_strip_problem_invariants():
         make_strip_problem(2.0, 3.0, 41, 41)            # L < 4
     with pytest.raises(ValueError):
         make_strip_problem(2.0, 6.0, 21, 41)            # resolution
+    for b, L in [(1e-200, 6.0), (1e52, 6.0), (2.0, 1e300)]:  # squares
+        with pytest.raises(ValueError, match="b must|L must"):
+            make_strip_problem(b, L, 41, 41)
+    # the envelope alone: sec^2(theta) = 1 / cos^2(theta) overflows
+    with pytest.raises(ValueError, match="finite sec"):
+        elliptic.tilted_pair_envelope(1e200, np.zeros(3), np.zeros(3))
+
+
+def test_newton_refuses_an_initial_guess_whose_defect_is_not_finite():
+    # hx^2 is finite at L = 1e155, but the smoothed guess's W^3 is not; it
+    # used to print numpy's RuntimeWarning before any error line.  The
+    # error does not name L yet: ROADMAP item 3 asks for a bound on L
+    p = make_strip_problem(2.0, 1e155, 33, 33)
+    with pytest.raises(NonFiniteError, match="initial guess"):
+        newton_solve(p, initial_guess(p))
 
 
 def full_grid_newton(p, init):

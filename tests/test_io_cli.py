@@ -616,11 +616,26 @@ def test_cli_firstvar_names_the_bad_option(tmp_path, capsys, argv, code, err):
      "continuation b_end must be finite, got inf"),
     (["continuation", "--b-start", "nan", "--b-end", "2", "--steps", "2"],
      "continuation b_start must be finite, got nan"),
-], ids=["b-inf", "b-nan", "L-nan", "L-inf", "b-end-inf", "b-start-nan"])
+    (["delta-wing", "--b", "1e200"],
+     "strip half-width b must keep hy^2 and sec^6(theta) finite and "
+     "positive, got 1e+200"),
+    (["delta-wing", "--b", "1e150"],
+     "strip half-width b must keep hy^2 and sec^6(theta) finite and "
+     "positive, got 1e+150"),
+    (["delta-wing", "--b", "2", "--L", "1e300"],
+     "truncation length L must keep hx^2 finite, got 1e+300"),
+    (["continuation", "--b-start", "2", "--b-end", "1e300", "--steps", "2"],
+     "strip half-width b must keep hy^2 and sec^6(theta) finite and "
+     "positive, got 1e+300"),
+], ids=["b-inf", "b-nan", "L-nan", "L-inf", "b-end-inf", "b-start-nan",
+        "b-1e200", "b-1e150", "L-1e300", "b-end-1e300"])
 def test_cli_strip_refuses_a_width_or_length_that_is_not_finite(argv, err):
     # b = inf used to end in a ZeroDivisionError traceback, nan in "grid
     # spacings must be positive", and L = inf or b_end = inf printed numpy's
-    # RuntimeWarning ahead of the error line
+    # RuntimeWarning ahead of the error line.  Finite sizes whose squares
+    # overflow did the same: b = 1e200 and b_end = 1e300 ended in the
+    # traceback, L = 1e300 and b = 1e150 printed the warning and then
+    # "Factor is exactly singular"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-m", "translab.cli", "elliptic",
                            *argv, "--nx", "33", "--ny", "33"], env=env,

@@ -10,6 +10,7 @@ differently: both sides format the same floats.
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,10 @@ def inputs():
                                         -1, 1, -3, 3, 5, 4099),
         "short_lines": grid.from_function(lambda X, Y: np.sin(X - Y) / 3,
                                           -3, 3, -1, 1, 4099, 5),
+        # x = 0 and y = 0 are nodes: -0.0 next to 0.0, and every value
+        # repeated by the point reflection (x, y) -> (-x, -y)
+        "signs": grid.from_function(lambda X, Y: X * Y, -1, 1, -1.5, 1.5,
+                                    9, 7),
         "tip": tip,
         "tip_geom_inf": (tip, dataclasses.replace(geom, W=W, H=H)),
         "bowl": bowl,
@@ -208,6 +213,12 @@ CASES = [
     ("write_geometry_json", "tip", {}),
     ("write_geometry_json", "tip_geom_inf", {}),
     ("write_geometry_json", "big", {}),
+    ("write_geometry_json", "long_line", {}),
+    ("write_geometry_json", "short_lines", {}),
+    ("write_grid_csv", "signs", {}),
+    ("export_grid_obj", "signs", {}),
+    ("write_geometry_csv", "signs", {}),
+    ("write_geometry_json", "signs", {}),
     ("write_profile_csv", "bowl", {}),
     ("write_profile_csv", "catenoid_upper", {}),
     ("write_profile_csv", "catenoid_lower", {}),
@@ -243,6 +254,11 @@ def test_inputs_reach_every_special_case(inputs):
     assert tio._BLOCK_ROWS % inputs["short_lines"].ny != 0
     assert inputs["short_lines"].nx * inputs["short_lines"].ny > 4096
     assert len(inputs["short"].r) < tio._MAX_RINGS
+    # texts are formatted once per bit pattern, so -0.0 and 0.0 are two
+    u = inputs["signs"].values
+    zero = u == 0
+    assert (zero & np.signbit(u)).any() and (zero & ~np.signbit(u)).any()
+    assert np.array_equal(u, u[::-1, ::-1])
 
 
 @pytest.mark.parametrize("writer,key,kwargs", CASES,
@@ -259,3 +275,18 @@ def test_writer_matches_reference(tmp_path, monkeypatch, inputs, writer, key,
     getattr(tio, writer)(obj, got, **kwargs)
     globals()["ref_" + writer](obj, want, **ref_kwargs)
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_geometry_json_memory_is_bounded_by_its_file(tmp_path):
+    # the node rows are written a block at a time, not built whole and
+    # encoded by one json.dumps (19.6 MB traced for this 4.9 MB file)
+    bowl = radial.profile_to_grid(radial.shoot_bowl(2, 3.0, 2e-3),
+                                  -2.0, 2.0, -2.0, 2.0, 161, 161)
+    out = tmp_path / "geometry.json"
+    tracemalloc.start()
+    try:
+        tio.write_geometry_json(bowl, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * out.stat().st_size
