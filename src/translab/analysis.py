@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (EmptyMaskError, NonFiniteError,
-                     PerturbationTooLargeError, RegionOutOfBoundsError)
+from .errors import TranslabError
 from .geom import (drift_laplacian, flip_orientation, graph_geometry,
                    interior_jet, q_squared, surface_gradient)
 from .grid import GridFunction
@@ -70,7 +69,7 @@ def weighted_area(u: GridFunction, region: tuple) -> float:
     xs, ys = u.xs, u.ys
     if x_lo < xs[0] - 1e-12 or x_hi > xs[-1] + 1e-12 \
             or y_lo < ys[0] - 1e-12 or y_hi > ys[-1] + 1e-12:
-        raise RegionOutOfBoundsError("quadrature region exceeds the grid")
+        raise TranslabError("quadrature region exceeds the grid")
     v = u.values
     # cell-centered values and one-sided (exact at center) derivatives
     with np.errstate(over="ignore"):
@@ -110,21 +109,18 @@ def first_variation_check(u: GridFunction, v: VariationSpec,
               max(cy - r - margin, u.ys[1]), min(cy + r + margin, u.ys[-2]))
 
     def derivative(eps):
-        try:
-            with np.errstate(over="ignore"):  # inf is refused as non-finite
-                up = GridFunction(u.nx, u.ny, u.hx, u.hy, u.x0, u.y0,
-                                  u.values + eps * direction)
-                um = GridFunction(u.nx, u.ny, u.hx, u.hy, u.x0, u.y0,
-                                  u.values - eps * direction)
-        except NonFiniteError as exc:
-            raise PerturbationTooLargeError(str(exc)) from exc
+        with np.errstate(over="ignore"):  # inf is refused as non-finite
+            up = GridFunction(u.nx, u.ny, u.hx, u.hy, u.x0, u.y0,
+                              u.values + eps * direction)
+            um = GridFunction(u.nx, u.ny, u.hx, u.hy, u.x0, u.y0,
+                              u.values - eps * direction)
         for g in (up, um):
             gx, gy = interior_jet(g.values, u.hx, u.hy)[:2]
             if not np.all(np.isfinite(gx)) or not np.all(np.isfinite(gy)):
-                raise PerturbationTooLargeError("perturbed surface is not a graph")
+                raise TranslabError("perturbed surface is not a graph")
         val = (weighted_area(up, region) - weighted_area(um, region)) / (2 * eps)
         if not math.isfinite(val):
-            raise PerturbationTooLargeError("weighted area overflowed")
+            raise TranslabError("weighted area overflowed")
         return val
 
     d1 = derivative(v.epsilon)
@@ -146,7 +142,7 @@ def jacobi_field_defect(u: GridFunction) -> float:
     out = stability_apply(u, geom.normA2, geom.N[..., 2])
     vals = out[np.isfinite(out)]
     if vals.size == 0:
-        raise EmptyMaskError("no valid interior nodes")
+        raise TranslabError("no valid interior nodes")
     return float(np.max(np.abs(vals)))
 
 
@@ -169,7 +165,7 @@ def gradH_identity_check(u: GridFunction) -> float:
     mag = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     vals = mag[np.isfinite(mag)]
     if vals.size == 0:
-        raise EmptyMaskError("no valid interior nodes")
+        raise TranslabError("no valid interior nodes")
     return float(np.max(vals))
 
 
@@ -231,7 +227,7 @@ def spruck_xiao_report(u: GridFunction) -> SpruckXiaoReport:
 
     mask = np.isfinite(lhs) & np.isfinite(defect_k1) & ~umb
     if not mask.any():
-        raise EmptyMaskError("all nodes umbilic or outside the margin")
+        raise TranslabError("all nodes umbilic or outside the margin")
 
     h = max(u.hx, u.hy)
     amax = float(np.nanmax(np.sqrt(geom.normA2[mask])))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfDomainError
+from .errors import TranslabError
 from .grid import GridFunction
 from . import geom as _geom
 
@@ -23,6 +23,12 @@ from . import geom as _geom
 DOMAIN_GUARD = 1e-9
 # sample_grid covers this fraction of the strip half-width in x and in y
 HALF_WIDTH_FRAC = 0.9
+# sample_grid refuses an h whose grid has more nodes than this.  `catalog
+# residual` (2 vCPU) took 1.13 s at peak RSS 168 MB on 1001^2 nodes and
+# 2.08 s at 458 MB on 2000^2: 97 B and 0.32 us per node over a 71 MB, 0.8 s
+# launch.  At the bound that is about 1 GB and 4 s; h = 1e-7 would ask for
+# 8e14 nodes.
+_MAX_NODES = 10_000_000
 
 
 def _check_tilt(theta: float):
@@ -51,7 +57,7 @@ def evaluate(theta: float, x, y):
     tan_t = math.tan(theta)
     arg = x * c
     if np.any(math.pi / 2 - np.abs(arg) < DOMAIN_GUARD):
-        raise OutOfDomainError("point outside the open strip (or in the guard band)")
+        raise TranslabError("point outside the open strip (or in the guard band)")
     u = sec * sec * np.log(np.cos(arg)) - tan_t * y
     ux = -sec * np.tan(arg)
     uy = np.full_like(u, -tan_t)
@@ -105,12 +111,16 @@ def sample_grid(theta: float, h: float) -> GridFunction:
     """Sample the tilt-theta reaper on a truncated strip.
 
     Both x and y range over +-(HALF_WIDTH_FRAC * half_width(theta)).  Node
-    counts are chosen so the spacing is h rounded to fit.
+    counts are chosen so the spacing is h rounded to fit; an h that needs
+    more than _MAX_NODES nodes is refused.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step h must be finite and positive, not {h!r}")
     w = half_width(theta) * HALF_WIDTH_FRAC
-    n = max(int(round(2 * w / h)) + 1, 5)
+    # clamped before int(): 2 w / h is inf for a subnormal h
+    n = max(int(round(min(2 * w / h, _MAX_NODES))) + 1, 5)
+    if n * n > _MAX_NODES:
+        raise ValueError(f"step h = {h!r} needs more than {_MAX_NODES} grid nodes")
     step = 2 * w / (n - 1)
     side = -w + step * np.arange(n)
     X, Y = np.meshgrid(side, side, indexing="ij")

@@ -9,8 +9,9 @@ made third order by extrapolating 1, 2 and 3 substeps of dt, dt/2 and dt/3,
 each refreezing the metric at its own start (_extrapolated_step).  Every
 _REMESH_EVERY (5) steps the curve is resampled to uniform arclength by
 periodic cubic interpolation.  One driver (_flow) owns this policy, the stop
-rule and the common dt of a curve pair; run, evolve_to and comparison_check
-consume its states, raw (n, 2) arrays.
+rules and the common dt of a curve pair.  Its states, raw (n, 2) arrays, are
+consumed by the only three entry points that move a curve: run,
+evolve_to and comparison_check.  Every numerical failure is a TranslabError.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .errors import (DegenerateEdgeError, InsufficientDataError,
-                     LinearSolveFailureError, ResolutionLostError,
-                     TranslabError)
+from .errors import InsufficientDataError, TranslabError
 from .geom import CurveState, polyline_kernel, shift_bwd, shift_fwd
 
 _gtsv, = get_lapack_funcs(("gtsv",), dtype=np.float64)
@@ -124,7 +123,7 @@ def _cyclic_tridiag_solve(sub, diag, sup, corner_bl, corner_tr, rhs):
     B[-1, -1] = corner_bl
     sol, info = _gtsv(sub[1:], d, sup[:-1], B, overwrite_d=1, overwrite_b=1)[3:]
     if info != 0:
-        raise LinearSolveFailureError(f"tridiagonal solve failed (gtsv info {info})")
+        raise TranslabError(f"tridiagonal solve failed (gtsv info {info})")
     y, z = sol[:, :-1], sol[:, -1]
     vy = y[0, :] + (corner_tr / gamma) * y[-1, :]
     vz = z[0] + (corner_tr / gamma) * z[-1]
@@ -158,10 +157,9 @@ def _extrapolated_step(P: np.ndarray, dt: float) -> np.ndarray:
     return T32 + 0.5 * (T32 - T22)
 
 
-def _resample_arrays(P: np.ndarray, n: int | None = None) -> np.ndarray:
+def _resample_arrays(P: np.ndarray) -> np.ndarray:
     """Periodic-cubic arclength-uniform resampling of a closed polyline."""
     m = len(P)
-    n = n or m
     seg = _edge_lengths(P)
     s = np.empty(m + 1)
     s[0] = 0.0
@@ -179,7 +177,7 @@ def _resample_arrays(P: np.ndarray, n: int | None = None) -> np.ndarray:
                               corner_bl=h[-1] / 6.0, corner_tr=h_prev[0] / 6.0,
                               rhs=rhs)
 
-    snew = total * np.arange(n) / n
+    snew = total * np.arange(m) / m
     idx = np.clip(np.searchsorted(s, snew, side="right") - 1, 0, m - 1)
     hi = h[idx][:, None]
     t0 = (snew - s[idx])[:, None]
@@ -192,20 +190,21 @@ def _resample_arrays(P: np.ndarray, n: int | None = None) -> np.ndarray:
         + (Pi / hi - hi * Mi / 6.0) * t1 + (Pi1 / hi - hi * Mi1 / 6.0) * t0
 
 
-def _check_resolution(P: np.ndarray):
+def _resolution_lost(P: np.ndarray) -> bool:
+    """An edge below 1e-3 of the mean edge, even after resampling."""
     ell = _edge_lengths(P)
-    if float(np.min(ell)) < 1e-3 * float(np.mean(ell)):
-        raise ResolutionLostError("edge collapse after remeshing")
+    return float(np.min(ell)) < 1e-3 * float(np.mean(ell))
 
 
 def _diagnostics(P: np.ndarray, t: float):
     """(length, enclosed_area, amax): what the flow log needs.  A curve at
-    time t whose amax is not finite (a point, a segment) is refused."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _, _, kappa, length, area = polyline_kernel(P)
+    time t whose amax is not finite (a point, a segment) is refused; one so
+    large that its length or area overflows is left to _flow's dt rule."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kappa, length, area = polyline_kernel(P)
     amax = float(np.max(np.abs(kappa)))
     if not math.isfinite(amax):
-        raise DegenerateEdgeError(f"curvature not finite at t={t!r}")
+        raise TranslabError(f"curvature not finite at t={t!r}")
     return length, abs(area), amax
 
 
@@ -221,7 +220,8 @@ def _flow(curves, t: float, cfg: FlowConfig, t_end: float = math.inf):
     Amax >= stopAmax (STOP_AMAX), after _MAX_STEPS steps (MAX_STEPS), when dt
     no longer advances t in floating point (DT_UNDERFLOW), or when a remesh
     collapses an edge (RESOLUTION_LOST; that state is not yielded).  A state
-    whose Amax is not finite raises DegenerateEdgeError (_diagnostics).
+    whose Amax is not finite (_diagnostics), or so small that dt is not,
+    raises TranslabError.
     """
     state = SimpleNamespace(t=t, curves=[P.copy() for P in curves], steps=0,
                             remeshes=0, stopReason=None)
@@ -234,7 +234,14 @@ def _flow(curves, t: float, cfg: FlowConfig, t_end: float = math.inf):
         if amax >= cfg.stopAmax or state.steps == _MAX_STEPS:
             state.stopReason = STOP_AMAX if amax >= cfg.stopAmax else MAX_STEPS
             return
-        dt = min(cfg.dtSafety / amax ** 2, t_end - state.t)
+        # past length ~6e155 Amax^2 is subnormal or 0 and dt is not finite
+        dt = cfg.dtSafety / amax ** 2 if amax ** 2 > 0.0 else math.inf
+        if dt == math.inf:
+            length = max(d[0] for d in state.diags)
+            raise TranslabError(f"curve of length {length!r} is too large to "
+                                f"flow: dtSafety / Amax^2 is not finite at "
+                                f"Amax = {amax!r}")
+        dt = min(dt, t_end - state.t)
         if state.t + dt == state.t:
             state.stopReason = DT_UNDERFLOW
             return
@@ -244,34 +251,12 @@ def _flow(curves, t: float, cfg: FlowConfig, t_end: float = math.inf):
         if state.steps % _REMESH_EVERY == 0:
             state.curves = [_resample_arrays(P) for P in state.curves]
             state.remeshes += 1
-            try:
-                for P in state.curves:
-                    _check_resolution(P)
-            except ResolutionLostError:
+            if any(_resolution_lost(P) for P in state.curves):
                 state.stopReason = RESOLUTION_LOST
                 return
 
 
-# --- public stepping ----------------------------------------------------------
-
-
-def step(c: CurveState, cfg: FlowConfig) -> CurveState:
-    """One third-order extrapolated semi-implicit step with dt = dtSafety /
-    Amax^2, as the drivers take it (module docstring); remeshing is the
-    driver's job (resample_uniform every _REMESH_EVERY steps)."""
-    dt = cfg.dtSafety / _diagnostics(c.points, c.t)[2] ** 2
-    return CurveState(points=_extrapolated_step(c.points, dt), t=c.t + dt)
-
-
-def resample_uniform(c: CurveState, n: int | None = None) -> CurveState:
-    """Arclength-uniform resampling; a pure reparametrization.
-
-    Raises ResolutionLost if edges collapse below 1e-3 of the mean edge even
-    after redistribution.
-    """
-    new = _resample_arrays(c.points, n)
-    _check_resolution(new)
-    return CurveState(points=new, t=c.t)
+# --- public entry points ------------------------------------------------------
 
 
 def run(c0: CurveState, cfg: FlowConfig | None = None) -> SingularityLog:
@@ -299,13 +284,13 @@ def run(c0: CurveState, cfg: FlowConfig | None = None) -> SingularityLog:
 
 def evolve_to(c0: CurveState, t_target: float, cfg: FlowConfig | None = None) -> CurveState:
     """Evolve a curve to flow time exactly t_target (the stepping of run, last
-    step clipped).  Raises ResolutionLostError on resolution loss, and
-    TranslabError if the flow stops for any other reason first."""
+    step clipped).  Raises TranslabError if the flow stops first, on
+    resolution loss or for any other reason."""
     cfg = cfg or FlowConfig()
     for state in _flow([c0.points], c0.t, cfg, t_end=t_target):
         pass
     if state.stopReason == RESOLUTION_LOST:
-        raise ResolutionLostError("edge collapse after remeshing")
+        raise TranslabError("edge collapse after remeshing")
     if state.stopReason:
         raise TranslabError(f"{state.stopReason} at t={state.t!r} < {t_target!r}")
     return CurveState(points=state.curves[0], t=state.t)
@@ -364,9 +349,9 @@ def roundness(c: CurveState):
     with convex=False.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, _, kappa, _, signed_area = polyline_kernel(c.points)
+        kappa, _, signed_area = polyline_kernel(c.points)
     if not np.all(np.isfinite(kappa)):
-        raise DegenerateEdgeError("consecutive curve points coincide")
+        raise TranslabError("consecutive curve points coincide")
     k = kappa * np.sign(signed_area)
     kmin, kmax = float(np.min(k)), float(np.max(k))
     if kmin <= 0.0:
@@ -434,16 +419,20 @@ class ComparisonReport:
 
 def comparison_check(a: CurveState, b: CurveState,
                      cfg: FlowConfig | None = None) -> ComparisonReport:
-    """Co-evolve two initially disjoint curves and track their separation.
+    """Co-evolve two disjoint curves from their common start time (ValueError
+    unless a.t == b.t) and track their separation.
 
     The curves share the flow driver's dt (set by the larger Amax) until
     either reaches stopAmax, a remesh loses resolution, dt stops advancing t
     or _MAX_STEPS run out; the minimum vertex-segment distance is sampled at
-    t = 0 and after every step.  PASS verdict: the distance never drops
+    the start and after every step.  PASS verdict: the distance never drops
     below its initial value minus 10 * (sum of squared initial mean edge
     lengths), a discretization error allowance.
     """
     cfg = cfg or FlowConfig()
+    if a.t != b.t:
+        raise ValueError(f"curves must start at one time, got a.t = {a.t!r} "
+                         f"and b.t = {b.t!r}")
     for c in (a, b):        # refuse a point or a segment before any distance
         _diagnostics(c.points, c.t)
     if not _curves_disjoint(a.points, b.points):

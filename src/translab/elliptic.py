@@ -19,9 +19,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import catalog
-from .errors import (ContinuationBrokenError, LinearSolveFailureError,
-                     MaxIterationsError, NewtonStalledError,
-                     NonFiniteError, ShapeMismatchError)
+from .errors import MaxIterationsError, NewtonStalledError, TranslabError
 from .geom import interior_jet
 from .grid import GridFunction
 
@@ -62,7 +60,7 @@ class StripProblem:
                              f"got {self.L}")
         self.bc = np.asarray(self.bc, dtype=float)
         if self.bc.shape != (self.nx, self.ny):
-            raise ShapeMismatchError("bc shape does not match the grid")
+            raise TranslabError("bc shape does not match the grid")
 
     @property
     def hx(self) -> float:
@@ -138,14 +136,14 @@ def _check_boundary(u: np.ndarray, p: StripProblem):
             and np.array_equal(u[:, 0], p.bc[:, 0])
             and np.array_equal(u[:, -1], p.bc[:, -1]))
     if not same:
-        raise ShapeMismatchError("boundary rows do not hold the Dirichlet data")
+        raise TranslabError("boundary rows do not hold the Dirichlet data")
 
 
 def assemble_residual(u: GridFunction, p: StripProblem) -> np.ndarray:
     """Interior residual of the discrete translator equation, shape
     (nx-2, ny-2); the same arithmetic as the Newton solver's."""
     if u.values.shape != (p.nx, p.ny):
-        raise ShapeMismatchError("height field does not match the problem grid")
+        raise TranslabError("height field does not match the problem grid")
     _check_boundary(u.values, p)
     return _residual(u.values, p.hx, p.hy)[1]
 
@@ -217,7 +215,7 @@ def _factor(J: sp.csc_matrix):
     try:
         return splu(J, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise LinearSolveFailureError(str(exc)) from exc
+        raise TranslabError(str(exc)) from exc
 
 
 def _check_mirror_symmetric(bc: np.ndarray):
@@ -244,7 +242,7 @@ def _newton_step(lu, Jq: sp.csc_matrix, res: np.ndarray,
     delta = lu.solve(rhs)
     delta += lu.solve(rhs - Jq @ delta)
     if not np.all(np.isfinite(delta)):
-        raise LinearSolveFailureError("linear solve returned non-finite values")
+        raise TranslabError("linear solve returned non-finite values")
     return delta[fold]
 
 
@@ -273,7 +271,7 @@ def newton_solve(p: StripProblem, init: GridFunction):
     Returns (solution, SolveReport).
     """
     if init.values.shape != (p.nx, p.ny):
-        raise ShapeMismatchError("initial guess does not match the problem grid")
+        raise TranslabError("initial guess does not match the problem grid")
     _check_boundary(init.values, p)
     _check_mirror_symmetric(p.bc)
     hx, hy = p.hx, p.hy
@@ -288,8 +286,8 @@ def newton_solve(p: StripProblem, init: GridFunction):
         jet, res, defect = _residual(v, hx, hy)
         fnorm = float(np.linalg.norm(defect))
     if not math.isfinite(fnorm):
-        raise NonFiniteError(f"the defect of the initial guess is not finite "
-                             f"(||defect||_2 = {fnorm})")
+        raise TranslabError(f"the defect of the initial guess is not finite "
+                            f"(||defect||_2 = {fnorm})")
     iterations = 0
     for it in range(MAX_NEWTON):
         if np.max(np.abs(defect)) <= TOL_RESIDUAL:
@@ -478,7 +476,7 @@ def continuation_in_width(b_start: float, b_end: float, steps: int,
             sol, rep = newton_solve(p, init)
         except (NewtonStalledError, MaxIterationsError) as exc:
             if prev_b is None:
-                raise ContinuationBrokenError(
+                raise TranslabError(
                     f"first solve failed at b = {bi}: {exc}") from exc
             # retry through the half-way strip, then this one
             pm = make_strip_problem(0.5 * (prev_b + float(bi)), L, nx, ny)
@@ -486,7 +484,7 @@ def continuation_in_width(b_start: float, b_end: float, steps: int,
                 try:
                     sol, rep = newton_solve(q, _resample_onto(q, sol))
                 except (NewtonStalledError, MaxIterationsError) as exc:
-                    raise ContinuationBrokenError(
+                    raise TranslabError(
                         f"continuation failed at b = {bi}, retry stalled at "
                         f"b = {q.b}: {exc}") from exc
         rep.asymptoteDefect = asymptote_defect(sol, p)

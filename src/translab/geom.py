@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegenerateEdgeError, MarginTooSmallError, NonFiniteError)
+from .errors import TranslabError
 from .grid import GridFunction
 
 # Principal directions and Q^2 are undefined where |k1 - k2| falls below this
@@ -91,7 +91,7 @@ def graph_geometry(u: GridFunction) -> GeometryField:
     w2 = 1.0 + p * p + q * q
     W = np.sqrt(w2)
     if not np.all(np.isfinite(W[1:-1, 1:-1])):
-        raise NonFiniteError("difference quotients overflowed")
+        raise TranslabError("difference quotients overflowed")
 
     N = np.full((u.nx, u.ny, 3), np.nan)
     N[..., 0] = -p / W
@@ -174,7 +174,7 @@ def surface_gradient(phi: np.ndarray, u: GridFunction) -> np.ndarray:
     Valid one node further inside than phi's own validity.
     """
     if phi.shape != (u.nx, u.ny):
-        raise MarginTooSmallError("scalar field shape mismatch")
+        raise TranslabError("scalar field shape mismatch")
     p, q = grid_jet(u)[:2]
     fx, fy = _dx(phi, u.hx), _dy(phi, u.hy)
     w2 = 1.0 + p * p + q * q
@@ -195,9 +195,9 @@ def drift_laplacian(phi: np.ndarray, u: GridFunction) -> np.ndarray:
     second-order accurate on the two-node interior.
     """
     if u.nx < 5 or u.ny < 5:
-        raise MarginTooSmallError("drift Laplacian needs a two-node margin")
+        raise TranslabError("drift Laplacian needs a two-node margin")
     if phi.shape != (u.nx, u.ny):
-        raise MarginTooSmallError("scalar field shape mismatch")
+        raise TranslabError("scalar field shape mismatch")
     p, q = grid_jet(u)[:2]
     fx, fy = _dx(phi, u.hx), _dy(phi, u.hy)
     W = np.sqrt(1.0 + p * p + q * q)
@@ -215,7 +215,7 @@ def q_squared(geom: GeometryField, u: GridFunction):
     NaN at the nodes geom.umbilic marks, never a fabricated value.
     """
     if u.nx < 5 or u.ny < 5:
-        raise MarginTooSmallError("Q^2 needs a two-node margin")
+        raise TranslabError("Q^2 needs a two-node margin")
     k1x, k1y = _dx(geom.kappa1, u.hx), _dy(geom.kappa1, u.hy)
     k2x, k2y = _dx(geom.kappa2, u.hx), _dy(geom.kappa2, u.hy)
     # directional derivative along a unit tangent v: v_x d_x + v_y d_y on the
@@ -245,7 +245,7 @@ class CurveState:
         if len(self.points) < 8:
             raise ValueError("curve needs at least 8 points")
         if not np.all(np.isfinite(self.points)):
-            raise NonFiniteError("curve points must be finite")
+            raise TranslabError("curve points must be finite")
 
 
 def shift_fwd(a: np.ndarray) -> np.ndarray:
@@ -259,11 +259,11 @@ def shift_bwd(a: np.ndarray) -> np.ndarray:
 
 
 def polyline_kernel(P: np.ndarray):
-    """(ell, tang, kappa, length, signed_area) of a closed polyline P (n, 2).
+    """(kappa, length, signed_area) of a closed polyline P (n, 2).
 
-    ell[i] = |P[i+1] - P[i]|; tang[i], unnormalized, sums the unit edges at
-    vertex i; kappa[i] is the arclength second difference dotted with the
-    left normal (positive on convex counterclockwise curves).  The flow calls
+    kappa[i] is the arclength second difference at vertex i dotted with the
+    left normal, the normalized sum of the unit edges there turned by 90
+    degrees (positive on convex counterclockwise curves).  The flow calls
     this every step: shifts and elementwise arithmetic only.
     """
     e = shift_fwd(P) - P
@@ -276,17 +276,4 @@ def polyline_kernel(P: np.ndarray):
     tnorm = np.hypot(tang[:, 0], tang[:, 1])
     kappa = (-xss[:, 0] * tang[:, 1] + xss[:, 1] * tang[:, 0]) / tnorm
     area = 0.5 * float(np.sum(P[:, 0] * e[:, 1] - e[:, 0] * P[:, 1]))
-    return ell, tang, kappa, float(ell.sum()), area
-
-
-def curve_geometry(c: CurveState):
-    """(kappa, normal, length, enclosed_area, amax) of a closed polyline from
-    polyline_kernel: the unit left normal, the absolute shoelace area and
-    amax = max |kappa|."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ell, tang, kappa, length, area = polyline_kernel(c.points)
-    if np.any(ell <= 1e-14 * max(ell.mean(), 1e-300)):
-        raise DegenerateEdgeError("consecutive curve points coincide")
-    normal = np.stack([-tang[:, 1], tang[:, 0]], axis=1) \
-        / np.hypot(tang[:, 0], tang[:, 1])[:, None]
-    return kappa, normal, length, abs(area), float(np.max(np.abs(kappa)))
+    return kappa, float(ell.sum()), area

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import TranslabError
 
 
 @dataclass
@@ -40,7 +40,7 @@ class GridFunction:
             raise ValueError(
                 f"values shape {self.values.shape} != ({self.nx}, {self.ny})")
         if not np.all(np.isfinite(self.values)):
-            raise NonFiniteError("grid values must be finite")
+            raise TranslabError("grid values must be finite")
 
     @property
     def xs(self) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import is_dataclass, fields as dc_fields
 import numpy as np
 
 from . import __version__
-from .errors import IoError
+from .errors import TranslabError
 from .geom import graph_geometry, q_squared
 from .grid import GridFunction
 from .radial import RadialProfile, RadialKind, profile_curvatures
@@ -115,26 +115,26 @@ def write_grid_csv(u: GridFunction, path):
 def _read_csv(path, tag: str, ncols: int, **meta_types):
     """(metadata, rows) of a translab CSV: a '# translab-<tag>' line of
     key=value pairs (each converted by meta_types[key]), a column header,
-    then rows of ncols numbers.  Anything else raises IoError."""
+    then rows of ncols numbers.  Anything else raises TranslabError."""
     with open(path) as f:
         head = f.readline()
         if not head.startswith(f"# translab-{tag}"):
-            raise IoError(f"{path} is not a {tag} CSV")
+            raise TranslabError(f"{path} is not a {tag} CSV")
         try:
             raw = dict(kv.split("=") for kv in head.split()[2:])
             meta = {k: conv(raw[k]) for k, conv in meta_types.items()}
             f.readline()  # column header
             rows = np.loadtxt(f, delimiter=",", ndmin=2)
         except (KeyError, ValueError) as exc:
-            raise IoError(f"{path}: malformed {tag} CSV: {exc}") from exc
+            raise TranslabError(f"{path}: malformed {tag} CSV: {exc}") from exc
     if rows.shape[1] != ncols:
-        raise IoError(f"{path}: expected rows of {ncols} fields")
+        raise TranslabError(f"{path}: expected rows of {ncols} fields")
     return meta, rows
 
 
 def read_grid_csv(path) -> GridFunction:
     """Grid CSV as write_grid_csv writes it, rows in any order; every node
-    (i, j) must appear exactly once, else IoError."""
+    (i, j) must appear exactly once, else TranslabError."""
     meta, rows = _read_csv(path, "grid", 5, nx=int, ny=int, hx=float,
                            hy=float, x0=float, y0=float)
     nx, ny = meta["nx"], meta["ny"]
@@ -144,8 +144,8 @@ def read_grid_csv(path) -> GridFunction:
             and np.all((i >= 0) & (i < nx) & (j >= 0) & (j < ny))
             and np.array_equal(np.bincount(node, minlength=nx * ny),
                                np.ones(nx * ny, dtype=int))):
-        raise IoError(f"{path}: node indices must cover each of the "
-                      f"{nx}x{ny} nodes exactly once")
+        raise TranslabError(f"{path}: node indices must cover each of the "
+                            f"{nx}x{ny} nodes exactly once")
     vals = np.empty(nx * ny)
     vals[node] = rows[:, 4]
     return GridFunction(values=vals.reshape(nx, ny), **meta)
@@ -227,13 +227,13 @@ def write_profile_csv(p: RadialProfile, path):
 
 
 def read_profile_csv(path) -> RadialProfile:
-    """Profile CSV as write_profile_csv writes it; IoError unless it holds
-    exactly the number of rows its header records."""
+    """Profile CSV as write_profile_csv writes it; TranslabError unless it
+    holds exactly the number of rows its header records."""
     meta, rows = _read_csv(path, "profile", 6, n=int, kind=RadialKind, h=float,
                            lam=lambda v: float(v) if v else None, rows=int)
     expected = meta.pop("rows")
     if len(rows) != expected:
-        raise IoError(f"{path}: {len(rows)} rows, header records {expected}")
+        raise TranslabError(f"{path}: {len(rows)} rows, header records {expected}")
     return RadialProfile(r=rows[:, 0], u=rows[:, 1], psi=rows[:, 2], **meta)
 
 
@@ -281,7 +281,7 @@ def report_to_json(report, extra: dict | None = None) -> str:
     elif isinstance(report, dict):
         out = _jsonable(report)
     else:
-        raise IoError(f"cannot serialize {type(report).__name__}")
+        raise TranslabError(f"cannot serialize {type(report).__name__}")
     if extra:
         out.update(_jsonable(extra))
     out["version"] = __version__
@@ -306,7 +306,7 @@ def _write_obj(path, provenance: str, vertex_fmt: str, vertices, faces):
 def export_grid_obj(u: GridFunction, path, provenance: str = ""):
     """Height field as an OBJ quad mesh, y-up: vertex (x, u, y)."""
     if not np.all(np.isfinite(u.values)):
-        raise IoError("refusing OBJ export: non-finite heights")
+        raise TranslabError("refusing OBJ export: non-finite heights")
     _, x, y = _line_columns(u)
     a = (u.ny * np.arange(u.nx - 1)[:, None] + np.arange(u.ny - 1) + 1).ravel()
     _write_obj(path, provenance, _line_format("v %s %s {y}\n", y),
@@ -326,7 +326,7 @@ def export_revolution_obj(p: RadialProfile, path, samples: int = 128,
         raise ValueError(f"revolution export needs at least 3 angular "
                          f"samples, got {samples}")
     if not (np.all(np.isfinite(p.r)) and np.all(np.isfinite(p.u))):
-        raise IoError("refusing OBJ export: non-finite profile")
+        raise TranslabError("refusing OBJ export: non-finite profile")
     n = len(p.r)  # linspace(0, n - 1, n) is exactly arange(n)
     keep = np.unique(np.linspace(0, n - 1, min(n, _MAX_RINGS)).round().astype(int))
     rr = p.r[keep]

@@ -23,8 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (NonMonotoneProfileError, StepTooLargeError,
-                     UmbilicWindowError, WindowTooNarrowError)
+from .errors import TranslabError
 from .grid import GridFunction, from_function
 
 
@@ -129,7 +128,7 @@ def _dopri5(rhs, t, y, dt, stop) -> _Run:
     the last and not larger right after a rejection.  The last stage of a
     step is the first of the next (FSAL), so an attempt costs 6 evaluations
     after the first.  A step below 2^-30 times the trial step, or more than
-    _MAX_STEPS accepted steps, raise StepTooLargeError.
+    _MAX_STEPS accepted steps, raise TranslabError.
     """
     floor = dt * _STEP_FLOOR_FACTOR
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
@@ -163,7 +162,7 @@ def _dopri5(rhs, t, y, dt, stop) -> _Run:
             dt *= max(0.2, fac)
             grow = 1.0
             if dt < floor:
-                raise StepTooLargeError(
+                raise TranslabError(
                     f"local error {err:.3e} above tolerance {_STEP_TOL:.1e} "
                     "at the step floor")
             continue
@@ -173,7 +172,7 @@ def _dopri5(rhs, t, y, dt, stop) -> _Run:
             return _make_run(rec, len(y), t, y, rejected)
         dt *= min(fac, grow) if err > 0 else grow
         grow = 5.0
-    raise StepTooLargeError("step budget exhausted")
+    raise TranslabError("step budget exhausted")
 
 
 def _make_run(rec, m, t_end, y_end, rejected) -> _Run:
@@ -248,7 +247,7 @@ def shoot_bowl(n: int, r_max: float, h: float) -> RadialProfile:
     prof = RadialProfile(n=n, kind=RadialKind.BOWL, lam=None, r=r,
                          u=y[:, 0], psi=y[:, 1], h=h, **_counters(run))
     if not np.all(prof.psi[1:] < 0):
-        raise NonMonotoneProfileError("bowl profile must be strictly monotone")
+        raise TranslabError("bowl profile must be strictly monotone")
     return prof
 
 
@@ -329,17 +328,17 @@ class AsymptoticFit:
 def fit_asymptotics(p: RadialProfile, r_lo: float, r_hi: float) -> AsymptoticFit:
     """Ordinary least squares of u against {r^2, log r, 1} on [r_lo, r_hi]."""
     if not 0 < r_lo < math.inf:
-        raise WindowTooNarrowError(f"fit bound r_lo must be finite and "
-                                   f"positive, got {r_lo}")
+        raise TranslabError(f"fit bound r_lo must be finite and "
+                            f"positive, got {r_lo}")
     if not math.isfinite(r_hi):
-        raise WindowTooNarrowError(f"fit bound r_hi must be finite, got {r_hi}")
+        raise TranslabError(f"fit bound r_hi must be finite, got {r_hi}")
     if r_hi > p.r[-1] + 1e-12:
-        raise WindowTooNarrowError("r_hi exceeds the profile range")
+        raise TranslabError("r_hi exceeds the profile range")
     if r_hi < 2.0 * r_lo:
-        raise WindowTooNarrowError("fit window needs r_hi >= 2 r_lo")
+        raise TranslabError("fit window needs r_hi >= 2 r_lo")
     sel = (p.r >= r_lo) & (p.r <= r_hi)
     if sel.sum() < 8:
-        raise WindowTooNarrowError("too few samples in the fit window")
+        raise TranslabError("too few samples in the fit window")
     r, u = p.r[sel], p.u[sel]
 
     def ls(cols):
@@ -422,9 +421,9 @@ def radial_identities_report(p: RadialProfile, r_lo: float, r_hi: float,
     sel[:2 * gap] = False
     sel[-2 * gap:] = False
     if not np.any(sel):
-        raise WindowTooNarrowError("empty identity window")
+        raise TranslabError("empty identity window")
     if np.min(np.abs((k1 - k2)[sel])) < umbilic_guard:
-        raise UmbilicWindowError(
+        raise TranslabError(
             "window contains near-umbilic samples; shrink it")
 
     # Q^2 = (d kappa_rot / ds)^2: by rotational symmetry the angular

@@ -5,8 +5,7 @@ import pytest
 
 from translab import analysis, geom, grid, radial
 from translab.analysis import VariationSpec
-from translab.errors import (EmptyMaskError, NonFiniteError,
-                             PerturbationTooLargeError, RegionOutOfBoundsError)
+from translab.errors import TranslabError
 
 
 def reaper_strip(h=0.025, half=1.5, span=3.5):
@@ -35,7 +34,7 @@ def test_weighted_area_grim_reaper_closed_form():
 
 def test_weighted_area_region_guard():
     g = grid.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, 21, 21)
-    with pytest.raises(RegionOutOfBoundsError):
+    with pytest.raises(TranslabError, match="quadrature region exceeds the grid"):
         analysis.weighted_area(g, (-2.0, 0.5, -0.5, 0.5))
 
 
@@ -72,7 +71,7 @@ def test_first_variation_guards():
     with pytest.raises(ValueError):
         analysis.first_variation_check(
             g, VariationSpec(center=(3.4, 0), radius=1.0))
-    with pytest.raises(PerturbationTooLargeError):
+    with pytest.raises(TranslabError, match="weighted area overflowed"):
         analysis.first_variation_check(
             g, VariationSpec(center=(0, 0), radius=1.2, epsilon=1e300))
 
@@ -98,9 +97,8 @@ def test_overflowing_perturbation_is_too_large():
     # the perturbed heights are not a finite grid
     g = grid.from_function(lambda X, Y: 3.0 * X, -2, 2, -2, 2, 41, 41)
     spec = VariationSpec(center=(0, 0), radius=1.0, epsilon=1e308)
-    with pytest.raises(PerturbationTooLargeError) as info:
+    with pytest.raises(TranslabError, match="grid values must be finite"):
         analysis.first_variation_check(g, spec)
-    assert isinstance(info.value.__cause__, NonFiniteError)
 
 
 def test_stability_operator_basics():
@@ -158,5 +156,5 @@ def test_spruck_xiao_flags_non_translator():
 
 def test_spruck_xiao_empty_mask_on_plane():
     g = grid.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, 21, 21)
-    with pytest.raises(EmptyMaskError):
+    with pytest.raises(TranslabError, match="all nodes umbilic or outside the margin"):
         analysis.spruck_xiao_report(g)

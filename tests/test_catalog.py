@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from translab import catalog, grid
-from translab.errors import OutOfDomainError
+from translab.errors import TranslabError
 
 
 def test_grim_reaper_jet_at_origin():
@@ -38,9 +39,9 @@ def test_family_residual_vanishes(theta):
 
 
 def test_domain_guard():
-    with pytest.raises(OutOfDomainError):
+    with pytest.raises(TranslabError, match="point outside the open strip"):
         catalog.evaluate(0.0, math.pi / 2, 0.0)
-    with pytest.raises(OutOfDomainError):
+    with pytest.raises(TranslabError, match="point outside the open strip"):
         catalog.evaluate(0.0, math.pi / 2 - 1e-12, 0.0)  # guard band
     catalog.evaluate(0.0, math.pi / 2 - 1e-6, 0.0)  # inside
 
@@ -137,3 +138,23 @@ def test_sample_grid_refuses_a_step_that_is_not_positive(h):
     # -5 used to clamp to a 5x5 grid, NaN to fail converting the node count
     with pytest.raises(ValueError, match="finite and positive"):
         catalog.sample_grid(0.3, h)
+
+
+@pytest.mark.parametrize("h", [1e-7, 5e-324])
+def test_sample_grid_refuses_more_nodes_than_the_bound(h):
+    # 1e-7 used to fail allocating a 28,274,335^2 meshgrid, and 5e-324 to
+    # overflow converting the node count
+    with pytest.raises(ValueError, match=rf"step h = {re.escape(repr(h))} needs more"):
+        catalog.sample_grid(0.0, h)
+
+
+def test_sample_grid_node_bound_is_exact(monkeypatch):
+    two_w = 2 * catalog.HALF_WIDTH_FRAC * catalog.half_width(0.0)
+    side = math.isqrt(catalog._MAX_NODES)
+    # one node per side past the bound, refused before anything is allocated
+    with pytest.raises(ValueError, match="grid nodes"):
+        catalog.sample_grid(0.0, two_w / side)
+    monkeypatch.setattr(catalog, "_MAX_NODES", 30 * 30)
+    assert catalog.sample_grid(0.0, two_w / 29).nx == 30
+    with pytest.raises(ValueError, match="needs more than 900 grid nodes"):
+        catalog.sample_grid(0.0, two_w / 30)

@@ -5,8 +5,7 @@ import pytest
 
 from translab import csf, geom
 from translab.csf import FlowConfig, TypeVerdict
-from translab.errors import (DegenerateEdgeError, InsufficientDataError,
-                             ResolutionLostError, TranslabError)
+from translab.errors import InsufficientDataError, TranslabError
 
 
 QUICK = FlowConfig(stopAmax=200.0)
@@ -92,30 +91,34 @@ def test_roundness_flags_nonconvex():
 
 
 def test_resample_is_pure_reparametrization():
-    c = csf.make_ellipse(2, 1, 200)
-    r = csf.resample_uniform(c, 256)
-    assert r.t == c.t
-    ell = np.hypot(*np.diff(np.vstack([r.points, r.points[:1]]), axis=0).T)
+    P = csf.make_ellipse(2, 1, 200).points
+    R = csf._resample_arrays(P)
+    assert R.shape == P.shape
+    ell = np.hypot(*np.diff(np.vstack([R, R[:1]]), axis=0).T)
     assert ell.std() / ell.mean() < 1e-3  # uniform arclength
     # points stay on the ellipse to interpolation accuracy
-    X, Y = r.points[:, 0], r.points[:, 1]
+    X, Y = R[:, 0], R[:, 1]
     assert np.max(np.abs((X / 2) ** 2 + Y ** 2 - 1)) < 1e-3
+    assert not csf._resolution_lost(R)
 
 
 def test_resolution_guard():
     pts = csf.make_circle(1.0, 64).points.copy()
+    assert not csf._resolution_lost(pts)
     pts[10] = pts[9] + 1e-6 * (pts[10] - pts[9])
-    with pytest.raises(ResolutionLostError):
-        csf._check_resolution(pts)
+    assert csf._resolution_lost(pts)
 
 
 def test_step_reduces_length():
+    # evolve_to over the flow's first dt takes exactly one extrapolated step
     c = csf.make_ellipse(2, 1, 128)
-    ell0 = np.hypot(*np.diff(np.vstack([c.points, c.points[:1]]), axis=0).T).sum()
-    c1 = csf.step(c, FlowConfig())
+    ell0, _, amax = csf._diagnostics(c.points, c.t)
+    dt = FlowConfig().dtSafety / amax ** 2
+    c1 = csf.evolve_to(c, dt)
+    assert np.array_equal(c1.points, csf._extrapolated_step(c.points, dt))
     ell1 = np.hypot(*np.diff(np.vstack([c1.points, c1.points[:1]]), axis=0).T).sum()
     assert ell1 < ell0
-    assert c1.t > c.t
+    assert c1.t == dt > c.t
 
 
 def test_comparison_concentric_and_translated():
@@ -135,6 +138,14 @@ def test_comparison_rejects_overlap():
     with pytest.raises(ValueError):
         csf.comparison_check(csf.make_circle(1.0, 64),
                              csf.make_circle(1.0, 64, center=(1.0, 0.0)))
+
+
+def test_comparison_refuses_curves_at_different_times():
+    # b.t used to be dropped: the pair flowed from a.t
+    a = csf.make_circle(1.0, 64)
+    b = geom.CurveState(points=csf.make_circle(3.0, 64).points, t=0.25)
+    with pytest.raises(ValueError, match=r"a\.t = 0\.0 and b\.t = 0\.25"):
+        csf.comparison_check(a, b)
 
 
 def test_ellipse_quick_run_monotone_blowup():
@@ -178,7 +189,7 @@ def test_stop_reasons(monkeypatch):
     log = csf.run(c, FlowConfig())
     assert log.stopReason == csf.RESOLUTION_LOST
     assert (log.steps, log.remeshes, len(log.times)) == (5, 1, 5)
-    with pytest.raises(ResolutionLostError):
+    with pytest.raises(TranslabError, match="edge collapse after remeshing"):
         csf.evolve_to(c, 0.4)
 
 
@@ -195,13 +206,14 @@ def test_dt_underflow_stops_the_flow():
     assert log.Amax[-1] < 1e12
 
 
-def test_flow_log_starts_at_curve_geometry(monkeypatch):
-    # the flow's diagnostics and curve_geometry share one polyline kernel
+def test_flow_log_starts_at_polyline_kernel(monkeypatch):
+    # the flow's diagnostics read the one polyline kernel
     monkeypatch.setattr(csf, "_MAX_STEPS", 3)
     c = csf.make_ellipse(2.0, 1.0, 128)
     log = csf.run(c, FlowConfig())
-    _, _, length, area, amax = geom.curve_geometry(c)
-    assert (log.length[0], log.area[0], log.Amax[0]) == (length, area, amax)
+    kappa, length, area = geom.polyline_kernel(c.points)
+    assert (log.length[0], log.area[0], log.Amax[0]) == \
+        (length, abs(area), float(np.max(np.abs(kappa))))
 
 
 def test_extrapolated_step_is_third_order_in_time():
@@ -223,9 +235,9 @@ def test_nan_curvature_is_a_degenerate_curve(monkeypatch):
     segment = csf.make_ellipse(2.0, 0.0, 64)
     cfg = FlowConfig()
     for c in (point, segment):
-        with pytest.raises(DegenerateEdgeError):
+        with pytest.raises(TranslabError, match="curvature not finite at t=0.0"):
             csf.run(c, cfg)
-    with pytest.raises(DegenerateEdgeError):
+    with pytest.raises(TranslabError, match="curvature not finite at t=0.0"):
         csf.comparison_check(point, csf.make_circle(1.0, 64), cfg)
 
 

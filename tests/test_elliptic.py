@@ -10,9 +10,8 @@ from translab import cli, elliptic, geom
 from translab.elliptic import (DAMPING_MIN, MAX_NEWTON, TOL_RESIDUAL,
                                StripProblem, delta_wing, initial_guess,
                                make_strip_problem, newton_solve)
-from translab.errors import (ContinuationBrokenError, LinearSolveFailureError,
-                             MaxIterationsError, NewtonStalledError,
-                             NonFiniteError, ShapeMismatchError)
+from translab.errors import (MaxIterationsError, NewtonStalledError,
+                             TranslabError)
 
 B_ROOT2 = math.pi / math.sqrt(2)
 
@@ -35,7 +34,7 @@ def test_zero_height_residual_is_one():
 def test_residual_requires_matching_boundary():
     p = make_strip_problem(2.0, 6.0, 41, 41)
     u = p.grid(np.zeros((41, 41)))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(TranslabError, match="boundary rows do not hold the Dirichlet data"):
         elliptic.assemble_residual(u, p)
 
 
@@ -186,7 +185,7 @@ def test_reused_lu_step_failing_armijo_is_refactored(monkeypatch):
     assert rep.factorizations == math.ceil(rep.iterations / 2) + 1
 
 
-@pytest.mark.parametrize("extra_cols, error", [(0, LinearSolveFailureError),
+@pytest.mark.parametrize("extra_cols, error", [(0, TranslabError),
                                                 (1, ValueError)])
 def test_only_a_singular_factor_is_a_linear_solve_failure(monkeypatch,
                                                           extra_cols, error):
@@ -195,7 +194,8 @@ def test_only_a_singular_factor_is_a_linear_solve_failure(monkeypatch,
     monkeypatch.setattr(elliptic, "_jacobian", lambda jet, hx, hy:
                         sp.csc_matrix((jet[0].size, jet[0].size + extra_cols)))
     p = make_strip_problem(2.0, 8.0, 41, 41)
-    with pytest.raises(error) as info:
+    match = "exactly singular" if error is TranslabError else None
+    with pytest.raises(error, match=match) as info:
         newton_solve(p, initial_guess(p))
     assert type(info.value) is error
 
@@ -339,7 +339,7 @@ def test_continuation_failure_keeps_the_solver_reason(monkeypatch, capsys,
     # the first strip's stall, or the half-step retry's, is the cause and
     # its message is appended; the retry fails at the half-way width 4.0
     strips = recording_newton(monkeypatch)
-    with pytest.raises(ContinuationBrokenError,
+    with pytest.raises(TranslabError,
                        match=rf"^{re.escape(head)}: damping floor hit .*, "
                              rf"{ring} the outer interior ring$") as info:
         elliptic.continuation_in_width(b_start, b_end, steps, nx=121, ny=41)
@@ -408,7 +408,7 @@ def test_newton_refuses_an_initial_guess_whose_defect_is_not_finite():
     # used to print numpy's RuntimeWarning before any error line.  The
     # error does not name L yet: ROADMAP item 3 asks for a bound on L
     p = make_strip_problem(2.0, 1e155, 33, 33)
-    with pytest.raises(NonFiniteError, match="initial guess"):
+    with pytest.raises(TranslabError, match="the defect of the initial guess is not finite"):
         newton_solve(p, initial_guess(p))
 
 

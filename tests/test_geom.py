@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from translab import geom, grid, radial
-from translab.errors import DegenerateEdgeError, MarginTooSmallError
+from translab import csf, geom, grid, radial
+from translab.errors import TranslabError
 
 
 def plane(n=21):
@@ -145,7 +145,7 @@ def test_drift_laplacian_basics():
 
 def test_drift_laplacian_margin_guard():
     g = grid.from_function(lambda X, Y: np.zeros_like(X), 0, 1, 0, 1, 4, 6)
-    with pytest.raises(MarginTooSmallError):
+    with pytest.raises(TranslabError, match="drift Laplacian needs a two-node margin"):
         geom.drift_laplacian(g.values, g)
 
 
@@ -213,36 +213,32 @@ def circle_points(r, n, center=(0.0, 0.0)):
 
 
 def test_circle_curvature_length_area():
-    c = geom.CurveState(points=circle_points(1.0, 256))
-    kappa, normal, length, area, amax = geom.curve_geometry(c)
+    kappa, length, area = geom.polyline_kernel(circle_points(1.0, 256))
     assert np.max(np.abs(kappa - 1.0)) < 1e-3
     assert abs(length - 2 * math.pi) < 1e-3
     assert abs(area - math.pi) < 1e-3
-    assert abs(amax - 1.0) < 1e-3
-    norms = np.hypot(normal[:, 0], normal[:, 1])
-    assert np.max(np.abs(norms - 1)) < 1e-12
 
 
 def test_circle_radius_two():
-    c = geom.CurveState(points=circle_points(2.0, 256))
-    kappa, _, _, _, amax = geom.curve_geometry(c)
+    kappa, _, _ = geom.polyline_kernel(circle_points(2.0, 256))
     assert np.max(np.abs(kappa - 0.5)) < 1e-3
-    assert abs(amax - 0.5) < 1e-3
 
 
 def test_ellipse_max_curvature():
     ang = 2 * math.pi * np.arange(512) / 512
     pts = np.stack([2 * np.cos(ang), np.sin(ang)], axis=1)
-    c = geom.CurveState(points=pts)
-    _, _, _, _, amax = geom.curve_geometry(c)
+    _, _, amax = csf._diagnostics(pts, 0.0)
     assert abs(amax - 2.0) < 1e-2  # kappa_max = a / b^2
 
 
 def test_degenerate_edge_detection():
-    pts = circle_points(1.0, 16)
-    pts[3] = pts[4]
-    with pytest.raises(DegenerateEdgeError):
-        geom.curve_geometry(geom.CurveState(points=pts))
+    # a repeated point makes kappa NaN; the flow and roundness refuse it
+    c = geom.CurveState(points=circle_points(1.0, 16))
+    c.points[3] = c.points[4]
+    with pytest.raises(TranslabError, match="curvature not finite at t=0.0"):
+        csf._diagnostics(c.points, c.t)
+    with pytest.raises(TranslabError, match="consecutive curve points coincide"):
+        csf.roundness(c)
 
 
 def test_curve_needs_eight_points():

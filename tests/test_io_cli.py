@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 from translab import cli, csf, elliptic, grid, io as tio, radial
-from translab.errors import IoError
+from translab.errors import TranslabError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -33,7 +34,7 @@ def test_grid_csv_roundtrip_bit_exact(tmp_path):
 def test_grid_csv_rejects_foreign_file(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(IoError):
+    with pytest.raises(TranslabError, match="is not a grid CSV"):
         tio.read_grid_csv(path)
 
 
@@ -42,24 +43,29 @@ def test_grid_csv_rejects_truncated_file(tmp_path):
     tio.write_grid_csv(wavy_grid(5, 5), path)
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[:-3]))
-    with pytest.raises(IoError):
+    with pytest.raises(TranslabError, match="node indices must cover each of the 5x5"):
         tio.read_grid_csv(path)
 
 
-@pytest.mark.parametrize("row", ["1,2,0.5,0.5", "1,2,0.5,0.5,0.1,9",
-                                 "1,2,0.5,0.5,abc", "x,2,0.5,0.5,0.1",
-                                 "5,2,0.5,0.5,0.1", "-1,2,0.5,0.5,0.1",
-                                 "1.5,2,0.5,0.5,0.1", "1,1,0.5,0.5,0.1",
-                                 "1,2,abc,0.5,0.1", "1,2,0.5,abc,0.1"])
+_UNPARSED_ROWS = ["1,2,0.5,0.5", "1,2,0.5,0.5,0.1,9", "1,2,0.5,0.5,abc",
+                  "x,2,0.5,0.5,0.1", "1,2,abc,0.5,0.1", "1,2,0.5,abc,0.1"]
+_MISINDEXED_ROWS = ["5,2,0.5,0.5,0.1", "-1,2,0.5,0.5,0.1", "1.5,2,0.5,0.5,0.1",
+                    "1,1,0.5,0.5,0.1"]
+
+
+@pytest.mark.parametrize("row", _UNPARSED_ROWS + _MISINDEXED_ROWS)
 def test_grid_csv_rejects_malformed_row(tmp_path, row):
-    # each variant replaces node (1, 2) of a complete 5x5 file
+    # each variant replaces node (1, 2) of a complete 5x5 file; a row that
+    # parses but names a wrong node fails the index check
     path = tmp_path / "g.csv"
     tio.write_grid_csv(wavy_grid(5, 5), path)
     lines = path.read_text().splitlines()
     k = next(n for n, line in enumerate(lines) if line.startswith("1,2,"))
     lines[k] = row
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(IoError):
+    match = ("malformed grid CSV" if row in _UNPARSED_ROWS
+             else "node indices must cover each of the 5x5")
+    with pytest.raises(TranslabError, match=match):
         tio.read_grid_csv(path)
 
 
@@ -70,7 +76,7 @@ def test_profile_csv_rejects_malformed_row(tmp_path, row):
     lines = path.read_text().splitlines()
     lines[5] = row
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(IoError):
+    with pytest.raises(TranslabError, match="malformed profile CSV"):
         tio.read_profile_csv(path)
 
 
@@ -80,7 +86,7 @@ def test_profile_csv_rejects_truncated_file(tmp_path):
     lines = path.read_text().splitlines(keepends=True)
     assert lines[0].split()[-1] == "rows=501"
     path.write_text("".join(lines[:-100]))
-    with pytest.raises(IoError):
+    with pytest.raises(TranslabError, match="401 rows, header records 501"):
         tio.read_profile_csv(path)
 
 
@@ -135,7 +141,7 @@ def test_obj_export_counts(tmp_path):
 def test_obj_export_refuses_nan(tmp_path):
     g = wavy_grid()
     g.values[0, 0] = np.nan
-    with pytest.raises(IoError):
+    with pytest.raises(TranslabError, match="refusing OBJ export: non-finite heights"):
         tio.export_grid_obj(g, tmp_path / "bad.obj")
 
 
@@ -448,6 +454,24 @@ def test_cli_csf_nan_curvature_exits_at_once(tmp_path, argv):
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: curvature not finite")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["csf", "run", "--radius", "1e200", "--n", "16", "--out", "{tmp}/l.csv"],
+     r"curve of length 6\.2\d*e\+200 is too large to flow: dtSafety / Amax\^2 is not finite"),
+    (["csf", "run", "--shape", "ellipse", "--a", "1e308", "--b", "1", "--n",
+      "16", "--out", "{tmp}/l.csv"],
+     r"curve of length inf is too large to flow: dtSafety / Amax\^2 is not finite"),
+    (["catalog", "residual", "--h", "1e-7"],
+     r"step h = 1e-07 needs more than 10000000 grid nodes"),
+], ids=["circle-1e200", "ellipse-1e308", "catalog-h"])
+def test_cli_refuses_a_scale_it_cannot_compute(tmp_path, capsys, argv, err):
+    # the curves' Amax^2 underflows to 0, and dtSafety / Amax^2 used to raise
+    # ZeroDivisionError; h = 1e-7 used to fail allocating its meshgrid
+    rc = cli.main([a.format(tmp=tmp_path) for a in argv])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and re.fullmatch(rf"error: {err}.*", lines[0])
 
 
 @pytest.mark.parametrize("argv", [

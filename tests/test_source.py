@@ -16,6 +16,21 @@ def test_no_assert_in_package():
     assert found == []
 
 
+def test_every_exception_type_is_caught_by_name():
+    # a type that no except clause names is a message with a class around
+    # it: raise TranslabError with that message instead
+    defined = {node.name
+               for node in ast.parse((SRC / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    caught = {n.id if isinstance(n, ast.Name) else n.attr
+              for path in SRC.glob("*.py")
+              for handler in ast.walk(ast.parse(path.read_text()))
+              if isinstance(handler, ast.ExceptHandler) and handler.type
+              for n in ast.walk(handler.type)
+              if isinstance(n, (ast.Name, ast.Attribute))}
+    assert sorted(defined - caught) == []
+
+
 def test_no_module_imports_scipy_interpolate():
     # profile_to_grid and the continuation resampler interpolate with what
     # they hold (Hermite on the profile's slopes, np.interp in y)
