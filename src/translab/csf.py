@@ -11,12 +11,16 @@ _REMESH_EVERY (5) steps the curve is resampled to uniform arclength by
 periodic cubic interpolation.  One driver (_flow) owns this policy, the stop
 rules and the common dt of a curve pair.  Its states, raw (n, 2) arrays, are
 consumed by the only three entry points that move a curve: run,
-evolve_to and comparison_check.  Every numerical failure is a TranslabError.
+evolve_to and comparison_check.  CurveState and the polyline kernel live
+here with the flow, their only user; run builds its SingularityLog in one
+call.  Sizes past the _MAX_* and _MIN_* bounds are refused up front.  Every
+numerical failure is a TranslabError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
@@ -24,8 +28,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .errors import InsufficientDataError, TranslabError
-from .geom import CurveState, polyline_kernel, shift_bwd, shift_fwd
+from .errors import TranslabError
 
 _gtsv, = get_lapack_funcs(("gtsv",), dtype=np.float64)
 
@@ -35,6 +38,21 @@ STOP_AMAX, RESOLUTION_LOST, MAX_STEPS, DT_UNDERFLOW = \
 
 _REMESH_EVERY = 5          # steps between arclength-uniform resamplings
 _MAX_STEPS = 2_000_000     # step budget of one flow (stopReason MAX_STEPS)
+
+# Lengths a flow may start from.  A curve of length L flows for t up to a
+# circle's extinction time L^2 / (8 pi^2), and _fit_extinction squares t
+# (np.polyfit): circles of radius 1e78 and up overflow there, and radius
+# 1e-100 underflows to a zero column scale (radius 1e76 and 1e-40 run clean,
+# also at the largest stopAmax).  Edge cubes in _resample_arrays overflow from
+# edges of 5.6e102.  Every |kappa| of a closed polygon is at least 4 / L, so
+# within the bound dt = dtSafety / Amax^2 <= L^2 / 320 and t + dt stay finite.
+# The flow never lengthens a curve, and it stops (dtUnderflow) before a
+# circle shrinks below ~1e-7 of its radius.
+_MIN_LENGTH, _MAX_LENGTH = 1e-60, 1e60
+
+# _flow squares every Amax below stopAmax as a Python float (amax ** 2), which
+# raises OverflowError, not inf, past the largest float whose square is finite
+_MAX_AMAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass
@@ -49,6 +67,9 @@ class FlowConfig:
             raise ValueError("dtSafety must lie in (0, 0.05]")
         if not self.stopAmax > 0.0:     # NaN included
             raise ValueError("stopAmax must be positive")
+        if not self.stopAmax <= _MAX_AMAX:
+            raise ValueError(f"stopAmax must have a finite square (at most "
+                             f"{_MAX_AMAX!r}), got {self.stopAmax!r}")
 
 
 class TypeVerdict(Enum):
@@ -84,12 +105,39 @@ class SingularityLog:
             raise ValueError("log times must be strictly increasing")
 
 
+@dataclass
+class CurveState:
+    """Closed polyline under curve shortening flow."""
+
+    points: np.ndarray  # (n, 2)
+    t: float = 0.0
+
+    def __post_init__(self):
+        self.points = np.asarray(self.points, dtype=float)
+        if self.points.ndim != 2 or self.points.shape[1] != 2:
+            raise ValueError("points must be (n, 2)")
+        if len(self.points) < 8:
+            raise ValueError("curve needs at least 8 points")
+        if not np.all(np.isfinite(self.points)):
+            raise TranslabError("curve points must be finite")
+
+
+# Points per curve.  csf run at CLI defaults (452 steps) took 6.7 s and
+# 66.8 MB peak RSS at n = 16,384 and 29.0 s and 81.9 MB at n = 65,536 (one
+# core, 2 vCPU x86): 1.0 us per point and step, 307 B per point.  At the
+# bound that is about 1 s per step (7.5 min at defaults) and 0.4 GB.
+_MAX_POINTS = 1_000_000
+
+
 def make_circle(radius: float = 1.0, n: int = 256, center=(0.0, 0.0)) -> CurveState:
     return make_ellipse(radius, radius, n, center)
 
 
 def make_ellipse(a: float = 2.0, b: float = 1.0, n: int = 512,
                  center=(0.0, 0.0)) -> CurveState:
+    if n > _MAX_POINTS:
+        raise ValueError(f"curve of n = {n} points exceeds the bound of "
+                         f"{_MAX_POINTS} points")
     ang = 2 * math.pi * np.arange(n) / n
     pts = np.stack([center[0] + a * np.cos(ang),
                     center[1] + b * np.sin(ang)], axis=1)
@@ -99,8 +147,39 @@ def make_ellipse(a: float = 2.0, b: float = 1.0, n: int = 512,
 # --- raw-array kernels --------------------------------------------------------
 
 
+def _shift_fwd(a: np.ndarray) -> np.ndarray:
+    """a[i+1] cyclically (cheaper than np.roll)."""
+    return np.concatenate((a[1:], a[:1]))
+
+
+def _shift_bwd(a: np.ndarray) -> np.ndarray:
+    """a[i-1] cyclically."""
+    return np.concatenate((a[-1:], a[:-1]))
+
+
+def _polyline_kernel(P: np.ndarray):
+    """(kappa, length, signed_area) of a closed polyline P (n, 2).
+
+    kappa[i] is the arclength second difference at vertex i dotted with the
+    left normal, the normalized sum of the unit edges there turned by 90
+    degrees (positive on convex counterclockwise curves).  The flow calls
+    this every step: shifts and elementwise arithmetic only.
+    """
+    e = _shift_fwd(P) - P
+    ell = np.hypot(e[:, 0], e[:, 1])
+    ell_prev = _shift_bwd(ell)
+    te = e / ell[:, None]
+    te_prev = _shift_bwd(te)
+    xss = 2.0 * (te - te_prev) / (ell + ell_prev)[:, None]
+    tang = te + te_prev
+    tnorm = np.hypot(tang[:, 0], tang[:, 1])
+    kappa = (-xss[:, 0] * tang[:, 1] + xss[:, 1] * tang[:, 0]) / tnorm
+    area = 0.5 * float(np.sum(P[:, 0] * e[:, 1] - e[:, 0] * P[:, 1]))
+    return kappa, float(ell.sum()), area
+
+
 def _edge_lengths(P):
-    d = shift_fwd(P) - P
+    d = _shift_fwd(P) - P
     return np.hypot(d[:, 0], d[:, 1])
 
 
@@ -134,7 +213,7 @@ def _step_arrays(P: np.ndarray, dt: float, ell: np.ndarray | None = None) -> np.
     """One implicit step of x_t = x_ss with the metric frozen at P."""
     if ell is None:
         ell = _edge_lengths(P)
-    ell_prev = shift_bwd(ell)
+    ell_prev = _shift_bwd(ell)
     a = 2.0 / (ell_prev * (ell_prev + ell))   # weight of x_{i-1}
     b = 2.0 / (ell * (ell_prev + ell))        # weight of x_{i+1}
     diag = 1.0 + dt * (a + b)
@@ -169,9 +248,9 @@ def _resample_arrays(P: np.ndarray) -> np.ndarray:
     # periodic cubic spline moments M_i (second derivatives at the knots):
     # (h_{i-1}/6) M_{i-1} + (h_{i-1}+h_i)/3 M_i + (h_i/6) M_{i+1} = rhs_i
     h = seg
-    h_prev = shift_bwd(h)
-    Pn = shift_fwd(P)
-    Pp = shift_bwd(P)
+    h_prev = _shift_bwd(h)
+    Pn = _shift_fwd(P)
+    Pp = _shift_bwd(P)
     rhs = (Pn - P) / h[:, None] - (P - Pp) / h_prev[:, None]
     M = _cyclic_tridiag_solve(h_prev / 6.0, (h_prev + h) / 3.0, h / 6.0,
                               corner_bl=h[-1] / 6.0, corner_tr=h_prev[0] / 6.0,
@@ -198,14 +277,24 @@ def _resolution_lost(P: np.ndarray) -> bool:
 
 def _diagnostics(P: np.ndarray, t: float):
     """(length, enclosed_area, amax): what the flow log needs.  A curve at
-    time t whose amax is not finite (a point, a segment) is refused; one so
-    large that its length or area overflows is left to _flow's dt rule."""
+    time t whose amax is not finite (a point, a segment) is refused."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        kappa, length, area = polyline_kernel(P)
+        kappa, length, area = _polyline_kernel(P)
     amax = float(np.max(np.abs(kappa)))
     if not math.isfinite(amax):
         raise TranslabError(f"curvature not finite at t={t!r}")
     return length, abs(area), amax
+
+
+def _start_diagnostics(P: np.ndarray, t: float):
+    """_diagnostics of a curve about to be flowed, which also refuses a
+    length outside [_MIN_LENGTH, _MAX_LENGTH]."""
+    diags = _diagnostics(P, t)
+    if not _MIN_LENGTH <= diags[0] <= _MAX_LENGTH:
+        raise TranslabError(f"curve of length {diags[0]!r} cannot be flowed: "
+                            f"lengths must lie in [{_MIN_LENGTH:g}, "
+                            f"{_MAX_LENGTH:g}]")
+    return diags
 
 
 # --- the flow driver ----------------------------------------------------------
@@ -219,14 +308,14 @@ def _flow(curves, t: float, cfg: FlowConfig, t_end: float = math.inf):
     The flow ends at t_end (stopReason None), after yielding a state with
     Amax >= stopAmax (STOP_AMAX), after _MAX_STEPS steps (MAX_STEPS), when dt
     no longer advances t in floating point (DT_UNDERFLOW), or when a remesh
-    collapses an edge (RESOLUTION_LOST; that state is not yielded).  A state
-    whose Amax is not finite (_diagnostics), or so small that dt is not,
-    raises TranslabError.
+    collapses an edge (RESOLUTION_LOST; that state is not yielded).  A start
+    that _start_diagnostics refuses, or a later state that _diagnostics
+    refuses, raises TranslabError.
     """
     state = SimpleNamespace(t=t, curves=[P.copy() for P in curves], steps=0,
-                            remeshes=0, stopReason=None)
+                            remeshes=0, stopReason=None,
+                            diags=[_start_diagnostics(P, t) for P in curves])
     while True:
-        state.diags = [_diagnostics(P, state.t) for P in state.curves]
         yield state
         amax = max(d[2] for d in state.diags)
         if state.t >= t_end:
@@ -234,14 +323,7 @@ def _flow(curves, t: float, cfg: FlowConfig, t_end: float = math.inf):
         if amax >= cfg.stopAmax or state.steps == _MAX_STEPS:
             state.stopReason = STOP_AMAX if amax >= cfg.stopAmax else MAX_STEPS
             return
-        # past length ~6e155 Amax^2 is subnormal or 0 and dt is not finite
-        dt = cfg.dtSafety / amax ** 2 if amax ** 2 > 0.0 else math.inf
-        if dt == math.inf:
-            length = max(d[0] for d in state.diags)
-            raise TranslabError(f"curve of length {length!r} is too large to "
-                                f"flow: dtSafety / Amax^2 is not finite at "
-                                f"Amax = {amax!r}")
-        dt = min(dt, t_end - state.t)
+        dt = min(cfg.dtSafety / amax ** 2, t_end - state.t)
         if state.t + dt == state.t:
             state.stopReason = DT_UNDERFLOW
             return
@@ -254,6 +336,7 @@ def _flow(curves, t: float, cfg: FlowConfig, t_end: float = math.inf):
             if any(_resolution_lost(P) for P in state.curves):
                 state.stopReason = RESOLUTION_LOST
                 return
+        state.diags = [_diagnostics(P, state.t) for P in state.curves]
 
 
 # --- public entry points ------------------------------------------------------
@@ -261,25 +344,22 @@ def _flow(curves, t: float, cfg: FlowConfig, t_end: float = math.inf):
 
 def run(c0: CurveState, cfg: FlowConfig | None = None) -> SingularityLog:
     """Evolve until one of _flow's stop rules (log.stopReason), logging
-    every step.  The extinction time is fitted by linear regression of
-    1/Amax^2 against t over the final 30% of samples, and the singularity
-    type verdict is attached via classify().
+    every step, then fit the extinction time (_fit_extinction) and classify
+    the singularity over the fit window (classify).
     """
     cfg = cfg or FlowConfig()
     times, diags = [], []
     for state in _flow([c0.points], c0.t, cfg):
         times.append(state.t)
         diags.append(state.diags[0])
+    times = np.array(times)
     length, area, amax = np.array(diags).T
-    log = SingularityLog(times=times, Amax=amax, length=length,
-                         area=area, steps=state.steps,
-                         remeshes=state.remeshes, stopReason=state.stopReason)
-    _fit_extinction(log)
-    try:
-        classify(log)
-    except InsufficientDataError:
-        log.typeVerdict = TypeVerdict.INCONCLUSIVE
-    return log
+    start, T = _fit_extinction(times, amax)
+    verdict, climsup = classify(times[start:], amax[start:], T)
+    return SingularityLog(times=times, Amax=amax, length=length, area=area,
+                          fittedT=T, typeVerdict=verdict, Climsup=climsup,
+                          fitWindowStart=start, steps=state.steps,
+                          remeshes=state.remeshes, stopReason=state.stopReason)
 
 
 def evolve_to(c0: CurveState, t_target: float, cfg: FlowConfig | None = None) -> CurveState:
@@ -296,49 +376,41 @@ def evolve_to(c0: CurveState, t_target: float, cfg: FlowConfig | None = None) ->
     return CurveState(points=state.curves[0], t=state.t)
 
 
-def _fit_extinction(log: SingularityLog):
-    """T from 1/Amax^2 ~ 2 (T - t): linear in t, root = extinction estimate."""
-    m = len(log.times)
+def _fit_extinction(times: np.ndarray, amax: np.ndarray):
+    """(start, T): T from 1/Amax^2 ~ 2 (T - t) fitted linearly over the final
+    30% of samples, from start on; None for < 10 samples or a slope >= 0."""
+    m = len(times)
     if m < 10:
-        return
+        return 0, None
     start = int(0.7 * m)
-    log.fitWindowStart = start
-    t = log.times[start:]
-    y = 1.0 / log.Amax[start:] ** 2
-    slope, intercept = np.polyfit(t, y, 1)
+    slope, intercept = np.polyfit(times[start:], 1.0 / amax[start:] ** 2, 1)
     if slope >= 0:
-        return
-    log.fittedT = float(-intercept / slope)
+        return start, None
+    return start, float(-intercept / slope)
 
 
-def classify(log: SingularityLog) -> TypeVerdict:
-    """Type I/II verdict from the rescaled curvature s(t) = Amax sqrt(T - t).
+def classify(t: np.ndarray, amax: np.ndarray, T: float | None):
+    """(verdict, Climsup) from the rescaled curvature s(t) = Amax sqrt(T - t)
+    over the fit window samples (t, amax) before T.
 
-    Type I when s stays bounded over the fit window (max/median <= 3), with
-    Climsup = sqrt(2) * max s; Type II when s grows monotonically by >= 10x.
-    The limsup definition is not computable at finite resolution, so anything
-    else is Inconclusive.
+    Type I when s stays bounded (max/median <= 3), with Climsup = sqrt(2) *
+    max s; Type II when s grows monotonically by >= 10x.  The limsup
+    definition is not computable at finite resolution, so anything else is
+    Inconclusive, and so is a window without T or with fewer than 20 samples
+    before it.
     """
-    if log.fittedT is None:
-        raise InsufficientDataError("no fitted extinction time")
-    start = log.fitWindowStart
-    t = log.times[start:]
-    amax = log.Amax[start:]
-    sel = t < log.fittedT
+    if T is None:
+        return TypeVerdict.INCONCLUSIVE, None
+    sel = t < T
     if sel.sum() < 20:
-        raise InsufficientDataError("need >= 20 samples in the fit window")
-    s = amax[sel] * np.sqrt(log.fittedT - t[sel])
+        return TypeVerdict.INCONCLUSIVE, None
+    s = amax[sel] * np.sqrt(T - t[sel])
     ratio = float(np.max(s) / np.median(s))
     if ratio <= 3.0:
-        log.typeVerdict = TypeVerdict.TYPE_I
-        log.Climsup = float(np.sqrt(2.0) * np.max(s))
-    elif s[-1] / s[0] >= 10.0 and np.all(np.diff(s) > -1e-12 * np.max(s)):
-        log.typeVerdict = TypeVerdict.TYPE_II
-        log.Climsup = None
-    else:
-        log.typeVerdict = TypeVerdict.INCONCLUSIVE
-        log.Climsup = None
-    return log.typeVerdict
+        return TypeVerdict.TYPE_I, float(np.sqrt(2.0) * np.max(s))
+    if s[-1] / s[0] >= 10.0 and np.all(np.diff(s) > -1e-12 * np.max(s)):
+        return TypeVerdict.TYPE_II, None
+    return TypeVerdict.INCONCLUSIVE, None
 
 
 def roundness(c: CurveState):
@@ -349,7 +421,7 @@ def roundness(c: CurveState):
     with convex=False.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        kappa, _, signed_area = polyline_kernel(c.points)
+        kappa, _, signed_area = _polyline_kernel(c.points)
     if not np.all(np.isfinite(kappa)):
         raise TranslabError("consecutive curve points coincide")
     k = kappa * np.sign(signed_area)
@@ -361,11 +433,19 @@ def roundness(c: CurveState):
     return kmax / kmin, True
 
 
+# Vertex-segment pairs of one distance sample (len(P) * len(Q)); each pair
+# holds a few float64 temporaries.  csf compare at CLI defaults (452 steps)
+# took 4.3 s and 66.0 MB peak RSS at n = 256 and 15.1 s and 76.4 MB at
+# n = 512: 0.12 us and 53 B per pair and sample.  At the bound (n = 1,024)
+# that is about 0.13 s per sample (1 min at defaults) and 0.12 GB.
+_MAX_PAIRS = 1 << 20
+
+
 def _min_distance(P: np.ndarray, Q: np.ndarray) -> float:
     """Min distance between two closed polylines (vertex-to-segment, both ways)."""
     def pts_to_segs(pts, poly):
         x, y = poly[:, 0], poly[:, 1]
-        dx, dy = shift_fwd(x) - x, shift_fwd(y) - y
+        dx, dy = _shift_fwd(x) - x, _shift_fwd(y) - y
         wx = pts[:, 0, None] - x
         wy = pts[:, 1, None] - y
         tt = np.clip((wx * dx + wy * dy) / (dx * dx + dy * dy), 0.0, 1.0)
@@ -380,8 +460,8 @@ def _inside_mask(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Crossing-number containment mask of pts w.r.t. a closed polyline."""
     x, y = pts[:, 0][:, None], pts[:, 1][:, None]
     x1, y1 = poly[:, 0][None, :], poly[:, 1][None, :]
-    x2 = shift_fwd(poly[:, 0])[None, :]
-    y2 = shift_fwd(poly[:, 1])[None, :]
+    x2 = _shift_fwd(poly[:, 0])[None, :]
+    y2 = _shift_fwd(poly[:, 1])[None, :]
     cond = (y1 <= y) != (y2 <= y)
     with np.errstate(divide="ignore", invalid="ignore"):
         xcross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
@@ -433,8 +513,13 @@ def comparison_check(a: CurveState, b: CurveState,
     if a.t != b.t:
         raise ValueError(f"curves must start at one time, got a.t = {a.t!r} "
                          f"and b.t = {b.t!r}")
-    for c in (a, b):        # refuse a point or a segment before any distance
-        _diagnostics(c.points, c.t)
+    pairs = len(a.points) * len(b.points)
+    if pairs > _MAX_PAIRS:
+        raise ValueError(f"curves of n = {len(a.points)} and n = "
+                         f"{len(b.points)} points need {pairs} vertex-segment "
+                         f"pairs per distance, more than {_MAX_PAIRS}")
+    for c in (a, b):        # refuse a degenerate or outsized curve first
+        _start_diagnostics(c.points, c.t)
     if not _curves_disjoint(a.points, b.points):
         raise ValueError("curves must be disjoint at t = 0")
 

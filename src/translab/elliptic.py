@@ -6,7 +6,9 @@ strip direction, truncated to [-SHRINK*b, SHRINK*b] so the tilted-grim-reaper
 boundary data stays finite.  In the downward convention the wing is concave
 with its maximum at the origin and is asymptotic, as |x| grows, to the two
 tilted grim reapers with cos(theta) = pi / (2 b); the Dirichlet data is their
-pointwise lower envelope sec^2(th) log cos(y cos th) - tan(th) |x|.
+pointwise lower envelope sec^2(th) log cos(y cos th) - tan(th) |x|,
+evaluated once per strip (make_strip_problem, into p.bc).  newton_solve
+builds the complete SolveReport in one call.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ from .grid import GridFunction
 class StripProblem:
     """Dirichlet problem for the translator equation on a truncated strip.
 
-    bc holds the boundary data on the outer node ring of the (nx, ny) grid;
-    its interior entries are ignored.
+    bc holds the Dirichlet data on the outer node ring of the (nx, ny) grid.
+    Its interior entries are the surface initial_guess smooths and
+    asymptote_defect compares with; make_strip_problem fills every node with
+    the tilted-pair envelope.
     """
 
     b: float
@@ -104,12 +108,12 @@ class SolveReport:
     concaveFlag: bool
     symmetryDefect: float
     maxBoundaryGradient: float         # completeness proxy, outermost interior ring
-    rawResidualMax: float = float("nan")
-    k: float = float("nan")            # smaller |eigenvalue| of centerHessian
-    asymptoteDefect: float = float("nan")
-    factorizations: int = 0            # sparse LU factorizations computed
-    luFill: int = 0                    # nnz(L + U) of the last factorization
-    defectHistory: list = field(default_factory=list)  # max |defect| per step
+    rawResidualMax: float
+    k: float                           # smaller |eigenvalue| of centerHessian
+    asymptoteDefect: float             # asymptote_defect of the solution
+    factorizations: int                # sparse LU factorizations computed
+    luFill: int                        # nnz(L + U) of the last factorization
+    defectHistory: list                # max |defect| per step
 
 
 def tilted_pair_envelope(b: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -268,7 +272,8 @@ def newton_solve(p: StripProblem, init: GridFunction):
     dq[fold] keeps the iterate symmetric.  Residual and convergence test
     stay on the full grid.  Boundary data that is not mirror symmetric is a
     ValueError.  A stall names the grid node (i, j) where |defect| peaks.
-    Returns (solution, SolveReport).
+    Returns (solution, SolveReport); the report's asymptoteDefect is
+    asymptote_defect(solution, p).
     """
     if init.values.shape != (p.nx, p.ny):
         raise TranslabError("initial guess does not match the problem grid")
@@ -336,46 +341,32 @@ def newton_solve(p: StripProblem, init: GridFunction):
                 f"no convergence in {MAX_NEWTON} Newton iterations")
 
     sol = p.grid(v)
-    report = _make_report(sol, jet, p, iterations,
-                          float(np.max(np.abs(defect))), damping_history)
-    report.rawResidualMax = float(np.max(np.abs(res)))
-    report.factorizations = factorizations
-    report.luFill = 0 if lu is None else int(lu.nnz)
-    report.defectHistory = defect_history
-    return sol, report
-
-
-def _make_report(sol: GridFunction, jet, p: StripProblem, iterations: int,
-                 res_max: float, damping_history: list) -> SolveReport:
-    v = sol.values
     gp, gq, r, s, t = jet
     # D^2 u at the node nearest the origin (interior index = node index - 1)
     ic = int(np.argmin(np.abs(p.xs))) - 1
     jc = int(np.argmin(np.abs(p.ys))) - 1
     center_hessian = np.array([[r[ic, jc], s[ic, jc]], [s[ic, jc], t[ic, jc]]])
-    eigs = np.linalg.eigvalsh(center_hessian)
-    k = float(np.min(np.abs(eigs)))
 
     # concavity over all interior nodes: largest eigenvalue of D^2 u
     lam_max = 0.5 * (r + t) + np.sqrt(0.25 * (r - t) ** 2 + s * s)
     scale = max(np.max(np.abs(r)), np.max(np.abs(t)), np.max(np.abs(s)))
-    concavity_tol = 1e-6 * scale
-    concave = bool(np.max(lam_max) <= concavity_tol)
-
-    sym = max(float(np.max(np.abs(v - v[::-1, :]))),
-              float(np.max(np.abs(v - v[:, ::-1]))))
 
     # boundary-gradient proxy on the outermost interior ring
     gmag = np.sqrt(gp * gp + gq * gq)
-    ring = np.zeros_like(gmag, dtype=bool)
-    ring[0, :] = ring[-1, :] = True
-    ring[:, 0] = ring[:, -1] = True
-    bgrad = float(np.max(gmag[ring]))
+    ring = np.ones_like(gmag, dtype=bool)
+    ring[1:-1, 1:-1] = False
 
-    return SolveReport(iterations=iterations, finalResidualMax=res_max,
-                       dampingHistory=damping_history,
-                       centerHessian=center_hessian, concaveFlag=concave,
-                       symmetryDefect=sym, maxBoundaryGradient=bgrad, k=k)
+    return sol, SolveReport(
+        iterations=iterations, finalResidualMax=float(np.max(np.abs(defect))),
+        dampingHistory=damping_history, centerHessian=center_hessian,
+        concaveFlag=bool(np.max(lam_max) <= 1e-6 * scale),
+        symmetryDefect=max(float(np.max(np.abs(v - v[::-1, :]))),
+                           float(np.max(np.abs(v - v[:, ::-1])))),
+        maxBoundaryGradient=float(np.max(gmag[ring])),
+        rawResidualMax=float(np.max(np.abs(res))),
+        k=float(np.min(np.abs(np.linalg.eigvalsh(center_hessian)))),
+        asymptoteDefect=asymptote_defect(sol, p), factorizations=factorizations,
+        luFill=0 if lu is None else int(lu.nnz), defectHistory=defect_history)
 
 
 def make_strip_problem(b: float, L: float, nx: int, ny: int) -> StripProblem:
@@ -397,26 +388,24 @@ def _smoothed(p: StripProblem, v: np.ndarray, sweeps: int) -> GridFunction:
 
 
 def initial_guess(p: StripProblem) -> GridFunction:
-    """Smoothed envelope: five Jacobi sweeps round the crease along x = 0."""
-    X, Y = np.meshgrid(p.xs, p.ys, indexing="ij")
-    return _smoothed(p, tilted_pair_envelope(p.b, X, Y), 5)
+    """Smoothed data: five Jacobi sweeps of p.bc (for make_strip_problem,
+    the envelope) round the crease along x = 0."""
+    return _smoothed(p, p.bc.copy(), 5)
 
 
 def asymptote_defect(sol: GridFunction, p: StripProblem) -> float:
-    """Defect against the asymptotic tilted reapers near the ends of the box.
+    """Defect against p.bc near the ends of the box; for make_strip_problem
+    that is the envelope, the tilted reapers the wing approaches there.
 
-    For each side the comparison surface is the reaper the wing approaches
-    there, aligned by the best constant shift (midrange of the difference);
-    the bands cover interior nodes with |x| in [0.85, 1] * L.
+    For each side the comparison surface is aligned by the best constant
+    shift (midrange of the difference); the bands cover interior nodes with
+    |x| in [0.85, 1] * L.
     """
-    X, Y = np.meshgrid(p.xs, p.ys, indexing="ij")
-    reaper = tilted_pair_envelope(p.b, X, Y)
+    xs = p.xs[1:-1]
+    gap = sol.values[1:-1, 1:-1] - p.bc[1:-1, 1:-1]
     worst = 0.0
     for sgn in (+1, -1):
-        sel = (sgn * X >= 0.85 * p.L) & (sgn * X <= p.L)
-        sel[0, :] = sel[-1, :] = False
-        sel[:, 0] = sel[:, -1] = False
-        diff = (sol.values - reaper)[sel]
+        diff = gap[(sgn * xs >= 0.85 * p.L) & (sgn * xs <= p.L)]
         shift = 0.5 * (float(np.max(diff)) + float(np.min(diff)))
         worst = max(worst, float(np.max(np.abs(diff - shift))))
     return worst
@@ -434,9 +423,7 @@ def delta_wing(b: float, L: float = 12.0, nx: int = 961, ny: int = 161):
     if b <= math.pi / 2:
         raise ValueError("Delta-wings need strip half-width b > pi/2")
     p = make_strip_problem(b, L, nx, ny)
-    sol, report = newton_solve(p, initial_guess(p))
-    report.asymptoteDefect = asymptote_defect(sol, p)
-    return sol, report
+    return newton_solve(p, initial_guess(p))
 
 
 def _resample_onto(p_new: StripProblem, sol: GridFunction) -> GridFunction:
@@ -487,7 +474,6 @@ def continuation_in_width(b_start: float, b_end: float, steps: int,
                     raise TranslabError(
                         f"continuation failed at b = {bi}, retry stalled at "
                         f"b = {q.b}: {exc}") from exc
-        rep.asymptoteDefect = asymptote_defect(sol, p)
         out.append((float(bi), rep))
         prev_b = float(bi)
     return sol, out

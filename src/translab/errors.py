@@ -3,7 +3,7 @@
 A type exists only where some code catches it by name.  Every numerical or
 contract failure is a TranslabError (CLI exit code 1), told apart by its
 message; UsageError maps to exit code 2.  Continuation's half-step retry
-catches the two Newton failures, and csf.run catches InsufficientDataError.
+catches the two Newton failures.
 """
 
 
@@ -17,10 +17,6 @@ class NewtonStalledError(TranslabError):
 
 class MaxIterationsError(TranslabError):
     """Newton iteration budget exhausted before the tolerance."""
-
-
-class InsufficientDataError(TranslabError):
-    """Too few samples for a fit or classification."""
 
 
 class UsageError(Exception):

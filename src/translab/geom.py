@@ -1,4 +1,4 @@
-"""Discrete differential geometry on graphical surfaces and closed curves.
+"""Discrete differential geometry on graphical surfaces.
 
 Grid-surface quantities use second-order central differences on the graph
 parametrization F(x, y) = (x, y, u).  The orientation is fixed to the upward
@@ -226,54 +226,3 @@ def q_squared(geom: GeometryField, u: GridFunction):
     q2 = d2k1 * d2k1 + d1k2 * d1k2
     return np.where(geom.umbilic, np.nan, q2)
 
-
-# ---------------------------------------------------------------------------
-# closed planar curves
-
-
-@dataclass
-class CurveState:
-    """Closed polyline under curve shortening flow."""
-
-    points: np.ndarray  # (n, 2)
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[1] != 2:
-            raise ValueError("points must be (n, 2)")
-        if len(self.points) < 8:
-            raise ValueError("curve needs at least 8 points")
-        if not np.all(np.isfinite(self.points)):
-            raise TranslabError("curve points must be finite")
-
-
-def shift_fwd(a: np.ndarray) -> np.ndarray:
-    """a[i+1] cyclically (cheaper than np.roll)."""
-    return np.concatenate((a[1:], a[:1]))
-
-
-def shift_bwd(a: np.ndarray) -> np.ndarray:
-    """a[i-1] cyclically."""
-    return np.concatenate((a[-1:], a[:-1]))
-
-
-def polyline_kernel(P: np.ndarray):
-    """(kappa, length, signed_area) of a closed polyline P (n, 2).
-
-    kappa[i] is the arclength second difference at vertex i dotted with the
-    left normal, the normalized sum of the unit edges there turned by 90
-    degrees (positive on convex counterclockwise curves).  The flow calls
-    this every step: shifts and elementwise arithmetic only.
-    """
-    e = shift_fwd(P) - P
-    ell = np.hypot(e[:, 0], e[:, 1])
-    ell_prev = shift_bwd(ell)
-    te = e / ell[:, None]
-    te_prev = shift_bwd(te)
-    xss = 2.0 * (te - te_prev) / (ell + ell_prev)[:, None]
-    tang = te + te_prev
-    tnorm = np.hypot(tang[:, 0], tang[:, 1])
-    kappa = (-xss[:, 0] * tang[:, 1] + xss[:, 1] * tang[:, 0]) / tnorm
-    area = 0.5 * float(np.sum(P[:, 0] * e[:, 1] - e[:, 0] * P[:, 1]))
-    return kappa, float(ell.sum()), area

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from translab import csf, geom
+from translab import csf
 from translab.csf import FlowConfig, TypeVerdict
-from translab.errors import InsufficientDataError, TranslabError
+from translab.errors import TranslabError
 
 
 QUICK = FlowConfig(stopAmax=200.0)
@@ -64,14 +64,10 @@ def test_blowup_lower_bound_and_time_bounds(circle_log):
 
 
 def test_classify_insufficient_data():
-    log = csf.SingularityLog(times=np.linspace(0, 0.1, 5),
-                             Amax=np.ones(5), length=np.ones(5),
-                             area=np.ones(5))
-    with pytest.raises(InsufficientDataError):
-        csf.classify(log)
-    log.fittedT = 0.5
-    with pytest.raises(InsufficientDataError):
-        csf.classify(log)
+    # no extinction time, then fewer than 20 samples before it
+    t, amax = np.linspace(0, 0.1, 5), np.ones(5)
+    assert csf.classify(t, amax, None) == (TypeVerdict.INCONCLUSIVE, None)
+    assert csf.classify(t, amax, 0.5) == (TypeVerdict.INCONCLUSIVE, None)
 
 
 def test_roundness_values():
@@ -85,7 +81,7 @@ def test_roundness_flags_nonconvex():
     ang = 2 * math.pi * np.arange(256) / 256
     rr = 1.0 + 0.5 * np.cos(3 * ang)
     pts = np.stack([rr * np.cos(ang), rr * np.sin(ang)], axis=1)
-    ratio, convex = csf.roundness(geom.CurveState(points=pts))
+    ratio, convex = csf.roundness(csf.CurveState(points=pts))
     assert not convex
     assert ratio >= 1.0
 
@@ -143,7 +139,7 @@ def test_comparison_rejects_overlap():
 def test_comparison_refuses_curves_at_different_times():
     # b.t used to be dropped: the pair flowed from a.t
     a = csf.make_circle(1.0, 64)
-    b = geom.CurveState(points=csf.make_circle(3.0, 64).points, t=0.25)
+    b = csf.CurveState(points=csf.make_circle(3.0, 64).points, t=0.25)
     with pytest.raises(ValueError, match=r"a\.t = 0\.0 and b\.t = 0\.25"):
         csf.comparison_check(a, b)
 
@@ -198,7 +194,7 @@ def test_dt_underflow_stops_the_flow():
     # dtSafety / Amax^2 falls below the float spacing of t
     th = 2 * math.pi * np.arange(64) / 64
     r = 0.5 + np.cos(th)
-    c = geom.CurveState(points=np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
+    c = csf.CurveState(points=np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
     log = csf.run(c, FlowConfig(stopAmax=1e12))
     assert log.stopReason == csf.DT_UNDERFLOW
     assert log.steps == len(log.times) - 1
@@ -211,7 +207,7 @@ def test_flow_log_starts_at_polyline_kernel(monkeypatch):
     monkeypatch.setattr(csf, "_MAX_STEPS", 3)
     c = csf.make_ellipse(2.0, 1.0, 128)
     log = csf.run(c, FlowConfig())
-    kappa, length, area = geom.polyline_kernel(c.points)
+    kappa, length, area = csf._polyline_kernel(c.points)
     assert (log.length[0], log.area[0], log.Amax[0]) == \
         (length, abs(area), float(np.max(np.abs(kappa))))
 
@@ -295,3 +291,46 @@ def test_min_distance_matches_einsum_reference():
         P = rng.normal(size=(n, 2))
         Q = rng.normal(size=(m, 2)) + rng.normal(size=2)
         assert csf._min_distance(P, Q) == _min_distance_einsum(P, Q)
+
+
+# --- the polyline kernel and the curve container -----------------------------
+
+
+def circle_points(r, n, center=(0.0, 0.0)):
+    ang = 2 * math.pi * np.arange(n) / n
+    return np.stack([center[0] + r * np.cos(ang),
+                     center[1] + r * np.sin(ang)], axis=1)
+
+
+def test_circle_curvature_length_area():
+    kappa, length, area = csf._polyline_kernel(circle_points(1.0, 256))
+    assert np.max(np.abs(kappa - 1.0)) < 1e-3
+    assert abs(length - 2 * math.pi) < 1e-3
+    assert abs(area - math.pi) < 1e-3
+
+
+def test_circle_radius_two():
+    kappa, _, _ = csf._polyline_kernel(circle_points(2.0, 256))
+    assert np.max(np.abs(kappa - 0.5)) < 1e-3
+
+
+def test_ellipse_max_curvature():
+    ang = 2 * math.pi * np.arange(512) / 512
+    pts = np.stack([2 * np.cos(ang), np.sin(ang)], axis=1)
+    _, _, amax = csf._diagnostics(pts, 0.0)
+    assert abs(amax - 2.0) < 1e-2  # kappa_max = a / b^2
+
+
+def test_degenerate_edge_detection():
+    # a repeated point makes kappa NaN; the flow and roundness refuse it
+    c = csf.CurveState(points=circle_points(1.0, 16))
+    c.points[3] = c.points[4]
+    with pytest.raises(TranslabError, match="curvature not finite at t=0.0"):
+        csf._diagnostics(c.points, c.t)
+    with pytest.raises(TranslabError, match="consecutive curve points coincide"):
+        csf.roundness(c)
+
+
+def test_curve_needs_eight_points():
+    with pytest.raises(ValueError):
+        csf.CurveState(points=circle_points(1.0, 7))

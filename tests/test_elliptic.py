@@ -150,6 +150,46 @@ def test_jacobian_matches_folded_coo_reference(nx, ny, ulps):
     assert np.all(gap <= ulps * np.spacing(np.abs(ref.data)))
 
 
+def test_newton_solve_reports_the_asymptote_defect():
+    # newton_solve builds the whole report; asymptoteDefect used to stay NaN
+    # until delta_wing or continuation_in_width set it
+    p = make_strip_problem(2.0, 8.0, 121, 49)
+    sol, rep = newton_solve(p, initial_guess(p))
+    assert math.isfinite(rep.asymptoteDefect)
+    assert rep.asymptoteDefect == elliptic.asymptote_defect(sol, p)
+
+
+def envelope_asymptote_defect(v, p):
+    """asymptote_defect as it was when it evaluated the envelope itself;
+    kept as the reference."""
+    X, Y = np.meshgrid(p.xs, p.ys, indexing="ij")
+    reaper = elliptic.tilted_pair_envelope(p.b, X, Y)
+    worst = 0.0
+    for sgn in (+1, -1):
+        sel = (sgn * X >= 0.85 * p.L) & (sgn * X <= p.L)
+        sel[0, :] = sel[-1, :] = False
+        sel[:, 0] = sel[:, -1] = False
+        diff = (v - reaper)[sel]
+        shift = 0.5 * (float(np.max(diff)) + float(np.min(diff)))
+        worst = max(worst, float(np.max(np.abs(diff - shift))))
+    return worst
+
+
+@pytest.mark.parametrize("nx, ny", [(121, 41), (120, 40)])
+def test_strip_envelope_is_evaluated_once(nx, ny):
+    # initial_guess and asymptote_defect read the envelope from p.bc, bit
+    # for bit what they got when each evaluated it again
+    p = make_strip_problem(B_ROOT2, 12.0, nx, ny)
+    X, Y = np.meshgrid(p.xs, p.ys, indexing="ij")
+    env = elliptic.tilted_pair_envelope(p.b, X, Y)
+    guess = initial_guess(p)
+    assert np.array_equal(guess.values,
+                          elliptic._smoothed(p, env, 5).values)
+    v = guess.values + 1e-3 * np.sin(X) * np.cos(Y)
+    assert elliptic.asymptote_defect(p.grid(v), p) == \
+        envelope_asymptote_defect(v, p) > 0.0
+
+
 def test_newton_factors_on_even_steps_only():
     # steps 0, 2, 4, ... factor; odd steps reuse that LU (no guard fires here)
     sol, rep = delta_wing(2.0, L=8.0, nx=121, ny=49)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from translab import csf, geom, grid, radial
+from translab import geom, grid, radial
 from translab.errors import TranslabError
 
 
@@ -202,45 +202,3 @@ def test_key_identity_two_ways_on_bowl():
         assert dmax <= 0.05 * h
     assert diffs[0][0] / diffs[1][0] > 1.5
 
-
-# --- curves -------------------------------------------------------------------
-
-
-def circle_points(r, n, center=(0.0, 0.0)):
-    ang = 2 * math.pi * np.arange(n) / n
-    return np.stack([center[0] + r * np.cos(ang),
-                     center[1] + r * np.sin(ang)], axis=1)
-
-
-def test_circle_curvature_length_area():
-    kappa, length, area = geom.polyline_kernel(circle_points(1.0, 256))
-    assert np.max(np.abs(kappa - 1.0)) < 1e-3
-    assert abs(length - 2 * math.pi) < 1e-3
-    assert abs(area - math.pi) < 1e-3
-
-
-def test_circle_radius_two():
-    kappa, _, _ = geom.polyline_kernel(circle_points(2.0, 256))
-    assert np.max(np.abs(kappa - 0.5)) < 1e-3
-
-
-def test_ellipse_max_curvature():
-    ang = 2 * math.pi * np.arange(512) / 512
-    pts = np.stack([2 * np.cos(ang), np.sin(ang)], axis=1)
-    _, _, amax = csf._diagnostics(pts, 0.0)
-    assert abs(amax - 2.0) < 1e-2  # kappa_max = a / b^2
-
-
-def test_degenerate_edge_detection():
-    # a repeated point makes kappa NaN; the flow and roundness refuse it
-    c = geom.CurveState(points=circle_points(1.0, 16))
-    c.points[3] = c.points[4]
-    with pytest.raises(TranslabError, match="curvature not finite at t=0.0"):
-        csf._diagnostics(c.points, c.t)
-    with pytest.raises(TranslabError, match="consecutive curve points coincide"):
-        csf.roundness(c)
-
-
-def test_curve_needs_eight_points():
-    with pytest.raises(ValueError):
-        geom.CurveState(points=circle_points(1.0, 7))

@@ -456,18 +456,43 @@ def test_cli_csf_nan_curvature_exits_at_once(tmp_path, argv):
     assert proc.stderr.startswith("error: curvature not finite")
 
 
+OUT_OF_RANGE = r"cannot be flowed: lengths must lie in \[1e-60, 1e\+60\]"
+
+
 @pytest.mark.parametrize("argv, err", [
     (["csf", "run", "--radius", "1e200", "--n", "16", "--out", "{tmp}/l.csv"],
-     r"curve of length 6\.2\d*e\+200 is too large to flow: dtSafety / Amax\^2 is not finite"),
+     rf"curve of length 6\.2\d*e\+200 {OUT_OF_RANGE}"),
     (["csf", "run", "--shape", "ellipse", "--a", "1e308", "--b", "1", "--n",
       "16", "--out", "{tmp}/l.csv"],
-     r"curve of length inf is too large to flow: dtSafety / Amax\^2 is not finite"),
+     rf"curve of length inf {OUT_OF_RANGE}"),
+    (["csf", "run", "--radius", "5e154", "--n", "16", "--out", "{tmp}/l.csv"],
+     rf"curve of length 3\.1\d*e\+155 {OUT_OF_RANGE}"),
+    (["csf", "run", "--radius", "1e150", "--n", "16", "--out", "{tmp}/l.csv"],
+     rf"curve of length 6\.2\d*e\+150 {OUT_OF_RANGE}"),
+    (["csf", "run", "--radius", "1e-100", "--n", "16", "--stop-amax", "1e150",
+      "--out", "{tmp}/l.csv"],
+     rf"curve of length 6\.2\d*e-100 {OUT_OF_RANGE}"),
+    (["csf", "run", "--radius", "1e-160", "--n", "16", "--stop-amax", "1e300",
+      "--out", "{tmp}/l.csv"],
+     r"stopAmax must have a finite square \(at most 1\.3407807929942596e\+154\), "
+     r"got 1e\+300"),
+    (["csf", "run", "--n", "100000000", "--out", "{tmp}/l.csv"],
+     r"curve of n = 100000000 points exceeds the bound of 1000000 points"),
+    (["csf", "compare", "--n", "100000"],
+     r"curves of n = 100000 and n = 100000 points need 10000000000 "
+     r"vertex-segment pairs per distance, more than 1048576"),
     (["catalog", "residual", "--h", "1e-7"],
      r"step h = 1e-07 needs more than 10000000 grid nodes"),
-], ids=["circle-1e200", "ellipse-1e308", "catalog-h"])
+], ids=["circle-1e200", "ellipse-1e308", "circle-5e154", "circle-1e150",
+        "circle-1e-100", "stop-amax-1e300", "run-n-1e8", "compare-n-1e5",
+        "catalog-h"])
 def test_cli_refuses_a_scale_it_cannot_compute(tmp_path, capsys, argv, err):
-    # the curves' Amax^2 underflows to 0, and dtSafety / Amax^2 used to raise
-    # ZeroDivisionError; h = 1e-7 used to fail allocating its meshgrid
+    # each used to end otherwise: Amax^2 underflowing to 0 in a
+    # ZeroDivisionError (1e200, 1e308), t overflowing to inf in exit 0 with
+    # no stopReason (5e154), numpy RuntimeWarnings before the error line
+    # (1e150) or after a flow whose times squared underflow in the fit
+    # (1e-100), amax ** 2 in an OverflowError (stopAmax 1e300), and h = 1e-7
+    # and both n in a failed allocation
     rc = cli.main([a.format(tmp=tmp_path) for a in argv])
     lines = capsys.readouterr().err.splitlines()
     assert rc == 1

@@ -31,6 +31,23 @@ def test_every_exception_type_is_caught_by_name():
     assert sorted(defined - caught) == []
 
 
+def test_csf_imports_only_errors_from_the_package():
+    # the flow owns its curve container and polyline kernel, so geom holds
+    # graph geometry only
+    found = []
+    for node in ast.walk(ast.parse((SRC / "csf.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("translab")):
+            names = [node.module] if node.module else \
+                [a.name for a in node.names]
+            found += [f"csf.py:{node.lineno}" for name in names
+                      if name.rsplit(".", 1)[-1] != "errors"]
+        elif isinstance(node, ast.Import):
+            found += [f"csf.py:{node.lineno}" for a in node.names
+                      if a.name.startswith("translab")]
+    assert found == []
+
+
 def test_no_module_imports_scipy_interpolate():
     # profile_to_grid and the continuation resampler interpolate with what
     # they hold (Hermite on the profile's slopes, np.interp in y)
