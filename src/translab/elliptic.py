@@ -8,7 +8,10 @@ with its maximum at the origin and is asymptotic, as |x| grows, to the two
 tilted grim reapers with cos(theta) = pi / (2 b); the Dirichlet data is their
 pointwise lower envelope sec^2(th) log cos(y cos th) - tan(th) |x|,
 evaluated once per strip (make_strip_problem, into p.bc).  newton_solve
-builds the complete SolveReport in one call.
+builds the complete SolveReport in one call.  scipy.sparse is first
+imported by newton_solve, after every check of the strip, and then by
+_jacobian and _factor, which use it; importing this module or refusing a
+strip loads none of it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import catalog
 from .errors import MaxIterationsError, NewtonStalledError, TranslabError
@@ -49,8 +50,7 @@ class StripProblem:
         if not 4 <= self.L < math.inf:
             raise ValueError(f"truncation length L must be finite and >= 4, "
                              f"got {self.L}")
-        if self.nx < 33 or self.ny < 33:
-            raise ValueError("resolution must be at least 33x33")
+        _check_grid(self.nx, self.ny)
         # The stencils divide by hx^2 and hy^2.  The Newton residual is the
         # curvature defect times W^3 >= sec^3(theta) on the flanks of the
         # tilted pair (cos(theta) = pi / (2 b)), and its norm squares that.
@@ -91,6 +91,28 @@ SHRINK = 0.995             # the strip is truncated to |y| <= SHRINK * b
 TOL_RESIDUAL = 1e-9        # Newton converges at max |defect| <= this
 MAX_NEWTON = 50            # ... or fails after this many iterations
 DAMPING_MIN = 2.0 ** -10   # ... or stalls when backtracking goes below this
+
+# Strip grid nodes (nx * ny).  delta-wing --b 2 (L = 12; one core, 2 vCPU
+# x86) took 1.04 s and 135.9 MB peak RSS on 961x161 = 154,721 nodes and
+# 4.85 s and 408.1 MB on 1921x321 = 616,641 nodes: 8.2 us and 618 B per
+# added node.  At the bound that is about 8 s and 0.63 GB for one solve;
+# --nx 100000000 --ny 33 would ask 24.6 GiB for its boundary data alone.
+_MAX_NODES = 1_000_000
+# Continuation steps.  continuation --b-start 2 --b-end 3 on the default
+# 241x81 grid took 0.86 s at 8 steps and 2.14 s at 32, at 75.7 and 74.6 MB
+# peak RSS: 53 ms per step, and a step keeps only its report.  At the bound
+# that is about 1 min on the default grid.
+_MAX_STEPS = 1_000
+
+
+def _check_grid(nx: int, ny: int):
+    """Refuse a strip grid smaller than 33x33 or of more than _MAX_NODES
+    nodes; callers check before they allocate anything of its size."""
+    if nx < 33 or ny < 33:
+        raise ValueError("resolution must be at least 33x33")
+    if nx * ny > _MAX_NODES:
+        raise ValueError(f"strip grid of nx x ny = {nx} x {ny} = {nx * ny} "
+                         f"nodes exceeds the bound of {_MAX_NODES} nodes")
 
 
 @dataclass
@@ -170,12 +192,15 @@ def _fold_index(mi: int, mj: int) -> np.ndarray:
     return fi[:, None] * (mj - mj // 2) + fj
 
 
-def _jacobian(jet, hx: float, hy: float) -> sp.csc_matrix:
-    """Analytic Jacobian of the interior residual, folded onto the quadrant:
-    row n is the quadrant node n, and each stencil neighbour's coefficient
-    goes to the column of that neighbour's reflection (_fold_index), so the
-    neighbours that reflect onto one column at the centre lines are summed.
-    jet is the interior jet (p, q, r, s, t) of the current iterate."""
+def _jacobian(jet, hx: float, hy: float):
+    """Analytic Jacobian of the interior residual, folded onto the quadrant,
+    as a CSC matrix: row n is the quadrant node n, and each stencil
+    neighbour's coefficient goes to the column of that neighbour's
+    reflection (_fold_index), so the neighbours that reflect onto one column
+    at the centre lines are summed.  jet is the interior jet (p, q, r, s, t)
+    of the current iterate."""
+    import scipy.sparse as sp
+
     mi, mj = jet[0].shape
     i0, j0 = mi // 2, mj // 2
     p, q, r, s, t = (a[i0:, j0:] for a in jet)
@@ -214,8 +239,11 @@ def _jacobian(jet, hx: float, hy: float) -> sp.csc_matrix:
     return J
 
 
-def _factor(J: sp.csc_matrix):
-    """Sparse LU of J under a minimum-degree ordering of J + J^T."""
+def _factor(J):
+    """Sparse LU of the CSC matrix J under a minimum-degree ordering of
+    J + J^T."""
+    from scipy.sparse.linalg import splu
+
     try:
         return splu(J, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
@@ -235,8 +263,7 @@ def _check_mirror_symmetric(bc: np.ndarray):
                          f"(defect {defect:.3e} > {tol:.3e})")
 
 
-def _newton_step(lu, Jq: sp.csc_matrix, res: np.ndarray,
-                 fold: np.ndarray) -> np.ndarray:
+def _newton_step(lu, Jq, res: np.ndarray, fold: np.ndarray) -> np.ndarray:
     """Solve the folded system Jq dq = -res on the quadrant with the
     factorization lu, which may belong to an earlier iterate, plus one
     refinement pass against the current Jq; return the step dq[fold]
@@ -293,6 +320,10 @@ def newton_solve(p: StripProblem, init: GridFunction):
     if not math.isfinite(fnorm):
         raise TranslabError(f"the defect of the initial guess is not finite "
                             f"(||defect||_2 = {fnorm})")
+    # Every check has passed: load the sparse LU here, before the loop's
+    # first temporaries, which keeps perfbench wing's peak RSS at 87.0 MB;
+    # loaded between them, in the first _jacobian, it read 89-92.5 MB.
+    import scipy.sparse.linalg  # noqa: F401
     iterations = 0
     for it in range(MAX_NEWTON):
         if np.max(np.abs(defect)) <= TOL_RESIDUAL:
@@ -371,6 +402,7 @@ def newton_solve(p: StripProblem, init: GridFunction):
 
 def make_strip_problem(b: float, L: float, nx: int, ny: int) -> StripProblem:
     """Strip problem with tilted-pair envelope Dirichlet data (b > pi/2)."""
+    _check_grid(nx, ny)
     p = StripProblem(b=b, L=L, nx=nx, ny=ny, bc=np.zeros((nx, ny)))
     p.bc = tilted_pair_envelope(b, *np.meshgrid(p.xs, p.ys, indexing="ij"))
     return p
@@ -444,12 +476,16 @@ def continuation_in_width(b_start: float, b_end: float, steps: int,
     """
     if steps < 1:
         raise ValueError("continuation needs steps >= 1")
+    if steps > _MAX_STEPS:
+        raise ValueError(f"continuation of steps = {steps} exceeds the bound "
+                         f"of {_MAX_STEPS} steps")
     for name, b in (("b_start", b_start), ("b_end", b_end)):
         if not math.isfinite(b):
             raise ValueError(f"continuation {name} must be finite, got {b}")
     if min(b_start, b_end) <= math.pi / 2:
         raise ValueError("continuation runs in b > pi/2")
     # the widest strip is refused before any solve, not after the others
+    _check_grid(nx, ny)
     StripProblem(b=max(b_start, b_end), L=L, nx=nx, ny=ny,
                  bc=np.zeros((nx, ny)))
     bs = np.linspace(b_start, b_end, steps + 1) if b_start != b_end \

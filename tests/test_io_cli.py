@@ -457,6 +457,9 @@ def test_cli_csf_nan_curvature_exits_at_once(tmp_path, argv):
 
 
 OUT_OF_RANGE = r"cannot be flowed: lengths must lie in \[1e-60, 1e\+60\]"
+HUGE_GRID = (r".*huge\.csv: node indices must cover each of the "
+             r"100000000x100000000 nodes exactly once \(1 rows for "
+             r"10000000000000000 nodes\)")
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -483,16 +486,36 @@ OUT_OF_RANGE = r"cannot be flowed: lengths must lie in \[1e-60, 1e\+60\]"
      r"vertex-segment pairs per distance, more than 1048576"),
     (["catalog", "residual", "--h", "1e-7"],
      r"step h = 1e-07 needs more than 10000000 grid nodes"),
+    (["analyze", "sx", "--in", "{tmp}/huge.csv"], HUGE_GRID),
+    (["export", "obj", "--in", "{tmp}/huge.csv", "--out", "{tmp}/h.obj"],
+     HUGE_GRID),
+    (["elliptic", "delta-wing", "--b", "2", "--nx", "100000000", "--ny", "33"],
+     r"strip grid of nx x ny = 100000000 x 33 = 3300000000 nodes exceeds "
+     r"the bound of 1000000 nodes"),
+    (["elliptic", "continuation", "--b-start", "2", "--b-end", "3",
+      "--steps", "100000000"],
+     r"continuation of steps = 100000000 exceeds the bound of 1000 steps"),
+    (["export", "obj", "--in", "{tmp}/p.csv", "--out", "{tmp}/p.obj",
+      "--angular-samples", "100000000"],
+     r"revolution export of 101 rings x 100000000 angular samples exceeds "
+     r"the bound of 4194304 vertices"),
 ], ids=["circle-1e200", "ellipse-1e308", "circle-5e154", "circle-1e150",
         "circle-1e-100", "stop-amax-1e300", "run-n-1e8", "compare-n-1e5",
-        "catalog-h"])
+        "catalog-h", "sx-grid-1e16", "obj-grid-1e16", "strip-nx-1e8",
+        "cont-steps-1e8", "obj-samples-1e8"])
 def test_cli_refuses_a_scale_it_cannot_compute(tmp_path, capsys, argv, err):
     # each used to end otherwise: Amax^2 underflowing to 0 in a
     # ZeroDivisionError (1e200, 1e308), t overflowing to inf in exit 0 with
     # no stopReason (5e154), numpy RuntimeWarnings before the error line
     # (1e150) or after a flow whose times squared underflow in the fit
-    # (1e-100), amax ** 2 in an OverflowError (stopAmax 1e300), and h = 1e-7
-    # and both n in a failed allocation
+    # (1e-100), amax ** 2 in an OverflowError (stopAmax 1e300), h = 1e-7,
+    # both n, the grid header's 10^16 nodes, the 3.3e9 strip nodes and the
+    # 10^8 angular samples in a failed allocation, and 10^8 continuation
+    # steps in a run of more than a minute
+    (tmp_path / "huge.csv").write_text(
+        "# translab-grid nx=100000000 ny=100000000 hx=1 hy=1 x0=0 y0=0\n"
+        "i,j,x,y,u\n0,0,0,0,0\n")
+    tio.write_profile_csv(radial.shoot_bowl(2, 1.0, 1e-2), tmp_path / "p.csv")
     rc = cli.main([a.format(tmp=tmp_path) for a in argv])
     lines = capsys.readouterr().err.splitlines()
     assert rc == 1

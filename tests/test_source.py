@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -48,21 +49,47 @@ def test_csf_imports_only_errors_from_the_package():
     assert found == []
 
 
+def _imports(nodes, prefix):
+    """'file:line' of each import among (path, node) pairs of a name that
+    starts with prefix ('from a import b' imports 'a.b')."""
+    found = []
+    for path, node in nodes:
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}" for name in names
+                  if name.startswith(prefix)]
+    return found
+
+
+def _module_level(tree):
+    """The nodes of tree that run when the module is imported: all but
+    function bodies."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
 def test_no_module_imports_scipy_interpolate():
     # profile_to_grid and the continuation resampler interpolate with what
     # they hold (Hermite on the profile's slopes, np.interp in y)
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [f"{node.module}.{a.name}" for a in node.names]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}" for name in names
-                      if name.startswith("scipy.interpolate")]
-    assert found == []
+    assert _imports(((path, node) for path in sorted(SRC.glob("*.py"))
+                     for node in ast.walk(ast.parse(path.read_text()))),
+                    "scipy.interpolate") == []
+
+
+def test_no_module_imports_scipy_sparse_at_module_level():
+    # only the Delta-wing solve factors a sparse matrix: elliptic imports
+    # scipy.sparse inside the functions of the solve, after a strip's checks
+    assert _imports(((path, node) for path in sorted(SRC.glob("*.py"))
+                     for node in _module_level(ast.parse(path.read_text()))),
+                    "scipy.sparse") == []
 
 
 def test_cli_import_leaves_out_scipy_interpolate():
@@ -97,3 +124,32 @@ def test_shooting_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_only_a_strip_solve_loads_scipy_sparse(tmp_path):
+    # every subcommand group but elliptic, a strip refused by its checks
+    # and one past the node bound leave scipy.sparse out; a solve loads it
+    code = """import json, sys
+import translab.cli as cli
+from translab import catalog, io
+tmp = sys.argv[1]
+io.write_grid_csv(catalog.sample_grid(0.0, 0.05), tmp + "/g.csv")
+rcs = [cli.main(argv) for argv in (
+    ["catalog", "residual", "--out", tmp + "/r.json"],
+    ["radial", "shoot", "--rmax", "3", "--h", "1e-2", "--out", tmp + "/p.csv"],
+    ["csf", "run", "--n", "32", "--out", tmp + "/l.csv"],
+    ["analyze", "sx", "--in", tmp + "/g.csv", "--report", tmp + "/sx.json"],
+    ["export", "obj", "--in", tmp + "/g.csv", "--out", tmp + "/g.obj"],
+    ["elliptic", "delta-wing", "--b", "nan"],
+    ["elliptic", "delta-wing", "--b", "2", "--nx", "100000000", "--ny", "33"])]
+before = "scipy.sparse" in sys.modules
+rcs.append(cli.main(["elliptic", "delta-wing", "--b", "2.2", "--nx", "33",
+                     "--ny", "33", "--report", tmp + "/w.json"]))
+print(json.dumps([rcs, before, "scipy.sparse" in sys.modules]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    rcs, before, after = json.loads(out.splitlines()[-1])
+    assert rcs == [0, 0, 0, 0, 0, 1, 1, 0]
+    assert (before, after) == (False, True)
