@@ -9,6 +9,7 @@ translation convention, so residual == 0 characterizes the family exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +43,19 @@ def half_width(theta: float) -> float:
     return math.pi / (2.0 * math.cos(theta))
 
 
+def _height(theta: float, x, y):
+    """(u, x cos theta) of the tilt-theta reaper at interior points, x and y
+    broadcast together; TranslabError in the guard band or outside it."""
+    _check_tilt(theta)
+    c = math.cos(theta)
+    sec = 1.0 / c
+    arg = np.asarray(x, dtype=float) * c
+    if np.any(math.pi / 2 - np.abs(arg) < DOMAIN_GUARD):
+        raise TranslabError("point outside the open strip (or in the guard band)")
+    y = np.asarray(y, dtype=float)
+    return sec * sec * np.log(np.cos(arg)) - math.tan(theta) * y, arg
+
+
 def evaluate(theta: float, x, y):
     """Exact jet (u, (u_x, u_y), (u_xx, u_xy, u_yy)) of the tilt-theta reaper
     at interior points.
@@ -49,18 +63,10 @@ def evaluate(theta: float, x, y):
     u = sec^2(theta) log cos(x cos theta) - tan(theta) y; the strip variable
     is x, the translation-invariant direction is y.
     """
-    _check_tilt(theta)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    c = math.cos(theta)
-    sec = 1.0 / c
-    tan_t = math.tan(theta)
-    arg = x * c
-    if np.any(math.pi / 2 - np.abs(arg) < DOMAIN_GUARD):
-        raise TranslabError("point outside the open strip (or in the guard band)")
-    u = sec * sec * np.log(np.cos(arg)) - tan_t * y
+    u, arg = _height(theta, x, y)
+    sec = 1.0 / math.cos(theta)
     ux = -sec * np.tan(arg)
-    uy = np.full_like(u, -tan_t)
+    uy = np.full_like(u, -math.tan(theta))
     uxx = -1.0 / np.cos(arg) ** 2
     uxy = np.zeros_like(u)
     uyy = np.zeros_like(u)
@@ -91,12 +97,17 @@ class ResidualReport:
 
 def residual_report(u: GridFunction) -> ResidualReport:
     """Central-difference residual of the translator PDE at interior nodes."""
-    p, q, r, s, t = _geom.grid_jet(u)
-    res = pde_residual(u.values, (p, q), (r, s, t))  # NaN margin, from the jet
-    inner = res[1:-1, 1:-1]
+    p, q, r, s, t = _geom.interior_jet(u.values, u.hx, u.hy)
+    inner = pde_residual(u.values[1:-1, 1:-1], (p, q), (r, s, t))
+    del r, s, t
+    res = np.full((u.nx, u.ny), np.nan)
+    res[1:-1, 1:-1] = inner
     max_abs = float(np.max(np.abs(inner)))
-    l2 = math.sqrt(math.fsum((inner * inner).ravel().tolist()))
-    grad2 = p[1:-1, 1:-1] ** 2 + q[1:-1, 1:-1] ** 2
+    inner *= inner
+    # one row list at a time; fsum is exact, so its order does not matter
+    l2 = math.sqrt(math.fsum(itertools.chain.from_iterable(
+        map(np.ndarray.tolist, inner))))
+    grad2 = p ** 2 + q ** 2
     return ResidualReport(maxAbs=max_abs, l2=l2, perNode=res,
                           maxGrad=float(np.sqrt(np.max(grad2))))
 
@@ -123,6 +134,5 @@ def sample_grid(theta: float, h: float) -> GridFunction:
         raise ValueError(f"step h = {h!r} needs more than {_MAX_NODES} grid nodes")
     step = 2 * w / (n - 1)
     side = -w + step * np.arange(n)
-    X, Y = np.meshgrid(side, side, indexing="ij")
-    u, _, _ = evaluate(theta, X, Y)
+    u, _ = _height(theta, side[:, None], side[None, :])
     return GridFunction(n, n, step, step, -w, -w, u)

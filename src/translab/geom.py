@@ -86,6 +86,7 @@ class GeometryField:
 def graph_geometry(u: GridFunction) -> GeometryField:
     """Shape operator, principal curvatures/directions and derived fields,
     with the upward normal; flip_orientation gives the downward one.
+    Each intermediate is released once its last use is done.
     """
     p, q, r, s, t = grid_jet(u)
     w2 = 1.0 + p * p + q * q
@@ -103,29 +104,38 @@ def graph_geometry(u: GridFunction) -> GeometryField:
     h11 = r / W
     h12 = s / W
     h22 = t / W
+    del r, s, t
     s11 = ((1.0 + q * q) * h11 - p * q * h12) / w2
     s12 = ((1.0 + q * q) * h12 - p * q * h22) / w2
     s21 = ((1.0 + p * p) * h12 - p * q * h11) / w2
     s22 = ((1.0 + p * p) * h22 - p * q * h12) / w2
+    del h11, h12, h22, w2
 
     tr = s11 + s22
     det = s11 * s22 - s12 * s21
     disc = np.clip(tr * tr - 4.0 * det, 0.0, None)
+    del det
     root = np.sqrt(disc)
+    del disc
     kappa1 = 0.5 * (tr + root)
     kappa2 = 0.5 * (tr - root)
+    del tr, root
 
     scale = np.maximum(np.maximum(np.abs(kappa1), np.abs(kappa2)), 1.0)
     umbilic = (kappa1 - kappa2) <= UMBILIC_REL_TOL * scale
     umbilic &= np.isfinite(kappa1)
+    del scale
 
     # eigenvector of S for kappa1 in parameter components, picking the
     # better-conditioned row of (S - kappa1 I)
     a_row1, b_row1 = s12, kappa1 - s11
     a_row2, b_row2 = kappa1 - s22, s21
+    del s11, s12, s21, s22
     use2 = (a_row2 * a_row2 + b_row2 * b_row2) > (a_row1 * a_row1 + b_row1 * b_row1)
     a = np.where(use2, a_row2, a_row1)
+    del a_row1, a_row2
     b = np.where(use2, b_row2, b_row1)
+    del b_row1, b_row2, use2
     # near-umbilic fallback: any tangent direction, flagged
     a = np.where(umbilic, 1.0, a)
     b = np.where(umbilic, 0.0, b)
@@ -134,8 +144,10 @@ def graph_geometry(u: GridFunction) -> GeometryField:
     v1[..., 0] = a
     v1[..., 1] = b
     v1[..., 2] = p * a + q * b
+    del p, q, a, b
     norm = np.sqrt(np.sum(v1 * v1, axis=-1))
     v1 /= norm[..., None]
+    del norm
     # tangent-plane complement of v1 is exactly the kappa2 eigenspace
     v2 = np.cross(N, v1)
 

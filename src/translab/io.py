@@ -4,18 +4,23 @@ OBJ for meshes.
 Floats are written with 17 significant digits, so GridFunction CSV round-trips
 bit-exactly and identical runs produce byte-identical files (no timestamps).
 Every CSV and OBJ body, and the node rows of the geometry JSON, is one table
-of columns, written by _write_table a block of rows at a time.  Int columns
-are written as ints.  Each float column of a grid table (x_i, y_j and the
+of columns, written by _write_table as bytes, a block of at most
+_BLOCK_ROWS rows at a time, to a file opened in binary mode; the header and
+comment lines are encoded as text mode would write them.  Int columns are
+written as ints.  Each float column of a grid table (x_i, y_j and the
 per-node heights and geometry fields) and the ring heights of a revolution
-OBJ are formatted once per distinct value (_texts) and reach the rows as
-text; the grids translab computes repeat most of their values.  A grid
-table is written a grid line at a time, from a line format that already
-holds j and y_j, so each row fills in only i, x_i and its per-node values.
+OBJ are formatted once per distinct value and held compact (_texts): the
+distinct texts in one numpy bytes array and an int32 index per position,
+gathered into text one block at a time; the grids translab computes repeat
+most of their values.  A grid table is written a grid line at a time, from
+a line format that already holds j and y_j, so each row fills in only i,
+x_i and its per-node values.
 """
 
 from __future__ import annotations
 
 import json
+import locale
 import math
 from dataclasses import is_dataclass, fields as dc_fields
 
@@ -27,9 +32,9 @@ from .geom import graph_geometry, q_squared
 from .grid import GridFunction
 from .radial import RadialProfile, RadialKind, profile_curvatures
 
-_F = "%.17g"
-_R = "%r"           # JSON floats: repr, as json.dumps writes them
-_BLOCK_ROWS = 4096  # rows per % in _write_table; bounds its memory use
+_F = b"%.17g"
+_R = b"%r"          # JSON floats: repr, as json.dumps writes them
+_BLOCK_ROWS = 1024  # rows per % in _write_table; bounds its memory use
 _MAX_RINGS = 512    # rings of a revolution OBJ
 # Vertices of a revolution OBJ (rings x angular samples).  export obj of a
 # 2,001-sample bowl profile (512 rings; one core, 2 vCPU x86) took 0.86 s
@@ -40,67 +45,91 @@ _MAX_VERTICES = 1 << 22
 
 
 def _fmt(x) -> str:
-    return _F % float(x)
+    return "%.17g" % float(x)
 
 
-def _rows(fmt: str, columns) -> str:
+def _encode(text: str) -> bytes:
+    """text as open(path, "w") would write it."""
+    return text.encode(locale.getpreferredencoding(False))
+
+
+def _rows(fmt: bytes, columns) -> bytes:
     """fmt once per entry of the first axis of the equal-shape columns,
     filled in by one %.  Each entry's values fill its fmt row by row (C
     order), in column order within a row.  Values keep their kind: ints
-    fill %d fields exactly, and str columns (dtype object) fill %s fields."""
+    fill %d fields exactly, and bytes columns (dtype S) fill %s fields."""
     vals = [None] * sum(c.size for c in columns)
     for k, c in enumerate(columns):
         vals[k::len(columns)] = c.ravel().tolist()
     return (fmt * len(columns[0])) % tuple(vals)
 
 
-def _texts(a, fmt: str = _F) -> np.ndarray:
-    """The fmt text of each value of the float array a, in a's shape.
+class _Texts:
+    """A float column as text: its distinct texts, in one bytes array, and
+    the int32 index into them of each position (where, any shape).
+    Indexing gathers the texts of those positions."""
+
+    def __init__(self, texts: np.ndarray, where: np.ndarray):
+        self.texts, self.where = texts, where
+
+    @property
+    def shape(self):
+        return self.where.shape
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.texts[self.where[key]]
+
+
+def _texts(a, fmt: bytes = _F) -> _Texts:
+    """The fmt texts of the float array a, as a _Texts column of a's shape.
     Each distinct bit pattern is formatted once, by one % over the
-    distinct values (so -0.0 and 0.0 stay apart), and its text gathered
-    back to every position that holds it.  With fmt _R a non-finite value
-    becomes a JSON string ("nan", "inf", "-inf")."""
+    distinct values (so -0.0 and 0.0 stay apart).  With fmt _R a
+    non-finite value becomes a JSON string ("nan", "inf", "-inf")."""
     keys, where = np.unique(np.ravel(a).view(np.int64), return_inverse=True)
     vals = keys.view(float)
-    texts = np.array(_rows(fmt + "\n", [vals]).split(), dtype=object)
+    texts = _rows(fmt + b"\n", [vals]).split()
     if fmt == _R:
-        bad = ~np.isfinite(vals)
-        texts[bad] = [f'"{v}"' for v in vals[bad].tolist()]
-    return texts[where].reshape(np.shape(a))
+        for k in np.flatnonzero(~np.isfinite(vals)).tolist():
+            texts[k] = b'"' + texts[k] + b'"'
+    return _Texts(np.array(texts, dtype=bytes),
+                  where.astype(np.int32).reshape(np.shape(a)))
 
 
-def _write_table(f, fmt: str, columns, skip: int = 0):
-    """Write equal-shape columns to f as rows of the %-format fmt, less
-    the first skip characters (a separator that leads each row but the
-    first).
+def _write_table(f, fmt: bytes, columns, skip: int = 0):
+    """Write equal-shape columns (arrays or _Texts) to the binary file f
+    as rows of the %-format fmt, less the first skip bytes (a separator
+    that leads each row but the first).
 
     fmt formats one run of rows: a column of shape (runs, m) gives m rows
     per run, a 1-D column one.  A grid table runs over one grid line, so
     its fmt holds the text that every line repeats (j and y_j) and each row
     fills in only the rest.  One % covers the whole runs of a block of at
-    most _BLOCK_ROWS rows (at least one run), which bounds its memory."""
-    step = max(1, _BLOCK_ROWS // math.prod(columns[0].shape[1:]))
-    for start in range(0, len(columns[0]), step):
+    most _BLOCK_ROWS rows (at least one run), and a _Texts column is
+    gathered a block at a time, which bounds the memory of both."""
+    runs, *run = columns[0].shape
+    step = max(1, _BLOCK_ROWS // math.prod(run))
+    for start in range(0, runs, step):
         text = _rows(fmt, [c[start:start + step] for c in columns])
         f.write(text[skip:] if start == 0 else text)
 
 
-def _line_columns(u: GridFunction, fmt: str = _F):
+def _line_columns(u: GridFunction, fmt: bytes = _F):
     """(i, x, y) of the nodes of u for a grid table: i and the fmt text of
-    x_i as (nx, ny) views, and the texts of the ny values y_j, which the
+    x_i as (nx, ny) columns, and the texts of the ny values y_j, which the
     format of one grid line takes."""
     shape = (u.nx, u.ny)
+    x = _texts(u.xs, fmt)
     return (np.broadcast_to(np.arange(u.nx)[:, None], shape),
-            np.broadcast_to(_texts(u.xs, fmt)[:, None], shape),
-            _texts(u.ys, fmt))
+            _Texts(x.texts, np.broadcast_to(x.where[:, None], shape)),
+            _texts(u.ys, fmt)[:])
 
 
-def _line_format(row: str, y) -> str:
+def _line_format(row: bytes, y) -> bytes:
     """The format of one grid line of a table whose rows have the format
     row: row once per j, with its "{y}" filled in by the text y[j] and
     its "{j}", if it has one (before "{y}"), by j."""
-    lead = [np.arange(len(y))] if "{j}" in row else []
-    row = row.replace("%", "%%").replace("{j}", "%d").replace("{y}", "%s")
+    lead = [np.arange(len(y))] if b"{j}" in row else []
+    row = row.replace(b"%", b"%%").replace(b"{j}", b"%d").replace(b"{y}", b"%s")
     return _rows(row, lead + [y])
 
 
@@ -110,11 +139,11 @@ def _line_format(row: str, y) -> str:
 def write_grid_csv(u: GridFunction, path):
     """Columns i, j, x, y, u with a metadata comment line; bit-exact."""
     i, x, y = _line_columns(u)
-    fmt = _line_format("%d,{j},%s,{y},%s\n", y)
-    with open(path, "w") as f:
-        f.write(f"# translab-grid nx={u.nx} ny={u.ny} hx={_fmt(u.hx)} "
-                f"hy={_fmt(u.hy)} x0={_fmt(u.x0)} y0={_fmt(u.y0)}\n")
-        f.write("i,j,x,y,u\n")
+    fmt = _line_format(b"%d,{j},%s,{y},%s\n", y)
+    with open(path, "wb") as f:
+        f.write(_encode(f"# translab-grid nx={u.nx} ny={u.ny} hx={_fmt(u.hx)} "
+                        f"hy={_fmt(u.hy)} x0={_fmt(u.x0)} y0={_fmt(u.y0)}\n"
+                        "i,j,x,y,u\n"))
         _write_table(f, fmt, [i, x, _texts(u.values)])
 
 
@@ -180,24 +209,25 @@ def _geometry_fields(u: GridFunction):
             q2, flags]
 
 
-def _geometry_table(u: GridFunction, fmt: str, row: str, sep: str):
+def _geometry_table(u: GridFunction, fmt: bytes, row: bytes, sep: bytes):
     """(line format, columns) of the geometry table of u: one row per node,
     of the format row with "{j}", "{y}" and "{fields}" in it, filled in by
     i, the texts of x_i and y_j, the fmt texts of the seven float fields
-    (joined by sep) and flags."""
+    (joined by sep) and flags.  Each field is dropped once it is text."""
     i, x, y = _line_columns(u, fmt)
-    *reals, flags = _geometry_fields(u)
-    fields = sep.join(["%s"] * len(reals))
-    return (_line_format(row.replace("{fields}", fields), y),
-            [i, x, *[_texts(a, fmt) for a in reals], flags])
+    reals = _geometry_fields(u)
+    flags = reals.pop()
+    texts = [_texts(reals.pop(0), fmt) for _ in range(len(reals))]
+    return (_line_format(row.replace(b"{fields}", sep.join([b"%s"] * len(texts))), y),
+            [i, x, *texts, flags])
 
 
 def write_geometry_csv(u: GridFunction, path):
     """One row per node, columns i, j, x, y, u, W, H, kappa1, kappa2, normA2,
     Q2, flags; the column order is part of the format."""
-    fmt, columns = _geometry_table(u, _F, "%d,{j},%s,{y},{fields},%d\n", ",")
-    with open(path, "w") as f:
-        f.write(",".join(_GEOMETRY_COLUMNS) + "\n")
+    fmt, columns = _geometry_table(u, _F, b"%d,{j},%s,{y},{fields},%d\n", b",")
+    with open(path, "wb") as f:
+        f.write(_encode(",".join(_GEOMETRY_COLUMNS) + "\n"))
         _write_table(f, fmt, columns)
 
 
@@ -209,13 +239,13 @@ def write_geometry_json(u: GridFunction, path):
     head, tail = json.dumps({"schema": "translab-geometry/1",
                              "columns": _GEOMETRY_COLUMNS, "nodes": [],
                              "version": __version__}).split("[]")
-    sep = ", "  # json.dumps's item separator
+    sep = b", "  # json.dumps's item separator
     fmt, columns = _geometry_table(
-        u, _R, sep + "[%d, {j}, %s, {y}, {fields}, %d]", sep)
-    with open(path, "w") as f:
-        f.write(head + "[")
+        u, _R, sep + b"[%d, {j}, %s, {y}, {fields}, %d]", sep)
+    with open(path, "wb") as f:
+        f.write(_encode(head + "["))
         _write_table(f, fmt, columns, skip=len(sep))
-        f.write("]" + tail + "\n")
+        f.write(_encode("]" + tail + "\n"))
 
 
 # --- RadialProfile CSV ----------------------------------------------------------
@@ -229,11 +259,11 @@ def write_profile_csv(p: RadialProfile, path):
     k1 = np.maximum(k_prof, k_rot)
     k2 = np.minimum(k_prof, k_rot)
     lam = "" if p.lam is None else _fmt(p.lam)
-    with open(path, "w") as f:
-        f.write(f"# translab-profile n={p.n} kind={p.kind.value} lam={lam} "
-                f"h={_fmt(p.h)} rows={len(p.r)}\n")
-        f.write("r,u,psi,kappa1,kappa2,H\n")
-        _write_table(f, "%.17g," * 5 + "%.17g\n", [p.r, p.u, p.psi, k1, k2, H])
+    with open(path, "wb") as f:
+        f.write(_encode(f"# translab-profile n={p.n} kind={p.kind.value} "
+                        f"lam={lam} h={_fmt(p.h)} rows={len(p.r)}\n"
+                        "r,u,psi,kappa1,kappa2,H\n"))
+        _write_table(f, b"%.17g," * 5 + b"%.17g\n", [p.r, p.u, p.psi, k1, k2, H])
 
 
 def read_profile_csv(path) -> RadialProfile:
@@ -244,7 +274,9 @@ def read_profile_csv(path) -> RadialProfile:
     expected = meta.pop("rows")
     if len(rows) != expected:
         raise TranslabError(f"{path}: {len(rows)} rows, header records {expected}")
-    return RadialProfile(r=rows[:, 0], u=rows[:, 1], psi=rows[:, 2], **meta)
+    # copies, so the parse of all six columns is not kept alive by views
+    return RadialProfile(r=rows[:, 0].copy(), u=rows[:, 1].copy(),
+                         psi=rows[:, 2].copy(), **meta)
 
 
 # --- SingularityLog / comparison CSV -------------------------------------------
@@ -252,9 +284,9 @@ def read_profile_csv(path) -> RadialProfile:
 
 def write_log_csv(log, path):
     """Columns t, Amax, length, area."""
-    with open(path, "w") as f:
-        f.write("t,Amax,length,area\n")
-        _write_table(f, "%.17g," * 3 + "%.17g\n",
+    with open(path, "wb") as f:
+        f.write(_encode("t,Amax,length,area\n"))
+        _write_table(f, b"%.17g," * 3 + b"%.17g\n",
                      [log.times, log.Amax, log.length, log.area])
 
 
@@ -301,16 +333,18 @@ def report_to_json(report, extra: dict | None = None) -> str:
 # --- OBJ export -----------------------------------------------------------------
 
 
-def _write_obj(path, provenance: str, vertex_fmt: str, vertices, faces):
+def _write_obj(path, provenance: str, vertex_fmt: bytes, vertices, faces):
     """OBJ file: version and provenance comments, then the 'v' rows of
     _write_table(vertex_fmt, vertices) and 'f' rows of the four 1-based quad
     index columns."""
-    with open(path, "w") as f:
-        f.write(f"# translab {__version__}\n")
-        if provenance:
-            f.write(f"# command: {provenance}\n")
+    head = f"# translab {__version__}\n"
+    if provenance:
+        head += f"# command: {provenance}\n"
+    head = _encode(head)  # before the file exists: the provenance may not encode
+    with open(path, "wb") as f:
+        f.write(head)
         _write_table(f, vertex_fmt, vertices)
-        _write_table(f, "f %d %d %d %d\n", faces)
+        _write_table(f, b"f %d %d %d %d\n", faces)
 
 
 def export_grid_obj(u: GridFunction, path, provenance: str = ""):
@@ -319,7 +353,7 @@ def export_grid_obj(u: GridFunction, path, provenance: str = ""):
         raise TranslabError("refusing OBJ export: non-finite heights")
     _, x, y = _line_columns(u)
     a = (u.ny * np.arange(u.nx - 1)[:, None] + np.arange(u.ny - 1) + 1).ravel()
-    _write_obj(path, provenance, _line_format("v %s %s {y}\n", y),
+    _write_obj(path, provenance, _line_format(b"v %s %s {y}\n", y),
                [x, _texts(u.values)], [a, a + u.ny, a + u.ny + 1, a + 1])
 
 
@@ -349,8 +383,9 @@ def export_revolution_obj(p: RadialProfile, path, samples: int = 128,
     ring = samples * np.arange(len(rr) - 1)[:, None] + 1
     a = (ring + np.arange(samples)).ravel()
     b = (ring + (np.arange(samples) + 1) % samples).ravel()
-    _write_obj(path, provenance, "v %.17g %s %.17g\n",
+    heights = _texts(p.u[keep])
+    _write_obj(path, provenance, b"v %.17g %s %.17g\n",
                [np.outer(rr, np.cos(ang)).ravel(),
-                np.repeat(_texts(p.u[keep]), samples),
+                _Texts(heights.texts, np.repeat(heights.where, samples)),
                 np.outer(rr, np.sin(ang)).ravel()],
                [a, b, b + samples, a + samples])

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,3 +159,16 @@ def test_sample_grid_node_bound_is_exact(monkeypatch):
     assert catalog.sample_grid(0.0, two_w / 29).nx == 30
     with pytest.raises(ValueError, match="needs more than 900 grid nodes"):
         catalog.sample_grid(0.0, two_w / 30)
+
+
+def test_residual_report_memory_is_bounded():
+    # heights only, the residual on the interior jet, and fsum fed one row
+    # list at a time; the grid itself is 0.86 MB
+    tracemalloc.start()
+    try:
+        rep = catalog.residual_report(catalog.sample_grid(math.pi / 6, 0.01))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(rep.l2)
+    assert peak < 8e6

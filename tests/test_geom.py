@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,3 +204,16 @@ def test_key_identity_two_ways_on_bowl():
         assert dmax <= 0.05 * h
     assert diffs[0][0] / diffs[1][0] > 1.5
 
+
+def test_graph_geometry_memory_is_bounded_by_its_result():
+    # each intermediate is released after its last use
+    bowl = radial.profile_to_grid(radial.shoot_bowl(2, 3.0, 2e-3),
+                                  -2.0, 2.0, -2.0, 2.0, 161, 161)
+    tracemalloc.start()
+    try:
+        G = geom.graph_geometry(bowl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(getattr(G, f.name).nbytes for f in dataclasses.fields(G))
+    assert peak <= 1.6 * held

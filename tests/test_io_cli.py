@@ -118,6 +118,9 @@ def test_profile_csv_roundtrip(tmp_path):
     assert np.array_equal(p2.r, p.r)
     assert np.array_equal(p2.u, p.u)
     assert np.array_equal(p2.psi, p.psi)
+    # copies, not views that keep the parse of all six columns alive
+    for a in (p2.r, p2.u, p2.psi):
+        assert a.flags.c_contiguous and a.base is None
 
 
 def test_log_csv_header_and_empty(tmp_path):

@@ -196,6 +196,8 @@ def inputs():
 
 
 PROV = "translab export obj --in p.csv --out p.obj"
+# header lines are text: the writers encode them as text mode does
+PROV_UTF8 = "translab export obj --in Fläche.csv --out 曲面 ±∞.obj"
 
 CASES = [
     ("write_grid_csv", "wavy", {}),
@@ -230,12 +232,14 @@ CASES = [
     ("export_grid_obj", "big", {}),
     ("export_grid_obj", "long_line", {}),
     ("export_grid_obj", "short_lines", {}),
+    ("export_grid_obj", "wavy", {"provenance": PROV_UTF8}),
     ("export_revolution_obj", "bowl", {"samples": 8}),
     ("export_revolution_obj", "catenoid_upper", {"samples": 3,
                                                   "provenance": PROV}),
     ("export_revolution_obj", "long", {"samples": 8}),
     ("export_revolution_obj", "long", {"samples": 9, "provenance": PROV}),
     ("export_revolution_obj", "short", {"samples": 3}),
+    ("export_revolution_obj", "bowl", {"samples": 5, "provenance": PROV_UTF8}),
 ]
 
 
@@ -245,14 +249,17 @@ def test_inputs_reach_every_special_case(inputs):
     assert geom.umbilic.any()
     assert inputs["catenoid_upper"].lam is not None
     assert len(inputs["long"].r) > 512
-    # tables of more than one 4096-row block; the long profile's 512 rings
-    # at 8 angular samples make exactly one
-    assert inputs["big"].nx * inputs["big"].ny > 4096
+    # tables of more than one block; the long profile's 512 rings at 8
+    # angular samples end on a block boundary
+    assert inputs["big"].nx * inputs["big"].ny > tio._BLOCK_ROWS
+    assert 512 * 8 % tio._BLOCK_ROWS == 0
     # a grid table is written a grid line (ny rows) at a time: one line
     # longer than a block, and many short lines that do not divide one
     assert inputs["long_line"].ny > tio._BLOCK_ROWS
     assert tio._BLOCK_ROWS % inputs["short_lines"].ny != 0
-    assert inputs["short_lines"].nx * inputs["short_lines"].ny > 4096
+    assert inputs["short_lines"].nx * inputs["short_lines"].ny > tio._BLOCK_ROWS
+    # a provenance line that is not ASCII
+    assert not PROV_UTF8.isascii()
     assert len(inputs["short"].r) < tio._MAX_RINGS
     # texts are formatted once per bit pattern, so -0.0 and 0.0 are two
     u = inputs["signs"].values
@@ -277,16 +284,29 @@ def test_writer_matches_reference(tmp_path, monkeypatch, inputs, writer, key,
     assert got.read_bytes() == want.read_bytes()
 
 
-def test_geometry_json_memory_is_bounded_by_its_file(tmp_path):
-    # the node rows are written a block at a time, not built whole and
-    # encoded by one json.dumps (19.6 MB traced for this 4.9 MB file)
+def _geometry_write_peak(tmp_path, writer):
+    """(traced peak, file size) of writing the 161x161 bowl's geometry."""
     bowl = radial.profile_to_grid(radial.shoot_bowl(2, 3.0, 2e-3),
                                   -2.0, 2.0, -2.0, 2.0, 161, 161)
-    out = tmp_path / "geometry.json"
+    out = tmp_path / "geometry"
     tracemalloc.start()
     try:
-        tio.write_geometry_json(bowl, out)
+        writer(bowl, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * out.stat().st_size
+    return peak, out.stat().st_size
+
+
+def test_geometry_json_memory_is_bounded_by_its_file(tmp_path):
+    # the node rows are written a block at a time, not built whole and
+    # encoded by one json.dumps, and each float field is held as compact
+    # bytes texts
+    peak, size = _geometry_write_peak(tmp_path, tio.write_geometry_json)
+    assert peak < 1.5 * size
+
+
+def test_geometry_csv_memory_is_bounded_by_its_file(tmp_path):
+    # compact bytes texts, gathered a block at a time, as for the JSON
+    peak, size = _geometry_write_peak(tmp_path, tio.write_geometry_csv)
+    assert peak < 1.5 * size
