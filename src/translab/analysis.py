@@ -43,12 +43,16 @@ class VariationSpec:
             raise ValueError("bump radius must be finite and positive")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be finite and positive")
+        if not 0.5 * self.epsilon > 0:  # the Richardson half step
+            raise ValueError(f"epsilon must be at least twice the least "
+                             f"float, got {self.epsilon!r}")
 
     def profile(self, u: GridFunction) -> np.ndarray:
         X, Y = u.meshgrid()
         cx, cy = self.center
-        tx = np.clip(np.abs(X - cx) / self.radius, 0.0, 1.0)
-        ty = np.clip(np.abs(Y - cy) / self.radius, 0.0, 1.0)
+        with np.errstate(over="ignore"):  # a quotient past 1 clips to 1
+            tx = np.clip(np.abs(X - cx) / self.radius, 0.0, 1.0)
+            ty = np.clip(np.abs(Y - cy) / self.radius, 0.0, 1.0)
         phi = np.cos(0.5 * math.pi * tx) ** 2 * np.cos(0.5 * math.pi * ty) ** 2
         phi[tx >= 1.0] = 0.0
         phi[ty >= 1.0] = 0.0

@@ -12,6 +12,7 @@ opened), 2 usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -271,12 +272,12 @@ def _cmd_analyze(args, prov):
         val = analysis.jacobi_field_defect(u)
         print(json.dumps({"maxJacobiDefect": val, "command": prov}))
     else:
-        try:   # --eps is checked by its type, so a refusal is the bump's
+        try:   # a refused bump is a usage error, a refused --eps is not
             cx, cy, rad = (float(v) for v in args.bump.split(","))
-            spec = analysis.VariationSpec(center=(cx, cy), radius=rad,
-                                          epsilon=args.eps)
+            spec = analysis.VariationSpec(center=(cx, cy), radius=rad)
         except ValueError as exc:
             raise UsageError(f"bad --bump {args.bump!r}: {exc}") from exc
+        spec = dataclasses.replace(spec, epsilon=args.eps)
         val = analysis.first_variation_check(u, spec)
         print(json.dumps({"firstVariation": val, "command": prov}))
 

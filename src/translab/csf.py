@@ -54,6 +54,18 @@ _MIN_LENGTH, _MAX_LENGTH = 1e-60, 1e60
 # raises OverflowError, not inf, past the largest float whose square is finite
 _MAX_AMAX = math.sqrt(sys.float_info.max)
 
+# Least dtSafety.  Each step shrinks a circle's r^2 by 2 dtSafety r^2, so it
+# runs ln(Amax_end^2 / Amax_0^2) / (2 dtSafety) steps.  The widest range the
+# bounds allow, from length _MAX_LENGTH (Amax_0 = 2 pi / 1e60) to stopAmax
+# _MAX_AMAX (1.3e154), has ln(ratio^2) = 982.5, which fits in _MAX_STEPS from
+# dtSafety = 2.46e-4.  t starts at 0 and grows by about dtSafety r^2 per
+# step, so a far smaller dtSafety does not reach dtUnderflow either and runs
+# for _MAX_STEPS.  At the floor, circles of n = 32 took 36,833 steps and
+# 11.1 s from radius 1 to stopAmax 1e4, 58,258 steps and 14.5 s to
+# dtUnderflow at stopAmax 1e150, and 59,626 steps and 19.7 s to dtUnderflow
+# from radius 1e59 at stopAmax _MAX_AMAX (one core, 2 vCPU x86).
+_MIN_DT_SAFETY = 2.5e-4
+
 
 @dataclass
 class FlowConfig:
@@ -63,8 +75,9 @@ class FlowConfig:
     def __post_init__(self):
         # dt = dtSafety / Amax^2 is 2 dtSafety of a circle's remaining life;
         # the third-order step divides its time error by ~8 per halving of it
-        if not (0.0 < self.dtSafety <= 0.05):
-            raise ValueError("dtSafety must lie in (0, 0.05]")
+        if not (_MIN_DT_SAFETY <= self.dtSafety <= 0.05):
+            raise ValueError(f"dtSafety must lie in [{_MIN_DT_SAFETY:g}, "
+                             f"0.05], got {self.dtSafety!r}")
         if not self.stopAmax > 0.0:     # NaN included
             raise ValueError("stopAmax must be positive")
         if not self.stopAmax <= _MAX_AMAX:
@@ -138,9 +151,14 @@ def make_ellipse(a: float = 2.0, b: float = 1.0, n: int = 512,
     if n > _MAX_POINTS:
         raise ValueError(f"curve of n = {n} points exceeds the bound of "
                          f"{_MAX_POINTS} points")
+    # inf * sin(0) would warn before CurveState refuses the points
+    if not all(math.isfinite(v) for v in (a, b, *center)):
+        raise ValueError(f"curve semi-axes and center must be finite, got "
+                         f"a = {a!r}, b = {b!r}, center = {tuple(center)!r}")
     ang = 2 * math.pi * np.arange(n) / n
-    pts = np.stack([center[0] + a * np.cos(ang),
-                    center[1] + b * np.sin(ang)], axis=1)
+    with np.errstate(over="ignore"):  # a sum past the largest float: refused
+        pts = np.stack([center[0] + a * np.cos(ang),
+                        center[1] + b * np.sin(ang)], axis=1)
     return CurveState(points=pts)
 
 

@@ -4,17 +4,16 @@ OBJ for meshes.
 Floats are written with 17 significant digits, so GridFunction CSV round-trips
 bit-exactly and identical runs produce byte-identical files (no timestamps).
 Every CSV and OBJ body, and the node rows of the geometry JSON, is one table
-of columns, written by _write_table as bytes, a block of at most
-_BLOCK_ROWS rows at a time, to a file opened in binary mode; the header and
-comment lines are encoded as text mode would write them.  Int columns are
-written as ints.  Each float column of a grid table (x_i, y_j and the
-per-node heights and geometry fields) and the ring heights of a revolution
-OBJ are formatted once per distinct value and held compact (_texts): the
-distinct texts in one numpy bytes array and an int32 index per position,
-gathered into text one block at a time; the grids translab computes repeat
-most of their values.  A grid table is written a grid line at a time, from
-a line format that already holds j and y_j, so each row fills in only i,
-x_i and its per-node values.
+of equal-length 1-D columns (a grid table has one row per node, in C order),
+written by _write_table as bytes from a plain row format, a block of at
+most _BLOCK_ROWS rows at a time, to a file opened in binary mode; the
+header and comment lines are encoded as text mode would write them.  Int
+columns are written as ints.  Each float column of a grid table (x_i, y_j
+and the per-node heights and geometry fields) and the ring heights of a
+revolution OBJ are formatted once per distinct value and held compact
+(_texts): the distinct texts in one numpy bytes array and an int32 index
+per row, gathered into text one block at a time; the grids translab
+computes repeat most of their values.
 """
 
 from __future__ import annotations
@@ -54,35 +53,33 @@ def _encode(text: str) -> bytes:
 
 
 def _rows(fmt: bytes, columns) -> bytes:
-    """fmt once per entry of the first axis of the equal-shape columns,
-    filled in by one %.  Each entry's values fill its fmt row by row (C
-    order), in column order within a row.  Values keep their kind: ints
-    fill %d fields exactly, and bytes columns (dtype S) fill %s fields."""
-    vals = [None] * sum(c.size for c in columns)
+    """fmt once per row of the equal-length 1-D columns, filled in by one %,
+    in column order within a row.  Values keep their kind: ints fill %d
+    fields exactly, and bytes columns (dtype S) fill %s fields."""
+    vals = [None] * (len(columns) * len(columns[0]))
     for k, c in enumerate(columns):
-        vals[k::len(columns)] = c.ravel().tolist()
+        vals[k::len(columns)] = c.tolist()
     return (fmt * len(columns[0])) % tuple(vals)
 
 
 class _Texts:
     """A float column as text: its distinct texts, in one bytes array, and
-    the int32 index into them of each position (where, any shape).
-    Indexing gathers the texts of those positions."""
+    the int32 index into them of each row (where).  Indexing gathers the
+    texts of those rows."""
 
     def __init__(self, texts: np.ndarray, where: np.ndarray):
         self.texts, self.where = texts, where
 
-    @property
-    def shape(self):
-        return self.where.shape
+    def __len__(self) -> int:
+        return len(self.where)
 
     def __getitem__(self, key) -> np.ndarray:
         return self.texts[self.where[key]]
 
 
 def _texts(a, fmt: bytes = _F) -> _Texts:
-    """The fmt texts of the float array a, as a _Texts column of a's shape.
-    Each distinct bit pattern is formatted once, by one % over the
+    """The fmt texts of the float array a's values in C order, as a _Texts
+    column.  Each distinct bit pattern is formatted once, by one % over the
     distinct values (so -0.0 and 0.0 stay apart).  With fmt _R a
     non-finite value becomes a JSON string ("nan", "inf", "-inf")."""
     keys, where = np.unique(np.ravel(a).view(np.int64), return_inverse=True)
@@ -91,46 +88,26 @@ def _texts(a, fmt: bytes = _F) -> _Texts:
     if fmt == _R:
         for k in np.flatnonzero(~np.isfinite(vals)).tolist():
             texts[k] = b'"' + texts[k] + b'"'
-    return _Texts(np.array(texts, dtype=bytes),
-                  where.astype(np.int32).reshape(np.shape(a)))
+    return _Texts(np.array(texts, dtype=bytes), where.astype(np.int32))
 
 
 def _write_table(f, fmt: bytes, columns, skip: int = 0):
-    """Write equal-shape columns (arrays or _Texts) to the binary file f
-    as rows of the %-format fmt, less the first skip bytes (a separator
-    that leads each row but the first).
-
-    fmt formats one run of rows: a column of shape (runs, m) gives m rows
-    per run, a 1-D column one.  A grid table runs over one grid line, so
-    its fmt holds the text that every line repeats (j and y_j) and each row
-    fills in only the rest.  One % covers the whole runs of a block of at
-    most _BLOCK_ROWS rows (at least one run), and a _Texts column is
-    gathered a block at a time, which bounds the memory of both."""
-    runs, *run = columns[0].shape
-    step = max(1, _BLOCK_ROWS // math.prod(run))
-    for start in range(0, runs, step):
-        text = _rows(fmt, [c[start:start + step] for c in columns])
+    """Write equal-length 1-D columns (arrays or _Texts) to the binary file
+    f as rows of the %-format fmt, less the first skip bytes (a separator
+    that leads each row but the first).  One % covers a block of at most
+    _BLOCK_ROWS rows, and a _Texts column is gathered a block at a time,
+    which bounds the memory of both."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        text = _rows(fmt, [c[start:start + _BLOCK_ROWS] for c in columns])
         f.write(text[skip:] if start == 0 else text)
 
 
-def _line_columns(u: GridFunction, fmt: bytes = _F):
-    """(i, x, y) of the nodes of u for a grid table: i and the fmt text of
-    x_i as (nx, ny) columns, and the texts of the ny values y_j, which the
-    format of one grid line takes."""
-    shape = (u.nx, u.ny)
-    x = _texts(u.xs, fmt)
-    return (np.broadcast_to(np.arange(u.nx)[:, None], shape),
-            _Texts(x.texts, np.broadcast_to(x.where[:, None], shape)),
-            _texts(u.ys, fmt)[:])
-
-
-def _line_format(row: bytes, y) -> bytes:
-    """The format of one grid line of a table whose rows have the format
-    row: row once per j, with its "{y}" filled in by the text y[j] and
-    its "{j}", if it has one (before "{y}"), by j."""
-    lead = [np.arange(len(y))] if b"{j}" in row else []
-    row = row.replace(b"%", b"%%").replace(b"{j}", b"%d").replace(b"{y}", b"%s")
-    return _rows(row, lead + [y])
+def _node_columns(u: GridFunction, fmt: bytes = _F):
+    """(i, j, x, y) of the nodes of u in C order: i and j as int32 arrays,
+    and the fmt texts of x_i and y_j as _Texts columns."""
+    i, j = np.indices((u.nx, u.ny), dtype=np.int32).reshape(2, -1)
+    x, y = _texts(u.xs, fmt), _texts(u.ys, fmt)
+    return i, j, _Texts(x.texts, x.where[i]), _Texts(y.texts, y.where[j])
 
 
 # --- GridFunction CSV ---------------------------------------------------------
@@ -138,13 +115,12 @@ def _line_format(row: bytes, y) -> bytes:
 
 def write_grid_csv(u: GridFunction, path):
     """Columns i, j, x, y, u with a metadata comment line; bit-exact."""
-    i, x, y = _line_columns(u)
-    fmt = _line_format(b"%d,{j},%s,{y},%s\n", y)
     with open(path, "wb") as f:
         f.write(_encode(f"# translab-grid nx={u.nx} ny={u.ny} hx={_fmt(u.hx)} "
                         f"hy={_fmt(u.hy)} x0={_fmt(u.x0)} y0={_fmt(u.y0)}\n"
                         "i,j,x,y,u\n"))
-        _write_table(f, fmt, [i, x, _texts(u.values)])
+        _write_table(f, b"%d,%d,%s,%s,%s\n",
+                     [*_node_columns(u), _texts(u.values)])
 
 
 def _read_csv(path, tag: str, ncols: int, **meta_types):
@@ -197,38 +173,27 @@ _GEOMETRY_COLUMNS = ["i", "j", "x", "y", "u", "W", "H", "kappa1", "kappa2",
                      "normA2", "Q2", "flags"]
 
 
-def _geometry_fields(u: GridFunction):
-    """The (nx, ny) per-node arrays u, W, H, kappa1, kappa2, normA2, Q2,
-    flags of graph_geometry(u), the columns after i, j, x, y of
-    _GEOMETRY_COLUMNS; flags bit 0: outside the valid margin, bit 1:
-    umbilic."""
+def _geometry_table(u: GridFunction, fmt: bytes):
+    """The columns of _GEOMETRY_COLUMNS for u: the node columns, the fmt
+    texts of the seven float fields u, W, H, kappa1, kappa2, normA2, Q2 of
+    graph_geometry(u), and flags (bit 0: outside the valid margin, bit 1:
+    umbilic).  Each field is dropped once it is text."""
     geom = graph_geometry(u)
-    q2 = q_squared(geom, u)
+    reals = [u.values, geom.W, geom.H, geom.kappa1, geom.kappa2, geom.normA2,
+             q_squared(geom, u)]
     flags = np.where(geom.interior, 0, 1) | np.where(geom.umbilic, 2, 0)
-    return [u.values, geom.W, geom.H, geom.kappa1, geom.kappa2, geom.normA2,
-            q2, flags]
-
-
-def _geometry_table(u: GridFunction, fmt: bytes, row: bytes, sep: bytes):
-    """(line format, columns) of the geometry table of u: one row per node,
-    of the format row with "{j}", "{y}" and "{fields}" in it, filled in by
-    i, the texts of x_i and y_j, the fmt texts of the seven float fields
-    (joined by sep) and flags.  Each field is dropped once it is text."""
-    i, x, y = _line_columns(u, fmt)
-    reals = _geometry_fields(u)
-    flags = reals.pop()
+    del geom
     texts = [_texts(reals.pop(0), fmt) for _ in range(len(reals))]
-    return (_line_format(row.replace(b"{fields}", sep.join([b"%s"] * len(texts))), y),
-            [i, x, *texts, flags])
+    return [*_node_columns(u, fmt), *texts, flags.ravel()]
 
 
 def write_geometry_csv(u: GridFunction, path):
     """One row per node, columns i, j, x, y, u, W, H, kappa1, kappa2, normA2,
     Q2, flags; the column order is part of the format."""
-    fmt, columns = _geometry_table(u, _F, b"%d,{j},%s,{y},{fields},%d\n", b",")
+    columns = _geometry_table(u, _F)
     with open(path, "wb") as f:
         f.write(_encode(",".join(_GEOMETRY_COLUMNS) + "\n"))
-        _write_table(f, fmt, columns)
+        _write_table(f, b"%d,%d" + b",%s" * 9 + b",%d\n", columns)
 
 
 def write_geometry_json(u: GridFunction, path):
@@ -240,11 +205,11 @@ def write_geometry_json(u: GridFunction, path):
                              "columns": _GEOMETRY_COLUMNS, "nodes": [],
                              "version": __version__}).split("[]")
     sep = b", "  # json.dumps's item separator
-    fmt, columns = _geometry_table(
-        u, _R, sep + b"[%d, {j}, %s, {y}, {fields}, %d]", sep)
+    columns = _geometry_table(u, _R)
     with open(path, "wb") as f:
         f.write(_encode(head + "["))
-        _write_table(f, fmt, columns, skip=len(sep))
+        _write_table(f, sep + b"[%d, %d" + b", %s" * 9 + b", %d]", columns,
+                     skip=len(sep))
         f.write(_encode("]" + tail + "\n"))
 
 
@@ -351,10 +316,10 @@ def export_grid_obj(u: GridFunction, path, provenance: str = ""):
     """Height field as an OBJ quad mesh, y-up: vertex (x, u, y)."""
     if not np.all(np.isfinite(u.values)):
         raise TranslabError("refusing OBJ export: non-finite heights")
-    _, x, y = _line_columns(u)
+    _, _, x, y = _node_columns(u)
     a = (u.ny * np.arange(u.nx - 1)[:, None] + np.arange(u.ny - 1) + 1).ravel()
-    _write_obj(path, provenance, _line_format(b"v %s %s {y}\n", y),
-               [x, _texts(u.values)], [a, a + u.ny, a + u.ny + 1, a + 1])
+    _write_obj(path, provenance, b"v %s %s %s\n", [x, _texts(u.values), y],
+               [a, a + u.ny, a + u.ny + 1, a + 1])
 
 
 def export_revolution_obj(p: RadialProfile, path, samples: int = 128,

@@ -85,6 +85,9 @@ def test_first_variation_guards():
     (dict(epsilon=math.nan), "epsilon"),
     (dict(epsilon=math.inf), "epsilon"),
     (dict(epsilon=-1e-4), "epsilon"),
+    # the Richardson half step 0.5 * 5e-324 rounds to 0, and its central
+    # difference divided by 2 * 0 (ZeroDivisionError)
+    (dict(epsilon=5e-324), "epsilon"),
 ])
 def test_variation_spec_must_be_finite(kwargs, field):
     # NaN used to pass the <= 0 checks and fail later on the perturbed grid
@@ -99,6 +102,13 @@ def test_overflowing_perturbation_is_too_large():
     spec = VariationSpec(center=(0, 0), radius=1.0, epsilon=1e308)
     with pytest.raises(TranslabError, match="grid values must be finite"):
         analysis.first_variation_check(g, spec)
+
+
+def test_bump_narrower_than_a_cell_is_computed_without_warning():
+    # |X| / 5e-324 overflowed, with a RuntimeWarning, before clipping to 1
+    g = grid.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, 21, 21)
+    phi = VariationSpec(radius=5e-324).profile(g)
+    assert phi[10, 10] == 1.0 and np.count_nonzero(phi) == 1
 
 
 def test_stability_operator_basics():

@@ -144,6 +144,25 @@ def test_comparison_refuses_curves_at_different_times():
         csf.comparison_check(a, b)
 
 
+@pytest.mark.parametrize("kwargs, named", [
+    (dict(a=math.inf), "a = inf"),
+    (dict(b=math.inf), "b = inf"),
+    (dict(a=-math.inf), "a = -inf"),
+    (dict(b=math.nan), "b = nan"),
+    (dict(center=(math.inf, 0.0)), r"center = \(inf, 0\.0\)"),
+    (dict(a=1.8e308, b=1.8e308), "a = inf, b = inf"),   # --radius 1.8e308
+])
+def test_make_ellipse_refuses_a_size_that_is_not_finite(kwargs, named):
+    # inf * sin(0) printed two RuntimeWarnings before the error line
+    with pytest.raises(ValueError, match=named):
+        csf.make_ellipse(n=16, **kwargs)
+
+
+def test_make_ellipse_sum_past_the_largest_float_is_refused_quietly():
+    with pytest.raises(TranslabError, match="curve points must be finite"):
+        csf.make_ellipse(1.7e308, 1.0, 16, center=(1.7e308, 0.0))
+
+
 def test_ellipse_quick_run_monotone_blowup():
     log = csf.run(csf.make_ellipse(2, 1, 128), FlowConfig(stopAmax=100.0))
     assert log.typeVerdict is TypeVerdict.TYPE_I
@@ -156,6 +175,12 @@ def test_flow_config_validation():
         FlowConfig(dtSafety=1.5)
     with pytest.raises(ValueError):
         FlowConfig(dtSafety=0.1)  # dt would be 20% of a circle's remaining life
+    # t starts at 0 and grew by about 1e-300 per step, never reaching
+    # dtUnderflow: the flow ran toward _MAX_STEPS
+    for dt_safety in (1e-300, 5e-324, 2.4e-4):
+        with pytest.raises(ValueError, match="dtSafety"):
+            FlowConfig(dtSafety=dt_safety)
+    FlowConfig(dtSafety=2.5e-4)     # the floor itself is allowed
     # NaN used to run to dtUnderflow (no amax >= nan), -1 to stop at t = 0
     for stop_amax in (math.nan, -1.0, 0.0):
         with pytest.raises(ValueError, match="stopAmax"):

@@ -665,6 +665,9 @@ def test_cli_catalog_config_step_goes_through_the_same_check(tmp_path, capsys):
     (["--bump", "0,0,-1"], 2, "bad --bump '0,0,-1': bump radius"),
     (["--eps", "nan"], 2, "argument --eps: must be a finite positive number"),
     (["--eps=-1e-4"], 2, "argument --eps: must be a finite positive"),
+    # its Richardson half step rounded to 0: a ZeroDivisionError traceback
+    (["--eps", "5e-324"], 1,
+     "error: epsilon must be at least twice the least float, got 5e-324\n"),
 ])
 def test_cli_firstvar_names_the_bad_option(tmp_path, capsys, argv, code, err):
     # NaN used to pass the <= 0 checks and fail later on non-finite grid values

@@ -253,7 +253,7 @@ def test_inputs_reach_every_special_case(inputs):
     # angular samples end on a block boundary
     assert inputs["big"].nx * inputs["big"].ny > tio._BLOCK_ROWS
     assert 512 * 8 % tio._BLOCK_ROWS == 0
-    # a grid table is written a grid line (ny rows) at a time: one line
+    # grid tables whose blocks end inside a grid line (ny rows): one line
     # longer than a block, and many short lines that do not divide one
     assert inputs["long_line"].ny > tio._BLOCK_ROWS
     assert tio._BLOCK_ROWS % inputs["short_lines"].ny != 0
