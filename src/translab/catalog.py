@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,7 +90,7 @@ class ResidualReport:
 
     maxAbs: float
     l2: float
-    perNode: np.ndarray      # (nx, ny), NaN on the margin
+    perNode: np.ndarray = field(repr=False)  # (nx, ny), NaN on the margin
     maxGrad: float           # max |Du|, diagnostic
     is_graph: bool = True    # False only for vertical planes (residual 0 by convention)
 

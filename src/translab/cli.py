@@ -179,7 +179,10 @@ def _parse_shape(spec: str, n: int, offset: float = 0.0):
     raise UsageError(f"bad shape spec {spec!r}")
 
 
-def _emit(text: str, path):
+def _emit(report, prov, path=None, **extra):
+    """The JSON report of a result (io.report_to_json), with the command line
+    and any extra keys, written to path or else printed."""
+    text = tio.report_to_json(report, {"command": prov, **extra})
     if path:
         with open(path, "w") as f:
             f.write(text + "\n")
@@ -194,7 +197,7 @@ def _cmd_catalog(args, prov):
         rep = catalog.plane_report()
     else:
         rep = catalog.residual_report(catalog.sample_grid(args.theta, args.h))
-    _emit(tio.report_to_json(rep, {"command": prov}), args.out)
+    _emit(rep, prov, args.out)
 
 
 def _cmd_radial(args, prov):
@@ -205,13 +208,10 @@ def _cmd_radial(args, prov):
             p = radial.shoot_catenoid_wing(args.n, args.lam, args.rmax, args.h,
                                            radial.RadialKind(args.kind))
         tio.write_profile_csv(p, args.out)
-        neck = f", {p.neckSamples} in arclength" if p.neckSamples else ""
-        print(f"wrote {args.out} ({len(p.r)} samples{neck}; {p.steps} steps, "
-              f"{p.rejected} rejected, min step {p.minStep:.3g})")
+        _emit(p, prov)
     else:
         p = tio.read_profile_csv(args.infile)
-        fit = radial.fit_asymptotics(p, args.rlo, args.rhi)
-        _emit(tio.report_to_json(fit, {"command": prov}), args.report)
+        _emit(radial.fit_asymptotics(p, args.rlo, args.rhi), prov, args.report)
 
 
 def _cmd_elliptic(args, prov):
@@ -221,56 +221,38 @@ def _cmd_elliptic(args, prov):
             tio.write_grid_csv(sol, args.out)
         if args.obj:
             tio.export_grid_obj(sol, args.obj, provenance=prov)
-        _emit(tio.report_to_json(rep, {"command": prov}), args.report)
+        _emit(rep, prov, args.report)
     else:
         _, reports = elliptic.continuation_in_width(
             args.b_start, args.b_end, args.steps, L=args.L,
             nx=args.nx, ny=args.ny)
-        payload = {"command": prov,
-                   "schema": "translab-continuation/1",
-                   "b": [b for b, _ in reports],
-                   "k": [r.k for _, r in reports],
-                   "iterations": [r.iterations for _, r in reports],
-                   "factorizations": [r.factorizations for _, r in reports]}
-        _emit(tio.report_to_json(payload), args.report)
+        bs, reps = zip(*reports)
+        _emit(list(reps), prov, args.report,
+              schema="translab-continuation/2", b=bs)
 
 
 def _cmd_csf(args, prov):
-    cfg = csf.FlowConfig(dtSafety=args.dt_safety, stopAmax=args.stop_amax) \
-        if args.subcommand == "run" else csf.FlowConfig(stopAmax=args.stop_amax)
     if args.subcommand == "run":
+        cfg = csf.FlowConfig(dtSafety=args.dt_safety, stopAmax=args.stop_amax)
         c0 = csf.make_circle(args.radius, args.n) if args.shape == "circle" \
             else csf.make_ellipse(args.a, args.b, args.n)
         log = csf.run(c0, cfg)
         tio.write_log_csv(log, args.out)
-        verdict = {"command": prov, "schema": "translab-verdict/1",
-                   "fittedT": log.fittedT,
-                   "typeVerdict": log.typeVerdict.value if log.typeVerdict else None,
-                   "Climsup": log.Climsup, "samples": len(log.times),
-                   "stopReason": log.stopReason}
-        _emit(tio.report_to_json(verdict), args.report)
+        _emit(log, prov, args.report, schema="translab-verdict/2")
     else:
+        cfg = csf.FlowConfig(stopAmax=args.stop_amax)
         a = _parse_shape(args.shape1, args.n)
         b = _parse_shape(args.shape2, args.n, offset=args.gap)
-        rep = csf.comparison_check(a, b, cfg)
-        payload = {"command": prov, "schema": "translab-comparison/1",
-                   "verdict": "PASS" if rep.verdict else "FAIL",
-                   "tolerance": rep.tolerance,
-                   "initialDistance": float(rep.minDistance[0]),
-                   "minDistance": float(rep.minDistance.min()),
-                   "finalTime": float(rep.times[-1]),
-                   "steps": rep.steps, "stopReason": rep.stopReason}
-        _emit(tio.report_to_json(payload), args.report)
+        _emit(csf.comparison_check(a, b, cfg), prov, args.report,
+              schema="translab-comparison/2")
 
 
 def _cmd_analyze(args, prov):
     u = tio.read_grid_csv(args.infile)
     if args.subcommand == "sx":
-        rep = analysis.spruck_xiao_report(u)
-        _emit(tio.report_to_json(rep, {"command": prov}), args.report)
+        _emit(analysis.spruck_xiao_report(u), prov, args.report)
     elif args.subcommand == "jacobi":
-        val = analysis.jacobi_field_defect(u)
-        print(json.dumps({"maxJacobiDefect": val, "command": prov}))
+        _emit({"maxJacobiDefect": analysis.jacobi_field_defect(u)}, prov)
     else:
         try:   # a refused bump is a usage error, a refused --eps is not
             cx, cy, rad = (float(v) for v in args.bump.split(","))
@@ -278,8 +260,7 @@ def _cmd_analyze(args, prov):
         except ValueError as exc:
             raise UsageError(f"bad --bump {args.bump!r}: {exc}") from exc
         spec = dataclasses.replace(spec, epsilon=args.eps)
-        val = analysis.first_variation_check(u, spec)
-        print(json.dumps({"firstVariation": val, "command": prov}))
+        _emit({"firstVariation": analysis.first_variation_check(u, spec)}, prov)
 
 
 def _cmd_export(args, prov):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from types import SimpleNamespace
 
@@ -93,14 +93,15 @@ class TypeVerdict(Enum):
 
 @dataclass
 class SingularityLog:
-    """Flow diagnostics time series, fitted extinction data, and the counters
-    of _flow (stopReason: STOP_AMAX, RESOLUTION_LOST, MAX_STEPS or
-    DT_UNDERFLOW)."""
+    """Flow diagnostics time series (the log CSV), fitted extinction data,
+    the area-law defect max|A - A0 + 2 pi (t - t0)| / A0 (0 for an embedded
+    curve: Gage-Hamilton, J. Differential Geom. 23, 1986) and the counters of
+    _flow (stopReason: STOP_AMAX, RESOLUTION_LOST, MAX_STEPS, DT_UNDERFLOW)."""
 
-    times: np.ndarray
-    Amax: np.ndarray
-    length: np.ndarray
-    area: np.ndarray
+    times: np.ndarray = field(repr=False)
+    Amax: np.ndarray = field(repr=False)
+    length: np.ndarray = field(repr=False)
+    area: np.ndarray = field(repr=False)
     fittedT: float | None = None
     typeVerdict: TypeVerdict | None = None
     Climsup: float | None = None
@@ -108,6 +109,7 @@ class SingularityLog:
     steps: int = 0
     remeshes: int = 0
     stopReason: str | None = None
+    areaLawDefect: float | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -374,10 +376,14 @@ def run(c0: CurveState, cfg: FlowConfig | None = None) -> SingularityLog:
     length, area, amax = np.array(diags).T
     start, T = _fit_extinction(times, amax)
     verdict, climsup = classify(times[start:], amax[start:], T)
+    with np.errstate(divide="ignore", invalid="ignore"):  # A0 = 0: inf, nan
+        defect = np.max(np.abs(area - area[0] + 2 * math.pi
+                               * (times - times[0]))) / area[0]
     return SingularityLog(times=times, Amax=amax, length=length, area=area,
                           fittedT=T, typeVerdict=verdict, Climsup=climsup,
                           fitWindowStart=start, steps=state.steps,
-                          remeshes=state.remeshes, stopReason=state.stopReason)
+                          remeshes=state.remeshes, stopReason=state.stopReason,
+                          areaLawDefect=float(defect))
 
 
 def evolve_to(c0: CurveState, t_target: float, cfg: FlowConfig | None = None) -> CurveState:
@@ -504,13 +510,17 @@ def _curves_disjoint(P: np.ndarray, Q: np.ndarray) -> bool:
 
 @dataclass
 class ComparisonReport:
-    """Separation time series of comparison_check, with the counters of
-    _flow (steps taken; stopReason as in SingularityLog)."""
+    """Separation time series of comparison_check, its first and least value
+    and last time, the verdict ("PASS" or "FAIL"), and the counters of _flow
+    (steps taken; stopReason as in SingularityLog)."""
 
-    times: np.ndarray
-    minDistance: np.ndarray
-    verdict: bool
+    times: np.ndarray = field(repr=False)
+    minDistance: np.ndarray = field(repr=False)
+    verdict: str
     tolerance: float
+    initialDistance: float
+    leastDistance: float
+    finalTime: float
     steps: int = 0
     stopReason: str | None = None
 
@@ -547,8 +557,9 @@ def comparison_check(a: CurveState, b: CurveState,
     for state in _flow([a.points, b.points], a.t, cfg):
         times.append(state.t)
         dists.append(_min_distance(*state.curves))
-    dists = np.array(dists)
-    verdict = bool(np.min(dists) >= dists[0] - tol)
-    return ComparisonReport(times=np.array(times), minDistance=dists,
-                            verdict=verdict, tolerance=tol, steps=state.steps,
-                            stopReason=state.stopReason)
+    least = float(np.min(dists))
+    return ComparisonReport(times=np.array(times), minDistance=np.array(dists),
+                            verdict="PASS" if least >= dists[0] - tol else "FAIL",
+                            tolerance=tol, initialDistance=dists[0],
+                            leastDistance=least, finalTime=float(times[-1]),
+                            steps=state.steps, stopReason=state.stopReason)

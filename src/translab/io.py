@@ -22,6 +22,7 @@ import json
 import locale
 import math
 from dataclasses import is_dataclass, fields as dc_fields
+from enum import Enum
 
 import numpy as np
 
@@ -267,30 +268,36 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, Enum):
+        return x.value
     if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
         return str(x)
     return x
 
 
-def report_to_json(report, extra: dict | None = None) -> str:
-    """Serialize a report dataclass (full float precision, stable key order).
+def _report_fields(report) -> dict:
+    """The fields of a result dataclass that belong in its report: all but
+    those it declares field(repr=False), its per-node and per-sample arrays."""
+    return {f.name: getattr(report, f.name) for f in dc_fields(report) if f.repr}
 
-    Large per-node arrays are dropped; scalar fields, small matrices and short
-    histories are kept.
-    """
+
+def report_to_json(report, extra: dict | None = None) -> str:
+    """Serialize a report (full float precision, stable key order): a result
+    dataclass (_report_fields), a non-empty list of results of one dataclass
+    type (one key per field, holding one value per item) or a dict.  An
+    Enum is written as its value, a non-finite float as a string."""
     if is_dataclass(report):
-        out = {}
-        for f in dc_fields(report):
-            val = getattr(report, f.name)
-            if isinstance(val, np.ndarray) and val.size > 64:
-                continue
-            out[f.name] = _jsonable(val)
+        out = _report_fields(report)
+    elif (isinstance(report, list) and len({type(r) for r in report}) == 1
+          and is_dataclass(report[0])):
+        out = {k: [getattr(r, k) for r in report]
+               for k in _report_fields(report[0])}
     elif isinstance(report, dict):
-        out = _jsonable(report)
+        out = dict(report)
     else:
         raise TranslabError(f"cannot serialize {type(report).__name__}")
-    if extra:
-        out.update(_jsonable(extra))
+    out.update(extra or {})
+    out = _jsonable(out)
     out["version"] = __version__
     return json.dumps(out, indent=2, sort_keys=True)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -40,9 +40,9 @@ class RadialProfile:
     n: int
     kind: RadialKind
     lam: float | None
-    r: np.ndarray
-    u: np.ndarray
-    psi: np.ndarray
+    r: np.ndarray = field(repr=False)
+    u: np.ndarray = field(repr=False)
+    psi: np.ndarray = field(repr=False)
     h: float
     # integrator counters; a profile read back from CSV has none
     steps: int = 0          # accepted steps
@@ -396,9 +396,9 @@ class RadialIdentityReport:
 
     maxDefectK1: float
     maxDefectH: float
-    defectK1: np.ndarray
-    defectH: np.ndarray
-    r: np.ndarray
+    defectK1: np.ndarray = field(repr=False)
+    defectH: np.ndarray = field(repr=False)
+    r: np.ndarray = field(repr=False)
     translatorLike: bool    # True when maxDefectH is small vs |A|^2 |H| scale
 
 

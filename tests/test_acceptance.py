@@ -237,9 +237,9 @@ def test_criterion_11_comparison_principle():
         csf.make_circle(1.0, 128), csf.make_circle(1.0, 128, center=(3.0, 0.0)),
         FlowConfig(stopAmax=100.0))
     checks = [
-        ("concentric", rep.verdict, "PASS" if rep.verdict else "FAIL"),
+        ("concentric", rep.verdict == "PASS", rep.verdict),
         ("closed-form", err <= 1e-2, f"{err:.2e}"),
-        ("translated", rep2.verdict and bool(
+        ("translated", rep2.verdict == "PASS" and bool(
             np.all(np.diff(rep2.minDistance) > -1e-9)), "PASS"),
     ]
     report(11, checks)

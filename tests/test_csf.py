@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -120,13 +121,13 @@ def test_step_reduces_length():
 def test_comparison_concentric_and_translated():
     rep = csf.comparison_check(csf.make_circle(0.6, 96), csf.make_circle(1.4, 96),
                                FlowConfig(stopAmax=60.0))
-    assert rep.verdict
+    assert rep.verdict == "PASS"
     assert np.all(np.diff(rep.minDistance) > -rep.tolerance)
 
     rep2 = csf.comparison_check(
         csf.make_circle(1.0, 96), csf.make_circle(1.0, 96, center=(3.0, 0.0)),
         FlowConfig(stopAmax=60.0))
-    assert rep2.verdict
+    assert rep2.verdict == "PASS"
     assert np.all(np.diff(rep2.minDistance) > -1e-9)  # nondecreasing
 
 
@@ -292,8 +293,38 @@ def test_comparison_report_carries_the_flow_counters(monkeypatch, cfg, reason):
                                csf.make_circle(1.4, 64), cfg)
     assert rep.steps == len(rep.times) - 1
     assert rep.stopReason == reason
+    assert rep.initialDistance == rep.minDistance[0]
+    assert rep.leastDistance == np.min(rep.minDistance)
+    assert rep.finalTime == rep.times[-1]
     assert rep.stopReason in (csf.STOP_AMAX, csf.RESOLUTION_LOST,
                               csf.MAX_STEPS, csf.DT_UNDERFLOW)
+
+
+def test_comparison_verdict_fails_when_the_distance_drops(monkeypatch):
+    # 1.0 for the disjointness check and the first sample, then 0.1
+    dists = itertools.chain([1.0, 1.0], itertools.repeat(0.1))
+    monkeypatch.setattr(csf, "_min_distance", lambda P, Q: next(dists))
+    rep = csf.comparison_check(csf.make_circle(0.6, 64),
+                               csf.make_circle(1.4, 64), FlowConfig(stopAmax=60.0))
+    assert (rep.verdict, rep.initialDistance, rep.leastDistance) == \
+        ("FAIL", 1.0, 0.1)
+
+
+def test_area_law_defect_shows_an_unresolved_curve(circle_log_256):
+    # at n = 32 the b = 1e-3 ellipse is a doubled segment: its flow breaks
+    # A(t) = A0 - 2 pi t by two orders of magnitude, while the resolved
+    # circle keeps it to 1.1e-4
+    thin = csf.run(csf.make_ellipse(2.0, 1e-3, 32))
+    assert thin.areaLawDefect > 1.0
+    assert circle_log_256.areaLawDefect < 1e-3
+
+
+def test_area_law_defect_of_a_curve_of_zero_area_is_inf_without_warning():
+    # a bowtie: its two loops enclose opposite signed areas that cancel
+    bowtie = np.array([(0, 0), (0.5, 0.5), (1.5, 1.5), (2, 2), (2, 1), (2, 0),
+                       (1.5, 0.5), (0.5, 1.5), (0, 2), (0, 1)], dtype=float)
+    log = csf.run(csf.CurveState(points=bowtie), FlowConfig(stopAmax=20.0))
+    assert log.area[0] == 0.0 and log.areaLawDefect == math.inf
 
 
 def _min_distance_einsum(P, Q):

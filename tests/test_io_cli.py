@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -168,6 +169,25 @@ def test_report_json_deterministic():
     assert "quadCoeff" in payload and "version" in payload
 
 
+def test_report_json_leaves_out_the_repr_false_fields():
+    p = radial.shoot_bowl(2, 1.0, 0.05)     # 21 samples
+    assert len(p.r) < 64
+    rep = json.loads(tio.report_to_json(p, {"command": "x"}))
+    assert set(rep) == {"n", "kind", "lam", "h", "steps", "rejected",
+                        "minStep", "neckSamples", "command", "version"}
+    assert rep["kind"] == "bowl"            # an Enum is written as its value
+
+
+def test_report_json_writes_a_list_of_results_field_by_field():
+    a, b = radial.shoot_bowl(2, 1.0, 0.05), radial.shoot_bowl(3, 1.0, 0.05)
+    rep = json.loads(tio.report_to_json([a, b]))
+    assert rep["n"] == [2, 3] and rep["kind"] == ["bowl", "bowl"]
+    assert rep["steps"] == [a.steps, b.steps] and "r" not in rep
+    with pytest.raises(TranslabError, match="cannot serialize list"):
+        tio.report_to_json([a, radial.fit_asymptotics(
+            radial.shoot_bowl(2, 30.0, 1e-2), 10.0, 30.0)])
+
+
 # --- CLI ------------------------------------------------------------------------
 
 
@@ -237,6 +257,9 @@ def test_cli_continuation_reports_factorizations(tmp_path):
     assert len(cont["factorizations"]) == len(cont["b"]) == 2
     assert cont["factorizations"] == [math.ceil(i / 2)
                                       for i in cont["iterations"]]
+    assert cont["schema"] == "translab-continuation/2"
+    for f in dataclasses.fields(elliptic.SolveReport):
+        assert len(cont[f.name]) == 2, f.name
 
 
 def test_cli_csf_run(tmp_path, capsys):
@@ -270,6 +293,50 @@ def test_cli_csf_compare_reports_steps_and_stop_reason(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["stopReason"] == "stopAmax"
     assert isinstance(out["steps"], int) and out["steps"] > 0
+    assert out["schema"] == "translab-comparison/2"
+    assert 0 < out["leastDistance"] <= out["initialDistance"]
+    assert not {"times", "minDistance"} & out.keys()
+
+def test_cli_csf_run_report_holds_the_log_counters_not_its_series(tmp_path,
+                                                                   capsys):
+    # 56 samples: the parent wrote the time series of a log under 65 samples
+    rc = cli.main(["csf", "run", "--n", "16", "--stop-amax", "3",
+                   "--out", str(tmp_path / "log.csv")])
+    assert rc == 0
+    rep = json.loads(capsys.readouterr().out)
+    log = csf.run(csf.make_circle(1.0, 16), csf.FlowConfig(stopAmax=3.0))
+    assert len(log.times) < 64
+    assert not {"times", "Amax", "length", "area", "samples"} & rep.keys()
+    assert rep["schema"] == "translab-verdict/2"
+    assert (rep["steps"], rep["remeshes"], rep["fitWindowStart"],
+            rep["areaLawDefect"]) == (log.steps, log.remeshes,
+                                      log.fitWindowStart, log.areaLawDefect)
+
+
+@pytest.mark.parametrize("argv", [["--h", "1"], ["--kind", "plane"]],
+                         ids=["h-1", "plane"])
+def test_cli_catalog_report_holds_no_per_node_array(capsys, argv):
+    # --h 1 used to write the 5x5 perNode as "nan" strings, plane "[]"
+    assert cli.main(["catalog", "residual", *argv]) == 0
+    assert "perNode" not in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("small, large", [
+    (["catalog", "residual", "--h", "1"], ["catalog", "residual", "--h", "0.1"]),
+    (["csf", "run", "--n", "16", "--stop-amax", "3", "--out", "{tmp}/l.csv"],
+     ["csf", "run", "--n", "64", "--stop-amax", "30", "--out", "{tmp}/l.csv"]),
+    (["csf", "compare", "--n", "16", "--stop-amax", "3"],
+     ["csf", "compare", "--n", "32", "--stop-amax", "30"]),
+    (["radial", "shoot", "--rmax", "1", "--h", "0.05", "--out", "{tmp}/p.csv"],
+     ["radial", "shoot", "--rmax", "5", "--h", "0.01", "--out", "{tmp}/p.csv"]),
+], ids=["catalog", "csf-run", "csf-compare", "radial-shoot"])
+def test_cli_report_keys_do_not_depend_on_size(tmp_path, capsys, small, large):
+    keys = []
+    for argv in (small, large):
+        assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 0
+        keys.append(set(json.loads(capsys.readouterr().out)))
+    assert keys[0] == keys[1]
+
 
 def test_cli_csf_reruns_byte_identical(tmp_path):
     log, run_json, cmp_json = (tmp_path / f for f in ("log.csv", "run.json", "cmp.json"))
@@ -633,10 +700,11 @@ def test_cli_radial_shoot_prints_the_integrator_counters(tmp_path, capsys):
     assert rc == 0
     p = radial.shoot_catenoid_wing(2, 1.0, 3.0, 0.01,
                                    radial.RadialKind.CATENOID_LOWER)
-    assert capsys.readouterr().out == (
-        f"wrote {out} ({len(p.r)} samples, {p.neckSamples} in arclength; "
-        f"{p.steps} steps, {p.rejected} rejected, "
-        f"min step {p.minStep:.3g})\n")
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["steps"], rep["rejected"], rep["minStep"], rep["neckSamples"]) \
+        == (p.steps, p.rejected, p.minStep, p.neckSamples)
+    assert p.neckSamples > 0 and rep["kind"] == "catenoid-lower"
+    assert not {"r", "u", "psi"} & rep.keys()   # the samples are in the CSV
 
 
 @pytest.mark.parametrize("kind", ["grim", "tilted", "plane"])
