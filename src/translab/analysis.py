@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TranslabError
-from .geom import (drift_laplacian, flip_orientation, graph_geometry,
-                   interior_jet, q_squared, surface_gradient)
+from .geom import (GeometryField, drift_laplacian, flip_orientation,
+                   graph_geometry, interior_jet, q_squared, surface_gradient)
 from .grid import GridFunction
 
 
@@ -134,16 +134,15 @@ def first_variation_check(u: GridFunction, v: VariationSpec,
     return (4.0 * d2 - d1) / 3.0
 
 
-def stability_apply(u: GridFunction, normA2: np.ndarray,
-                    phi: np.ndarray) -> np.ndarray:
+def stability_apply(geom: GeometryField, phi: np.ndarray) -> np.ndarray:
     """Stability operator: drift Laplacian plus |A|^2, applied to phi."""
-    return drift_laplacian(phi, u) + normA2 * phi
+    return drift_laplacian(phi, geom) + geom.normA2 * phi
 
 
 def jacobi_field_defect(u: GridFunction) -> float:
     """max |L (e3 . N)| over the valid interior; O(h^2) on translators."""
     geom = graph_geometry(u)
-    out = stability_apply(u, geom.normA2, geom.N[..., 2])
+    out = stability_apply(geom, geom.N[..., 2])
     vals = out[np.isfinite(out)]
     if vals.size == 0:
         raise TranslabError("no valid interior nodes")
@@ -157,7 +156,7 @@ def gradH_identity_check(u: GridFunction) -> float:
     shape operator assembled from the principal decomposition.
     """
     geom = graph_geometry(u)
-    gradH = surface_gradient(geom.H, u)
+    gradH = surface_gradient(geom.H, geom)
     e3n = geom.N[..., 2]
     e3t = -e3n[..., None] * geom.N
     e3t[..., 2] += 1.0
@@ -211,21 +210,21 @@ def spruck_xiao_report(u: GridFunction) -> SpruckXiaoReport:
     k1, k2 = convex.kappa1, convex.kappa2
     H = k1 + k2
 
-    q2, umb = q_squared(convex, u), convex.umbilic
+    q2, umb = q_squared(convex), convex.umbilic
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = H / k1
         ratio[umb] = np.nan
 
-    dH = drift_laplacian(H, u)
-    dK1 = drift_laplacian(k1, u)
+    dH = drift_laplacian(H, geom)
+    dK1 = drift_laplacian(k1, geom)
     defect_h = dH + geom.normA2 * H
     with np.errstate(divide="ignore", invalid="ignore"):
         defect_k1 = dK1 + geom.normA2 * k1 - 2.0 * q2 / (k1 - k2)
 
-    grad_ratio = surface_gradient(ratio, u)
-    grad_k1 = surface_gradient(k1, u)
-    d_ratio = drift_laplacian(ratio, u)
+    grad_ratio = surface_gradient(ratio, geom)
+    grad_k1 = surface_gradient(k1, geom)
+    d_ratio = drift_laplacian(ratio, geom)
     with np.errstate(divide="ignore", invalid="ignore"):
         lhs = d_ratio + 2.0 * np.einsum("ijk,ijk->ij", grad_k1, grad_ratio) / k1
 

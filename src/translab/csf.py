@@ -94,9 +94,10 @@ class TypeVerdict(Enum):
 @dataclass
 class SingularityLog:
     """Flow diagnostics time series (the log CSV), fitted extinction data,
-    the area-law defect max|A - A0 + 2 pi (t - t0)| / A0 (0 for an embedded
-    curve: Gage-Hamilton, J. Differential Geom. 23, 1986) and the counters of
-    _flow (stopReason: STOP_AMAX, RESOLUTION_LOST, MAX_STEPS, DT_UNDERFLOW)."""
+    the area-law defect (_area_law_defect) and its bound 10 delta(n), delta(n)
+    = 1 - n sin(2 pi / n) / (2 pi) the area deficit of the regular n-gon,
+    and the counters of _flow (stopReason: STOP_AMAX, RESOLUTION_LOST,
+    MAX_STEPS, DT_UNDERFLOW).  Past the bound the verdict is Inconclusive."""
 
     times: np.ndarray = field(repr=False)
     Amax: np.ndarray = field(repr=False)
@@ -110,6 +111,7 @@ class SingularityLog:
     remeshes: int = 0
     stopReason: str | None = None
     areaLawDefect: float | None = None
+    areaLawBound: float | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -365,7 +367,8 @@ def _flow(curves, t: float, cfg: FlowConfig, t_end: float = math.inf):
 def run(c0: CurveState, cfg: FlowConfig | None = None) -> SingularityLog:
     """Evolve until one of _flow's stop rules (log.stopReason), logging
     every step, then fit the extinction time (_fit_extinction) and classify
-    the singularity over the fit window (classify).
+    the singularity over the fit window (classify).  The verdict is
+    Inconclusive unless areaLawDefect <= areaLawBound.
     """
     cfg = cfg or FlowConfig()
     times, diags = [], []
@@ -376,14 +379,24 @@ def run(c0: CurveState, cfg: FlowConfig | None = None) -> SingularityLog:
     length, area, amax = np.array(diags).T
     start, T = _fit_extinction(times, amax)
     verdict, climsup = classify(times[start:], amax[start:], T)
-    with np.errstate(divide="ignore", invalid="ignore"):  # A0 = 0: inf, nan
-        defect = np.max(np.abs(area - area[0] + 2 * math.pi
-                               * (times - times[0]))) / area[0]
+    n = len(c0.points)
+    defect = _area_law_defect(times, area)
+    bound = 10.0 * (1.0 - n * math.sin(2 * math.pi / n) / (2 * math.pi))
+    if not defect <= bound:  # a flow that broke the area law (inf, nan too)
+        verdict, climsup = TypeVerdict.INCONCLUSIVE, None
     return SingularityLog(times=times, Amax=amax, length=length, area=area,
                           fittedT=T, typeVerdict=verdict, Climsup=climsup,
                           fitWindowStart=start, steps=state.steps,
                           remeshes=state.remeshes, stopReason=state.stopReason,
-                          areaLawDefect=float(defect))
+                          areaLawDefect=defect, areaLawBound=bound)
+
+
+def _area_law_defect(times: np.ndarray, area: np.ndarray) -> float:
+    """max|A - A0 + 2 pi (t - t0)| / A0, 0 for an embedded curve
+    (Gage-Hamilton, J. Differential Geom. 23, 1986); inf for A0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # A0 = 0: inf, nan
+        return float(np.max(np.abs(area - area[0] + 2 * math.pi
+                                   * (times - times[0]))) / area[0])
 
 
 def evolve_to(c0: CurveState, t_target: float, cfg: FlowConfig | None = None) -> CurveState:
@@ -511,8 +524,9 @@ def _curves_disjoint(P: np.ndarray, Q: np.ndarray) -> bool:
 @dataclass
 class ComparisonReport:
     """Separation time series of comparison_check, its first and least value
-    and last time, the verdict ("PASS" or "FAIL"), and the counters of _flow
-    (steps taken; stopReason as in SingularityLog)."""
+    and last time, the verdict ("PASS" or "FAIL"), each curve's area-law
+    defect (as in SingularityLog) and the counters of _flow (steps taken;
+    stopReason as in SingularityLog)."""
 
     times: np.ndarray = field(repr=False)
     minDistance: np.ndarray = field(repr=False)
@@ -521,6 +535,7 @@ class ComparisonReport:
     initialDistance: float
     leastDistance: float
     finalTime: float
+    areaLawDefect: list
     steps: int = 0
     stopReason: str | None = None
 
@@ -553,13 +568,16 @@ def comparison_check(a: CurveState, b: CurveState,
 
     tol = 10.0 * (float(np.mean(_edge_lengths(a.points))) ** 2
                   + float(np.mean(_edge_lengths(b.points))) ** 2)
-    times, dists = [], []
+    times, dists, areas = [], [], []
     for state in _flow([a.points, b.points], a.t, cfg):
         times.append(state.t)
         dists.append(_min_distance(*state.curves))
-    least = float(np.min(dists))
-    return ComparisonReport(times=np.array(times), minDistance=np.array(dists),
+        areas.append([d[1] for d in state.diags])
+    times, least = np.array(times), float(np.min(dists))
+    return ComparisonReport(times=times, minDistance=np.array(dists),
                             verdict="PASS" if least >= dists[0] - tol else "FAIL",
                             tolerance=tol, initialDistance=dists[0],
                             leastDistance=least, finalTime=float(times[-1]),
+                            areaLawDefect=[_area_law_defect(times, A)
+                                           for A in np.array(areas).T],
                             steps=state.steps, stopReason=state.stopReason)

@@ -13,7 +13,7 @@ Invalid margin nodes hold NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,23 +54,19 @@ def interior_jet(v: np.ndarray, hx: float, hy: float):
     return p, q, r, s, t
 
 
-def grid_jet(u: GridFunction):
-    """interior_jet of u on the full (nx, ny) grid; NaN margin."""
-    jet = tuple(np.full((u.nx, u.ny), np.nan) for _ in range(5))
-    for out, d in zip(jet, interior_jet(u.values, u.hx, u.hy)):
-        out[1:-1, 1:-1] = d
-    return jet
-
-
 @dataclass
 class GeometryField:
     """Per-node differential geometry of a graph, upward unless flipped.
 
-    Arrays are (nx, ny); vector fields are (nx, ny, 3).  Nodes outside the
-    one-node interior hold NaN; `interior` marks valid nodes and `umbilic`
-    marks nodes where principal directions (and Q^2) are undefined.
+    Arrays are (nx, ny); vector fields are (nx, ny, 3).  `grid` is the graph
+    and p, q its slopes u_x, u_y.  Nodes outside the one-node interior hold
+    NaN; `interior` marks valid nodes and `umbilic` marks nodes where
+    principal directions (and Q^2) are undefined.
     """
 
+    grid: GridFunction = field(repr=False)
+    p: np.ndarray = field(repr=False)
+    q: np.ndarray = field(repr=False)
     W: np.ndarray = field(repr=False)
     N: np.ndarray = field(repr=False)
     H: np.ndarray = field(repr=False)
@@ -88,7 +84,9 @@ def graph_geometry(u: GridFunction) -> GeometryField:
     with the upward normal; flip_orientation gives the downward one.
     Each intermediate is released once its last use is done.
     """
-    p, q, r, s, t = grid_jet(u)
+    p, q, r, s, t = (np.full((u.nx, u.ny), np.nan) for _ in range(5))
+    for out, d in zip((p, q, r, s, t), interior_jet(u.values, u.hx, u.hy)):
+        out[1:-1, 1:-1] = d
     w2 = 1.0 + p * p + q * q
     W = np.sqrt(w2)
     if not np.all(np.isfinite(W[1:-1, 1:-1])):
@@ -144,12 +142,15 @@ def graph_geometry(u: GridFunction) -> GeometryField:
     v1[..., 0] = a
     v1[..., 1] = b
     v1[..., 2] = p * a + q * b
-    del p, q, a, b
+    del a, b
     norm = np.sqrt(np.sum(v1 * v1, axis=-1))
     v1 /= norm[..., None]
     del norm
-    # tangent-plane complement of v1 is exactly the kappa2 eigenspace
-    v2 = np.cross(N, v1)
+    # v2 = N x v1, the tangent-plane complement of v1, is exactly the kappa2
+    # eigenspace (np.cross's products, without its temporaries)
+    v2 = np.empty_like(v1)
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        v2[..., k] = N[..., i] * v1[..., j] - N[..., j] * v1[..., i]
 
     normA2 = kappa1 * kappa1 + kappa2 * kappa2
     H = kappa1 + kappa2
@@ -159,19 +160,17 @@ def graph_geometry(u: GridFunction) -> GeometryField:
     for arr in (v1, v2):
         arr[~interior] = np.nan
     umbilic &= interior
-    return GeometryField(W=W, N=N, H=H, kappa1=kappa1, kappa2=kappa2,
-                         v1=v1, v2=v2, normA2=normA2, interior=interior,
-                         umbilic=umbilic)
+    return GeometryField(grid=u, p=p, q=q, W=W, N=N, H=H, kappa1=kappa1,
+                         kappa2=kappa2, v1=v1, v2=v2, normA2=normA2,
+                         interior=interior, umbilic=umbilic)
 
 
 def flip_orientation(geom: GeometryField) -> GeometryField:
     """The geometry with the opposite normal: N, H and A negate, so kappa1 is
-    -kappa2 and v1 is v2; |A|^2 and the translator defect are unchanged."""
-    return GeometryField(
-        W=geom.W, N=-geom.N, H=-geom.H,
-        kappa1=-geom.kappa2, kappa2=-geom.kappa1,
-        v1=geom.v2, v2=geom.v1, normA2=geom.normA2, interior=geom.interior,
-        umbilic=geom.umbilic)
+    -kappa2 and v1 is v2; the grid, slopes, W, |A|^2 and the translator
+    defect are unchanged."""
+    return replace(geom, N=-geom.N, H=-geom.H, kappa1=-geom.kappa2,
+                   kappa2=-geom.kappa1, v1=geom.v2, v2=geom.v1)
 
 
 def translator_defect(geom: GeometryField) -> np.ndarray:
@@ -180,61 +179,62 @@ def translator_defect(geom: GeometryField) -> np.ndarray:
     return np.abs(geom.H + e3n)
 
 
-def surface_gradient(phi: np.ndarray, u: GridFunction) -> np.ndarray:
+def _raised_gradient(phi: np.ndarray, geom: GeometryField):
+    """(phi_x, phi_y) and W^2 g^{ij} phi_j = ((1 + q^2) phi_x - pq phi_y,
+    (1 + p^2) phi_y - pq phi_x) of a scalar field on geom's grid."""
+    if phi.shape != geom.p.shape:
+        raise TranslabError("scalar field shape mismatch")
+    p, q, g = geom.p, geom.q, geom.grid
+    fx, fy = _dx(phi, g.hx), _dy(phi, g.hy)
+    return fx, fy, (1.0 + q * q) * fx - p * q * fy, (1.0 + p * p) * fy - p * q * fx
+
+
+def surface_gradient(phi: np.ndarray, geom: GeometryField) -> np.ndarray:
     """Tangential gradient of a scalar field as a 3-vector per node.
 
     Valid one node further inside than phi's own validity.
     """
-    if phi.shape != (u.nx, u.ny):
-        raise TranslabError("scalar field shape mismatch")
-    p, q = grid_jet(u)[:2]
-    fx, fy = _dx(phi, u.hx), _dy(phi, u.hy)
+    p, q = geom.p, geom.q
+    _, _, rx, ry = _raised_gradient(phi, geom)
     w2 = 1.0 + p * p + q * q
     # contravariant components: g^{ij} phi_j
-    cx = ((1.0 + q * q) * fx - p * q * fy) / w2
-    cy = ((1.0 + p * p) * fy - p * q * fx) / w2
-    grad = np.empty((u.nx, u.ny, 3))
+    cx, cy = rx / w2, ry / w2
+    grad = np.empty(p.shape + (3,))
     grad[..., 0] = cx
     grad[..., 1] = cy
     grad[..., 2] = cx * p + cy * q
     return grad
 
 
-def drift_laplacian(phi: np.ndarray, u: GridFunction) -> np.ndarray:
+def drift_laplacian(phi: np.ndarray, geom: GeometryField) -> np.ndarray:
     """Drift Laplacian: surface Laplacian minus the e3-directional term.
 
     Conservative form (1/W) d_i(W g^{ij} phi_j) minus (u_x phi_x + u_y phi_y)/W^2,
     second-order accurate on the two-node interior.
     """
-    if u.nx < 5 or u.ny < 5:
+    g, W = geom.grid, geom.W
+    if g.nx < 5 or g.ny < 5:
         raise TranslabError("drift Laplacian needs a two-node margin")
-    if phi.shape != (u.nx, u.ny):
-        raise TranslabError("scalar field shape mismatch")
-    p, q = grid_jet(u)[:2]
-    fx, fy = _dx(phi, u.hx), _dy(phi, u.hy)
-    W = np.sqrt(1.0 + p * p + q * q)
+    fx, fy, rx, ry = _raised_gradient(phi, geom)
     # flux = W g^{ij} phi_j  (sqrt(det g) = W for graphs)
-    FX = ((1.0 + q * q) * fx - p * q * fy) / W
-    FY = ((1.0 + p * p) * fy - p * q * fx) / W
-    lap = (_dx(FX, u.hx) + _dy(FY, u.hy)) / W
-    drift = (p * fx + q * fy) / (W * W)
+    lap = (_dx(rx / W, g.hx) + _dy(ry / W, g.hy)) / W
+    drift = (geom.p * fx + geom.q * fy) / (W * W)
     return lap - drift
 
 
-def q_squared(geom: GeometryField, u: GridFunction):
+def q_squared(geom: GeometryField):
     """Codazzi form of Q^2: (grad_{v2} kappa1)^2 + (grad_{v1} kappa2)^2.
 
     NaN at the nodes geom.umbilic marks, never a fabricated value.
     """
-    if u.nx < 5 or u.ny < 5:
+    g = geom.grid
+    if g.nx < 5 or g.ny < 5:
         raise TranslabError("Q^2 needs a two-node margin")
-    k1x, k1y = _dx(geom.kappa1, u.hx), _dy(geom.kappa1, u.hy)
-    k2x, k2y = _dx(geom.kappa2, u.hx), _dy(geom.kappa2, u.hy)
+    v1, v2, k1, k2 = geom.v1, geom.v2, geom.kappa1, geom.kappa2
     # directional derivative along a unit tangent v: v_x d_x + v_y d_y on the
     # parameter plane (tangent vectors satisfy v = a F_x + b F_y with
-    # (a, b) = (v^1, v^2))
-    d1k2 = geom.v1[..., 0] * k2x + geom.v1[..., 1] * k2y
-    d2k1 = geom.v2[..., 0] * k1x + geom.v2[..., 1] * k1y
+    # (a, b) = (v^1, v^2)); each derivative is dropped once multiplied
+    d1k2 = v1[..., 0] * _dx(k2, g.hx) + v1[..., 1] * _dy(k2, g.hy)
+    d2k1 = v2[..., 0] * _dx(k1, g.hx) + v2[..., 1] * _dy(k1, g.hy)
     q2 = d2k1 * d2k1 + d1k2 * d1k2
     return np.where(geom.umbilic, np.nan, q2)
-

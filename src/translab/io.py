@@ -181,7 +181,7 @@ def _geometry_table(u: GridFunction, fmt: bytes):
     umbilic).  Each field is dropped once it is text."""
     geom = graph_geometry(u)
     reals = [u.values, geom.W, geom.H, geom.kappa1, geom.kappa2, geom.normA2,
-             q_squared(geom, u)]
+             q_squared(geom)]
     flags = np.where(geom.interior, 0, 1) | np.where(geom.umbilic, 2, 0)
     del geom
     texts = [_texts(reals.pop(0), fmt) for _ in range(len(reals))]

@@ -115,7 +115,7 @@ def test_stability_operator_basics():
     g = grid.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, 21, 21)
     G = geom.graph_geometry(g)
     zero = np.zeros_like(g.values)
-    assert np.nanmax(np.abs(analysis.stability_apply(g, G.normA2, zero))) == 0.0
+    assert np.nanmax(np.abs(analysis.stability_apply(G, zero))) == 0.0
     # plane: e3.N = 1, |A|^2 = 0, so L(e3.N) = 0
     assert analysis.jacobi_field_defect(g) < 1e-12
 
@@ -168,3 +168,20 @@ def test_spruck_xiao_empty_mask_on_plane():
     g = grid.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, 21, 21)
     with pytest.raises(TranslabError, match="all nodes umbilic or outside the margin"):
         analysis.spruck_xiao_report(g)
+
+
+def test_each_analysis_differences_the_heights_once(monkeypatch):
+    # the operators read the slopes of the one GeometryField they are given
+    calls, jet = [], geom.interior_jet
+
+    def counting(*args):
+        calls.append(1)
+        return jet(*args)
+
+    monkeypatch.setattr(geom, "interior_jet", counting)
+    g = radial.profile_to_grid(radial.shoot_bowl(2, 6.0, 1e-3),
+                               0.7, 2.7, 0.7, 2.7, 41, 41)
+    analysis.spruck_xiao_report(g)
+    assert len(calls) == 1
+    analysis.jacobi_field_defect(g)
+    assert len(calls) == 2

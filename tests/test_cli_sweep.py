@@ -3,19 +3,22 @@
 cli.main must end each run with exit code 0, 1 or 2, let no exception out
 (argparse's own refusal is SystemExit(2)), and write nothing to stderr but
 one error line: "error: ..." (exit 1), "usage error: ..." (exit 2), or
-argparse's usage text and its "<prog>: error: ..." line.  The pool is
+argparse's usage text and its "<prog>: error: ..." line; a run that exits
+0 prints a JSON report (export obj prints a line of text).  The pool is
 enumerable, so every value meets every option: floats take FLOATS, ints
 INTS.  The base runs are small (33x33 strips, curves of 32 points, a bowl
 out to r = 5), so the whole sweep takes seconds.
 """
 
 import argparse
+import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from translab import cli, grid, io as tio, radial
+from translab import catalog, cli, csf, elliptic, grid, io as tio, radial
 
 FLOATS = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-300", "1e300",
           "1.8e308"]
@@ -111,10 +114,70 @@ def test_numeric_option_ends_in_an_exit_code(tmp_path, capfd, inputs, cmd,
             assert rc == 2 and ": error: " in err[-1]
             assert sum(": error: " in line for line in err) == 1
             return
-    err = capfd.readouterr().err
+    out, err = capfd.readouterr()
     assert rc in (0, 1, 2)
     if rc == 0:
         assert err == ""
+        if (cmd, sub) != ("export", "obj"):
+            assert isinstance(json.loads(out), dict)
     else:
         assert err.count("\n") == 1
         assert err.startswith("error: " if rc == 1 else "usage error: ")
+
+
+# each size bound on its refused side: the bound's name, its value as the
+# error line writes it, and the argv past it
+BOUNDS = [
+    ("elliptic._MAX_NODES", str(elliptic._MAX_NODES),
+     ["elliptic", "delta-wing", "--b", "2.2", "--ny", "33",
+      "--nx", str(elliptic._MAX_NODES // 33 + 1)]),
+    ("elliptic._MAX_STEPS", str(elliptic._MAX_STEPS),
+     ["elliptic", "continuation", "--b-start", "2.2", "--b-end", "2.4",
+      "--nx", "33", "--ny", "33", "--steps", str(elliptic._MAX_STEPS + 1)]),
+    ("csf._MAX_POINTS", str(csf._MAX_POINTS),
+     ["csf", "run", "--out", "{out}/l.csv", "--n", str(csf._MAX_POINTS + 1)]),
+    ("csf._MAX_PAIRS", str(csf._MAX_PAIRS),
+     ["csf", "compare", "--n", str(math.isqrt(csf._MAX_PAIRS) + 1)]),
+    ("csf._MIN_DT_SAFETY", f"{csf._MIN_DT_SAFETY:g}",
+     ["csf", "run", "--n", "32", "--out", "{out}/l.csv",
+      f"--dt-safety={math.nextafter(csf._MIN_DT_SAFETY, 0.0)!r}"]),
+    ("catalog._MAX_NODES", str(catalog._MAX_NODES),
+     ["catalog", "residual", "--kind", "tilted", "--theta", "0.5", "--h",
+      repr(2 * catalog.half_width(0.5) * catalog.HALF_WIDTH_FRAC
+           / math.isqrt(catalog._MAX_NODES))]),
+    ("radial._MAX_SAMPLES", str(radial._MAX_SAMPLES),
+     ["radial", "shoot", "--out", "{out}/p.csv", "--rmax", "5",
+      "--h", repr(5.0 / (2 * radial._MAX_SAMPLES))]),
+    ("io._MAX_VERTICES", str(tio._MAX_VERTICES),
+     ["export", "obj", "--in", "{p}", "--out", "{out}/p.obj",
+      "--angular-samples", str(tio._MAX_VERTICES + 1)]),
+]
+
+
+@pytest.mark.parametrize("bound, argv", [b[1:] for b in BOUNDS],
+                         ids=[b[0] for b in BOUNDS])
+def test_size_past_its_bound_is_refused(tmp_path, capfd, inputs, bound, argv):
+    rc = cli.main([a.format(out=tmp_path, **inputs) for a in argv])
+    out, err = capfd.readouterr()
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and bound in err
+
+
+# the accepted side of a bound, where a run at it takes well under a second
+AT_BOUNDS = [
+    ("csf._MAX_PAIRS",
+     ["csf", "compare", "--n", str(math.isqrt(csf._MAX_PAIRS)),
+      "--stop-amax", "0.5"]),
+    ("csf._MIN_DT_SAFETY",
+     ["csf", "run", "--n", "32", "--out", "{out}/l.csv", "--stop-amax", "1.5",
+      f"--dt-safety={csf._MIN_DT_SAFETY!r}"]),
+]
+
+
+@pytest.mark.parametrize("argv", [a for _, a in AT_BOUNDS],
+                         ids=[name for name, _ in AT_BOUNDS])
+def test_size_at_its_bound_is_accepted(tmp_path, capfd, inputs, argv):
+    rc = cli.main([a.format(out=tmp_path, **inputs) for a in argv])
+    out, err = capfd.readouterr()
+    assert (rc, err) == (0, "")
+    assert isinstance(json.loads(out), dict)

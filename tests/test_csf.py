@@ -129,6 +129,9 @@ def test_comparison_concentric_and_translated():
         FlowConfig(stopAmax=60.0))
     assert rep2.verdict == "PASS"
     assert np.all(np.diff(rep2.minDistance) > -1e-9)  # nondecreasing
+    # one area-law defect per curve, computed as csf.run computes it
+    assert len(rep.areaLawDefect) == 2
+    assert all(d < 1e-2 for d in rep.areaLawDefect)
 
 
 def test_comparison_rejects_overlap():
@@ -313,10 +316,21 @@ def test_comparison_verdict_fails_when_the_distance_drops(monkeypatch):
 def test_area_law_defect_shows_an_unresolved_curve(circle_log_256):
     # at n = 32 the b = 1e-3 ellipse is a doubled segment: its flow breaks
     # A(t) = A0 - 2 pi t by two orders of magnitude, while the resolved
-    # circle keeps it to 1.1e-4
-    thin = csf.run(csf.make_ellipse(2.0, 1e-3, 32))
-    assert thin.areaLawDefect > 1.0
+    # circle keeps it to 1.1e-4.  Past 10 delta(n) a flow gets no verdict;
+    # both thin ellipses read Type I without that bound
+    for b in (1e-3, 1e-300):
+        thin = csf.run(csf.make_ellipse(2.0, b, 32))
+        assert thin.areaLawDefect > 1.0
+        assert not thin.areaLawDefect <= thin.areaLawBound
+        assert (thin.typeVerdict, thin.Climsup) == (TypeVerdict.INCONCLUSIVE,
+                                                    None)
     assert circle_log_256.areaLawDefect < 1e-3
+    assert circle_log_256.areaLawBound == \
+        10.0 * (1.0 - 256 * math.sin(2 * math.pi / 256) / (2 * math.pi))
+    # the coarsest resolved Type I run found, at 3.3 delta(n), keeps its verdict
+    coarse = csf.run(csf.make_ellipse(2.0, 0.5, 16))
+    assert coarse.areaLawDefect <= coarse.areaLawBound
+    assert coarse.typeVerdict is TypeVerdict.TYPE_I
 
 
 def test_area_law_defect_of_a_curve_of_zero_area_is_inf_without_warning():

@@ -279,9 +279,10 @@ def test_newton_residual_is_assemble_residual(monkeypatch):
 
 def test_center_hessian_is_the_jet_at_the_center():
     sol, rep = delta_wing(2.0, L=8.0, nx=121, ny=49)
-    _, _, r, s, t = geom.grid_jet(sol)
-    ic = int(np.argmin(np.abs(sol.xs)))
-    jc = int(np.argmin(np.abs(sol.ys)))
+    _, _, r, s, t = geom.interior_jet(sol.values, sol.hx, sol.hy)
+    # the jet's index (i, j) is the node (i + 1, j + 1)
+    ic = int(np.argmin(np.abs(sol.xs))) - 1
+    jc = int(np.argmin(np.abs(sol.ys))) - 1
     assert np.array_equal(rep.centerHessian, [[r[ic, jc], s[ic, jc]],
                                               [s[ic, jc], t[ic, jc]]])
 

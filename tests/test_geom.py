@@ -34,8 +34,8 @@ def test_paraboloid_osculates_unit_sphere():
     assert abs(G.kappa1[ic, ic] + 1.0) < 1e-10
     assert abs(G.kappa2[ic, ic] + 1.0) < 1e-10
     assert abs(G.H[ic, ic] + 2.0) < 1e-10
-    _, _, r, _, t = geom.grid_jet(g)
-    assert abs(r[ic, ic] + t[ic, ic] + 2.0) < 1e-10
+    _, _, r, _, t = geom.interior_jet(g.values, g.hx, g.hy)
+    assert abs(r[ic - 1, ic - 1] + t[ic - 1, ic - 1] + 2.0) < 1e-10
 
 
 def test_grim_reaper_graph_is_translator():
@@ -139,16 +139,17 @@ def test_drift_laplacian_basics():
     g = plane(21)
     X, _ = g.meshgrid()
     const = np.full_like(X, 3.7)
-    out = geom.drift_laplacian(const, g)
+    G = geom.graph_geometry(g)
+    out = geom.drift_laplacian(const, G)
     assert np.nanmax(np.abs(out)) < 1e-12
-    out2 = geom.drift_laplacian(X ** 2, g)
+    out2 = geom.drift_laplacian(X ** 2, G)
     assert np.nanmax(np.abs(out2 - 2.0)) < 1e-10
 
 
 def test_drift_laplacian_margin_guard():
     g = grid.from_function(lambda X, Y: np.zeros_like(X), 0, 1, 0, 1, 4, 6)
     with pytest.raises(TranslabError, match="drift Laplacian needs a two-node margin"):
-        geom.drift_laplacian(g.values, g)
+        geom.drift_laplacian(g.values, geom.graph_geometry(g))
 
 
 def test_drift_of_H_on_bowl_grid():
@@ -158,7 +159,7 @@ def test_drift_of_H_on_bowl_grid():
     for n in (81, 161):
         gb = radial.profile_to_grid(p, -2, 2, -2, 2, n, n)
         Gb = geom.graph_geometry(gb)
-        dH = geom.drift_laplacian(Gb.H, gb)
+        dH = geom.drift_laplacian(Gb.H, Gb)
         defects.append(np.nanmax(np.abs(dH + Gb.normA2 * Gb.H)))
     assert defects[0] < 1e-3
     assert 3.0 <= defects[0] / defects[1] <= 5.0
@@ -168,7 +169,7 @@ def test_q_squared_tilted_reaper_and_umbilic_policy():
     from translab import catalog
     g = catalog.sample_grid(math.pi / 6, 0.02)
     G = geom.graph_geometry(g)
-    q2 = geom.q_squared(G, g)
+    q2 = geom.q_squared(G)
     assert not G.umbilic.any()
     assert np.nanmax(q2) < 1e-12
 
@@ -176,7 +177,7 @@ def test_q_squared_tilted_reaper_and_umbilic_policy():
     p = radial.shoot_bowl(2, 3.0, 1e-3)
     gb = radial.profile_to_grid(p, -1, 1, -1, 1, 41, 41)
     Gb = geom.graph_geometry(gb)
-    q2b, fb = geom.q_squared(Gb, gb), Gb.umbilic
+    q2b, fb = geom.q_squared(Gb), Gb.umbilic
     center = fb[18:23, 18:23]
     assert center.any()
     assert np.isnan(q2b[fb]).all()
@@ -215,5 +216,7 @@ def test_graph_geometry_memory_is_bounded_by_its_result():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = sum(getattr(G, f.name).nbytes for f in dataclasses.fields(G))
+    # the grid is the input, not allocated here
+    held = sum(getattr(G, f.name).nbytes for f in dataclasses.fields(G)
+               if f.name != "grid")
     assert peak <= 1.6 * held

@@ -46,7 +46,7 @@ _GEOMETRY_COLUMNS = ["i", "j", "x", "y", "u", "W", "H", "kappa1", "kappa2",
 
 def _ref_geometry_rows(u, geom):
     geom = geom or graph_geometry(u)
-    q2 = q_squared(geom, u)
+    q2 = q_squared(geom)
     xs, ys = u.xs, u.ys
     for i in range(u.nx):
         for j in range(u.ny):
