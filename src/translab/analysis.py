@@ -22,6 +22,9 @@ from .geom import (GeometryField, drift_laplacian, flip_orientation,
                    graph_geometry, interior_jet, q_squared, surface_gradient)
 from .grid import GridFunction
 
+# step of first_variation_check's central differences, eps and eps / 2
+EPSILON = 1e-4
+
 
 @dataclass
 class VariationSpec:
@@ -34,18 +37,12 @@ class VariationSpec:
 
     center: tuple = (0.0, 0.0)
     radius: float = 1.0
-    epsilon: float = 1e-4
 
     def __post_init__(self):
         if not all(math.isfinite(c) for c in self.center):
             raise ValueError("bump center must be finite")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError("bump radius must be finite and positive")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError("epsilon must be finite and positive")
-        if not 0.5 * self.epsilon > 0:  # the Richardson half step
-            raise ValueError(f"epsilon must be at least twice the least "
-                             f"float, got {self.epsilon!r}")
 
     def profile(self, u: GridFunction) -> np.ndarray:
         X, Y = u.meshgrid()
@@ -91,19 +88,21 @@ def weighted_area(u: GridFunction, region: tuple) -> float:
     return math.fsum(contrib.tolist())
 
 
-def first_variation_check(u: GridFunction, v: VariationSpec,
-                          richardson: bool = True) -> float:
+def first_variation_check(u: GridFunction, v: VariationSpec) -> float:
     """Central-difference derivative of the weighted area under a normal bump.
 
     The normal perturbation eps*phi*N is realized as the height change
     eps*phi*W (exact to first order); on a translator the derivative vanishes
-    to O(eps^2 + h^2).  With richardson=True the two-scale estimate
-    (4 D(eps/2) - D(eps)) / 3 removes the leading eps^2 term.
+    to O(eps^4 + h^2): the two-scale estimate (4 D(eps/2) - D(eps)) / 3,
+    eps = EPSILON, removes the leading eps^2 term of the central difference D.
     """
     phi = v.profile(u)
     p, q = interior_jet(u.values, u.hx, u.hy)[:2]
     W = np.ones((u.nx, u.ny))  # on the margin; the bump vanishes there anyway
-    W[1:-1, 1:-1] = np.sqrt(1.0 + p * p + q * q)
+    with np.errstate(over="ignore"):    # refused below
+        W[1:-1, 1:-1] = np.sqrt(1.0 + p * p + q * q)
+    if not np.all(np.isfinite(W)):
+        raise TranslabError("difference quotients overflowed")
     direction = phi * W
 
     cx, cy = v.center
@@ -113,11 +112,10 @@ def first_variation_check(u: GridFunction, v: VariationSpec,
               max(cy - r - margin, u.ys[1]), min(cy + r + margin, u.ys[-2]))
 
     def derivative(eps):
-        with np.errstate(over="ignore"):  # inf is refused as non-finite
-            up = GridFunction(u.nx, u.ny, u.hx, u.hy, u.x0, u.y0,
-                              u.values + eps * direction)
-            um = GridFunction(u.nx, u.ny, u.hx, u.hy, u.x0, u.y0,
-                              u.values - eps * direction)
+        up = GridFunction(u.nx, u.ny, u.hx, u.hy, u.x0, u.y0,
+                          u.values + eps * direction)
+        um = GridFunction(u.nx, u.ny, u.hx, u.hy, u.x0, u.y0,
+                          u.values - eps * direction)
         for g in (up, um):
             gx, gy = interior_jet(g.values, u.hx, u.hy)[:2]
             if not np.all(np.isfinite(gx)) or not np.all(np.isfinite(gy)):
@@ -127,10 +125,8 @@ def first_variation_check(u: GridFunction, v: VariationSpec,
             raise TranslabError("weighted area overflowed")
         return val
 
-    d1 = derivative(v.epsilon)
-    if not richardson:
-        return d1
-    d2 = derivative(0.5 * v.epsilon)
+    d1 = derivative(EPSILON)
+    d2 = derivative(0.5 * EPSILON)
     return (4.0 * d2 - d1) / 3.0
 
 
@@ -181,12 +177,7 @@ class SpruckXiaoReport:
     max|A|^3 bands the third-derivative noise.
     """
 
-    HoverK1: np.ndarray = field(repr=False)
-    Q2: np.ndarray = field(repr=False)
-    defectDriftH: np.ndarray = field(repr=False)
-    defectDriftK1: np.ndarray = field(repr=False)
     lhsInequality: np.ndarray = field(repr=False)
-    umbilicMask: np.ndarray = field(repr=False)
     mask: np.ndarray = field(repr=False)
     tau: float = 0.0
     maxDefectDriftH: float = 0.0
@@ -238,8 +229,7 @@ def spruck_xiao_report(u: GridFunction) -> SpruckXiaoReport:
     frac = float(np.mean(lhs[mask] <= tau))
     rvals = ratio[mask & np.isfinite(ratio)]
     return SpruckXiaoReport(
-        HoverK1=ratio, Q2=q2, defectDriftH=defect_h, defectDriftK1=defect_k1,
-        lhsInequality=lhs, umbilicMask=umb, mask=mask, tau=tau,
+        lhsInequality=lhs, mask=mask, tau=tau,
         maxDefectDriftH=float(np.max(np.abs(defect_h[mask]))),
         maxDefectDriftK1=float(np.max(np.abs(defect_k1[mask]))),
         fracInequalityHolds=frac,

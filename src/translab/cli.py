@@ -12,7 +12,6 @@ opened), 2 usage.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -91,7 +90,6 @@ def _build_parser():
     frun.add_argument("--a", type=float, default=2.0)
     frun.add_argument("--b", type=float, default=1.0)
     frun.add_argument("--n", type=int, default=256)
-    frun.add_argument("--dt-safety", type=float, default=csf.FlowConfig.dtSafety)
     frun.add_argument("--stop-amax", type=float, default=csf.FlowConfig.stopAmax)
     frun.add_argument("--out", required=True, help="singularity log CSV")
     frun.add_argument("--report", default=None, help="verdict JSON")
@@ -114,7 +112,6 @@ def _build_parser():
     fv = anas.add_parser("firstvar", help="first variation of weighted area")
     fv.add_argument("--in", dest="infile", required=True)
     fv.add_argument("--bump", default="0,0,1.5", help="cx,cy,radius")
-    fv.add_argument("--eps", type=_finite_positive, default=1e-4)
 
     exp = sub.add_parser("export", help="mesh export")
     exps = exp.add_subparsers(dest="subcommand", required=True)
@@ -232,15 +229,14 @@ def _cmd_elliptic(args, prov):
 
 
 def _cmd_csf(args, prov):
+    cfg = csf.FlowConfig(stopAmax=args.stop_amax)
     if args.subcommand == "run":
-        cfg = csf.FlowConfig(dtSafety=args.dt_safety, stopAmax=args.stop_amax)
         c0 = csf.make_circle(args.radius, args.n) if args.shape == "circle" \
             else csf.make_ellipse(args.a, args.b, args.n)
         log = csf.run(c0, cfg)
         tio.write_log_csv(log, args.out)
         _emit(log, prov, args.report, schema="translab-verdict/2")
     else:
-        cfg = csf.FlowConfig(stopAmax=args.stop_amax)
         a = _parse_shape(args.shape1, args.n)
         b = _parse_shape(args.shape2, args.n, offset=args.gap)
         _emit(csf.comparison_check(a, b, cfg), prov, args.report,
@@ -254,12 +250,11 @@ def _cmd_analyze(args, prov):
     elif args.subcommand == "jacobi":
         _emit({"maxJacobiDefect": analysis.jacobi_field_defect(u)}, prov)
     else:
-        try:   # a refused bump is a usage error, a refused --eps is not
+        try:
             cx, cy, rad = (float(v) for v in args.bump.split(","))
             spec = analysis.VariationSpec(center=(cx, cy), radius=rad)
         except ValueError as exc:
             raise UsageError(f"bad --bump {args.bump!r}: {exc}") from exc
-        spec = dataclasses.replace(spec, epsilon=args.eps)
         _emit({"firstVariation": analysis.first_variation_check(u, spec)}, prov)
 
 

@@ -4,7 +4,7 @@ Dziuk's semi-implicit scheme (M3AS 4, 1994; Deckelnick-Dziuk-Elliott, Acta
 Numerica 14, 2005) applies the arclength second difference implicitly with
 its metric (edge lengths) frozen at the current state: a linearly implicit
 Euler step.  Stable far beyond the explicit ceiling dt ~ min(edge)^2, it
-steps with dt = dtSafety / Amax^2 (2 dtSafety of a circle's remaining life),
+steps with dt = DT_SAFETY / Amax^2 (2 DT_SAFETY of a circle's remaining life),
 made third order by extrapolating 1, 2 and 3 substeps of dt, dt/2 and dt/3,
 each refreezing the metric at its own start (_extrapolated_step).  Every
 _REMESH_EVERY (5) steps the curve is resampled to uniform arclength by
@@ -38,6 +38,9 @@ STOP_AMAX, RESOLUTION_LOST, MAX_STEPS, DT_UNDERFLOW = \
 
 _REMESH_EVERY = 5          # steps between arclength-uniform resamplings
 _MAX_STEPS = 2_000_000     # step budget of one flow (stopReason MAX_STEPS)
+# dt = DT_SAFETY / Amax^2 is 2 DT_SAFETY of a circle's remaining life; the
+# third-order step divides its time error by ~8 per halving of it
+DT_SAFETY = 2e-2
 
 # Lengths a flow may start from.  A curve of length L flows for t up to a
 # circle's extinction time L^2 / (8 pi^2), and _fit_extinction squares t
@@ -45,7 +48,7 @@ _MAX_STEPS = 2_000_000     # step budget of one flow (stopReason MAX_STEPS)
 # 1e-100 underflows to a zero column scale (radius 1e76 and 1e-40 run clean,
 # also at the largest stopAmax).  Edge cubes in _resample_arrays overflow from
 # edges of 5.6e102.  Every |kappa| of a closed polygon is at least 4 / L, so
-# within the bound dt = dtSafety / Amax^2 <= L^2 / 320 and t + dt stay finite.
+# within the bound dt = DT_SAFETY / Amax^2 <= L^2 / 800 and t + dt stay finite.
 # The flow never lengthens a curve, and it stops (dtUnderflow) before a
 # circle shrinks below ~1e-7 of its radius.
 _MIN_LENGTH, _MAX_LENGTH = 1e-60, 1e60
@@ -54,30 +57,12 @@ _MIN_LENGTH, _MAX_LENGTH = 1e-60, 1e60
 # raises OverflowError, not inf, past the largest float whose square is finite
 _MAX_AMAX = math.sqrt(sys.float_info.max)
 
-# Least dtSafety.  Each step shrinks a circle's r^2 by 2 dtSafety r^2, so it
-# runs ln(Amax_end^2 / Amax_0^2) / (2 dtSafety) steps.  The widest range the
-# bounds allow, from length _MAX_LENGTH (Amax_0 = 2 pi / 1e60) to stopAmax
-# _MAX_AMAX (1.3e154), has ln(ratio^2) = 982.5, which fits in _MAX_STEPS from
-# dtSafety = 2.46e-4.  t starts at 0 and grows by about dtSafety r^2 per
-# step, so a far smaller dtSafety does not reach dtUnderflow either and runs
-# for _MAX_STEPS.  At the floor, circles of n = 32 took 36,833 steps and
-# 11.1 s from radius 1 to stopAmax 1e4, 58,258 steps and 14.5 s to
-# dtUnderflow at stopAmax 1e150, and 59,626 steps and 19.7 s to dtUnderflow
-# from radius 1e59 at stopAmax _MAX_AMAX (one core, 2 vCPU x86).
-_MIN_DT_SAFETY = 2.5e-4
-
 
 @dataclass
 class FlowConfig:
-    dtSafety: float = 2e-2
     stopAmax: float = 1e4
 
     def __post_init__(self):
-        # dt = dtSafety / Amax^2 is 2 dtSafety of a circle's remaining life;
-        # the third-order step divides its time error by ~8 per halving of it
-        if not (_MIN_DT_SAFETY <= self.dtSafety <= 0.05):
-            raise ValueError(f"dtSafety must lie in [{_MIN_DT_SAFETY:g}, "
-                             f"0.05], got {self.dtSafety!r}")
         if not self.stopAmax > 0.0:     # NaN included
             raise ValueError("stopAmax must be positive")
         if not self.stopAmax <= _MAX_AMAX:
@@ -325,7 +310,7 @@ def _start_diagnostics(P: np.ndarray, t: float):
 def _flow(curves, t: float, cfg: FlowConfig, t_end: float = math.inf):
     """Yield the state at t and after every step: one object, updated in
     place, with t, curves, diags ((length, area, amax) per curve), steps,
-    remeshes and stopReason.  The curves share dt = dtSafety / Amax^2, Amax
+    remeshes and stopReason.  The curves share dt = DT_SAFETY / Amax^2, Amax
     the largest over them, the last step clipped to land on t_end exactly.
     The flow ends at t_end (stopReason None), after yielding a state with
     Amax >= stopAmax (STOP_AMAX), after _MAX_STEPS steps (MAX_STEPS), when dt
@@ -345,7 +330,7 @@ def _flow(curves, t: float, cfg: FlowConfig, t_end: float = math.inf):
         if amax >= cfg.stopAmax or state.steps == _MAX_STEPS:
             state.stopReason = STOP_AMAX if amax >= cfg.stopAmax else MAX_STEPS
             return
-        dt = min(cfg.dtSafety / amax ** 2, t_end - state.t)
+        dt = min(DT_SAFETY / amax ** 2, t_end - state.t)
         if state.t + dt == state.t:
             state.stopReason = DT_UNDERFLOW
             return

@@ -87,8 +87,9 @@ def graph_geometry(u: GridFunction) -> GeometryField:
     p, q, r, s, t = (np.full((u.nx, u.ny), np.nan) for _ in range(5))
     for out, d in zip((p, q, r, s, t), interior_jet(u.values, u.hx, u.hy)):
         out[1:-1, 1:-1] = d
-    w2 = 1.0 + p * p + q * q
-    W = np.sqrt(w2)
+    with np.errstate(over="ignore"):    # refused below
+        w2 = 1.0 + p * p + q * q
+        W = np.sqrt(w2)
     if not np.all(np.isfinite(W[1:-1, 1:-1])):
         raise TranslabError("difference quotients overflowed")
 

@@ -396,9 +396,6 @@ class RadialIdentityReport:
 
     maxDefectK1: float
     maxDefectH: float
-    defectK1: np.ndarray = field(repr=False)
-    defectH: np.ndarray = field(repr=False)
-    r: np.ndarray = field(repr=False)
     translatorLike: bool    # True when maxDefectH is small vs |A|^2 |H| scale
 
 
@@ -446,9 +443,6 @@ def radial_identities_report(p: RadialProfile, r_lo: float, r_hi: float,
     dh = float(np.max(np.abs(defect_h[sel])))
     scale = float(np.max(np.abs((normA2 * H)[sel])))
     return RadialIdentityReport(maxDefectK1=d1, maxDefectH=dh,
-                                defectK1=np.where(sel, defect_k1, np.nan),
-                                defectH=np.where(sel, defect_h, np.nan),
-                                r=p.r.copy(),
                                 translatorLike=bool(dh <= 0.05 * max(scale, 1e-30)))
 
 

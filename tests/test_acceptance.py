@@ -155,7 +155,7 @@ def test_criterion_08_first_variation(wing961, wing481):
     # two O(h^2) discretizations, so the first variation vanishes at O(h^2):
     # measured 1.95e-2 (481x81) -> 5.89e-3 (961x161), ratio 3.32 (see module
     # docstring); the flat plane is a non-translator control
-    spec = VariationSpec(center=(0.0, 0.0), radius=1.5, epsilon=1e-4)
+    spec = VariationSpec(center=(0.0, 0.0), radius=1.5)
     d_c = abs(analysis.first_variation_check(wing481[0], spec))
     d_f = abs(analysis.first_variation_check(wing961[0], spec))
     rw = d_c / d_f

@@ -138,9 +138,6 @@ BOUNDS = [
      ["csf", "run", "--out", "{out}/l.csv", "--n", str(csf._MAX_POINTS + 1)]),
     ("csf._MAX_PAIRS", str(csf._MAX_PAIRS),
      ["csf", "compare", "--n", str(math.isqrt(csf._MAX_PAIRS) + 1)]),
-    ("csf._MIN_DT_SAFETY", f"{csf._MIN_DT_SAFETY:g}",
-     ["csf", "run", "--n", "32", "--out", "{out}/l.csv",
-      f"--dt-safety={math.nextafter(csf._MIN_DT_SAFETY, 0.0)!r}"]),
     ("catalog._MAX_NODES", str(catalog._MAX_NODES),
      ["catalog", "residual", "--kind", "tilted", "--theta", "0.5", "--h",
       repr(2 * catalog.half_width(0.5) * catalog.HALF_WIDTH_FRAC
@@ -168,9 +165,6 @@ AT_BOUNDS = [
     ("csf._MAX_PAIRS",
      ["csf", "compare", "--n", str(math.isqrt(csf._MAX_PAIRS)),
       "--stop-amax", "0.5"]),
-    ("csf._MIN_DT_SAFETY",
-     ["csf", "run", "--n", "32", "--out", "{out}/l.csv", "--stop-amax", "1.5",
-      f"--dt-safety={csf._MIN_DT_SAFETY!r}"]),
 ]
 
 

@@ -110,7 +110,7 @@ def test_step_reduces_length():
     # evolve_to over the flow's first dt takes exactly one extrapolated step
     c = csf.make_ellipse(2, 1, 128)
     ell0, _, amax = csf._diagnostics(c.points, c.t)
-    dt = FlowConfig().dtSafety / amax ** 2
+    dt = csf.DT_SAFETY / amax ** 2
     c1 = csf.evolve_to(c, dt)
     assert np.array_equal(c1.points, csf._extrapolated_step(c.points, dt))
     ell1 = np.hypot(*np.diff(np.vstack([c1.points, c1.points[:1]]), axis=0).T).sum()
@@ -175,16 +175,6 @@ def test_ellipse_quick_run_monotone_blowup():
 
 
 def test_flow_config_validation():
-    with pytest.raises(ValueError):
-        FlowConfig(dtSafety=1.5)
-    with pytest.raises(ValueError):
-        FlowConfig(dtSafety=0.1)  # dt would be 20% of a circle's remaining life
-    # t starts at 0 and grew by about 1e-300 per step, never reaching
-    # dtUnderflow: the flow ran toward _MAX_STEPS
-    for dt_safety in (1e-300, 5e-324, 2.4e-4):
-        with pytest.raises(ValueError, match="dtSafety"):
-            FlowConfig(dtSafety=dt_safety)
-    FlowConfig(dtSafety=2.5e-4)     # the floor itself is allowed
     # NaN used to run to dtUnderflow (no amax >= nan), -1 to stop at t = 0
     for stop_amax in (math.nan, -1.0, 0.0):
         with pytest.raises(ValueError, match="stopAmax"):
@@ -220,7 +210,7 @@ def test_stop_reasons(monkeypatch):
 
 def test_dt_underflow_stops_the_flow():
     # the inner loop of the limacon r = 0.5 + cos(theta) pinches until
-    # dtSafety / Amax^2 falls below the float spacing of t
+    # DT_SAFETY / Amax^2 falls below the float spacing of t
     th = 2 * math.pi * np.arange(64) / 64
     r = 0.5 + np.cos(th)
     c = csf.CurveState(points=np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
@@ -241,14 +231,15 @@ def test_flow_log_starts_at_polyline_kernel(monkeypatch):
         (length, abs(area), float(np.max(np.abs(kappa))))
 
 
-def test_extrapolated_step_is_third_order_in_time():
+def test_extrapolated_step_is_third_order_in_time(monkeypatch):
     # the circle's extinction time is exact (1/2), and at these steps the time
-    # error dominates: halving dtSafety divides |fittedT - 1/2| by ~8
+    # error dominates: halving DT_SAFETY divides |fittedT - 1/2| by ~8
     # (measured 5.12e-5 / 6.45e-6 = 7.9)
     c = csf.make_circle(1.0, 256)
 
     def err_at(dt_safety):
-        return abs(csf.run(c, FlowConfig(dtSafety=dt_safety)).fittedT - 0.5)
+        monkeypatch.setattr(csf, "DT_SAFETY", dt_safety)
+        return abs(csf.run(c, FlowConfig()).fittedT - 0.5)
 
     assert 6.0 <= err_at(4e-2) / err_at(2e-2) <= 10.0
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -237,7 +238,7 @@ def test_cli_delta_wing_and_analyze(tmp_path, capsys):
     assert sx["fracInequalityHolds"] >= 0.9
 
     rc = cli.main(["analyze", "firstvar", "--in", str(wing),
-                   "--bump", "0,0,1.0", "--eps", "1e-4"])
+                   "--bump", "0,0,1.0"])
     assert rc == 0
     fv = json.loads(capsys.readouterr().out)
     assert abs(fv["firstVariation"]) < 1.0
@@ -731,11 +732,6 @@ def test_cli_catalog_config_step_goes_through_the_same_check(tmp_path, capsys):
     (["--bump", "0,0,nan"], 2, "bad --bump '0,0,nan': bump radius"),
     (["--bump", "nan,0,1"], 2, "bad --bump 'nan,0,1': bump center"),
     (["--bump", "0,0,-1"], 2, "bad --bump '0,0,-1': bump radius"),
-    (["--eps", "nan"], 2, "argument --eps: must be a finite positive number"),
-    (["--eps=-1e-4"], 2, "argument --eps: must be a finite positive"),
-    # its Richardson half step rounded to 0: a ZeroDivisionError traceback
-    (["--eps", "5e-324"], 1,
-     "error: epsilon must be at least twice the least float, got 5e-324\n"),
 ])
 def test_cli_firstvar_names_the_bad_option(tmp_path, capsys, argv, code, err):
     # NaN used to pass the <= 0 checks and fail later on non-finite grid values
@@ -747,6 +743,46 @@ def test_cli_firstvar_names_the_bad_option(tmp_path, capsys, argv, code, err):
         rc = exc.code
     assert rc == code
     assert err in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["csf", "run", "--n", "32", "--out", "{tmp}/l.csv"], "dt_safety", 2e-2),
+    (["analyze", "firstvar", "--in", "{tmp}/g.csv"], "eps", 1e-4),
+], ids=["dt-safety", "eps"])
+def test_cli_step_constants_take_no_option(tmp_path, capsys, argv, key,
+                                           value):
+    # the flow step and the first-variation epsilon are the constants
+    # csf.DT_SAFETY and analysis.EPSILON: their old flags and config keys
+    # are unknown, at their old default values too
+    tio.write_grid_csv(grid.from_function(
+        lambda X, Y: np.sin(X) * np.cos(Y) / 3, -2, 2, -2, 2, 33, 33),
+        tmp_path / "g.csv")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + [flag, repr(value)])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert cli.main(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == \
+        f"usage error: unknown config key: {key!r}\n"
+
+
+@pytest.mark.parametrize("sub", ["sx", "jacobi", "firstvar"])
+def test_cli_overflowing_slopes_are_one_error_line(tmp_path, capsys, sub):
+    # u = 1e300 x: p * p overflows.  sx and jacobi used to print numpy's
+    # overflow RuntimeWarning and its source line before the error line,
+    # firstvar two warnings and then "grid values must be finite"
+    path = tmp_path / "g.csv"
+    tio.write_grid_csv(grid.from_function(lambda X, Y: 1e300 * X,
+                                          -2, 2, -2, 2, 41, 41), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["analyze", sub, "--in", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: difference quotients overflowed\n"
 
 
 @pytest.mark.parametrize("argv, err", [
