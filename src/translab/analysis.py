@@ -54,6 +54,8 @@ class VariationSpec:
         phi[tx >= 1.0] = 0.0
         phi[ty >= 1.0] = 0.0
         support = phi > 0
+        if not support.any():
+            raise ValueError("bump support holds no grid node")
         if support[:2, :].any() or support[-2:, :].any() \
                 or support[:, :2].any() or support[:, -2:].any():
             raise ValueError("bump support must stay two nodes off the boundary")
@@ -97,9 +99,9 @@ def first_variation_check(u: GridFunction, v: VariationSpec) -> float:
     eps = EPSILON, removes the leading eps^2 term of the central difference D.
     """
     phi = v.profile(u)
-    p, q = interior_jet(u.values, u.hx, u.hy)[:2]
     W = np.ones((u.nx, u.ny))  # on the margin; the bump vanishes there anyway
-    with np.errstate(over="ignore"):    # refused below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        p, q = interior_jet(u.values, u.hx, u.hy)[:2]    # refused below
         W[1:-1, 1:-1] = np.sqrt(1.0 + p * p + q * q)
     if not np.all(np.isfinite(W)):
         raise TranslabError("difference quotients overflowed")
@@ -116,10 +118,6 @@ def first_variation_check(u: GridFunction, v: VariationSpec) -> float:
                           u.values + eps * direction)
         um = GridFunction(u.nx, u.ny, u.hx, u.hy, u.x0, u.y0,
                           u.values - eps * direction)
-        for g in (up, um):
-            gx, gy = interior_jet(g.values, u.hx, u.hy)[:2]
-            if not np.all(np.isfinite(gx)) or not np.all(np.isfinite(gy)):
-                raise TranslabError("perturbed surface is not a graph")
         val = (weighted_area(up, region) - weighted_area(um, region)) / (2 * eps)
         if not math.isfinite(val):
             raise TranslabError("weighted area overflowed")

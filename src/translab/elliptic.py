@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import catalog
-from .errors import MaxIterationsError, NewtonStalledError, TranslabError
+from .errors import NewtonFailedError, TranslabError
 from .geom import interior_jet
 from .grid import GridFunction
 
@@ -163,15 +163,6 @@ def _check_boundary(u: np.ndarray, p: StripProblem):
             and np.array_equal(u[:, -1], p.bc[:, -1]))
     if not same:
         raise TranslabError("boundary rows do not hold the Dirichlet data")
-
-
-def assemble_residual(u: GridFunction, p: StripProblem) -> np.ndarray:
-    """Interior residual of the discrete translator equation, shape
-    (nx-2, ny-2); the same arithmetic as the Newton solver's."""
-    if u.values.shape != (p.nx, p.ny):
-        raise TranslabError("height field does not match the problem grid")
-    _check_boundary(u.values, p)
-    return _residual(u.values, p.hx, p.hy)[1]
 
 
 def _residual(v: np.ndarray, hx: float, hy: float):
@@ -357,7 +348,7 @@ def newton_solve(p: StripProblem, init: GridFunction):
             if lam < DAMPING_MIN:
                 i, j = np.unravel_index(np.argmax(np.abs(defect)), defect.shape)
                 ring = i in (0, p.nx - 3) or j in (0, p.ny - 3)
-                raise NewtonStalledError(
+                raise NewtonFailedError(
                     f"damping floor hit at iteration {it}, ||defect||_2 = "
                     f"{fnorm:.3e}, max |defect| {np.abs(defect[i, j]):.3e} at "
                     f"node ({i + 1}, {j + 1}), "
@@ -368,7 +359,7 @@ def newton_solve(p: StripProblem, init: GridFunction):
         iterations = it + 1
     else:
         if np.max(np.abs(defect)) > TOL_RESIDUAL:
-            raise MaxIterationsError(
+            raise NewtonFailedError(
                 f"no convergence in {MAX_NEWTON} Newton iterations")
 
     sol = p.grid(v)
@@ -447,10 +438,10 @@ def delta_wing(b: float, L: float = 12.0, nx: int = 961, ny: int = 161):
     """Solve for the Delta-wing over the strip of half-width b (> pi/2).
 
     Boundary data and initial guess come from the tilted-pair envelope with
-    cos(theta) = pi/(2 b).  One Newton solve, no retry: its NewtonStalledError
-    or MaxIterationsError is the caller's.  The report carries the center
-    Hessian (expected eigenvalues (-k, -(1-k))), concavity and symmetry
-    checks, and the constant-shift defect against the asymptotic reapers.
+    cos(theta) = pi/(2 b).  One Newton solve, no retry: its NewtonFailedError
+    is the caller's.  The report carries the center Hessian (expected
+    eigenvalues (-k, -(1-k))), concavity and symmetry checks, and the
+    constant-shift defect against the asymptotic reapers.
     """
     if b <= math.pi / 2:
         raise ValueError("Delta-wings need strip half-width b > pi/2")
@@ -497,7 +488,7 @@ def continuation_in_width(b_start: float, b_end: float, steps: int,
         init = initial_guess(p) if prev_b is None else _resample_onto(p, sol)
         try:
             sol, rep = newton_solve(p, init)
-        except (NewtonStalledError, MaxIterationsError) as exc:
+        except NewtonFailedError as exc:
             if prev_b is None:
                 raise TranslabError(
                     f"first solve failed at b = {bi}: {exc}") from exc
@@ -506,7 +497,7 @@ def continuation_in_width(b_start: float, b_end: float, steps: int,
             for q in (pm, p):
                 try:
                     sol, rep = newton_solve(q, _resample_onto(q, sol))
-                except (NewtonStalledError, MaxIterationsError) as exc:
+                except NewtonFailedError as exc:
                     raise TranslabError(
                         f"continuation failed at b = {bi}, retry stalled at "
                         f"b = {q.b}: {exc}") from exc

@@ -3,7 +3,7 @@
 A type exists only where some code catches it by name.  Every numerical or
 contract failure is a TranslabError (CLI exit code 1), told apart by its
 message; UsageError maps to exit code 2.  Continuation's half-step retry
-catches the two Newton failures.
+catches NewtonFailedError.
 """
 
 
@@ -11,12 +11,8 @@ class TranslabError(Exception):
     """Base class for numerical and contract failures."""
 
 
-class NewtonStalledError(TranslabError):
-    """Armijo damping hit its floor without residual decrease."""
-
-
-class MaxIterationsError(TranslabError):
-    """Newton iteration budget exhausted before the tolerance."""
+class NewtonFailedError(TranslabError):
+    """Newton stalled at its damping floor or ran out of iterations."""
 
 
 class UsageError(Exception):

@@ -85,12 +85,12 @@ def graph_geometry(u: GridFunction) -> GeometryField:
     Each intermediate is released once its last use is done.
     """
     p, q, r, s, t = (np.full((u.nx, u.ny), np.nan) for _ in range(5))
-    for out, d in zip((p, q, r, s, t), interior_jet(u.values, u.hx, u.hy)):
-        out[1:-1, 1:-1] = d
-    with np.errstate(over="ignore"):    # refused below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for out, d in zip((p, q, r, s, t), interior_jet(u.values, u.hx, u.hy)):
+            out[1:-1, 1:-1] = d
         w2 = 1.0 + p * p + q * q
         W = np.sqrt(w2)
-    if not np.all(np.isfinite(W[1:-1, 1:-1])):
+    if not all(np.all(np.isfinite(a[1:-1, 1:-1])) for a in (r, s, t, W)):
         raise TranslabError("difference quotients overflowed")
 
     N = np.full((u.nx, u.ny, 3), np.nan)

@@ -8,6 +8,7 @@ stencil is not applicable hold NaN.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,12 @@ class GridFunction:
             raise ValueError(f"grid needs nx, ny >= 3, got {self.nx}x{self.ny}")
         if not (self.hx > 0 and self.hy > 0):
             raise ValueError("grid spacings must be positive")
+        # x0 + hx (nx - 1) is finite only if x0, hx and every x node are
+        x1 = float(self.x0) + float(self.hx) * (self.nx - 1)
+        y1 = float(self.y0) + float(self.hy) * (self.ny - 1)
+        if not (math.isfinite(x1) and math.isfinite(y1)):
+            raise ValueError(f"grid nodes must be finite, got x0 = {self.x0}, "
+                             f"hx = {self.hx}, y0 = {self.y0}, hy = {self.hy}")
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.nx, self.ny):
             raise ValueError(

@@ -298,13 +298,6 @@ def shoot_catenoid_wing(n: int, lam: float, r_max: float, h: float,
                          **_counters(*runs))
 
 
-def shoot_catenoid(n: int, lam: float, r_max: float, h: float):
-    """Both wings of the translating catenoid with neck radius lam, as
-    (upper, lower)."""
-    return tuple(shoot_catenoid_wing(n, lam, r_max, h, kind) for kind in
-                 (RadialKind.CATENOID_UPPER, RadialKind.CATENOID_LOWER))
-
-
 # --- asymptotics -------------------------------------------------------------
 
 
@@ -369,6 +362,9 @@ def fit_asymptotics(p: RadialProfile, r_lo: float, r_hi: float) -> AsymptoticFit
 
 # --- curvature fields and translator identities ------------------------------
 
+# radial_identities_report refuses a window where |kappa1 - kappa2| < this
+UMBILIC_GUARD = 1e-3
+
 
 def profile_curvatures(p: RadialProfile):
     """(s, kappa_prof, kappa_rot, H, normA2) from finite differences.
@@ -399,8 +395,8 @@ class RadialIdentityReport:
     translatorLike: bool    # True when maxDefectH is small vs |A|^2 |H| scale
 
 
-def radial_identities_report(p: RadialProfile, r_lo: float, r_hi: float,
-                             umbilic_guard: float = 1e-3) -> RadialIdentityReport:
+def radial_identities_report(p: RadialProfile, r_lo: float,
+                             r_hi: float) -> RadialIdentityReport:
     """Evaluate the drift identities for kappa1 and H on [r_lo, r_hi].
 
     kappa1 >= kappa2 are the pointwise-sorted principal curvatures (surface
@@ -419,7 +415,7 @@ def radial_identities_report(p: RadialProfile, r_lo: float, r_hi: float,
     sel[-2 * gap:] = False
     if not np.any(sel):
         raise TranslabError("empty identity window")
-    if np.min(np.abs((k1 - k2)[sel])) < umbilic_guard:
+    if np.min(np.abs((k1 - k2)[sel])) < UMBILIC_GUARD:
         raise TranslabError(
             "window contains near-umbilic samples; shrink it")
 

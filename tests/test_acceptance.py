@@ -80,7 +80,8 @@ def test_criterion_02_bowl_asymptotics():
 
 
 def test_criterion_03_catenoid_degeneration():
-    upper, _ = radial.shoot_catenoid(2, 1e-3, 1.6, 1e-3)
+    upper = radial.shoot_catenoid_wing(2, 1e-3, 1.6, 1e-3,
+                                       radial.RadialKind.CATENOID_UPPER)
     bowl = radial.shoot_bowl(2, 1.6, 1e-3)
     diff = abs(float(upper.interp_slope(1.0)) - float(bowl.interp_slope(1.0)))
     report(3, [("slope@r=1", diff <= 1e-2, f"{diff:.2e}")])

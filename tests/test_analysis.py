@@ -171,9 +171,14 @@ def test_each_analysis_differences_the_heights_once(monkeypatch):
         return jet(*args)
 
     monkeypatch.setattr(geom, "interior_jet", counting)
+    monkeypatch.setattr(analysis, "interior_jet", counting)
     g = radial.profile_to_grid(radial.shoot_bowl(2, 6.0, 1e-3),
                                0.7, 2.7, 0.7, 2.7, 41, 41)
     analysis.spruck_xiao_report(g)
     assert len(calls) == 1
     analysis.jacobi_field_defect(g)
     assert len(calls) == 2
+    # one jet for W; the four perturbed grids are not differenced
+    analysis.first_variation_check(g, VariationSpec(center=(1.7, 1.7),
+                                                    radius=0.5))
+    assert len(calls) == 3

@@ -71,6 +71,20 @@ def test_classify_insufficient_data():
     assert csf.classify(t, amax, 0.5) == (TypeVerdict.INCONCLUSIVE, None)
 
 
+def test_classify_verdicts():
+    # s = Amax sqrt(T - t): (T - t)^(-1/2) grows 31.6x monotonically, the
+    # self-similar rate 1/sqrt(2 (T - t)) keeps s = 1/sqrt(2), and one dip
+    # in the growing s leaves neither verdict
+    T, t = 1.0, np.linspace(0.0, 0.999, 200)
+    blowup = 1.0 / (T - t)
+    assert csf.classify(t, blowup, T) == (TypeVerdict.TYPE_II, None)
+    assert csf.classify(t, 1.0 / np.sqrt(2.0 * (T - t)), T) == \
+        (TypeVerdict.TYPE_I, 1.0000000000000002)
+    dip = blowup.copy()
+    dip[100] *= 0.5
+    assert csf.classify(t, dip, T) == (TypeVerdict.INCONCLUSIVE, None)
+
+
 def test_roundness_values():
     r, convex = csf.roundness(csf.make_circle(1.0, 256))
     assert abs(r - 1.0) < 1e-3 and convex

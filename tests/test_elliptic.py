@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from translab import cli, elliptic, geom
+from translab import catalog, cli, elliptic, geom
 from translab.elliptic import (DAMPING_MIN, MAX_NEWTON, TOL_RESIDUAL,
                                StripProblem, delta_wing, initial_guess,
                                make_strip_problem, newton_solve)
-from translab.errors import (MaxIterationsError, NewtonStalledError,
-                             TranslabError)
+from translab.errors import NewtonFailedError, TranslabError
 
 B_ROOT2 = math.pi / math.sqrt(2)
 
@@ -27,7 +26,7 @@ def test_zero_height_residual_is_one():
     p = make_strip_problem(2.0, 6.0, 41, 41)
     p.bc = np.zeros((41, 41))
     u = p.grid(np.zeros((41, 41)))
-    res = elliptic.assemble_residual(u, p)
+    res = catalog.residual_report(u).perNode[1:-1, 1:-1]
     assert np.all(res == 1.0)
 
 
@@ -35,14 +34,14 @@ def test_residual_requires_matching_boundary():
     p = make_strip_problem(2.0, 6.0, 41, 41)
     u = p.grid(np.zeros((41, 41)))
     with pytest.raises(TranslabError, match="boundary rows do not hold the Dirichlet data"):
-        elliptic.assemble_residual(u, p)
+        newton_solve(p, u)
 
 
 def test_residual_second_order_on_grim_data():
     maxima = []
     for nx, ny in ((121, 65), (241, 129)):
         p, vals = grim_strip_problem(nx, ny)
-        res = elliptic.assemble_residual(p.grid(vals), p)
+        res = catalog.residual_report(p.grid(vals)).perNode[1:-1, 1:-1]
         # fixed subregion: next to the strip edge the first interior node
         # drifts with h and the truncation constant varies too fast there
         Y = np.meshgrid(p.xs, p.ys, indexing="ij")[1][1:-1, 1:-1]
@@ -255,9 +254,9 @@ def test_cli_delta_wing_reruns_byte_identical(tmp_path):
     assert len(rep["defectHistory"]) == rep["iterations"]
 
 
-def test_newton_residual_is_assemble_residual(monkeypatch):
-    # the residual Newton iterates on, at the solution it returns, is
-    # assemble_residual's bit for bit (one jet, one residual)
+def test_newton_residual_is_the_catalog_residual(monkeypatch):
+    # the residual Newton iterates on, at the solution it returns, is the
+    # catalog residual's bit for bit (one jet, one residual)
     p, vals = grim_strip_problem()
     vals[1:-1, 1:-1] += 1e-3 * np.cos(np.linspace(0, 3, 119))[:, None]
     seen = []
@@ -272,7 +271,7 @@ def test_newton_residual_is_assemble_residual(monkeypatch):
     assert rep.iterations >= 1
     newton_res = [res for v, res in seen if np.array_equal(v, sol.values)][-1]
     monkeypatch.undo()
-    res = elliptic.assemble_residual(sol, p)
+    res = catalog.residual_report(sol).perNode[1:-1, 1:-1]
     assert np.array_equal(newton_res, res)
     assert rep.rawResidualMax == float(np.max(np.abs(res)))
 
@@ -319,7 +318,7 @@ def test_near_threshold_stall_raises_without_retry(monkeypatch):
     b = math.pi / 2 + 1e-3
     # the defect peaks next to the end x = -L or its mirror x = L, on one of
     # the four mirror nodes (which one is round-off)
-    with pytest.raises(NewtonStalledError,
+    with pytest.raises(NewtonFailedError,
                        match=r"damping floor .*\|\|defect\|\|_2 = .* at node "
                              r"\((1|39), (2|30)\), on the outer interior ring$"):
         delta_wing(b, L=12.0, nx=41, ny=33)
@@ -328,7 +327,7 @@ def test_near_threshold_stall_raises_without_retry(monkeypatch):
 
 def test_iteration_budget_exhausted_raises(monkeypatch):
     monkeypatch.setattr(elliptic, "MAX_NEWTON", 1)
-    with pytest.raises(MaxIterationsError, match="no convergence in 1 Newton"):
+    with pytest.raises(NewtonFailedError, match="no convergence in 1 Newton"):
         delta_wing(2.0, L=8.0, nx=121, ny=49)
 
 
@@ -385,7 +384,7 @@ def test_continuation_failure_keeps_the_solver_reason(monkeypatch, capsys,
                              rf"{ring} the outer interior ring$") as info:
         elliptic.continuation_in_width(b_start, b_end, steps, nx=121, ny=41)
     assert strips == solved
-    assert isinstance(info.value.__cause__, NewtonStalledError)
+    assert isinstance(info.value.__cause__, NewtonFailedError)
     rc = cli.main(["elliptic", "continuation", "--b-start", str(b_start),
                    "--b-end", str(b_end), "--steps", str(steps),
                    "--nx", "121", "--ny", "41"])
@@ -508,7 +507,8 @@ def test_quadrant_solve_matches_full_grid_reference(nx, ny):
     assert np.max(np.abs(sol.values - ref)) <= 1e-10
     assert (rep.iterations, rep.factorizations) == (iterations, factorizations)
     gp, gq, _, _, _ = geom.interior_jet(sol.values, p.hx, p.hy)
-    defect = elliptic.assemble_residual(sol, p) / (1 + gp * gp + gq * gq) ** 1.5
+    res = catalog.residual_report(sol).perNode[1:-1, 1:-1]
+    defect = res / (1 + gp * gp + gq * gq) ** 1.5
     assert np.max(np.abs(defect)) <= TOL_RESIDUAL
 
 

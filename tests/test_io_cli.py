@@ -531,6 +531,9 @@ OUT_OF_RANGE = r"cannot be flowed: lengths must lie in \[1e-60, 1e\+60\]"
 HUGE_GRID = (r".*huge\.csv: node indices must cover each of the "
              r"100000000x100000000 nodes exactly once \(1 rows for "
              r"10000000000000000 nodes\)")
+NODES_X0_NAN = r"grid nodes must be finite, got x0 = nan, hx = 1\.0, y0 = 0\.0"
+NODES_HX_INF = r"grid nodes must be finite, got x0 = 0\.0, hx = inf, y0 = 0\.0"
+NODES_HX_1E308 = r"grid nodes must be finite, got x0 = 0\.0, hx = 1e\+308, "
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -570,10 +573,20 @@ HUGE_GRID = (r".*huge\.csv: node indices must cover each of the "
       "--angular-samples", "100000000"],
      r"revolution export of 101 rings x 100000000 angular samples exceeds "
      r"the bound of 4194304 vertices"),
+    (["analyze", "sx", "--in", "{tmp}/x0-nan.csv"], NODES_X0_NAN),
+    (["export", "obj", "--in", "{tmp}/x0-nan.csv", "--out", "{tmp}/g.obj"],
+     NODES_X0_NAN),
+    (["analyze", "sx", "--in", "{tmp}/hx-inf.csv"], NODES_HX_INF),
+    (["export", "obj", "--in", "{tmp}/hx-inf.csv", "--out", "{tmp}/g.obj"],
+     NODES_HX_INF),
+    (["analyze", "sx", "--in", "{tmp}/hx-1e308.csv"], NODES_HX_1E308),
+    (["export", "obj", "--in", "{tmp}/hx-1e308.csv", "--out", "{tmp}/g.obj"],
+     NODES_HX_1E308),
 ], ids=["circle-1e200", "ellipse-1e308", "circle-5e154", "circle-1e150",
         "circle-1e-100", "stop-amax-1e300", "run-n-1e8", "compare-n-1e5",
         "catalog-h", "sx-grid-1e16", "obj-grid-1e16", "strip-nx-1e8",
-        "cont-steps-1e8", "obj-samples-1e8"])
+        "cont-steps-1e8", "obj-samples-1e8", "sx-x0-nan", "obj-x0-nan",
+        "sx-hx-inf", "obj-hx-inf", "sx-hx-1e308", "obj-hx-1e308"])
 def test_cli_refuses_a_scale_it_cannot_compute(tmp_path, capsys, argv, err):
     # each used to end otherwise: Amax^2 underflowing to 0 in a
     # ZeroDivisionError (1e200, 1e308), t overflowing to inf in exit 0 with
@@ -581,11 +594,19 @@ def test_cli_refuses_a_scale_it_cannot_compute(tmp_path, capsys, argv, err):
     # (1e150) or after a flow whose times squared underflow in the fit
     # (1e-100), amax ** 2 in an OverflowError (stopAmax 1e300), h = 1e-7,
     # both n, the grid header's 10^16 nodes, the 3.3e9 strip nodes and the
-    # 10^8 angular samples in a failed allocation, and 10^8 continuation
-    # steps in a run of more than a minute
+    # 10^8 angular samples in a failed allocation, 10^8 continuation
+    # steps in a run of more than a minute, and grid nodes that are not
+    # finite in nan or inf OBJ vertices with exit 0
     (tmp_path / "huge.csv").write_text(
         "# translab-grid nx=100000000 ny=100000000 hx=1 hy=1 x0=0 y0=0\n"
         "i,j,x,y,u\n0,0,0,0,0\n")
+    for key, value in (("x0", "nan"), ("hx", "inf"), ("hx", "1e308")):
+        meta = {"nx": 5, "ny": 5, "hx": 1, "hy": 1, "x0": 0, "y0": 0,
+                key: value}
+        (tmp_path / f"{key}-{value}.csv").write_text(
+            "# translab-grid " + " ".join(f"{k}={v}" for k, v in meta.items())
+            + "\ni,j,x,y,u\n"
+            + "".join(f"{i},{j},0,0,0\n" for i in range(5) for j in range(5)))
     tio.write_profile_csv(radial.shoot_bowl(2, 1.0, 1e-2), tmp_path / "p.csv")
     rc = cli.main([a.format(tmp=tmp_path) for a in argv])
     lines = capsys.readouterr().err.splitlines()
@@ -637,14 +658,15 @@ def test_cli_catalog_refuses_a_theta_outside_its_kind(capsys, kind, theta,
     assert capsys.readouterr().err == err + "\n"
 
 
-@pytest.mark.parametrize("index, kind", [(0, "catenoid-upper"),
-                                          (1, "catenoid-lower")])
-def test_cli_shoots_one_catenoid_wing(tmp_path, capsys, index, kind):
+@pytest.mark.parametrize("kind", ["catenoid-upper", "catenoid-lower"],
+                         ids=["0-catenoid-upper", "1-catenoid-lower"])
+def test_cli_shoots_one_catenoid_wing(tmp_path, capsys, kind):
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     rc = cli.main(["radial", "shoot", "--kind", kind, "--lam", "1",
                    "--rmax", "2", "--h", "0.01", "--out", str(got)])
     assert rc == 0
-    tio.write_profile_csv(radial.shoot_catenoid(2, 1.0, 2.0, 0.01)[index], want)
+    tio.write_profile_csv(radial.shoot_catenoid_wing(
+        2, 1.0, 2.0, 0.01, radial.RadialKind(kind)), want)
     assert got.read_bytes() == want.read_bytes()
 
 
@@ -732,6 +754,7 @@ def test_cli_catalog_config_step_goes_through_the_same_check(tmp_path, capsys):
     (["--bump", "0,0,nan"], 2, "bad --bump '0,0,nan': bump radius"),
     (["--bump", "nan,0,1"], 2, "bad --bump 'nan,0,1': bump center"),
     (["--bump", "0,0,-1"], 2, "bad --bump '0,0,-1': bump radius"),
+    (["--bump", "100,0,1.5"], 1, "error: bump support holds no grid node"),
 ])
 def test_cli_firstvar_names_the_bad_option(tmp_path, capsys, argv, code, err):
     # NaN used to pass the <= 0 checks and fail later on non-finite grid values
@@ -770,19 +793,45 @@ def test_cli_step_constants_take_no_option(tmp_path, capsys, argv, key,
         f"usage error: unknown config key: {key!r}\n"
 
 
-@pytest.mark.parametrize("sub", ["sx", "jacobi", "firstvar"])
-def test_cli_overflowing_slopes_are_one_error_line(tmp_path, capsys, sub):
+def tiny_wavy_grid(h, amplitude):
+    """41x41 nodes at spacing h of amplitude sin(0.7 i) cos(0.5 j)."""
+    i, j = np.meshgrid(np.arange(41), np.arange(41), indexing="ij")
+    return grid.GridFunction(41, 41, h, h, -20 * h, -20 * h,
+                             amplitude * np.sin(0.7 * i) * np.cos(0.5 * j))
+
+
+OVERFLOWED = "difference quotients overflowed"
+STEEP = grid.from_function(lambda X, Y: 1e300 * X, -2, 2, -2, 2, 41, 41)
+TINY_A, TINY_B = tiny_wavy_grid(1e-155, 0.05), tiny_wavy_grid(1e-160, 0.3)
+
+
+@pytest.mark.parametrize("sub, u, bump, err", [
+    ("sx", STEEP, [], OVERFLOWED),
+    ("jacobi", STEEP, [], OVERFLOWED),
+    ("firstvar", STEEP, [], OVERFLOWED),
+    ("sx", TINY_A, [], OVERFLOWED),
+    ("jacobi", TINY_A, [], OVERFLOWED),
+    ("firstvar", TINY_A, ["--bump", "0,0,8e-155"], "weighted area overflowed"),
+    ("sx", TINY_B, [], OVERFLOWED),
+    ("jacobi", TINY_B, [], OVERFLOWED),
+    ("firstvar", TINY_B, ["--bump", "0,0,8e-160"], OVERFLOWED),
+], ids=["sx", "jacobi", "firstvar", "sx-h1e-155", "jacobi-h1e-155",
+        "firstvar-h1e-155", "sx-h1e-160", "jacobi-h1e-160",
+        "firstvar-h1e-160"])
+def test_cli_overflowing_slopes_are_one_error_line(tmp_path, capsys, sub, u,
+                                                   bump, err):
     # u = 1e300 x: p * p overflows.  sx and jacobi used to print numpy's
     # overflow RuntimeWarning and its source line before the error line,
-    # firstvar two warnings and then "grid values must be finite"
+    # firstvar two warnings and then "grid values must be finite".  At
+    # h = 1e-155 the slopes are finite and u_xx overflows, at h = 1e-160
+    # both do; no numpy warning may reach stderr
     path = tmp_path / "g.csv"
-    tio.write_grid_csv(grid.from_function(lambda X, Y: 1e300 * X,
-                                          -2, 2, -2, 2, 41, 41), path)
+    tio.write_grid_csv(u, path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = cli.main(["analyze", sub, "--in", str(path)])
+        rc = cli.main(["analyze", sub, "--in", str(path), *bump])
     assert rc == 1
-    assert capsys.readouterr().err == "error: difference quotients overflowed\n"
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 @pytest.mark.parametrize("argv, err", [

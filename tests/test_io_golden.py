@@ -161,7 +161,9 @@ def ref_export_revolution_obj(p, path, samples=128, provenance=""):
 @pytest.fixture(scope="module")
 def inputs():
     bowl = radial.shoot_bowl(2, 2.0, 1e-2)
-    upper, lower = radial.shoot_catenoid(2, 1.0, 2.0, 1e-2)
+    upper, lower = (radial.shoot_catenoid_wing(2, 1.0, 2.0, 1e-2, kind)
+                    for kind in (radial.RadialKind.CATENOID_UPPER,
+                                 radial.RadialKind.CATENOID_LOWER))
     tip = radial.profile_to_grid(bowl, -1.0, 1.0, -1.0, 1.0, 9, 9)
     geom = graph_geometry(tip)
     W, H = geom.W.copy(), geom.H.copy()

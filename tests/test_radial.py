@@ -44,7 +44,8 @@ def test_fit_window_guards():
 
 
 def test_catenoid_neck_conditions():
-    up, lo = radial.shoot_catenoid(2, 2.0, 8.0, 5e-3)
+    up, lo = (radial.shoot_catenoid_wing(2, 2.0, 8.0, 5e-3, kind) for kind in
+              (RadialKind.CATENOID_UPPER, RadialKind.CATENOID_LOWER))
     assert up.r[0] == 2.0 and lo.r[0] == 2.0
     assert up.u[0] == 0.0 and lo.u[0] == 0.0
     assert up.psi[0] == math.pi / 2 and lo.psi[0] == -math.pi / 2
@@ -54,7 +55,8 @@ def test_catenoid_neck_conditions():
 
 
 def test_catenoid_degenerates_to_bowl():
-    up, _ = radial.shoot_catenoid(2, 1e-3, 1.6, 1e-3)
+    up = radial.shoot_catenoid_wing(2, 1e-3, 1.6, 1e-3,
+                                    RadialKind.CATENOID_UPPER)
     bowl = radial.shoot_bowl(2, 1.6, 1e-3)
     slope_wing = up.interp_slope(1.0)
     slope_bowl = bowl.interp_slope(1.0)
@@ -82,8 +84,9 @@ def test_bowl_identity_defects_and_convergence():
 def test_catenoid_identity_convergence():
     defs = []
     for h in (3.2e-2, 1.6e-2):
-        up, _ = radial.shoot_catenoid(2, 2.0, 5.0, h)
-        r = radial.radial_identities_report(up, 2.3, 4.0, umbilic_guard=5e-2)
+        up = radial.shoot_catenoid_wing(2, 2.0, 5.0, h,
+                                        RadialKind.CATENOID_UPPER)
+        r = radial.radial_identities_report(up, 2.3, 4.0)
         defs.append((r.maxDefectK1, r.maxDefectH))
     assert 3.0 <= defs[0][0] / defs[1][0] <= 5.0
     assert 3.0 <= defs[0][1] / defs[1][1] <= 5.0
@@ -96,10 +99,14 @@ def sphere_cap_profile(R=3.0):
                          h=1e-2)
 
 
-def test_sphere_cap_violates_translator_identity():
-    prof = sphere_cap_profile()
-    rep = radial.radial_identities_report(prof, 1.0, 2.7, umbilic_guard=0.0)
-    assert rep.maxDefectH > 0.1  # exact value 4/R^3 = 4/27
+def test_paraboloid_violates_translator_identity():
+    # u = -r^2/2 is the bowl's leading term alone; its curvatures
+    # -(1 + r^2)^(-3/2) and -(1 + r^2)^(-1/2) stay apart on the window
+    r = np.linspace(0.3, 3.0, 400)
+    prof = RadialProfile(n=2, kind=RadialKind.BOWL, lam=None, r=r,
+                         u=-r * r / 2, psi=np.arctan(-r), h=1e-2)
+    rep = radial.radial_identities_report(prof, 1.0, 2.7)
+    assert rep.maxDefectH > 0.1
     assert not rep.translatorLike
 
 
@@ -148,7 +155,8 @@ def test_profile_to_grid_coverage_guard():
 
 def test_profile_to_grid_refuses_catenoid_wings():
     # tan(psi) is infinite at the neck, so Hermite has no slope there
-    for wing in radial.shoot_catenoid(2, 1.0, 5.0, 1e-2):
+    for kind in (RadialKind.CATENOID_UPPER, RadialKind.CATENOID_LOWER):
+        wing = radial.shoot_catenoid_wing(2, 1.0, 5.0, 1e-2, kind)
         with pytest.raises(ValueError, match="bowl"):
             radial.profile_to_grid(wing, 1.5, 3.0, 1.5, 3.0, 11, 11)
 
@@ -259,9 +267,10 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         radial.shoot_bowl(1, 10.0, 1e-3)
     with pytest.raises(ValueError):
-        radial.shoot_catenoid(2, -1.0, 10.0, 1e-3)
-    with pytest.raises(ValueError):
-        radial.shoot_catenoid(2, 2.0, 1.0, 1e-3)  # r_max below the neck
+        radial.shoot_catenoid_wing(2, -1.0, 10.0, 1e-3,
+                                   RadialKind.CATENOID_UPPER)
+    with pytest.raises(ValueError):  # r_max below the neck
+        radial.shoot_catenoid_wing(2, 2.0, 1.0, 1e-3, RadialKind.CATENOID_LOWER)
 
 
 def test_non_monotone_bowl_raises(monkeypatch):

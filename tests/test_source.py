@@ -118,7 +118,9 @@ def test_shooting_leaves_out_scipy_integrate():
     # the radial integrator is the package's own Dormand-Prince pair
     code = ("import sys; from translab import radial\n"
             "radial.shoot_bowl(2, 3.0, 1e-2)\n"
-            "radial.shoot_catenoid(2, 1.0, 3.0, 1e-2)\n"
+            "for kind in (radial.RadialKind.CATENOID_UPPER,\n"
+            "             radial.RadialKind.CATENOID_LOWER):\n"
+            "    radial.shoot_catenoid_wing(2, 1.0, 3.0, 1e-2, kind)\n"
             "print('scipy.integrate' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
