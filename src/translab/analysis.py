@@ -194,27 +194,24 @@ def spruck_xiao_report(u: GridFunction) -> SpruckXiaoReport:
     masked nodes satisfying lhsInequality <= tau; asserts nothing.
     """
     geom = graph_geometry(u)
-    flipped = bool(np.nanmedian(geom.H[geom.interior]) < 0)
-    convex = flip_orientation(geom) if flipped else geom
-    k1, k2 = convex.kappa1, convex.kappa2
-    H = k1 + k2
+    with np.errstate(divide="ignore", invalid="ignore"):  # k1 = 0, inf - inf
+        flipped = bool(np.nanmedian(geom.H[geom.interior]) < 0)
+        convex = flip_orientation(geom) if flipped else geom
+        k1, k2 = convex.kappa1, convex.kappa2
+        H = k1 + k2
 
-    q2, umb = q_squared(convex), convex.umbilic
-
-    with np.errstate(divide="ignore", invalid="ignore"):
+        q2, umb = q_squared(convex), convex.umbilic
         ratio = H / k1
         ratio[umb] = np.nan
 
-    dH = drift_laplacian(H, geom)
-    dK1 = drift_laplacian(k1, geom)
-    defect_h = dH + geom.normA2 * H
-    with np.errstate(divide="ignore", invalid="ignore"):
+        dH = drift_laplacian(H, geom)
+        dK1 = drift_laplacian(k1, geom)
+        defect_h = dH + geom.normA2 * H
         defect_k1 = dK1 + geom.normA2 * k1 - 2.0 * q2 / (k1 - k2)
 
-    grad_ratio = surface_gradient(ratio, geom)
-    grad_k1 = surface_gradient(k1, geom)
-    d_ratio = drift_laplacian(ratio, geom)
-    with np.errstate(divide="ignore", invalid="ignore"):
+        grad_ratio = surface_gradient(ratio, geom)
+        grad_k1 = surface_gradient(k1, geom)
+        d_ratio = drift_laplacian(ratio, geom)
         lhs = d_ratio + 2.0 * np.einsum("ijk,ijk->ij", grad_k1, grad_ratio) / k1
 
     mask = np.isfinite(lhs) & np.isfinite(defect_k1) & ~umb

@@ -90,7 +90,7 @@ def _build_parser():
     frun.add_argument("--a", type=float, default=2.0)
     frun.add_argument("--b", type=float, default=1.0)
     frun.add_argument("--n", type=int, default=256)
-    frun.add_argument("--stop-amax", type=float, default=csf.FlowConfig.stopAmax)
+    frun.add_argument("--stop-amax", type=float, default=csf.DEFAULT_STOP_AMAX)
     frun.add_argument("--out", required=True, help="singularity log CSV")
     frun.add_argument("--report", default=None, help="verdict JSON")
     fcmp = flows.add_parser("compare", help="comparison principle check")
@@ -99,7 +99,7 @@ def _build_parser():
     fcmp.add_argument("--gap", type=float, default=0.0,
                       help="horizontal center offset of shape2")
     fcmp.add_argument("--n", type=int, default=256)
-    fcmp.add_argument("--stop-amax", type=float, default=csf.FlowConfig.stopAmax)
+    fcmp.add_argument("--stop-amax", type=float, default=csf.DEFAULT_STOP_AMAX)
     fcmp.add_argument("--report", default=None)
 
     ana = sub.add_parser("analyze", help="translator diagnostics on a grid CSV")
@@ -229,17 +229,16 @@ def _cmd_elliptic(args, prov):
 
 
 def _cmd_csf(args, prov):
-    cfg = csf.FlowConfig(stopAmax=args.stop_amax)
     if args.subcommand == "run":
         c0 = csf.make_circle(args.radius, args.n) if args.shape == "circle" \
             else csf.make_ellipse(args.a, args.b, args.n)
-        log = csf.run(c0, cfg)
+        log = csf.run(c0, args.stop_amax)
         tio.write_log_csv(log, args.out)
         _emit(log, prov, args.report, schema="translab-verdict/2")
     else:
         a = _parse_shape(args.shape1, args.n)
         b = _parse_shape(args.shape2, args.n, offset=args.gap)
-        _emit(csf.comparison_check(a, b, cfg), prov, args.report,
+        _emit(csf.comparison_check(a, b, args.stop_amax), prov, args.report,
               schema="translab-comparison/2")
 
 

@@ -19,6 +19,7 @@ numerical failure is a TranslabError.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -53,21 +54,12 @@ DT_SAFETY = 2e-2
 # circle shrinks below ~1e-7 of its radius.
 _MIN_LENGTH, _MAX_LENGTH = 1e-60, 1e60
 
-# _flow squares every Amax below stopAmax as a Python float (amax ** 2), which
+# A flow stops once Amax reaches stop_amax (stopReason STOP_AMAX); the default
+# of run, evolve_to, comparison_check and the CLI's --stop-amax
+DEFAULT_STOP_AMAX = 1e4
+# _flow squares every Amax below stop_amax as a Python float (amax ** 2), which
 # raises OverflowError, not inf, past the largest float whose square is finite
 _MAX_AMAX = math.sqrt(sys.float_info.max)
-
-
-@dataclass
-class FlowConfig:
-    stopAmax: float = 1e4
-
-    def __post_init__(self):
-        if not self.stopAmax > 0.0:     # NaN included
-            raise ValueError("stopAmax must be positive")
-        if not self.stopAmax <= _MAX_AMAX:
-            raise ValueError(f"stopAmax must have a finite square (at most "
-                             f"{_MAX_AMAX!r}), got {self.stopAmax!r}")
 
 
 class TypeVerdict(Enum):
@@ -190,14 +182,15 @@ def _edge_lengths(P):
     return np.hypot(d[:, 0], d[:, 1])
 
 
-def _cyclic_tridiag_solve(sub, diag, sup, corner_bl, corner_tr, rhs):
+def _cyclic_tridiag_solve(sub, diag, sup, rhs):
     """Solve a cyclic tridiagonal system via Sherman-Morrison.
 
-    sub[i] multiplies x_{i-1} in row i (i >= 1), sup[i] multiplies x_{i+1}
-    (i <= n-2); corner_bl is row n-1's coefficient on x_0, corner_tr row 0's
-    on x_{n-1}.  rhs may have several columns.
+    sub[i] multiplies x_{i-1} in row i and sup[i] multiplies x_{i+1}, indices
+    cyclic: the corners are the wrap-around entries sub[0] (row 0 on x_{n-1})
+    and sup[-1] (row n-1 on x_0).  rhs may have several columns.
     """
     n = len(diag)
+    corner_tr, corner_bl = sub[0], sup[-1]
     gamma = -diag[0]
     d = diag.copy()
     d[0] -= gamma
@@ -224,9 +217,7 @@ def _step_arrays(P: np.ndarray, dt: float, ell: np.ndarray | None = None) -> np.
     a = 2.0 / (ell_prev * (ell_prev + ell))   # weight of x_{i-1}
     b = 2.0 / (ell * (ell_prev + ell))        # weight of x_{i+1}
     diag = 1.0 + dt * (a + b)
-    return _cyclic_tridiag_solve(-dt * a, diag, -dt * b,
-                                 corner_bl=-dt * b[-1], corner_tr=-dt * a[0],
-                                 rhs=P)
+    return _cyclic_tridiag_solve(-dt * a, diag, -dt * b, P)
 
 
 def _extrapolated_step(P: np.ndarray, dt: float) -> np.ndarray:
@@ -259,9 +250,7 @@ def _resample_arrays(P: np.ndarray) -> np.ndarray:
     Pn = _shift_fwd(P)
     Pp = _shift_bwd(P)
     rhs = (Pn - P) / h[:, None] - (P - Pp) / h_prev[:, None]
-    M = _cyclic_tridiag_solve(h_prev / 6.0, (h_prev + h) / 3.0, h / 6.0,
-                              corner_bl=h[-1] / 6.0, corner_tr=h_prev[0] / 6.0,
-                              rhs=rhs)
+    M = _cyclic_tridiag_solve(h_prev / 6.0, (h_prev + h) / 3.0, h / 6.0, rhs)
 
     snew = total * np.arange(m) / m
     idx = np.clip(np.searchsorted(s, snew, side="right") - 1, 0, m - 1)
@@ -293,42 +282,43 @@ def _diagnostics(P: np.ndarray, t: float):
     return length, abs(area), amax
 
 
-def _start_diagnostics(P: np.ndarray, t: float):
-    """_diagnostics of a curve about to be flowed, which also refuses a
-    length outside [_MIN_LENGTH, _MAX_LENGTH]."""
-    diags = _diagnostics(P, t)
-    if not _MIN_LENGTH <= diags[0] <= _MAX_LENGTH:
-        raise TranslabError(f"curve of length {diags[0]!r} cannot be flowed: "
-                            f"lengths must lie in [{_MIN_LENGTH:g}, "
-                            f"{_MAX_LENGTH:g}]")
-    return diags
-
-
 # --- the flow driver ----------------------------------------------------------
 
 
-def _flow(curves, t: float, cfg: FlowConfig, t_end: float = math.inf):
+def _flow(curves, t: float, stop_amax: float, t_end: float = math.inf):
     """Yield the state at t and after every step: one object, updated in
     place, with t, curves, diags ((length, area, amax) per curve), steps,
     remeshes and stopReason.  The curves share dt = DT_SAFETY / Amax^2, Amax
     the largest over them, the last step clipped to land on t_end exactly.
     The flow ends at t_end (stopReason None), after yielding a state with
-    Amax >= stopAmax (STOP_AMAX), after _MAX_STEPS steps (MAX_STEPS), when dt
-    no longer advances t in floating point (DT_UNDERFLOW), or when a remesh
-    collapses an edge (RESOLUTION_LOST; that state is not yielded).  A start
-    that _start_diagnostics refuses, or a later state that _diagnostics
-    refuses, raises TranslabError.
+    Amax >= stop_amax (STOP_AMAX), after _MAX_STEPS steps (MAX_STEPS), when
+    dt no longer advances t in floating point (DT_UNDERFLOW), or when a
+    remesh collapses an edge (RESOLUTION_LOST; that state is not yielded).
+    Before the first state it refuses (ValueError) a stop_amax that is not
+    positive or whose square overflows, and (TranslabError) a start curve
+    whose curvature is not finite or whose length lies outside [_MIN_LENGTH,
+    _MAX_LENGTH]; a later state that _diagnostics refuses raises too.
     """
+    if not stop_amax > 0.0:     # NaN included
+        raise ValueError("stopAmax must be positive")
+    if not stop_amax <= _MAX_AMAX:
+        raise ValueError(f"stopAmax must have a finite square (at most "
+                         f"{_MAX_AMAX!r}), got {stop_amax!r}")
     state = SimpleNamespace(t=t, curves=[P.copy() for P in curves], steps=0,
                             remeshes=0, stopReason=None,
-                            diags=[_start_diagnostics(P, t) for P in curves])
+                            diags=[_diagnostics(P, t) for P in curves])
+    for length, _, _ in state.diags:
+        if not _MIN_LENGTH <= length <= _MAX_LENGTH:
+            raise TranslabError(f"curve of length {length!r} cannot be flowed: "
+                                f"lengths must lie in [{_MIN_LENGTH:g}, "
+                                f"{_MAX_LENGTH:g}]")
     while True:
         yield state
         amax = max(d[2] for d in state.diags)
         if state.t >= t_end:
             return
-        if amax >= cfg.stopAmax or state.steps == _MAX_STEPS:
-            state.stopReason = STOP_AMAX if amax >= cfg.stopAmax else MAX_STEPS
+        if amax >= stop_amax or state.steps == _MAX_STEPS:
+            state.stopReason = STOP_AMAX if amax >= stop_amax else MAX_STEPS
             return
         dt = min(DT_SAFETY / amax ** 2, t_end - state.t)
         if state.t + dt == state.t:
@@ -349,15 +339,14 @@ def _flow(curves, t: float, cfg: FlowConfig, t_end: float = math.inf):
 # --- public entry points ------------------------------------------------------
 
 
-def run(c0: CurveState, cfg: FlowConfig | None = None) -> SingularityLog:
+def run(c0: CurveState, stop_amax: float = DEFAULT_STOP_AMAX) -> SingularityLog:
     """Evolve until one of _flow's stop rules (log.stopReason), logging
     every step, then fit the extinction time (_fit_extinction) and classify
     the singularity over the fit window (classify).  The verdict is
     Inconclusive unless areaLawDefect <= areaLawBound.
     """
-    cfg = cfg or FlowConfig()
     times, diags = [], []
-    for state in _flow([c0.points], c0.t, cfg):
+    for state in _flow([c0.points], c0.t, stop_amax):
         times.append(state.t)
         diags.append(state.diags[0])
     times = np.array(times)
@@ -384,12 +373,12 @@ def _area_law_defect(times: np.ndarray, area: np.ndarray) -> float:
                                    * (times - times[0]))) / area[0])
 
 
-def evolve_to(c0: CurveState, t_target: float, cfg: FlowConfig | None = None) -> CurveState:
+def evolve_to(c0: CurveState, t_target: float,
+              stop_amax: float = DEFAULT_STOP_AMAX) -> CurveState:
     """Evolve a curve to flow time exactly t_target (the stepping of run, last
     step clipped).  Raises TranslabError if the flow stops first, on
     resolution loss or for any other reason."""
-    cfg = cfg or FlowConfig()
-    for state in _flow([c0.points], c0.t, cfg, t_end=t_target):
+    for state in _flow([c0.points], c0.t, stop_amax, t_end=t_target):
         pass
     if state.stopReason == RESOLUTION_LOST:
         raise TranslabError("edge collapse after remeshing")
@@ -526,7 +515,7 @@ class ComparisonReport:
 
 
 def comparison_check(a: CurveState, b: CurveState,
-                     cfg: FlowConfig | None = None) -> ComparisonReport:
+                     stop_amax: float = DEFAULT_STOP_AMAX) -> ComparisonReport:
     """Co-evolve two disjoint curves from their common start time (ValueError
     unless a.t == b.t) and track their separation.
 
@@ -537,7 +526,6 @@ def comparison_check(a: CurveState, b: CurveState,
     below its initial value minus 10 * (sum of squared initial mean edge
     lengths), a discretization error allowance.
     """
-    cfg = cfg or FlowConfig()
     if a.t != b.t:
         raise ValueError(f"curves must start at one time, got a.t = {a.t!r} "
                          f"and b.t = {b.t!r}")
@@ -546,15 +534,15 @@ def comparison_check(a: CurveState, b: CurveState,
         raise ValueError(f"curves of n = {len(a.points)} and n = "
                          f"{len(b.points)} points need {pairs} vertex-segment "
                          f"pairs per distance, more than {_MAX_PAIRS}")
-    for c in (a, b):        # refuse a degenerate or outsized curve first
-        _start_diagnostics(c.points, c.t)
-    if not _curves_disjoint(a.points, b.points):
+    flow = _flow([a.points, b.points], a.t, stop_amax)
+    first = next(flow)      # the flow refuses a degenerate or outsized curve
+    if not _curves_disjoint(*first.curves):
         raise ValueError("curves must be disjoint at t = 0")
 
     tol = 10.0 * (float(np.mean(_edge_lengths(a.points))) ** 2
                   + float(np.mean(_edge_lengths(b.points))) ** 2)
     times, dists, areas = [], [], []
-    for state in _flow([a.points, b.points], a.t, cfg):
+    for state in itertools.chain([first], flow):
         times.append(state.t)
         dists.append(_min_distance(*state.curves))
         areas.append([d[1] for d in state.diags])

@@ -7,7 +7,8 @@ boundary data stays finite.  In the downward convention the wing is concave
 with its maximum at the origin and is asymptotic, as |x| grows, to the two
 tilted grim reapers with cos(theta) = pi / (2 b); the Dirichlet data is their
 pointwise lower envelope sec^2(th) log cos(y cos th) - tan(th) |x|,
-evaluated once per strip (make_strip_problem, into p.bc).  newton_solve
+evaluated once per strip, the first time its bc is read.  StripProblem
+refuses a strip before anything of its size is allocated.  newton_solve
 builds the complete SolveReport in one call.  scipy.sparse is first
 imported by newton_solve, after every check of the strip, and then by
 _jacobian and _factor, which use it; importing this module or refusing a
@@ -17,7 +18,8 @@ strip loads none of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,15 +35,14 @@ class StripProblem:
 
     bc holds the Dirichlet data on the outer node ring of the (nx, ny) grid.
     Its interior entries are the surface initial_guess smooths and
-    asymptote_defect compares with; make_strip_problem fills every node with
-    the tilted-pair envelope.
+    asymptote_defect compares with.  Read first, it is the tilted-pair
+    envelope on every node (b > pi/2); data assigned before that replaces it.
     """
 
     b: float
     L: float
     nx: int
     ny: int
-    bc: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if not 0 < self.b < math.inf:
@@ -50,7 +51,12 @@ class StripProblem:
         if not 4 <= self.L < math.inf:
             raise ValueError(f"truncation length L must be finite and >= 4, "
                              f"got {self.L}")
-        _check_grid(self.nx, self.ny)
+        if self.nx < 33 or self.ny < 33:
+            raise ValueError("resolution must be at least 33x33")
+        if self.nx * self.ny > _MAX_NODES:
+            raise ValueError(f"strip grid of nx x ny = {self.nx} x {self.ny} = "
+                             f"{self.nx * self.ny} nodes exceeds the bound of "
+                             f"{_MAX_NODES} nodes")
         # The stencils divide by hx^2 and hy^2.  The Newton residual is the
         # curvature defect times W^3 >= sec^3(theta) on the flanks of the
         # tilted pair (cos(theta) = pi / (2 b)), and its norm squares that.
@@ -62,9 +68,11 @@ class StripProblem:
         if not self.hx * self.hx < math.inf:
             raise ValueError(f"truncation length L must keep hx^2 finite, "
                              f"got {self.L}")
-        self.bc = np.asarray(self.bc, dtype=float)
-        if self.bc.shape != (self.nx, self.ny):
-            raise TranslabError("bc shape does not match the grid")
+
+    @cached_property
+    def bc(self) -> np.ndarray:
+        return tilted_pair_envelope(self.b, *np.meshgrid(self.xs, self.ys,
+                                                         indexing="ij"))
 
     @property
     def hx(self) -> float:
@@ -103,16 +111,6 @@ _MAX_NODES = 1_000_000
 # peak RSS: 53 ms per step, and a step keeps only its report.  At the bound
 # that is about 1 min on the default grid.
 _MAX_STEPS = 1_000
-
-
-def _check_grid(nx: int, ny: int):
-    """Refuse a strip grid smaller than 33x33 or of more than _MAX_NODES
-    nodes; callers check before they allocate anything of its size."""
-    if nx < 33 or ny < 33:
-        raise ValueError("resolution must be at least 33x33")
-    if nx * ny > _MAX_NODES:
-        raise ValueError(f"strip grid of nx x ny = {nx} x {ny} = {nx * ny} "
-                         f"nodes exceeds the bound of {_MAX_NODES} nodes")
 
 
 @dataclass
@@ -308,9 +306,16 @@ def newton_solve(p: StripProblem, init: GridFunction):
     with np.errstate(over="ignore", invalid="ignore"):
         jet, res, defect = _residual(v, hx, hy)
         fnorm = float(np.linalg.norm(defect))
+        w3 = np.max(1.0 + jet[0] * jet[0] + jet[1] * jet[1]) ** 1.5
     if not math.isfinite(fnorm):
         raise TranslabError(f"the defect of the initial guess is not finite "
                             f"(||defect||_2 = {fnorm})")
+    # where W^3 overflows the defect reads 0 whatever the residual: on a
+    # 33x33 strip at b = 2 the smoothed guess gets there from L ~ 1e104
+    if not w3 < math.inf:
+        raise TranslabError(f"truncation length L = {p.L!r} is too long for "
+                            f"the {p.nx} x {p.ny} grid: the initial guess's "
+                            f"W^3 overflows")
     # Every check has passed: load the sparse LU here, before the loop's
     # first temporaries, which keeps perfbench wing's peak RSS at 87.0 MB;
     # loaded between them, in the first _jacobian, it read 89-92.5 MB.
@@ -391,14 +396,6 @@ def newton_solve(p: StripProblem, init: GridFunction):
         luFill=0 if lu is None else int(lu.nnz), defectHistory=defect_history)
 
 
-def make_strip_problem(b: float, L: float, nx: int, ny: int) -> StripProblem:
-    """Strip problem with tilted-pair envelope Dirichlet data (b > pi/2)."""
-    _check_grid(nx, ny)
-    p = StripProblem(b=b, L=L, nx=nx, ny=ny, bc=np.zeros((nx, ny)))
-    p.bc = tilted_pair_envelope(b, *np.meshgrid(p.xs, p.ys, indexing="ij"))
-    return p
-
-
 def _smoothed(p: StripProblem, v: np.ndarray, sweeps: int) -> GridFunction:
     """v with p's Dirichlet data stamped on the outer ring, then smoothed by
     Jacobi sweeps of the Laplacian (in place)."""
@@ -411,14 +408,14 @@ def _smoothed(p: StripProblem, v: np.ndarray, sweeps: int) -> GridFunction:
 
 
 def initial_guess(p: StripProblem) -> GridFunction:
-    """Smoothed data: five Jacobi sweeps of p.bc (for make_strip_problem,
-    the envelope) round the crease along x = 0."""
+    """Smoothed data: five Jacobi sweeps of p.bc (unless assigned, the
+    envelope) round the crease along x = 0."""
     return _smoothed(p, p.bc.copy(), 5)
 
 
 def asymptote_defect(sol: GridFunction, p: StripProblem) -> float:
-    """Defect against p.bc near the ends of the box; for make_strip_problem
-    that is the envelope, the tilted reapers the wing approaches there.
+    """Defect against p.bc near the ends of the box; unless assigned, that
+    is the envelope, the tilted reapers the wing approaches there.
 
     For each side the comparison surface is aligned by the best constant
     shift (midrange of the difference); the bands cover interior nodes with
@@ -445,7 +442,7 @@ def delta_wing(b: float, L: float = 12.0, nx: int = 961, ny: int = 161):
     """
     if b <= math.pi / 2:
         raise ValueError("Delta-wings need strip half-width b > pi/2")
-    p = make_strip_problem(b, L, nx, ny)
+    p = StripProblem(b, L, nx, ny)
     return newton_solve(p, initial_guess(p))
 
 
@@ -476,15 +473,13 @@ def continuation_in_width(b_start: float, b_end: float, steps: int,
     if min(b_start, b_end) <= math.pi / 2:
         raise ValueError("continuation runs in b > pi/2")
     # the widest strip is refused before any solve, not after the others
-    _check_grid(nx, ny)
-    StripProblem(b=max(b_start, b_end), L=L, nx=nx, ny=ny,
-                 bc=np.zeros((nx, ny)))
+    StripProblem(max(b_start, b_end), L, nx, ny)
     bs = np.linspace(b_start, b_end, steps + 1) if b_start != b_end \
         else np.array([b_start])
     out = []
     prev_b = None
     for bi in bs:
-        p = make_strip_problem(float(bi), L, nx, ny)
+        p = StripProblem(float(bi), L, nx, ny)
         init = initial_guess(p) if prev_b is None else _resample_onto(p, sol)
         try:
             sol, rep = newton_solve(p, init)
@@ -493,7 +488,7 @@ def continuation_in_width(b_start: float, b_end: float, steps: int,
                 raise TranslabError(
                     f"first solve failed at b = {bi}: {exc}") from exc
             # retry through the half-way strip, then this one
-            pm = make_strip_problem(0.5 * (prev_b + float(bi)), L, nx, ny)
+            pm = StripProblem(0.5 * (prev_b + float(bi)), L, nx, ny)
             for q in (pm, p):
                 try:
                     sol, rep = newton_solve(q, _resample_onto(q, sol))

@@ -82,7 +82,9 @@ class GeometryField:
 def graph_geometry(u: GridFunction) -> GeometryField:
     """Shape operator, principal curvatures/directions and derived fields,
     with the upward normal; flip_orientation gives the downward one.
-    Each intermediate is released once its last use is done.
+    Each intermediate is released once its last use is done.  The whole
+    body runs under one errstate: non-finite interior second differences,
+    W, kappa1 or principal-direction norms are refused instead.
     """
     p, q, r, s, t = (np.full((u.nx, u.ny), np.nan) for _ in range(5))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -90,80 +92,82 @@ def graph_geometry(u: GridFunction) -> GeometryField:
             out[1:-1, 1:-1] = d
         w2 = 1.0 + p * p + q * q
         W = np.sqrt(w2)
-    if not all(np.all(np.isfinite(a[1:-1, 1:-1])) for a in (r, s, t, W)):
-        raise TranslabError("difference quotients overflowed")
+        if not all(np.all(np.isfinite(a[1:-1, 1:-1])) for a in (r, s, t, W)):
+            raise TranslabError("difference quotients overflowed")
 
-    N = np.full((u.nx, u.ny, 3), np.nan)
-    N[..., 0] = -p / W
-    N[..., 1] = -q / W
-    N[..., 2] = 1.0 / W
+        N = np.full((u.nx, u.ny, 3), np.nan)
+        N[..., 0] = -p / W
+        N[..., 1] = -q / W
+        N[..., 2] = 1.0 / W
 
-    # shape operator S = g^{-1} h with g from the graph metric and
-    # h_ij = D^2u_ij / W (second fundamental form, upward normal)
-    h11 = r / W
-    h12 = s / W
-    h22 = t / W
-    del r, s, t
-    s11 = ((1.0 + q * q) * h11 - p * q * h12) / w2
-    s12 = ((1.0 + q * q) * h12 - p * q * h22) / w2
-    s21 = ((1.0 + p * p) * h12 - p * q * h11) / w2
-    s22 = ((1.0 + p * p) * h22 - p * q * h12) / w2
-    del h11, h12, h22, w2
+        # shape operator S = g^{-1} h with g from the graph metric and
+        # h_ij = D^2u_ij / W (second fundamental form, upward normal)
+        h11 = r / W
+        h12 = s / W
+        h22 = t / W
+        del r, s, t
+        s11 = ((1.0 + q * q) * h11 - p * q * h12) / w2
+        s12 = ((1.0 + q * q) * h12 - p * q * h22) / w2
+        s21 = ((1.0 + p * p) * h12 - p * q * h11) / w2
+        s22 = ((1.0 + p * p) * h22 - p * q * h12) / w2
+        del h11, h12, h22, w2
 
-    tr = s11 + s22
-    det = s11 * s22 - s12 * s21
-    disc = np.clip(tr * tr - 4.0 * det, 0.0, None)
-    del det
-    root = np.sqrt(disc)
-    del disc
-    kappa1 = 0.5 * (tr + root)
-    kappa2 = 0.5 * (tr - root)
-    del tr, root
+        tr = s11 + s22
+        det = s11 * s22 - s12 * s21
+        disc = np.clip(tr * tr - 4.0 * det, 0.0, None)
+        del det
+        root = np.sqrt(disc)
+        del disc
+        kappa1 = 0.5 * (tr + root)
+        kappa2 = 0.5 * (tr - root)
+        del tr, root
 
-    scale = np.maximum(np.maximum(np.abs(kappa1), np.abs(kappa2)), 1.0)
-    umbilic = (kappa1 - kappa2) <= UMBILIC_REL_TOL * scale
-    umbilic &= np.isfinite(kappa1)
-    del scale
+        scale = np.maximum(np.maximum(np.abs(kappa1), np.abs(kappa2)), 1.0)
+        umbilic = (kappa1 - kappa2) <= UMBILIC_REL_TOL * scale
+        del scale
 
-    # eigenvector of S for kappa1 in parameter components, picking the
-    # better-conditioned row of (S - kappa1 I)
-    a_row1, b_row1 = s12, kappa1 - s11
-    a_row2, b_row2 = kappa1 - s22, s21
-    del s11, s12, s21, s22
-    use2 = (a_row2 * a_row2 + b_row2 * b_row2) > (a_row1 * a_row1 + b_row1 * b_row1)
-    a = np.where(use2, a_row2, a_row1)
-    del a_row1, a_row2
-    b = np.where(use2, b_row2, b_row1)
-    del b_row1, b_row2, use2
-    # near-umbilic fallback: any tangent direction, flagged
-    a = np.where(umbilic, 1.0, a)
-    b = np.where(umbilic, 0.0, b)
+        # eigenvector of S for kappa1 in parameter components, picking the
+        # better-conditioned row of (S - kappa1 I)
+        a_row1, b_row1 = s12, kappa1 - s11
+        a_row2, b_row2 = kappa1 - s22, s21
+        del s11, s12, s21, s22
+        use2 = (a_row2 * a_row2 + b_row2 * b_row2) \
+            > (a_row1 * a_row1 + b_row1 * b_row1)
+        a = np.where(use2, a_row2, a_row1)
+        del a_row1, a_row2
+        b = np.where(use2, b_row2, b_row1)
+        del b_row1, b_row2, use2
+        # near-umbilic fallback: any tangent direction, flagged
+        a = np.where(umbilic, 1.0, a)
+        b = np.where(umbilic, 0.0, b)
 
-    v1 = np.empty((u.nx, u.ny, 3))
-    v1[..., 0] = a
-    v1[..., 1] = b
-    v1[..., 2] = p * a + q * b
-    del a, b
-    norm = np.sqrt(np.sum(v1 * v1, axis=-1))
-    v1 /= norm[..., None]
-    del norm
-    # v2 = N x v1, the tangent-plane complement of v1, is exactly the kappa2
-    # eigenspace (np.cross's products, without its temporaries)
-    v2 = np.empty_like(v1)
-    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        v2[..., k] = N[..., i] * v1[..., j] - N[..., j] * v1[..., i]
+        v1 = np.empty((u.nx, u.ny, 3))
+        v1[..., 0] = a
+        v1[..., 1] = b
+        v1[..., 2] = p * a + q * b
+        del a, b
+        norm = np.sqrt(np.sum(v1 * v1, axis=-1))
+        if not all(np.all(np.isfinite(a[1:-1, 1:-1])) for a in (kappa1, norm)):
+            raise TranslabError("difference quotients overflowed")
+        v1 /= norm[..., None]
+        del norm
+        # v2 = N x v1, the tangent-plane complement of v1, is exactly the
+        # kappa2 eigenspace (np.cross's products, without its temporaries)
+        v2 = np.empty_like(v1)
+        for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            v2[..., k] = N[..., i] * v1[..., j] - N[..., j] * v1[..., i]
 
-    normA2 = kappa1 * kappa1 + kappa2 * kappa2
-    H = kappa1 + kappa2
+        normA2 = kappa1 * kappa1 + kappa2 * kappa2
+        H = kappa1 + kappa2
 
-    interior = np.zeros((u.nx, u.ny), dtype=bool)
-    interior[1:-1, 1:-1] = True
-    for arr in (v1, v2):
-        arr[~interior] = np.nan
-    umbilic &= interior
-    return GeometryField(grid=u, p=p, q=q, W=W, N=N, H=H, kappa1=kappa1,
-                         kappa2=kappa2, v1=v1, v2=v2, normA2=normA2,
-                         interior=interior, umbilic=umbilic)
+        interior = np.zeros((u.nx, u.ny), dtype=bool)
+        interior[1:-1, 1:-1] = True
+        for arr in (v1, v2):
+            arr[~interior] = np.nan
+        umbilic &= interior
+        return GeometryField(grid=u, p=p, q=q, W=W, N=N, H=H, kappa1=kappa1,
+                             kappa2=kappa2, v1=v1, v2=v2, normA2=normA2,
+                             interior=interior, umbilic=umbilic)
 
 
 def flip_orientation(geom: GeometryField) -> GeometryField:

@@ -36,7 +36,7 @@ import numpy as np
 
 from translab import analysis, catalog, csf, radial
 from translab.analysis import VariationSpec
-from translab.csf import FlowConfig, TypeVerdict
+from translab.csf import TypeVerdict
 
 B_ROOT2 = math.pi / math.sqrt(2)
 
@@ -230,13 +230,13 @@ def test_criterion_10_blowup_lower_bound_generic(ellipse_log_512):
 def test_criterion_11_comparison_principle():
     rep = csf.comparison_check(csf.make_circle(1.0, 384),
                                csf.make_circle(2.0, 192),
-                               FlowConfig(stopAmax=200.0))
+                               200.0)
     closed = np.sqrt(4 - 2 * rep.times) \
         - np.sqrt(np.clip(1 - 2 * rep.times, 0.0, None))
     err = float(np.max(np.abs(rep.minDistance - closed)))
     rep2 = csf.comparison_check(
         csf.make_circle(1.0, 128), csf.make_circle(1.0, 128, center=(3.0, 0.0)),
-        FlowConfig(stopAmax=100.0))
+        100.0)
     checks = [
         ("concentric", rep.verdict == "PASS", rep.verdict),
         ("closed-form", err <= 1e-2, f"{err:.2e}"),

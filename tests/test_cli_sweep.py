@@ -13,6 +13,7 @@ out to r = 5), so the whole sweep takes seconds.
 import argparse
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -148,16 +149,33 @@ BOUNDS = [
     ("io._MAX_VERTICES", str(tio._MAX_VERTICES),
      ["export", "obj", "--in", "{p}", "--out", "{out}/p.obj",
       "--angular-samples", str(tio._MAX_VERTICES + 1)]),
+    # two options, each inside its own bound, whose product is past one
+    ("delta-wing-nx-ny", str(elliptic._MAX_NODES),
+     ["elliptic", "delta-wing", "--b", "2", "--nx", "1001", "--ny", "1001"]),
+    ("continuation-nx-ny", str(elliptic._MAX_NODES),
+     ["elliptic", "continuation", "--b-start", "2", "--b-end", "3",
+      "--nx", "1001", "--ny", "1001"]),
+    ("radial-shoot-rmax-h", str(radial._MAX_SAMPLES),
+     ["radial", "shoot", "--out", "{out}/p.csv", "--rmax", "5000",
+      "--h", "1e-4"]),
 ]
 
 
 @pytest.mark.parametrize("bound, argv", [b[1:] for b in BOUNDS],
                          ids=[b[0] for b in BOUNDS])
 def test_size_past_its_bound_is_refused(tmp_path, capfd, inputs, bound, argv):
-    rc = cli.main([a.format(out=tmp_path, **inputs) for a in argv])
+    # refused before allocating: one 1001 x 1001 float array is 8 MB, and
+    # numpy reports its buffers to tracemalloc
+    tracemalloc.start()
+    try:
+        rc = cli.main([a.format(out=tmp_path, **inputs) for a in argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     out, err = capfd.readouterr()
     assert rc == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and bound in err
+    assert peak < 2 ** 21
 
 
 # the accepted side of a bound, where a run at it takes well under a second

@@ -1,15 +1,16 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from translab import csf
-from translab.csf import FlowConfig, TypeVerdict
+from translab.csf import TypeVerdict
 from translab.errors import TranslabError
 
 
-QUICK = FlowConfig(stopAmax=200.0)
+QUICK = 200.0
 
 
 @pytest.fixture(scope="module")
@@ -134,13 +135,13 @@ def test_step_reduces_length():
 
 def test_comparison_concentric_and_translated():
     rep = csf.comparison_check(csf.make_circle(0.6, 96), csf.make_circle(1.4, 96),
-                               FlowConfig(stopAmax=60.0))
+                               60.0)
     assert rep.verdict == "PASS"
     assert np.all(np.diff(rep.minDistance) > -rep.tolerance)
 
     rep2 = csf.comparison_check(
         csf.make_circle(1.0, 96), csf.make_circle(1.0, 96, center=(3.0, 0.0)),
-        FlowConfig(stopAmax=60.0))
+        60.0)
     assert rep2.verdict == "PASS"
     assert np.all(np.diff(rep2.minDistance) > -1e-9)  # nondecreasing
     # one area-law defect per curve, computed as csf.run computes it
@@ -182,29 +183,39 @@ def test_make_ellipse_sum_past_the_largest_float_is_refused_quietly():
 
 
 def test_ellipse_quick_run_monotone_blowup():
-    log = csf.run(csf.make_ellipse(2, 1, 128), FlowConfig(stopAmax=100.0))
+    log = csf.run(csf.make_ellipse(2, 1, 128), 100.0)
     assert log.typeVerdict is TypeVerdict.TYPE_I
     tail = log.Amax[int(0.8 * len(log.Amax)):]
     assert np.all(np.diff(tail) > -1e-9)  # Amax grows monotonically near blow-up
 
 
 def test_flow_config_validation():
-    # NaN used to run to dtUnderflow (no amax >= nan), -1 to stop at t = 0
-    for stop_amax in (math.nan, -1.0, 0.0):
-        with pytest.raises(ValueError, match="stopAmax"):
-            FlowConfig(stopAmax=stop_amax)
+    # NaN used to run to dtUnderflow (no amax >= nan), -1 to stop at t = 0;
+    # past sqrt(max float) the flow's amax ** 2 raises OverflowError.  Each
+    # entry point refuses through the one flow driver
+    c = csf.make_circle(1.0, 16)
+    entries = (lambda s: csf.run(c, s), lambda s: csf.evolve_to(c, 0.1, s),
+               lambda s: csf.comparison_check(c, csf.make_circle(2.0, 16), s))
+    for call in entries:
+        for stop_amax in (math.nan, -1.0, 0.0):
+            with pytest.raises(ValueError, match="^stopAmax must be positive$"):
+                call(stop_amax)
+        with pytest.raises(ValueError, match=re.escape(
+                "stopAmax must have a finite square (at most "
+                f"{csf._MAX_AMAX!r}), got 1.4e+154")):
+            call(1.4e154)
 
 
 def test_stop_reasons(monkeypatch):
     c = csf.make_circle(1.0, 64)
-    log = csf.run(c, FlowConfig(stopAmax=20.0))
+    log = csf.run(c, 20.0)
     assert log.stopReason == csf.STOP_AMAX and log.Amax[-1] >= 20.0
     assert log.steps == len(log.times) - 1
     assert log.remeshes == log.steps // 5
 
     with monkeypatch.context() as m:
         m.setattr(csf, "_MAX_STEPS", 7)
-        log = csf.run(c, FlowConfig())
+        log = csf.run(c)
     assert log.stopReason == csf.MAX_STEPS
     assert (log.steps, log.remeshes, len(log.times)) == (7, 1, 8)
 
@@ -215,7 +226,7 @@ def test_stop_reasons(monkeypatch):
         Q[1] = Q[0] + 1e-9 * (Q[1] - Q[0])
         return Q
     monkeypatch.setattr(csf, "_resample_arrays", collapsing)
-    log = csf.run(c, FlowConfig())
+    log = csf.run(c)
     assert log.stopReason == csf.RESOLUTION_LOST
     assert (log.steps, log.remeshes, len(log.times)) == (5, 1, 5)
     with pytest.raises(TranslabError, match="edge collapse after remeshing"):
@@ -228,7 +239,7 @@ def test_dt_underflow_stops_the_flow():
     th = 2 * math.pi * np.arange(64) / 64
     r = 0.5 + np.cos(th)
     c = csf.CurveState(points=np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
-    log = csf.run(c, FlowConfig(stopAmax=1e12))
+    log = csf.run(c, 1e12)
     assert log.stopReason == csf.DT_UNDERFLOW
     assert log.steps == len(log.times) - 1
     assert np.all(np.diff(log.times) > 0)
@@ -239,7 +250,7 @@ def test_flow_log_starts_at_polyline_kernel(monkeypatch):
     # the flow's diagnostics read the one polyline kernel
     monkeypatch.setattr(csf, "_MAX_STEPS", 3)
     c = csf.make_ellipse(2.0, 1.0, 128)
-    log = csf.run(c, FlowConfig())
+    log = csf.run(c)
     kappa, length, area = csf._polyline_kernel(c.points)
     assert (log.length[0], log.area[0], log.Amax[0]) == \
         (length, abs(area), float(np.max(np.abs(kappa))))
@@ -253,7 +264,7 @@ def test_extrapolated_step_is_third_order_in_time(monkeypatch):
 
     def err_at(dt_safety):
         monkeypatch.setattr(csf, "DT_SAFETY", dt_safety)
-        return abs(csf.run(c, FlowConfig()).fittedT - 0.5)
+        return abs(csf.run(c).fittedT - 0.5)
 
     assert 6.0 <= err_at(4e-2) / err_at(2e-2) <= 10.0
 
@@ -263,12 +274,11 @@ def test_nan_curvature_is_a_degenerate_curve(monkeypatch):
     monkeypatch.setattr(csf, "_MAX_STEPS", 50)
     point = csf.make_circle(0.0, 64)
     segment = csf.make_ellipse(2.0, 0.0, 64)
-    cfg = FlowConfig()
     for c in (point, segment):
         with pytest.raises(TranslabError, match="curvature not finite at t=0.0"):
-            csf.run(c, cfg)
+            csf.run(c)
     with pytest.raises(TranslabError, match="curvature not finite at t=0.0"):
-        csf.comparison_check(point, csf.make_circle(1.0, 64), cfg)
+        csf.comparison_check(point, csf.make_circle(1.0, 64))
 
 
 def test_evolve_to_lands_on_target():
@@ -277,28 +287,30 @@ def test_evolve_to_lands_on_target():
     assert c.t == t_target
     assert csf.evolve_to(c, 0.1).t == t_target  # already past: unchanged
     with pytest.raises(TranslabError):  # beyond extinction: stopAmax first
-        csf.evolve_to(csf.make_circle(1.0, 64), 0.6, FlowConfig(stopAmax=50.0))
+        csf.evolve_to(csf.make_circle(1.0, 64), 0.6, 50.0)
 
 
 def test_comparison_samples_every_step():
     # the inner circle has the larger curvature throughout, so the common dt
     # is its own and the pair steps exactly as the inner circle runs alone
-    cfg = FlowConfig(stopAmax=60.0)
     inner = csf.make_circle(0.6, 96)
-    rep = csf.comparison_check(inner, csf.make_circle(1.4, 96), cfg)
-    log = csf.run(inner, cfg)
+    rep = csf.comparison_check(inner, csf.make_circle(1.4, 96), 60.0)
+    log = csf.run(inner, 60.0)
     assert len(rep.minDistance) == len(rep.times) == log.steps + 1
     assert np.array_equal(rep.times, log.times)
 
 
 
-@pytest.mark.parametrize("cfg, reason", [(FlowConfig(stopAmax=60.0), csf.STOP_AMAX),
-                                         (FlowConfig(), csf.MAX_STEPS)])
-def test_comparison_report_carries_the_flow_counters(monkeypatch, cfg, reason):
+@pytest.mark.parametrize("stop_amax, reason", [(60.0, csf.STOP_AMAX),
+                                               (csf.DEFAULT_STOP_AMAX,
+                                                csf.MAX_STEPS)],
+                         ids=["cfg0-stopAmax", "cfg1-maxSteps"])
+def test_comparison_report_carries_the_flow_counters(monkeypatch, stop_amax,
+                                                     reason):
     if reason == csf.MAX_STEPS:
         monkeypatch.setattr(csf, "_MAX_STEPS", 7)
     rep = csf.comparison_check(csf.make_circle(0.6, 64),
-                               csf.make_circle(1.4, 64), cfg)
+                               csf.make_circle(1.4, 64), stop_amax)
     assert rep.steps == len(rep.times) - 1
     assert rep.stopReason == reason
     assert rep.initialDistance == rep.minDistance[0]
@@ -313,7 +325,7 @@ def test_comparison_verdict_fails_when_the_distance_drops(monkeypatch):
     dists = itertools.chain([1.0, 1.0], itertools.repeat(0.1))
     monkeypatch.setattr(csf, "_min_distance", lambda P, Q: next(dists))
     rep = csf.comparison_check(csf.make_circle(0.6, 64),
-                               csf.make_circle(1.4, 64), FlowConfig(stopAmax=60.0))
+                               csf.make_circle(1.4, 64), 60.0)
     assert (rep.verdict, rep.initialDistance, rep.leastDistance) == \
         ("FAIL", 1.0, 0.1)
 
@@ -342,7 +354,7 @@ def test_area_law_defect_of_a_curve_of_zero_area_is_inf_without_warning():
     # a bowtie: its two loops enclose opposite signed areas that cancel
     bowtie = np.array([(0, 0), (0.5, 0.5), (1.5, 1.5), (2, 2), (2, 1), (2, 0),
                        (1.5, 0.5), (0.5, 1.5), (0, 2), (0, 1)], dtype=float)
-    log = csf.run(csf.CurveState(points=bowtie), FlowConfig(stopAmax=20.0))
+    log = csf.run(csf.CurveState(points=bowtie), 20.0)
     assert log.area[0] == 0.0 and log.areaLawDefect == math.inf
 
 

@@ -9,21 +9,21 @@ import scipy.sparse as sp
 from translab import catalog, cli, elliptic, geom
 from translab.elliptic import (DAMPING_MIN, MAX_NEWTON, TOL_RESIDUAL,
                                StripProblem, delta_wing, initial_guess,
-                               make_strip_problem, newton_solve)
+                               newton_solve)
 from translab.errors import NewtonFailedError, TranslabError
 
 B_ROOT2 = math.pi / math.sqrt(2)
 
 
 def grim_strip_problem(nx=121, ny=65, L=6.0, b=math.pi / 2 * 0.94):
-    p = StripProblem(b=b, L=L, nx=nx, ny=ny, bc=np.zeros((nx, ny)))
+    p = StripProblem(b=b, L=L, nx=nx, ny=ny)
     X, Y = np.meshgrid(p.xs, p.ys, indexing="ij")
     p.bc = np.log(np.cos(Y))
     return p, np.log(np.cos(Y))
 
 
 def test_zero_height_residual_is_one():
-    p = make_strip_problem(2.0, 6.0, 41, 41)
+    p = StripProblem(2.0, 6.0, 41, 41)
     p.bc = np.zeros((41, 41))
     u = p.grid(np.zeros((41, 41)))
     res = catalog.residual_report(u).perNode[1:-1, 1:-1]
@@ -31,7 +31,7 @@ def test_zero_height_residual_is_one():
 
 
 def test_residual_requires_matching_boundary():
-    p = make_strip_problem(2.0, 6.0, 41, 41)
+    p = StripProblem(2.0, 6.0, 41, 41)
     u = p.grid(np.zeros((41, 41)))
     with pytest.raises(TranslabError, match="boundary rows do not hold the Dirichlet data"):
         newton_solve(p, u)
@@ -132,7 +132,7 @@ def test_jacobian_matches_folded_coo_reference(nx, ny, ulps):
     # by the unfold matrix, on the bit-symmetric iterate Newton starts from;
     # on even grids four entries meet at the quadrant corner and their sum
     # may round in another order
-    p = make_strip_problem(B_ROOT2, 12.0, nx, ny)
+    p = StripProblem(B_ROOT2, 12.0, nx, ny)
     v = initial_guess(p).values
     a = v[1:-1, 1:-1] + v[-2:0:-1, 1:-1]
     v[1:-1, 1:-1] = 0.25 * (a + a[:, ::-1])
@@ -152,7 +152,7 @@ def test_jacobian_matches_folded_coo_reference(nx, ny, ulps):
 def test_newton_solve_reports_the_asymptote_defect():
     # newton_solve builds the whole report; asymptoteDefect used to stay NaN
     # until delta_wing or continuation_in_width set it
-    p = make_strip_problem(2.0, 8.0, 121, 49)
+    p = StripProblem(2.0, 8.0, 121, 49)
     sol, rep = newton_solve(p, initial_guess(p))
     assert math.isfinite(rep.asymptoteDefect)
     assert rep.asymptoteDefect == elliptic.asymptote_defect(sol, p)
@@ -178,7 +178,7 @@ def envelope_asymptote_defect(v, p):
 def test_strip_envelope_is_evaluated_once(nx, ny):
     # initial_guess and asymptote_defect read the envelope from p.bc, bit
     # for bit what they got when each evaluated it again
-    p = make_strip_problem(B_ROOT2, 12.0, nx, ny)
+    p = StripProblem(B_ROOT2, 12.0, nx, ny)
     X, Y = np.meshgrid(p.xs, p.ys, indexing="ij")
     env = elliptic.tilted_pair_envelope(p.b, X, Y)
     guess = initial_guess(p)
@@ -204,7 +204,7 @@ def test_newton_factors_on_even_steps_only():
 def test_reused_lu_step_failing_armijo_is_refactored(monkeypatch):
     # the first trial of step 1, the first step on a reused LU, is made to
     # fail the Armijo test: the step is retaken from a fresh LU, undamped
-    p = make_strip_problem(2.0, 8.0, 121, 49)
+    p = StripProblem(2.0, 8.0, 121, 49)
     _, plain = newton_solve(p, initial_guess(p))
     residual = elliptic._residual
     calls = []
@@ -232,7 +232,7 @@ def test_only_a_singular_factor_is_a_linear_solve_failure(monkeypatch,
     # programming error and must surface as itself
     monkeypatch.setattr(elliptic, "_jacobian", lambda jet, hx, hy:
                         sp.csc_matrix((jet[0].size, jet[0].size + extra_cols)))
-    p = make_strip_problem(2.0, 8.0, 41, 41)
+    p = StripProblem(2.0, 8.0, 41, 41)
     match = "exactly singular" if error is TranslabError else None
     with pytest.raises(error, match=match) as info:
         newton_solve(p, initial_guess(p))
@@ -414,10 +414,10 @@ def rgi_resample_onto(p_new, sol):
 
 
 def test_resample_matches_bilinear_reference(monkeypatch):
-    p0 = elliptic.make_strip_problem(2.0, 12.0, 121, 41)
+    p0 = StripProblem(2.0, 12.0, 121, 41)
     sol, _ = elliptic.newton_solve(p0, elliptic.initial_guess(p0))
     for b in (2.2, 1.9):                 # a wider and a narrower strip
-        p1 = elliptic.make_strip_problem(b, 12.0, 121, 41)
+        p1 = StripProblem(b, 12.0, 121, 41)
         guess = elliptic._resample_onto(p1, sol).values
         ref = rgi_resample_onto(p1, sol).values
         assert np.max(np.abs(guess - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -432,24 +432,51 @@ def test_resample_matches_bilinear_reference(monkeypatch):
 
 def test_strip_problem_invariants():
     with pytest.raises(ValueError):
-        make_strip_problem(2.0, 3.0, 41, 41)            # L < 4
+        StripProblem(2.0, 3.0, 41, 41)            # L < 4
     with pytest.raises(ValueError):
-        make_strip_problem(2.0, 6.0, 21, 41)            # resolution
+        StripProblem(2.0, 6.0, 21, 41)            # resolution
     for b, L in [(1e-200, 6.0), (1e52, 6.0), (2.0, 1e300)]:  # squares
         with pytest.raises(ValueError, match="b must|L must"):
-            make_strip_problem(b, L, 41, 41)
+            StripProblem(b, L, 41, 41)
     # the envelope alone: sec^2(theta) = 1 / cos^2(theta) overflows
     with pytest.raises(ValueError, match="finite sec"):
         elliptic.tilted_pair_envelope(1e200, np.zeros(3), np.zeros(3))
 
 
 def test_newton_refuses_an_initial_guess_whose_defect_is_not_finite():
-    # hx^2 is finite at L = 1e155, but the smoothed guess's W^3 is not; it
-    # used to print numpy's RuntimeWarning before any error line.  The
-    # error does not name L yet: ROADMAP item 3 asks for a bound on L
-    p = make_strip_problem(2.0, 1e155, 33, 33)
+    # hx^2 is finite at L = 1e155, but the smoothed guess's residual is not;
+    # it used to print numpy's RuntimeWarning before any error line.  This
+    # refusal comes before the W^3 one below
+    p = StripProblem(2.0, 1e155, 33, 33)
     with pytest.raises(TranslabError, match="the defect of the initial guess is not finite"):
         newton_solve(p, initial_guess(p))
+
+
+def test_newton_refuses_a_strip_too_long_for_its_grid():
+    # at L = 1e130 the smoothed guess's W^3 overflows, so its defect reads 0
+    # where the residual is not; such a strip used to end in "linear solve
+    # returned non-finite values" (L = 1e120 to 1e154) or to stall at the
+    # damping floor (L = 1e105 to 1e115)
+    p = StripProblem(2.0, 1e130, 33, 33)
+    with pytest.raises(TranslabError, match=re.escape(
+            "truncation length L = 1e+130 is too long for the 33 x 33 grid: "
+            "the initial guess's W^3 overflows")):
+        newton_solve(p, initial_guess(p))
+
+
+def test_strip_bc_is_the_envelope_until_assigned(monkeypatch):
+    # read first, bc is the tilted-pair envelope on every node, evaluated
+    # once; data assigned before that replaces it unevaluated
+    p = StripProblem(2.0, 6.0, 41, 33)
+    env = elliptic.tilted_pair_envelope(
+        p.b, *np.meshgrid(p.xs, p.ys, indexing="ij"))
+    assert np.array_equal(p.bc, env) and p.bc is p.bc
+    monkeypatch.setattr(elliptic, "tilted_pair_envelope",
+                        lambda *a: pytest.fail("envelope evaluated"))
+    q = StripProblem(2.0, 6.0, 41, 33)
+    q.bc = np.zeros((41, 33))
+    assert np.array_equal(q.bc, np.zeros((41, 33)))
+    assert np.array_equal(initial_guess(q).values, np.zeros((41, 33)))
 
 
 def full_grid_newton(p, init):
@@ -501,7 +528,7 @@ def full_grid_newton(p, init):
 @pytest.mark.parametrize("nx, ny", [(121, 41), (120, 40)])
 def test_quadrant_solve_matches_full_grid_reference(nx, ny):
     # odd grids fold onto their centre lines, even grids have none
-    p = make_strip_problem(B_ROOT2, 12.0, nx, ny)
+    p = StripProblem(B_ROOT2, 12.0, nx, ny)
     ref, iterations, factorizations = full_grid_newton(p, initial_guess(p))
     sol, rep = newton_solve(p, initial_guess(p))
     assert np.max(np.abs(sol.values - ref)) <= 1e-10
@@ -523,7 +550,7 @@ def test_quadrant_fold_maps_each_node_to_its_reflection():
 
 
 def test_asymmetric_boundary_data_is_refused_before_factoring(monkeypatch):
-    p = make_strip_problem(2.0, 8.0, 121, 49)
+    p = StripProblem(2.0, 8.0, 121, 49)
     p.bc[:, -1] += 1e-6 * p.xs          # tilted on one edge only
     init = p.grid(p.bc.copy())
     factored = []

@@ -305,7 +305,7 @@ def test_cli_csf_run_report_holds_the_log_counters_not_its_series(tmp_path,
                    "--out", str(tmp_path / "log.csv")])
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
-    log = csf.run(csf.make_circle(1.0, 16), csf.FlowConfig(stopAmax=3.0))
+    log = csf.run(csf.make_circle(1.0, 16), 3.0)
     assert len(log.times) < 64
     assert not {"times", "Amax", "length", "area", "samples"} & rep.keys()
     assert rep["schema"] == "translab-verdict/2"
@@ -803,6 +803,8 @@ def tiny_wavy_grid(h, amplitude):
 OVERFLOWED = "difference quotients overflowed"
 STEEP = grid.from_function(lambda X, Y: 1e300 * X, -2, 2, -2, 2, 41, 41)
 TINY_A, TINY_B = tiny_wavy_grid(1e-155, 0.05), tiny_wavy_grid(1e-160, 0.3)
+# kappa1 overflows at h = 1e-150, the principal-direction norm at 1e-100
+TINY_C, TINY_D = tiny_wavy_grid(1e-150, 0.05), tiny_wavy_grid(1e-100, 0.05)
 
 
 @pytest.mark.parametrize("sub, u, bump, err", [
@@ -815,16 +817,24 @@ TINY_A, TINY_B = tiny_wavy_grid(1e-155, 0.05), tiny_wavy_grid(1e-160, 0.3)
     ("sx", TINY_B, [], OVERFLOWED),
     ("jacobi", TINY_B, [], OVERFLOWED),
     ("firstvar", TINY_B, ["--bump", "0,0,8e-160"], OVERFLOWED),
+    ("sx", TINY_C, [], OVERFLOWED),
+    ("jacobi", TINY_C, [], OVERFLOWED),
+    ("sx", TINY_D, [], OVERFLOWED),
+    ("jacobi", TINY_D, [], OVERFLOWED),
 ], ids=["sx", "jacobi", "firstvar", "sx-h1e-155", "jacobi-h1e-155",
         "firstvar-h1e-155", "sx-h1e-160", "jacobi-h1e-160",
-        "firstvar-h1e-160"])
+        "firstvar-h1e-160", "sx-h1e-150", "jacobi-h1e-150", "sx-h1e-100",
+        "jacobi-h1e-100"])
 def test_cli_overflowing_slopes_are_one_error_line(tmp_path, capsys, sub, u,
                                                    bump, err):
     # u = 1e300 x: p * p overflows.  sx and jacobi used to print numpy's
     # overflow RuntimeWarning and its source line before the error line,
     # firstvar two warnings and then "grid values must be finite".  At
     # h = 1e-155 the slopes are finite and u_xx overflows, at h = 1e-160
-    # both do; no numpy warning may reach stderr
+    # both do; no numpy warning may reach stderr.  At h = 1e-150 kappa1
+    # overflows and at h = 1e-100 the principal-direction norm: sx and jacobi
+    # printed 1 to 12 warnings there, and jacobi at 1e-100 exited 0 with a
+    # defect of 1.1e106 read off an overflowed direction field
     path = tmp_path / "g.csv"
     tio.write_grid_csv(u, path)
     with warnings.catch_warnings():
@@ -832,6 +842,21 @@ def test_cli_overflowing_slopes_are_one_error_line(tmp_path, capsys, sub, u,
         rc = cli.main(["analyze", sub, "--in", str(path), *bump])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("sub", ["sx", "jacobi"])
+def test_cli_tiny_grid_within_range_runs_without_warning(tmp_path, capsys,
+                                                         sub):
+    # at h = 1e-60 nothing overflows; sx divided by kappa1 = 0 and printed
+    # seven numpy warnings ahead of its report
+    path = tmp_path / "g.csv"
+    tio.write_grid_csv(tiny_wavy_grid(1e-60, 0.05), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["analyze", sub, "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert isinstance(json.loads(out), dict)
 
 
 @pytest.mark.parametrize("argv, err", [
