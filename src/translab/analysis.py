@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TranslabError
-from .geom import (GeometryField, drift_laplacian, flip_orientation,
-                   graph_geometry, interior_jet, q_squared, surface_gradient)
+from .geom import (drift_laplacian, flip_orientation, graph_geometry,
+                   interior_jet, q_squared, surface_gradient)
 from .grid import GridFunction
 
 # step of first_variation_check's central differences, eps and eps / 2
@@ -128,42 +128,16 @@ def first_variation_check(u: GridFunction, v: VariationSpec) -> float:
     return (4.0 * d2 - d1) / 3.0
 
 
-def stability_apply(geom: GeometryField, phi: np.ndarray) -> np.ndarray:
-    """Stability operator: drift Laplacian plus |A|^2, applied to phi."""
-    return drift_laplacian(phi, geom) + geom.normA2 * phi
-
-
 def jacobi_field_defect(u: GridFunction) -> float:
-    """max |L (e3 . N)| over the valid interior; O(h^2) on translators."""
+    """max |L (e3 . N)| over the valid interior, where L = drift Laplacian +
+    |A|^2 is the stability operator; O(h^2) on translators."""
     geom = graph_geometry(u)
-    out = stability_apply(geom, geom.N[..., 2])
+    e3n = geom.N[..., 2]
+    out = drift_laplacian(e3n, geom) + geom.normA2 * e3n
     vals = out[np.isfinite(out)]
     if vals.size == 0:
         raise TranslabError("no valid interior nodes")
     return float(np.max(np.abs(vals)))
-
-
-def gradH_identity_check(u: GridFunction) -> float:
-    """max |grad_M H - A(e3^T, .)| over the valid interior.
-
-    The second fundamental form acts on the tangential part of e3 through the
-    shape operator assembled from the principal decomposition.
-    """
-    geom = graph_geometry(u)
-    gradH = surface_gradient(geom.H, geom)
-    e3n = geom.N[..., 2]
-    e3t = -e3n[..., None] * geom.N
-    e3t[..., 2] += 1.0
-    c1 = np.einsum("ijk,ijk->ij", e3t, geom.v1)
-    c2 = np.einsum("ijk,ijk->ij", e3t, geom.v2)
-    Ae3 = (geom.kappa1 * c1)[..., None] * geom.v1 \
-        + (geom.kappa2 * c2)[..., None] * geom.v2
-    diff = gradH - Ae3
-    mag = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    vals = mag[np.isfinite(mag)]
-    if vals.size == 0:
-        raise TranslabError("no valid interior nodes")
-    return float(np.max(vals))
 
 
 @dataclass

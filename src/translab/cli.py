@@ -2,18 +2,17 @@
 
 Subcommands: catalog residual, radial shoot|fit, elliptic delta-wing|
 continuation, csf run|compare, analyze sx|jacobi|firstvar, export obj.
-A JSON config file (--config, after the subcommand) presets long-option
-values; explicit flags override it and unknown config keys are fatal (typos
-silently corrupting numerical studies are worse than an error).  Exit codes:
-0 success, 1 numerical or I/O failure (including a file that cannot be
-opened), 2 usage.
+The command line is the whole input of a run; each report records it,
+shell-quoted, as its command.  Long options cannot be abbreviated.  Exit
+codes: 0 success, 1 numerical or I/O failure (including a file that cannot
+be opened), 2 usage.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import shlex
 import sys
 
 from . import __version__, analysis, catalog, csf, elliptic, io as tio, radial
@@ -120,47 +119,10 @@ def _build_parser():
     obj.add_argument("--out", required=True)
     obj.add_argument("--angular-samples", type=int, default=128)
 
-    # after the subcommand only: a group parser's default would overwrite it
+    # --stop for --stop-amax is a usage error: an option is spelled in full
     for p in (res, shoot, fit, wing, cont, frun, fcmp, sx, jac, fv, obj):
-        p.allow_abbrev = False      # _apply_config sees only full spellings
-        p.add_argument("--config", default=None, help="JSON config file; "
-                       "flags override its values; unknown keys are fatal")
+        p.allow_abbrev = False
     return ap
-
-
-def _apply_config(ap, argv, args):
-    """Merge a JSON config under explicit flags (strict key checking); each
-    value goes through its option's argparse type and choices."""
-    if not args.config:
-        return args
-    with open(args.config) as f:
-        try:
-            cfg = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config {args.config}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise UsageError("config must be a JSON object")
-    parser = ap
-    for name in (args.command, args.subcommand):
-        parser = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction)).choices[name]
-    options = {a.dest: a for a in parser._actions if a.dest in vars(args)}
-    explicit = {a.dest for a in options.values() for tok in argv
-                if tok.split("=")[0] in a.option_strings}
-    for key, val in cfg.items():
-        opt = options.get(key.replace("-", "_"))
-        if opt is None:
-            raise UsageError(f"unknown config key: {key!r}")
-        if opt.dest in explicit:
-            continue
-        try:
-            val = (opt.type or str)(str(val))
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise UsageError(f"config key {key!r}: {exc}") from exc
-        if opt.choices is not None and val not in opt.choices:
-            raise UsageError(f"config key {key!r}: invalid choice {val!r}")
-        setattr(args, opt.dest, val)
-    return args
 
 
 def _parse_shape(spec: str, n: int, offset: float = 0.0):
@@ -273,14 +235,9 @@ def _cmd_export(args, prov):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = _build_parser()
+    args = _build_parser().parse_args(argv)
+    prov = shlex.join(["translab", *argv])
     try:
-        if any(tok.split("=")[0] == "--config" for tok in argv[:2]):
-            ap.error("--config goes after the subcommand, e.g. "
-                     "translab csf run --config FILE")
-        args = ap.parse_args(argv)
-        args = _apply_config(ap, argv, args)
-        prov = "translab " + " ".join(argv)
         handler = {"catalog": _cmd_catalog, "radial": _cmd_radial,
                    "elliptic": _cmd_elliptic, "csf": _cmd_csf,
                    "analyze": _cmd_analyze, "export": _cmd_export}[args.command]

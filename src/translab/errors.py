@@ -16,4 +16,4 @@ class NewtonFailedError(TranslabError):
 
 
 class UsageError(Exception):
-    """Bad command line or config input; CLI exit code 2."""
+    """Bad command-line input; CLI exit code 2."""

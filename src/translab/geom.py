@@ -178,12 +178,6 @@ def flip_orientation(geom: GeometryField) -> GeometryField:
                    kappa2=-geom.kappa1, v1=geom.v2, v2=geom.v1)
 
 
-def translator_defect(geom: GeometryField) -> np.ndarray:
-    """|H_vec + e3_perp| per node, independent of the orientation choice."""
-    e3n = geom.N[..., 2]
-    return np.abs(geom.H + e3n)
-
-
 def _raised_gradient(phi: np.ndarray, geom: GeometryField):
     """(phi_x, phi_y) and W^2 g^{ij} phi_j = ((1 + q^2) phi_x - pq phi_y,
     (1 + p^2) phi_y - pq phi_x) of a scalar field on geom's grid."""

@@ -193,3 +193,41 @@ def test_size_at_its_bound_is_accepted(tmp_path, capfd, inputs, argv):
     out, err = capfd.readouterr()
     assert (rc, err) == (0, "")
     assert isinstance(json.loads(out), dict)
+
+
+# every subcommand with only its required arguments; csf compare at its
+# default --n 256 takes about 4 s, so it runs at --n 64 until the curve
+# distance is sub-quadratic
+DEFAULTS = {
+    ("catalog", "residual"): [],
+    ("radial", "shoot"): ["--out", "{out}/p.csv"],
+    ("radial", "fit"): ["--in", "{p}", "--rlo", "2", "--rhi", "5"],
+    ("elliptic", "delta-wing"): ["--b", "2.2"],
+    ("elliptic", "continuation"): ["--b-start", "2.2", "--b-end", "2.4"],
+    ("csf", "run"): ["--out", "{out}/l.csv"],
+    ("csf", "compare"): ["--n", "64"],
+    ("analyze", "sx"): ["--in", "{g}"],
+    ("analyze", "jacobi"): ["--in", "{g}"],
+    ("analyze", "firstvar"): ["--in", "{g}"],
+    ("export", "obj"): ["--in", "{p}", "--out", "{out}/p.obj"],
+}
+
+
+def test_defaults_table_names_every_subcommand():
+    assert set(DEFAULTS) == {(cmd, sub)
+                             for cmd, group in _choices(cli._build_parser())
+                             for sub, _ in _choices(group)}
+
+
+@pytest.mark.parametrize("cmd, sub", list(DEFAULTS),
+                         ids=[" ".join(k) for k in DEFAULTS])
+def test_subcommand_runs_at_its_defaults(tmp_path, capfd, inputs, cmd, sub):
+    argv = [cmd, sub, *(a.format(out=tmp_path, **inputs)
+                        for a in DEFAULTS[cmd, sub])]
+    rc = cli.main(argv)
+    out, err = capfd.readouterr()
+    assert (rc, err) == (0, "")
+    if (cmd, sub) == ("export", "obj"):
+        assert out == f"wrote {tmp_path}/p.obj\n"
+    else:
+        assert isinstance(json.loads(out), dict)

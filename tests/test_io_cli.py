@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -353,98 +354,65 @@ def test_cli_csf_reruns_byte_identical(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_cli_config_precedence(tmp_path, capsys):
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"h": 0.04, "kind": "grim"}))
-    rc = cli.main(["catalog", "residual", "--config", str(cfgfile),
-                   "--h", "0.08"])
-    assert rc == 0
-    out1 = json.loads(capsys.readouterr().out)
-    rc = cli.main(["catalog", "residual", "--h", "0.08"])
-    out2 = json.loads(capsys.readouterr().out)
-    assert out1["maxAbs"] == out2["maxAbs"]  # flag overrode the config
-
-
-def test_cli_config_yields_to_flag_with_another_dest(tmp_path, capsys):
-    # --in stores to "infile"; an explicit --in must win over the config's
-    paths = []
-    for name, amp in (("a.csv", 0.1), ("b.csv", 0.3)):
-        paths.append(tmp_path / name)
-        tio.write_grid_csv(grid.from_function(
-            lambda X, Y: amp * np.sin(X) * np.cos(Y), -1, 1, -1, 1, 21, 21),
-            paths[-1])
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"infile": str(paths[1])}))
-    results = []
-    for argv in (["--in", str(paths[0]), "--config", str(cfgfile)],
-                 ["--in", str(paths[0])], ["--in", str(paths[1])]):
-        assert cli.main(["analyze", "jacobi"] + argv) == 0
-        results.append(json.loads(capsys.readouterr().out)["maxJacobiDefect"])
-    assert results[0] == results[1] != results[2]
-
-
-def test_cli_config_rejects_unknown_key(tmp_path, capsys):
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"not_a_flag": 1}))
-    rc = cli.main(["catalog", "residual", "--config", str(cfgfile)])
-    assert rc == 2
-
-
-@pytest.mark.parametrize("cfg", [{"h": "abc"}, {"kind": "bogus"}, {"h": [0.01]}])
-def test_cli_config_rejects_bad_value(tmp_path, capsys, cfg):
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps(cfg))
-    assert cli.main(["catalog", "residual", "--config", str(cfgfile)]) == 2
-
-
-def test_cli_config_values_are_typed(tmp_path, capsys):
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"h": "0.01"}))
-    assert cli.main(["catalog", "residual", "--config", str(cfgfile)]) == 0
-    out1 = json.loads(capsys.readouterr().out)
-    assert cli.main(["catalog", "residual", "--h", "0.01"]) == 0
-    out2 = json.loads(capsys.readouterr().out)
-    del out1["command"], out2["command"]
-    assert out1 == out2
-
-
-@pytest.mark.parametrize("before", [["--config", "{cfg}", "csf"],
-                                    ["csf", "--config", "{cfg}"]],
-                         ids=["before-group", "before-subcommand"])
-def test_cli_config_before_the_subcommand_is_a_usage_error(tmp_path, capsys,
-                                                           before):
-    # a group parser's --config default used to overwrite it, so the config
-    # was silently ignored; only the subcommand takes --config, and the
-    # message says so instead of naming the path as an invalid choice
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"radius": 0.5}))
-    tail = ["run", "--n", "64", "--out", str(tmp_path / "log.csv")]
-    with pytest.raises(SystemExit) as info:
-        cli.main([a.format(cfg=cfg) for a in before] + tail)
-    assert info.value.code == 2
-    assert "--config goes after the subcommand" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
-
-
 def test_cli_abbreviated_flag_is_a_usage_error(tmp_path):
-    # --stop would abbreviate --stop-amax, but _apply_config recognises only
-    # full spellings, so the config's stop-amax would beat the explicit flag
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"stop-amax": 100}))
+    # --stop would abbreviate --stop-amax; options are spelled in full
     with pytest.raises(SystemExit) as info:
-        cli.main(["csf", "run", "--n", "64", "--stop", "50", "--config",
-                  str(cfg), "--out", str(tmp_path / "log.csv")])
+        cli.main(["csf", "run", "--n", "64", "--stop", "50",
+                  "--out", str(tmp_path / "log.csv")])
     assert info.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "residual"],
+    ["radial", "shoot", "--out", "{tmp}/p.csv"],
+    ["radial", "fit", "--in", "{tmp}/p.csv", "--rlo", "1", "--rhi", "2"],
+    ["elliptic", "delta-wing", "--b", "2"],
+    ["elliptic", "continuation", "--b-start", "2", "--b-end", "3"],
+    ["csf", "run", "--out", "{tmp}/l.csv"],
+    ["csf", "compare"],
+    ["analyze", "sx", "--in", "{tmp}/g.csv"],
+    ["analyze", "jacobi", "--in", "{tmp}/g.csv"],
+    ["analyze", "firstvar", "--in", "{tmp}/g.csv"],
+    ["export", "obj", "--in", "{tmp}/g.csv", "--out", "{tmp}/g.obj"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_cli_config_is_an_unknown_option(tmp_path, capsys, argv):
+    # the command line is the whole input of a run: --config FILE is
+    # refused like any other unknown option, before anything runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 32}))
+    with pytest.raises(SystemExit) as info:
+        cli.main([a.format(tmp=tmp_path) for a in argv]
+                 + ["--config", str(cfg)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
-def test_cli_config_after_the_subcommand_applies(tmp_path, capsys):
-    cfg, report = tmp_path / "cfg.json", tmp_path / "run.json"
-    cfg.write_text(json.dumps({"radius": 0.5}))
-    assert cli.main(["csf", "run", "--config", str(cfg), "--n", "64",
-                     "--out", str(tmp_path / "log.csv"),
-                     "--report", str(report)]) == 0
-    assert abs(json.loads(report.read_text())["fittedT"] - 0.125) < 1e-3
+@pytest.mark.parametrize("argv, source", [
+    (["catalog", "residual", "--kind", "plane", "--out", "{d}/r.json"],
+     "r.json"),
+    (["radial", "shoot", "--rmax", "1", "--h", "0.01", "--out", "{d}/p.csv"],
+     None),
+    (["elliptic", "delta-wing", "--b", "2.2", "--nx", "33", "--ny", "33",
+      "--obj", "{d}/w.obj"], "w.obj"),
+], ids=["report-file", "stdout", "obj"])
+def test_cli_command_is_shell_quoted(tmp_path, capsys, argv, source):
+    # " ".join(argv) recorded "--out <tmp>/a b/r.json", which a shell
+    # splits into two words; the recorded command gives argv back
+    d = tmp_path / "a b"
+    d.mkdir()
+    argv = [a.format(d=d) for a in argv]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    if source is None:
+        command = json.loads(out)["command"]
+    elif source.endswith(".obj"):
+        command = next(ln for ln in (d / source).read_text().splitlines()
+                       if ln.startswith("# command: "))[len("# command: "):]
+    else:
+        command = json.loads((d / source).read_text())["command"]
+    assert shlex.split(command) == ["translab", *argv]
 
 
 @pytest.mark.parametrize("value", ["nan", "-1"])
@@ -617,10 +585,9 @@ def test_cli_refuses_a_scale_it_cannot_compute(tmp_path, capsys, argv, err):
 @pytest.mark.parametrize("argv", [
     ["radial", "fit", "--in", "{tmp}/missing.csv", "--rlo", "1", "--rhi", "2"],
     ["export", "obj", "--in", "{tmp}/missing.csv", "--out", "{tmp}/m.obj"],
-    ["catalog", "residual", "--config", "{tmp}/nope.json"],
     ["radial", "shoot", "--rmax", "1", "--h", "0.01",
      "--out", "{tmp}/nonexistent/dir/b.csv"],
-], ids=["fit-in", "export-in", "config", "shoot-out"])
+], ids=["fit-in", "export-in", "shoot-out"])
 def test_cli_unopenable_path_is_an_error_line(tmp_path, capsys, argv):
     rc = cli.main([a.format(tmp=tmp_path) for a in argv])
     err = capsys.readouterr().err
@@ -741,15 +708,6 @@ def test_cli_catalog_refuses_a_step_that_is_not_positive(capsys, kind, h):
         capsys.readouterr().err
 
 
-def test_cli_catalog_config_step_goes_through_the_same_check(tmp_path, capsys):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"h": -5}))
-    rc = cli.main(["catalog", "residual", "--config", str(cfg)])
-    assert rc == 2
-    assert "config key 'h': must be a finite positive number" in \
-        capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv, code, err", [
     (["--bump", "0,0,nan"], 2, "bad --bump '0,0,nan': bump radius"),
     (["--bump", "nan,0,1"], 2, "bad --bump 'nan,0,1': bump center"),
@@ -775,8 +733,8 @@ def test_cli_firstvar_names_the_bad_option(tmp_path, capsys, argv, code, err):
 def test_cli_step_constants_take_no_option(tmp_path, capsys, argv, key,
                                            value):
     # the flow step and the first-variation epsilon are the constants
-    # csf.DT_SAFETY and analysis.EPSILON: their old flags and config keys
-    # are unknown, at their old default values too
+    # csf.DT_SAFETY and analysis.EPSILON: their old flags are unknown, at
+    # their old default values too
     tio.write_grid_csv(grid.from_function(
         lambda X, Y: np.sin(X) * np.cos(Y) / 3, -2, 2, -2, 2, 33, 33),
         tmp_path / "g.csv")
@@ -786,11 +744,6 @@ def test_cli_step_constants_take_no_option(tmp_path, capsys, argv, key,
         cli.main(argv + [flag, repr(value)])
     assert info.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: value}))
-    assert cli.main(argv + ["--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == \
-        f"usage error: unknown config key: {key!r}\n"
 
 
 def tiny_wavy_grid(h, amplitude):
