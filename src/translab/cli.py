@@ -221,7 +221,10 @@ def _cmd_analyze(args, prov):
 
 def _cmd_export(args, prov):
     with open(args.infile) as f:
-        head = f.readline()
+        try:
+            head = f.readline()
+        except UnicodeDecodeError as exc:
+            raise TranslabError(f"{args.infile}: {exc}") from exc
     if head.startswith("# translab-grid"):
         tio.export_grid_obj(tio.read_grid_csv(args.infile), args.out,
                             provenance=prov)

@@ -2,9 +2,16 @@ import math
 
 import pytest
 
-from translab import csf, elliptic
+from translab import csf, elliptic, io as tio
 
 B_ROOT2 = math.pi / math.sqrt(2)
+
+
+@pytest.fixture(autouse=True)
+def empty_csv_memo():
+    """Each test starts with io's CSV memo empty: a test that reads a file it
+    did not write in this test parses it, whatever ran before."""
+    tio._memo.clear()
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -190,6 +191,199 @@ def test_report_json_writes_a_list_of_results_field_by_field():
             radial.shoot_bowl(2, 30.0, 1e-2), 10.0, 30.0)])
 
 
+# --- CSV memo -------------------------------------------------------------------
+
+
+def signed_zero_grid():
+    values = np.arange(20.0).reshape(5, 4) / 3
+    values[0, 0] = values[2, 3] = -0.0
+    return grid.GridFunction(5, 4, 0.5, 0.25, -0.0, -1.0, values)
+
+
+MEMO_CASES = {
+    "grid": (signed_zero_grid, tio.write_grid_csv, tio.read_grid_csv),
+    "bowl": (lambda: radial.shoot_bowl(2, 3.0, 1e-2), tio.write_profile_csv,
+             tio.read_profile_csv),
+    "catenoid": (lambda: radial.shoot_catenoid_wing(
+        2, 1.0, 3.0, 1e-2, radial.RadialKind.CATENOID_UPPER),
+        tio.write_profile_csv, tio.read_profile_csv),
+}
+
+
+def bits(obj):
+    """(name, type, value) of each field of a GridFunction or RadialProfile,
+    a float or array value as its bytes."""
+    out = []
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, np.ndarray):
+            out.append((f.name, type(v), v.dtype, v.shape, v.tobytes()))
+        elif isinstance(v, float):
+            out.append((f.name, type(v), np.float64(v).tobytes()))
+        else:
+            out.append((f.name, type(v), v))
+    return out
+
+
+def no_parse(*args):
+    raise AssertionError("parsed a file the memo holds")
+
+
+@pytest.mark.parametrize("case", MEMO_CASES)
+def test_memo_hit_reads_what_a_parse_reads(tmp_path, monkeypatch, case):
+    make, write, read = MEMO_CASES[case]
+    path = tmp_path / "f.csv"
+    write(make(), path)
+    with monkeypatch.context() as m:
+        m.setattr(tio, "_read_csv", no_parse)
+        hit = read(path)
+    tio._memo.clear()
+    parsed = read(path)
+    assert bits(hit) == bits(parsed)
+    if case == "grid":
+        assert np.signbit(hit.values[[0, 2], [0, 3]]).all() and np.signbit(hit.x0)
+    else:
+        assert (hit.lam is None) == (case == "bowl")
+        assert (hit.steps, hit.rejected, hit.neckSamples) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("case", MEMO_CASES)
+def test_memo_returns_copies(tmp_path, case):
+    make, write, read = MEMO_CASES[case]
+    path = tmp_path / "f.csv"
+    obj = make()
+    write(obj, path)
+    expected = bits(read(path))
+    names = ["values"] if case == "grid" else ["r", "u", "psi"]
+    for source in (obj, read(path)):  # the written object, then a read
+        for name in names:
+            getattr(source, name)[...] = 7.0
+        assert bits(read(path)) == expected
+
+
+def test_memo_parses_a_file_rewritten_in_place(tmp_path):
+    path = tmp_path / "g.csv"
+    tio.write_grid_csv(wavy_grid(), path)
+    tio.read_grid_csv(path)
+    data = bytearray(path.read_bytes())
+    k = len(data) - 2                       # the last digit of the last u
+    data[k] = ord("1") if data[k] != ord("1") else ord("2")
+    with open(path, "r+b") as f:            # same length, same inode
+        f.write(data)
+    last = data.decode().splitlines()[-1].split(",")[-1]
+    assert tio.read_grid_csv(path).values[-1, -1] == float(last)
+
+
+@pytest.mark.parametrize("kind, row, text, err", [
+    ("grid", 3, "1,2,0.5,0.5,abc", "malformed grid CSV"),
+    ("grid", -1, None, "node indices must cover each of the 9x7"),
+    ("profile", 5, "1,2,3,4,5", "malformed profile CSV"),
+    ("profile", -1, None, "300 rows, header records 301"),
+], ids=["grid-row", "grid-truncated", "profile-row", "profile-truncated"])
+def test_memo_refuses_a_malformed_file_at_a_held_path(tmp_path, kind, row,
+                                                      text, err):
+    # the valid file is held, then rewritten with one line replaced or cut
+    path = tmp_path / "f.csv"
+    if kind == "grid":
+        tio.write_grid_csv(wavy_grid(), path)
+        read = tio.read_grid_csv
+    else:
+        tio.write_profile_csv(radial.shoot_bowl(2, 3.0, 1e-2), path)
+        read = tio.read_profile_csv
+    read(path)
+    lines = path.read_text().splitlines()
+    if text is None:
+        del lines[row]
+    else:
+        lines[row] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TranslabError, match=err):
+        read(path)
+    assert tio._memo[kind][0] != tio._digest(path)
+
+
+def test_memo_holds_one_entry_per_kind(tmp_path):
+    paths = [tmp_path / f"{name}.csv" for name in ("g1", "g2", "p1", "p2")]
+    tio.write_grid_csv(wavy_grid(), paths[0])
+    tio.write_grid_csv(wavy_grid(7, 5), paths[1])
+    tio.write_profile_csv(radial.shoot_bowl(2, 1.0, 1e-2), paths[2])
+    tio.write_profile_csv(radial.shoot_bowl(3, 1.0, 1e-2), paths[3])
+    tio.read_grid_csv(paths[0])
+    assert sorted(tio._memo) == ["grid", "profile"]
+    assert tio._memo["grid"][0] == tio._digest(paths[0])
+    assert tio._memo["profile"][0] == tio._digest(paths[3])
+
+
+def nan_sample_bowl():
+    p = radial.shoot_bowl(2, 1.0, 1e-2)
+    p.u[3] = -np.nan
+    return p
+
+
+@pytest.mark.parametrize("make, err", [
+    (nan_sample_bowl, None),
+    (lambda: radial.shoot_bowl(2.0, 1.0, 1e-2),
+     "invalid literal for int() with base 10: '2.0'"),
+], ids=["nan-sample", "float-n"])
+def test_memo_does_not_hold_a_profile_that_does_not_read_back(tmp_path, make,
+                                                             err):
+    # "nan" reads back as the positive quiet NaN, whatever the sign and
+    # payload written; a header n=2.0 is refused by the reader
+    path = tmp_path / "p.csv"
+    tio.write_profile_csv(make(), path)
+    assert tio._memo == {}
+    if err is None:
+        assert not np.signbit(tio.read_profile_csv(path).u[3])
+    else:
+        with pytest.raises(TranslabError, match=re.escape(err)):
+            tio.read_profile_csv(path)
+
+
+def test_memo_under_threads(tmp_path):
+    # threads writing and reading their own grids through the one memo each
+    # read back their own values
+    grids = [grid.from_function(lambda X, Y, k=k: X * Y + k, -1, 1, -1, 1, 9, 7)
+             for k in range(4)]
+    failures = []
+
+    def work(k):
+        path = tmp_path / f"g{k}.csv"
+        for _ in range(25):
+            tio.write_grid_csv(grids[k], path)
+            for _ in range(2):
+                if not np.array_equal(tio.read_grid_csv(path).values,
+                                      grids[k].values):
+                    failures.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,), daemon=True)
+                   for k in range(len(grids))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+def test_csv_reads_from_a_pipe(tmp_path):
+    # a pipe can be read once: it is parsed without a hash, and not held
+    g, src, fifo = wavy_grid(), tmp_path / "g.csv", tmp_path / "fifo"
+    tio.write_grid_csv(g, src)
+    tio._memo.clear()
+    os.mkfifo(fifo)
+    feed = threading.Thread(target=lambda: fifo.write_bytes(src.read_bytes()),
+                            daemon=True)
+    feed.start()
+    assert np.array_equal(tio.read_grid_csv(fifo).values, g.values)
+    feed.join(timeout=10)
+    assert tio._memo == {}
+
+
 # --- CLI ------------------------------------------------------------------------
 
 
@@ -228,21 +422,22 @@ def test_cli_delta_wing_and_analyze(tmp_path, capsys):
     assert obj.exists()
     capsys.readouterr()
 
-    rc = cli.main(["analyze", "jacobi", "--in", str(wing)])
-    assert rc == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["maxJacobiDefect"] < 1.0
+    def analyze(*argv):
+        # the grid CSV is held (written by the solve, or read by the command
+        # before); the same command on an empty memo parses it and must
+        # print the same bytes
+        argv = ["analyze", *argv, "--in", str(wing)]
+        assert "grid" in tio._memo
+        assert cli.main(argv) == 0
+        held = capsys.readouterr().out
+        tio._memo.clear()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == held
+        return json.loads(held)
 
-    rc = cli.main(["analyze", "sx", "--in", str(wing)])
-    assert rc == 0
-    sx = json.loads(capsys.readouterr().out)
-    assert sx["fracInequalityHolds"] >= 0.9
-
-    rc = cli.main(["analyze", "firstvar", "--in", str(wing),
-                   "--bump", "0,0,1.0"])
-    assert rc == 0
-    fv = json.loads(capsys.readouterr().out)
-    assert abs(fv["firstVariation"]) < 1.0
+    assert analyze("jacobi")["maxJacobiDefect"] < 1.0
+    assert analyze("sx")["fracInequalityHolds"] >= 0.9
+    assert abs(analyze("firstvar", "--bump", "0,0,1.0")["firstVariation"]) < 1.0
 
     rc = cli.main(["export", "obj", "--in", str(wing), "--out",
                    str(tmp_path / "wing2.obj")])
@@ -593,6 +788,44 @@ def test_cli_unopenable_path_is_an_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "sx", "--in", "{path}"],
+    ["export", "obj", "--in", "{path}", "--out", "{tmp}/e.obj"],
+    ["radial", "fit", "--in", "{path}", "--rlo", "1", "--rhi", "2"],
+], ids=["analyze-sx", "export-obj", "radial-fit"])
+@pytest.mark.parametrize("columns", [True, False], ids=["columns", "no-columns"])
+def test_cli_csv_without_data_rows_is_one_error_line(tmp_path, capsys, argv,
+                                                     columns):
+    # np.loadtxt used to warn "input contained no data" on stderr before
+    # the error line "expected rows of 5 fields" (6 for a profile)
+    tag = "profile" if "fit" in argv else "grid"
+    head = {"grid": "# translab-grid nx=5 ny=5 hx=1 hy=1 x0=0 y0=0\ni,j,x,y,u\n",
+            "profile": "# translab-profile n=2 kind=bowl lam= h=0.1 rows=3\n"
+                       "r,u,psi,kappa1,kappa2,H\n"}[tag]
+    path = tmp_path / "h.csv"
+    path.write_text(head if columns else head.splitlines(keepends=True)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([a.format(path=path, tmp=tmp_path) for a in argv])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}: {tag} CSV has no data rows\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "sx", "--in", "{path}"],
+    ["export", "obj", "--in", "{path}", "--out", "{tmp}/e.obj"],
+], ids=["analyze-sx", "export-obj"])
+def test_cli_undecodable_csv_names_its_file(tmp_path, capsys, argv):
+    # export obj sniffs the first line itself, analyze reads it in io
+    path = tmp_path / "u.csv"
+    path.write_bytes(b"\xff\xfe# translab-grid nx=5\n")
+    rc = cli.main([a.format(path=path, tmp=tmp_path) for a in argv])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+    assert "can't decode byte 0xff" in lines[0]
 
 
 @pytest.mark.parametrize("samples", ["0", "-3", "2"])
