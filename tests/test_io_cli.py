@@ -303,15 +303,67 @@ def test_memo_refuses_a_malformed_file_at_a_held_path(tmp_path, kind, row,
 
 
 def test_memo_holds_one_entry_per_kind(tmp_path):
+    # the last file written of each kind; a read replaces nothing
     paths = [tmp_path / f"{name}.csv" for name in ("g1", "g2", "p1", "p2")]
     tio.write_grid_csv(wavy_grid(), paths[0])
     tio.write_grid_csv(wavy_grid(7, 5), paths[1])
     tio.write_profile_csv(radial.shoot_bowl(2, 1.0, 1e-2), paths[2])
     tio.write_profile_csv(radial.shoot_bowl(3, 1.0, 1e-2), paths[3])
     tio.read_grid_csv(paths[0])
+    tio.read_profile_csv(paths[2])
     assert sorted(tio._memo) == ["grid", "profile"]
-    assert tio._memo["grid"][0] == tio._digest(paths[0])
-    assert tio._memo["profile"][0] == tio._digest(paths[3])
+    assert tio._memo["grid"][:2] == (tio._digest(paths[1]),
+                                     paths[1].stat().st_size)
+    assert tio._memo["profile"][:2] == (tio._digest(paths[3]),
+                                        paths[3].stat().st_size)
+
+
+def no_hash(path):
+    raise AssertionError(f"hashed {path}")
+
+
+def test_memo_hashes_only_a_file_the_size_of_its_entry(tmp_path, monkeypatch):
+    # a read with no entry of its kind, or of another size, parses unhashed:
+    # what every separate CLI process does
+    g, p = tmp_path / "g.csv", tmp_path / "p.csv"
+    tio.write_grid_csv(wavy_grid(), g)
+    tio.write_profile_csv(radial.shoot_bowl(2, 1.0, 1e-2), p)
+    tio._memo.clear()
+    monkeypatch.setattr(tio, "_digest", no_hash)
+    expected = tio.read_grid_csv(g).values
+    tio.read_profile_csv(p)
+    tio.write_profile_csv(radial.shoot_bowl(2, 1.0, 1e-2), tmp_path / "q.csv")
+    assert np.array_equal(tio.read_grid_csv(g).values, expected)
+    tio.write_grid_csv(wavy_grid(7, 5), tmp_path / "h.csv")
+    assert np.array_equal(tio.read_grid_csv(g).values, expected)
+    assert tio._memo["grid"][1] != g.stat().st_size
+
+
+def test_memo_read_racing_a_rewrite_holds_nothing(tmp_path, monkeypatch):
+    # the file at path changes from b's bytes to a's, the held ones, between
+    # the reader's hash and its parse; b is a with one digit changed, so of
+    # the held size; a later read of b's bytes must still give b
+    a, path, held = wavy_grid(), tmp_path / "f.csv", tmp_path / "a.csv"
+    tio.write_grid_csv(a, held)
+    entry = tio._memo["grid"]
+    b_bytes = bytearray(held.read_bytes())
+    k = len(b_bytes) - 2                    # the last digit of the last u
+    b_bytes[k] = ord("1") if b_bytes[k] != ord("1") else ord("2")
+    b_last = float(b_bytes.decode().splitlines()[-1].split(",")[-1])
+    path.write_bytes(b_bytes)
+    digest = tio._digest
+
+    def digest_then_rewrite(p):
+        out = digest(p)
+        path.write_bytes(held.read_bytes())
+        return out
+
+    monkeypatch.setattr(tio, "_digest", digest_then_rewrite)
+    assert np.array_equal(tio.read_grid_csv(path).values, a.values)
+    monkeypatch.setattr(tio, "_digest", digest)
+    assert tio._memo["grid"] is entry
+    path.write_bytes(b_bytes)
+    assert tio.read_grid_csv(path).values[-1, -1] == b_last != a.values[-1, -1]
 
 
 def nan_sample_bowl():
@@ -370,18 +422,20 @@ def test_memo_under_threads(tmp_path):
     assert failures == []
 
 
-def test_csv_reads_from_a_pipe(tmp_path):
-    # a pipe can be read once: it is parsed without a hash, and not held
+def test_csv_reads_from_a_pipe(tmp_path, monkeypatch):
+    # a pipe can be read once: it is parsed without a hash, though the memo
+    # holds the content it carries
     g, src, fifo = wavy_grid(), tmp_path / "g.csv", tmp_path / "fifo"
     tio.write_grid_csv(g, src)
-    tio._memo.clear()
+    entry = tio._memo["grid"]
+    monkeypatch.setattr(tio, "_digest", no_hash)
     os.mkfifo(fifo)
     feed = threading.Thread(target=lambda: fifo.write_bytes(src.read_bytes()),
                             daemon=True)
     feed.start()
     assert np.array_equal(tio.read_grid_csv(fifo).values, g.values)
     feed.join(timeout=10)
-    assert tio._memo == {}
+    assert tio._memo == {"grid": entry}
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -422,22 +476,24 @@ def test_cli_delta_wing_and_analyze(tmp_path, capsys):
     assert obj.exists()
     capsys.readouterr()
 
-    def analyze(*argv):
-        # the grid CSV is held (written by the solve, or read by the command
-        # before); the same command on an empty memo parses it and must
-        # print the same bytes
-        argv = ["analyze", *argv, "--in", str(wing)]
-        assert "grid" in tio._memo
-        assert cli.main(argv) == 0
-        held = capsys.readouterr().out
+    # the three analyses read the grid the solve wrote, held in the memo,
+    # without a parse; run again on an empty memo, each parses it and must
+    # print the same bytes
+    commands = [["jacobi"], ["sx"], ["firstvar", "--bump", "0,0,1.0"]]
+    held = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tio, "_read_csv", no_parse)
+        for argv in commands:
+            assert cli.main(["analyze", *argv, "--in", str(wing)]) == 0
+            held.append(capsys.readouterr().out)
+    for argv, out in zip(commands, held):
         tio._memo.clear()
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().out == held
-        return json.loads(held)
-
-    assert analyze("jacobi")["maxJacobiDefect"] < 1.0
-    assert analyze("sx")["fracInequalityHolds"] >= 0.9
-    assert abs(analyze("firstvar", "--bump", "0,0,1.0")["firstVariation"]) < 1.0
+        assert cli.main(["analyze", *argv, "--in", str(wing)]) == 0
+        assert capsys.readouterr().out == out
+    jacobi, sx, firstvar = map(json.loads, held)
+    assert jacobi["maxJacobiDefect"] < 1.0
+    assert sx["fracInequalityHolds"] >= 0.9
+    assert abs(firstvar["firstVariation"]) < 1.0
 
     rc = cli.main(["export", "obj", "--in", str(wing), "--out",
                    str(tmp_path / "wing2.obj")])
