@@ -170,17 +170,14 @@ def _write_csv(path, tag: str, head: str, fmt: bytes, columns, arrays):
     """Write a translab <tag> CSV (the lines head, then the rows of
     _write_table(fmt, columns)), and hold in _memo what reading it returns:
     the metadata of its first line and copies of arrays, unless an array
-    holds a NaN or that line would not read back."""
+    holds a NaN."""
     with open(path, "wb") as raw:
         f = _Hashed(raw)
         f.write(_encode(head))
         _write_table(f, fmt, columns)
     if any(np.isnan(a).any() for a in arrays):
         return
-    try:
-        meta = _head_meta(path, head.partition("\n")[0], tag)
-    except TranslabError:  # e.g. a profile whose n is not an int
-        return
+    meta = _head_meta(path, head.partition("\n")[0], tag)
     meta.pop("rows", None)
     _memo[tag] = (f.sha.digest(), f.size, meta,
                   [np.array(a, dtype=float) for a in arrays])

@@ -17,6 +17,7 @@ principal curvatures kappa_prof = dpsi/ds and kappa_rot = sin(psi)/r
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
@@ -56,9 +57,11 @@ class RadialProfile:
         self.psi = np.asarray(self.psi, dtype=float)
         if not np.all(np.diff(self.r) > 0):
             raise ValueError("profile radii must be strictly increasing")
-
-    def interp_slope(self, r):
-        return np.interp(r, self.r, np.tan(self.psi))
+        try:
+            operator.index(self.n)      # a CSV header n=2.0 does not read back
+        except TypeError:
+            raise ValueError(
+                f"profile n must be an integer, got {self.n!r}") from None
 
 
 # --- Dormand-Prince 5(4) with FSAL and a continuous extension -----------------

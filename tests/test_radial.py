@@ -54,15 +54,6 @@ def test_catenoid_neck_conditions():
     assert up.u[5] > 0 > lo.u[5]
 
 
-def test_catenoid_degenerates_to_bowl():
-    up = radial.shoot_catenoid_wing(2, 1e-3, 1.6, 1e-3,
-                                    RadialKind.CATENOID_UPPER)
-    bowl = radial.shoot_bowl(2, 1.6, 1e-3)
-    slope_wing = up.interp_slope(1.0)
-    slope_bowl = bowl.interp_slope(1.0)
-    assert abs(slope_wing - slope_bowl) < 1e-2
-
-
 def test_bowl_identity_defects_and_convergence():
     # h = 1e-3 sits at the rounding floor (defect ~ 1e-7 << 1e-5); the
     # truncation-dominated regime for the 4x ratio starts around h ~ 1e-2
