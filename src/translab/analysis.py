@@ -40,9 +40,9 @@ class VariationSpec:
 
     def __post_init__(self):
         if not all(math.isfinite(c) for c in self.center):
-            raise ValueError("bump center must be finite")
+            raise TranslabError("bump center must be finite")
         if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError("bump radius must be finite and positive")
+            raise TranslabError("bump radius must be finite and positive")
 
     def profile(self, u: GridFunction) -> np.ndarray:
         X, Y = u.meshgrid()
@@ -55,10 +55,10 @@ class VariationSpec:
         phi[ty >= 1.0] = 0.0
         support = phi > 0
         if not support.any():
-            raise ValueError("bump support holds no grid node")
+            raise TranslabError("bump support holds no grid node")
         if support[:2, :].any() or support[-2:, :].any() \
                 or support[:, :2].any() or support[:, -2:].any():
-            raise ValueError("bump support must stay two nodes off the boundary")
+            raise TranslabError("bump support must stay two nodes off the boundary")
         return phi
 
 

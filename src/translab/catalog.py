@@ -34,7 +34,7 @@ _MAX_NODES = 10_000_000
 
 def _check_tilt(theta: float):
     if not (0.0 <= theta < math.pi / 2):
-        raise ValueError("theta must lie in [0, pi/2)")
+        raise TranslabError("theta must lie in [0, pi/2)")
 
 
 def half_width(theta: float) -> float:
@@ -118,6 +118,12 @@ def plane_report() -> ResidualReport:
                           maxGrad=math.inf, is_graph=False)
 
 
+def check_step(h: float):
+    """Refuse a grid step h that is not finite and positive."""
+    if not (math.isfinite(h) and h > 0):
+        raise TranslabError(f"step h must be finite and positive, not {h!r}")
+
+
 def sample_grid(theta: float, h: float) -> GridFunction:
     """Sample the tilt-theta reaper on a truncated strip.
 
@@ -125,13 +131,12 @@ def sample_grid(theta: float, h: float) -> GridFunction:
     counts are chosen so the spacing is h rounded to fit; an h that needs
     more than _MAX_NODES nodes is refused.
     """
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"step h must be finite and positive, not {h!r}")
+    check_step(h)
     w = half_width(theta) * HALF_WIDTH_FRAC
     # clamped before int(): 2 w / h is inf for a subnormal h
     n = max(int(round(min(2 * w / h, _MAX_NODES))) + 1, 5)
     if n * n > _MAX_NODES:
-        raise ValueError(f"step h = {h!r} needs more than {_MAX_NODES} grid nodes")
+        raise TranslabError(f"step h = {h!r} needs more than {_MAX_NODES} grid nodes")
     step = 2 * w / (n - 1)
     side = -w + step * np.arange(n)
     u, _ = _height(theta, side[:, None], side[None, :])

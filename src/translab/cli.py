@@ -4,31 +4,20 @@ Subcommands: catalog residual, radial shoot|fit, elliptic delta-wing|
 continuation, csf run|compare, analyze sx|jacobi|firstvar, export obj.
 The command line is the whole input of a run; each report records it,
 shell-quoted, as its command.  Long options cannot be abbreviated.  Exit
-codes: 0 success, 1 numerical or I/O failure (including a file that cannot
-be opened), 2 usage.
+codes: 0 success; 1, with one "error: ..." line, when the library refuses
+the input (TranslabError) or a file fails (OSError); 2 when argparse
+refuses the command line, or the grammar that no option type expresses
+(shape specs, --bump, --theta off --kind tilted) calls its error().
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import shlex
 import sys
 
 from . import __version__, analysis, catalog, csf, elliptic, io as tio, radial
-from .errors import TranslabError, UsageError
-
-
-def _finite_positive(text):
-    """argparse type of an option that must be a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite positive number, not {text!r}")
-    return value
+from .errors import TranslabError
 
 
 def _build_parser():
@@ -43,7 +32,7 @@ def _build_parser():
     res.add_argument("--kind", choices=["grim", "tilted", "plane"], default="grim")
     res.add_argument("--theta", type=float, default=0.0,
                      help="tilt of --kind tilted; grim is theta = 0")
-    res.add_argument("--h", type=_finite_positive, default=0.01)
+    res.add_argument("--h", type=float, default=0.01)
     res.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     rad = sub.add_parser("radial", help="rotationally symmetric translators")
@@ -119,23 +108,24 @@ def _build_parser():
     obj.add_argument("--out", required=True)
     obj.add_argument("--angular-samples", type=int, default=128)
 
-    # --stop for --stop-amax is a usage error: an option is spelled in full
+    # --stop for --stop-amax is a usage error: an option is spelled in full;
+    # args.error is the subcommand's own error(), for the grammar checks
     for p in (res, shoot, fit, wing, cont, frun, fcmp, sx, jac, fv, obj):
         p.allow_abbrev = False
+        p.set_defaults(error=p.error)
     return ap
 
 
-def _parse_shape(spec: str, n: int, offset: float = 0.0):
+def _shape_axes(args, spec: str):
+    """Semi-axes [a, b] of a shape spec, circle:R or ellipse:a:b."""
     kind, *nums = spec.split(":")
     try:
         axes = [float(v) for v in nums]
-    except ValueError as exc:
-        raise UsageError(f"bad shape spec {spec!r}") from exc
-    if (kind, len(axes)) == ("circle", 1):
-        return csf.make_circle(axes[0], n, center=(offset, 0.0))
-    if (kind, len(axes)) == ("ellipse", 2):
-        return csf.make_ellipse(*axes, n, center=(offset, 0.0))
-    raise UsageError(f"bad shape spec {spec!r}")
+    except ValueError:
+        axes = []
+    if (kind, len(axes)) not in (("circle", 1), ("ellipse", 2)):
+        args.error(f"bad shape spec {spec!r}")
+    return axes * 2 if kind == "circle" else axes
 
 
 def _emit(report, prov, path=None, **extra):
@@ -151,8 +141,9 @@ def _emit(report, prov, path=None, **extra):
 
 def _cmd_catalog(args, prov):
     if args.kind != "tilted" and args.theta != 0.0:
-        raise UsageError(f"--theta applies to --kind tilted, not {args.kind}")
+        args.error(f"--theta applies to --kind tilted, not {args.kind}")
     if args.kind == "plane":
+        catalog.check_step(args.h)      # a plane has no grid to sample
         rep = catalog.plane_report()
     else:
         rep = catalog.residual_report(catalog.sample_grid(args.theta, args.h))
@@ -198,41 +189,32 @@ def _cmd_csf(args, prov):
         tio.write_log_csv(log, args.out)
         _emit(log, prov, args.report, schema="translab-verdict/2")
     else:
-        a = _parse_shape(args.shape1, args.n)
-        b = _parse_shape(args.shape2, args.n, offset=args.gap)
+        axes = [_shape_axes(args, spec) for spec in (args.shape1, args.shape2)]
+        csf.check_pairs(args.n, args.n)     # before either curve exists
+        a, b = (csf.make_ellipse(*ab, args.n, center=(offset, 0.0))
+                for ab, offset in zip(axes, (0.0, args.gap)))
         _emit(csf.comparison_check(a, b, args.stop_amax), prov, args.report,
               schema="translab-comparison/2")
 
 
 def _cmd_analyze(args, prov):
+    if args.subcommand == "firstvar":
+        try:
+            cx, cy, rad = (float(v) for v in args.bump.split(","))
+        except ValueError:
+            args.error(f"bad --bump {args.bump!r}: expected cx,cy,radius")
+        spec = analysis.VariationSpec(center=(cx, cy), radius=rad)
     u = tio.read_grid_csv(args.infile)
     if args.subcommand == "sx":
         _emit(analysis.spruck_xiao_report(u), prov, args.report)
     elif args.subcommand == "jacobi":
         _emit({"maxJacobiDefect": analysis.jacobi_field_defect(u)}, prov)
     else:
-        try:
-            cx, cy, rad = (float(v) for v in args.bump.split(","))
-            spec = analysis.VariationSpec(center=(cx, cy), radius=rad)
-        except ValueError as exc:
-            raise UsageError(f"bad --bump {args.bump!r}: {exc}") from exc
         _emit({"firstVariation": analysis.first_variation_check(u, spec)}, prov)
 
 
 def _cmd_export(args, prov):
-    with open(args.infile) as f:
-        try:
-            head = f.readline()
-        except UnicodeDecodeError as exc:
-            raise TranslabError(f"{args.infile}: {exc}") from exc
-    if head.startswith("# translab-grid"):
-        tio.export_grid_obj(tio.read_grid_csv(args.infile), args.out,
-                            provenance=prov)
-    elif head.startswith("# translab-profile"):
-        tio.export_revolution_obj(tio.read_profile_csv(args.infile), args.out,
-                                  samples=args.angular_samples, provenance=prov)
-    else:
-        raise UsageError(f"{args.infile}: unrecognized CSV header")
+    tio.export_obj(args.infile, args.out, args.angular_samples, prov)
     print(f"wrote {args.out}")
 
 
@@ -245,10 +227,7 @@ def main(argv=None) -> int:
                    "elliptic": _cmd_elliptic, "csf": _cmd_csf,
                    "analyze": _cmd_analyze, "export": _cmd_export}[args.command]
         handler(args, prov)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (TranslabError, ValueError, OSError) as exc:
+    except (TranslabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

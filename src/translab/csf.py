@@ -96,7 +96,7 @@ class SingularityLog:
         self.length = np.asarray(self.length, dtype=float)
         self.area = np.asarray(self.area, dtype=float)
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("log times must be strictly increasing")
+            raise TranslabError("log times must be strictly increasing")
 
 
 @dataclass
@@ -109,9 +109,9 @@ class CurveState:
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[1] != 2:
-            raise ValueError("points must be (n, 2)")
+            raise TranslabError("points must be (n, 2)")
         if len(self.points) < 8:
-            raise ValueError("curve needs at least 8 points")
+            raise TranslabError("curve needs at least 8 points")
         if not np.all(np.isfinite(self.points)):
             raise TranslabError("curve points must be finite")
 
@@ -130,12 +130,12 @@ def make_circle(radius: float = 1.0, n: int = 256, center=(0.0, 0.0)) -> CurveSt
 def make_ellipse(a: float = 2.0, b: float = 1.0, n: int = 512,
                  center=(0.0, 0.0)) -> CurveState:
     if n > _MAX_POINTS:
-        raise ValueError(f"curve of n = {n} points exceeds the bound of "
-                         f"{_MAX_POINTS} points")
+        raise TranslabError(f"curve of n = {n} points exceeds the bound of "
+                            f"{_MAX_POINTS} points")
     # inf * sin(0) would warn before CurveState refuses the points
     if not all(math.isfinite(v) for v in (a, b, *center)):
-        raise ValueError(f"curve semi-axes and center must be finite, got "
-                         f"a = {a!r}, b = {b!r}, center = {tuple(center)!r}")
+        raise TranslabError(f"curve semi-axes and center must be finite, got "
+                            f"a = {a!r}, b = {b!r}, center = {tuple(center)!r}")
     ang = 2 * math.pi * np.arange(n) / n
     with np.errstate(over="ignore"):  # a sum past the largest float: refused
         pts = np.stack([center[0] + a * np.cos(ang),
@@ -294,16 +294,16 @@ def _flow(curves, t: float, stop_amax: float, t_end: float = math.inf):
     Amax >= stop_amax (STOP_AMAX), after _MAX_STEPS steps (MAX_STEPS), when
     dt no longer advances t in floating point (DT_UNDERFLOW), or when a
     remesh collapses an edge (RESOLUTION_LOST; that state is not yielded).
-    Before the first state it refuses (ValueError) a stop_amax that is not
-    positive or whose square overflows, and (TranslabError) a start curve
-    whose curvature is not finite or whose length lies outside [_MIN_LENGTH,
-    _MAX_LENGTH]; a later state that _diagnostics refuses raises too.
+    Before the first state it refuses a stop_amax that is not positive or
+    whose square overflows, and a start curve whose curvature is not finite
+    or whose length lies outside [_MIN_LENGTH, _MAX_LENGTH]; a later state
+    that _diagnostics refuses raises too.
     """
     if not stop_amax > 0.0:     # NaN included
-        raise ValueError("stopAmax must be positive")
+        raise TranslabError("stopAmax must be positive")
     if not stop_amax <= _MAX_AMAX:
-        raise ValueError(f"stopAmax must have a finite square (at most "
-                         f"{_MAX_AMAX!r}), got {stop_amax!r}")
+        raise TranslabError(f"stopAmax must have a finite square (at most "
+                            f"{_MAX_AMAX!r}), got {stop_amax!r}")
     state = SimpleNamespace(t=t, curves=[P.copy() for P in curves], steps=0,
                             remeshes=0, stopReason=None,
                             diags=[_diagnostics(P, t) for P in curves])
@@ -452,6 +452,14 @@ def roundness(c: CurveState):
 _MAX_PAIRS = 1 << 20
 
 
+def check_pairs(na: int, nb: int):
+    """Refuse curves of na and nb points past _MAX_PAIRS pairs per distance."""
+    if min(na, nb) > 0 and na * nb > _MAX_PAIRS:
+        raise TranslabError(f"curves of n = {na} and n = {nb} points need "
+                            f"{na * nb} vertex-segment pairs per distance, "
+                            f"more than {_MAX_PAIRS}")
+
+
 def _min_distance(P: np.ndarray, Q: np.ndarray) -> float:
     """Min distance between two closed polylines (vertex-to-segment, both ways)."""
     def pts_to_segs(pts, poly):
@@ -516,7 +524,7 @@ class ComparisonReport:
 
 def comparison_check(a: CurveState, b: CurveState,
                      stop_amax: float = DEFAULT_STOP_AMAX) -> ComparisonReport:
-    """Co-evolve two disjoint curves from their common start time (ValueError
+    """Co-evolve two disjoint curves from their common start time (refused
     unless a.t == b.t) and track their separation.
 
     The curves share the flow driver's dt (set by the larger Amax) until
@@ -527,17 +535,13 @@ def comparison_check(a: CurveState, b: CurveState,
     lengths), a discretization error allowance.
     """
     if a.t != b.t:
-        raise ValueError(f"curves must start at one time, got a.t = {a.t!r} "
-                         f"and b.t = {b.t!r}")
-    pairs = len(a.points) * len(b.points)
-    if pairs > _MAX_PAIRS:
-        raise ValueError(f"curves of n = {len(a.points)} and n = "
-                         f"{len(b.points)} points need {pairs} vertex-segment "
-                         f"pairs per distance, more than {_MAX_PAIRS}")
+        raise TranslabError(f"curves must start at one time, got a.t = {a.t!r} "
+                            f"and b.t = {b.t!r}")
+    check_pairs(len(a.points), len(b.points))
     flow = _flow([a.points, b.points], a.t, stop_amax)
     first = next(flow)      # the flow refuses a degenerate or outsized curve
     if not _curves_disjoint(*first.curves):
-        raise ValueError("curves must be disjoint at t = 0")
+        raise TranslabError("curves must be disjoint at t = 0")
 
     tol = 10.0 * (float(np.mean(_edge_lengths(a.points))) ** 2
                   + float(np.mean(_edge_lengths(b.points))) ** 2)

@@ -46,28 +46,28 @@ class StripProblem:
 
     def __post_init__(self):
         if not 0 < self.b < math.inf:
-            raise ValueError(f"strip half-width b must be finite and "
-                             f"positive, got {self.b}")
+            raise TranslabError(f"strip half-width b must be finite and "
+                                f"positive, got {self.b}")
         if not 4 <= self.L < math.inf:
-            raise ValueError(f"truncation length L must be finite and >= 4, "
-                             f"got {self.L}")
+            raise TranslabError(f"truncation length L must be finite and >= 4, "
+                                f"got {self.L}")
         if self.nx < 33 or self.ny < 33:
-            raise ValueError("resolution must be at least 33x33")
+            raise TranslabError("resolution must be at least 33x33")
         if self.nx * self.ny > _MAX_NODES:
-            raise ValueError(f"strip grid of nx x ny = {self.nx} x {self.ny} = "
-                             f"{self.nx * self.ny} nodes exceeds the bound of "
-                             f"{_MAX_NODES} nodes")
+            raise TranslabError(f"strip grid of nx x ny = {self.nx} x {self.ny} = "
+                                f"{self.nx * self.ny} nodes exceeds the bound of "
+                                f"{_MAX_NODES} nodes")
         # The stencils divide by hx^2 and hy^2.  The Newton residual is the
         # curvature defect times W^3 >= sec^3(theta) on the flanks of the
         # tilted pair (cos(theta) = pi / (2 b)), and its norm squares that.
         sec2 = (2.0 * self.b / math.pi) * (2.0 * self.b / math.pi)
         if not (0 < self.hy * self.hy < math.inf
                 and sec2 * sec2 * sec2 < math.inf):
-            raise ValueError(f"strip half-width b must keep hy^2 and "
-                             f"sec^6(theta) finite and positive, got {self.b}")
+            raise TranslabError(f"strip half-width b must keep hy^2 and "
+                                f"sec^6(theta) finite and positive, got {self.b}")
         if not self.hx * self.hx < math.inf:
-            raise ValueError(f"truncation length L must keep hx^2 finite, "
-                             f"got {self.L}")
+            raise TranslabError(f"truncation length L must keep hx^2 finite, "
+                                f"got {self.L}")
 
     @cached_property
     def bc(self) -> np.ndarray:
@@ -144,11 +144,11 @@ def tilted_pair_envelope(b: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     each side, so truncation error concentrates near the x = 0 crease.
     """
     if not math.pi / 2 < b < math.inf:
-        raise ValueError("tilted pair needs a finite b > pi/2")
+        raise TranslabError("tilted pair needs a finite b > pi/2")
     c = math.pi / (2.0 * b)
     if not c * c > 0 or math.isinf(1.0 / (c * c)):
-        raise ValueError(f"tilted pair needs a finite sec^2(theta), "
-                         f"got b = {b}")
+        raise TranslabError(f"tilted pair needs a finite sec^2(theta), "
+                            f"got b = {b}")
     theta = math.acos(c)
     sec2 = 1.0 / (c * c)
     return sec2 * np.log(np.cos(Y * c)) - math.tan(theta) * np.abs(X)
@@ -240,7 +240,7 @@ def _factor(J):
 
 
 def _check_mirror_symmetric(bc: np.ndarray):
-    """Raise ValueError unless the boundary data on the outer node ring equals
+    """Raise TranslabError unless the boundary data on the outer node ring equals
     its reflections about both midlines up to round-off."""
     ring = np.ones(bc.shape, dtype=bool)
     ring[1:-1, 1:-1] = False
@@ -248,8 +248,8 @@ def _check_mirror_symmetric(bc: np.ndarray):
                                      np.abs(bc - bc[:, ::-1]))[ring]))
     tol = 1e-12 * max(1.0, float(np.max(np.abs(bc[ring]))))
     if defect > tol:
-        raise ValueError("boundary data is not symmetric about both midlines "
-                         f"(defect {defect:.3e} > {tol:.3e})")
+        raise TranslabError("boundary data is not symmetric about both midlines "
+                            f"(defect {defect:.3e} > {tol:.3e})")
 
 
 def _newton_step(lu, Jq, res: np.ndarray, fold: np.ndarray) -> np.ndarray:
@@ -286,8 +286,8 @@ def newton_solve(p: StripProblem, init: GridFunction):
     quadrant of _fold_index: _jacobian assembles the quadrant rows with
     each neighbour's column folded onto its reflection, and the step
     dq[fold] keeps the iterate symmetric.  Residual and convergence test
-    stay on the full grid.  Boundary data that is not mirror symmetric is a
-    ValueError.  A stall names the grid node (i, j) where |defect| peaks.
+    stay on the full grid.  Boundary data that is not mirror symmetric is
+    refused.  A stall names the grid node (i, j) where |defect| peaks.
     Returns (solution, SolveReport); the report's asymptoteDefect is
     asymptote_defect(solution, p).
     """
@@ -441,7 +441,7 @@ def delta_wing(b: float, L: float = 12.0, nx: int = 961, ny: int = 161):
     constant-shift defect against the asymptotic reapers.
     """
     if b <= math.pi / 2:
-        raise ValueError("Delta-wings need strip half-width b > pi/2")
+        raise TranslabError("Delta-wings need strip half-width b > pi/2")
     p = StripProblem(b, L, nx, ny)
     return newton_solve(p, initial_guess(p))
 
@@ -463,15 +463,15 @@ def continuation_in_width(b_start: float, b_end: float, steps: int,
     the map b -> k via their centerHessian.
     """
     if steps < 1:
-        raise ValueError("continuation needs steps >= 1")
+        raise TranslabError("continuation needs steps >= 1")
     if steps > _MAX_STEPS:
-        raise ValueError(f"continuation of steps = {steps} exceeds the bound "
-                         f"of {_MAX_STEPS} steps")
+        raise TranslabError(f"continuation of steps = {steps} exceeds the bound "
+                            f"of {_MAX_STEPS} steps")
     for name, b in (("b_start", b_start), ("b_end", b_end)):
         if not math.isfinite(b):
-            raise ValueError(f"continuation {name} must be finite, got {b}")
+            raise TranslabError(f"continuation {name} must be finite, got {b}")
     if min(b_start, b_end) <= math.pi / 2:
-        raise ValueError("continuation runs in b > pi/2")
+        raise TranslabError("continuation runs in b > pi/2")
     # the widest strip is refused before any solve, not after the others
     StripProblem(max(b_start, b_end), L, nx, ny)
     bs = np.linspace(b_start, b_end, steps + 1) if b_start != b_end \

@@ -20,13 +20,13 @@ memo (_memo) holds the last grid CSV and the last profile CSV written, one
 entry per kind, keyed by the sha256 of the bytes written and their count.
 A writer hashes the bytes it writes and holds what a read of them returns:
 the metadata as parsed from its header line, and the arrays, which their
-17-digit texts give back bit for bit (-0.0 included).  Arrays holding a
-NaN, whose text loses its sign and payload, are not held.  A reader hashes
-the file, streamed in chunks, only when it is a regular file the size of
-its kind's entry; on a match it builds the result from copies of the held
-arrays, otherwise it parses and validates the file and holds nothing.  A
-separate process (each CLI command) starts with an empty memo, so its read
-parses without a hash.
+17-digit texts give back bit for bit (-0.0 included); GridFunction and
+RadialProfile refuse a NaN, held or parsed.  A reader hashes the file,
+streamed in chunks, only when it is a regular file the size of its kind's
+entry; on a match it builds the result from copies of the held arrays,
+otherwise it parses and validates the file and holds nothing.  A separate
+process (each CLI command) starts with an empty memo, so its read parses
+without a hash.
 """
 
 from __future__ import annotations
@@ -169,14 +169,11 @@ def _head_meta(path, head: str, tag: str) -> dict:
 def _write_csv(path, tag: str, head: str, fmt: bytes, columns, arrays):
     """Write a translab <tag> CSV (the lines head, then the rows of
     _write_table(fmt, columns)), and hold in _memo what reading it returns:
-    the metadata of its first line and copies of arrays, unless an array
-    holds a NaN."""
+    the metadata of its first line and copies of arrays."""
     with open(path, "wb") as raw:
         f = _Hashed(raw)
         f.write(_encode(head))
         _write_table(f, fmt, columns)
-    if any(np.isnan(a).any() for a in arrays):
-        return
     meta = _head_meta(path, head.partition("\n")[0], tag)
     meta.pop("rows", None)
     _memo[tag] = (f.sha.digest(), f.size, meta,
@@ -218,12 +215,12 @@ def _read_csv(path, tag: str, ncols: int):
             # np.loadtxt skips empty and '#' lines, and warns if that is all
             first = next((line for line in iter(f.readline, "")
                           if line.partition("#")[0] not in ("", "\n")), None)
-            if first is None:
-                raise TranslabError(f"{path}: {tag} CSV has no data rows")
-            rows = np.loadtxt(itertools.chain([first], f), delimiter=",",
-                              ndmin=2)
+            rows = None if first is None else np.loadtxt(
+                itertools.chain([first], f), delimiter=",", ndmin=2)
         except ValueError as exc:
             raise TranslabError(f"{path}: malformed {tag} CSV: {exc}") from exc
+    if rows is None:
+        raise TranslabError(f"{path}: {tag} CSV has no data rows")
     if rows.shape[1] != ncols:
         raise TranslabError(f"{path}: expected rows of {ncols} fields")
     return meta, rows
@@ -419,7 +416,10 @@ def _write_obj(path, provenance: str, vertex_fmt: bytes, vertices, faces):
     head = f"# translab {__version__}\n"
     if provenance:
         head += f"# command: {provenance}\n"
-    head = _encode(head)  # before the file exists: the provenance may not encode
+    try:  # before the file exists: the provenance may not encode
+        head = _encode(head)
+    except UnicodeEncodeError as exc:
+        raise TranslabError(str(exc)) from exc
     with open(path, "wb") as f:
         f.write(head)
         _write_table(f, vertex_fmt, vertices)
@@ -441,22 +441,20 @@ def export_revolution_obj(p: RadialProfile, path, samples: int = 128,
     """Surface of revolution (r, angle) -> (r cos, u, r sin), quad strip mesh.
 
     The angular direction wraps and needs samples >= 3, and rings x samples
-    may not exceed _MAX_VERTICES (ValueError otherwise); the radial direction
+    may not exceed _MAX_VERTICES (TranslabError otherwise); the radial direction
     is open.  Profiles with more than _MAX_RINGS samples are subsampled
     evenly (integration steps are far finer than any mesh needs); endpoints
     are always kept.
     """
     if samples < 3:
-        raise ValueError(f"revolution export needs at least 3 angular "
-                         f"samples, got {samples}")
-    if not (np.all(np.isfinite(p.r)) and np.all(np.isfinite(p.u))):
-        raise TranslabError("refusing OBJ export: non-finite profile")
+        raise TranslabError(f"revolution export needs at least 3 angular "
+                            f"samples, got {samples}")
     n = len(p.r)  # linspace(0, n - 1, n) is exactly arange(n)
     keep = np.unique(np.linspace(0, n - 1, min(n, _MAX_RINGS)).round().astype(int))
     if len(keep) * samples > _MAX_VERTICES:
-        raise ValueError(f"revolution export of {len(keep)} rings x {samples} "
-                         f"angular samples exceeds the bound of "
-                         f"{_MAX_VERTICES} vertices")
+        raise TranslabError(f"revolution export of {len(keep)} rings x {samples} "
+                            f"angular samples exceeds the bound of "
+                            f"{_MAX_VERTICES} vertices")
     rr = p.r[keep]
     ang = 2 * math.pi * np.arange(samples) / samples
     ring = samples * np.arange(len(rr) - 1)[:, None] + 1
@@ -468,3 +466,15 @@ def export_revolution_obj(p: RadialProfile, path, samples: int = 128,
                 _Texts(heights.texts, np.repeat(heights.where, samples)),
                 np.outer(rr, np.sin(ang)).ravel()],
                [a, b, b + samples, a + samples])
+
+
+def export_obj(infile, out, samples: int = 128, provenance: str = ""):
+    """OBJ mesh at out of the profile CSV at infile, by its first bytes, or
+    else of the grid CSV there (read_grid_csv refuses any other file)."""
+    tag = b"# translab-profile"
+    with open(infile, "rb") as f:
+        profile = f.read(len(tag)) == tag
+    if profile:
+        export_revolution_obj(read_profile_csv(infile), out, samples, provenance)
+    else:
+        export_grid_obj(read_grid_csv(infile), out, provenance)

@@ -55,12 +55,14 @@ class RadialProfile:
         self.r = np.asarray(self.r, dtype=float)
         self.u = np.asarray(self.u, dtype=float)
         self.psi = np.asarray(self.psi, dtype=float)
+        if not all(np.all(np.isfinite(a)) for a in (self.r, self.u, self.psi)):
+            raise TranslabError("profile samples must be finite")
         if not np.all(np.diff(self.r) > 0):
-            raise ValueError("profile radii must be strictly increasing")
+            raise TranslabError("profile radii must be strictly increasing")
         try:
             operator.index(self.n)      # a CSV header n=2.0 does not read back
         except TypeError:
-            raise ValueError(
+            raise TranslabError(
                 f"profile n must be an integer, got {self.n!r}") from None
 
 
@@ -194,12 +196,12 @@ def _make_run(rec, m, t_end, y_end, rejected) -> _Run:
 
 def _check_inputs(n, **positive):
     if n < 2:
-        raise ValueError("surface dimension n must be >= 2")
+        raise TranslabError("surface dimension n must be >= 2")
     for name, v in positive.items():
         if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be finite and positive, not {v!r}")
+            raise TranslabError(f"{name} must be finite and positive, not {v!r}")
     if positive["r_max"] / positive["h"] > _MAX_SAMPLES:
-        raise ValueError(f"r_max / h must not exceed {_MAX_SAMPLES} samples")
+        raise TranslabError(f"r_max / h must not exceed {_MAX_SAMPLES} samples")
 
 
 def _graph_rhs(n):
@@ -234,7 +236,7 @@ def shoot_bowl(n: int, r_max: float, h: float) -> RadialProfile:
     """
     _check_inputs(n, r_max=r_max, h=h)
     if r_max <= 12 * h:
-        raise ValueError("r_max must exceed the series region 10 h")
+        raise TranslabError("r_max must exceed the series region 10 h")
 
     c3 = 1.0 / (n ** 3 * (n + 2))
     series = []                # (u, psi) at r = k h, k <= 10
@@ -266,10 +268,12 @@ def shoot_catenoid_wing(n: int, lam: float, r_max: float, h: float,
     handover radius on; the first neckSamples samples are the arclength ones.
     """
     _check_inputs(n, lam=lam, r_max=r_max, h=h)
+    if not math.isfinite(1.0 / lam):    # the neck's curvature sin(psi) / r
+        raise TranslabError(f"neck radius lam = {lam!r}: 1/lam overflows")
     if r_max <= lam:
-        raise ValueError("r_max must exceed the neck radius")
+        raise TranslabError("r_max must exceed the neck radius")
     if kind is RadialKind.BOWL:
-        raise ValueError("a catenoid wing is catenoid-upper or catenoid-lower")
+        raise TranslabError("a catenoid wing is catenoid-upper or catenoid-lower")
     sign = +1 if kind is RadialKind.CATENOID_UPPER else -1
 
     nm1 = n - 1
@@ -407,7 +411,7 @@ def radial_identities_report(p: RadialProfile, r_lo: float,
     umbilic samples; the bowl tip needs r_lo >= 0.1 in practice.
     """
     if p.n != 2:
-        raise ValueError("identity report applies to surfaces in R^3 (n = 2)")
+        raise TranslabError("identity report applies to surfaces in R^3 (n = 2)")
     s, k_prof, k_rot, H, normA2 = profile_curvatures(p)
     k1 = np.maximum(k_prof, k_rot)
     k2 = np.minimum(k_prof, k_rot)
@@ -452,12 +456,12 @@ def profile_to_grid(p: RadialProfile, x0: float, x1: float, y0: float,
     Every node radius hypot(x, y) must be covered by the profile; catenoid
     wings are refused, as tan psi is infinite at the neck."""
     if p.kind is not RadialKind.BOWL:
-        raise ValueError("only bowl profiles can be sampled onto a grid")
+        raise TranslabError("only bowl profiles can be sampled onto a grid")
 
     def height(X, Y):
         R = np.hypot(X, Y)
         if R.max() > p.r[-1] + 1e-12 or R.min() < p.r[0] - 1e-12:
-            raise ValueError("grid radii not covered by the profile")
+            raise TranslabError("grid radii not covered by the profile")
         k = np.clip(np.searchsorted(p.r, R, side="right") - 1, 0, len(p.r) - 2)
         dr = p.r[k + 1] - p.r[k]
         t = (R - p.r[k]) / dr

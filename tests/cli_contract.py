@@ -1,8 +1,9 @@
 """The command-line contract: one table of command lines, one runner.
 
-Every input either finishes or fails with its documented exit code: 1 for a
-numerical or I/O failure, with one "error: ..." line on stderr, and 2 for a
-usage error, with one "usage error: ..." line, or argparse's usage text and
+Every input either finishes or fails with its documented exit code: 1 when
+the library refuses the input (a TranslabError) or a file cannot be opened
+or written (an OSError), with one "error: ..." line on stderr, and 2 when
+argparse refuses the command line, by SystemExit, with its usage text and
 its one "<prog>: error: ..." line.  A row of CONTRACT is
 
     (id, argv, exit code, stdout, stderr[, True])
@@ -81,8 +82,7 @@ def check(argv, code, out, err, *, inputs, tmp_path, capfd, bound=False):
         assert rc == 2 and ": error: " in lines[-1]
         assert sum(": error: " in line for line in lines) == 1
     else:
-        assert len(lines) == 1
-        assert lines[0].startswith("error: " if rc == 1 else "usage error: ")
+        assert rc == 1 and len(lines) == 1 and lines[0].startswith("error: ")
     if err is not None:
         escaped = {k: re.escape(v) for k, v in fill.items()}
         assert re.fullmatch(err.format(**escaped), lines[-1]), lines[-1]
@@ -178,7 +178,8 @@ CONTRACT = {"test_io_cli": {
          r"points.*", True),
         ("compare-n-1e5", "csf compare --n 100000", 1, "",
          r"error: curves of n = 100000 and n = 100000 points need "
-         r"10000000000 vertex-segment pairs per distance, more than 1048576.*"),
+         r"10000000000 vertex-segment pairs per distance, more than 1048576.*",
+         True),
         ("catalog-h", "catalog residual --h 1e-7", 1, "",
          r"error: step h = 1e-07 needs more than 10000000 grid nodes.*", True),
         ("sx-grid-1e16", "analyze sx --in {in}/huge.csv", 1, "",
@@ -222,7 +223,7 @@ CONTRACT = {"test_io_cli": {
          r"data rows")
         for columns, suffix in (("columns", ""), ("no-columns", "-head"))
         for name, (argv, tag) in NODATA.items()],
-    # export obj sniffs the first line itself, analyze reads it in io
+    # export obj sends a file that is not a profile CSV to the grid reader
     "test_cli_undecodable_csv_names_its_file": [
         ("analyze-sx", "analyze sx --in {in}/u.csv", 1, "",
          r"error: {in}/u\.csv: .*can't decode byte 0xff.*"),
@@ -233,20 +234,69 @@ CONTRACT = {"test_io_cli": {
         (n, f"export obj --in {{in}}/p.csv --out {{out}}/p.obj "
          f"--angular-samples {n}", 1, "", r"error: .*angular samples.*")
         for n in ("0", "-3", "2")],
+    # the ids of this group and of test_cli_firstvar_names_the_bad_option
+    # are their test names, kept from when a grammar check printed its own
+    # "usage error:" line and the library's bump checks gave exit 2
     "test_cli_catalog_refuses_a_theta_outside_its_kind": [
         (f"{kind}-0.3-2-usage error: --theta applies to --kind tilted, not "
          f"{kind}", f"catalog residual --kind {kind} --theta 0.3", 2, "",
-         f"usage error: --theta applies to --kind tilted, not {kind}")
+         "translab catalog residual: error: --theta applies to --kind "
+         f"tilted, not {kind}")
         for kind in ("grim", "plane")] + [
         ("tilted-2-1-error: theta must lie in [0, pi/2)",
          "catalog residual --kind tilted --theta 2", 1, "",
          r"error: theta must lie in \[0, pi/2\)")],
     "test_cli_firstvar_bump_needs_three_numbers": [
         (None, "analyze firstvar --in {in}/g.csv --bump 1,2", 2, "",
-         r"usage error: bad --bump '1,2'.*")],
+         r"translab analyze firstvar: error: bad --bump '1,2': expected "
+         r"cx,cy,radius")],
+    # what is not a profile CSV goes to the grid reader, which refuses it
     "test_cli_export_refuses_a_foreign_csv": [
-        (None, "export obj --in {in}/x.csv --out {out}/x.obj", 2, "",
-         r"usage error: {in}/x\.csv: unrecognized CSV header")],
+        (None, "export obj --in {in}/x.csv --out {out}/x.obj", 1, "",
+         r"error: {in}/x\.csv is not a grid CSV")],
+    # 1/lam overflowed in the neck equation, psi became -inf and math.cos
+    # raised "math domain error", which main caught as a bare ValueError
+    "test_cli_radial_shoot_refuses_a_neck_radius_whose_reciprocal_overflows": [
+        (f"{kind}-{lam}", f"radial shoot --kind {kind} --lam {lam} "
+         "--out {out}/p.csv", 1, "", f"error: neck radius lam = {lam}: 1/lam "
+         "overflows")
+        for kind in ("catenoid-upper", "catenoid-lower")
+        for lam in ("1e-310", "5e-324")],
+    # a fit used to exit 0 with every coefficient "nan"
+    "test_cli_refuses_a_profile_sample_that_is_not_finite": [
+        (f"{cmd}-{value}", argv.format(f"{{in}}/p-{value}.csv"), 1, "",
+         "error: profile samples must be finite")
+        for value in ("nan", "inf")
+        for cmd, argv in (("fit", "radial fit --in {} --rlo 1 --rhi 5"),
+                          ("obj", "export obj --in {} --out {{out}}/p.obj"))],
+    # an OBJ's command line comment that does not encode (here a path byte
+    # that is not UTF-8): main used to catch the UnicodeEncodeError as a bare
+    # ValueError; the refusal comes before the file exists
+    "test_cli_obj_refuses_a_command_line_it_cannot_encode": [
+        (None, "export obj --in {in}/p.csv --out {out}/\udcff.obj", 1, "",
+         r"error: '[\w-]+' codec can't encode character '\\udcff' in "
+         r"position \d+: .*")],
+    # library refusals that no other row reaches
+    "test_cli_refusal_of_an_input_no_other_row_reaches": [
+        ("grid-2x2", "analyze sx --in {in}/grid-2x2.csv", 1, "",
+         r"error: grid needs nx, ny >= 3, got 2x2"),
+        ("grid-hx-1", "analyze sx --in {in}/hx--1.csv", 1, "",
+         "error: grid spacings must be positive"),
+        ("grid-u-nan", "analyze sx --in {in}/u-nan.csv", 1, "",
+         "error: grid values must be finite"),
+        ("grid-nx-abc", "analyze sx --in {in}/nx-abc.csv", 1, "",
+         r"error: {in}/nx-abc\.csv: malformed grid CSV: invalid literal for "
+         r"int\(\) with base 10: 'abc'"),
+        ("grid-fields-4", "analyze sx --in {in}/fields-4.csv", 1, "",
+         r"error: {in}/fields-4\.csv: expected rows of 5 fields"),
+        ("profile-swapped", "radial fit --in {in}/p-swapped.csv --rlo 1 "
+         "--rhi 5", 1, "", "error: profile radii must be strictly increasing"),
+        ("fit-window", "radial fit --in {in}/bowl-h1.csv --rlo 3 --rhi 9", 1,
+         "", "error: too few samples in the fit window"),
+        # the strip is too long for its grid, short of the W^3 refusal
+        ("strip-L-1e101", "elliptic delta-wing --b 2 --L 1e101 --nx 33 "
+         "--ny 33", 1, "", "error: linear solve returned non-finite values"),
+    ],
     # these used to run into a timeout, or write a wing that is not one
     "test_cli_radial_shoot_refuses_unbounded_inputs": [
         (f"{kind}-{option}-{value}", f"radial shoot --kind {kind} {option} "
@@ -257,23 +307,27 @@ CONTRACT = {"test_io_cli": {
                               ("--lam", "nan"), ("--lam", "-1"),
                               ("--rmax", "inf"), ("--rmax", "nan"))
         if (kind, option) != ("bowl", "--lam")],     # the bowl has no neck
-    # -5 used to give a 5x5 grid, nan "cannot convert float NaN to integer"
+    # -5 used to give a 5x5 grid, nan "cannot convert float NaN to integer";
+    # the plane samples no grid, and refuses the same steps
     "test_cli_catalog_refuses_a_step_that_is_not_positive": [
-        (f"{h}-{kind}", f"catalog residual --kind {kind} --h {h}", 2, "",
-         r"translab catalog residual: error: argument --h: must be a finite "
-         rf"positive number, not '{h}'")
+        (f"{h}-{kind}", f"catalog residual --kind {kind} --h {h}", 1, "",
+         "error: step h must be finite and positive, not "
+         + re.escape(repr(float(h))))
         for h in ("-5", "0", "nan", "inf") for kind in ("grim", "tilted",
                                                         "plane")],
     # NaN used to pass the <= 0 checks and fail later on non-finite values
     "test_cli_firstvar_names_the_bad_option": [
-        (f"argv{k}-{code}-{err}", f"analyze firstvar --in {{in}}/g.csv "
-         f"--bump {bump}", code, "",
-         (f"usage error: {err}" if code == 2 else err) + ".*")
-        for k, (bump, code, err) in enumerate((
-            ("0,0,nan", 2, "bad --bump '0,0,nan': bump radius"),
-            ("nan,0,1", 2, "bad --bump 'nan,0,1': bump center"),
-            ("0,0,-1", 2, "bad --bump '0,0,-1': bump radius"),
-            ("100,0,1.5", 1, "error: bump support holds no grid node")))],
+        (f"argv{k}-{old}", f"analyze firstvar --in {{in}}/g.csv "
+         f"--bump {bump}", 1, "", f"error: {err}")
+        for k, (bump, old, err) in enumerate((
+            ("0,0,nan", "2-bad --bump '0,0,nan': bump radius",
+             "bump radius must be finite and positive"),
+            ("nan,0,1", "2-bad --bump 'nan,0,1': bump center",
+             "bump center must be finite"),
+            ("0,0,-1", "2-bad --bump '0,0,-1': bump radius",
+             "bump radius must be finite and positive"),
+            ("100,0,1.5", "1-error: bump support holds no grid node",
+             "bump support holds no grid node")))],
     # the flow step and the first-variation epsilon are the constants
     # csf.DT_SAFETY and analysis.EPSILON: their old flags are unknown, at
     # their old default values too
@@ -392,7 +446,7 @@ CONTRACT = {"test_io_cli": {
          r"error: damping floor hit at iteration ((?!b =).)*")],
     "test_cli_bad_shape_spec": [
         (None, "csf compare --shape1 blob:1 --shape2 circle:2", 2, "",
-         "usage error: bad shape spec 'blob:1'")],
+         "translab csf compare: error: bad shape spec 'blob:1'")],
     # --stop would abbreviate --stop-amax; options are spelled in full
     "test_cli_abbreviated_flag_is_a_usage_error": [
         (None, "csf run --n 64 --stop 50 --out {out}/log.csv", 2, "",

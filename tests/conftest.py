@@ -72,8 +72,27 @@ def cli_inputs(tmp_path_factory):
     (d / "huge.csv").write_text(
         "# translab-grid nx=100000000 ny=100000000 hx=1 hy=1 x0=0 y0=0\n"
         "i,j,x,y,u\n0,0,0,0,0\n")
-    for key, value in (("x0", "nan"), ("hx", "inf"), ("hx", "1e308")):
+    for key, value in (("x0", "nan"), ("hx", "inf"), ("hx", "1e308"),
+                       ("hx", "-1"), ("nx", "abc")):
         (d / f"{key}-{value}.csv").write_text(_bad_grid_head(**{key: value}))
+    (d / "grid-2x2.csv").write_text(
+        "# translab-grid nx=2 ny=2 hx=1 hy=1 x0=0 y0=0\ni,j,x,y,u\n"
+        + "".join(f"{i},{j},0,0,0\n" for i in range(2) for j in range(2)))
+    (d / "u-nan.csv").write_text(_bad_grid_head().replace("4,4,0,0,0",
+                                                          "4,4,0,0,nan"))
+    # each row "i,j,0,0,0" loses its last field
+    (d / "fields-4.csv").write_text(_bad_grid_head().replace(",0\n", "\n"))
+    # p.csv with the height at r = 2 nan and inf, and with the radii 2 and
+    # 2.01 swapped
+    rows = (d / "p.csv").read_text().splitlines(True)
+    for value in ("nan", "inf"):
+        r, _, rest = rows[202].split(",", 2)
+        (d / f"p-{value}.csv").write_text(
+            "".join(rows[:202] + [f"{r},{value},{rest}"] + rows[203:]))
+    (d / "p-swapped.csv").write_text(
+        "".join(rows[:202] + [rows[203], rows[202]] + rows[204:]))
+    # h = 1: two samples in [3, 9]
+    tio.write_profile_csv(radial.shoot_bowl(2, 20.0, 1.0), d / "bowl-h1.csv")
     heads = {"grid": "# translab-grid nx=5 ny=5 hx=1 hy=1 x0=0 y0=0\n"
                      "i,j,x,y,u\n",
              "profile": "# translab-profile n=2 kind=bowl lam= h=0.1 rows=3\n"

@@ -2,9 +2,9 @@
 
 Each case runs through the runner of the CLI contract (tests/cli_contract.py,
 cli_contract.check) with any exit code of 0, 1 and 2 allowed: no exception
-may leave cli.main (argparse's own refusal is SystemExit(2)), and stderr
-holds nothing but one error line: "error: ..." (exit 1), "usage error: ..."
-(exit 2), or argparse's usage text and its "<prog>: error: ..." line; a run
+may leave cli.main but argparse's SystemExit(2), and stderr holds nothing
+but one error line: "error: ..." for a TranslabError or OSError (exit 1), or
+argparse's usage text and its "<prog>: error: ..." line (exit 2); a run
 that exits 0 prints a JSON report (export obj prints a line of text), and a
 refused run writes no file.  The pool is enumerable, so every value meets
 every option: floats take FLOATS, ints INTS.  The base runs are small (33x33
@@ -63,7 +63,7 @@ def _choices(parser):
 def _numeric_options():
     """{(command, subcommand, option): pool} of every option whose argparse
     type is a number."""
-    pools = {int: INTS, float: FLOATS, cli._finite_positive: FLOATS}
+    pools = {int: INTS, float: FLOATS}
     return {(cmd, sub, a.option_strings[-1]): pools[a.type]
             for cmd, group in _choices(cli._build_parser())
             for sub, parser in _choices(group)

@@ -362,20 +362,28 @@ def test_memo_read_racing_a_rewrite_holds_nothing(tmp_path, monkeypatch):
     assert tio.read_grid_csv(path).values[-1, -1] == b_last != a.values[-1, -1]
 
 
-def nan_sample_bowl():
-    p = radial.shoot_bowl(2, 1.0, 1e-2)
-    p.u[3] = -np.nan
-    return p
-
-
-@pytest.mark.parametrize("make", [nan_sample_bowl], ids=["nan-sample"])
-def test_memo_does_not_hold_a_profile_that_does_not_read_back(tmp_path, make):
+@pytest.mark.parametrize("kind", ["profile", "grid"])
+def test_memo_and_parse_refuse_a_nan_alike(tmp_path, kind):
     # "nan" reads back as the positive quiet NaN, whatever the sign and
-    # payload written
-    path = tmp_path / "p.csv"
-    tio.write_profile_csv(make(), path)
-    assert tio._memo == {}
-    assert not np.signbit(tio.read_profile_csv(path).u[3])
+    # payload written, so the held array could differ from the parsed one:
+    # both are refused instead
+    path = tmp_path / f"{kind}.csv"
+    if kind == "profile":
+        p = radial.shoot_bowl(2, 1.0, 1e-2)
+        p.u[3] = -np.nan
+        tio.write_profile_csv(p, path)
+        read, message = tio.read_profile_csv, "profile samples must be finite"
+    else:
+        g = grid.from_function(lambda X, Y: X * Y, -1, 1, -1, 1, 9, 9)
+        g.values[2, 3] = -np.nan
+        tio.write_grid_csv(g, path)
+        read, message = tio.read_grid_csv, "grid values must be finite"
+    assert kind in tio._memo
+    with pytest.raises(TranslabError, match=message):
+        read(path)
+    tio._memo.clear()
+    with pytest.raises(TranslabError, match=message):
+        read(path)
 
 
 def test_profile_refuses_an_n_that_is_not_an_int(tmp_path):

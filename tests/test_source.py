@@ -17,6 +17,34 @@ def test_no_assert_in_package():
     assert found == []
 
 
+def test_one_refusal_policy():
+    # exit 1 is a TranslabError (or an OSError) and exit 2 is argparse's:
+    # the library raises no bare ValueError, main catches nothing else, and
+    # the CSV kinds are io's alone
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and "ValueError" in {n.id for n in ast.walk(node.exc)
+                                  if isinstance(n, ast.Name)}]
+    assert found == []
+    errors = ast.parse((SRC / "errors.py").read_text()).body
+    assert {node.name: [b.id for b in node.bases] for node in errors
+            if isinstance(node, ast.ClassDef)} == {
+        "TranslabError": ["ValueError"],
+        "NewtonFailedError": ["TranslabError"]}
+    cli = ast.parse((SRC / "cli.py").read_text())
+    main, = (node for node in cli.body
+             if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = [n.id for handler in ast.walk(main)
+              if isinstance(handler, ast.ExceptHandler)
+              for n in ast.walk(handler.type) if isinstance(n, ast.Name)]
+    assert sorted(caught) == ["OSError", "TranslabError"]
+    assert [node.lineno for node in ast.walk(cli)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "# translab-" in node.value] == []
+
+
 def test_every_exception_type_is_caught_by_name():
     # a type that no except clause names is a message with a class around
     # it: raise TranslabError with that message instead
