@@ -6,8 +6,7 @@ The command line is the whole input of a run; each report records it,
 shell-quoted, as its command.  Long options cannot be abbreviated.  Exit
 codes: 0 success; 1, with one "error: ..." line, when the library refuses
 the input (TranslabError) or a file fails (OSError); 2 when argparse
-refuses the command line, or the grammar that no option type expresses
-(shape specs, --bump, --theta off --kind tilted) calls its error().
+refuses the command line (its error(), also for --theta off --kind tilted).
 """
 
 from __future__ import annotations
@@ -82,8 +81,9 @@ def _build_parser():
     frun.add_argument("--out", required=True, help="singularity log CSV")
     frun.add_argument("--report", default=None, help="verdict JSON")
     fcmp = flows.add_parser("compare", help="comparison principle check")
-    fcmp.add_argument("--shape1", default="circle:1", help="circle:R or ellipse:a:b")
-    fcmp.add_argument("--shape2", default="circle:2")
+    fcmp.add_argument("--shape1", type=_shape_axes, default="circle:1",
+                      help="circle:R or ellipse:a:b")
+    fcmp.add_argument("--shape2", type=_shape_axes, default="circle:2")
     fcmp.add_argument("--gap", type=float, default=0.0,
                       help="horizontal center offset of shape2")
     fcmp.add_argument("--n", type=int, default=256)
@@ -99,7 +99,7 @@ def _build_parser():
     jac.add_argument("--in", dest="infile", required=True)
     fv = anas.add_parser("firstvar", help="first variation of weighted area")
     fv.add_argument("--in", dest="infile", required=True)
-    fv.add_argument("--bump", default="0,0,1.5", help="cx,cy,radius")
+    fv.add_argument("--bump", type=_bump, default="0,0,1.5", help="cx,cy,radius")
 
     exp = sub.add_parser("export", help="mesh export")
     exps = exp.add_subparsers(dest="subcommand", required=True)
@@ -108,15 +108,14 @@ def _build_parser():
     obj.add_argument("--out", required=True)
     obj.add_argument("--angular-samples", type=int, default=128)
 
-    # --stop for --stop-amax is a usage error: an option is spelled in full;
-    # args.error is the subcommand's own error(), for the grammar checks
+    res.set_defaults(error=res.error)   # for --theta off --kind tilted
+    # --stop for --stop-amax is a usage error: an option is spelled in full
     for p in (res, shoot, fit, wing, cont, frun, fcmp, sx, jac, fv, obj):
         p.allow_abbrev = False
-        p.set_defaults(error=p.error)
     return ap
 
 
-def _shape_axes(args, spec: str):
+def _shape_axes(spec: str):
     """Semi-axes [a, b] of a shape spec, circle:R or ellipse:a:b."""
     kind, *nums = spec.split(":")
     try:
@@ -124,8 +123,19 @@ def _shape_axes(args, spec: str):
     except ValueError:
         axes = []
     if (kind, len(axes)) not in (("circle", 1), ("ellipse", 2)):
-        args.error(f"bad shape spec {spec!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected circle:R or ellipse:a:b, not {spec!r}")
     return axes * 2 if kind == "circle" else axes
+
+
+def _bump(spec: str):
+    """((cx, cy), radius) of --bump cx,cy,radius."""
+    try:
+        cx, cy, rad = (float(v) for v in spec.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected cx,cy,radius, not {spec!r}") from None
+    return (cx, cy), rad
 
 
 def _emit(report, prov, path=None, **extra):
@@ -189,21 +199,16 @@ def _cmd_csf(args, prov):
         tio.write_log_csv(log, args.out)
         _emit(log, prov, args.report, schema="translab-verdict/2")
     else:
-        axes = [_shape_axes(args, spec) for spec in (args.shape1, args.shape2)]
         csf.check_pairs(args.n, args.n)     # before either curve exists
         a, b = (csf.make_ellipse(*ab, args.n, center=(offset, 0.0))
-                for ab, offset in zip(axes, (0.0, args.gap)))
+                for ab, offset in ((args.shape1, 0.0), (args.shape2, args.gap)))
         _emit(csf.comparison_check(a, b, args.stop_amax), prov, args.report,
               schema="translab-comparison/2")
 
 
 def _cmd_analyze(args, prov):
     if args.subcommand == "firstvar":
-        try:
-            cx, cy, rad = (float(v) for v in args.bump.split(","))
-        except ValueError:
-            args.error(f"bad --bump {args.bump!r}: expected cx,cy,radius")
-        spec = analysis.VariationSpec(center=(cx, cy), radius=rad)
+        spec = analysis.VariationSpec(*args.bump)   # before the file is read
     u = tio.read_grid_csv(args.infile)
     if args.subcommand == "sx":
         _emit(analysis.spruck_xiao_report(u), prov, args.report)

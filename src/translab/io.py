@@ -449,6 +449,8 @@ def export_revolution_obj(p: RadialProfile, path, samples: int = 128,
     if samples < 3:
         raise TranslabError(f"revolution export needs at least 3 angular "
                             f"samples, got {samples}")
+    if not (np.all(np.isfinite(p.r)) and np.all(np.isfinite(p.u))):
+        raise TranslabError("refusing OBJ export: non-finite profile")
     n = len(p.r)  # linspace(0, n - 1, n) is exactly arange(n)
     keep = np.unique(np.linspace(0, n - 1, min(n, _MAX_RINGS)).round().astype(int))
     if len(keep) * samples > _MAX_VERTICES:
@@ -468,6 +470,7 @@ def export_revolution_obj(p: RadialProfile, path, samples: int = 128,
                [a, b, b + samples, a + samples])
 
 
+# infile, not path: perfbench/tracer.py would count this input in io.bytes_written
 def export_obj(infile, out, samples: int = 128, provenance: str = ""):
     """OBJ mesh at out of the profile CSV at infile, by its first bytes, or
     else of the grid CSV there (read_grid_csv refuses any other file)."""

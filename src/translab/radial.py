@@ -132,7 +132,8 @@ def _dopri5(rhs, t, y, dt, stop) -> _Run:
     step follows the usual 0.9 (tol / err)^(1/5) rule, within [0.2, 5] times
     the last and not larger right after a rejection.  The last stage of a
     step is the first of the next (FSAL), so an attempt costs 6 evaluations
-    after the first.  A step below 2^-30 times the trial step, or more than
+    after the first.  A stage out of rhs's domain (cos(inf), r = 0) rejects
+    its step.  A step below 2^-30 times the trial step, or more than
     _MAX_STEPS accepted steps, raise TranslabError.
     """
     floor = dt * _STEP_FLOOR_FACTOR
@@ -145,22 +146,26 @@ def _dopri5(rhs, t, y, dt, stop) -> _Run:
     grow = 5.0
     k1 = rhs(t, y)
     for _ in range(_MAX_STEPS):
-        k2 = rhs(t + c2 * dt, [yi + dt * a21 * p for yi, p in zip(y, k1)])
-        k3 = rhs(t + c3 * dt, [yi + dt * (a31 * p + a32 * q)
-                               for yi, p, q in zip(y, k1, k2)])
-        k4 = rhs(t + c4 * dt, [yi + dt * (a41 * p + a42 * q + a43 * w)
-                               for yi, p, q, w in zip(y, k1, k2, k3)])
-        k5 = rhs(t + c5 * dt, [yi + dt * (a51 * p + a52 * q + a53 * w + a54 * x)
-                               for yi, p, q, w, x in zip(y, k1, k2, k3, k4)])
-        k6 = rhs(t + dt, [yi + dt * (a61 * p + a62 * q + a63 * w + a64 * x
-                                     + a65 * z)
-                          for yi, p, q, w, x, z in zip(y, k1, k2, k3, k4, k5)])
-        yn = [yi + dt * (b1 * p + b3 * w + b4 * x + b5 * z + b6 * v)
-              for yi, p, w, x, z, v in zip(y, k1, k3, k4, k5, k6)]
-        k7 = rhs(t + dt, yn)
-        err = max([abs(dt * (e1 * p + e3 * w + e4 * x + e5 * z + e6 * v
-                             + e7 * o)) / (1.0 + abs(yi))
-                   for yi, p, w, x, z, v, o in zip(yn, k1, k3, k4, k5, k6, k7)])
+        try:
+            k2 = rhs(t + c2 * dt, [yi + dt * a21 * p for yi, p in zip(y, k1)])
+            k3 = rhs(t + c3 * dt, [yi + dt * (a31 * p + a32 * q)
+                                   for yi, p, q in zip(y, k1, k2)])
+            k4 = rhs(t + c4 * dt, [yi + dt * (a41 * p + a42 * q + a43 * w)
+                                   for yi, p, q, w in zip(y, k1, k2, k3)])
+            k5 = rhs(t + c5 * dt, [yi + dt * (a51 * p + a52 * q + a53 * w + a54 * x)
+                                   for yi, p, q, w, x in zip(y, k1, k2, k3, k4)])
+            k6 = rhs(t + dt, [yi + dt * (a61 * p + a62 * q + a63 * w + a64 * x
+                                         + a65 * z)
+                              for yi, p, q, w, x, z in zip(y, k1, k2, k3, k4, k5)])
+            yn = [yi + dt * (b1 * p + b3 * w + b4 * x + b5 * z + b6 * v)
+                  for yi, p, w, x, z, v in zip(y, k1, k3, k4, k5, k6)]
+            k7 = rhs(t + dt, yn)
+        except (ValueError, ZeroDivisionError):     # out of rhs's domain
+            err = math.inf
+        else:
+            err = max([abs(dt * (e1 * p + e3 * w + e4 * x + e5 * z + e6 * v
+                                 + e7 * o)) / (1.0 + abs(yi))
+                       for yi, p, w, x, z, v, o in zip(yn, k1, k3, k4, k5, k6, k7)])
         fac = 0.9 * (_STEP_TOL / err) ** 0.2 if err > 0 else 0.0
         if not err < _STEP_TOL:     # a NaN estimate is rejected too
             rejected += 1
@@ -268,8 +273,8 @@ def shoot_catenoid_wing(n: int, lam: float, r_max: float, h: float,
     handover radius on; the first neckSamples samples are the arclength ones.
     """
     _check_inputs(n, lam=lam, r_max=r_max, h=h)
-    if not math.isfinite(1.0 / lam):    # the neck's curvature sin(psi) / r
-        raise TranslabError(f"neck radius lam = {lam!r}: 1/lam overflows")
+    if not math.isfinite((n - 1) / lam):    # the neck's (n-1) sin(psi) / r
+        raise TranslabError(f"neck radius lam = {lam!r}: (n - 1)/lam overflows")
     if r_max <= lam:
         raise TranslabError("r_max must exceed the neck radius")
     if kind is RadialKind.BOWL:
@@ -340,6 +345,10 @@ def fit_asymptotics(p: RadialProfile, r_lo: float, r_hi: float) -> AsymptoticFit
     if sel.sum() < 8:
         raise TranslabError("too few samples in the fit window")
     r, u = p.r[sel], p.u[sel]
+    lo, hi = float(r[0]), float(r[-1])      # the r^2 column, as Python floats
+    if not (lo * lo > 0 and math.isfinite(hi * hi)):
+        raise TranslabError(f"fit samples r in [{lo!r}, {hi!r}]: r^2 leaves "
+                            "the float range")
 
     def ls(cols):
         A = np.stack(cols, axis=1)

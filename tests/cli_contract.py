@@ -248,20 +248,30 @@ CONTRACT = {"test_io_cli": {
          r"error: theta must lie in \[0, pi/2\)")],
     "test_cli_firstvar_bump_needs_three_numbers": [
         (None, "analyze firstvar --in {in}/g.csv --bump 1,2", 2, "",
-         r"translab analyze firstvar: error: bad --bump '1,2': expected "
-         r"cx,cy,radius")],
+         r"translab analyze firstvar: error: argument --bump: expected "
+         r"cx,cy,radius, not '1,2'")],
     # what is not a profile CSV goes to the grid reader, which refuses it
     "test_cli_export_refuses_a_foreign_csv": [
         (None, "export obj --in {in}/x.csv --out {out}/x.obj", 1, "",
          r"error: {in}/x\.csv is not a grid CSV")],
-    # 1/lam overflowed in the neck equation, psi became -inf and math.cos
-    # raised "math domain error", which main caught as a bare ValueError
+    # (n - 1)/lam overflowed in the neck equation, psi became -inf and
+    # math.cos raised "math domain error", which main caught as a bare
+    # ValueError
     "test_cli_radial_shoot_refuses_a_neck_radius_whose_reciprocal_overflows": [
-        (f"{kind}-{lam}", f"radial shoot --kind {kind} --lam {lam} "
-         "--out {out}/p.csv", 1, "", f"error: neck radius lam = {lam}: 1/lam "
-         "overflows")
+        (f"{kind}-{n}-{lam}", f"radial shoot --kind {kind} --n {n} --lam {lam} "
+         "--out {out}/p.csv", 1, "", f"error: neck radius lam = {lam}: "
+         r"\(n - 1\)/lam overflows")
         for kind in ("catenoid-upper", "catenoid-lower")
-        for lam in ("1e-310", "5e-324")],
+        for n, lam in (("2", "1e-310"), ("2", "5e-324"), ("3", "1e-308"))],
+    # a stage of the step overflowed and math.cos(inf) raised "math domain
+    # error": the step is rejected, down to the step floor
+    "test_cli_radial_shoot_rejects_a_step_whose_stage_overflows": [
+        (name, f"radial shoot --kind catenoid-upper {argv} --out {{out}}/p.csv",
+         1, "", r"error: local error \S+ above tolerance 1\.0e-15 at the step "
+         "floor")
+        for name, argv in (("n-10-lam-1e-307", "--n 10 --lam 1e-307"),
+                           ("lam-1e-154-h-1e154", "--lam 1e-154 --h 1e154 "
+                            "--rmax 5"))],
     # a fit used to exit 0 with every coefficient "nan"
     "test_cli_refuses_a_profile_sample_that_is_not_finite": [
         (f"{cmd}-{value}", argv.format(f"{{in}}/p-{value}.csv"), 1, "",
@@ -409,6 +419,15 @@ CONTRACT = {"test_io_cli": {
              "nan"),
             ("2", "nan", "fit bound r_hi must be finite, got nan"),
             ("2", "inf", "fit bound r_hi must be finite, got inf"))],
+    # numpy's lstsq raised LinAlgError "SVD did not converge in Linear Least
+    # Squares" after LAPACK's DLASCL complaint, which main caught as a bare
+    # ValueError
+    "test_cli_radial_fit_refuses_samples_whose_square_leaves_the_float_range": [
+        (tag, f"radial fit --in {{in}}/p-{tag}.csv --rlo {rlo} --rhi {rhi}", 1,
+         "", r"error: fit samples r in \[\S+, \S+\]: r\^2 leaves the float "
+         "range")
+        for tag, rlo, rhi in (("huge-r", "1e90", "1e200"),
+                              ("tiny-r", "1e-300", "1e-290"))],
     "test_cli_csf_too_few_points_is_the_curve_error": [
         # the curve constructor's error, not a shape-spec usage error
         ("run", "csf run --n 3 --out {out}/log.csv", 1, "",
@@ -446,7 +465,8 @@ CONTRACT = {"test_io_cli": {
          r"error: damping floor hit at iteration ((?!b =).)*")],
     "test_cli_bad_shape_spec": [
         (None, "csf compare --shape1 blob:1 --shape2 circle:2", 2, "",
-         "translab csf compare: error: bad shape spec 'blob:1'")],
+         "translab csf compare: error: argument --shape1: expected "
+         "circle:R or ellipse:a:b, not 'blob:1'")],
     # --stop would abbreviate --stop-amax; options are spelled in full
     "test_cli_abbreviated_flag_is_a_usage_error": [
         (None, "csf run --n 64 --stop 50 --out {out}/log.csv", 2, "",

@@ -91,6 +91,13 @@ def cli_inputs(tmp_path_factory):
             "".join(rows[:202] + [f"{r},{value},{rest}"] + rows[203:]))
     (d / "p-swapped.csv").write_text(
         "".join(rows[:202] + [rows[203], rows[202]] + rows[204:]))
+    # radii past 1e154 and below 1e-162: r^2 overflows or underflows
+    for tag, r in (("huge-r", np.geomspace(1.0, 1e200, 16)),
+                   ("tiny-r", np.geomspace(1e-300, 1e-290, 16))):
+        (d / f"p-{tag}.csv").write_text(
+            f"# translab-profile n=2 kind=bowl lam= h=0.1 rows={len(r)}\n"
+            "r,u,psi,kappa1,kappa2,H\n"
+            + "".join(f"{x!r},{-x!r},-1,0,0,0\n" for x in r.tolist()))
     # h = 1: two samples in [3, 9]
     tio.write_profile_csv(radial.shoot_bowl(2, 20.0, 1.0), d / "bowl-h1.csv")
     heads = {"grid": "# translab-grid nx=5 ny=5 hx=1 hy=1 x0=0 y0=0\n"

@@ -148,6 +148,14 @@ def test_obj_export_refuses_nan(tmp_path):
         tio.export_grid_obj(g, tmp_path / "bad.obj")
 
 
+def test_revolution_obj_export_refuses_a_profile_changed_to_nan(tmp_path):
+    p = radial.shoot_bowl(2, 1.0, 1e-2)
+    p.u[3] = np.nan     # in place, after RadialProfile checked its samples
+    with pytest.raises(TranslabError, match="refusing OBJ export: non-finite profile"):
+        tio.export_revolution_obj(p, tmp_path / "bad.obj")
+    assert not (tmp_path / "bad.obj").exists()
+
+
 def test_revolution_obj_counts(tmp_path):
     p = radial.shoot_bowl(2, 1.0, 1e-2)
     path = tmp_path / "rev.obj"
