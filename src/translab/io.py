@@ -16,16 +16,17 @@ per row, gathered into text one block at a time; the grids translab
 computes repeat most of their values.
 
 A grid or profile CSV that this process wrote is not parsed again.  A
-memo (_memo) holds the last grid CSV and the last profile CSV written, one
-entry per kind, keyed by the sha256 of the bytes written and their count.
-A writer hashes the bytes it writes and holds what a read of them returns:
-the metadata as parsed from its header line, and the arrays, which their
-17-digit texts give back bit for bit (-0.0 included); GridFunction and
-RadialProfile refuse a NaN, held or parsed.  A reader hashes the file,
-streamed in chunks, only when it is a regular file the size of its kind's
-entry; on a match it builds the result from copies of the held arrays,
-otherwise it parses and validates the file and holds nothing.  A separate
-process (each CLI command) starts with an empty memo, so its read parses
+memo (_memo) holds one entry per absolute path written, for as long as the
+process runs; a rewrite of a path replaces its entry.  A writer hashes the
+bytes it writes and holds, with their sha256 and count and the CSV's kind,
+what a read of them returns: the metadata as parsed from its header line,
+and the arrays, which their 17-digit texts give back bit for bit (-0.0
+included); GridFunction and RadialProfile refuse a NaN, held or parsed.  A
+reader hashes the file, streamed in chunks, only when it is a regular file
+the size of its own path's entry, of its kind; on a match it builds the
+result from copies of the held arrays, otherwise it parses and validates
+the file and holds nothing.  A separate process (each CLI command, which
+writes at most one CSV) starts with an empty memo, so its read parses
 without a hash.
 """
 
@@ -143,9 +144,9 @@ class _Hashed:
         return self.f.write(data)
 
 
-# kind ("grid" or "profile") -> (sha256 digest of a file's bytes, their
-# count, metadata, arrays) of the last such file written; see the module
-# docstring
+# absolute path -> (kind, "grid" or "profile", sha256 digest of the bytes
+# written, their count, metadata, arrays) of the last CSV written there; see
+# the module docstring
 _memo: dict = {}
 
 _META = {"grid": dict(nx=int, ny=int, hx=float, hy=float, x0=float, y0=float),
@@ -176,8 +177,9 @@ def _write_csv(path, tag: str, head: str, fmt: bytes, columns, arrays):
         _write_table(f, fmt, columns)
     meta = _head_meta(path, head.partition("\n")[0], tag)
     meta.pop("rows", None)
-    _memo[tag] = (f.sha.digest(), f.size, meta,
-                  [np.array(a, dtype=float) for a in arrays])
+    _memo[os.path.abspath(os.fspath(path))] = (
+        tag, f.sha.digest(), f.size, meta,
+        [np.array(a, dtype=float) for a in arrays])
 
 
 def _digest(path) -> bytes:
@@ -189,36 +191,45 @@ def _digest(path) -> bytes:
     return sha.digest()
 
 
-def _read(path, tag: str, parse):
-    """(metadata, arrays) of the <tag> CSV at path: copies of the arrays of
-    _memo[tag] if it holds the file's content, else parse(path).  Only a
+def _read(path, tag: str, parse, lines=None):
+    """(metadata, arrays) of the <tag> CSV at path: copies of the arrays
+    held for path if its entry is a <tag> CSV of the file's content, else
+    parse(path, lines) of the file's lines, read here unless given.  Only a
     regular file (a hash would consume a pipe) of the held size is hashed."""
-    held = _memo.get(tag)
-    if (held is None or not os.path.isfile(path)
-            or os.path.getsize(path) != held[1] or _digest(path) != held[0]):
-        return parse(path)
-    return held[2], [a.copy() for a in held[3]]
+    held = _memo.get(os.path.abspath(os.fspath(path)))
+    if (held is None or held[0] != tag or not os.path.isfile(path)
+            or os.path.getsize(path) != held[2] or _digest(path) != held[1]):
+        if lines is not None:
+            return parse(path, lines)
+        with open(path) as f:
+            return parse(path, f)
+    return held[3], [a.copy() for a in held[4]]
 
 
-def _read_csv(path, tag: str, ncols: int):
-    """(metadata, rows) of a translab CSV: a '# translab-<tag>' line of
-    key=value pairs (_head_meta), a column header, then at least one row of
-    ncols numbers.  Anything else raises TranslabError."""
-    with open(path) as f:
-        try:
-            head = f.readline()
-        except UnicodeDecodeError as exc:
-            raise TranslabError(f"{path}: {exc}") from exc
-        meta = _head_meta(path, head, tag)
-        try:
-            f.readline()  # column header
-            # np.loadtxt skips empty and '#' lines, and warns if that is all
-            first = next((line for line in iter(f.readline, "")
-                          if line.partition("#")[0] not in ("", "\n")), None)
-            rows = None if first is None else np.loadtxt(
-                itertools.chain([first], f), delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise TranslabError(f"{path}: malformed {tag} CSV: {exc}") from exc
+def _first_line(path, lines) -> str:
+    """The next of lines, read from path; TranslabError if it does not
+    decode."""
+    try:
+        return next(lines, "")
+    except UnicodeDecodeError as exc:
+        raise TranslabError(f"{path}: {exc}") from exc
+
+
+def _read_csv(path, lines, tag: str, ncols: int):
+    """(metadata, rows) of a translab CSV, given as the iterator of its
+    lines: a '# translab-<tag>' line of key=value pairs (_head_meta), a
+    column header, then at least one row of ncols numbers.  Anything else
+    raises TranslabError."""
+    meta = _head_meta(path, _first_line(path, lines), tag)
+    try:
+        next(lines, "")  # column header
+        # np.loadtxt skips empty and '#' lines, and warns if that is all
+        first = next((line for line in lines
+                      if line.partition("#")[0] not in ("", "\n")), None)
+        rows = None if first is None else np.loadtxt(
+            itertools.chain([first], lines), delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise TranslabError(f"{path}: malformed {tag} CSV: {exc}") from exc
     if rows is None:
         raise TranslabError(f"{path}: {tag} CSV has no data rows")
     if rows.shape[1] != ncols:
@@ -237,10 +248,10 @@ def write_grid_csv(u: GridFunction, path):
                [*_node_columns(u), _texts(u.values)], [np.ravel(u.values)])
 
 
-def _parse_grid(path):
+def _parse_grid(path, lines):
     """(metadata, [values in C order]) of a grid CSV, rows in any order;
     every node (i, j) must appear exactly once, else TranslabError."""
-    meta, rows = _read_csv(path, "grid", 5)
+    meta, rows = _read_csv(path, lines, "grid", 5)
     nx, ny = meta["nx"], meta["ny"]
     i, j = rows[:, 0].astype(int), rows[:, 1].astype(int)
     node = i * ny + j
@@ -259,10 +270,11 @@ def _parse_grid(path):
     return meta, [vals]
 
 
-def read_grid_csv(path) -> GridFunction:
+def read_grid_csv(path, lines=None) -> GridFunction:
     """Grid CSV as write_grid_csv writes it, rows in any order; every node
-    (i, j) must appear exactly once, else TranslabError."""
-    meta, (vals,) = _read(path, "grid", _parse_grid)
+    (i, j) must appear exactly once, else TranslabError.  lines, if given,
+    are the file's lines, from a caller that has opened it."""
+    meta, (vals,) = _read(path, "grid", _parse_grid, lines)
     return GridFunction(values=vals.reshape(meta["nx"], meta["ny"]), **meta)
 
 
@@ -331,10 +343,10 @@ def write_profile_csv(p: RadialProfile, path):
                [p.r, p.u, p.psi])
 
 
-def _parse_profile(path):
+def _parse_profile(path, lines):
     """(metadata, [r, u, psi]) of a profile CSV; TranslabError unless it
     holds exactly the number of rows its header records."""
-    meta, rows = _read_csv(path, "profile", 6)
+    meta, rows = _read_csv(path, lines, "profile", 6)
     expected = meta.pop("rows")
     if len(rows) != expected:
         raise TranslabError(f"{path}: {len(rows)} rows, header records {expected}")
@@ -342,10 +354,11 @@ def _parse_profile(path):
     return meta, [rows[:, k].copy() for k in range(3)]
 
 
-def read_profile_csv(path) -> RadialProfile:
+def read_profile_csv(path, lines=None) -> RadialProfile:
     """Profile CSV as write_profile_csv writes it; TranslabError unless it
-    holds exactly the number of rows its header records."""
-    meta, (r, u, psi) = _read(path, "profile", _parse_profile)
+    holds exactly the number of rows its header records.  lines as for
+    read_grid_csv."""
+    meta, (r, u, psi) = _read(path, "profile", _parse_profile, lines)
     return RadialProfile(r=r, u=u, psi=psi, **meta)
 
 
@@ -472,12 +485,14 @@ def export_revolution_obj(p: RadialProfile, path, samples: int = 128,
 
 # infile, not path: perfbench/tracer.py would count this input in io.bytes_written
 def export_obj(infile, out, samples: int = 128, provenance: str = ""):
-    """OBJ mesh at out of the profile CSV at infile, by its first bytes, or
-    else of the grid CSV there (read_grid_csv refuses any other file)."""
-    tag = b"# translab-profile"
-    with open(infile, "rb") as f:
-        profile = f.read(len(tag)) == tag
-    if profile:
-        export_revolution_obj(read_profile_csv(infile), out, samples, provenance)
-    else:
-        export_grid_obj(read_grid_csv(infile), out, provenance)
+    """OBJ mesh at out of the profile CSV at infile, by its first line, or
+    else of the grid CSV there (read_grid_csv refuses any other file).  The
+    file is opened once, so infile may be a pipe."""
+    with open(infile) as f:
+        head = _first_line(infile, f)
+        lines = itertools.chain([head], f)
+        if head.startswith("# translab-profile"):
+            export_revolution_obj(read_profile_csv(infile, lines), out, samples,
+                                  provenance)
+        else:
+            export_grid_obj(read_grid_csv(infile, lines), out, provenance)

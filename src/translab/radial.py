@@ -124,50 +124,68 @@ class _Run:
 
 
 def _dopri5(rhs, t, y, dt, stop) -> _Run:
-    """Integrate from (t, y) with trial step dt until stop(t, y) holds after an
-    accepted step.
+    """Integrate from (t, y), y of m = 2 or 3 floats (a, b[, c]), with
+    trial step dt until stop(t, a, b, c) holds after an accepted step.
 
-    rhs(t, y) -> sequence of floats.  A step is accepted when its error
-    estimate is below _STEP_TOL (1 + |y_new|) in every component; the next
+    rhs(t, a, b, c) -> three floats.  A 2-float state carries the pad
+    c = 0.0, whose rhs value must be 0.0: its stages and error are exact
+    zeros.  A step is accepted when its error estimate is below _STEP_TOL
+    (1 + |y_new|) in every component, so a NaN in any is rejected; the next
     step follows the usual 0.9 (tol / err)^(1/5) rule, within [0.2, 5] times
     the last and not larger right after a rejection.  The last stage of a
     step is the first of the next (FSAL), so an attempt costs 6 evaluations
     after the first.  A stage out of rhs's domain (cos(inf), r = 0) rejects
     its step.  A step below 2^-30 times the trial step, or more than
-    _MAX_STEPS accepted steps, raise TranslabError.
+    _MAX_STEPS accepted steps, raise TranslabError.  Each accepted step
+    records t, dt, then y, y_new, k1, k3, ..., k7 of each component but the
+    pad: 2 + 8 m values.
     """
     floor = dt * _STEP_FLOOR_FACTOR
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65), (b1, b3, b4, b5, b6) = _A
     c2, c3, c4, c5 = _C
     e1, e3, e4, e5, e6, e7 = _E
-    rec = array("d")     # per step: t, dt, y, y_new, k1, k3, k4, k5, k6, k7
+    m = len(y)
+    a, b, c = (*y, 0.0)[:3]
+    rec = array("d")
     rejected = 0
     grow = 5.0
-    k1 = rhs(t, y)
+    p1, q1, s1 = rhs(t, a, b, c)     # k1 of components a, b, c
     for _ in range(_MAX_STEPS):
         try:
-            k2 = rhs(t + c2 * dt, [yi + dt * a21 * p for yi, p in zip(y, k1)])
-            k3 = rhs(t + c3 * dt, [yi + dt * (a31 * p + a32 * q)
-                                   for yi, p, q in zip(y, k1, k2)])
-            k4 = rhs(t + c4 * dt, [yi + dt * (a41 * p + a42 * q + a43 * w)
-                                   for yi, p, q, w in zip(y, k1, k2, k3)])
-            k5 = rhs(t + c5 * dt, [yi + dt * (a51 * p + a52 * q + a53 * w + a54 * x)
-                                   for yi, p, q, w, x in zip(y, k1, k2, k3, k4)])
-            k6 = rhs(t + dt, [yi + dt * (a61 * p + a62 * q + a63 * w + a64 * x
-                                         + a65 * z)
-                              for yi, p, q, w, x, z in zip(y, k1, k2, k3, k4, k5)])
-            yn = [yi + dt * (b1 * p + b3 * w + b4 * x + b5 * z + b6 * v)
-                  for yi, p, w, x, z, v in zip(y, k1, k3, k4, k5, k6)]
-            k7 = rhs(t + dt, yn)
+            p2, q2, s2 = rhs(t + c2 * dt, a + dt * a21 * p1, b + dt * a21 * q1,
+                             c + dt * a21 * s1)
+            p3, q3, s3 = rhs(t + c3 * dt, a + dt * (a31 * p1 + a32 * p2),
+                             b + dt * (a31 * q1 + a32 * q2),
+                             c + dt * (a31 * s1 + a32 * s2))
+            p4, q4, s4 = rhs(t + c4 * dt, a + dt * (a41 * p1 + a42 * p2 + a43 * p3),
+                             b + dt * (a41 * q1 + a42 * q2 + a43 * q3),
+                             c + dt * (a41 * s1 + a42 * s2 + a43 * s3))
+            p5, q5, s5 = rhs(t + c5 * dt,
+                             a + dt * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4),
+                             b + dt * (a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4),
+                             c + dt * (a51 * s1 + a52 * s2 + a53 * s3 + a54 * s4))
+            p6, q6, s6 = rhs(
+                t + dt, a + dt * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5),
+                b + dt * (a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5),
+                c + dt * (a61 * s1 + a62 * s2 + a63 * s3 + a64 * s4 + a65 * s5))
+            an = a + dt * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
+            bn = b + dt * (b1 * q1 + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6)
+            cn = c + dt * (b1 * s1 + b3 * s3 + b4 * s4 + b5 * s5 + b6 * s6)
+            p7, q7, s7 = rhs(t + dt, an, bn, cn)
         except (ValueError, ZeroDivisionError):     # out of rhs's domain
-            err = math.inf
+            ea = eb = ec = math.inf
         else:
-            err = max([abs(dt * (e1 * p + e3 * w + e4 * x + e5 * z + e6 * v
-                                 + e7 * o)) / (1.0 + abs(yi))
-                       for yi, p, w, x, z, v, o in zip(yn, k1, k3, k4, k5, k6, k7)])
+            ea = abs(dt * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6
+                           + e7 * p7)) / (1.0 + abs(an))
+            eb = abs(dt * (e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6
+                           + e7 * q7)) / (1.0 + abs(bn))
+            ec = abs(dt * (e1 * s1 + e3 * s3 + e4 * s4 + e5 * s5 + e6 * s6
+                           + e7 * s7)) / (1.0 + abs(cn))
+        # max keeps a NaN only when it comes first
+        err = math.nan if math.isnan(ea + eb + ec) else max(ea, eb, ec)
         fac = 0.9 * (_STEP_TOL / err) ** 0.2 if err > 0 else 0.0
-        if not err < _STEP_TOL:     # a NaN estimate is rejected too
+        if not err < _STEP_TOL:
             rejected += 1
             dt *= max(0.2, fac)
             grow = 1.0
@@ -176,10 +194,11 @@ def _dopri5(rhs, t, y, dt, stop) -> _Run:
                     f"local error {err:.3e} above tolerance {_STEP_TOL:.1e} "
                     "at the step floor")
             continue
-        rec.extend((t, dt, *y, *yn, *k1, *k3, *k4, *k5, *k6, *k7))
-        t, y, k1 = t + dt, yn, k7
-        if stop(t, y):
-            return _make_run(rec, len(y), t, y, rejected)
+        rec.extend((t, dt, a, an, p1, p3, p4, p5, p6, p7, b, bn, q1, q3, q4, q5,
+                    q6, q7, c, cn, s1, s3, s4, s5, s6, s7)[:2 + 8 * m])
+        t, a, b, c, p1, q1, s1 = t + dt, an, bn, cn, p7, q7, s7
+        if stop(t, a, b, c):
+            return _make_run(rec, m, t, (a, b, c)[:m], rejected)
         dt *= min(fac, grow) if err > 0 else grow
         grow = 5.0
     raise TranslabError("step budget exhausted")
@@ -187,8 +206,7 @@ def _dopri5(rhs, t, y, dt, stop) -> _Run:
 
 def _make_run(rec, m, t_end, y_end, rejected) -> _Run:
     a = np.frombuffer(rec).reshape(-1, 2 + 8 * m)
-    y0, y1, k1, k3, k4, k5, k6, k7 = (a[:, 2 + i * m:2 + (i + 1) * m]
-                                      for i in range(8))
+    y0, y1, k1, k3, k4, k5, k6, k7 = (a[:, 2 + q::8] for q in range(8))
     dt = a[:, 1:2]
     d1, d3, d4, d5, d6, d7 = _D
     diff = y1 - y0
@@ -202,6 +220,11 @@ def _make_run(rec, m, t_end, y_end, rejected) -> _Run:
 def _check_inputs(n, **positive):
     if n < 2:
         raise TranslabError("surface dimension n must be >= 2")
+    try:
+        1.0 / (n ** 3 * (n + 2))    # the bowl's series coefficient
+    except OverflowError:
+        raise TranslabError(f"surface dimension n = {n!r} is too large: "
+                            "n^3 (n + 2) leaves the float range") from None
     for name, v in positive.items():
         if not (math.isfinite(v) and v > 0):
             raise TranslabError(f"{name} must be finite and positive, not {v!r}")
@@ -210,12 +233,12 @@ def _check_inputs(n, **positive):
 
 
 def _graph_rhs(n):
-    """Graph form in r for y = (u, psi)."""
+    """Graph form in r for (u, psi), with _dopri5's pad c = 0.0."""
     nm1 = n - 1
 
-    def rhs(r, y):
-        tp = math.tan(y[1])
-        return (tp, -1.0 - nm1 * tp / r)
+    def rhs(r, u, psi, _):
+        tp = math.tan(psi)
+        return tp, -1.0 - nm1 * tp / r, 0.0
     return rhs
 
 
@@ -252,7 +275,7 @@ def shoot_bowl(n: int, r_max: float, h: float) -> RadialProfile:
 
     r = np.concatenate([[0.0], _radii(0.0, r_max, h)])
     run = _dopri5(_graph_rhs(n), 10 * h, series[-1], h,
-                  stop=lambda t, y: t >= r[-1])
+                  stop=lambda t, *_: t >= r[-1])
     y = np.concatenate([series, run(r[11:])])
     prof = RadialProfile(n=n, kind=RadialKind.BOWL, lam=None, r=r,
                          u=y[:, 0], psi=y[:, 1], h=h, **_counters(run))
@@ -283,15 +306,14 @@ def shoot_catenoid_wing(n: int, lam: float, r_max: float, h: float,
 
     nm1 = n - 1
 
-    def rhs(s, y):
-        r, _, psi = y
+    def rhs(s, r, u, psi):
         c, si = math.cos(psi), math.sin(psi)
         return (c, si, -c - nm1 * si / r)
 
     # |dr/ds| <= 1: past r_max + h, a sample at s <= s_end has reached r_max
     neck = _dopri5(rhs, 0.0, (lam, 0.0, sign * math.pi / 2), h,
-                   stop=lambda s, y: (abs(math.tan(y[2])) <= y[0]
-                                      or y[0] >= r_max + h))
+                   stop=lambda s, r, u, psi: (abs(math.tan(psi)) <= r
+                                              or r >= r_max + h))
     s = np.arange(math.floor(neck.t_end / h) + 1) * h
     y = neck(s[s <= neck.t_end])
     reached = np.flatnonzero(y[:, 0] >= r_max - _R_SLACK)
@@ -302,7 +324,7 @@ def shoot_catenoid_wing(n: int, lam: float, r_max: float, h: float,
         r0, u0, psi0 = neck.y_end
         r = _radii(r0, r_max, h)
         graph = _dopri5(_graph_rhs(n), r0, (u0, psi0), h,
-                        stop=lambda t, _: t >= r[-1])
+                        stop=lambda t, *_: t >= r[-1])
         neck_samples, runs = len(y), [neck, graph]
         y = np.concatenate([y, np.column_stack([r, graph(r)])])
     return RadialProfile(n=n, kind=kind, lam=lam, r=y[:, 0], u=y[:, 1],

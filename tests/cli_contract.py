@@ -272,6 +272,13 @@ CONTRACT = {"test_io_cli": {
         for name, argv in (("n-10-lam-1e-307", "--n 10 --lam 1e-307"),
                            ("lam-1e-154-h-1e154", "--lam 1e-154 --h 1e154 "
                             "--rmax 5"))],
+    # an 81-digit n: the bowl's n^3 (n + 2) and a wing's (n - 1)/lam raised
+    # OverflowError "int too large to convert to float", a traceback
+    "test_cli_radial_shoot_refuses_an_n_too_large_to_use": [
+        (kind, f"radial shoot --kind {kind} --n {10 ** 80} --rmax 5 --h 0.1 "
+         "--out {out}/p.csv", 1, "", f"error: surface dimension n = {10 ** 80} "
+         r"is too large: n\^3 \(n \+ 2\) leaves the float range")
+        for kind in ("bowl", "catenoid-upper", "catenoid-lower")],
     # a fit used to exit 0 with every coefficient "nan"
     "test_cli_refuses_a_profile_sample_that_is_not_finite": [
         (f"{cmd}-{value}", argv.format(f"{{in}}/p-{value}.csv"), 1, "",

@@ -233,6 +233,11 @@ def no_parse(*args):
     raise AssertionError("parsed a file the memo holds")
 
 
+def held(path):
+    """The memo's entry for path: (kind, digest, size, metadata, arrays)."""
+    return tio._memo[os.path.abspath(path)]
+
+
 @pytest.mark.parametrize("case", MEMO_CASES)
 def test_memo_hit_reads_what_a_parse_reads(tmp_path, monkeypatch, case):
     make, write, read = MEMO_CASES[case]
@@ -303,23 +308,50 @@ def test_memo_refuses_a_malformed_file_at_a_held_path(tmp_path, kind, row,
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TranslabError, match=err):
         read(path)
-    assert tio._memo[kind][0] != tio._digest(path)
+    assert held(path)[1] != tio._digest(path)
 
 
-def test_memo_holds_one_entry_per_kind(tmp_path):
-    # the last file written of each kind; a read replaces nothing
+def test_memo_holds_one_entry_per_path(tmp_path):
+    # the last file written at each path; a read replaces nothing
     paths = [tmp_path / f"{name}.csv" for name in ("g1", "g2", "p1", "p2")]
     tio.write_grid_csv(wavy_grid(), paths[0])
     tio.write_grid_csv(wavy_grid(7, 5), paths[1])
     tio.write_profile_csv(radial.shoot_bowl(2, 1.0, 1e-2), paths[2])
     tio.write_profile_csv(radial.shoot_bowl(3, 1.0, 1e-2), paths[3])
-    tio.read_grid_csv(paths[0])
-    tio.read_profile_csv(paths[2])
-    assert sorted(tio._memo) == ["grid", "profile"]
-    assert tio._memo["grid"][:2] == (tio._digest(paths[1]),
-                                     paths[1].stat().st_size)
-    assert tio._memo["profile"][:2] == (tio._digest(paths[3]),
-                                        paths[3].stat().st_size)
+    tio.write_grid_csv(wavy_grid(5, 5), paths[0])
+    tio.write_profile_csv(radial.shoot_bowl(2, 2.0, 1e-2), paths[2])
+    for read, path in zip([tio.read_grid_csv] * 2 + [tio.read_profile_csv] * 2,
+                          paths):
+        read(path)
+    assert sorted(tio._memo) == sorted(str(path) for path in paths)
+    for kind, path in zip(["grid"] * 2 + ["profile"] * 2, paths):
+        assert held(path)[:3] == (kind, tio._digest(path), path.stat().st_size)
+    assert held(paths[0])[3]["nx"] == 5
+
+
+def test_memo_holds_a_profile_written_before_another(tmp_path, monkeypatch):
+    # family's order: bowl.csv, then catenoid.csv, then bowl.csv read again;
+    # a relative path and its absolute form are one entry
+    monkeypatch.chdir(tmp_path)
+    bowl = radial.shoot_bowl(2, 3.0, 1e-2)
+    tio.write_profile_csv(bowl, "bowl.csv")
+    tio.write_profile_csv(radial.shoot_catenoid_wing(
+        2, 1.0, 3.0, 1e-2, radial.RadialKind.CATENOID_UPPER), "catenoid.csv")
+    monkeypatch.setattr(tio, "_read_csv", no_parse)
+    assert np.array_equal(tio.read_profile_csv("bowl.csv").u, bowl.u)
+    assert np.array_equal(tio.read_profile_csv(tmp_path / "bowl.csv").psi,
+                          bowl.psi)
+    tio.write_profile_csv(bowl, tmp_path / "bowl.csv")
+    assert sorted(tio._memo) == [str(tmp_path / "bowl.csv"),
+                                 str(tmp_path / "catenoid.csv")]
+
+
+def test_memo_entry_is_read_only_as_its_own_kind(tmp_path):
+    # a grid held at a path is parsed, and refused, by the profile reader
+    path = tmp_path / "g.csv"
+    tio.write_grid_csv(wavy_grid(), path)
+    with pytest.raises(TranslabError, match="is not a profile CSV"):
+        tio.read_profile_csv(path)
 
 
 def no_hash(path):
@@ -327,8 +359,8 @@ def no_hash(path):
 
 
 def test_memo_hashes_only_a_file_the_size_of_its_entry(tmp_path, monkeypatch):
-    # a read with no entry of its kind, or of another size, parses unhashed:
-    # what every separate CLI process does
+    # a read of a path with no entry, what every separate CLI process does,
+    # or whose entry is of another size parses unhashed
     g, p = tmp_path / "g.csv", tmp_path / "p.csv"
     tio.write_grid_csv(wavy_grid(), g)
     tio.write_profile_csv(radial.shoot_bowl(2, 1.0, 1e-2), p)
@@ -337,20 +369,24 @@ def test_memo_hashes_only_a_file_the_size_of_its_entry(tmp_path, monkeypatch):
     expected = tio.read_grid_csv(g).values
     tio.read_profile_csv(p)
     tio.write_profile_csv(radial.shoot_bowl(2, 1.0, 1e-2), tmp_path / "q.csv")
+    tio.write_grid_csv(wavy_grid(), tmp_path / "h.csv")
     assert np.array_equal(tio.read_grid_csv(g).values, expected)
-    tio.write_grid_csv(wavy_grid(7, 5), tmp_path / "h.csv")
+    tio.write_grid_csv(wavy_grid(), g)
+    with open(g, "a") as f:                 # a comment line the parse skips
+        f.write("# appended\n")
     assert np.array_equal(tio.read_grid_csv(g).values, expected)
-    assert tio._memo["grid"][1] != g.stat().st_size
+    assert held(g)[2] != g.stat().st_size
 
 
 def test_memo_read_racing_a_rewrite_holds_nothing(tmp_path, monkeypatch):
     # the file at path changes from b's bytes to a's, the held ones, between
     # the reader's hash and its parse; b is a with one digit changed, so of
     # the held size; a later read of b's bytes must still give b
-    a, path, held = wavy_grid(), tmp_path / "f.csv", tmp_path / "a.csv"
-    tio.write_grid_csv(a, held)
-    entry = tio._memo["grid"]
-    b_bytes = bytearray(held.read_bytes())
+    a, path = wavy_grid(), tmp_path / "f.csv"
+    tio.write_grid_csv(a, path)
+    entry = held(path)
+    a_bytes = path.read_bytes()
+    b_bytes = bytearray(a_bytes)
     k = len(b_bytes) - 2                    # the last digit of the last u
     b_bytes[k] = ord("1") if b_bytes[k] != ord("1") else ord("2")
     b_last = float(b_bytes.decode().splitlines()[-1].split(",")[-1])
@@ -359,13 +395,13 @@ def test_memo_read_racing_a_rewrite_holds_nothing(tmp_path, monkeypatch):
 
     def digest_then_rewrite(p):
         out = digest(p)
-        path.write_bytes(held.read_bytes())
+        path.write_bytes(a_bytes)
         return out
 
     monkeypatch.setattr(tio, "_digest", digest_then_rewrite)
     assert np.array_equal(tio.read_grid_csv(path).values, a.values)
     monkeypatch.setattr(tio, "_digest", digest)
-    assert tio._memo["grid"] is entry
+    assert tio._memo == {str(path): entry}
     path.write_bytes(b_bytes)
     assert tio.read_grid_csv(path).values[-1, -1] == b_last != a.values[-1, -1]
 
@@ -386,7 +422,7 @@ def test_memo_and_parse_refuse_a_nan_alike(tmp_path, kind):
         g.values[2, 3] = -np.nan
         tio.write_grid_csv(g, path)
         read, message = tio.read_grid_csv, "grid values must be finite"
-    assert kind in tio._memo
+    assert held(path)[0] == kind
     with pytest.raises(TranslabError, match=message):
         read(path)
     tio._memo.clear()
@@ -401,7 +437,7 @@ def test_profile_refuses_an_n_that_is_not_an_int(tmp_path):
         radial.shoot_bowl(2.0, 1.0, 1e-2)
     tio.write_profile_csv(radial.shoot_bowl(np.int64(2), 1.0, 1e-2),
                           tmp_path / "p.csv")
-    assert tio._memo["profile"][2]["n"] == 2
+    assert held(tmp_path / "p.csv")[3]["n"] == 2
     tio._memo.clear()
     assert tio.read_profile_csv(tmp_path / "p.csv").n == 2
 
@@ -437,20 +473,56 @@ def test_memo_under_threads(tmp_path):
     assert failures == []
 
 
+def feed(pipe, data: bytes) -> threading.Thread:
+    """A started thread that writes data to pipe, a path or a descriptor,
+    and closes it."""
+    def write():
+        with open(pipe, "wb") as f:
+            f.write(data)
+    thread = threading.Thread(target=write, daemon=True)
+    thread.start()
+    return thread
+
+
 def test_csv_reads_from_a_pipe(tmp_path, monkeypatch):
     # a pipe can be read once: it is parsed without a hash, though the memo
-    # holds the content it carries
-    g, src, fifo = wavy_grid(), tmp_path / "g.csv", tmp_path / "fifo"
-    tio.write_grid_csv(g, src)
-    entry = tio._memo["grid"]
-    monkeypatch.setattr(tio, "_digest", no_hash)
+    # holds, for the pipe's own path, the content it carries
+    g, fifo, written = wavy_grid(), tmp_path / "fifo", []
     os.mkfifo(fifo)
-    feed = threading.Thread(target=lambda: fifo.write_bytes(src.read_bytes()),
-                            daemon=True)
-    feed.start()
+    drain = threading.Thread(target=lambda: written.append(fifo.read_bytes()),
+                             daemon=True)
+    drain.start()
+    tio.write_grid_csv(g, fifo)
+    drain.join(timeout=10)
+    entry = held(fifo)
+    monkeypatch.setattr(tio, "_digest", no_hash)
+    writer = feed(fifo, written[0])
     assert np.array_equal(tio.read_grid_csv(fifo).values, g.values)
-    feed.join(timeout=10)
-    assert tio._memo == {"grid": entry}
+    writer.join(timeout=10)
+    assert tio._memo == {str(fifo): entry}
+
+
+@pytest.mark.parametrize("kind", ["profile", "grid"])
+def test_export_obj_reads_a_pipe(tmp_path, kind):
+    # what a shell's <(cat in.csv) passes: the head that picks the reader and
+    # the rows must come through one open, as a second open of /dev/fd/N
+    # reads on from where the first stopped (it exited 1, "/dev/fd/63 is
+    # not a profile CSV")
+    src = tmp_path / "in.csv"
+    if kind == "profile":
+        tio.write_profile_csv(radial.shoot_bowl(2, 3.0, 1e-2), src)
+    else:
+        tio.write_grid_csv(wavy_grid(), src)
+    tio.export_obj(src, tmp_path / "file.obj")
+    r, w = os.pipe()
+    writer = feed(w, src.read_bytes())
+    try:
+        tio.export_obj(f"/dev/fd/{r}", tmp_path / "pipe.obj")
+    finally:
+        writer.join(timeout=10)
+        os.close(r)
+    assert (tmp_path / "pipe.obj").read_bytes() == \
+        (tmp_path / "file.obj").read_bytes()
 
 
 # --- CLI ------------------------------------------------------------------------

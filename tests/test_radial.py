@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,11 +182,11 @@ def test_dopri5_dense_output_and_fsal_count():
     # steps, and each attempt after the first costs six rhs calls
     calls = []
 
-    def rhs(t, y):
+    def rhs(t, a, b, c):
         calls.append(t)
-        return (y[1], -y[0])
+        return b, -a, 0.0
     run = radial._dopri5(rhs, 0.0, (0.0, 1.0), 0.05,
-                         stop=lambda t, y: t >= 2 * math.pi)
+                         stop=lambda t, *_: t >= 2 * math.pi)
     assert run.t[0] == 0.0 and run.t_end >= 2 * math.pi
     assert np.allclose(run.t[1:], np.cumsum(run.dt)[:-1], rtol=0, atol=1e-15)
     assert len(calls) == 1 + 6 * (len(run.t) + run.rejected)
@@ -300,3 +301,147 @@ def test_sample_count_is_bounded_before_integrating():
     with pytest.raises(ValueError, match="r_max / h"):
         radial.shoot_catenoid_wing(2, 1.0, 1e300, 1.0,
                                    RadialKind.CATENOID_UPPER)
+
+
+def test_n_too_large_to_use_is_refused():
+    # the bowl's n^3 (n + 2) and a wing's (n - 1)/lam used to raise
+    # OverflowError "int too large to convert to float"
+    n = 10 ** 80
+    message = re.escape(f"surface dimension n = {n} is too large")
+    with pytest.raises(TranslabError, match=message):
+        radial.shoot_bowl(n, 5.0, 0.1)
+    for kind in (RadialKind.CATENOID_UPPER, RadialKind.CATENOID_LOWER):
+        with pytest.raises(TranslabError, match=message):
+            radial.shoot_catenoid_wing(n, 1.0, 5.0, 0.1, kind)
+
+
+# --- the stepper against the list-based one it replaced ------------------------
+
+
+def ref_dopri5(rhs, t, y, dt, stop) -> radial._Run:
+    """_dopri5 as it was on lists, rhs(t, y) -> sequence of floats; it kept a
+    NaN error estimate only when the first component's."""
+    _A, _C, _E = radial._A, radial._C, radial._E
+    floor = dt * radial._STEP_FLOOR_FACTOR
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65), (b1, b3, b4, b5, b6) = _A
+    c2, c3, c4, c5 = _C
+    e1, e3, e4, e5, e6, e7 = _E
+    rec = []     # per step: t, dt, y, y_new, k1, k3, k4, k5, k6, k7
+    rejected = 0
+    grow = 5.0
+    k1 = rhs(t, y)
+    for _ in range(radial._MAX_STEPS):
+        try:
+            k2 = rhs(t + c2 * dt, [yi + dt * a21 * p for yi, p in zip(y, k1)])
+            k3 = rhs(t + c3 * dt, [yi + dt * (a31 * p + a32 * q)
+                                   for yi, p, q in zip(y, k1, k2)])
+            k4 = rhs(t + c4 * dt, [yi + dt * (a41 * p + a42 * q + a43 * w)
+                                   for yi, p, q, w in zip(y, k1, k2, k3)])
+            k5 = rhs(t + c5 * dt, [yi + dt * (a51 * p + a52 * q + a53 * w + a54 * x)
+                                   for yi, p, q, w, x in zip(y, k1, k2, k3, k4)])
+            k6 = rhs(t + dt, [yi + dt * (a61 * p + a62 * q + a63 * w + a64 * x
+                                         + a65 * z)
+                              for yi, p, q, w, x, z in zip(y, k1, k2, k3, k4, k5)])
+            yn = [yi + dt * (b1 * p + b3 * w + b4 * x + b5 * z + b6 * v)
+                  for yi, p, w, x, z, v in zip(y, k1, k3, k4, k5, k6)]
+            k7 = rhs(t + dt, yn)
+        except (ValueError, ZeroDivisionError):
+            err = math.inf
+        else:
+            err = max([abs(dt * (e1 * p + e3 * w + e4 * x + e5 * z + e6 * v
+                                 + e7 * o)) / (1.0 + abs(yi))
+                       for yi, p, w, x, z, v, o in zip(yn, k1, k3, k4, k5, k6, k7)])
+        fac = 0.9 * (radial._STEP_TOL / err) ** 0.2 if err > 0 else 0.0
+        if not err < radial._STEP_TOL:
+            rejected += 1
+            dt *= max(0.2, fac)
+            grow = 1.0
+            if dt < floor:
+                raise TranslabError("at the step floor")
+            continue
+        rec.append((t, dt, *y, *yn, *k1, *k3, *k4, *k5, *k6, *k7))
+        t, y, k1 = t + dt, yn, k7
+        if stop(t, y):
+            break
+        dt *= min(fac, grow) if err > 0 else grow
+        grow = 5.0
+    else:
+        raise TranslabError("step budget exhausted")
+    m = len(y)
+    a = np.array(rec)
+    y0, y1, k1, k3, k4, k5, k6, k7 = (a[:, 2 + i * m:2 + (i + 1) * m]
+                                      for i in range(8))
+    step = a[:, 1:2]
+    d1, d3, d4, d5, d6, d7 = radial._D
+    diff = y1 - y0
+    return radial._Run(t=a[:, 0], dt=a[:, 1],
+                       coef=(y0, diff, step * k1 - diff,
+                             diff - step * k7 - (step * k1 - diff),
+                             step * (d1 * k1 + d3 * k3 + d4 * k4 + d5 * k5
+                                     + d6 * k6 + d7 * k7)),
+                       t_end=t, y_end=y, rejected=rejected)
+
+
+def ref_run(rhs, t, y, dt, stop):
+    """ref_dopri5 on the arguments of a _dopri5 call: its rhs and stop on
+    lists of len(y) floats."""
+    pad = (0.0,) * (3 - len(y))
+    return ref_dopri5(lambda t, z: rhs(t, *z, *pad)[:len(y)], t, list(y), dt,
+                      lambda t, z: stop(t, *z, *pad))
+
+
+def assert_same_run(run, ref):
+    assert np.array_equal(run.t, ref.t) and np.array_equal(run.dt, ref.dt)
+    assert len(run.coef) == len(ref.coef) == 5
+    for c, r in zip(run.coef, ref.coef):
+        assert c.shape == r.shape and np.array_equal(c, r)
+    assert run.t_end == ref.t_end and run.rejected == ref.rejected
+    assert np.array_equal(run.y_end, ref.y_end)
+
+
+@pytest.mark.parametrize("shoot", [
+    lambda: radial.shoot_bowl(2, 60.0, 2e-3),
+    lambda: radial.shoot_bowl(3, 20.0, 1e-2),
+    *(lambda kind=kind, lam=lam: radial.shoot_catenoid_wing(
+        2, lam, 20.0, 1e-3, kind)
+      for kind in (RadialKind.CATENOID_UPPER, RadialKind.CATENOID_LOWER)
+      for lam in (0.3, 1.0, 3.0))],
+    ids=["bowl-2", "bowl-3", *(f"{kind}-{lam}" for kind in ("upper", "lower")
+                               for lam in (0.3, 1.0, 3.0))])
+def test_dopri5_matches_the_list_stepper_bit_for_bit(monkeypatch, shoot):
+    integrate, compared = radial._dopri5, []
+
+    def both(rhs, t, y, dt, stop):
+        run = integrate(rhs, t, y, dt, stop)
+        assert_same_run(run, ref_run(rhs, t, y, dt, stop))
+        compared.append(len(y))
+        return run
+    monkeypatch.setattr(radial, "_dopri5", both)
+    shoot()
+    assert compared in ([2], [3], [3, 2])
+
+
+def test_dopri5_matches_the_list_stepper_on_a_toy():
+    def rhs(t, a, b, c):
+        return b, -a, 0.0
+
+    def stop(t, *_):
+        return t >= 2 * math.pi
+    assert_same_run(radial._dopri5(rhs, 0.0, (0.0, 1.0), 0.05, stop),
+                    ref_run(rhs, 0.0, (0.0, 1.0), 0.05, stop))
+
+
+@pytest.mark.parametrize("m, k", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_dopri5_rejects_a_nan_estimate_in_any_component(m, k):
+    # past t = 0.5 component k of y' is NaN: no step can cross it.  The list
+    # stepper's max kept the NaN only in the first component, and ran on to
+    # y_end [3.0999999999999996, nan] with no step rejected
+    def rhs(t, *y):
+        out = [1.0, 1.0, 1.0 if m == 3 else 0.0]
+        if t > 0.5:
+            out[k] = math.nan
+        return out
+    with pytest.raises(TranslabError, match="local error nan above "
+                                            "tolerance .* at the step floor"):
+        radial._dopri5(rhs, 0.0, (0.0,) * m, 0.1, lambda t, *_: t >= 3.0)

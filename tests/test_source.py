@@ -156,6 +156,17 @@ def test_shooting_leaves_out_scipy_integrate():
     assert out.strip() == "False"
 
 
+def test_one_function_reads_the_dormand_prince_tableau():
+    # one stepper for both forms of the radial ODE: a second one, beside it
+    # or nested in it, would read the stage or error weights too
+    readers = [node.name
+               for node in ast.walk(ast.parse((SRC / "radial.py").read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and {"_A", "_E"} & {n.id for n in ast.walk(node)
+                                   if isinstance(n, ast.Name)}]
+    assert readers == ["_dopri5"]
+
+
 def test_only_a_strip_solve_loads_scipy_sparse(tmp_path):
     # every subcommand group but elliptic, a strip refused by its checks
     # and one past the node bound leave scipy.sparse out; a solve loads it
