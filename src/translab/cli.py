@@ -106,7 +106,6 @@ def _build_parser():
     obj = exps.add_parser("obj", help="grid or profile CSV to OBJ")
     obj.add_argument("--in", dest="infile", required=True)
     obj.add_argument("--out", required=True)
-    obj.add_argument("--angular-samples", type=int, default=128)
 
     res.set_defaults(error=res.error)   # for --theta off --kind tilted
     # --stop for --stop-amax is a usage error: an option is spelled in full
@@ -219,7 +218,7 @@ def _cmd_analyze(args, prov):
 
 
 def _cmd_export(args, prov):
-    tio.export_obj(args.infile, args.out, args.angular_samples, prov)
+    tio.export_obj(args.infile, args.out, prov)
     print(f"wrote {args.out}")
 
 

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import catalog
-from .errors import NewtonFailedError, TranslabError
+from .errors import TranslabError
 from .geom import interior_jet
 from .grid import GridFunction
 
@@ -353,7 +353,7 @@ def newton_solve(p: StripProblem, init: GridFunction):
             if lam < DAMPING_MIN:
                 i, j = np.unravel_index(np.argmax(np.abs(defect)), defect.shape)
                 ring = i in (0, p.nx - 3) or j in (0, p.ny - 3)
-                raise NewtonFailedError(
+                raise TranslabError(
                     f"damping floor hit at iteration {it}, ||defect||_2 = "
                     f"{fnorm:.3e}, max |defect| {np.abs(defect[i, j]):.3e} at "
                     f"node ({i + 1}, {j + 1}), "
@@ -364,7 +364,7 @@ def newton_solve(p: StripProblem, init: GridFunction):
         iterations = it + 1
     else:
         if np.max(np.abs(defect)) > TOL_RESIDUAL:
-            raise NewtonFailedError(
+            raise TranslabError(
                 f"no convergence in {MAX_NEWTON} Newton iterations")
 
     sol = p.grid(v)
@@ -435,7 +435,7 @@ def delta_wing(b: float, L: float = 12.0, nx: int = 961, ny: int = 161):
     """Solve for the Delta-wing over the strip of half-width b (> pi/2).
 
     Boundary data and initial guess come from the tilted-pair envelope with
-    cos(theta) = pi/(2 b).  One Newton solve, no retry: its NewtonFailedError
+    cos(theta) = pi/(2 b).  One Newton solve, no retry: its TranslabError
     is the caller's.  The report carries the center Hessian (expected
     eigenvalues (-k, -(1-k))), concavity and symmetry checks, and the
     constant-shift defect against the asymptotic reapers.
@@ -460,7 +460,9 @@ def continuation_in_width(b_start: float, b_end: float, steps: int,
                           L: float = 12.0, nx: int = 241, ny: int = 81):
     """March the wing family in strip half-width, reusing each solution as the
     next initial guess.  Returns the list of (b, SolveReport); reports carry
-    the map b -> k via their centerHessian.
+    the map b -> k via their centerHessian.  A strip solve that fails, the
+    first included, ends the march in one TranslabError that names its b
+    and carries the solver's reason; a stall between widths wants more steps.
     """
     if steps < 1:
         raise TranslabError("continuation needs steps >= 1")
@@ -476,26 +478,14 @@ def continuation_in_width(b_start: float, b_end: float, steps: int,
     StripProblem(max(b_start, b_end), L, nx, ny)
     bs = np.linspace(b_start, b_end, steps + 1) if b_start != b_end \
         else np.array([b_start])
-    out = []
-    prev_b = None
+    out, sol = [], None
     for bi in bs:
         p = StripProblem(float(bi), L, nx, ny)
-        init = initial_guess(p) if prev_b is None else _resample_onto(p, sol)
+        init = initial_guess(p) if sol is None else _resample_onto(p, sol)
         try:
             sol, rep = newton_solve(p, init)
-        except NewtonFailedError as exc:
-            if prev_b is None:
-                raise TranslabError(
-                    f"first solve failed at b = {bi}: {exc}") from exc
-            # retry through the half-way strip, then this one
-            pm = StripProblem(0.5 * (prev_b + float(bi)), L, nx, ny)
-            for q in (pm, p):
-                try:
-                    sol, rep = newton_solve(q, _resample_onto(q, sol))
-                except NewtonFailedError as exc:
-                    raise TranslabError(
-                        f"continuation failed at b = {bi}, retry stalled at "
-                        f"b = {q.b}: {exc}") from exc
+        except TranslabError as exc:
+            raise TranslabError(
+                f"continuation failed at b = {bi}: {exc}") from exc
         out.append((float(bi), rep))
-        prev_b = float(bi)
     return sol, out

@@ -53,12 +53,7 @@ _F = b"%.17g"
 _R = b"%r"          # JSON floats: repr, as json.dumps writes them
 _BLOCK_ROWS = 1024  # rows per % in _write_table; bounds its memory use
 _MAX_RINGS = 512    # rings of a revolution OBJ
-# Vertices of a revolution OBJ (rings x angular samples).  export obj of a
-# 2,001-sample bowl profile (512 rings; one core, 2 vCPU x86) took 0.86 s
-# and 91.5 MB peak RSS at 1,024 samples and 5.78 s and 175.9 MB at 4,096:
-# 3.1 us, 56 B of memory and 94 B of file per added vertex.  At the bound
-# (8,192 samples at 512 rings) that is about 12 s, 0.3 GB and a 0.4 GB file.
-_MAX_VERTICES = 1 << 22
+_SAMPLES = 128      # angular samples of a revolution OBJ
 
 
 def _fmt(x) -> str:
@@ -449,42 +444,34 @@ def export_grid_obj(u: GridFunction, path, provenance: str = ""):
                [a, a + u.ny, a + u.ny + 1, a + 1])
 
 
-def export_revolution_obj(p: RadialProfile, path, samples: int = 128,
-                          provenance: str = ""):
+def export_revolution_obj(p: RadialProfile, path, provenance: str = ""):
     """Surface of revolution (r, angle) -> (r cos, u, r sin), quad strip mesh.
 
-    The angular direction wraps and needs samples >= 3, and rings x samples
-    may not exceed _MAX_VERTICES (TranslabError otherwise); the radial direction
-    is open.  Profiles with more than _MAX_RINGS samples are subsampled
-    evenly (integration steps are far finer than any mesh needs); endpoints
-    are always kept.
+    The angular direction wraps, at _SAMPLES angles; the radial direction is
+    open.  Profiles with more than _MAX_RINGS samples are subsampled evenly
+    (integration steps are far finer than any mesh needs); endpoints are
+    always kept, so a mesh has at most _MAX_RINGS x _SAMPLES = 65,536
+    vertices.
     """
-    if samples < 3:
-        raise TranslabError(f"revolution export needs at least 3 angular "
-                            f"samples, got {samples}")
     if not (np.all(np.isfinite(p.r)) and np.all(np.isfinite(p.u))):
         raise TranslabError("refusing OBJ export: non-finite profile")
     n = len(p.r)  # linspace(0, n - 1, n) is exactly arange(n)
     keep = np.unique(np.linspace(0, n - 1, min(n, _MAX_RINGS)).round().astype(int))
-    if len(keep) * samples > _MAX_VERTICES:
-        raise TranslabError(f"revolution export of {len(keep)} rings x {samples} "
-                            f"angular samples exceeds the bound of "
-                            f"{_MAX_VERTICES} vertices")
     rr = p.r[keep]
-    ang = 2 * math.pi * np.arange(samples) / samples
-    ring = samples * np.arange(len(rr) - 1)[:, None] + 1
-    a = (ring + np.arange(samples)).ravel()
-    b = (ring + (np.arange(samples) + 1) % samples).ravel()
+    ang = 2 * math.pi * np.arange(_SAMPLES) / _SAMPLES
+    ring = _SAMPLES * np.arange(len(rr) - 1)[:, None] + 1
+    a = (ring + np.arange(_SAMPLES)).ravel()
+    b = (ring + (np.arange(_SAMPLES) + 1) % _SAMPLES).ravel()
     heights = _texts(p.u[keep])
     _write_obj(path, provenance, b"v %.17g %s %.17g\n",
                [np.outer(rr, np.cos(ang)).ravel(),
-                _Texts(heights.texts, np.repeat(heights.where, samples)),
+                _Texts(heights.texts, np.repeat(heights.where, _SAMPLES)),
                 np.outer(rr, np.sin(ang)).ravel()],
-               [a, b, b + samples, a + samples])
+               [a, b, b + _SAMPLES, a + _SAMPLES])
 
 
 # infile, not path: perfbench/tracer.py would count this input in io.bytes_written
-def export_obj(infile, out, samples: int = 128, provenance: str = ""):
+def export_obj(infile, out, provenance: str = ""):
     """OBJ mesh at out of the profile CSV at infile, by its first line, or
     else of the grid CSV there (read_grid_csv refuses any other file).  The
     file is opened once, so infile may be a pipe."""
@@ -492,7 +479,6 @@ def export_obj(infile, out, samples: int = 128, provenance: str = ""):
         head = _first_line(infile, f)
         lines = itertools.chain([head], f)
         if head.startswith("# translab-profile"):
-            export_revolution_obj(read_profile_csv(infile, lines), out, samples,
-                                  provenance)
+            export_revolution_obj(read_profile_csv(infile, lines), out, provenance)
         else:
             export_grid_obj(read_grid_csv(infile, lines), out, provenance)

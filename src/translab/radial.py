@@ -123,7 +123,7 @@ class _Run:
         return y
 
 
-def _dopri5(rhs, t, y, dt, stop) -> _Run:
+def _dopri5(rhs, t, y, dt, stop, what) -> _Run:
     """Integrate from (t, y), y of m = 2 or 3 floats (a, b[, c]), with
     trial step dt until stop(t, a, b, c) holds after an accepted step.
 
@@ -136,9 +136,10 @@ def _dopri5(rhs, t, y, dt, stop) -> _Run:
     step is the first of the next (FSAL), so an attempt costs 6 evaluations
     after the first.  A stage out of rhs's domain (cos(inf), r = 0) rejects
     its step.  A step below 2^-30 times the trial step, or more than
-    _MAX_STEPS accepted steps, raise TranslabError.  Each accepted step
-    records t, dt, then y, y_new, k1, k3, ..., k7 of each component but the
-    pad: 2 + 8 m values.
+    _MAX_STEPS attempts, raise TranslabError; the second names the run and
+    its variable t by what (say "bowl of n = 2: radius r"), the t reached
+    and the step size.  Each accepted step records t, dt, then y, y_new, k1,
+    k3, ..., k7 of each component but the pad: 2 + 8 m values.
     """
     floor = dt * _STEP_FLOOR_FACTOR
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
@@ -201,7 +202,8 @@ def _dopri5(rhs, t, y, dt, stop) -> _Run:
             return _make_run(rec, m, t, (a, b, c)[:m], rejected)
         dt *= min(fac, grow) if err > 0 else grow
         grow = 5.0
-    raise TranslabError("step budget exhausted")
+    raise TranslabError(f"{what} = {t!r} reached when the step budget of "
+                        f"{_MAX_STEPS} attempts ran out, step size {dt:.3e}")
 
 
 def _make_run(rec, m, t_end, y_end, rejected) -> _Run:
@@ -275,7 +277,7 @@ def shoot_bowl(n: int, r_max: float, h: float) -> RadialProfile:
 
     r = np.concatenate([[0.0], _radii(0.0, r_max, h)])
     run = _dopri5(_graph_rhs(n), 10 * h, series[-1], h,
-                  stop=lambda t, *_: t >= r[-1])
+                  stop=lambda t, *_: t >= r[-1], what=f"bowl of n = {n}: radius r")
     y = np.concatenate([series, run(r[11:])])
     prof = RadialProfile(n=n, kind=RadialKind.BOWL, lam=None, r=r,
                          u=y[:, 0], psi=y[:, 1], h=h, **_counters(run))
@@ -313,7 +315,8 @@ def shoot_catenoid_wing(n: int, lam: float, r_max: float, h: float,
     # |dr/ds| <= 1: past r_max + h, a sample at s <= s_end has reached r_max
     neck = _dopri5(rhs, 0.0, (lam, 0.0, sign * math.pi / 2), h,
                    stop=lambda s, r, u, psi: (abs(math.tan(psi)) <= r
-                                              or r >= r_max + h))
+                                              or r >= r_max + h),
+                   what=f"catenoid neck of n = {n}: arclength s")
     s = np.arange(math.floor(neck.t_end / h) + 1) * h
     y = neck(s[s <= neck.t_end])
     reached = np.flatnonzero(y[:, 0] >= r_max - _R_SLACK)
@@ -324,7 +327,8 @@ def shoot_catenoid_wing(n: int, lam: float, r_max: float, h: float,
         r0, u0, psi0 = neck.y_end
         r = _radii(r0, r_max, h)
         graph = _dopri5(_graph_rhs(n), r0, (u0, psi0), h,
-                        stop=lambda t, *_: t >= r[-1])
+                        stop=lambda t, *_: t >= r[-1],
+                        what=f"catenoid wing of n = {n}: radius r")
         neck_samples, runs = len(y), [neck, graph]
         y = np.concatenate([y, np.column_stack([r, graph(r)])])
     return RadialProfile(n=n, kind=kind, lam=lam, r=y[:, 0], u=y[:, 1],

@@ -33,7 +33,7 @@ import warnings
 
 import pytest
 
-from translab import catalog, cli, csf, elliptic, io as tio, radial
+from translab import catalog, cli, csf, elliptic, radial
 
 TIME_LIMIT_S = 30
 PEAK_BYTES = 2 ** 21
@@ -150,8 +150,8 @@ CONTRACT = {"test_io_cli": {
     # no stopReason (5e154), numpy RuntimeWarnings before the error line
     # (1e150) or after a flow whose times squared underflow in the fit
     # (1e-100), amax ** 2 in an OverflowError (stopAmax 1e300), h = 1e-7,
-    # both n, the grid header's 10^16 nodes, the 3.3e9 strip nodes and the
-    # 10^8 angular samples in a failed allocation, 10^8 continuation steps
+    # both n, the grid header's 10^16 nodes and the 3.3e9 strip nodes in a
+    # failed allocation, 10^8 continuation steps
     # in a run of more than a minute, grid nodes that are not finite in nan
     # or inf OBJ vertices with exit 0, and an infinite radius
     "test_cli_refuses_a_scale_it_cannot_compute": [
@@ -192,10 +192,6 @@ CONTRACT = {"test_io_cli": {
         ("cont-steps-1e8", "elliptic continuation --b-start 2 --b-end 3 "
          "--steps 100000000", 1, "", r"error: continuation of steps = "
          r"100000000 exceeds the bound of 1000 steps.*", True),
-        ("obj-samples-1e8", "export obj --in {in}/p.csv --out {out}/p.obj "
-         "--angular-samples 100000000", 1, "", r"error: revolution export of "
-         r"501 rings x 100000000 angular samples exceeds the bound of 4194304 "
-         r"vertices.*", True),
         *((f"{cmd}-{key}-{value}", argv.format(f"{{in}}/{key}-{value}.csv"), 1,
            "", "error: " + NODES.format(*nodes))
           for key, value, nodes in (("x0", "nan", ("nan", r"1\.0")),
@@ -230,10 +226,6 @@ CONTRACT = {"test_io_cli": {
         ("export-obj", "export obj --in {in}/u.csv --out {out}/e.obj", 1, "",
          r"error: {in}/u\.csv: .*can't decode byte 0xff.*"),
     ],
-    "test_cli_revolution_export_needs_three_samples": [
-        (n, f"export obj --in {{in}}/p.csv --out {{out}}/p.obj "
-         f"--angular-samples {n}", 1, "", r"error: .*angular samples.*")
-        for n in ("0", "-3", "2")],
     # the ids of this group and of test_cli_firstvar_names_the_bad_option
     # are their test names, kept from when a grammar check printed its own
     # "usage error:" line and the library's bump checks gave exit 2
@@ -354,6 +346,12 @@ CONTRACT = {"test_io_cli": {
         ("eps", "analyze firstvar --in {in}/g.csv --eps 0.0001", 2, "",
          UNKNOWN + r"--eps 0\.0001"),
     ],
+    # a revolution OBJ has io._SAMPLES = 128 angles: --angular-samples is
+    # unknown, at its old default too
+    "test_cli_revolution_export_takes_no_sample_count": [
+        (n, f"export obj --in {{in}}/p.csv --out {{out}}/p.obj "
+         f"--angular-samples {n}", 2, "", UNKNOWN + f"--angular-samples {n}")
+        for n in ("64", "128")],
     # u = 1e300 x: p * p overflows.  sx and jacobi used to print numpy's
     # overflow RuntimeWarning and its source line before the error line,
     # firstvar two warnings and then "grid values must be finite".  At
@@ -507,9 +505,6 @@ CONTRACT = {"test_io_cli": {
         ("radial._MAX_SAMPLES", radial._MAX_SAMPLES,
          "radial shoot --out {out}/p.csv --rmax 5 "
          f"--h {5.0 / (2 * radial._MAX_SAMPLES)!r}"),
-        ("io._MAX_VERTICES", tio._MAX_VERTICES,
-         "export obj --in {in}/p.csv --out {out}/p.obj "
-         f"--angular-samples {tio._MAX_VERTICES + 1}"),
         # two options, each inside its own bound, whose product is past one
         ("delta-wing-nx-ny", elliptic._MAX_NODES,
          "elliptic delta-wing --b 2 --nx 1001 --ny 1001"),

@@ -5,11 +5,10 @@ cli_contract.check) with any exit code of 0, 1 and 2 allowed: no exception
 may leave cli.main but argparse's SystemExit(2), and stderr holds nothing
 but one error line: "error: ..." for a TranslabError or OSError (exit 1), or
 argparse's usage text and its "<prog>: error: ..." line (exit 2); a run
-that exits 0 prints a JSON report (export obj prints a line of text), and a
-refused run writes no file.  The pool is enumerable, so every value meets
-every option: floats take FLOATS, ints INTS.  The base runs are small (33x33
-strips, curves of 32 points, a bowl out to r = 5), so the whole sweep takes
-seconds.
+that exits 0 prints a JSON report, and a refused run writes no file.  The
+pool is enumerable, so every value meets every option: floats take FLOATS,
+ints INTS.  The base runs are small (33x33 strips, curves of 32 points, a
+bowl out to r = 5), so the whole sweep takes seconds.
 """
 
 import argparse
@@ -35,7 +34,6 @@ BASE = {
     ("csf", "run"): "--n 32 --out {out}/l.csv",
     ("csf", "compare"): "--n 32",
     ("analyze", "firstvar"): "--in {in}/g.csv",
-    ("export", "obj"): "--in {in}/p.csv --out {out}/p.obj",
 }
 
 # options that only act with another choice of the base
@@ -91,8 +89,7 @@ def test_numeric_option_ends_in_an_exit_code(tmp_path, capfd, cli_inputs, cmd,
     # --opt=value: argparse would take a bare "-inf" for an option name
     argv = " ".join([cmd, sub, BASE[cmd, sub],
                      EXTRA.get((cmd, sub, option), ""), f"{option}={value}"])
-    out = "wrote {out}/p.obj" if (cmd, sub) == ("export", "obj") else "json"
-    cli_contract.check(argv, None, out, None, inputs=cli_inputs,
+    cli_contract.check(argv, None, "json", None, inputs=cli_inputs,
                        tmp_path=tmp_path, capfd=capfd)
 
 

@@ -10,7 +10,7 @@ from translab import catalog, cli, elliptic, geom
 from translab.elliptic import (DAMPING_MIN, MAX_NEWTON, TOL_RESIDUAL,
                                StripProblem, delta_wing, initial_guess,
                                newton_solve)
-from translab.errors import NewtonFailedError, TranslabError
+from translab.errors import TranslabError
 
 B_ROOT2 = math.pi / math.sqrt(2)
 
@@ -318,7 +318,7 @@ def test_near_threshold_stall_raises_without_retry(monkeypatch):
     b = math.pi / 2 + 1e-3
     # the defect peaks next to the end x = -L or its mirror x = L, on one of
     # the four mirror nodes (which one is round-off)
-    with pytest.raises(NewtonFailedError,
+    with pytest.raises(TranslabError,
                        match=r"damping floor .*\|\|defect\|\|_2 = .* at node "
                              r"\((1|39), (2|30)\), on the outer interior ring$"):
         delta_wing(b, L=12.0, nx=41, ny=33)
@@ -327,7 +327,7 @@ def test_near_threshold_stall_raises_without_retry(monkeypatch):
 
 def test_iteration_budget_exhausted_raises(monkeypatch):
     monkeypatch.setattr(elliptic, "MAX_NEWTON", 1)
-    with pytest.raises(NewtonFailedError, match="no convergence in 1 Newton"):
+    with pytest.raises(TranslabError, match="no convergence in 1 Newton"):
         delta_wing(2.0, L=8.0, nx=121, ny=49)
 
 
@@ -359,32 +359,38 @@ def recording_newton(monkeypatch):
     return strips
 
 
-def test_continuation_retries_through_the_half_step(monkeypatch):
-    # 2 -> 4 and 4 -> 6 each stall and are reached through 3 and 5
+def test_continuation_where_a_stride_stalls_takes_more_steps(monkeypatch,
+                                                               capsys):
+    # a stride of 2 stalls at b = 4 and ends the march; strides of 1 reach
+    # b = 6 with one solve per width
+    argv = ["elliptic", "continuation", "--b-start", "2", "--b-end", "6",
+            "--nx", "121", "--ny", "41", "--steps"]
+    assert cli.main(argv + ["2"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: continuation failed at b = 4.0: damping floor hit ")
     strips = recording_newton(monkeypatch)
-    _, chain = elliptic.continuation_in_width(2.0, 6.0, 2, nx=121, ny=41)
-    assert strips == [2.0, 4.0, 3.0, 4.0, 6.0, 5.0, 6.0]
-    assert [b for b, _ in chain] == [2.0, 4.0, 6.0]
+    _, chain = elliptic.continuation_in_width(2.0, 6.0, 4, nx=121, ny=41)
+    assert strips == [2.0, 3.0, 4.0, 5.0, 6.0]
+    assert [b for b, _ in chain] == [2.0, 3.0, 4.0, 5.0, 6.0]
     assert all(r.finalResidualMax <= TOL_RESIDUAL for _, r in chain)
 
 
 @pytest.mark.parametrize("b_start, b_end, steps, head, solved, ring", [
-    (1.6, 2.4, 2, "first solve failed at b = 1.6", [1.6], "on"),
-    (2.0, 6.0, 1, "continuation failed at b = 6.0, retry stalled at b = 4.0",
-     [2.0, 6.0, 4.0], "inside"),
+    (1.6, 2.4, 2, "continuation failed at b = 1.6", [1.6], "on"),
+    (2.0, 6.0, 1, "continuation failed at b = 6.0", [2.0, 6.0], "inside"),
 ], ids=["first", "retry"])
 def test_continuation_failure_keeps_the_solver_reason(monkeypatch, capsys,
                                                       b_start, b_end, steps,
                                                       head, solved, ring):
-    # the first strip's stall, or the half-step retry's, is the cause and
-    # its message is appended; the retry fails at the half-way width 4.0
+    # a failing strip solve, the first included, ends the march: its
+    # message follows the width, and nothing is retried
     strips = recording_newton(monkeypatch)
     with pytest.raises(TranslabError,
                        match=rf"^{re.escape(head)}: damping floor hit .*, "
                              rf"{ring} the outer interior ring$") as info:
         elliptic.continuation_in_width(b_start, b_end, steps, nx=121, ny=41)
     assert strips == solved
-    assert isinstance(info.value.__cause__, NewtonFailedError)
+    assert isinstance(info.value.__cause__, TranslabError)
     rc = cli.main(["elliptic", "continuation", "--b-start", str(b_start),
                    "--b-end", str(b_end), "--steps", str(steps),
                    "--nx", "121", "--ny", "41"])

@@ -159,12 +159,12 @@ def test_revolution_obj_export_refuses_a_profile_changed_to_nan(tmp_path):
 def test_revolution_obj_counts(tmp_path):
     p = radial.shoot_bowl(2, 1.0, 1e-2)
     path = tmp_path / "rev.obj"
-    tio.export_revolution_obj(p, path, samples=16)
+    tio.export_revolution_obj(p, path)
     lines = path.read_text().splitlines()
     nv = sum(1 for ln in lines if ln.startswith("v "))
     nf = sum(1 for ln in lines if ln.startswith("f "))
-    assert nv == len(p.r) * 16
-    assert nf == (len(p.r) - 1) * 16
+    assert nv == len(p.r) * 128
+    assert nf == (len(p.r) - 1) * 128
 
 
 def test_report_json_deterministic():

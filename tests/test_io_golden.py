@@ -126,8 +126,8 @@ def ref_export_grid_obj(u, path, provenance=""):
         f.write("\n".join(lines) + "\n")
 
 
-def ref_export_revolution_obj(p, path, samples=128, provenance=""):
-    max_rings = 512
+def ref_export_revolution_obj(p, path, provenance=""):
+    max_rings, samples = 512, 128
     n = len(p.r)
     if n > max_rings:
         keep = np.unique(np.linspace(0, n - 1, max_rings).round().astype(int))
@@ -235,14 +235,17 @@ CASES = [
     ("export_grid_obj", "long_line", {}),
     ("export_grid_obj", "short_lines", {}),
     ("export_grid_obj", "wavy", {"provenance": PROV_UTF8}),
-    ("export_revolution_obj", "bowl", {"samples": 8}),
-    ("export_revolution_obj", "catenoid_upper", {"samples": 3,
-                                                  "provenance": PROV}),
-    ("export_revolution_obj", "long", {"samples": 8}),
-    ("export_revolution_obj", "long", {"samples": 9, "provenance": PROV}),
-    ("export_revolution_obj", "short", {"samples": 3}),
-    ("export_revolution_obj", "bowl", {"samples": 5, "provenance": PROV_UTF8}),
+    ("export_revolution_obj", "bowl", {}),
+    ("export_revolution_obj", "catenoid_upper", {"provenance": PROV}),
+    ("export_revolution_obj", "long", {}),
+    ("export_revolution_obj", "long", {"provenance": PROV}),
+    ("export_revolution_obj", "short", {}),
+    ("export_revolution_obj", "bowl", {"provenance": PROV_UTF8}),
 ]
+# a case's id ends in its count of keyword arguments; a revolution case
+# counts one more, kept from when each also passed an angular sample count
+IDS = [f"{w}-{k}-{len(kw) + (w == 'export_revolution_obj')}"
+       for w, k, kw in CASES]
 
 
 def test_inputs_reach_every_special_case(inputs):
@@ -251,10 +254,11 @@ def test_inputs_reach_every_special_case(inputs):
     assert geom.umbilic.any()
     assert inputs["catenoid_upper"].lam is not None
     assert len(inputs["long"].r) > 512
-    # tables of more than one block; the long profile's 512 rings at 8
-    # angular samples end on a block boundary
+    # tables of more than one block; the long profile's 512 rings at 128
+    # angular samples end on a block boundary, the bowl's 201 do not
     assert inputs["big"].nx * inputs["big"].ny > tio._BLOCK_ROWS
-    assert 512 * 8 % tio._BLOCK_ROWS == 0
+    assert 512 * tio._SAMPLES % tio._BLOCK_ROWS == 0
+    assert len(inputs["bowl"].r) * tio._SAMPLES % tio._BLOCK_ROWS != 0
     # grid tables whose blocks end inside a grid line (ny rows): one line
     # longer than a block, and many short lines that do not divide one
     assert inputs["long_line"].ny > tio._BLOCK_ROWS
@@ -270,8 +274,7 @@ def test_inputs_reach_every_special_case(inputs):
     assert np.array_equal(u, u[::-1, ::-1])
 
 
-@pytest.mark.parametrize("writer,key,kwargs", CASES,
-                         ids=[f"{w}-{k}-{len(kw)}" for w, k, kw in CASES])
+@pytest.mark.parametrize("writer,key,kwargs", CASES, ids=IDS)
 def test_writer_matches_reference(tmp_path, monkeypatch, inputs, writer, key,
                                   kwargs):
     obj = inputs[key]

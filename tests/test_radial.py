@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from translab import catalog, radial
+from translab import catalog, cli, radial
 from translab.errors import TranslabError
 from translab.radial import RadialKind, RadialProfile
 
@@ -186,7 +186,7 @@ def test_dopri5_dense_output_and_fsal_count():
         calls.append(t)
         return b, -a, 0.0
     run = radial._dopri5(rhs, 0.0, (0.0, 1.0), 0.05,
-                         stop=lambda t, *_: t >= 2 * math.pi)
+                         stop=lambda t, *_: t >= 2 * math.pi, what="t")
     assert run.t[0] == 0.0 and run.t_end >= 2 * math.pi
     assert np.allclose(run.t[1:], np.cumsum(run.dt)[:-1], rtol=0, atol=1e-15)
     assert len(calls) == 1 + 6 * (len(run.t) + run.rejected)
@@ -293,6 +293,26 @@ def test_non_monotone_bowl_raises(monkeypatch):
 def test_radial_inputs_must_be_finite_and_positive(call, value):
     with pytest.raises(ValueError, match="finite and positive"):
         call(value)
+
+
+@pytest.mark.parametrize("kind, what", [
+    ("bowl", "bowl of n = 1000000: radius r"),
+    ("catenoid-upper", "catenoid wing of n = 1000000: radius r")],
+    ids=["bowl", "catenoid-upper"])
+def test_stiff_shoot_names_n_and_where_its_step_budget_ran_out(
+        monkeypatch, tmp_path, capsys, kind, what):
+    # the graph form's psi' = -1 - (n - 1) tan(psi) / r is stiff at rate
+    # (n - 1) / r, so explicit steps shrink like r / n: at n = 10^6 the
+    # budget runs out close to the axis, or past the catenoid's neck (at the
+    # full budget, after ~4 s)
+    monkeypatch.setattr(radial, "_MAX_STEPS", 1000)
+    out = tmp_path / "p.csv"
+    assert cli.main(["radial", "shoot", "--kind", kind, "--n", "1000000",
+                     "--out", str(out)]) == 1
+    std = capsys.readouterr()
+    assert std.out == "" and not out.exists()
+    assert re.fullmatch(rf"error: {what} = \S+ reached when the step budget "
+                        r"of 1000 attempts ran out, step size \S+\n", std.err)
 
 
 def test_sample_count_is_bounded_before_integrating():
@@ -412,8 +432,8 @@ def assert_same_run(run, ref):
 def test_dopri5_matches_the_list_stepper_bit_for_bit(monkeypatch, shoot):
     integrate, compared = radial._dopri5, []
 
-    def both(rhs, t, y, dt, stop):
-        run = integrate(rhs, t, y, dt, stop)
+    def both(rhs, t, y, dt, stop, what):
+        run = integrate(rhs, t, y, dt, stop, what)
         assert_same_run(run, ref_run(rhs, t, y, dt, stop))
         compared.append(len(y))
         return run
@@ -428,7 +448,7 @@ def test_dopri5_matches_the_list_stepper_on_a_toy():
 
     def stop(t, *_):
         return t >= 2 * math.pi
-    assert_same_run(radial._dopri5(rhs, 0.0, (0.0, 1.0), 0.05, stop),
+    assert_same_run(radial._dopri5(rhs, 0.0, (0.0, 1.0), 0.05, stop, "t"),
                     ref_run(rhs, 0.0, (0.0, 1.0), 0.05, stop))
 
 
@@ -444,4 +464,4 @@ def test_dopri5_rejects_a_nan_estimate_in_any_component(m, k):
         return out
     with pytest.raises(TranslabError, match="local error nan above "
                                             "tolerance .* at the step floor"):
-        radial._dopri5(rhs, 0.0, (0.0,) * m, 0.1, lambda t, *_: t >= 3.0)
+        radial._dopri5(rhs, 0.0, (0.0,) * m, 0.1, lambda t, *_: t >= 3.0, "t")

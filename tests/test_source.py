@@ -31,8 +31,7 @@ def test_one_refusal_policy():
     errors = ast.parse((SRC / "errors.py").read_text()).body
     assert {node.name: [b.id for b in node.bases] for node in errors
             if isinstance(node, ast.ClassDef)} == {
-        "TranslabError": ["ValueError"],
-        "NewtonFailedError": ["TranslabError"]}
+        "TranslabError": ["ValueError"]}
     cli = ast.parse((SRC / "cli.py").read_text())
     main, = (node for node in cli.body
              if isinstance(node, ast.FunctionDef) and node.name == "main")
@@ -58,6 +57,29 @@ def test_every_exception_type_is_caught_by_name():
               for n in ast.walk(handler.type)
               if isinstance(n, (ast.Name, ast.Attribute))}
     assert sorted(defined - caught) == []
+
+
+def test_a_caught_refusal_is_raised_again():
+    # a refusal may be re-worded on its way up, but never swallowed and
+    # retried: outside cli.main, an except clause that catches TranslabError
+    # (by name, as Exception or bare) ends in a raise
+    catching = {"TranslabError", "Exception", "BaseException"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        main = {id(n) for node in tree.body if path.name == "cli.py"
+                and isinstance(node, ast.FunctionDef) and node.name == "main"
+                for n in ast.walk(node)}
+        found += [f"{path.name}:{handler.lineno}"
+                  for handler in ast.walk(tree)
+                  if isinstance(handler, ast.ExceptHandler)
+                  and id(handler) not in main
+                  and (handler.type is None or catching & {
+                      n.id if isinstance(n, ast.Name) else n.attr
+                      for n in ast.walk(handler.type)
+                      if isinstance(n, (ast.Name, ast.Attribute))})
+                  and not isinstance(handler.body[-1], ast.Raise)]
+    assert found == []
 
 
 def test_csf_imports_only_errors_from_the_package():
