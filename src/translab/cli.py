@@ -77,7 +77,6 @@ def _build_parser():
     frun.add_argument("--a", type=float, default=2.0)
     frun.add_argument("--b", type=float, default=1.0)
     frun.add_argument("--n", type=int, default=256)
-    frun.add_argument("--stop-amax", type=float, default=csf.DEFAULT_STOP_AMAX)
     frun.add_argument("--out", required=True, help="singularity log CSV")
     frun.add_argument("--report", default=None, help="verdict JSON")
     fcmp = flows.add_parser("compare", help="comparison principle check")
@@ -87,7 +86,6 @@ def _build_parser():
     fcmp.add_argument("--gap", type=float, default=0.0,
                       help="horizontal center offset of shape2")
     fcmp.add_argument("--n", type=int, default=256)
-    fcmp.add_argument("--stop-amax", type=float, default=csf.DEFAULT_STOP_AMAX)
     fcmp.add_argument("--report", default=None)
 
     ana = sub.add_parser("analyze", help="translator diagnostics on a grid CSV")
@@ -108,7 +106,7 @@ def _build_parser():
     obj.add_argument("--out", required=True)
 
     res.set_defaults(error=res.error)   # for --theta off --kind tilted
-    # --stop for --stop-amax is a usage error: an option is spelled in full
+    # --rep for --report is a usage error: an option is spelled in full
     for p in (res, shoot, fit, wing, cont, frun, fcmp, sx, jac, fv, obj):
         p.allow_abbrev = False
     return ap
@@ -194,14 +192,14 @@ def _cmd_csf(args, prov):
     if args.subcommand == "run":
         c0 = csf.make_circle(args.radius, args.n) if args.shape == "circle" \
             else csf.make_ellipse(args.a, args.b, args.n)
-        log = csf.run(c0, args.stop_amax)
+        log = csf.run(c0)
         tio.write_log_csv(log, args.out)
         _emit(log, prov, args.report, schema="translab-verdict/2")
     else:
         csf.check_pairs(args.n, args.n)     # before either curve exists
         a, b = (csf.make_ellipse(*ab, args.n, center=(offset, 0.0))
                 for ab, offset in ((args.shape1, 0.0), (args.shape2, args.gap)))
-        _emit(csf.comparison_check(a, b, args.stop_amax), prov, args.report,
+        _emit(csf.comparison_check(a, b), prov, args.report,
               schema="translab-comparison/2")
 
 

@@ -8,8 +8,11 @@ steps with dt = DT_SAFETY / Amax^2 (2 DT_SAFETY of a circle's remaining life),
 made third order by extrapolating 1, 2 and 3 substeps of dt, dt/2 and dt/3,
 each refreezing the metric at its own start (_extrapolated_step).  Every
 _REMESH_EVERY (5) steps the curve is resampled to uniform arclength by
-periodic cubic interpolation.  One driver (_flow) owns this policy, the stop
-rules and the common dt of a curve pair.  Its states, raw (n, 2) arrays, are
+periodic cubic interpolation.  A flow stops once Amax reaches the constant
+AMAX_STOP (1e4), as every flow of an embedded curve does: it shrinks to a
+round point (Gage-Hamilton, J. Differential Geom. 23, 1986; Grayson, Ann. of
+Math. 126, 1987).  One driver (_flow) owns this policy, the other stop rules
+and the common dt of a curve pair.  Its states, raw (n, 2) arrays, are
 consumed by the only three entry points that move a curve: run,
 evolve_to and comparison_check.  CurveState and the polyline kernel live
 here with the flow, their only user; run builds its SingularityLog in one
@@ -21,17 +24,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
+from scipy.linalg.lapack import dgtsv
 
 from .errors import TranslabError
-
-_gtsv, = get_lapack_funcs(("gtsv",), dtype=np.float64)
 
 # SingularityLog.stopReason values
 STOP_AMAX, RESOLUTION_LOST, MAX_STEPS, DT_UNDERFLOW = \
@@ -39,27 +39,22 @@ STOP_AMAX, RESOLUTION_LOST, MAX_STEPS, DT_UNDERFLOW = \
 
 _REMESH_EVERY = 5          # steps between arclength-uniform resamplings
 _MAX_STEPS = 2_000_000     # step budget of one flow (stopReason MAX_STEPS)
+AMAX_STOP = 1e4            # a flow stops once Amax reaches it (STOP_AMAX)
 # dt = DT_SAFETY / Amax^2 is 2 DT_SAFETY of a circle's remaining life; the
 # third-order step divides its time error by ~8 per halving of it
 DT_SAFETY = 2e-2
 
 # Lengths a flow may start from.  A curve of length L flows for t up to a
 # circle's extinction time L^2 / (8 pi^2), and _fit_extinction squares t
-# (np.polyfit): circles of radius 1e78 and up overflow there, and radius
-# 1e-100 underflows to a zero column scale (radius 1e76 and 1e-40 run clean,
-# also at the largest stopAmax).  Edge cubes in _resample_arrays overflow from
-# edges of 5.6e102.  Every |kappa| of a closed polygon is at least 4 / L, so
-# within the bound dt = DT_SAFETY / Amax^2 <= L^2 / 800 and t + dt stay finite.
+# (np.polyfit): circles of radius 1e78 and up overflow there.  Edge cubes in
+# _resample_arrays overflow from edges of 5.6e102.  Without the bounds,
+# circles of 16 points and radius 1e-306 to 1e76 run clean (each even power
+# of ten); from radius about 1e-4 down they start past AMAX_STOP and stop at
+# t = 0.  Every |kappa| of a closed polygon is at least 4 / L, so within the
+# bound dt = DT_SAFETY / Amax^2 <= L^2 / 800 and t + dt stay finite.
 # The flow never lengthens a curve, and it stops (dtUnderflow) before a
 # circle shrinks below ~1e-7 of its radius.
 _MIN_LENGTH, _MAX_LENGTH = 1e-60, 1e60
-
-# A flow stops once Amax reaches stop_amax (stopReason STOP_AMAX); the default
-# of run, evolve_to, comparison_check and the CLI's --stop-amax
-DEFAULT_STOP_AMAX = 1e4
-# _flow squares every Amax below stop_amax as a Python float (amax ** 2), which
-# raises OverflowError, not inf, past the largest float whose square is finite
-_MAX_AMAX = math.sqrt(sys.float_info.max)
 
 
 class TypeVerdict(Enum):
@@ -200,7 +195,7 @@ def _cyclic_tridiag_solve(sub, diag, sup, rhs):
     B[:, :-1] = rhs
     B[0, -1] = gamma
     B[-1, -1] = corner_bl
-    sol, info = _gtsv(sub[1:], d, sup[:-1], B, overwrite_d=1, overwrite_b=1)[3:]
+    sol, info = dgtsv(sub[1:], d, sup[:-1], B, overwrite_d=1, overwrite_b=1)[3:]
     if info != 0:
         raise TranslabError(f"tridiagonal solve failed (gtsv info {info})")
     y, z = sol[:, :-1], sol[:, -1]
@@ -285,25 +280,19 @@ def _diagnostics(P: np.ndarray, t: float):
 # --- the flow driver ----------------------------------------------------------
 
 
-def _flow(curves, t: float, stop_amax: float, t_end: float = math.inf):
+def _flow(curves, t: float, t_end: float = math.inf):
     """Yield the state at t and after every step: one object, updated in
     place, with t, curves, diags ((length, area, amax) per curve), steps,
     remeshes and stopReason.  The curves share dt = DT_SAFETY / Amax^2, Amax
     the largest over them, the last step clipped to land on t_end exactly.
     The flow ends at t_end (stopReason None), after yielding a state with
-    Amax >= stop_amax (STOP_AMAX), after _MAX_STEPS steps (MAX_STEPS), when
+    Amax >= AMAX_STOP (STOP_AMAX), after _MAX_STEPS steps (MAX_STEPS), when
     dt no longer advances t in floating point (DT_UNDERFLOW), or when a
     remesh collapses an edge (RESOLUTION_LOST; that state is not yielded).
-    Before the first state it refuses a stop_amax that is not positive or
-    whose square overflows, and a start curve whose curvature is not finite
-    or whose length lies outside [_MIN_LENGTH, _MAX_LENGTH]; a later state
-    that _diagnostics refuses raises too.
+    Before the first state it refuses a start curve whose curvature is not
+    finite or whose length lies outside [_MIN_LENGTH, _MAX_LENGTH]; a later
+    state that _diagnostics refuses raises too.
     """
-    if not stop_amax > 0.0:     # NaN included
-        raise TranslabError("stopAmax must be positive")
-    if not stop_amax <= _MAX_AMAX:
-        raise TranslabError(f"stopAmax must have a finite square (at most "
-                            f"{_MAX_AMAX!r}), got {stop_amax!r}")
     state = SimpleNamespace(t=t, curves=[P.copy() for P in curves], steps=0,
                             remeshes=0, stopReason=None,
                             diags=[_diagnostics(P, t) for P in curves])
@@ -317,8 +306,8 @@ def _flow(curves, t: float, stop_amax: float, t_end: float = math.inf):
         amax = max(d[2] for d in state.diags)
         if state.t >= t_end:
             return
-        if amax >= stop_amax or state.steps == _MAX_STEPS:
-            state.stopReason = STOP_AMAX if amax >= stop_amax else MAX_STEPS
+        if amax >= AMAX_STOP or state.steps == _MAX_STEPS:
+            state.stopReason = STOP_AMAX if amax >= AMAX_STOP else MAX_STEPS
             return
         dt = min(DT_SAFETY / amax ** 2, t_end - state.t)
         if state.t + dt == state.t:
@@ -339,14 +328,14 @@ def _flow(curves, t: float, stop_amax: float, t_end: float = math.inf):
 # --- public entry points ------------------------------------------------------
 
 
-def run(c0: CurveState, stop_amax: float = DEFAULT_STOP_AMAX) -> SingularityLog:
+def run(c0: CurveState) -> SingularityLog:
     """Evolve until one of _flow's stop rules (log.stopReason), logging
     every step, then fit the extinction time (_fit_extinction) and classify
     the singularity over the fit window (classify).  The verdict is
     Inconclusive unless areaLawDefect <= areaLawBound.
     """
     times, diags = [], []
-    for state in _flow([c0.points], c0.t, stop_amax):
+    for state in _flow([c0.points], c0.t):
         times.append(state.t)
         diags.append(state.diags[0])
     times = np.array(times)
@@ -373,12 +362,11 @@ def _area_law_defect(times: np.ndarray, area: np.ndarray) -> float:
                                    * (times - times[0]))) / area[0])
 
 
-def evolve_to(c0: CurveState, t_target: float,
-              stop_amax: float = DEFAULT_STOP_AMAX) -> CurveState:
+def evolve_to(c0: CurveState, t_target: float) -> CurveState:
     """Evolve a curve to flow time exactly t_target (the stepping of run, last
     step clipped).  Raises TranslabError if the flow stops first, on
     resolution loss or for any other reason."""
-    for state in _flow([c0.points], c0.t, stop_amax, t_end=t_target):
+    for state in _flow([c0.points], c0.t, t_end=t_target):
         pass
     if state.stopReason == RESOLUTION_LOST:
         raise TranslabError("edge collapse after remeshing")
@@ -488,13 +476,14 @@ def _inside_mask(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
     return crossings % 2 == 1
 
 
-def _curves_disjoint(P: np.ndarray, Q: np.ndarray) -> bool:
-    """Disjoint as point sets: positive separation and no crossing.
+def _curves_disjoint(P: np.ndarray, Q: np.ndarray, distance: float) -> bool:
+    """Disjoint as point sets: positive separation (distance, their
+    _min_distance) and no crossing.
 
     Nesting (one curve entirely inside the other) is disjoint; a crossing
     shows up as mixed containment parity of either vertex set.
     """
-    if _min_distance(P, Q) <= 0.0:
+    if distance <= 0.0:
         return False
     for pts, poly in ((P, Q), (Q, P)):
         inside = _inside_mask(pts, poly)
@@ -522,13 +511,12 @@ class ComparisonReport:
     stopReason: str | None = None
 
 
-def comparison_check(a: CurveState, b: CurveState,
-                     stop_amax: float = DEFAULT_STOP_AMAX) -> ComparisonReport:
+def comparison_check(a: CurveState, b: CurveState) -> ComparisonReport:
     """Co-evolve two disjoint curves from their common start time (refused
     unless a.t == b.t) and track their separation.
 
     The curves share the flow driver's dt (set by the larger Amax) until
-    either reaches stopAmax, a remesh loses resolution, dt stops advancing t
+    either reaches AMAX_STOP, a remesh loses resolution, dt stops advancing t
     or _MAX_STEPS run out; the minimum vertex-segment distance is sampled at
     the start and after every step.  PASS verdict: the distance never drops
     below its initial value minus 10 * (sum of squared initial mean edge
@@ -538,9 +526,10 @@ def comparison_check(a: CurveState, b: CurveState,
         raise TranslabError(f"curves must start at one time, got a.t = {a.t!r} "
                             f"and b.t = {b.t!r}")
     check_pairs(len(a.points), len(b.points))
-    flow = _flow([a.points, b.points], a.t, stop_amax)
+    flow = _flow([a.points, b.points], a.t)
     first = next(flow)      # the flow refuses a degenerate or outsized curve
-    if not _curves_disjoint(*first.curves):
+    d0 = _min_distance(*first.curves)
+    if not _curves_disjoint(*first.curves, d0):
         raise TranslabError("curves must be disjoint at t = 0")
 
     tol = 10.0 * (float(np.mean(_edge_lengths(a.points))) ** 2
@@ -548,7 +537,7 @@ def comparison_check(a: CurveState, b: CurveState,
     times, dists, areas = [], [], []
     for state in itertools.chain([first], flow):
         times.append(state.t)
-        dists.append(_min_distance(*state.curves))
+        dists.append(_min_distance(*state.curves) if state.steps else d0)
         areas.append([d[1] for d in state.diags])
     times, least = np.array(times), float(np.min(dists))
     return ComparisonReport(times=times, minDistance=np.array(dists),

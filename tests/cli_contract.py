@@ -149,9 +149,8 @@ CONTRACT = {"test_io_cli": {
     # ZeroDivisionError (1e200, 1e308), t overflowing to inf in exit 0 with
     # no stopReason (5e154), numpy RuntimeWarnings before the error line
     # (1e150) or after a flow whose times squared underflow in the fit
-    # (1e-100), amax ** 2 in an OverflowError (stopAmax 1e300), h = 1e-7,
-    # both n, the grid header's 10^16 nodes and the 3.3e9 strip nodes in a
-    # failed allocation, 10^8 continuation steps
+    # (1e-100), h = 1e-7, both n, the grid header's 10^16 nodes and the 3.3e9
+    # strip nodes in a failed allocation, 10^8 continuation steps
     # in a run of more than a minute, grid nodes that are not finite in nan
     # or inf OBJ vertices with exit 0, and an infinite radius
     "test_cli_refuses_a_scale_it_cannot_compute": [
@@ -163,16 +162,11 @@ CONTRACT = {"test_io_cli": {
          "", rf"error: curve of length 3\.1\d*e\+155 {FLOWED}.*"),
         ("circle-1e150", "csf run --radius 1e150 --n 16 --out {out}/l.csv", 1,
          "", rf"error: curve of length 6\.2\d*e\+150 {FLOWED}.*"),
-        ("circle-1e-100", "csf run --radius 1e-100 --n 16 --stop-amax 1e150 "
-         "--out {out}/l.csv", 1, "",
-         rf"error: curve of length 6\.2\d*e-100 {FLOWED}.*"),
+        ("circle-1e-100", "csf run --radius 1e-100 --n 16 --out {out}/l.csv",
+         1, "", rf"error: curve of length 6\.2\d*e-100 {FLOWED}.*"),
         ("circle-inf", "csf run --radius inf --out {out}/l.csv", 1, "",
          r"error: curve semi-axes and center must be finite, got a = inf, "
          r"b = inf, center = \(0\.0, 0\.0\)"),
-        ("stop-amax-1e300", "csf run --radius 1e-160 --n 16 --stop-amax 1e300 "
-         "--out {out}/l.csv", 1, "",
-         r"error: stopAmax must have a finite square \(at most "
-         r"1\.3407807929942596e\+154\), got 1e\+300.*"),
         ("run-n-1e8", "csf run --n 100000000 --out {out}/l.csv", 1, "",
          r"error: curve of n = 100000000 points exceeds the bound of 1000000 "
          r"points.*", True),
@@ -337,14 +331,19 @@ CONTRACT = {"test_io_cli": {
              "bump radius must be finite and positive"),
             ("100,0,1.5", "1-error: bump support holds no grid node",
              "bump support holds no grid node")))],
-    # the flow step and the first-variation epsilon are the constants
-    # csf.DT_SAFETY and analysis.EPSILON: their old flags are unknown, at
-    # their old default values too
+    # the flow step, the flow's stopping curvature and the first-variation
+    # epsilon are the constants csf.DT_SAFETY, csf.AMAX_STOP and
+    # analysis.EPSILON: their old flags are unknown, at their old default
+    # values too
     "test_cli_step_constants_take_no_option": [
         ("dt-safety", "csf run --n 32 --out {out}/l.csv --dt-safety 0.02", 2,
          "", UNKNOWN + r"--dt-safety 0\.02"),
         ("eps", "analyze firstvar --in {in}/g.csv --eps 0.0001", 2, "",
          UNKNOWN + r"--eps 0\.0001"),
+        *((f"stop-amax-{sub}-{v}", f"csf {sub} --n 32 {out}--stop-amax {v}",
+           2, "", UNKNOWN + rf"--stop-amax {v}")
+          for sub, out in (("run", "--out {out}/l.csv "), ("compare", ""))
+          for v in ("50", "10000")),
     ],
     # a revolution OBJ has io._SAMPLES = 128 angles: --angular-samples is
     # unknown, at its old default too
@@ -440,13 +439,6 @@ CONTRACT = {"test_io_cli": {
         ("compare", "csf compare --n 3", 1, "",
          "error: curve needs at least 8 points"),
     ],
-    # nan used to run to dtUnderflow and -1 to stop at t = 0, both exit 0
-    "test_cli_csf_refuses_stop_amax_not_positive": [
-        (prefix + value, f"csf {sub} --n 64 --stop-amax {value}", 1, "",
-         "error: stopAmax must be positive")
-        for prefix, sub in (("", "run --out {out}/log.csv"),
-                            ("compare-", "compare"))
-        for value in ("nan", "-1")],
     # NaN Amax used to give a NaN dt and a flow toward maxSteps
     "test_cli_csf_nan_curvature_exits_at_once": [
         ("radius0", "csf run --radius 0 --out {out}/log.csv", 1, "",
@@ -472,10 +464,10 @@ CONTRACT = {"test_io_cli": {
         (None, "csf compare --shape1 blob:1 --shape2 circle:2", 2, "",
          "translab csf compare: error: argument --shape1: expected "
          "circle:R or ellipse:a:b, not 'blob:1'")],
-    # --stop would abbreviate --stop-amax; options are spelled in full
+    # --rep would abbreviate --report; options are spelled in full
     "test_cli_abbreviated_flag_is_a_usage_error": [
-        (None, "csf run --n 64 --stop 50 --out {out}/log.csv", 2, "",
-         UNKNOWN + "--stop 50")],
+        (None, "csf run --n 64 --rep x --out {out}/log.csv", 2, "",
+         UNKNOWN + "--rep x")],
     # the command line is the whole input of a run: --config FILE is refused
     # like any other unknown option, before anything runs
     "test_cli_config_is_an_unknown_option": [
@@ -512,9 +504,10 @@ CONTRACT = {"test_io_cli": {
          "elliptic continuation --b-start 2 --b-end 3 --nx 1001 --ny 1001"),
         ("radial-shoot-rmax-h", radial._MAX_SAMPLES,
          "radial shoot --out {out}/p.csv --rmax 5000 --h 1e-4"))],
-    # the accepted side of a bound, where a run at it takes well under 1 s
+    # the accepted side of a bound, where a run at it takes well under 1 s:
+    # a curve already past csf.AMAX_STOP takes one distance sample
     "test_size_at_its_bound_is_accepted": [
         ("csf._MAX_PAIRS", f"csf compare --n {math.isqrt(csf._MAX_PAIRS)} "
-         "--stop-amax 0.5", 0, "json", "")],
+         "--shape1 circle:1e-5 --shape2 circle:1", 0, "json", "")],
     "test_subcommand_runs_at_its_defaults": DEFAULTS,
 }}

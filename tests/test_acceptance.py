@@ -228,16 +228,16 @@ def test_criterion_10_blowup_lower_bound_generic(ellipse_log_512):
     report(10, checks)
 
 
-def test_criterion_11_comparison_principle():
+def test_criterion_11_comparison_principle(monkeypatch):
+    monkeypatch.setattr(csf, "AMAX_STOP", 200.0)
     rep = csf.comparison_check(csf.make_circle(1.0, 384),
-                               csf.make_circle(2.0, 192),
-                               200.0)
+                               csf.make_circle(2.0, 192))
     closed = np.sqrt(4 - 2 * rep.times) \
         - np.sqrt(np.clip(1 - 2 * rep.times, 0.0, None))
     err = float(np.max(np.abs(rep.minDistance - closed)))
+    monkeypatch.setattr(csf, "AMAX_STOP", 100.0)
     rep2 = csf.comparison_check(
-        csf.make_circle(1.0, 128), csf.make_circle(1.0, 128, center=(3.0, 0.0)),
-        100.0)
+        csf.make_circle(1.0, 128), csf.make_circle(1.0, 128, center=(3.0, 0.0)))
     checks = [
         ("concentric", rep.verdict == "PASS", rep.verdict),
         ("closed-form", err <= 1e-2, f"{err:.2e}"),

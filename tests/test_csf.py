@@ -1,6 +1,5 @@
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -10,12 +9,14 @@ from translab.csf import TypeVerdict
 from translab.errors import TranslabError
 
 
-QUICK = 200.0
+QUICK = 200.0   # csf.AMAX_STOP of the shortened flows below
 
 
 @pytest.fixture(scope="module")
 def circle_log():
-    return csf.run(csf.make_circle(1.0, 128), QUICK)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(csf, "AMAX_STOP", QUICK)
+        return csf.run(csf.make_circle(1.0, 128))
 
 
 def test_circle_radius_tracks_closed_form():
@@ -133,15 +134,14 @@ def test_step_reduces_length():
     assert c1.t == dt > c.t
 
 
-def test_comparison_concentric_and_translated():
-    rep = csf.comparison_check(csf.make_circle(0.6, 96), csf.make_circle(1.4, 96),
-                               60.0)
+def test_comparison_concentric_and_translated(monkeypatch):
+    monkeypatch.setattr(csf, "AMAX_STOP", 60.0)
+    rep = csf.comparison_check(csf.make_circle(0.6, 96), csf.make_circle(1.4, 96))
     assert rep.verdict == "PASS"
     assert np.all(np.diff(rep.minDistance) > -rep.tolerance)
 
     rep2 = csf.comparison_check(
-        csf.make_circle(1.0, 96), csf.make_circle(1.0, 96, center=(3.0, 0.0)),
-        60.0)
+        csf.make_circle(1.0, 96), csf.make_circle(1.0, 96, center=(3.0, 0.0)))
     assert rep2.verdict == "PASS"
     assert np.all(np.diff(rep2.minDistance) > -1e-9)  # nondecreasing
     # one area-law defect per curve, computed as csf.run computes it
@@ -182,33 +182,19 @@ def test_make_ellipse_sum_past_the_largest_float_is_refused_quietly():
         csf.make_ellipse(1.7e308, 1.0, 16, center=(1.7e308, 0.0))
 
 
-def test_ellipse_quick_run_monotone_blowup():
-    log = csf.run(csf.make_ellipse(2, 1, 128), 100.0)
+def test_ellipse_quick_run_monotone_blowup(monkeypatch):
+    monkeypatch.setattr(csf, "AMAX_STOP", 100.0)
+    log = csf.run(csf.make_ellipse(2, 1, 128))
     assert log.typeVerdict is TypeVerdict.TYPE_I
     tail = log.Amax[int(0.8 * len(log.Amax)):]
     assert np.all(np.diff(tail) > -1e-9)  # Amax grows monotonically near blow-up
 
 
-def test_flow_config_validation():
-    # NaN used to run to dtUnderflow (no amax >= nan), -1 to stop at t = 0;
-    # past sqrt(max float) the flow's amax ** 2 raises OverflowError.  Each
-    # entry point refuses through the one flow driver
-    c = csf.make_circle(1.0, 16)
-    entries = (lambda s: csf.run(c, s), lambda s: csf.evolve_to(c, 0.1, s),
-               lambda s: csf.comparison_check(c, csf.make_circle(2.0, 16), s))
-    for call in entries:
-        for stop_amax in (math.nan, -1.0, 0.0):
-            with pytest.raises(ValueError, match="^stopAmax must be positive$"):
-                call(stop_amax)
-        with pytest.raises(ValueError, match=re.escape(
-                "stopAmax must have a finite square (at most "
-                f"{csf._MAX_AMAX!r}), got 1.4e+154")):
-            call(1.4e154)
-
-
 def test_stop_reasons(monkeypatch):
     c = csf.make_circle(1.0, 64)
-    log = csf.run(c, 20.0)
+    with monkeypatch.context() as m:
+        m.setattr(csf, "AMAX_STOP", 20.0)
+        log = csf.run(c)
     assert log.stopReason == csf.STOP_AMAX and log.Amax[-1] >= 20.0
     assert log.steps == len(log.times) - 1
     assert log.remeshes == log.steps // 5
@@ -233,13 +219,14 @@ def test_stop_reasons(monkeypatch):
         csf.evolve_to(c, 0.4)
 
 
-def test_dt_underflow_stops_the_flow():
+def test_dt_underflow_stops_the_flow(monkeypatch):
     # the inner loop of the limacon r = 0.5 + cos(theta) pinches until
     # DT_SAFETY / Amax^2 falls below the float spacing of t
+    monkeypatch.setattr(csf, "AMAX_STOP", 1e12)
     th = 2 * math.pi * np.arange(64) / 64
     r = 0.5 + np.cos(th)
     c = csf.CurveState(points=np.stack([r * np.cos(th), r * np.sin(th)], axis=1))
-    log = csf.run(c, 1e12)
+    log = csf.run(c)
     assert log.stopReason == csf.DT_UNDERFLOW
     assert log.steps == len(log.times) - 1
     assert np.all(np.diff(log.times) > 0)
@@ -281,36 +268,38 @@ def test_nan_curvature_is_a_degenerate_curve(monkeypatch):
         csf.comparison_check(point, csf.make_circle(1.0, 64))
 
 
-def test_evolve_to_lands_on_target():
+def test_evolve_to_lands_on_target(monkeypatch):
     t_target = 0.123456789
     c = csf.evolve_to(csf.make_circle(1.0, 64), t_target)
     assert c.t == t_target
     assert csf.evolve_to(c, 0.1).t == t_target  # already past: unchanged
+    monkeypatch.setattr(csf, "AMAX_STOP", 50.0)
     with pytest.raises(TranslabError):  # beyond extinction: stopAmax first
-        csf.evolve_to(csf.make_circle(1.0, 64), 0.6, 50.0)
+        csf.evolve_to(csf.make_circle(1.0, 64), 0.6)
 
 
-def test_comparison_samples_every_step():
+def test_comparison_samples_every_step(monkeypatch):
     # the inner circle has the larger curvature throughout, so the common dt
     # is its own and the pair steps exactly as the inner circle runs alone
+    monkeypatch.setattr(csf, "AMAX_STOP", 60.0)
     inner = csf.make_circle(0.6, 96)
-    rep = csf.comparison_check(inner, csf.make_circle(1.4, 96), 60.0)
-    log = csf.run(inner, 60.0)
+    rep = csf.comparison_check(inner, csf.make_circle(1.4, 96))
+    log = csf.run(inner)
     assert len(rep.minDistance) == len(rep.times) == log.steps + 1
     assert np.array_equal(rep.times, log.times)
 
 
 
-@pytest.mark.parametrize("stop_amax, reason", [(60.0, csf.STOP_AMAX),
-                                               (csf.DEFAULT_STOP_AMAX,
-                                                csf.MAX_STEPS)],
+@pytest.mark.parametrize("amax_stop, reason", [(60.0, csf.STOP_AMAX),
+                                               (csf.AMAX_STOP, csf.MAX_STEPS)],
                          ids=["cfg0-stopAmax", "cfg1-maxSteps"])
-def test_comparison_report_carries_the_flow_counters(monkeypatch, stop_amax,
+def test_comparison_report_carries_the_flow_counters(monkeypatch, amax_stop,
                                                      reason):
+    monkeypatch.setattr(csf, "AMAX_STOP", amax_stop)
     if reason == csf.MAX_STEPS:
         monkeypatch.setattr(csf, "_MAX_STEPS", 7)
     rep = csf.comparison_check(csf.make_circle(0.6, 64),
-                               csf.make_circle(1.4, 64), stop_amax)
+                               csf.make_circle(1.4, 64))
     assert rep.steps == len(rep.times) - 1
     assert rep.stopReason == reason
     assert rep.initialDistance == rep.minDistance[0]
@@ -321,11 +310,13 @@ def test_comparison_report_carries_the_flow_counters(monkeypatch, stop_amax,
 
 
 def test_comparison_verdict_fails_when_the_distance_drops(monkeypatch):
-    # 1.0 for the disjointness check and the first sample, then 0.1
-    dists = itertools.chain([1.0, 1.0], itertools.repeat(0.1))
+    # 1.0 for the first sample, which the disjointness check reads too, then
+    # 0.1
+    dists = itertools.chain([1.0], itertools.repeat(0.1))
     monkeypatch.setattr(csf, "_min_distance", lambda P, Q: next(dists))
+    monkeypatch.setattr(csf, "AMAX_STOP", 60.0)
     rep = csf.comparison_check(csf.make_circle(0.6, 64),
-                               csf.make_circle(1.4, 64), 60.0)
+                               csf.make_circle(1.4, 64))
     assert (rep.verdict, rep.initialDistance, rep.leastDistance) == \
         ("FAIL", 1.0, 0.1)
 
@@ -350,11 +341,13 @@ def test_area_law_defect_shows_an_unresolved_curve(circle_log_256):
     assert coarse.typeVerdict is TypeVerdict.TYPE_I
 
 
-def test_area_law_defect_of_a_curve_of_zero_area_is_inf_without_warning():
+def test_area_law_defect_of_a_curve_of_zero_area_is_inf_without_warning(
+        monkeypatch):
     # a bowtie: its two loops enclose opposite signed areas that cancel
+    monkeypatch.setattr(csf, "AMAX_STOP", 20.0)
     bowtie = np.array([(0, 0), (0.5, 0.5), (1.5, 1.5), (2, 2), (2, 1), (2, 0),
                        (1.5, 0.5), (0.5, 1.5), (0, 2), (0, 1)], dtype=float)
-    log = csf.run(csf.CurveState(points=bowtie), 20.0)
+    log = csf.run(csf.CurveState(points=bowtie))
     assert log.area[0] == 0.0 and log.areaLawDefect == math.inf
 
 

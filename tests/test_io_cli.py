@@ -614,10 +614,11 @@ def test_cli_continuation_reports_factorizations(tmp_path):
         assert len(cont[f.name]) == 2, f.name
 
 
-def test_cli_csf_run(tmp_path, capsys):
+def test_cli_csf_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(csf, "AMAX_STOP", 50.0)
     log = tmp_path / "log.csv"
     rc = cli.main(["csf", "run", "--shape", "circle", "--radius", "1",
-                   "--n", "96", "--stop-amax", "50", "--out", str(log)])
+                   "--n", "96", "--out", str(log)])
     assert rc == 0
     verdict = json.loads(capsys.readouterr().out)
     assert abs(verdict["fittedT"] - 0.5) < 5e-3
@@ -627,19 +628,19 @@ def test_cli_csf_run(tmp_path, capsys):
     assert header == "t,Amax,length,area"
 
 
-def test_cli_csf_compare(capsys):
+def test_cli_csf_compare(capsys, monkeypatch):
+    monkeypatch.setattr(csf, "AMAX_STOP", 30.0)
     rc = cli.main(["csf", "compare", "--shape1", "circle:1",
-                   "--shape2", "circle:1", "--gap", "3", "--n", "64",
-                   "--stop-amax", "30"])
+                   "--shape2", "circle:1", "--gap", "3", "--n", "64"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "PASS"
 
 
-def test_cli_csf_compare_reports_steps_and_stop_reason(capsys):
+def test_cli_csf_compare_reports_steps_and_stop_reason(capsys, monkeypatch):
+    monkeypatch.setattr(csf, "AMAX_STOP", 30.0)
     rc = cli.main(["csf", "compare", "--shape1", "circle:1",
-                   "--shape2", "circle:1", "--gap", "3", "--n", "64",
-                   "--stop-amax", "30"])
+                   "--shape2", "circle:1", "--gap", "3", "--n", "64"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["stopReason"] == "stopAmax"
@@ -648,14 +649,14 @@ def test_cli_csf_compare_reports_steps_and_stop_reason(capsys):
     assert 0 < out["leastDistance"] <= out["initialDistance"]
     assert not {"times", "minDistance"} & out.keys()
 
-def test_cli_csf_run_report_holds_the_log_counters_not_its_series(tmp_path,
-                                                                   capsys):
+def test_cli_csf_run_report_holds_the_log_counters_not_its_series(
+        tmp_path, capsys, monkeypatch):
     # 56 samples: the parent wrote the time series of a log under 65 samples
-    rc = cli.main(["csf", "run", "--n", "16", "--stop-amax", "3",
-                   "--out", str(tmp_path / "log.csv")])
+    monkeypatch.setattr(csf, "AMAX_STOP", 3.0)
+    rc = cli.main(["csf", "run", "--n", "16", "--out", str(tmp_path / "log.csv")])
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
-    log = csf.run(csf.make_circle(1.0, 16), 3.0)
+    log = csf.run(csf.make_circle(1.0, 16))
     assert len(log.times) < 64
     assert not {"times", "Amax", "length", "area", "samples"} & rep.keys()
     assert rep["schema"] == "translab-verdict/2"
@@ -674,30 +675,33 @@ def test_cli_catalog_report_holds_no_per_node_array(capsys, argv):
 
 @pytest.mark.parametrize("small, large", [
     (["catalog", "residual", "--h", "1"], ["catalog", "residual", "--h", "0.1"]),
-    (["csf", "run", "--n", "16", "--stop-amax", "3", "--out", "{tmp}/l.csv"],
-     ["csf", "run", "--n", "64", "--stop-amax", "30", "--out", "{tmp}/l.csv"]),
-    (["csf", "compare", "--n", "16", "--stop-amax", "3"],
-     ["csf", "compare", "--n", "32", "--stop-amax", "30"]),
+    (["csf", "run", "--n", "16", "--out", "{tmp}/l.csv"],
+     ["csf", "run", "--n", "64", "--out", "{tmp}/l.csv"]),
+    (["csf", "compare", "--n", "16"], ["csf", "compare", "--n", "32"]),
     (["radial", "shoot", "--rmax", "1", "--h", "0.05", "--out", "{tmp}/p.csv"],
      ["radial", "shoot", "--rmax", "5", "--h", "0.01", "--out", "{tmp}/p.csv"]),
 ], ids=["catalog", "csf-run", "csf-compare", "radial-shoot"])
-def test_cli_report_keys_do_not_depend_on_size(tmp_path, capsys, small, large):
+def test_cli_report_keys_do_not_depend_on_size(tmp_path, capsys, monkeypatch,
+                                               small, large):
+    # a flow of the small run stops at Amax 3, of the large one at 30
     keys = []
-    for argv in (small, large):
+    for amax_stop, argv in ((3.0, small), (30.0, large)):
+        monkeypatch.setattr(csf, "AMAX_STOP", amax_stop)
         assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 0
         keys.append(set(json.loads(capsys.readouterr().out)))
     assert keys[0] == keys[1]
 
 
-def test_cli_csf_reruns_byte_identical(tmp_path):
+def test_cli_csf_reruns_byte_identical(tmp_path, monkeypatch):
     log, run_json, cmp_json = (tmp_path / f for f in ("log.csv", "run.json", "cmp.json"))
-    argvs = (["csf", "run", "--shape", "ellipse", "--n", "64", "--stop-amax", "50",
-              "--out", str(log), "--report", str(run_json)],
-             ["csf", "compare", "--shape1", "circle:1", "--shape2", "circle:2",
-              "--n", "48", "--stop-amax", "30", "--report", str(cmp_json)])
+    runs = ((50.0, ["csf", "run", "--shape", "ellipse", "--n", "64",
+                    "--out", str(log), "--report", str(run_json)]),
+            (30.0, ["csf", "compare", "--shape1", "circle:1", "--shape2",
+                    "circle:2", "--n", "48", "--report", str(cmp_json)]))
     outputs = []
     for _ in range(2):
-        for argv in argvs:
+        for amax_stop, argv in runs:
+            monkeypatch.setattr(csf, "AMAX_STOP", amax_stop)
             assert cli.main(argv) == 0
         outputs.append([p.read_bytes() for p in (log, run_json, cmp_json)])
     assert outputs[0] == outputs[1]
@@ -759,9 +763,10 @@ def test_cli_shoots_one_catenoid_wing(tmp_path, capsys, kind):
     assert got.read_bytes() == want.read_bytes()
 
 
-def test_cli_csf_compare_ellipse_shape(capsys):
+def test_cli_csf_compare_ellipse_shape(capsys, monkeypatch):
+    monkeypatch.setattr(csf, "AMAX_STOP", 30.0)
     rc = cli.main(["csf", "compare", "--shape1", "ellipse:2:1",
-                   "--shape2", "circle:3", "--n", "64", "--stop-amax", "30"])
+                   "--shape2", "circle:3", "--n", "64"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "PASS"
