@@ -16,7 +16,7 @@ and the common dt of a curve pair.  Its states, raw (n, 2) arrays, are
 consumed by the only three entry points that move a curve: run,
 evolve_to and comparison_check.  CurveState and the polyline kernel live
 here with the flow, their only user; run builds its SingularityLog in one
-call.  Sizes past the _MAX_* and _MIN_* bounds are refused up front.  Every
+call.  Sizes past the _MAX_* bounds are refused up front.  Every
 numerical failure is a TranslabError.
 """
 
@@ -44,17 +44,16 @@ AMAX_STOP = 1e4            # a flow stops once Amax reaches it (STOP_AMAX)
 # third-order step divides its time error by ~8 per halving of it
 DT_SAFETY = 2e-2
 
-# Lengths a flow may start from.  A curve of length L flows for t up to a
-# circle's extinction time L^2 / (8 pi^2), and _fit_extinction squares t
-# (np.polyfit): circles of radius 1e78 and up overflow there.  Edge cubes in
-# _resample_arrays overflow from edges of 5.6e102.  Without the bounds,
-# circles of 16 points and radius 1e-306 to 1e76 run clean (each even power
-# of ten); from radius about 1e-4 down they start past AMAX_STOP and stop at
-# t = 0.  Every |kappa| of a closed polygon is at least 4 / L, so within the
-# bound dt = DT_SAFETY / Amax^2 <= L^2 / 800 and t + dt stay finite.
-# The flow never lengthens a curve, and it stops (dtUnderflow) before a
+# The longest curve a flow may start from.  A curve of length L flows for t
+# up to a circle's extinction time L^2 / (8 pi^2), which _fit_extinction
+# squares (np.polyfit): from radius 1e78 up that overflows, and edge cubes in
+# _resample_arrays do from edges of 5.6e102.  Within it dt = DT_SAFETY /
+# Amax^2 <= L^2 / 800 (every |kappa| of a closed polygon is >= 4 / L).  Short
+# curves need no bound: from radius about 1e-4 down a circle starts past
+# AMAX_STOP and stops at t = 0, and below about 1e-307 its curvature is not
+# finite.  The flow never lengthens a curve; it stops (dtUnderflow) before a
 # circle shrinks below ~1e-7 of its radius.
-_MIN_LENGTH, _MAX_LENGTH = 1e-60, 1e60
+_MAX_LENGTH = 1e60
 
 
 class TypeVerdict(Enum):
@@ -182,37 +181,38 @@ def _cyclic_tridiag_solve(sub, diag, sup, rhs):
 
     sub[i] multiplies x_{i-1} in row i and sup[i] multiplies x_{i+1}, indices
     cyclic: the corners are the wrap-around entries sub[0] (row 0 on x_{n-1})
-    and sup[-1] (row n-1 on x_0).  rhs may have several columns.
+    and sup[-1] (row n-1 on x_0).  rhs may have several columns and is kept;
+    sub, diag and sup are overwritten, so callers pass temporaries.
     """
-    n = len(diag)
     corner_tr, corner_bl = sub[0], sup[-1]
     gamma = -diag[0]
-    d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= corner_tr * corner_bl / gamma
+    diag[0] -= gamma
+    diag[-1] -= corner_tr * corner_bl / gamma
 
-    B = np.zeros((n, rhs.shape[1] + 1), order="F")
+    B = np.zeros((len(rhs), rhs.shape[1] + 1), order="F")
     B[:, :-1] = rhs
     B[0, -1] = gamma
     B[-1, -1] = corner_bl
-    sol, info = dgtsv(sub[1:], d, sup[:-1], B, overwrite_d=1, overwrite_b=1)[3:]
+    sol, info = dgtsv(sub[1:], diag, sup[:-1], B, overwrite_dl=1,
+                      overwrite_d=1, overwrite_du=1, overwrite_b=1)[3:]
     if info != 0:
         raise TranslabError(f"tridiagonal solve failed (gtsv info {info})")
     y, z = sol[:, :-1], sol[:, -1]
     vy = y[0, :] + (corner_tr / gamma) * y[-1, :]
     vz = z[0] + (corner_tr / gamma) * z[-1]
-    return y - np.outer(z, vy / (1.0 + vz))
+    return y - z[:, None] * (vy / (1.0 + vz))
 
 
-def _step_arrays(P: np.ndarray, dt: float, ell: np.ndarray | None = None) -> np.ndarray:
-    """One implicit step of x_t = x_ss with the metric frozen at P."""
-    if ell is None:
-        ell = _edge_lengths(P)
+def _weights(P: np.ndarray):
+    """(a, b): the weights of x_{i-1} and x_{i+1} in x_ss at vertex i of P."""
+    ell = _edge_lengths(P)
     ell_prev = _shift_bwd(ell)
-    a = 2.0 / (ell_prev * (ell_prev + ell))   # weight of x_{i-1}
-    b = 2.0 / (ell * (ell_prev + ell))        # weight of x_{i+1}
-    diag = 1.0 + dt * (a + b)
-    return _cyclic_tridiag_solve(-dt * a, diag, -dt * b, P)
+    return 2.0 / (ell_prev * (ell_prev + ell)), 2.0 / (ell * (ell_prev + ell))
+
+
+def _step_arrays(P: np.ndarray, dt: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One implicit step of x_t = x_ss, the metric's weights (a, b) frozen."""
+    return _cyclic_tridiag_solve(-dt * a, 1.0 + dt * (a + b), -dt * b, P)
 
 
 def _extrapolated_step(P: np.ndarray, dt: float) -> np.ndarray:
@@ -220,10 +220,11 @@ def _extrapolated_step(P: np.ndarray, dt: float) -> np.ndarray:
     Hairer-Wanner II, IV.9): Tj1 takes j = 1, 2, 3 substeps of dt/j, each
     refreezing the metric at its own start, and the tableau T22 = 2 T21 - T11,
     T32 = 3 T31 - 2 T21, T33 = T32 + (T32 - T22)/2 is third order in dt."""
-    ell = _edge_lengths(P)
-    T11 = _step_arrays(P, dt, ell)
-    T21 = _step_arrays(_step_arrays(P, dt / 2, ell), dt / 2)
-    T31 = _step_arrays(_step_arrays(_step_arrays(P, dt / 3, ell), dt / 3), dt / 3)
+    w = _weights(P)     # the first substep of each Tj1 starts at P
+    T11, T21, T31 = (_step_arrays(P, dt / j, *w) for j in (1, 2, 3))
+    T21 = _step_arrays(T21, dt / 2, *_weights(T21))
+    for _ in range(2):
+        T31 = _step_arrays(T31, dt / 3, *_weights(T31))
     T22 = 2.0 * T21 - T11
     T32 = 3.0 * T31 - 2.0 * T21
     return T32 + 0.5 * (T32 - T22)
@@ -232,22 +233,18 @@ def _extrapolated_step(P: np.ndarray, dt: float) -> np.ndarray:
 def _resample_arrays(P: np.ndarray) -> np.ndarray:
     """Periodic-cubic arclength-uniform resampling of a closed polyline."""
     m = len(P)
-    seg = _edge_lengths(P)
-    s = np.empty(m + 1)
-    s[0] = 0.0
-    np.cumsum(seg, out=s[1:])
-    total = s[-1]
+    h = _edge_lengths(P)
+    s = np.concatenate(([0.0], np.cumsum(h)))
 
     # periodic cubic spline moments M_i (second derivatives at the knots):
     # (h_{i-1}/6) M_{i-1} + (h_{i-1}+h_i)/3 M_i + (h_i/6) M_{i+1} = rhs_i
-    h = seg
     h_prev = _shift_bwd(h)
     Pn = _shift_fwd(P)
     Pp = _shift_bwd(P)
     rhs = (Pn - P) / h[:, None] - (P - Pp) / h_prev[:, None]
     M = _cyclic_tridiag_solve(h_prev / 6.0, (h_prev + h) / 3.0, h / 6.0, rhs)
 
-    snew = total * np.arange(m) / m
+    snew = s[-1] * np.arange(m) / m
     idx = np.clip(np.searchsorted(s, snew, side="right") - 1, 0, m - 1)
     hi = h[idx][:, None]
     t0 = (snew - s[idx])[:, None]
@@ -290,17 +287,16 @@ def _flow(curves, t: float, t_end: float = math.inf):
     dt no longer advances t in floating point (DT_UNDERFLOW), or when a
     remesh collapses an edge (RESOLUTION_LOST; that state is not yielded).
     Before the first state it refuses a start curve whose curvature is not
-    finite or whose length lies outside [_MIN_LENGTH, _MAX_LENGTH]; a later
-    state that _diagnostics refuses raises too.
+    finite or whose length exceeds _MAX_LENGTH; a later state that
+    _diagnostics refuses raises too.
     """
     state = SimpleNamespace(t=t, curves=[P.copy() for P in curves], steps=0,
                             remeshes=0, stopReason=None,
                             diags=[_diagnostics(P, t) for P in curves])
     for length, _, _ in state.diags:
-        if not _MIN_LENGTH <= length <= _MAX_LENGTH:
+        if not length <= _MAX_LENGTH:
             raise TranslabError(f"curve of length {length!r} cannot be flowed: "
-                                f"lengths must lie in [{_MIN_LENGTH:g}, "
-                                f"{_MAX_LENGTH:g}]")
+                                f"lengths must not exceed {_MAX_LENGTH:g}")
     while True:
         yield state
         amax = max(d[2] for d in state.diags)
@@ -449,18 +445,21 @@ def check_pairs(na: int, nb: int):
 
 
 def _min_distance(P: np.ndarray, Q: np.ndarray) -> float:
-    """Min distance between two closed polylines (vertex-to-segment, both ways)."""
+    """Min distance between two closed polylines (vertex-to-segment, both
+    ways); a segment whose length squared underflows counts from an end."""
     def pts_to_segs(pts, poly):
         x, y = poly[:, 0], poly[:, 1]
         dx, dy = _shift_fwd(x) - x, _shift_fwd(y) - y
         wx = pts[:, 0, None] - x
         wy = pts[:, 1, None] - y
-        tt = np.clip((wx * dx + wy * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+        tt = np.fmin(np.fmax((wx * dx + wy * dy) / (dx * dx + dy * dy), 0.0),
+                     1.0)
         ex = wx - tt * dx
         ey = wy - tt * dy
         return float(np.sqrt(np.min(ex * ex + ey * ey)))
 
-    return min(pts_to_segs(P, Q), pts_to_segs(Q, P))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return min(pts_to_segs(P, Q), pts_to_segs(Q, P))
 
 
 def _inside_mask(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 
 from translab import csf
 from translab.csf import TypeVerdict
@@ -219,6 +220,16 @@ def test_stop_reasons(monkeypatch):
         csf.evolve_to(c, 0.4)
 
 
+def test_curve_past_the_stopping_curvature_stops_at_its_start():
+    # no length floor: a circle of radius 1e-100 starts past AMAX_STOP
+    log = csf.run(csf.make_circle(1e-100, 16))
+    assert (log.stopReason, log.steps, len(log.times)) == (csf.STOP_AMAX, 0, 1)
+    rep = csf.comparison_check(csf.make_circle(1e-100, 16),
+                               csf.make_circle(1.0, 16))
+    assert (rep.verdict, rep.stopReason) == ("PASS", csf.STOP_AMAX)
+    assert rep.steps == 0
+
+
 def test_dt_underflow_stops_the_flow(monkeypatch):
     # the inner loop of the limacon r = 0.5 + cos(theta) pinches until
     # DT_SAFETY / Amax^2 falls below the float spacing of t
@@ -371,6 +382,79 @@ def test_min_distance_matches_einsum_reference():
         P = rng.normal(size=(n, 2))
         Q = rng.normal(size=(m, 2)) + rng.normal(size=2)
         assert csf._min_distance(P, Q) == _min_distance_einsum(P, Q)
+
+
+def test_min_distance_to_edges_whose_square_underflows():
+    # a circle of radius 1e-200 has edges of 4e-201, whose squares are 0: its
+    # segments count from an end, as a point's do, without a warning
+    ang = 2 * math.pi * np.arange(16) / 16
+    unit = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    d = csf._min_distance(1e-200 * unit, unit)
+    assert d == csf._min_distance(0.0 * unit, unit)
+    assert d == pytest.approx(math.cos(math.pi / 16), rel=1e-15)
+
+
+def _cyclic_solve_reference(sub, diag, sup, rhs):
+    """The copying form of _cyclic_tridiag_solve, kept as its reference: it
+    leaves every argument as it was."""
+    n = len(diag)
+    corner_tr, corner_bl = sub[0], sup[-1]
+    gamma = -diag[0]
+    d = diag.copy()
+    d[0] -= gamma
+    d[-1] -= corner_tr * corner_bl / gamma
+
+    B = np.zeros((n, rhs.shape[1] + 1), order="F")
+    B[:, :-1] = rhs
+    B[0, -1] = gamma
+    B[-1, -1] = corner_bl
+    sol, info = dgtsv(sub[1:], d, sup[:-1], B, overwrite_d=1, overwrite_b=1)[3:]
+    assert info == 0
+    y, z = sol[:, :-1], sol[:, -1]
+    vy = y[0, :] + (corner_tr / gamma) * y[-1, :]
+    vz = z[0] + (corner_tr / gamma) * z[-1]
+    return y - np.outer(z, vy / (1.0 + vz))
+
+
+def _check_cyclic_solve(sub, diag, sup, rhs):
+    """The in-place solve gives the reference's bits, leaves rhs as it was,
+    and solves the dense cyclic system."""
+    A = np.diag(diag) + np.roll(np.diag(sub), -1, axis=1) \
+        + np.roll(np.diag(sup), 1, axis=1)
+    kept = [a.copy() for a in (sub, diag, sup, rhs)]
+    x = csf._cyclic_tridiag_solve(sub.copy(), diag.copy(), sup.copy(), rhs)
+    assert np.array_equal(rhs, kept[3])
+    ref = _cyclic_solve_reference(sub, diag, sup, rhs)
+    assert all(np.array_equal(a, b) for a, b in zip((sub, diag, sup), kept))
+    assert np.array_equal(x, ref)
+    dense = np.linalg.solve(A, rhs)
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(x - dense)) <= 1e-12 * scale
+    assert np.max(np.abs(ref - dense)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [8, 9, 33, 64, 128, 300])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cyclic_solve_matches_reference_on_dominant_systems(n, k):
+    rng = np.random.default_rng(1000 * n + k)
+    sub, sup = rng.normal(size=(2, n))
+    diag = (np.abs(sub) + np.abs(sup) + rng.uniform(0.1, 2.0, size=n)) \
+        * rng.choice([-1.0, 1.0], size=n)
+    _check_cyclic_solve(sub, diag, sup, rng.normal(size=(n, k)))
+
+
+def test_cyclic_solve_matches_reference_on_an_ellipse_state():
+    # the step system of _step_arrays and the spline system of
+    # _resample_arrays at a state of the (2, 1) ellipse's flow
+    P = csf.evolve_to(csf.make_ellipse(2.0, 1.0, 96), 0.05).points
+    a, b = csf._weights(P)
+    dt = csf.DT_SAFETY / csf._diagnostics(P, 0.05)[2] ** 2
+    _check_cyclic_solve(-dt * a, 1.0 + dt * (a + b), -dt * b, P)
+    h = csf._edge_lengths(P)
+    h_prev = csf._shift_bwd(h)
+    rhs = (csf._shift_fwd(P) - P) / h[:, None] \
+        - (P - csf._shift_bwd(P)) / h_prev[:, None]
+    _check_cyclic_solve(h_prev / 6.0, (h_prev + h) / 3.0, h / 6.0, rhs)
 
 
 # --- the polyline kernel and the curve container -----------------------------
