@@ -19,9 +19,6 @@ from .errors import TranslabError
 from .grid import GridFunction
 from . import geom as _geom
 
-# analytic evaluation refuses points this close to the strip edge
-# (log cos would lose all digits or blow up)
-DOMAIN_GUARD = 1e-9
 # sample_grid covers this fraction of the strip half-width in x and in y
 HALF_WIDTH_FRAC = 0.9
 # sample_grid refuses an h whose grid has more nodes than this.  `catalog
@@ -32,45 +29,12 @@ HALF_WIDTH_FRAC = 0.9
 _MAX_NODES = 10_000_000
 
 
-def _check_tilt(theta: float):
+def half_width(theta: float) -> float:
+    """Strip half-width pi / (2 cos theta) of the tilt-theta reaper; a tilt
+    outside [0, pi/2) is refused."""
     if not (0.0 <= theta < math.pi / 2):
         raise TranslabError("theta must lie in [0, pi/2)")
-
-
-def half_width(theta: float) -> float:
-    """Strip half-width pi / (2 cos theta) of the tilt-theta reaper."""
-    _check_tilt(theta)
     return math.pi / (2.0 * math.cos(theta))
-
-
-def _height(theta: float, x, y):
-    """(u, x cos theta) of the tilt-theta reaper at interior points, x and y
-    broadcast together; TranslabError in the guard band or outside it."""
-    _check_tilt(theta)
-    c = math.cos(theta)
-    sec = 1.0 / c
-    arg = np.asarray(x, dtype=float) * c
-    if np.any(math.pi / 2 - np.abs(arg) < DOMAIN_GUARD):
-        raise TranslabError("point outside the open strip (or in the guard band)")
-    y = np.asarray(y, dtype=float)
-    return sec * sec * np.log(np.cos(arg)) - math.tan(theta) * y, arg
-
-
-def evaluate(theta: float, x, y):
-    """Exact jet (u, (u_x, u_y), (u_xx, u_xy, u_yy)) of the tilt-theta reaper
-    at interior points.
-
-    u = sec^2(theta) log cos(x cos theta) - tan(theta) y; the strip variable
-    is x, the translation-invariant direction is y.
-    """
-    u, arg = _height(theta, x, y)
-    sec = 1.0 / math.cos(theta)
-    ux = -sec * np.tan(arg)
-    uy = np.full_like(u, -math.tan(theta))
-    uxx = -1.0 / np.cos(arg) ** 2
-    uxy = np.zeros_like(u)
-    uyy = np.zeros_like(u)
-    return u, (ux, uy), (uxx, uxy, uyy)
 
 
 def pde_residual(u, Du, D2u):
@@ -139,5 +103,10 @@ def sample_grid(theta: float, h: float) -> GridFunction:
         raise TranslabError(f"step h = {h!r} needs more than {_MAX_NODES} grid nodes")
     step = 2 * w / (n - 1)
     side = -w + step * np.arange(n)
-    u, _ = _height(theta, side[:, None], side[None, :])
+    # u = sec^2(theta) log cos(x cos theta) - tan(theta) y; half_width has
+    # checked the tilt, and |x| <= HALF_WIDTH_FRAC of the half-width keeps
+    # log cos clear of the strip edge
+    c = math.cos(theta)
+    sec = 1.0 / c
+    u = sec * sec * np.log(np.cos(side[:, None] * c)) - math.tan(theta) * side[None, :]
     return GridFunction(n, n, step, step, -w, -w, u)

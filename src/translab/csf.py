@@ -352,10 +352,12 @@ def run(c0: CurveState) -> SingularityLog:
 
 def _area_law_defect(times: np.ndarray, area: np.ndarray) -> float:
     """max|A - A0 + 2 pi (t - t0)| / A0, 0 for an embedded curve
-    (Gage-Hamilton, J. Differential Geom. 23, 1986); inf for A0 = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # A0 = 0: inf, nan
-        return float(np.max(np.abs(area - area[0] + 2 * math.pi
-                                   * (times - times[0]))) / area[0])
+    (Gage-Hamilton, J. Differential Geom. 23, 1986); inf for A0 = 0, even
+    when the numerator is 0 too (one sample of an underflowed area)."""
+    if area[0] == 0.0:
+        return math.inf
+    return float(np.max(np.abs(area - area[0] + 2 * math.pi
+                               * (times - times[0]))) / area[0])
 
 
 def evolve_to(c0: CurveState, t_target: float) -> CurveState:
@@ -406,26 +408,6 @@ def classify(t: np.ndarray, amax: np.ndarray, T: float | None):
     if s[-1] / s[0] >= 10.0 and np.all(np.diff(s) > -1e-12 * np.max(s)):
         return TypeVerdict.TYPE_II, None
     return TypeVerdict.INCONCLUSIVE, None
-
-
-def roundness(c: CurveState):
-    """max kappa / min kappa (1 for circles).
-
-    Returns (ratio, convex); for non-convex curves (min kappa <= 0 in the
-    orientation-normalized sign) the ratio of |kappa| extremes is returned
-    with convex=False.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa, _, signed_area = _polyline_kernel(c.points)
-    if not np.all(np.isfinite(kappa)):
-        raise TranslabError("consecutive curve points coincide")
-    k = kappa * np.sign(signed_area)
-    kmin, kmax = float(np.min(k)), float(np.max(k))
-    if kmin <= 0.0:
-        ak = np.abs(k)
-        ratio = float(np.max(ak) / max(np.min(ak), 1e-300))
-        return ratio, False
-    return kmax / kmin, True
 
 
 # Vertex-segment pairs of one distance sample (len(P) * len(Q)); each pair

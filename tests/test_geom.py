@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from translab import geom, grid, radial
 from translab.errors import TranslabError
 
@@ -191,8 +192,8 @@ def test_q_squared_tilted_reaper_and_umbilic_policy():
 def test_key_identity_two_ways_on_bowl():
     # grad_{v1} kappa2 from grid differences vs the radial oracle d kappa_rot/ds
     p = radial.shoot_bowl(2, 6.0, 1e-3)
-    s, _, k_rot, _, _ = radial.profile_curvatures(p)
-    dkr = np.gradient(k_rot, s)
+    _, k_rot, _ = radial.profile_curvatures(p)
+    dkr = np.gradient(k_rot, oracles.arclength(p))
     diffs = []
     for n in (81, 161):
         gb = radial.profile_to_grid(p, 0.7, 2.7, 0.7, 2.7, n, n)

@@ -86,7 +86,7 @@ def ref_write_geometry_json(u, path, geom=None):
 
 
 def ref_write_profile_csv(p, path):
-    _, k_prof, k_rot, H, _ = radial.profile_curvatures(p)
+    k_prof, k_rot, H = radial.profile_curvatures(p)
     k1 = np.maximum(k_prof, k_rot)
     k2 = np.minimum(k_prof, k_rot)
     lam = "" if p.lam is None else _fmt(p.lam)

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import oracles
 from translab import catalog, cli, radial
 from translab.errors import TranslabError
 from translab.radial import RadialKind, RadialProfile
@@ -59,7 +60,7 @@ def test_bowl_identity_defects_and_convergence():
     # h = 1e-3 sits at the rounding floor (defect ~ 1e-7 << 1e-5); the
     # truncation-dominated regime for the 4x ratio starts around h ~ 1e-2
     p = radial.shoot_bowl(2, 31.0, 1e-3)
-    rep = radial.radial_identities_report(p, 1.0, 30.0)
+    rep = oracles.radial_identities_report(p, 1.0, 30.0)
     assert rep.maxDefectK1 < 1e-5
     assert rep.maxDefectH < 1e-5
     assert rep.translatorLike
@@ -67,7 +68,7 @@ def test_bowl_identity_defects_and_convergence():
     defs = []
     for h in (8e-3, 4e-3):
         ph = radial.shoot_bowl(2, 31.0, h)
-        r = radial.radial_identities_report(ph, 1.0, 30.0)
+        r = oracles.radial_identities_report(ph, 1.0, 30.0)
         defs.append((r.maxDefectK1, r.maxDefectH))
     assert 3.0 <= defs[0][0] / defs[1][0] <= 5.0
     assert 3.0 <= defs[0][1] / defs[1][1] <= 5.0
@@ -78,7 +79,7 @@ def test_catenoid_identity_convergence():
     for h in (3.2e-2, 1.6e-2):
         up = radial.shoot_catenoid_wing(2, 2.0, 5.0, h,
                                         RadialKind.CATENOID_UPPER)
-        r = radial.radial_identities_report(up, 2.3, 4.0)
+        r = oracles.radial_identities_report(up, 2.3, 4.0)
         defs.append((r.maxDefectK1, r.maxDefectH))
     assert 3.0 <= defs[0][0] / defs[1][0] <= 5.0
     assert 3.0 <= defs[0][1] / defs[1][1] <= 5.0
@@ -97,14 +98,14 @@ def test_paraboloid_violates_translator_identity():
     r = np.linspace(0.3, 3.0, 400)
     prof = RadialProfile(n=2, kind=RadialKind.BOWL, lam=None, r=r,
                          u=-r * r / 2, psi=np.arctan(-r), h=1e-2)
-    rep = radial.radial_identities_report(prof, 1.0, 2.7)
+    rep = oracles.radial_identities_report(prof, 1.0, 2.7)
     assert rep.maxDefectH > 0.1
     assert not rep.translatorLike
 
 
 def test_umbilic_window_guard():
     with pytest.raises(TranslabError, match="window contains near-umbilic samples"):
-        radial.radial_identities_report(sphere_cap_profile(), 1.0, 2.7)
+        oracles.radial_identities_report(sphere_cap_profile(), 1.0, 2.7)
 
 
 def test_rescaled_profile_is_not_a_translator():
@@ -112,8 +113,8 @@ def test_rescaled_profile_is_not_a_translator():
     p = radial.shoot_bowl(2, 16.0, 4e-3)
     scaled = RadialProfile(n=2, kind=RadialKind.BOWL, lam=None,
                            r=2 * p.r, u=2 * p.u, psi=p.psi, h=p.h)
-    rep = radial.radial_identities_report(scaled, 2.0, 30.0)
-    good = radial.radial_identities_report(p, 1.0, 15.0)
+    rep = oracles.radial_identities_report(scaled, 2.0, 30.0)
+    good = oracles.radial_identities_report(p, 1.0, 15.0)
     assert rep.maxDefectH > 100 * good.maxDefectH
     assert not rep.translatorLike
 

@@ -1,11 +1,13 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "translab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "translab"
 
 
 def test_no_assert_in_package():
@@ -80,6 +82,64 @@ def test_a_caught_refusal_is_raised_again():
                       if isinstance(n, (ast.Name, ast.Attribute))})
                   and not isinstance(handler.body[-1], ast.Raise)]
     assert found == []
+
+
+# public names that nothing in the package names, and why each stays
+UNREFERENCED = {
+    "evolve_to": "criterion 10 needs the flow's exact landing time",
+    "profile_to_grid": "perfbench's family workload samples the bowl with it",
+    "write_geometry_csv": "perfbench's family workload times it",
+    "write_geometry_json": "perfbench's family workload times it",
+}
+
+
+def test_every_public_name_is_used_in_the_package():
+    # a public function or class that only tests reach belongs in the tests
+    # (tests/oracles.py): each is named, as a Name or an Attribute, in some
+    # top-level statement of src/ other than its own definition
+    tops = [node for path in sorted(SRC.glob("*.py"))
+            for node in ast.parse(path.read_text()).body]
+    named = [(node, {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute))})
+             for node in tops]
+    unused = {d.name for d in tops
+              if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef))
+              and not d.name.startswith("_")
+              and not any(d.name in names
+                          for node, names in named if node is not d)}
+    assert sorted(unused) == sorted(UNREFERENCED)
+
+
+def test_sources_parse_at_the_python_floor():
+    # the syntax of every module under src/, tests/ and perfbench/ must be
+    # that of the requires-python floor in pyproject.toml (3.10).  This
+    # checks syntax, not the standard-library API: a call that is new in a
+    # later version parses.  feature_version refuses except* and PEP 695
+    # generics on any interpreter; a PEP 701 f-string (a quote of the outer
+    # kind nested inside it) is refused by the parser of 3.11 and older only
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                      (ROOT / "pyproject.toml").read_text(), re.M)
+    version = (int(floor[1]), int(floor[2]))
+
+    def refused(source):
+        try:
+            ast.parse(source, feature_version=version)
+        except SyntaxError:
+            return True
+        return False
+
+    paths = [path for top in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    assert len(paths) > 20
+    assert [str(path.relative_to(ROOT)) for path in paths
+            if refused(path.read_text())] == []
+    newer = ["try:\n    pass\nexcept* ValueError:\n    pass\n",
+             "def first[T](xs: list[T]) -> T:\n    return xs[0]\n"]
+    if sys.version_info < (3, 12):
+        newer.append("f'{\"a\" + f\"{'b'}\"}'\n")
+    assert all(map(refused, newer))
 
 
 def test_csf_imports_only_errors_from_the_package():
