@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TranslabError
-from .geom import (drift_laplacian, flip_orientation, graph_geometry,
-                   interior_jet, q_squared, surface_gradient)
+from .geom import (drift_laplacian, graph_geometry, interior_jet, q_squared,
+                   surface_gradient)
 from .grid import GridFunction
 
 # step of first_variation_check's central differences, eps and eps / 2
@@ -170,11 +170,12 @@ def spruck_xiao_report(u: GridFunction) -> SpruckXiaoReport:
     geom = graph_geometry(u)
     with np.errstate(divide="ignore", invalid="ignore"):  # k1 = 0, inf - inf
         flipped = bool(np.nanmedian(geom.H[geom.interior]) < 0)
-        convex = flip_orientation(geom) if flipped else geom
-        k1, k2 = convex.kappa1, convex.kappa2
+        k1, k2 = geom.kappa1, geom.kappa2
+        if flipped:  # Q^2 and the umbilic mask do not depend on orientation
+            k1, k2 = -k2, -k1
         H = k1 + k2
 
-        q2, umb = q_squared(convex), convex.umbilic
+        q2, umb = q_squared(geom), geom.umbilic
         ratio = H / k1
         ratio[umb] = np.nan
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class ResidualReport:
 
     maxAbs: float
     l2: float
-    perNode: np.ndarray = field(repr=False)  # (nx, ny), NaN on the margin
     maxGrad: float           # max |Du|, diagnostic
     is_graph: bool = True    # False only for vertical planes (residual 0 by convention)
 
@@ -64,22 +63,18 @@ def residual_report(u: GridFunction) -> ResidualReport:
     p, q, r, s, t = _geom.interior_jet(u.values, u.hx, u.hy)
     inner = pde_residual(u.values[1:-1, 1:-1], (p, q), (r, s, t))
     del r, s, t
-    res = np.full((u.nx, u.ny), np.nan)
-    res[1:-1, 1:-1] = inner
     max_abs = float(np.max(np.abs(inner)))
     inner *= inner
     # one row list at a time; fsum is exact, so its order does not matter
     l2 = math.sqrt(math.fsum(itertools.chain.from_iterable(
         map(np.ndarray.tolist, inner))))
     grad2 = p ** 2 + q ** 2
-    return ResidualReport(maxAbs=max_abs, l2=l2, perNode=res,
-                          maxGrad=float(np.sqrt(np.max(grad2))))
+    return ResidualReport(maxAbs=max_abs, l2=l2, maxGrad=float(np.sqrt(np.max(grad2))))
 
 
 def plane_report() -> ResidualReport:
     """Vertical planes translate trivially; residual 0 by convention, flagged."""
-    return ResidualReport(maxAbs=0.0, l2=0.0, perNode=np.zeros((0, 0)),
-                          maxGrad=math.inf, is_graph=False)
+    return ResidualReport(maxAbs=0.0, l2=0.0, maxGrad=math.inf, is_graph=False)
 
 
 def check_step(h: float):

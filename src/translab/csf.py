@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +35,8 @@ from .errors import TranslabError
 # SingularityLog.stopReason values
 STOP_AMAX, RESOLUTION_LOST, MAX_STEPS, DT_UNDERFLOW = \
     "stopAmax", "resolutionLost", "maxSteps", "dtUnderflow"
+# SingularityLog.typeVerdict values
+TYPE_I, TYPE_II, INCONCLUSIVE = "TypeI", "TypeII", "Inconclusive"
 
 _REMESH_EVERY = 5          # steps between arclength-uniform resamplings
 _MAX_STEPS = 2_000_000     # step budget of one flow (stopReason MAX_STEPS)
@@ -56,12 +57,6 @@ DT_SAFETY = 2e-2
 _MAX_LENGTH = 1e60
 
 
-class TypeVerdict(Enum):
-    TYPE_I = "TypeI"
-    TYPE_II = "TypeII"
-    INCONCLUSIVE = "Inconclusive"
-
-
 @dataclass
 class SingularityLog:
     """Flow diagnostics time series (the log CSV), fitted extinction data,
@@ -75,7 +70,7 @@ class SingularityLog:
     length: np.ndarray = field(repr=False)
     area: np.ndarray = field(repr=False)
     fittedT: float | None = None
-    typeVerdict: TypeVerdict | None = None
+    typeVerdict: str | None = None
     Climsup: float | None = None
     fitWindowStart: int = 0
     steps: int = 0
@@ -342,7 +337,7 @@ def run(c0: CurveState) -> SingularityLog:
     defect = _area_law_defect(times, area)
     bound = 10.0 * (1.0 - n * math.sin(2 * math.pi / n) / (2 * math.pi))
     if not defect <= bound:  # a flow that broke the area law (inf, nan too)
-        verdict, climsup = TypeVerdict.INCONCLUSIVE, None
+        verdict, climsup = INCONCLUSIVE, None
     return SingularityLog(times=times, Amax=amax, length=length, area=area,
                           fittedT=T, typeVerdict=verdict, Climsup=climsup,
                           fitWindowStart=start, steps=state.steps,
@@ -397,17 +392,17 @@ def classify(t: np.ndarray, amax: np.ndarray, T: float | None):
     before it.
     """
     if T is None:
-        return TypeVerdict.INCONCLUSIVE, None
+        return INCONCLUSIVE, None
     sel = t < T
     if sel.sum() < 20:
-        return TypeVerdict.INCONCLUSIVE, None
+        return INCONCLUSIVE, None
     s = amax[sel] * np.sqrt(T - t[sel])
     ratio = float(np.max(s) / np.median(s))
     if ratio <= 3.0:
-        return TypeVerdict.TYPE_I, float(np.sqrt(2.0) * np.max(s))
+        return TYPE_I, float(np.sqrt(2.0) * np.max(s))
     if s[-1] / s[0] >= 10.0 and np.all(np.diff(s) > -1e-12 * np.max(s)):
-        return TypeVerdict.TYPE_II, None
-    return TypeVerdict.INCONCLUSIVE, None
+        return TYPE_II, None
+    return INCONCLUSIVE, None
 
 
 # Vertex-segment pairs of one distance sample (len(P) * len(Q)); each pair
@@ -428,7 +423,14 @@ def check_pairs(na: int, nb: int):
 
 def _min_distance(P: np.ndarray, Q: np.ndarray) -> float:
     """Min distance between two closed polylines (vertex-to-segment, both
-    ways); a segment whose length squared underflows counts from an end."""
+    ways); a segment whose length squared underflows counts from an end.
+    Both are first divided by a power of two s no larger than their largest
+    |coordinate|, which is exact, so squared distances of tiny or huge
+    curves neither underflow nor overflow."""
+    m = max(np.max(np.abs(P)), np.max(np.abs(Q)))
+    s = math.ldexp(1.0, math.frexp(m)[1] - 1)
+    P, Q = P / s, Q / s
+
     def pts_to_segs(pts, poly):
         x, y = poly[:, 0], poly[:, 1]
         dx, dy = _shift_fwd(x) - x, _shift_fwd(y) - y
@@ -441,7 +443,7 @@ def _min_distance(P: np.ndarray, Q: np.ndarray) -> float:
         return float(np.sqrt(np.min(ex * ex + ey * ey)))
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        return min(pts_to_segs(P, Q), pts_to_segs(Q, P))
+        return s * min(pts_to_segs(P, Q), pts_to_segs(Q, P))
 
 
 def _inside_mask(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ Invalid margin nodes hold NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,7 +56,7 @@ def interior_jet(v: np.ndarray, hx: float, hy: float):
 
 @dataclass
 class GeometryField:
-    """Per-node differential geometry of a graph, upward unless flipped.
+    """Per-node differential geometry of a graph with the upward normal.
 
     Arrays are (nx, ny); vector fields are (nx, ny, 3).  `grid` is the graph
     and p, q its slopes u_x, u_y.  Nodes outside the one-node interior hold
@@ -81,7 +81,7 @@ class GeometryField:
 
 def graph_geometry(u: GridFunction) -> GeometryField:
     """Shape operator, principal curvatures/directions and derived fields,
-    with the upward normal; flip_orientation gives the downward one.
+    with the upward normal (the downward one has curvatures -kappa2, -kappa1).
     Each intermediate is released once its last use is done.  The whole
     body runs under one errstate: non-finite interior second differences,
     W, kappa1 or principal-direction norms are refused instead.
@@ -168,14 +168,6 @@ def graph_geometry(u: GridFunction) -> GeometryField:
         return GeometryField(grid=u, p=p, q=q, W=W, N=N, H=H, kappa1=kappa1,
                              kappa2=kappa2, v1=v1, v2=v2, normA2=normA2,
                              interior=interior, umbilic=umbilic)
-
-
-def flip_orientation(geom: GeometryField) -> GeometryField:
-    """The geometry with the opposite normal: N, H and A negate, so kappa1 is
-    -kappa2 and v1 is v2; the grid, slopes, W, |A|^2 and the translator
-    defect are unchanged."""
-    return replace(geom, N=-geom.N, H=-geom.H, kappa1=-geom.kappa2,
-                   kappa2=-geom.kappa1, v1=geom.v2, v2=geom.v1)
 
 
 def _raised_gradient(phi: np.ndarray, geom: GeometryField):

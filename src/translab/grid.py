@@ -60,13 +60,3 @@ class GridFunction:
     def meshgrid(self):
         """(X, Y) node coordinate arrays, shape (nx, ny)."""
         return np.meshgrid(self.xs, self.ys, indexing="ij")
-
-
-def from_function(f, x0: float, x1: float, y0: float, y1: float,
-                  nx: int, ny: int) -> GridFunction:
-    """Sample u = f(X, Y) on the closed rectangle [x0,x1] x [y0,y1]."""
-    hx = (x1 - x0) / (nx - 1)
-    hy = (y1 - y0) / (ny - 1)
-    X, Y = np.meshgrid(x0 + hx * np.arange(nx), y0 + hy * np.arange(ny),
-                       indexing="ij")
-    return GridFunction(nx, ny, hx, hy, x0, y0, np.asarray(f(X, Y), dtype=float))

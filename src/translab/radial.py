@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import TranslabError
-from .grid import GridFunction, from_function
+from .grid import GridFunction
 
 
 class RadialKind(Enum):
@@ -433,15 +433,16 @@ def profile_to_grid(p: RadialProfile, x0: float, x1: float, y0: float,
     if p.kind is not RadialKind.BOWL:
         raise TranslabError("only bowl profiles can be sampled onto a grid")
 
-    def height(X, Y):
-        R = np.hypot(X, Y)
-        if R.max() > p.r[-1] + 1e-12 or R.min() < p.r[0] - 1e-12:
-            raise TranslabError("grid radii not covered by the profile")
-        k = np.clip(np.searchsorted(p.r, R, side="right") - 1, 0, len(p.r) - 2)
-        dr = p.r[k + 1] - p.r[k]
-        t = (R - p.r[k]) / dr
-        m = np.tan(p.psi)
-        s = 1 - t
-        return (s * s * ((1 + 2 * t) * p.u[k] + t * dr * m[k])
-                + t * t * ((3 - 2 * t) * p.u[k + 1] - s * dr * m[k + 1]))
-    return from_function(height, x0, x1, y0, y1, nx, ny)
+    hx = (x1 - x0) / (nx - 1)
+    hy = (y1 - y0) / (ny - 1)
+    R = np.hypot((x0 + hx * np.arange(nx))[:, None], y0 + hy * np.arange(ny))
+    if R.max() > p.r[-1] + 1e-12 or R.min() < p.r[0] - 1e-12:
+        raise TranslabError("grid radii not covered by the profile")
+    k = np.clip(np.searchsorted(p.r, R, side="right") - 1, 0, len(p.r) - 2)
+    dr = p.r[k + 1] - p.r[k]
+    t = (R - p.r[k]) / dr
+    m = np.tan(p.psi)
+    s = 1 - t
+    return GridFunction(nx, ny, hx, hy, x0, y0,
+                        s * s * ((1 + 2 * t) * p.u[k] + t * dr * m[k])
+                        + t * t * ((3 - 2 * t) * p.u[k + 1] - s * dr * m[k + 1]))

@@ -468,6 +468,28 @@ CONTRACT = {"test_io_cli": {
     "test_cli_delta_wing_stall_is_the_solver_error": [
         (None, "elliptic delta-wing --b 1.5718 --nx 41 --ny 33", 1, "",
          r"error: damping floor hit at iteration ((?!b =).)*")],
+    # the number of a shape spec that float() refuses is the same usage
+    # error as an unknown shape
+    "test_cli_shape_spec_number_is_checked": [
+        (None, "csf compare --shape1 circle:abc", 2, "",
+         "translab csf compare: error: argument --shape1: expected "
+         "circle:R or ellipse:a:b, not 'circle:abc'")],
+    # a circle of radius 1e4 flows until dt underflows against t
+    # (test_cli_large_circle_stops_at_dt_underflow reads its stopReason)
+    "test_cli_large_circle_runs": [
+        (None, "csf run --radius 1e4 --n 16 --out {out}/l.csv", 0, "json", "")],
+    # squared distances of these nested circles underflow: the distance
+    # used to read 0.0 and the compare "curves must be disjoint at t = 0"
+    "test_cli_compare_of_tiny_nested_circles_passes": [
+        (None, "csf compare --n 16 --shape1 circle:1e-200 "
+         "--shape2 circle:3e-200", 0, "json", "")],
+    # a 4 x 4 grid has a one-node interior, too small for Q^2 and the drift
+    # Laplacian
+    "test_cli_grid_without_a_two_node_margin_is_refused": [
+        ("sx", "analyze sx --in {in}/grid-4x4.csv", 1, "",
+         r"error: Q\^2 needs a two-node margin"),
+        ("jacobi", "analyze jacobi --in {in}/grid-4x4.csv", 1, "",
+         "error: drift Laplacian needs a two-node margin")],
     "test_cli_bad_shape_spec": [
         (None, "csf compare --shape1 blob:1 --shape2 circle:2", 2, "",
          "translab csf compare: error: argument --shape1: expected "

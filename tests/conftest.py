@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from translab import csf, elliptic, grid, io as tio, radial
 
 B_ROOT2 = math.pi / math.sqrt(2)
@@ -58,10 +59,10 @@ def cli_inputs(tmp_path_factory):
     (tests/cli_contract.py) read as {in}/<name>."""
     d = tmp_path_factory.mktemp("cli-inputs")
     tio.write_profile_csv(radial.shoot_bowl(2, 5.0, 1e-2), d / "p.csv")
-    tio.write_grid_csv(grid.from_function(
+    tio.write_grid_csv(oracles.from_function(
         lambda X, Y: np.sin(X) * np.cos(Y) / 3, -2, 2, -2, 2, 33, 33),
         d / "g.csv")
-    tio.write_grid_csv(grid.from_function(
+    tio.write_grid_csv(oracles.from_function(
         lambda X, Y: 1e300 * X, -2, 2, -2, 2, 41, 41), d / "steep.csv")
     # u_xx overflows at h = 1e-155, the slopes too at 1e-160, kappa1 at
     # 1e-150 and the principal-direction norm at 1e-100; nothing at 1e-60
@@ -78,6 +79,9 @@ def cli_inputs(tmp_path_factory):
     (d / "grid-2x2.csv").write_text(
         "# translab-grid nx=2 ny=2 hx=1 hy=1 x0=0 y0=0\ni,j,x,y,u\n"
         + "".join(f"{i},{j},0,0,0\n" for i in range(2) for j in range(2)))
+    # too small for the two-node margin of Q^2 and the drift Laplacian
+    tio.write_grid_csv(oracles.from_function(lambda X, Y: X * Y, -1, 1, -1, 1,
+                                             4, 4), d / "grid-4x4.csv")
     (d / "u-nan.csv").write_text(_bad_grid_head().replace("4,4,0,0,0",
                                                           "4,4,0,0,nan"))
     # each row "i,j,0,0,0" loses its last field

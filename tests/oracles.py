@@ -3,19 +3,22 @@
 The closed-form jet of the tilted grim reapers (criterion 1), the
 drift-curvature identities of a radial profile (criterion 4) and the
 roundness of a curve (criterion 10) check the package's output; no command
-and no library path needs them.  Each is the package code it replaced, so
-it gives the same bits on the same input.
+and no library path needs them.  So do the grid sampler, the flipped
+geometry and the per-node residual that the tests build their inputs and
+expectations from.  Each is the package code it replaced, so it gives the
+same bits on the same input.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from translab import csf, radial
+from translab import catalog, csf, geom, radial
 from translab.errors import TranslabError
+from translab.grid import GridFunction
 
 # evaluate refuses points this close to the strip edge (log cos would lose
 # all digits or blow up)
@@ -131,3 +134,31 @@ def roundness(c: csf.CurveState):
         ratio = float(np.max(ak) / max(np.min(ak), 1e-300))
         return ratio, False
     return kmax / kmin, True
+
+
+def from_function(f, x0: float, x1: float, y0: float, y1: float,
+                  nx: int, ny: int) -> GridFunction:
+    """Sample u = f(X, Y) on the closed rectangle [x0,x1] x [y0,y1]."""
+    hx = (x1 - x0) / (nx - 1)
+    hy = (y1 - y0) / (ny - 1)
+    X, Y = np.meshgrid(x0 + hx * np.arange(nx), y0 + hy * np.arange(ny),
+                       indexing="ij")
+    return GridFunction(nx, ny, hx, hy, x0, y0, np.asarray(f(X, Y), dtype=float))
+
+
+def flip_orientation(g: geom.GeometryField) -> geom.GeometryField:
+    """The geometry with the opposite normal: N, H and A negate, so kappa1 is
+    -kappa2 and v1 is v2; the grid, slopes, W, |A|^2 and the translator
+    defect are unchanged."""
+    return replace(g, N=-g.N, H=-g.H, kappa1=-g.kappa2,
+                   kappa2=-g.kappa1, v1=g.v2, v2=g.v1)
+
+
+def residual_field(u: GridFunction) -> np.ndarray:
+    """Per-node translator-PDE residual of a height field, (nx, ny), NaN on
+    the margin: the central-difference residual that catalog.residual_report
+    aggregates."""
+    p, q, r, s, t = geom.interior_jet(u.values, u.hx, u.hy)
+    res = np.full((u.nx, u.ny), np.nan)
+    res[1:-1, 1:-1] = catalog.pde_residual(u.values[1:-1, 1:-1], (p, q), (r, s, t))
+    return res

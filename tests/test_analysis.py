@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from translab import analysis, geom, grid, radial
 from translab.analysis import VariationSpec
 from translab.errors import TranslabError
@@ -11,12 +13,12 @@ from translab.errors import TranslabError
 def reaper_strip(h=0.025, half=1.5, span=3.5):
     n = int(round(2 * span / h)) + 1
     m = int(round(2 * half / h)) + 1
-    return grid.from_function(lambda X, Y: np.log(np.cos(Y)),
-                              -span, span, -half, half, n, m)
+    return oracles.from_function(lambda X, Y: np.log(np.cos(Y)),
+                                 -span, span, -half, half, n, m)
 
 
 def test_weighted_area_flat_and_constant():
-    g = grid.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, 41, 41)
+    g = oracles.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, 41, 41)
     assert abs(analysis.weighted_area(g, (-0.5, 0.5, -0.5, 0.5)) - 1.0) < 1e-12
     gc = grid.GridFunction(41, 41, 0.05, 0.05, -1.0, -1.0,
                            np.full((41, 41), 0.7))
@@ -26,14 +28,14 @@ def test_weighted_area_flat_and_constant():
 
 def test_weighted_area_grim_reaper_closed_form():
     # int_{-1}^{1} e^{-log cos x} sec x dx = 2 tan 1, constant in y
-    g = grid.from_function(lambda X, Y: np.log(np.cos(X)),
-                           -1.3, 1.3, -0.5, 1.5, 261, 201)
+    g = oracles.from_function(lambda X, Y: np.log(np.cos(X)),
+                              -1.3, 1.3, -0.5, 1.5, 261, 201)
     val = analysis.weighted_area(g, (-1.0, 1.0, 0.0, 1.0))
     assert abs(val - 2 * math.tan(1.0)) < 1e-4
 
 
 def test_weighted_area_region_guard():
-    g = grid.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, 21, 21)
+    g = oracles.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, 21, 21)
     with pytest.raises(TranslabError, match="quadrature region exceeds the grid"):
         analysis.weighted_area(g, (-2.0, 0.5, -0.5, 0.5))
 
@@ -49,7 +51,7 @@ def test_first_variation_vanishes_on_translator():
 
 
 def test_first_variation_negative_control():
-    g = grid.from_function(lambda X, Y: np.zeros_like(X), -4, 4, -4, 4, 161, 161)
+    g = oracles.from_function(lambda X, Y: np.zeros_like(X), -4, 4, -4, 4, 161, 161)
     spec = VariationSpec(center=(0, 0), radius=1.5)
     d = analysis.first_variation_check(g, spec)
     # d A = -int(phi) for the flat plane; the cos^2 bump integrates to rx*ry
@@ -77,7 +79,7 @@ def test_first_variation_guards():
         analysis.first_variation_check(
             g, VariationSpec(center=(3.4, 0), radius=1.0))
     # exp(-u) overflows where x < 0
-    steep = grid.from_function(lambda X, Y: 1e150 * X, -2, 2, -2, 2, 41, 41)
+    steep = oracles.from_function(lambda X, Y: 1e150 * X, -2, 2, -2, 2, 41, 41)
     with pytest.raises(TranslabError, match="weighted area overflowed"):
         analysis.first_variation_check(
             steep, VariationSpec(center=(0, 0), radius=1.2))
@@ -98,13 +100,13 @@ def test_variation_spec_must_be_finite(kwargs, field):
 
 def test_bump_narrower_than_a_cell_is_computed_without_warning():
     # |X| / 5e-324 overflowed, with a RuntimeWarning, before clipping to 1
-    g = grid.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, 21, 21)
+    g = oracles.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, 21, 21)
     phi = VariationSpec(radius=5e-324).profile(g)
     assert phi[10, 10] == 1.0 and np.count_nonzero(phi) == 1
 
 
 def test_stability_operator_basics():
-    g = grid.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, 21, 21)
+    g = oracles.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, 21, 21)
     G = geom.graph_geometry(g)
     zero = np.zeros_like(g.values)
     L_zero = geom.drift_laplacian(zero, G) + G.normA2 * zero
@@ -139,7 +141,7 @@ def gradH_identity_defect(u):
 
 
 def test_gradH_identity():
-    g = grid.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, 21, 21)
+    g = oracles.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, 21, 21)
     assert gradH_identity_defect(g) < 1e-12  # both sides vanish
 
     p = radial.shoot_bowl(2, 6.0, 1e-3)
@@ -166,14 +168,14 @@ def test_spruck_xiao_on_tilted_reaper():
 def test_spruck_xiao_flags_non_translator():
     # sphere cap: drift identity for H fails by 4/R^3
     R = 3.0
-    g = grid.from_function(
+    g = oracles.from_function(
         lambda X, Y: np.sqrt(R * R - X * X - Y * Y) - R, -1, 1, -1, 1, 81, 81)
     rep = analysis.spruck_xiao_report(g)
     assert rep.maxDefectDriftH > 0.1
 
 
 def test_spruck_xiao_empty_mask_on_plane():
-    g = grid.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, 21, 21)
+    g = oracles.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, 21, 21)
     with pytest.raises(TranslabError, match="all nodes umbilic or outside the margin"):
         analysis.spruck_xiao_report(g)
 
@@ -198,3 +200,26 @@ def test_each_analysis_differences_the_heights_once(monkeypatch):
     analysis.first_variation_check(g, VariationSpec(center=(1.7, 1.7),
                                                     radius=0.5))
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_spruck_xiao_report_equals_the_flipped_geometry_report(monkeypatch, sign):
+    # the report takes -kappa2, -kappa1 when H < 0, and Q^2 and the umbilic
+    # mask of the upward geometry: the same bits as Q^2 of the whole flipped
+    # geometry, on the bowl (H < 0, flipped) and on its mirror (H > 0)
+    p = radial.shoot_bowl(2, 6.0, 1e-3)
+    bowl = radial.profile_to_grid(p, 0.7, 2.7, 0.7, 2.7, 41, 41)
+    g = grid.GridFunction(41, 41, bowl.hx, bowl.hy, bowl.x0, bowl.y0,
+                          sign * bowl.values)
+    got = analysis.spruck_xiao_report(g)
+    assert got.orientationFlipped is (sign > 0)
+    flip = oracles.flip_orientation if got.orientationFlipped else (lambda G: G)
+    monkeypatch.setattr(analysis, "q_squared",
+                        lambda G: geom.q_squared(flip(G)))
+    ref = analysis.spruck_xiao_report(g)
+    for f in dataclasses.fields(ref):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b, equal_nan=True), f.name
+        else:
+            assert a == b, f.name

@@ -92,17 +92,26 @@ def test_tilt_structure_requires_linear_term():
 
 
 def test_residual_report_zero_height():
-    g = grid.from_function(lambda X, Y: np.zeros_like(X), 0, 1, 0, 1, 11, 11)
+    g = oracles.from_function(lambda X, Y: np.zeros_like(X), 0, 1, 0, 1, 11, 11)
     rep = catalog.residual_report(g)
-    inner = rep.perNode[1:-1, 1:-1]
+    inner = oracles.residual_field(g)[1:-1, 1:-1]
     assert np.all(inner == 1.0)
     assert rep.maxAbs == 1.0
     assert abs(rep.l2 - math.sqrt(inner.size)) < 1e-12
 
 
+def test_residual_report_aggregates_the_residual_field():
+    g = catalog.sample_grid(math.pi / 6, 0.05)
+    rep, res = catalog.residual_report(g), oracles.residual_field(g)
+    inner = res[1:-1, 1:-1]
+    assert np.isnan(res[0]).all() and np.isnan(res[:, -1]).all()
+    assert rep.maxAbs == float(np.max(np.abs(inner)))
+    assert rep.l2 == math.sqrt(math.fsum((inner * inner).ravel().tolist()))
+
+
 def test_residual_report_grim_reaper_truncation():
-    g = grid.from_function(lambda X, Y: np.log(np.cos(X)),
-                           -1.2, 1.2, -1.2, 1.2, 241, 241)
+    g = oracles.from_function(lambda X, Y: np.log(np.cos(X)),
+                              -1.2, 1.2, -1.2, 1.2, 241, 241)
     rep = catalog.residual_report(g)
     assert rep.maxAbs < 1e-3  # O(h^2) at h = 0.01
 
@@ -112,12 +121,12 @@ def test_residual_report_convergence_tilted():
     maxima = []
     for h in (0.02, 0.01, 0.005):
         g = catalog.sample_grid(math.pi / 4, h)
-        rep = catalog.residual_report(g)
+        res = oracles.residual_field(g)
         X, _ = g.meshgrid()
         # fixed subregion: the first interior node drifts with h, and next to
         # the strip edge the truncation constant varies too fast in its wake
-        sel = (np.abs(X) <= 0.85 * hw) & np.isfinite(rep.perNode)
-        maxima.append(np.max(np.abs(rep.perNode[sel])))
+        sel = (np.abs(X) <= 0.85 * hw) & np.isfinite(res)
+        maxima.append(np.max(np.abs(res[sel])))
     assert 3.0 <= maxima[0] / maxima[1] <= 5.0
     assert 3.0 <= maxima[1] / maxima[2] <= 5.0
 

@@ -7,7 +7,6 @@ from scipy.linalg.lapack import dgtsv
 
 import oracles
 from translab import csf
-from translab.csf import TypeVerdict
 from translab.errors import TranslabError
 
 
@@ -31,7 +30,7 @@ def test_circle_radius_tracks_closed_form():
 def test_circle_extinction_fit(circle_log):
     log = circle_log
     assert abs(log.fittedT - 0.5) < 1e-3
-    assert log.typeVerdict is TypeVerdict.TYPE_I
+    assert log.typeVerdict == csf.TYPE_I
     assert abs(log.Climsup - 1.0) < 2e-2
     w = log.fitWindowStart
     sel = log.times[w:] < log.fittedT
@@ -71,8 +70,20 @@ def test_blowup_lower_bound_and_time_bounds(circle_log):
 def test_classify_insufficient_data():
     # no extinction time, then fewer than 20 samples before it
     t, amax = np.linspace(0, 0.1, 5), np.ones(5)
-    assert csf.classify(t, amax, None) == (TypeVerdict.INCONCLUSIVE, None)
-    assert csf.classify(t, amax, 0.5) == (TypeVerdict.INCONCLUSIVE, None)
+    assert csf.classify(t, amax, None) == (csf.INCONCLUSIVE, None)
+    assert csf.classify(t, amax, 0.5) == (csf.INCONCLUSIVE, None)
+
+
+def test_fit_extinction_of_a_rising_inverse_square_has_no_time():
+    # 1/Amax^2 = 1 + t grows: a slope >= 0 gives no extinction time
+    t = np.linspace(0.0, 1.0, 20)
+    assert csf._fit_extinction(t, 1.0 / np.sqrt(1.0 + t)) == (14, None)
+
+
+def test_log_refuses_times_that_do_not_increase():
+    with pytest.raises(TranslabError, match="strictly increasing"):
+        csf.SingularityLog(times=[0.0, 0.0], Amax=[1.0, 1.0],
+                           length=[1.0, 1.0], area=[1.0, 1.0])
 
 
 def test_classify_verdicts():
@@ -81,12 +92,12 @@ def test_classify_verdicts():
     # in the growing s leaves neither verdict
     T, t = 1.0, np.linspace(0.0, 0.999, 200)
     blowup = 1.0 / (T - t)
-    assert csf.classify(t, blowup, T) == (TypeVerdict.TYPE_II, None)
+    assert csf.classify(t, blowup, T) == (csf.TYPE_II, None)
     assert csf.classify(t, 1.0 / np.sqrt(2.0 * (T - t)), T) == \
-        (TypeVerdict.TYPE_I, 1.0000000000000002)
+        (csf.TYPE_I, 1.0000000000000002)
     dip = blowup.copy()
     dip[100] *= 0.5
-    assert csf.classify(t, dip, T) == (TypeVerdict.INCONCLUSIVE, None)
+    assert csf.classify(t, dip, T) == (csf.INCONCLUSIVE, None)
 
 
 def test_roundness_values():
@@ -187,7 +198,7 @@ def test_make_ellipse_sum_past_the_largest_float_is_refused_quietly():
 def test_ellipse_quick_run_monotone_blowup(monkeypatch):
     monkeypatch.setattr(csf, "AMAX_STOP", 100.0)
     log = csf.run(csf.make_ellipse(2, 1, 128))
-    assert log.typeVerdict is TypeVerdict.TYPE_I
+    assert log.typeVerdict == csf.TYPE_I
     tail = log.Amax[int(0.8 * len(log.Amax)):]
     assert np.all(np.diff(tail) > -1e-9)  # Amax grows monotonically near blow-up
 
@@ -342,15 +353,14 @@ def test_area_law_defect_shows_an_unresolved_curve(circle_log_256):
         thin = csf.run(csf.make_ellipse(2.0, b, 32))
         assert thin.areaLawDefect > 1.0
         assert not thin.areaLawDefect <= thin.areaLawBound
-        assert (thin.typeVerdict, thin.Climsup) == (TypeVerdict.INCONCLUSIVE,
-                                                    None)
+        assert (thin.typeVerdict, thin.Climsup) == (csf.INCONCLUSIVE, None)
     assert circle_log_256.areaLawDefect < 1e-3
     assert circle_log_256.areaLawBound == \
         10.0 * (1.0 - 256 * math.sin(2 * math.pi / 256) / (2 * math.pi))
     # the coarsest resolved Type I run found, at 3.3 delta(n), keeps its verdict
     coarse = csf.run(csf.make_ellipse(2.0, 0.5, 16))
     assert coarse.areaLawDefect <= coarse.areaLawBound
-    assert coarse.typeVerdict is TypeVerdict.TYPE_I
+    assert coarse.typeVerdict == csf.TYPE_I
 
 
 def test_area_law_defect_of_a_curve_of_zero_area_is_inf_without_warning(
@@ -400,6 +410,24 @@ def test_min_distance_to_edges_whose_square_underflows():
     d = csf._min_distance(1e-200 * unit, unit)
     assert d == csf._min_distance(0.0 * unit, unit)
     assert d == pytest.approx(math.cos(math.pi / 16), rel=1e-15)
+
+
+def test_min_distance_of_curves_closer_than_the_root_of_the_least_float():
+    # the squared distances of these nested circles underflow; the distance
+    # used to read 0.0, and the comparison refused them as not disjoint
+    tiny, small = csf.make_circle(1e-200, 16), csf.make_circle(3e-200, 16)
+    d = csf._min_distance(tiny.points, small.points)
+    assert d == pytest.approx(2e-200 * math.cos(math.pi / 16), rel=1e-14)
+    rep = csf.comparison_check(tiny, small)
+    assert (rep.verdict, rep.initialDistance) == ("PASS", d)
+
+
+@pytest.mark.parametrize("k", [-900, -600, -40, 40, 600, 900])
+def test_min_distance_scales_exactly_by_a_power_of_two(k):
+    P = csf.make_circle(0.6, 32).points
+    Q = csf.make_ellipse(2.0, 1.0, 48, center=(0.3, -0.1)).points
+    d = csf._min_distance(P, Q)
+    assert csf._min_distance(np.ldexp(P, k), np.ldexp(Q, k)) == math.ldexp(d, k)
 
 
 def _cyclic_solve_reference(sub, diag, sup, rhs):
@@ -465,6 +493,13 @@ def test_cyclic_solve_matches_reference_on_an_ellipse_state():
     _check_cyclic_solve(h_prev / 6.0, (h_prev + h) / 3.0, h / 6.0, rhs)
 
 
+def test_cyclic_solve_reports_a_singular_system():
+    # no off-diagonal entries and a zero second diagonal entry: pivot 2 is 0
+    with pytest.raises(TranslabError, match=r"gtsv info 2"):
+        csf._cyclic_tridiag_solve(np.zeros(4), np.array([2.0, 0.0, 1.0, 1.0]),
+                                  np.zeros(4), np.ones((4, 2)))
+
+
 # --- the polyline kernel and the curve container -----------------------------
 
 
@@ -506,3 +541,8 @@ def test_degenerate_edge_detection():
 def test_curve_needs_eight_points():
     with pytest.raises(ValueError):
         csf.CurveState(points=circle_points(1.0, 7))
+
+
+def test_curve_points_must_be_planar_pairs():
+    with pytest.raises(TranslabError, match=r"points must be \(n, 2\)"):
+        csf.CurveState(points=np.zeros((10, 3)))

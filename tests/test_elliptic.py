@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from translab import catalog, cli, elliptic, geom
+import oracles
+from translab import cli, elliptic, geom
 from translab.elliptic import (DAMPING_MIN, MAX_NEWTON, TOL_RESIDUAL,
                                StripProblem, delta_wing, initial_guess,
                                newton_solve)
@@ -26,7 +27,7 @@ def test_zero_height_residual_is_one():
     p = StripProblem(2.0, 6.0, 41, 41)
     p.bc = np.zeros((41, 41))
     u = p.grid(np.zeros((41, 41)))
-    res = catalog.residual_report(u).perNode[1:-1, 1:-1]
+    res = oracles.residual_field(u)[1:-1, 1:-1]
     assert np.all(res == 1.0)
 
 
@@ -41,7 +42,7 @@ def test_residual_second_order_on_grim_data():
     maxima = []
     for nx, ny in ((121, 65), (241, 129)):
         p, vals = grim_strip_problem(nx, ny)
-        res = catalog.residual_report(p.grid(vals)).perNode[1:-1, 1:-1]
+        res = oracles.residual_field(p.grid(vals))[1:-1, 1:-1]
         # fixed subregion: next to the strip edge the first interior node
         # drifts with h and the truncation constant varies too fast there
         Y = np.meshgrid(p.xs, p.ys, indexing="ij")[1][1:-1, 1:-1]
@@ -271,7 +272,7 @@ def test_newton_residual_is_the_catalog_residual(monkeypatch):
     assert rep.iterations >= 1
     newton_res = [res for v, res in seen if np.array_equal(v, sol.values)][-1]
     monkeypatch.undo()
-    res = catalog.residual_report(sol).perNode[1:-1, 1:-1]
+    res = oracles.residual_field(sol)[1:-1, 1:-1]
     assert np.array_equal(newton_res, res)
     assert rep.rawResidualMax == float(np.max(np.abs(res)))
 
@@ -447,6 +448,14 @@ def test_strip_problem_invariants():
     # the envelope alone: sec^2(theta) = 1 / cos^2(theta) overflows
     with pytest.raises(ValueError, match="finite sec"):
         elliptic.tilted_pair_envelope(1e200, np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match="finite b > pi/2"):
+        elliptic.tilted_pair_envelope(1.0, np.zeros(3), np.zeros(3))
+
+
+def test_newton_refuses_an_initial_guess_of_another_grid():
+    p = StripProblem(2.0, 6.0, 41, 33)
+    with pytest.raises(TranslabError, match="initial guess does not match"):
+        newton_solve(p, initial_guess(StripProblem(2.0, 6.0, 41, 41)))
 
 
 def test_newton_refuses_an_initial_guess_whose_defect_is_not_finite():
@@ -540,7 +549,7 @@ def test_quadrant_solve_matches_full_grid_reference(nx, ny):
     assert np.max(np.abs(sol.values - ref)) <= 1e-10
     assert (rep.iterations, rep.factorizations) == (iterations, factorizations)
     gp, gq, _, _, _ = geom.interior_jet(sol.values, p.hx, p.hy)
-    res = catalog.residual_report(sol).perNode[1:-1, 1:-1]
+    res = oracles.residual_field(sol)[1:-1, 1:-1]
     defect = res / (1 + gp * gp + gq * gq) ** 1.5
     assert np.max(np.abs(defect)) <= TOL_RESIDUAL
 

@@ -13,7 +13,7 @@ from translab.errors import TranslabError
 
 
 def plane(n=21):
-    return grid.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, n, n)
+    return oracles.from_function(lambda X, Y: np.zeros_like(X), -1, 1, -1, 1, n, n)
 
 
 def test_flat_plane_is_minimal():
@@ -28,8 +28,8 @@ def test_flat_plane_is_minimal():
 def test_paraboloid_osculates_unit_sphere():
     # u = -(x^2+y^2)/2 with the upward normal: both curvatures -1, H = -2,
     # and tr D^2u = -2 at the critical point
-    g = grid.from_function(lambda X, Y: -(X**2 + Y**2) / 2,
-                           -0.5, 0.5, -0.5, 0.5, 41, 41)
+    g = oracles.from_function(lambda X, Y: -(X**2 + Y**2) / 2,
+                              -0.5, 0.5, -0.5, 0.5, 41, 41)
     G = geom.graph_geometry(g)
     ic = 20
     assert abs(G.kappa1[ic, ic] + 1.0) < 1e-10
@@ -45,8 +45,8 @@ def translator_defect(G):
 
 
 def test_grim_reaper_graph_is_translator():
-    g = grid.from_function(lambda X, Y: np.log(np.cos(X)),
-                           -1.2, 1.2, -1.0, 1.0, 121, 101)
+    g = oracles.from_function(lambda X, Y: np.log(np.cos(X)),
+                              -1.2, 1.2, -1.0, 1.0, 121, 101)
     G = geom.graph_geometry(g)
     defect = translator_defect(G)
     assert np.nanmax(defect[1:-1, 1:-1]) < 2.5e-4  # O(h^2), h = 0.02
@@ -57,11 +57,11 @@ def test_grim_reaper_graph_is_translator():
 def test_translator_defect_is_orientation_free():
     # the reference is the mirror surface -u: its upward geometry has the
     # flipped H and the negated flipped N_z, computed from its own jet
-    g = grid.from_function(lambda X, Y: np.log(np.cos(X)) + 0.3 * Y,
-                           -1.2, 1.2, -1.0, 1.0, 61, 51)
+    g = oracles.from_function(lambda X, Y: np.log(np.cos(X)) + 0.3 * Y,
+                              -1.2, 1.2, -1.0, 1.0, 61, 51)
     G = geom.graph_geometry(g)
     up = translator_defect(G)
-    dn = translator_defect(geom.flip_orientation(G))
+    dn = translator_defect(oracles.flip_orientation(G))
     mirror = geom.graph_geometry(_mirror(g))
     inner = G.interior
     assert np.array_equal(up[inner], dn[inner])
@@ -77,10 +77,10 @@ def _mirror(g):
 def test_orientation_flip_negates_curvatures(a, b):
     # flipping the normal of u gives, bit for bit, the curvatures of -u seen
     # with its own upward normal
-    g = grid.from_function(lambda X, Y: a * np.sin(b * X) * np.cos(Y),
-                           -1, 1, -1, 1, 17, 17)
+    g = oracles.from_function(lambda X, Y: a * np.sin(b * X) * np.cos(Y),
+                              -1, 1, -1, 1, 17, 17)
     G = geom.graph_geometry(g)
-    flipped = geom.flip_orientation(G)
+    flipped = oracles.flip_orientation(G)
     mirror = geom.graph_geometry(_mirror(g))
     inner = G.interior
     for name in ("kappa1", "kappa2", "H"):
@@ -111,8 +111,8 @@ def _wiggle_exact_curvatures(X, Y):
 def test_second_order_convergence_of_curvatures():
     errs = []
     for n in (41, 81, 161):
-        g = grid.from_function(lambda X, Y: 0.5 * np.sin(X) * np.cos(1.3 * Y),
-                               -1, 1, -1, 1, n, n)
+        g = oracles.from_function(lambda X, Y: 0.5 * np.sin(X) * np.cos(1.3 * Y),
+                                  -1, 1, -1, 1, n, n)
         G = geom.graph_geometry(g)
         X, Y = g.meshgrid()
         He, k1e, k2e = _wiggle_exact_curvatures(X, Y)
@@ -127,8 +127,8 @@ def test_second_order_convergence_of_curvatures():
 
 
 def test_frame_orthonormality():
-    g = grid.from_function(lambda X, Y: 0.5 * np.sin(X) * np.cos(1.3 * Y),
-                           -1, 1, -1, 1, 81, 81)
+    g = oracles.from_function(lambda X, Y: 0.5 * np.sin(X) * np.cos(1.3 * Y),
+                              -1, 1, -1, 1, 81, 81)
     G = geom.graph_geometry(g)
     inner = G.interior
 
@@ -153,9 +153,20 @@ def test_drift_laplacian_basics():
 
 
 def test_drift_laplacian_margin_guard():
-    g = grid.from_function(lambda X, Y: np.zeros_like(X), 0, 1, 0, 1, 4, 6)
+    g = oracles.from_function(lambda X, Y: np.zeros_like(X), 0, 1, 0, 1, 4, 6)
     with pytest.raises(TranslabError, match="drift Laplacian needs a two-node margin"):
         geom.drift_laplacian(g.values, geom.graph_geometry(g))
+
+
+def test_surface_gradient_refuses_a_field_of_another_grid():
+    G = geom.graph_geometry(plane(9))
+    with pytest.raises(TranslabError, match="scalar field shape mismatch"):
+        geom.surface_gradient(np.zeros((3, 3)), G)
+
+
+def test_grid_refuses_values_of_another_shape():
+    with pytest.raises(TranslabError, match=r"values shape \(4, 3\) != \(3, 4\)"):
+        grid.GridFunction(3, 4, 1.0, 1.0, 0.0, 0.0, np.zeros((4, 3)))
 
 
 def test_drift_of_H_on_bowl_grid():

@@ -12,13 +12,14 @@ import pytest
 import scipy.sparse as sp
 
 import cli_contract
+import oracles
 from translab import cli, csf, elliptic, grid, io as tio, radial
 from translab.errors import TranslabError
 
 
 def wavy_grid(nx=9, ny=7):
-    return grid.from_function(lambda X, Y: np.sin(X) * np.cos(Y) / 3,
-                              -1, 1, -1, 1, nx, ny)
+    return oracles.from_function(lambda X, Y: np.sin(X) * np.cos(Y) / 3,
+                                 -1, 1, -1, 1, nx, ny)
 
 
 def test_grid_csv_roundtrip_bit_exact(tmp_path):
@@ -132,7 +133,7 @@ def test_log_csv_header_and_empty(tmp_path):
 
 
 def test_obj_export_counts(tmp_path):
-    g = grid.from_function(lambda X, Y: X + Y, 0, 1, 0, 1, 3, 3)
+    g = oracles.from_function(lambda X, Y: X + Y, 0, 1, 0, 1, 3, 3)
     path = tmp_path / "m.obj"
     tio.export_grid_obj(g, path, provenance="unit test")
     lines = path.read_text().splitlines()
@@ -418,7 +419,7 @@ def test_memo_and_parse_refuse_a_nan_alike(tmp_path, kind):
         tio.write_profile_csv(p, path)
         read, message = tio.read_profile_csv, "profile samples must be finite"
     else:
-        g = grid.from_function(lambda X, Y: X * Y, -1, 1, -1, 1, 9, 9)
+        g = oracles.from_function(lambda X, Y: X * Y, -1, 1, -1, 1, 9, 9)
         g.values[2, 3] = -np.nan
         tio.write_grid_csv(g, path)
         read, message = tio.read_grid_csv, "grid values must be finite"
@@ -445,7 +446,7 @@ def test_profile_refuses_an_n_that_is_not_an_int(tmp_path):
 def test_memo_under_threads(tmp_path):
     # threads writing and reading their own grids through the one memo each
     # read back their own values
-    grids = [grid.from_function(lambda X, Y, k=k: X * Y + k, -1, 1, -1, 1, 9, 7)
+    grids = [oracles.from_function(lambda X, Y, k=k: X * Y + k, -1, 1, -1, 1, 9, 7)
              for k in range(4)]
     failures = []
 
@@ -626,6 +627,16 @@ def test_cli_csf_run(tmp_path, capsys, monkeypatch):
     assert verdict["stopReason"] == "stopAmax"
     header = log.read_text().splitlines()[0]
     assert header == "t,Amax,length,area"
+
+
+def test_cli_large_circle_stops_at_dt_underflow(tmp_path, capsys):
+    # radius 1e4 (and 3000) flows until t + dt == t; radius 1500 reaches
+    # csf.AMAX_STOP first
+    rc = cli.main(["csf", "run", "--radius", "1e4", "--n", "16",
+                   "--out", str(tmp_path / "l.csv")])
+    assert rc == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert (verdict["stopReason"], verdict["steps"]) == ("dtUnderflow", 831)
 
 
 def test_cli_csf_compare(capsys, monkeypatch):

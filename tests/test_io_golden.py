@@ -15,7 +15,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from translab import __version__, csf, grid, io as tio, radial
+import oracles
+from translab import __version__, csf, io as tio, radial
 from translab.geom import graph_geometry, q_squared
 
 _F = "%.17g"
@@ -170,18 +171,18 @@ def inputs():
     W[4, 3], H[4, 5] = math.inf, -math.inf
     t = np.linspace(0.0, 0.49, 23)
     return {
-        "wavy": grid.from_function(lambda X, Y: np.sin(X) * np.cos(Y) / 3,
-                                   -1, 1, -1, 1, 9, 7),
-        "big": grid.from_function(lambda X, Y: np.exp(X) * np.sin(3 * Y),
-                                  -1, 1, -2, 2, 81, 61),
-        "long_line": grid.from_function(lambda X, Y: np.cos(X + Y) / 3,
-                                        -1, 1, -3, 3, 5, 4099),
-        "short_lines": grid.from_function(lambda X, Y: np.sin(X - Y) / 3,
-                                          -3, 3, -1, 1, 4099, 5),
+        "wavy": oracles.from_function(lambda X, Y: np.sin(X) * np.cos(Y) / 3,
+                                      -1, 1, -1, 1, 9, 7),
+        "big": oracles.from_function(lambda X, Y: np.exp(X) * np.sin(3 * Y),
+                                     -1, 1, -2, 2, 81, 61),
+        "long_line": oracles.from_function(lambda X, Y: np.cos(X + Y) / 3,
+                                           -1, 1, -3, 3, 5, 4099),
+        "short_lines": oracles.from_function(lambda X, Y: np.sin(X - Y) / 3,
+                                             -3, 3, -1, 1, 4099, 5),
         # x = 0 and y = 0 are nodes: -0.0 next to 0.0, and every value
         # repeated by the point reflection (x, y) -> (-x, -y)
-        "signs": grid.from_function(lambda X, Y: X * Y, -1, 1, -1.5, 1.5,
-                                    9, 7),
+        "signs": oracles.from_function(lambda X, Y: X * Y, -1, 1, -1.5, 1.5,
+                                       9, 7),
         "tip": tip,
         "tip_geom_inf": (tip, dataclasses.replace(geom, W=W, H=H)),
         "bowl": bowl,

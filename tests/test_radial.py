@@ -178,6 +178,26 @@ def test_profile_to_grid_is_exact_on_a_cubic():
     assert np.max(np.abs(g.values - (0.3 * R ** 3 - R * R - 0.5 * R))) <= 1e-13
 
 
+def test_profile_to_grid_is_the_sampled_hermite_height():
+    # the grid sampler it used to call gives the same grid, bit for bit
+    p = radial.shoot_bowl(2, 6.0, 1e-3)
+
+    def height(X, Y):
+        R = np.hypot(X, Y)
+        k = np.clip(np.searchsorted(p.r, R, side="right") - 1, 0, len(p.r) - 2)
+        dr = p.r[k + 1] - p.r[k]
+        t = (R - p.r[k]) / dr
+        m = np.tan(p.psi)
+        s = 1 - t
+        return (s * s * ((1 + 2 * t) * p.u[k] + t * dr * m[k])
+                + t * t * ((3 - 2 * t) * p.u[k + 1] - s * dr * m[k + 1]))
+    for box in ((-2.0, 2.0, -2.0, 2.0, 81, 81), (0.7, 2.7, -1.5, 3.1, 41, 29)):
+        g, ref = radial.profile_to_grid(p, *box), oracles.from_function(height, *box)
+        assert (g.nx, g.ny, g.hx, g.hy, g.x0, g.y0) == \
+            (ref.nx, ref.ny, ref.hx, ref.hy, ref.x0, ref.y0)
+        assert np.array_equal(g.values, ref.values)
+
+
 def test_dopri5_dense_output_and_fsal_count():
     # y'' = -y from (0, 1): the continuous extension tracks sin between the
     # steps, and each attempt after the first costs six rhs calls
@@ -264,6 +284,8 @@ def test_argument_validation():
                                    RadialKind.CATENOID_UPPER)
     with pytest.raises(ValueError):  # r_max below the neck
         radial.shoot_catenoid_wing(2, 2.0, 1.0, 1e-3, RadialKind.CATENOID_LOWER)
+    with pytest.raises(ValueError, match="catenoid-upper or catenoid-lower"):
+        radial.shoot_catenoid_wing(2, 1.0, 5.0, 1e-2, RadialKind.BOWL)
 
 
 def test_non_monotone_bowl_raises(monkeypatch):

@@ -84,7 +84,7 @@ def test_a_caught_refusal_is_raised_again():
     assert found == []
 
 
-# public names that nothing in the package names, and why each stays
+# top-level names that nothing in the package names, and why each stays
 UNREFERENCED = {
     "evolve_to": "criterion 10 needs the flow's exact landing time",
     "profile_to_grid": "perfbench's family workload samples the bowl with it",
@@ -93,9 +93,10 @@ UNREFERENCED = {
 }
 
 
-def test_every_public_name_is_used_in_the_package():
-    # a public function or class that only tests reach belongs in the tests
-    # (tests/oracles.py): each is named, as a Name or an Attribute, in some
+def test_every_top_level_name_is_used_in_the_package():
+    # a top-level function or class, public or private, that only tests
+    # reach belongs in the tests (tests/oracles.py), and one that nothing
+    # reaches goes: each is named, as a Name or an Attribute, in some
     # top-level statement of src/ other than its own definition
     tops = [node for path in sorted(SRC.glob("*.py"))
             for node in ast.parse(path.read_text()).body]
@@ -106,7 +107,6 @@ def test_every_public_name_is_used_in_the_package():
     unused = {d.name for d in tops
               if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef,
                                 ast.ClassDef))
-              and not d.name.startswith("_")
               and not any(d.name in names
                           for node, names in named if node is not d)}
     assert sorted(unused) == sorted(UNREFERENCED)
